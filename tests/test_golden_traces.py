@@ -1,0 +1,113 @@
+"""Behaviour oracle: pinned sha256 of run outputs and verify reports.
+
+Each config below is run through ``config.execute`` and the bytes of its
+trace CSV and summary JSON are hashed.  The summary is hashed with the
+output paths removed (they depend on the test's temporary directory) and
+re-serialized exactly as ``execute`` writes it.  A refactor of the solvers
+must leave every hash unchanged; a deliberate change of the numbers or of
+the file formats re-pins them and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from agdsmooth.cli import main
+from agdsmooth.config import config_from_dict, execute
+
+GOLDEN_RUNS = {
+    # the pinned adaptive run of the benchmark
+    "adaptive-exp": (
+        {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
+         "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
+         "budget": 20000},
+        "5ddc2cf6fc7e577818ad9dcacb250ea33aef2e14d2b381705d8a091d5a945360",
+        "41941380c19c57144ad1522375bdcf0d6109a707ae0a720321f07e21c0d654fa",
+    ),
+    "agd1-exp-1d": (
+        {"algorithm": "agd1", "problem": "exp-1d", "epsilon": 1e-8},
+        "f6f617b35724ee8dcaa3ea2008fa184d93c86910aa64a0816154996fc077ea75",
+        "47e0beadba6f883bd0463442699322f2cbf84f7b299753bf87b99fbab8201d2e",
+    ),
+    # orthant projection of u; superquadratic claim with an estimated m_bar
+    "agd1-neg-log-barrier": (
+        {"algorithm": "agd1", "problem": "neg-log-barrier", "epsilon": 1e-8},
+        "26cb50120280e60d91aba05ba0a14ef4e4ab69240509709f5af42e845b9ada68",
+        "79c3baf7ea4dd3d90d3cb6286a395eefd40823231f02e9e5a3f25b1ba160e6fc",
+    ),
+    "gd-exp-experiment": (
+        {"algorithm": "gd", "problem": "exp-experiment", "epsilon": 1e-4},
+        "1347be1436c1f984ff035a0217d9ee015d95ebb7f637cf988b8c5bd93028f4cc",
+        "ece3a2c8a9b2e526965f30ecebae9ffde4794ce4b9aeef5a0757e44ce2b9756f",
+    ),
+    # a claimed profile too small for the objective: observe-mode flags
+    "agd2-quadratic-constant-claim": (
+        {"algorithm": "agd2", "problem": "quadratic", "ell": {"kind": "constant", "L": 0.5},
+         "epsilon": 1e-8, "budget": 200},
+        "9d17f42c224be446518ddefb10b5678ce7914bff1de0644139041801312c56e4",
+        "ba8fafb63d763f2643ce279e6ae3fad091dfb48c2e568cfa291731ca7e15fc94",
+    ),
+    # certificate-only stopping: the optimum is withheld
+    "agd1-quadratic-no-optimum": (
+        {"algorithm": "agd1", "problem": "quadratic",
+         "problem_params": {"d": 3, "known_optimum": False}, "r_bar": 2.0,
+         "epsilon": 1e-6},
+        "8e0535ec7c13dcd0a57737ebf69127babec807be70dab97aad77d82c9ff0011e",
+        "b897acf33be1ad8ae2abd2d4f790b61d4c6b767302647f7e570448c9b2b928e8",
+    ),
+    "agd2-stationary-start": (
+        {"algorithm": "agd2", "problem": "quadratic", "x0": [0.0, 0.0], "r_bar": 1.0},
+        "31c4110d7dc2ec2ac8301858d996331ae6f93786cf00b8bf9daeb05d43223b24",
+        "26c310364ab9c3ab1d82c9ab00c3fe1c7787daf970643a39176291081d675578",
+    ),
+    "agd1-r-bar-too-small": (
+        {"algorithm": "agd1", "problem": "exp-1d", "r_bar": 1.0},
+        "31c4110d7dc2ec2ac8301858d996331ae6f93786cf00b8bf9daeb05d43223b24",
+        "76e7dcafac8d2cc81b91ae9dec61f5f417ff7f126fa1d6d9084aea1e8372ac32",
+    ),
+}
+
+GOLDEN_VERIFY = {
+    "exp-1d": "5365dc494ba850b225bd0fe71417e444d260390c0501627101edb21a505f1a68",
+    "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
+    "neg-log-barrier": "9bc5c4ebae4024c093fd41b63cdd0da6624c8965d50d2579fb77e3c79e176e94",
+    "power-p": "070804a3fc2e3cf9a8c76822007df241f7087d0c44a68d46295ff57c7a390593",
+    "quadratic": "8900f975b00822ce0cb0350526ef00cc10af3d129d6c33ddd6663e153f907b79",
+}
+VERIFY_TRIALS = 60
+
+PATH_KEYS = ("trace_path", "summary_path")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def summary_digest(text: str) -> str:
+    summary = json.loads(text)
+    for key in PATH_KEYS:
+        summary.pop(key, None)
+        summary["config"].pop(key, None)
+    return sha256((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_outputs_are_pinned(name, tmp_path):
+    settings, trace_sha, summary_sha = GOLDEN_RUNS[name]
+    trace = tmp_path / "trace.csv"
+    summary = tmp_path / "summary.json"
+    execute(config_from_dict(
+        {**settings, "trace_path": str(trace), "summary_path": str(summary)}
+    ))
+    assert sha256(trace.read_bytes()) == trace_sha
+    assert summary_digest(summary.read_text()) == summary_sha
+
+
+@pytest.mark.parametrize("problem", sorted(GOLDEN_VERIFY))
+def test_verify_report_is_pinned(problem, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["verify", problem, "claimed", "--trials", str(VERIFY_TRIALS),
+                 "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert sha256(out.read_bytes()) == GOLDEN_VERIFY[problem]
