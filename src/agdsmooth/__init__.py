@@ -10,7 +10,6 @@ certificates (:mod:`agdsmooth.solvers`), an objective catalog
 """
 
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     DomainError,
     DomainViolationError,
@@ -39,8 +38,6 @@ from .smoothness import (
     q_max,
 )
 from .problems import (
-    Ball,
-    Box,
     CATALOG_NAMES,
     Domain,
     FullSpace,
@@ -75,7 +72,6 @@ from .verify import (
     check_descent_step,
     check_gap_to_grad,
     check_gradient_transfer,
-    merge_reports,
     run_all_checks,
 )
 from .config import RunConfig, SweepSpec, execute, load_config, run_sweep

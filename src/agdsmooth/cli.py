@@ -7,8 +7,16 @@ Subcommands::
     agdsmooth verify <problem> <model> [--trials N] [--seed S] [--params JSON] [--out FILE]
     agdsmooth catalog list
 
-Exit codes: 0 converged, 2 budget exhausted, 3 precondition failed,
-4 configuration error, 5 invariant violation in strict mode.
+Exit codes:
+
+* 0 -- converged (``run``), or every check passed (``verify``);
+* 2 -- the oracle-call budget ran out (``budget`` termination);
+* 3 -- a precondition failed, or a sweep point raised;
+* 4 -- configuration error, including a start point outside the feasible
+  set or one where the objective overflows or is not finite;
+* 5 -- a strict-mode invariant violation, an iterate that left the
+  feasible set, or a failed ``verify`` check.
+
 The environment variable ``AGDSMOOTH_OUTPUT_DIR`` overrides where trace,
 summary, and report files land (default: current directory).
 """
@@ -22,18 +30,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import (
-    OUTPUT_DIR_ENV,
-    _output_dir,
-    execute,
-    load_config,
-    load_sweep,
-    run_sweep,
-)
+from .config import execute, load_config, load_sweep, output_dir, run_sweep
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     DomainError,
+    DomainViolationError,
     InvariantViolationError,
     OutOfRangeError,
     PreconditionError,
@@ -119,7 +120,7 @@ def _cmd_verify(args) -> int:
     for entry in payload:
         if entry["witness"] is not None:
             entry["witness"] = json.loads(json.dumps(entry["witness"], default=list))
-    out = args.out or str(_output_dir() / f"{args.problem}-verify-report.json")
+    out = args.out or str(output_dir() / f"{args.problem}-verify-report.json")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     ok = True
@@ -149,15 +150,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_catalog(args)
-    except (ConfigurationError, DomainError, OutOfRangeError) as exc:
+    except (ConfigurationError, DomainError, DomainViolationError, OutOfRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (InvariantViolationError, SafetyViolationError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

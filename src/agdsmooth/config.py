@@ -22,13 +22,10 @@ from .problems import CATALOG_NAMES, Problem, catalog, default_x0, evaluate
 from .smoothness import EllModel, PsiProfile, model_from_config, model_to_config
 from .solvers import (
     RunResult,
-    TraceRecord,
-    _gd_phase,
-    _Oracle,
-    AgdState,
     algorithm1_run,
     algorithm2_run,
     estimate_grad_bound,
+    gd_run,
     select_delta,
     write_trace_csv,
 )
@@ -157,7 +154,8 @@ def _jsonable(value):
     return value
 
 
-def _output_dir() -> Path:
+def output_dir() -> Path:
+    """Where trace, summary and report files land by default."""
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
@@ -205,8 +203,14 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     delta = config.delta
     gamma_cap0 = config.gamma_cap0
 
-    if config.algorithm in ("gd", "agd1"):
-        if config.algorithm == "agd1" and delta is None:
+    if config.algorithm == "gd":
+        result = gd_run(
+            problem, model, x0, config.epsilon, r_bar, config.budget,
+            check_invariants=config.check_invariants, strict=config.strict_checks,
+            collect_trace=collect_trace,
+        )
+    elif config.algorithm == "agd1":
+        if delta is None:
             if math.isfinite(profile.delta_max) and m_bar is None:
                 if problem.optimum is None:
                     raise ConfigurationError(
@@ -217,8 +221,11 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
                 notes.append(f"m_bar estimated by sphere sampling (heuristic): {m_bar}")
             delta = select_delta(model, r_bar, m_bar)
             notes.append(f"delta selected by policy: {delta}")
-        result = _execute_gd_or_agd1(config, problem, model, x0, r_bar, delta,
-                                     m_bar, collect_trace)
+        result = algorithm1_run(
+            problem, model, x0, delta, r_bar, config.epsilon, config.budget,
+            m_bar=m_bar, check_invariants=config.check_invariants,
+            strict=config.strict_checks, collect_trace=collect_trace,
+        )
     else:
         if gamma_cap0 is None:
             if problem.optimum is None:
@@ -243,35 +250,6 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     if write_files:
         _write_outputs(config, result, summary)
     return result, summary
-
-
-def _execute_gd_or_agd1(config, problem, model, x0, r_bar, delta, m_bar, collect_trace):
-    if config.algorithm == "agd1":
-        if delta is None:
-            raise ConfigurationError("config field 'delta': required for agd1")
-        return algorithm1_run(
-            problem, model, x0, delta, r_bar, config.epsilon, config.budget,
-            m_bar=m_bar, check_invariants=config.check_invariants,
-            strict=config.strict_checks, collect_trace=collect_trace,
-        )
-    # plain GD: run the warm-start loop with target gap epsilon
-    oracle = _Oracle(problem)
-    f0, g0 = oracle(x0)
-    trace: list[TraceRecord] = [] if collect_trace else None
-    status, x, f, g, iters, flags = _gd_phase(
-        oracle, model, x0, f0, g0, 2.0 * config.epsilon, r_bar,
-        max_calls=config.budget, trace=trace,
-        strict=config.strict_checks and config.check_invariants,
-    )
-    opt = problem.optimum
-    f_star = opt.f_star if opt is not None else None
-    state = AgdState(y=x, u=x.copy(), gamma_cap=1.0, k=0, f_y=f, grad_y=g)
-    achieved = (f - f_star) if f_star is not None else float(np.linalg.norm(g)) * r_bar
-    return RunResult(
-        state=state, gd_iters=iters, agd_iters=0, achieved_gap=achieved,
-        trace=trace or [], termination="converged" if status == "ok" else "budget",
-        oracle_calls=oracle.calls, flags_total=flags,
-    )
 
 
 def _summarize(config, result, model, r_bar, delta, gamma_cap0, m_bar, notes, x0) -> dict:
@@ -303,11 +281,11 @@ def _summarize(config, result, model, r_bar, delta, gamma_cap0, m_bar, notes, x0
 def _write_outputs(config: RunConfig, result: RunResult, summary: dict) -> None:
     stem = f"{config.problem}-{config.algorithm}"
     if config.trace_path != "":
-        trace_path = config.trace_path or str(_output_dir() / f"{stem}-trace.csv")
+        trace_path = config.trace_path or str(output_dir() / f"{stem}-trace.csv")
         Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace_path, result.trace)
         summary["trace_path"] = trace_path
-    summary_path = config.summary_path or str(_output_dir() / f"{stem}-summary.json")
+    summary_path = config.summary_path or str(output_dir() / f"{stem}-summary.json")
     Path(summary_path).parent.mkdir(parents=True, exist_ok=True)
     Path(summary_path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     summary["summary_path"] = summary_path
@@ -391,8 +369,8 @@ def run_sweep(spec: SweepSpec, write_files: bool = True) -> dict:
             if write_files:
                 stem = f"{cfg.problem}-{cfg.algorithm}-{fieldname}-{i}"
                 if cfg.trace_path != "":
-                    cfg.trace_path = str(_output_dir() / f"{stem}-trace.csv")
-                cfg.summary_path = str(_output_dir() / f"{stem}-summary.json")
+                    cfg.trace_path = str(output_dir() / f"{stem}-trace.csv")
+                cfg.summary_path = str(output_dir() / f"{stem}-summary.json")
             else:
                 cfg.trace_path = ""
             result, _ = execute(cfg, write_files=write_files)
@@ -420,7 +398,7 @@ def run_sweep(spec: SweepSpec, write_files: bool = True) -> dict:
                 ratios.append(b["iterations"] / a["iterations"])
         report["ratios"] = ratios
     if write_files:
-        path = _output_dir() / f"sweep-{spec.axis}-report.json"
+        path = output_dir() / f"sweep-{spec.axis}-report.json"
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         report["report_path"] = str(path)
     return report

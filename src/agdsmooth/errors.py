@@ -1,7 +1,10 @@
 """Exception taxonomy shared across the package.
 
-CLI exit codes map onto these: configuration errors exit 4, budget
-exhaustion 2, precondition failures 3, strict-mode invariant violations 5.
+CLI exit codes map onto these: ``ConfigurationError``, ``DomainError``,
+``OutOfRangeError`` and ``DomainViolationError`` exit 4;
+``PreconditionError`` exits 3; ``InvariantViolationError`` and
+``SafetyViolationError`` exit 5.  Budget exhaustion is not an exception:
+runs return the ``budget`` termination, which exits 2.
 """
 
 
@@ -21,12 +24,11 @@ class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Iteration or oracle-call budget exhausted before the stopping rule."""
-
-
 class DomainViolationError(RuntimeError):
-    """A point left the open feasible set; carries the offending coordinate."""
+    """The objective cannot be evaluated at a point: it lies outside the open
+    feasible set (``coordinate`` names the offending one), or the value
+    overflows or is not finite.  The run loops turn one raised mid-run into a
+    ``SafetyViolationError``, so at the CLI it comes from the start point."""
 
     def __init__(self, message: str, coordinate: int | None = None):
         super().__init__(message)

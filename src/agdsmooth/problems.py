@@ -28,29 +28,7 @@ class PositiveOrthant:
     pass
 
 
-@dataclass(frozen=True)
-class Box:
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise ConfigurationError("box bounds must have equal length")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
-            raise ConfigurationError("box needs lower < upper per coordinate")
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple[float, ...]
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ConfigurationError("ball needs radius > 0")
-
-
-Domain = FullSpace | PositiveOrthant | Box | Ball
+Domain = FullSpace | PositiveOrthant
 
 
 def project_closure(domain: Domain, x: np.ndarray) -> np.ndarray:
@@ -58,41 +36,17 @@ def project_closure(domain: Domain, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if isinstance(domain, FullSpace):
         return x.copy()
-    if isinstance(domain, PositiveOrthant):
-        return np.maximum(x, 0.0)
-    if isinstance(domain, Box):
-        return np.clip(x, domain.lower, domain.upper)
-    c = np.asarray(domain.center, dtype=float)
-    d = x - c
-    norm = float(np.linalg.norm(d))
-    if norm <= domain.radius:
-        return x.copy()
-    return c + d * (domain.radius / norm)
+    return np.maximum(x, 0.0)
 
 
-def interior_violation(domain: Domain, x: np.ndarray) -> tuple[int | None, str] | None:
+def interior_violation(domain: Domain, x: np.ndarray) -> tuple[int, str] | None:
     """None if x lies in the open interior, else (coordinate, description)."""
     if isinstance(domain, FullSpace):
         return None
-    if isinstance(domain, PositiveOrthant):
-        bad = np.flatnonzero(x <= 0.0)
-        if bad.size:
-            i = int(bad[0])
-            return i, f"coordinate {i} = {x[i]} is not > 0"
-        return None
-    if isinstance(domain, Box):
-        low = np.flatnonzero(x <= np.asarray(domain.lower))
-        if low.size:
-            i = int(low[0])
-            return i, f"coordinate {i} = {x[i]} is not > lower bound {domain.lower[i]}"
-        high = np.flatnonzero(x >= np.asarray(domain.upper))
-        if high.size:
-            i = int(high[0])
-            return i, f"coordinate {i} = {x[i]} is not < upper bound {domain.upper[i]}"
-        return None
-    r = float(np.linalg.norm(x - np.asarray(domain.center)))
-    if r >= domain.radius:
-        return None, f"point at distance {r} is not inside radius {domain.radius}"
+    bad = np.flatnonzero(x <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        return i, f"coordinate {i} = {x[i]} is not > 0"
     return None
 
 
@@ -121,7 +75,11 @@ class Problem:
 
 
 def evaluate(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient at an interior point."""
+    """Value and gradient at an interior point.
+
+    Raises ``DomainViolationError`` outside the open feasible set, and where
+    the objective overflows or its value is not finite.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise DomainError(f"expected a point of dimension {problem.dim}, got shape {x.shape}")
@@ -129,8 +87,14 @@ def evaluate(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     if bad is not None:
         coord, msg = bad
         raise DomainViolationError(f"{problem.name}: {msg}", coordinate=coord)
-    value, grad = problem.fn(x)
-    return float(value), np.asarray(grad, dtype=float)
+    try:
+        value, grad = problem.fn(x)
+    except OverflowError as exc:
+        raise DomainViolationError(f"{problem.name}: overflow at {x}: {exc}") from exc
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainViolationError(f"{problem.name}: value {value} at {x} is not finite")
+    return value, np.asarray(grad, dtype=float)
 
 
 def finite_diff_check(problem: Problem, x: np.ndarray, h: float) -> float:

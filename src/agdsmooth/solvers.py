@@ -9,6 +9,8 @@ Two accelerated variants share one primal-dual step:
 * ``algorithm2_run`` skips the warm start and adapts the step size each
   iteration through the gap-to-gradient curve:
   ``gamma_k = 1 / ell(4 psi_inverse(Gamma_k * rbar^2))``.
+* ``gd_run`` is plain gradient descent with the step 1 / (2 ell(2 |grad|)),
+  the same loop that warm-starts ``algorithm1_run``.
 
 The auxiliary sequence ``Gamma_{k+1} = Gamma_k / (1 + alpha_k)`` with
 ``alpha_k = sqrt(gamma Gamma_k)`` certifies the gap at every iteration:
@@ -27,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     DomainViolationError,
     InvariantViolationError,
@@ -98,7 +99,7 @@ def gamma_envelope(k: int, step_gamma: float, kbar_value: float) -> float:
     return 9.0 / (step_gamma * (k + 1.0 - kbar_value) ** 2)
 
 
-# --- state, trace, results -------------------------------------------------
+# --- state and trace ---------------------------------------------------------
 
 @dataclass
 class AgdState:
@@ -194,6 +195,13 @@ class _Oracle:
         return evaluate(self.problem, x)
 
 
+def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
+    """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``."""
+    return (state.f_y - f_star) + 0.5 * state.gamma_cap * float(
+        np.linalg.norm(state.u - x_star) ** 2
+    )
+
+
 # --- single AGD step -------------------------------------------------------
 
 def agd_step(
@@ -201,26 +209,18 @@ def agd_step(
     step_gamma: float,
     problem: Problem,
     _eval: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
-    model: EllModel | None = None,
 ) -> AgdState:
     """One accelerated step; exactly one fresh gradient evaluation.
 
     ``y_next`` blends y, u and the cached gradient at y; ``u_next`` takes a
-    projected dual step against the fresh gradient.  Raises a safety
+    projected dual step against the fresh gradient.  ``_eval`` replaces the
+    plain oracle (the run loops pass their call counter).  Raises a safety
     violation if y_next leaves the open feasible set, which signals a
-    breach of the step-size contract ``step_gamma <= 1 / ell(2 |grad y|)``.
+    breach of the step-size contract ``step_gamma <= 1 / ell(2 |grad y|)``;
+    callers check that contract themselves, against their own profile.
     """
     assert step_gamma > 0
-    if _eval is None:
-        # Step-size safety contract (debug-mode assertion; run loops check
-        # it as a flagged invariant against their own profile instead).
-        cap_model = model if model is not None else problem.ell_model
-        assert step_gamma <= (1.0 + 1e-12) / ell_eval(
-            cap_model, 2.0 * float(np.linalg.norm(state.grad_y))
-        ), "step size above the safety cap 1 / ell(2 |grad y|)"
-        ev = lambda p: evaluate(problem, p)  # noqa: E731
-    else:
-        ev = _eval
+    ev = _eval if _eval is not None else (lambda p: evaluate(problem, p))
     alpha, gcap_next = gamma_alpha_step(state.gamma_cap, step_gamma)
     w = 1.0 / (1.0 + alpha)
     y_next = w * (state.y + alpha * state.u - step_gamma * state.grad_y)
@@ -239,13 +239,71 @@ def agd_step(
     )
 
 
-# --- gradient descent warm start -------------------------------------------
+# --- run results -------------------------------------------------------------
 
-def _gd_stop(f: float, grad_norm: float, f_star: float | None, r_bar: float, delta: float) -> bool:
+def _finish(
+    oracle, state, termination, r_bar, trace, gd_iters=0, flags_total=0,
+    warmup_bound=None, message="", achieved=None,
+) -> RunResult:
+    """Result of a run that reached a state.  The achieved gap defaults to
+    the true gap at y, or the certified bound when the optimum is unknown."""
+    opt = oracle.problem.optimum
+    if achieved is None:
+        achieved = (state.f_y - opt.f_star if opt is not None
+                    else state.gamma_cap * r_bar * r_bar)
+    return RunResult(
+        state=state, gd_iters=gd_iters, agd_iters=state.k,
+        achieved_gap=achieved, trace=trace or [], termination=termination,
+        oracle_calls=oracle.calls, flags_total=flags_total,
+        warmup_bound=warmup_bound, message=message,
+    )
+
+
+def _refuse(oracle: _Oracle, message: str) -> RunResult:
+    """The precondition-failed exit: no state, nothing certified."""
+    return RunResult(
+        state=None, gd_iters=0, agd_iters=0, achieved_gap=math.inf, trace=[],
+        termination="precondition-failed", oracle_calls=oracle.calls,
+        message=message,
+    )
+
+
+def _start(problem: Problem, x0, r_bar: float):
+    """Prologue of both accelerated runs: the oracle and its first call at
+    x0.  Returns ``(oracle, x0, f0, g0, refusal)``; ``refusal`` is the
+    precondition-failed result when r_bar is below the true initial
+    distance, else None."""
+    x0 = np.asarray(x0, dtype=float)
+    oracle = _Oracle(problem)
+    f0, g0 = oracle(x0)
+    opt = problem.optimum
+    refusal = None
+    if opt is not None and float(np.linalg.norm(x0 - opt.x_star)) > r_bar * (1 + 1e-12):
+        refusal = _refuse(oracle, "r_bar is below the true initial distance")
+    return oracle, x0, f0, g0, refusal
+
+
+def _stationary_start(
+    oracle: _Oracle, state: AgdState, r_bar: float, warmup_bound: int | None = None
+) -> RunResult | None:
+    """A zero gradient at the start: convexity certifies optimality outright."""
+    if float(np.linalg.norm(state.grad_y)) != 0.0:
+        return None
+    opt = oracle.problem.optimum
+    return _finish(
+        oracle, state, "converged", r_bar, None, warmup_bound=warmup_bound,
+        message="stationary start",
+        achieved=0.0 if opt is None else state.f_y - opt.f_star,
+    )
+
+
+# --- gradient descent --------------------------------------------------------
+
+def _gd_stop(f: float, grad_norm: float, f_star: float | None, r_bar: float, target: float) -> bool:
     if f_star is not None:
-        return f - f_star <= delta / 2.0
+        return f - f_star <= target
     # convexity certificate: gap <= |grad| * distance <= |grad| * r_bar
-    return grad_norm * r_bar <= delta / 2.0
+    return grad_norm * r_bar <= target
 
 
 def _gd_phase(
@@ -254,13 +312,14 @@ def _gd_phase(
     x: np.ndarray,
     f: float,
     g: np.ndarray,
-    delta: float,
+    target: float,
     r_bar: float,
     max_calls: int,
     trace: list[TraceRecord] | None,
     strict: bool,
 ):
-    """Run x <- x - grad / (2 ell(2 |grad|)) until the gap certificate holds.
+    """Run x <- x - grad / (2 ell(2 |grad|)) until the gap is certified to
+    be at most ``target``.
 
     Returns (status, x, f, g, iters, flags_total).
     """
@@ -273,7 +332,7 @@ def _gd_phase(
     iters = 0
     while True:
         gn = float(np.linalg.norm(g))
-        if _gd_stop(f, gn, f_star, r_bar, delta):
+        if _gd_stop(f, gn, f_star, r_bar, target):
             return "ok", x, f, g, iters, flags_total
         if oracle.calls >= max_calls:
             return "budget", x, f, g, iters, flags_total
@@ -312,51 +371,36 @@ def gd_run(
     problem: Problem,
     model: EllModel,
     x0: np.ndarray,
-    delta: float,
+    epsilon: float,
     r_bar: float,
     budget: int,
-) -> tuple[np.ndarray, list[TraceRecord]]:
-    """Stand-alone warm-start GD; ``budget`` caps iterations.
+    check_invariants: bool = True,
+    strict: bool = False,
+    collect_trace: bool = True,
+) -> RunResult:
+    """Plain gradient descent with the step 1 / (2 ell(2 |grad|)).
 
-    Stops once ``f(x) - f* <= delta / 2`` (known optimum) or the computable
-    certificate ``|grad| * r_bar <= delta / 2`` holds.
+    Stops once ``f(x) - f* <= epsilon`` (known optimum) or the computable
+    certificate ``|grad| * r_bar <= epsilon`` holds; ``budget`` caps oracle
+    calls.  The final iterate is the result state's ``y``.
     """
-    if not (delta > 0 and r_bar > 0 and budget >= 0):
-        raise PreconditionError("gd_run needs delta > 0, r_bar > 0, budget >= 0")
-    _validate_delta_region(model, delta)
-    oracle = _Oracle(problem)
+    if not (epsilon > 0 and r_bar > 0 and budget >= 1):
+        raise ConfigurationError("gd_run needs epsilon > 0, r_bar > 0, budget >= 1")
     x0 = np.asarray(x0, dtype=float)
-    f, g = oracle(x0)
-    trace: list[TraceRecord] = []
-    status, x, f, g, iters, _ = _gd_phase(
-        oracle, model, x0, f, g, delta, r_bar, max_calls=budget + 1,
-        trace=trace, strict=True,
+    oracle = _Oracle(problem)
+    f0, g0 = oracle(x0)
+    trace: list[TraceRecord] | None = [] if collect_trace else None
+    status, x, f, g, iters, flags = _gd_phase(
+        oracle, model, x0, f0, g0, epsilon, r_bar, max_calls=budget,
+        trace=trace, strict=strict and check_invariants,
     )
-    if status == "budget":
-        raise BudgetExceededError(
-            f"GD did not certify a gap of {delta / 2} within {budget} iterations"
-        )
-    return x, trace
-
-
-def _validate_delta_region(model: EllModel, delta: float) -> None:
-    profile = PsiProfile.from_model(model)
-    if math.isinf(profile.delta_max):
-        if not admissible_delta(model, delta):
-            raise PreconditionError(
-                f"delta = {delta} fails the warm-start admissibility check"
-            )
-    else:
-        if delta > profile.psi_at_delta_max / 2.0:
-            raise PreconditionError(
-                f"delta = {delta} exceeds half the peak of psi "
-                f"({profile.psi_at_delta_max / 2.0})"
-            )
-        left, _ = delta_left_right(profile, delta)
-        if ell_eval(model, 4.0 * left) > 2.0 * ell_zero(model):
-            raise PreconditionError(
-                f"delta = {delta}: left crossing violates the small-curvature condition"
-            )
+    opt = problem.optimum
+    state = AgdState(y=x, u=x.copy(), gamma_cap=1.0, k=0, f_y=f, grad_y=g)
+    return _finish(
+        oracle, state, "converged" if status == "ok" else "budget", r_bar, trace,
+        gd_iters=iters, flags_total=flags,
+        achieved=(f - opt.f_star) if opt is not None else float(np.linalg.norm(g)) * r_bar,
+    )
 
 
 # --- delta selection policy -------------------------------------------------
@@ -373,11 +417,9 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
     """
     if not r_bar > 0:
         raise PreconditionError("r_bar must be positive")
-    from .smoothness import _ell_sup  # shared internal helper
-
-    l0 = ell_zero(model)
-    if _ell_sup(model) <= 2.0 * l0:
+    if admissible_delta(model, math.inf):
         return math.inf
+    l0 = ell_zero(model)
     if isinstance(model, Affine):
         head = math.inf if model.L1 == 0 else model.L0 / (64.0 * model.L1**2)
         delta = min(head, model.L0 * r_bar**2 / 64.0)
@@ -473,7 +515,6 @@ def estimate_grad_bound(
 
 @dataclass
 class _Checks:
-    enabled: bool
     strict: bool
     flags_total: int = 0
     pending: int = 0
@@ -495,7 +536,6 @@ class _Checks:
 
 
 def _run_agd(
-    variant: str,
     oracle: _Oracle,
     model: EllModel,
     profile: PsiProfile,
@@ -508,24 +548,26 @@ def _run_agd(
     strict: bool,
     trace: list[TraceRecord] | None,
     state_sink: Callable[[AgdState, float], None] | None,
-    superquadratic: bool,
 ):
+    """Accelerated steps from ``state`` until the gap is certified.  A fixed
+    ``step_gamma_const`` is the warm-started variant; None selects the
+    adaptive step ``1 / ell(4 psi_inverse(Gamma_k r_bar^2))``."""
     problem = oracle.problem
     opt = problem.optimum
     f_star = opt.f_star if opt is not None else None
     x_star = opt.x_star if opt is not None else None
     l0 = ell_zero(model)
     rb2 = r_bar * r_bar
-    checks = _Checks(enabled=check_invariants, strict=strict)
-    kbar_value = kbar(state.gamma_cap, step_gamma_const) if step_gamma_const else None
+    checks = _Checks(strict=strict)
+    adaptive = step_gamma_const is None
+    superquadratic = math.isfinite(profile.delta_max)
+    kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
     gap_scale = max(1.0, abs(f_star)) if f_star is not None else 1.0
     is_constant_model = isinstance(model, Constant)
+    # the certificate function feeds the LYAPUNOV check and the trace column
+    track_v = x_star is not None and (check_invariants or trace is not None)
 
-    v_prev: float | None = None
-    if x_star is not None:
-        v_prev = (state.f_y - f_star) + 0.5 * state.gamma_cap * float(
-            np.linalg.norm(state.u - x_star) ** 2
-        )
+    v_prev = lyapunov(state, f_star, x_star) if track_v else None
     k0 = state.k
     while True:
         gap = None if f_star is None else state.f_y - f_star
@@ -538,7 +580,7 @@ def _run_agd(
         grad_norm = float(np.linalg.norm(state.grad_y))
 
         # step size for this iteration
-        if variant == "agd1":
+        if not adaptive:
             step_gamma = step_gamma_const
             envelope_x = None
         else:
@@ -546,14 +588,14 @@ def _run_agd(
             if is_constant_model:
                 # ell is flat, so ell(4 psi_inverse(t)) = L identically;
                 # the envelope value itself is only needed for the check
-                envelope_x = psi_inverse(profile, t) if checks.enabled else None
+                envelope_x = psi_inverse(profile, t) if check_invariants else None
                 step_gamma = 1.0 / model.L
             else:
                 envelope_x = psi_inverse(profile, t)
                 step_gamma = 1.0 / ell_eval(model, 4.0 * envelope_x)
 
-        if checks.enabled:
-            if variant == "agd1":
+        if check_invariants:
+            if not adaptive:
                 checks.note(
                     Flag.WARM_REGION,
                     ell_eval(model, 4.0 * grad_norm) <= 2.0 * l0 * (1.0 + 1e-12),
@@ -589,8 +631,9 @@ def _run_agd(
             state_sink(state, step_gamma)
         prev_k = state.k
         state = agd_step(state, step_gamma, problem, _eval=oracle)
+        v_new = lyapunov(state, f_star, x_star) if track_v else None
 
-        if checks.enabled:
+        if check_invariants:
             if f_star is not None:
                 new_gap = state.f_y - f_star
                 checks.note(
@@ -600,9 +643,6 @@ def _run_agd(
                     f"gap={new_gap} > bound={state.gamma_cap * rb2}",
                 )
             if x_star is not None:
-                v_new = (state.f_y - f_star) + 0.5 * state.gamma_cap * float(
-                    np.linalg.norm(state.u - x_star) ** 2
-                )
                 checks.note(
                     Flag.LYAPUNOV,
                     v_new <= v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev),
@@ -618,44 +658,48 @@ def _run_agd(
                 )
 
         if trace is not None:
-            new_gap = None if f_star is None else state.f_y - f_star
-            v_rec = None
-            if x_star is not None:
-                v_rec = (state.f_y - f_star) + 0.5 * state.gamma_cap * float(
-                    np.linalg.norm(state.u - x_star) ** 2
-                )
             trace.append(TraceRecord(
                 k=state.k, phase="agd",
-                f_gap=new_gap,
+                f_gap=None if f_star is None else state.f_y - f_star,
                 grad_norm=float(np.linalg.norm(state.grad_y)),
                 gamma_cap=state.gamma_cap,
                 alpha=alpha,
                 step_gamma=step_gamma,
                 dist_to_opt=None if x_star is None else float(np.linalg.norm(state.y - x_star)),
                 bound_gap=state.gamma_cap * rb2,
-                lyapunov=v_rec,
+                lyapunov=v_new,
                 flags=checks.take_pending(),
             ))
         else:
             checks.take_pending()
 
 
-def _finish(
-    state, gd_iters, agd_iters, trace, termination, oracle, flags_total,
-    f_star, r_bar, warmup_bound=None, message="",
-) -> RunResult:
-    if f_star is not None and state is not None:
-        achieved = state.f_y - f_star
-    elif state is not None:
-        achieved = state.gamma_cap * r_bar * r_bar
-    else:
-        achieved = math.inf
-    return RunResult(
-        state=state, gd_iters=gd_iters, agd_iters=agd_iters,
-        achieved_gap=achieved, trace=trace, termination=termination,
-        oracle_calls=oracle.calls, flags_total=flags_total,
-        warmup_bound=warmup_bound, message=message,
-    )
+def _warm_start_refusal(
+    problem: Problem, model: EllModel, profile: PsiProfile, delta: float,
+    r_bar: float, m_bar: float | None,
+) -> tuple[str, str]:
+    """Why ``delta`` cannot seed the warm start ("" if it can), and a note
+    naming any heuristic used to decide."""
+    if not delta > 0:
+        return f"resolved delta {delta} is not positive", ""
+    if not math.isfinite(profile.delta_max):
+        if admissible_delta(model, delta):
+            return "", ""
+        return f"delta {delta} fails the admissibility check", ""
+    if delta > profile.psi_at_delta_max / 2.0:
+        return f"delta {delta} exceeds half the peak of psi", ""
+    left, right = delta_left_right(profile, delta)
+    if ell_eval(model, 4.0 * left) > 2.0 * ell_zero(model):
+        return "delta violates the small-curvature branch condition", ""
+    note = ""
+    if m_bar is None and problem.optimum is not None:
+        m_bar = estimate_grad_bound(problem, r_bar)
+        note = f"m_bar estimated by sphere sampling (heuristic): {m_bar}"
+    if m_bar is None:
+        return "superquadratic profile needs m_bar or a known optimum", note
+    if right < 2.0 * m_bar:
+        return f"right crossing {right} is below 2*m_bar = {2 * m_bar}", note
+    return "", note
 
 
 def algorithm1_run(
@@ -681,29 +725,21 @@ def algorithm1_run(
     """
     if not (epsilon > 0 and r_bar > 0 and budget >= 1):
         raise ConfigurationError("algorithm1_run needs epsilon > 0, r_bar > 0, budget >= 1")
-    x0 = np.asarray(x0, dtype=float)
-    oracle = _Oracle(problem)
-    f0, g0 = oracle(x0)
+    oracle, x0, f0, g0, refusal = _start(problem, x0, r_bar)
+    if refusal is not None:
+        return refusal
     opt = problem.optimum
     f_star = opt.f_star if opt is not None else None
-    x_star = opt.x_star if opt is not None else None
-    trace: list[TraceRecord] = [] if collect_trace else None
-
-    if x_star is not None and float(np.linalg.norm(x0 - x_star)) > r_bar * (1 + 1e-12):
-        return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                       f_star, r_bar, message="r_bar is below the true initial distance")
 
     if f_star is not None and f0 - f_star <= epsilon:
         gcap0 = delta / r_bar**2 if (math.isfinite(delta) and delta > 0) else 1.0
         state = AgdState(y=x0, u=x0.copy(), gamma_cap=gcap0, k=0, f_y=f0, grad_y=g0)
-        return _finish(state, 0, 0, trace or [], "converged", oracle, 0, f_star, r_bar)
-    if float(np.linalg.norm(g0)) == 0.0:
-        # stationary start: convexity certifies optimality outright
-        state = AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0)
-        out = _finish(state, 0, 0, trace or [], "converged", oracle, 0, f_star, r_bar,
-                      message="stationary start")
-        out.achieved_gap = 0.0 if f_star is None else f0 - f_star
-        return out
+        return _finish(oracle, state, "converged", r_bar, None)
+    stationary = _stationary_start(
+        oracle, AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), r_bar
+    )
+    if stationary is not None:
+        return stationary
 
     # resolve the warm-start gap target
     if math.isinf(delta):
@@ -713,62 +749,30 @@ def algorithm1_run(
             delta_eff = 2.0 * float(np.linalg.norm(g0)) * r_bar
     else:
         delta_eff = delta
-    if not delta_eff > 0:
-        return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                       f_star, r_bar, message=f"resolved delta {delta_eff} is not positive")
-
     profile = PsiProfile.from_model(model)
-    superquadratic = math.isfinite(profile.delta_max)
-    message = ""
-    if superquadratic:
-        if delta_eff > profile.psi_at_delta_max / 2.0:
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar,
-                           message=f"delta {delta_eff} exceeds half the peak of psi")
-        left, right = delta_left_right(profile, delta_eff)
-        if ell_eval(model, 4.0 * left) > 2.0 * ell_zero(model):
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar,
-                           message="delta violates the small-curvature branch condition")
-        m_eff = m_bar
-        if m_eff is None and x_star is not None:
-            m_eff = estimate_grad_bound(problem, r_bar)
-            message = f"m_bar estimated by sphere sampling (heuristic): {m_eff}"
-        if m_eff is None:
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar,
-                           message="superquadratic profile needs m_bar or a known optimum")
-        if right < 2.0 * m_eff:
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar,
-                           message=f"right crossing {right} is below 2*m_bar = {2 * m_eff}")
-    else:
-        if not admissible_delta(model, delta_eff):
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar,
-                           message=f"delta {delta_eff} fails the admissibility check")
+    refusal, message = _warm_start_refusal(problem, model, profile, delta_eff, r_bar, m_bar)
+    if refusal:
+        return _refuse(oracle, refusal)
 
+    trace: list[TraceRecord] | None = [] if collect_trace else None
     status, xbar, f, g, gd_iters, gd_flags = _gd_phase(
-        oracle, model, x0, f0, g0, delta_eff, r_bar, max_calls=budget,
+        oracle, model, x0, f0, g0, delta_eff / 2.0, r_bar, max_calls=budget,
         trace=trace, strict=strict and check_invariants,
     )
+    state = AgdState(y=xbar, u=xbar.copy(), gamma_cap=delta_eff / r_bar**2,
+                     k=0, f_y=f, grad_y=g)
     if status == "budget":
-        state = AgdState(y=xbar, u=xbar.copy(), gamma_cap=delta_eff / r_bar**2,
-                         k=0, f_y=f, grad_y=g)
-        return _finish(state, gd_iters, 0, trace or [], "budget", oracle, gd_flags,
-                       f_star, r_bar)
+        return _finish(oracle, state, "budget", r_bar, trace,
+                       gd_iters=gd_iters, flags_total=gd_flags)
 
-    gamma_cap0 = delta_eff / r_bar**2
-    step_gamma = 1.0 / (2.0 * ell_zero(model))
-    state = AgdState(y=xbar, u=xbar.copy(), gamma_cap=gamma_cap0, k=0, f_y=f, grad_y=g)
     state, termination, flags_total, msg = _run_agd(
-        "agd1", oracle, model, profile, state, r_bar, epsilon, budget,
-        step_gamma_const=step_gamma, check_invariants=check_invariants,
-        strict=strict, trace=trace, state_sink=state_sink,
-        superquadratic=superquadratic,
+        oracle, model, profile, state, r_bar, epsilon, budget,
+        step_gamma_const=1.0 / (2.0 * ell_zero(model)),
+        check_invariants=check_invariants, strict=strict, trace=trace,
+        state_sink=state_sink,
     )
-    return _finish(state, gd_iters, state.k, trace or [], termination, oracle,
-                   flags_total | gd_flags, f_star, r_bar,
+    return _finish(oracle, state, termination, r_bar, trace, gd_iters=gd_iters,
+                   flags_total=flags_total | gd_flags,
                    message="; ".join(m for m in (message, msg) if m))
 
 
@@ -777,7 +781,8 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     small-curvature condition ``ell(24 sqrt(C)/k) <= 2 ell(0)`` with
     ``C = ell(4 psi_inverse(gamma_cap0 r_bar^2)) ell(0) r_bar^2``.
 
-    Diagnostic only; the adaptive algorithm never consumes it.
+    The adaptive algorithm does not steer by it; every agd2 run reports it
+    as ``warmup_bound`` in its result and summary.
     """
     profile = PsiProfile.from_model(model)
     l0 = ell_zero(model)
@@ -841,24 +846,14 @@ def algorithm2_run(
             f"gamma_cap0 * r_bar^2 = {gamma_cap0 * r_bar**2} is not below "
             f"sup psi = {profile.psi_at_delta_max}; the adaptive step is undefined"
         )
-    x0 = np.asarray(x0, dtype=float)
-    oracle = _Oracle(problem)
-    f0, g0 = oracle(x0)
+    oracle, x0, f0, g0, refusal = _start(problem, x0, r_bar)
+    if refusal is not None:
+        return refusal
     opt = problem.optimum
-    f_star = opt.f_star if opt is not None else None
-    x_star = opt.x_star if opt is not None else None
-    trace: list[TraceRecord] = [] if collect_trace else None
-    message = ""
-
-    if x_star is not None:
-        r0 = float(np.linalg.norm(x0 - x_star))
-        if r0 > r_bar * (1 + 1e-12):
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar, message="r_bar is below the true initial distance")
-        if r0 > 0 and gamma_cap0 < 2.0 * (f0 - f_star) / r0**2 * (1 - 1e-12):
-            return _finish(None, 0, 0, trace or [], "precondition-failed", oracle, 0,
-                           f_star, r_bar,
-                           message=f"gamma_cap0 must be >= {2.0 * (f0 - f_star) / r0**2}")
+    if opt is not None:
+        r0 = float(np.linalg.norm(x0 - opt.x_star))
+        if r0 > 0 and gamma_cap0 < 2.0 * (f0 - opt.f_star) / r0**2 * (1 - 1e-12):
+            return _refuse(oracle, f"gamma_cap0 must be >= {2.0 * (f0 - opt.f_star) / r0**2}")
 
     try:
         warmup = warmup_iterations_bound(model, gamma_cap0, r_bar)
@@ -866,18 +861,14 @@ def algorithm2_run(
         warmup = None
 
     state = AgdState(y=x0, u=x0.copy(), gamma_cap=gamma_cap0, k=0, f_y=f0, grad_y=g0)
-    if float(np.linalg.norm(g0)) == 0.0:
-        # stationary start: convexity certifies optimality outright
-        out = _finish(state, 0, 0, trace or [], "converged", oracle, 0, f_star, r_bar,
-                      warmup_bound=warmup, message="stationary start")
-        out.achieved_gap = 0.0 if f_star is None else f0 - f_star
-        return out
+    stationary = _stationary_start(oracle, state, r_bar, warmup_bound=warmup)
+    if stationary is not None:
+        return stationary
+    trace: list[TraceRecord] | None = [] if collect_trace else None
     state, termination, flags_total, msg = _run_agd(
-        "agd2", oracle, model, profile, state, r_bar, epsilon, budget,
+        oracle, model, profile, state, r_bar, epsilon, budget,
         step_gamma_const=None, check_invariants=check_invariants,
         strict=strict, trace=trace, state_sink=state_sink,
-        superquadratic=False,
     )
-    return _finish(state, 0, state.k, trace or [], termination, oracle,
-                   flags_total, f_star, r_bar, warmup_bound=warmup,
-                   message="; ".join(m for m in (message, msg) if m))
+    return _finish(oracle, state, termination, r_bar, trace,
+                   flags_total=flags_total, warmup_bound=warmup, message=msg)

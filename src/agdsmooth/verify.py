@@ -26,7 +26,7 @@ from .smoothness import (
     q_inverse,
     q_max,
 )
-from .solvers import AgdState
+from .solvers import AgdState, agd_step, gamma_alpha_step, lyapunov
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
@@ -45,26 +45,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-def merge_reports(reports: list[CheckReport]) -> CheckReport:
-    """Combine same-check reports from sharded sweeps: counts add up, the
-    worst margin is the minimum, and the witness follows it."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    names = {r.name for r in reports}
-    if len(names) != 1:
-        raise ValueError(f"cannot merge reports of different checks: {sorted(names)}")
-    worst = min(reports, key=lambda r: r.worst_margin)
-    return CheckReport(
-        name=worst.name,
-        trials=sum(r.trials for r in reports),
-        violations=sum(r.violations for r in reports),
-        worst_margin=worst.worst_margin,
-        witness=worst.witness,
-        quadrature_tol=worst.quadrature_tol,
-        seed=None if len({r.seed for r in reports}) != 1 else worst.seed,
-    )
 
 
 def _margin_report(name, margins_witnesses, tol, seed) -> CheckReport:
@@ -128,8 +108,8 @@ def check_descent_step(
 ) -> float:
     """Margin of the one-step certificate-decrease bound.
 
-    Executes one virtual accelerated step from ``state`` and compares the
-    certificate difference against
+    Executes one accelerated step (``solvers.agd_step``) from ``state`` and
+    compares the certificate difference against
     ``0.5 * (gamma - 1 / ell(2 |g_y| + |g_next|)) * |g_next - g_y|^2``.
     Requires a known optimum and ``step_gamma <= 1 / ell(2 |g_y|)``.
     """
@@ -144,25 +124,16 @@ def check_descent_step(
         )
     f_star = problem.optimum.f_star
     x_star = problem.optimum.x_star
-    alpha = math.sqrt(step_gamma * state.gamma_cap)
-    w = 1.0 / (1.0 + alpha)
-    y_next = w * (state.y + alpha * state.u - step_gamma * gy)
-    f_next, g_next = evaluate(problem, y_next)
-    u_next = project_closure(
-        problem.domain, state.u - (alpha / state.gamma_cap) * g_next
-    )
-    gamma_next = state.gamma_cap / (1.0 + alpha)
-    v_k = (state.f_y - f_star) + 0.5 * state.gamma_cap * float(
-        np.linalg.norm(state.u - x_star) ** 2
-    )
+    alpha, _ = gamma_alpha_step(state.gamma_cap, step_gamma)
+    nxt = agd_step(state, step_gamma, problem)
     lhs = (
-        (1.0 + alpha) * (f_next - f_star)
-        + 0.5 * (1.0 + alpha) * gamma_next * float(np.linalg.norm(u_next - x_star) ** 2)
-        - v_k
+        (1.0 + alpha) * (nxt.f_y - f_star)
+        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * float(np.linalg.norm(nxt.u - x_star) ** 2)
+        - lyapunov(state, f_star, x_star)
     )
     rhs = 0.5 * (
-        step_gamma - 1.0 / ell_eval(model, 2.0 * ny + float(np.linalg.norm(g_next)))
-    ) * float(np.linalg.norm(g_next - gy) ** 2)
+        step_gamma - 1.0 / ell_eval(model, 2.0 * ny + float(np.linalg.norm(nxt.grad_y)))
+    ) * float(np.linalg.norm(nxt.grad_y - gy) ** 2)
     return rhs - lhs
 
 

@@ -268,6 +268,24 @@ class TestCli:
         )
         assert main(["run", cfg]) == 5
 
+    def test_verify_infeasible_step_exit_five(self, tmp_path):
+        # a claimed curvature far below the barrier's: the descent check's
+        # step leaves the orthant, a safety violation like in a run
+        code = main(["verify", "neg-log-barrier", '{"kind": "constant", "L": 0.01}',
+                     "--trials", "50", "--out", str(tmp_path / "rep.json")])
+        assert code == 5
+
+    @pytest.mark.parametrize("algorithm", ["gd", "agd1"])
+    def test_start_outside_domain_exit_four(self, tmp_path, algorithm):
+        cfg = self.write_cfg(tmp_path, algorithm=algorithm, problem="neg-log-barrier",
+                             x0=[-1.0, 1.0])
+        assert main(["run", cfg]) == 4
+
+    def test_start_overflow_exit_four(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, problem="exp-experiment", x0=[-800.0, 0.0],
+                             r_bar=1e3, gamma_cap0=1e6)
+        assert main(["run", cfg]) == 4
+
 
 class TestAdaptiveRunExample:
     def test_exponential_problem_converges_nonmonotonically(self, tmp_path):

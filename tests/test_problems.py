@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agdsmooth import (
-    Ball,
-    Box,
     CATALOG_NAMES,
     ConfigurationError,
     DomainViolationError,
@@ -62,23 +60,12 @@ class TestProjection:
         got = project_closure(PositiveOrthant(), np.array([-1.0, 2.0]))
         assert np.array_equal(got, np.array([0.0, 2.0]))
 
-    def test_ball_radial_scaling(self):
-        got = project_closure(Ball(center=(0.0, 0.0), radius=1.0), np.array([3.0, 4.0]))
-        assert np.allclose(got, [0.6, 0.8])
-
-    def test_box_clip(self):
-        box = Box(lower=(-1.0, 0.0), upper=(1.0, math.inf))
-        got = project_closure(box, np.array([5.0, -2.0]))
-        assert np.array_equal(got, np.array([1.0, 0.0]))
-
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=2),
            st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=2))
     def test_idempotent_and_nonexpansive(self, a, b):
         a, b = np.array(a), np.array(b)
-        for dom in (FullSpace(), PositiveOrthant(),
-                    Box(lower=(-1.0, -2.0), upper=(3.0, 4.0)),
-                    Ball(center=(0.5, 0.5), radius=2.0)):
+        for dom in (FullSpace(), PositiveOrthant()):
             pa, pb = project_closure(dom, a), project_closure(dom, b)
             assert np.allclose(project_closure(dom, pa), pa, atol=1e-12)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12

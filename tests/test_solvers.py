@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from agdsmooth import (
     Affine,
     AgdState,
-    BudgetExceededError,
     ConfigurationError,
     Constant,
+    DomainViolationError,
     Power,
     PreconditionError,
     PsiProfile,
@@ -121,35 +121,31 @@ class TestAgdStep:
 class TestGdRun:
     def test_quadratic_four_iterations(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        x, trace = gd_run(p, p.ell_model, np.array([1.0]), 0.01, 1.0, budget=100)
-        assert len(trace) == 4
-        assert x[0] == pytest.approx(2.0**-4)
+        res = gd_run(p, p.ell_model, np.array([1.0]), 0.005, 1.0, budget=100)
+        assert len(res.trace) == 4
+        assert res.state.y[0] == pytest.approx(2.0**-4)
 
     def test_already_converged(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        x, trace = gd_run(p, p.ell_model, np.array([0.05]), 0.01, 1.0, budget=100)
-        assert len(trace) == 0 and x[0] == 0.05
+        res = gd_run(p, p.ell_model, np.array([0.05]), 0.005, 1.0, budget=100)
+        assert len(res.trace) == 0 and res.state.y[0] == 0.05
 
     def test_budget_error(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        with pytest.raises(BudgetExceededError):
-            gd_run(p, p.ell_model, np.array([1.0]), 0.01, 1.0, budget=2)
+        res = gd_run(p, p.ell_model, np.array([1.0]), 0.005, 1.0, budget=2)
+        assert res.termination == "budget" and res.oracle_calls == 2
 
     def test_certificate_stop_without_optimum(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
-        x, trace = gd_run(p, p.ell_model, np.array([1.0]), 0.2, 1.0, budget=100)
-        # stops once |grad| * r_bar <= delta / 2
-        assert abs(x[0]) * 1.0 <= 0.1
-
-    def test_inadmissible_delta_rejected(self):
-        p = catalog("exp-1d", {})
-        with pytest.raises(PreconditionError):
-            gd_run(p, p.ell_model, np.array([1.0]), 1e6, 1.0, budget=10)
+        res = gd_run(p, p.ell_model, np.array([1.0]), 0.1, 1.0, budget=100)
+        # stops once |grad| * r_bar <= epsilon
+        assert abs(res.state.y[0]) * 1.0 <= 0.1
 
     def test_monotone_distance_on_catalog(self):
         p = catalog("exp-experiment", {})
-        _, trace = gd_run(p, p.ell_model, np.array([-6.0, -5.0]), 0.05, 100.0, budget=10000)
-        dists = [r.dist_to_opt for r in trace]
+        res = gd_run(p, p.ell_model, np.array([-6.0, -5.0]), 0.025, 100.0, budget=10000)
+        assert res.converged
+        dists = [r.dist_to_opt for r in res.trace]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
 
 
@@ -257,6 +253,16 @@ class TestAlgorithm1:
 
 
 class TestAlgorithm2:
+    def test_overflowing_start_is_a_domain_violation(self):
+        p = catalog("exp-experiment", {})
+        with pytest.raises(DomainViolationError, match="overflow"):
+            algorithm2_run(p, p.ell_model, np.array([-800.0, 0.0]), 1e6, 1e3, 1e-6, 100)
+
+    def test_nan_start_is_a_domain_violation(self):
+        p = catalog("exp-1d", {})
+        with pytest.raises(DomainViolationError, match="not finite"):
+            algorithm2_run(p, p.ell_model, np.array([math.nan]), 4.0, 4.0, 1e-6, 100)
+
     def test_constant_model_uses_one_over_L(self):
         p = catalog("quadratic", {"L": 4.0, "d": 2})
         res = algorithm2_run(p, p.ell_model, np.ones(2), 4.0, 2.0, 1e-10, 10000)

@@ -20,7 +20,6 @@ from agdsmooth import (
     evaluate,
 )
 from agdsmooth.verify import (
-    merge_reports,
     run_all_checks,
     sweep_convexity_smoothness,
     sweep_descent_step,
@@ -187,24 +186,6 @@ class TestGapToGrad:
             p = catalog(name)
             report = sweep_gap_to_grad(p, trials=300, seed=0)
             assert report.violations == 0, (name, report)
-
-
-class TestMergeReports:
-    def test_sharded_sweep_equals_monolithic_counts(self):
-        p = catalog("exp-1d", {})
-        shards = [sweep_convexity_smoothness(p, trials=100, seed=s) for s in (0, 1, 2)]
-        merged = merge_reports(shards)
-        assert merged.trials == 300
-        assert merged.violations == sum(r.violations for r in shards)
-        assert merged.worst_margin == min(r.worst_margin for r in shards)
-        assert merged.seed is None  # mixed seeds are not a single seed
-
-    def test_mixed_checks_rejected(self):
-        p = catalog("exp-1d", {})
-        a = sweep_convexity_smoothness(p, trials=10, seed=0)
-        b = sweep_gradient_transfer(p, trials=10, seed=0)
-        with pytest.raises(ValueError):
-            merge_reports([a, b])
 
 
 class TestRunAll:
