@@ -16,6 +16,8 @@ import pytest
 from agdsmooth.cli import main
 from agdsmooth.config import config_from_dict, execute
 
+CUSTOM_CLAIM = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
+
 GOLDEN_RUNS = {
     # the pinned adaptive run of the benchmark
     "adaptive-exp": (
@@ -30,11 +32,31 @@ GOLDEN_RUNS = {
         "f6f617b35724ee8dcaa3ea2008fa184d93c86910aa64a0816154996fc077ea75",
         "47e0beadba6f883bd0463442699322f2cbf84f7b299753bf87b99fbab8201d2e",
     ),
-    # orthant projection of u; superquadratic claim with an estimated m_bar
+    # orthant projection of u; a rho = 2 power claim, so psi increases
+    # everywhere (delta_max is infinite) and no m_bar is estimated
     "agd1-neg-log-barrier": (
         {"algorithm": "agd1", "problem": "neg-log-barrier", "epsilon": 1e-8},
         "26cb50120280e60d91aba05ba0a14ef4e4ab69240509709f5af42e845b9ada68",
         "79c3baf7ea4dd3d90d3cb6286a395eefd40823231f02e9e5a3f25b1ba160e6fc",
+    ),
+    # superquadratic claim: m_bar estimated by sphere sampling, delta clipped
+    # to the two-branch region
+    "agd1-quadratic-power-rho3": (
+        {"algorithm": "agd1", "problem": "quadratic",
+         "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1}, "x0": [0.3, 0.3]},
+        "a18ebaa3b434e299535399c056605330a306b74bbd0152dba3e50742618d1082",
+        "e62a664df5e300842919cf88baed6ab1628c818999b9ef7582020296263769dd",
+    ),
+    # a monotone piecewise-linear claim, warm-started and adaptive
+    "agd1-exp-1d-custom": (
+        {"algorithm": "agd1", "problem": "exp-1d", "ell": CUSTOM_CLAIM},
+        "95ea480e8392a623d34240f66a33ccda405c9768e4d85f639c9ab8b24c78913f",
+        "8a765fefd5b955f3ae824df69e6442dfcc3d589cef259a330586799a120b4780",
+    ),
+    "agd2-exp-1d-custom": (
+        {"algorithm": "agd2", "problem": "exp-1d", "ell": CUSTOM_CLAIM},
+        "ad4d5cdc9e14cd2206a3083dada73509f4c80f19a1d83ffdf849cf694d7f416e",
+        "e55749d89e8da6dd067635ee1efdc0117978dea9c55200d69c1ddd157c26678b",
     ),
     "gd-exp-experiment": (
         {"algorithm": "gd", "problem": "exp-experiment", "epsilon": 1e-4},
