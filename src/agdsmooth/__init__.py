@@ -24,18 +24,16 @@ from .smoothness import (
     CustomMonotone,
     EllModel,
     Power,
-    PsiProfile,
     admissible_delta,
     delta_left_right,
-    delta_max,
     ell_eval,
     model_from_config,
-    model_to_config,
     psi_eval,
     psi_inverse,
     q_eval,
     q_inverse,
     q_max,
+    select_delta,
 )
 from .problems import (
     CATALOG_NAMES,
@@ -62,7 +60,6 @@ from .solvers import (
     gamma_envelope,
     gd_run,
     kbar,
-    select_delta,
     warmup_iterations_bound,
     write_trace_csv,
 )

@@ -18,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .problems import CATALOG_NAMES, Problem, catalog, default_x0, evaluate
-from .smoothness import EllModel, PsiProfile, model_from_config, model_to_config
+from .problems import CATALOG_NAMES, Problem, catalog, default_x0
+from .smoothness import EllModel, model_from_config, select_delta
 from .solvers import (
     RunResult,
     algorithm1_run,
     algorithm2_run,
     estimate_grad_bound,
     gd_run,
-    select_delta,
     write_trace_csv,
 )
 
@@ -197,7 +196,6 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
         raise ConfigurationError("resolved r_bar must be positive (is x0 the optimum?)")
 
     collect_trace = config.trace_path != ""
-    profile = PsiProfile.from_model(model)
 
     m_bar = config.m_bar
     delta = config.delta
@@ -210,15 +208,15 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
             collect_trace=collect_trace,
         )
     elif config.algorithm == "agd1":
+        if math.isfinite(model.delta_max) and m_bar is None:
+            if problem.optimum is None:
+                raise ConfigurationError(
+                    "superquadratic profile: provide m_bar or a problem "
+                    "with a known optimum"
+                )
+            m_bar = estimate_grad_bound(problem, r_bar, seed=config.seed)
+            notes.append(f"m_bar estimated by sphere sampling (heuristic): {m_bar}")
         if delta is None:
-            if math.isfinite(profile.delta_max) and m_bar is None:
-                if problem.optimum is None:
-                    raise ConfigurationError(
-                        "superquadratic profile: provide m_bar or a problem "
-                        "with a known optimum"
-                    )
-                m_bar = estimate_grad_bound(problem, r_bar, seed=config.seed)
-                notes.append(f"m_bar estimated by sphere sampling (heuristic): {m_bar}")
             delta = select_delta(model, r_bar, m_bar)
             notes.append(f"delta selected by policy: {delta}")
         result = algorithm1_run(
@@ -227,24 +225,14 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
             strict=config.strict_checks, collect_trace=collect_trace,
         )
     else:
-        if gamma_cap0 is None:
-            if problem.optimum is None:
-                raise ConfigurationError(
-                    "config field 'gamma_cap0': required when the problem "
-                    "optimum is unknown"
-                )
-            f0, _ = evaluate(problem, x0)
-            r0 = float(np.linalg.norm(x0 - problem.optimum.x_star))
-            if r0 == 0.0:
-                gamma_cap0 = 1.0
-            else:
-                gamma_cap0 = 2.0 * (f0 - problem.optimum.f_star) / r0**2
-            notes.append(f"gamma_cap0 defaulted to twice the initial gap over R^2: {gamma_cap0}")
         result = algorithm2_run(
             problem, model, x0, gamma_cap0, r_bar, config.epsilon, config.budget,
             check_invariants=config.check_invariants, strict=config.strict_checks,
             collect_trace=collect_trace,
         )
+        if gamma_cap0 is None:
+            gamma_cap0 = result.gamma_cap0
+            notes.append(f"gamma_cap0 defaulted to twice the initial gap over R^2: {gamma_cap0}")
 
     summary = _summarize(config, result, model, r_bar, delta, gamma_cap0, m_bar, notes, x0)
     if write_files:
@@ -255,7 +243,7 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
 def _summarize(config, result, model, r_bar, delta, gamma_cap0, m_bar, notes, x0) -> dict:
     resolved = asdict(config)
     resolved.update(
-        ell=model_to_config(model),
+        ell=model.to_config(),
         x0=[float(v) for v in x0],
         r_bar=r_bar,
         delta=delta,

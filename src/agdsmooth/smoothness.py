@@ -12,19 +12,25 @@ Two derived functions drive everything else in the package:
 * ``q(s; a) = int_0^s dv / ell(a + v)`` bounds gradient variation between
   nearby points; its limit ``q_max(a)`` caps safe step lengths.
 
-All functions here are pure; models are immutable after construction and
-safe to share across threads.  ``math.inf`` is the extended-real sentinel
-for unbounded quantities (never a large finite float).
+Each profile class derives from ``EllModel`` and owns its maths: the profile
+itself, its supremum, the q budget with its inverse and limit, the psi peak,
+the right crossing and its warm-start delta head.  The base holds the
+generic quadrature and bisection; the module-level functions validate their
+arguments and dispatch to the model.  Models are immutable after
+construction (their psi geometry is computed once, on first use) and safe to
+share across threads.  ``math.inf`` is the extended-real sentinel for
+unbounded quantities (never a large finite float).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from scipy.integrate import quad
 
-from .errors import ConfigurationError, DomainError, OutOfRangeError
+from .errors import ConfigurationError, DomainError, OutOfRangeError, PreconditionError
 
 # Quadrature is kept two orders tighter than the 1e-6/1e-8 test tolerances
 # that consume it.
@@ -34,23 +40,122 @@ QUAD_REL_TOL = 1e-10
 BISECT_MAX_ITER = 200
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """Shrink ``[lo, hi]`` around the point where ``below`` turns false; stops
+    once the bracket is 4e-16 wide relative to its midpoint."""
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 4e-16 * max(mid, 1e-300):
+            break
+    return 0.5 * (lo + hi)
+
+
+class EllModel:
+    """Base of the curvature profiles.
+
+    Subclasses are frozen dataclasses that define ``ell``, ``ell_sup``,
+    ``delta_head`` and, when their fields are not plain floats, the config
+    round trip.  They override the generic psi inverse, q machinery and
+    psi geometry where they have closed forms.  Methods take arguments
+    already known to be >= 0; the module-level functions check them.
+    """
+
+    kind: str
+
+    def ell(self, s: float) -> float:
+        raise NotImplementedError
+
+    def ell_sup(self) -> float:
+        """Supremum of ell over [0, inf)."""
+        raise NotImplementedError
+
+    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
+        """The profile's warm-start delta before any clipping; only asked of
+        profiles not bounded by 2 ell(0), which ``Constant`` always is."""
+        raise NotImplementedError
+
+    @cached_property
+    def delta_max(self) -> float:
+        """Largest bound such that psi is strictly increasing on
+        [0, delta_max); infinite unless the profile grows superquadratically."""
+        return math.inf
+
+    @cached_property
+    def psi_sup(self) -> float:
+        """Supremum of psi over [0, delta_max) (may be a limit, not attained)."""
+        return math.inf if math.isinf(self.delta_max) else psi_eval(self, self.delta_max)
+
+    def psi_inverse(self, t: float) -> float:
+        """Bisection on the increasing branch of psi, for 0 < t < psi_sup;
+        the bracket grows geometrically from [0, 1] until psi(upper) >= t
+        or upper reaches delta_max."""
+        dmax = self.delta_max
+        lo, hi = 0.0, min(1.0, dmax)
+        while hi < dmax and psi_eval(self, hi) < t:
+            lo, hi = hi, min(2.0 * hi, dmax)
+        return _bisect(lambda x: psi_eval(self, x) < t, lo, hi)
+
+    def q(self, s: float, a: float) -> float:
+        """q(s; a) by adaptive quadrature at 1e-10 relative."""
+        val, _ = quad(
+            lambda v: 1.0 / self.ell(a + v), 0.0, s,
+            epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
+        )
+        return val
+
+    def q_max(self, a: float) -> float:
+        return math.inf
+
+    def q_inverse(self, r: float, a: float) -> float:
+        """Bisection on the strictly increasing map s -> q(s; a)."""
+        lo, hi = 0.0, 1.0
+        while q_eval(self, hi, a) < r:
+            lo, hi = hi, 2.0 * hi
+        return _bisect(lambda s: q_eval(self, s, a) < r, lo, hi)
+
+    def to_config(self) -> dict:
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "EllModel":
+        return cls(**{f.name: float(cfg[f.name]) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(EllModel):
     """ell(s) = L."""
 
     L: float
+    kind = "constant"
 
     def __post_init__(self):
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ConfigurationError(f"Constant profile needs L > 0, got {self.L}")
 
+    def ell(self, s: float) -> float:
+        return self.L
+
+    def ell_sup(self) -> float:
+        return self.L
+
+    def q(self, s: float, a: float) -> float:
+        return s / self.L
+
+    def q_inverse(self, r: float, a: float) -> float:
+        return r * self.L
+
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(EllModel):
     """ell(s) = L0 + L1 * s."""
 
     L0: float
     L1: float
+    kind = "affine"
 
     def __post_init__(self):
         if not (self.L0 > 0 and math.isfinite(self.L0)):
@@ -58,14 +163,36 @@ class Affine:
         if not (self.L1 >= 0 and math.isfinite(self.L1)):
             raise ConfigurationError(f"Affine profile needs L1 >= 0, got {self.L1}")
 
+    def ell(self, s: float) -> float:
+        return self.L0 + self.L1 * s
+
+    def ell_sup(self) -> float:
+        return self.L0 if self.L1 == 0 else math.inf
+
+    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
+        return min(self.L0 / (64.0 * self.L1**2), self.L0 * r_bar**2 / 64.0)
+
+    def q(self, s: float, a: float) -> float:
+        if self.L1 == 0:
+            return s / self.L0
+        base = self.L0 + self.L1 * a
+        return math.log1p(self.L1 * s / base) / self.L1
+
+    def q_inverse(self, r: float, a: float) -> float:
+        if self.L1 == 0:
+            return r * self.L0
+        base = self.L0 + self.L1 * a
+        return base * math.expm1(self.L1 * r) / self.L1
+
 
 @dataclass(frozen=True)
-class Power:
+class Power(EllModel):
     """ell(s) = L0 + L1 * s**rho."""
 
     rho: float
     L0: float
     L1: float
+    kind = "power"
 
     def __post_init__(self):
         if not (self.rho >= 0 and math.isfinite(self.rho)):
@@ -75,18 +202,90 @@ class Power:
         if not (self.L1 >= 0 and math.isfinite(self.L1)):
             raise ConfigurationError(f"Power profile needs L1 >= 0, got {self.L1}")
 
+    def ell(self, s: float) -> float:
+        return self.L0 + self.L1 * s**self.rho
+
+    @property
+    def _flat(self) -> bool:
+        # ell = L0 + L1 identically
+        return self.L1 == 0 or self.rho == 0
+
+    def ell_sup(self) -> float:
+        return self.L0 + self.L1 if self._flat else math.inf
+
+    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
+        rho, L0, L1 = self.rho, self.L0, self.L1
+        head = L0 ** (2.0 / rho - 1.0) / L1 ** (2.0 / rho)
+        if rho <= 2:
+            return min(head, L0 * r_bar**2) / 64.0
+        return min(head, L0 / L1**2, (1.0 / (2.0 * m_bar)) ** (rho - 2.0) / L1, L0 * r_bar**2)
+
+    @cached_property
+    def delta_max(self) -> float:
+        """The exact stationary point of psi,
+        ``(1/4) * (2 L0 / ((rho - 2) L1))**(1/rho)``, for rho > 2."""
+        if self.rho <= 2 or self.L1 == 0:
+            return math.inf
+        return 0.25 * (2.0 * self.L0 / ((self.rho - 2.0) * self.L1)) ** (1.0 / self.rho)
+
+    @cached_property
+    def psi_sup(self) -> float:
+        if self.rho == 2 and self.L1 > 0:
+            # psi -> 1 / (32 L1) from below as x -> inf
+            return 1.0 / (32.0 * self.L1)
+        return super().psi_sup
+
+    def delta_right(self, delta: float) -> float:
+        # Tail bound: psi(x) < x^(2 - rho) / (2 L1 4^rho), so the tail root
+        # of that majorant brackets the true crossing from above.
+        rho, L1, dmax = self.rho, self.L1, self.delta_max
+        hi = (2.0 * L1 * 4.0**rho * delta) ** (-1.0 / (rho - 2.0))
+        hi = max(hi, dmax * (1.0 + 1e-12))
+        while psi_eval(self, hi) > delta:  # numerical guard; grow until below
+            hi *= 2.0
+        return _bisect(lambda x: psi_eval(self, x) > delta, dmax, hi)
+
+    def q(self, s: float, a: float) -> float:
+        if self.rho == 2 and self.L1 > 0:
+            c = math.sqrt(self.L1 / self.L0)
+            scale = 1.0 / math.sqrt(self.L0 * self.L1)
+            return scale * (math.atan(c * (a + s)) - math.atan(c * a))
+        if self._flat:
+            return s / (self.L0 + self.L1)
+        return super().q(s, a)
+
+    def q_max(self, a: float) -> float:
+        if self.L1 == 0 or self.rho <= 1:
+            return math.inf
+        if self.rho == 2:
+            c = math.sqrt(self.L1 / self.L0)
+            return (math.pi / 2.0 - math.atan(c * a)) / math.sqrt(self.L0 * self.L1)
+        return super().q(math.inf, a)
+
+    def q_inverse(self, r: float, a: float) -> float:
+        if self.rho == 2 and self.L1 > 0:
+            c = math.sqrt(self.L1 / self.L0)
+            ang = r * math.sqrt(self.L0 * self.L1) + math.atan(c * a)
+            return math.tan(ang) / c - a
+        if self._flat:
+            return r * (self.L0 + self.L1)
+        return super().q_inverse(r, a)
+
 
 @dataclass(frozen=True)
-class CustomMonotone:
+class CustomMonotone(EllModel):
     """Piecewise-linear profile through ``points``, constant beyond the last.
 
     Breakpoints must start at s = 0, be strictly increasing in s and
     non-decreasing in ell(s), with every ell value positive.  Constant
     extrapolation keeps the profile bounded, so ``q_max`` is always
-    infinite for this variant.
+    infinite for this variant.  On a segment ``ell(4 x) = b + 4 m x``, so
+    psi' has the sign of ``b + 2 m x``; that grows along the segment, which
+    puts the psi geometry in closed form.
     """
 
     points: tuple[tuple[float, float], ...]
+    kind = "custom"
 
     def __post_init__(self):
         pts = tuple((float(s), float(v)) for s, v in self.points)
@@ -103,33 +302,72 @@ class CustomMonotone:
         if any(not (v > 0 and math.isfinite(v)) for _, v in pts):
             raise ConfigurationError("breakpoint values must be positive and finite")
 
+    def ell(self, s: float) -> float:
+        pts = self.points
+        if s >= pts[-1][0]:
+            return pts[-1][1]
+        # linear interpolation within the bracketing segment
+        lo, hi = 0, len(pts) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if pts[mid][0] <= s:
+                lo = mid
+            else:
+                hi = mid
+        (s0, v0), (s1, v1) = pts[lo], pts[hi]
+        return v0 + (v1 - v0) * (s - s0) / (s1 - s0)
 
-EllModel = Constant | Affine | Power | CustomMonotone
+    def ell_sup(self) -> float:
+        return self.points[-1][1]
+
+    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
+        return min(_admissible_boundary(self), self.ell(0.0) * r_bar**2 / 64.0)
+
+    def _falling_starts(self):
+        """``(x0, x1, b, m)`` of each segment, in psi's argument x = s / 4,
+        on which psi falls at x0: ``ell(s) = b + m s`` and ``b + 2 m x0 < 0``."""
+        for (s0, v0), (s1, v1) in zip(self.points, self.points[1:]):
+            m = (v1 - v0) / (s1 - s0)
+            b = v0 - m * s0
+            if b + 2.0 * m * (s0 / 4.0) < 0:
+                yield s0 / 4.0, s1 / 4.0, b, m
+
+    @cached_property
+    def delta_max(self) -> float:
+        """The first breakpoint (over 4) at which psi starts to fall; psi is
+        increasing beyond the last breakpoint, where ell is constant."""
+        return next((x0 for x0, _, _, _ in self._falling_starts()), math.inf)
+
+    def delta_right(self, delta: float) -> float:
+        # Where psi falls from above delta, the crossing is the smaller root
+        # of x^2 - 8 delta m x - 2 delta b = 0, taken in the form that does
+        # not cancel when b << 0; a segment where psi rises from above delta
+        # stays above it.
+        for x0, x1, b, m in self._falling_starts():
+            disc = (4.0 * delta * m) ** 2 + 2.0 * delta * b
+            if disc < 0:
+                continue  # the segment's minimum of psi is above delta
+            root = -2.0 * delta * b / (4.0 * delta * m + math.sqrt(disc))
+            if root <= x1:
+                return max(root, x0)
+        return math.inf
+
+    def to_config(self) -> dict:
+        return {"kind": self.kind, "points": [[s, v] for s, v in self.points]}
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "CustomMonotone":
+        return cls(points=cfg["points"])
+
+
+_KINDS = {cls.kind: cls for cls in (Constant, Affine, Power, CustomMonotone)}
 
 
 def ell_eval(model: EllModel, s: float) -> float:
     """Evaluate the curvature profile at gradient norm ``s >= 0``."""
     if s < 0 or math.isnan(s):
         raise DomainError(f"ell is defined for s >= 0, got {s}")
-    if isinstance(model, Constant):
-        return model.L
-    if isinstance(model, Affine):
-        return model.L0 + model.L1 * s
-    if isinstance(model, Power):
-        return model.L0 + model.L1 * s**model.rho
-    pts = model.points
-    if s >= pts[-1][0]:
-        return pts[-1][1]
-    # linear interpolation within the bracketing segment
-    lo, hi = 0, len(pts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pts[mid][0] <= s:
-            lo = mid
-        else:
-            hi = mid
-    (s0, v0), (s1, v1) = pts[lo], pts[hi]
-    return v0 + (v1 - v0) * (s - s0) / (s1 - s0)
+    return model.ell(s)
 
 
 def ell_zero(model: EllModel) -> float:
@@ -140,126 +378,28 @@ def psi_eval(model: EllModel, x: float) -> float:
     """Gap-to-gradient conversion curve psi(x) = x^2 / (2 ell(4 x))."""
     if x < 0 or math.isnan(x):
         raise DomainError(f"psi is defined for x >= 0, got {x}")
-    return x * x / (2.0 * ell_eval(model, 4.0 * x))
+    return x * x / (2.0 * model.ell(4.0 * x))
 
 
-def delta_max(model: EllModel) -> float:
-    """Largest bound such that psi is strictly increasing on [0, delta_max).
+def psi_inverse(model: EllModel, t: float) -> float:
+    """Invert psi on its increasing branch.
 
-    Infinite for constant, affine, and power profiles with rho <= 2.  For
-    superquadratic power growth the exact stationary point of psi is
-    ``(1/4) * (2 L0 / ((rho - 2) L1))**(1/rho)``.  Custom profiles are
-    scanned numerically and the first decrease is refined by bisection on
-    the finite-difference sign.
-    """
-    if isinstance(model, (Constant, Affine)):
-        return math.inf
-    if isinstance(model, Power):
-        if model.rho <= 2 or model.L1 == 0:
-            return math.inf
-        return 0.25 * (2.0 * model.L0 / ((model.rho - 2.0) * model.L1)) ** (1.0 / model.rho)
-    return _delta_max_custom(model)
-
-
-def _delta_max_custom(model: CustomMonotone, subdiv: int = 128) -> float:
-    # Beyond the last breakpoint ell is constant, so psi = x^2 / (2 ell_last)
-    # is strictly increasing there; only [0, s_last / 4] needs scanning.
-    s_last = model.points[-1][0]
-    if s_last == 0.0:
-        return math.inf
-    edges = [s / 4.0 for s, _ in model.points]
-    grid: list[float] = []
-    for a, b in zip(edges, edges[1:]):
-        step = (b - a) / subdiv
-        grid.extend(a + i * step for i in range(subdiv))
-    grid.append(edges[-1])
-
-    prev_x, prev_v = grid[0], psi_eval(model, grid[0])
-    first_dec = None
-    for x in grid[1:]:
-        v = psi_eval(model, x)
-        if v <= prev_v:
-            first_dec = (prev_x, x)
-            break
-        prev_x, prev_v = x, v
-    if first_dec is None:
-        return math.inf
-
-    # psi switched from increasing to non-increasing inside (lo - step, hi];
-    # bisect on the local finite-difference sign.
-    lo = max(0.0, first_dec[0] - (first_dec[1] - first_dec[0]))
-    hi = first_dec[1]
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        h = max((hi - lo) * 1e-3, 1e-15 * max(1.0, mid))
-        if psi_eval(model, mid + h) > psi_eval(model, mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _psi_sup(model: EllModel, dmax: float) -> float:
-    """Supremum of psi over [0, delta_max) (may be a limit, not attained)."""
-    if math.isinf(dmax):
-        if isinstance(model, Power) and model.rho == 2 and model.L1 > 0:
-            # psi -> 1 / (32 L1) from below as x -> inf
-            return 1.0 / (32.0 * model.L1)
-        return math.inf
-    return psi_eval(model, dmax)
-
-
-@dataclass(frozen=True)
-class PsiProfile:
-    """A model together with its precomputed psi geometry."""
-
-    model: EllModel
-    delta_max: float
-    psi_at_delta_max: float
-
-    @classmethod
-    def from_model(cls, model: EllModel) -> "PsiProfile":
-        dmax = delta_max(model)
-        return cls(model=model, delta_max=dmax, psi_at_delta_max=_psi_sup(model, dmax))
-
-
-def psi_inverse(profile: PsiProfile, t: float, tol: float = 1e-12) -> float:
-    """Invert psi on its increasing branch by bracketed bisection.
-
-    Returns x in [0, delta_max) with ``|psi(x) - t| <= tol * max(1, t)``.
-    The bracket grows geometrically from [0, 1] until psi(upper) >= t or
-    upper reaches delta_max.
+    Returns x in [0, delta_max) with psi(x) = t up to the bisection's stop,
+    a bracket 4e-16 wide relative to x.
     """
     if t < 0 or math.isnan(t):
         raise DomainError(f"psi_inverse needs t >= 0, got {t}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if t >= profile.psi_at_delta_max:
+    if t >= model.psi_sup:
         raise OutOfRangeError(
-            f"t = {t} is not below sup psi = {profile.psi_at_delta_max}; "
+            f"t = {t} is not below sup psi = {model.psi_sup}; "
             "use delta_left_right for the two-branch geometry"
         )
     if t == 0.0:
         return 0.0
-    model, dmax = profile.model, profile.delta_max
-    lo, hi = 0.0, min(1.0, dmax)
-    while hi < dmax and psi_eval(model, hi) < t:
-        lo, hi = hi, min(2.0 * hi, dmax)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if psi_eval(model, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4e-16 * max(mid, 1e-300):
-            break
-    x = 0.5 * (lo + hi)
-    return x
+    return model.psi_inverse(t)
 
 
-def delta_left_right(profile: PsiProfile, delta: float) -> tuple[float, float]:
+def delta_left_right(model: EllModel, delta: float) -> tuple[float, float]:
     """Both crossings of psi with level ``delta``.
 
     The left root is the unique solution in [0, delta_max); the right root
@@ -268,60 +408,13 @@ def delta_left_right(profile: PsiProfile, delta: float) -> tuple[float, float]:
     """
     if delta < 0 or math.isnan(delta):
         raise DomainError(f"delta must be >= 0, got {delta}")
-    if delta >= profile.psi_at_delta_max:
-        raise OutOfRangeError(
-            f"delta = {delta} is not below sup psi = {profile.psi_at_delta_max}"
-        )
-    left = psi_inverse(profile, delta)
-    if math.isinf(profile.delta_max):
+    if delta >= model.psi_sup:
+        raise OutOfRangeError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
+    left = psi_inverse(model, delta)
+    if math.isinf(model.delta_max) or delta == 0.0:
+        # psi increases everywhere, or meets the level 0 only at the origin
         return left, math.inf
-    if delta == 0.0:
-        # psi > 0 away from the origin, so the level 0 is never met again
-        return 0.0, math.inf
-    return left, _delta_right(profile, delta)
-
-
-def _delta_right(profile: PsiProfile, delta: float) -> float:
-    model, dmax = profile.model, profile.delta_max
-    if isinstance(model, Power):
-        # Tail bound: psi(x) < x^(2 - rho) / (2 L1 4^rho), so the tail root
-        # of that majorant brackets the true crossing from above.
-        rho, L1 = model.rho, model.L1
-        hi = (2.0 * L1 * 4.0**rho * delta) ** (-1.0 / (rho - 2.0))
-        hi = max(hi, dmax * (1.0 + 1e-12))
-        if psi_eval(model, hi) > delta:  # numerical guard; grow until below
-            while psi_eval(model, hi) > delta:
-                hi *= 2.0
-        return _bisect_decreasing(model, delta, dmax, hi)
-    # Custom profile: scan [delta_max, s_last / 4] for the first drop below
-    # delta; beyond s_last / 4 psi rises monotonically to infinity, which
-    # certifies the tail when no crossing was found.
-    assert isinstance(model, CustomMonotone)
-    x_const = model.points[-1][0] / 4.0
-    if dmax >= x_const:
-        return math.inf
-    n = 4096
-    step = (x_const - dmax) / n
-    prev = dmax
-    for i in range(1, n + 1):
-        x = dmax + i * step
-        if psi_eval(model, x) <= delta:
-            return _bisect_decreasing(model, delta, prev, x)
-        prev = x
-    return math.inf
-
-
-def _bisect_decreasing(model: EllModel, target: float, lo: float, hi: float) -> float:
-    # psi(lo) > target >= psi(hi); find the first crossing.
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if psi_eval(model, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4e-16 * max(mid, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    return left, model.delta_right(delta)
 
 
 def admissible_delta(model: EllModel, delta: float) -> bool:
@@ -336,18 +429,8 @@ def admissible_delta(model: EllModel, delta: float) -> bool:
     l0 = ell_zero(model)
     if math.isinf(delta):
         # admissible only if ell is bounded by 2 ell(0) everywhere
-        return _ell_sup(model) <= 2.0 * l0
+        return model.ell_sup() <= 2.0 * l0
     return ell_eval(model, 8.0 * math.sqrt(delta * l0)) <= 2.0 * l0
-
-
-def _ell_sup(model: EllModel) -> float:
-    if isinstance(model, Constant):
-        return model.L
-    if isinstance(model, Affine):
-        return model.L0 if model.L1 == 0 else math.inf
-    if isinstance(model, Power):
-        return model.L0 if (model.L1 == 0 or model.rho == 0) else math.inf
-    return model.points[-1][1]
 
 
 def q_eval(model: EllModel, s: float, a: float) -> float:
@@ -360,24 +443,7 @@ def q_eval(model: EllModel, s: float, a: float) -> float:
         raise DomainError(f"q needs s, a >= 0, got s={s}, a={a}")
     if s == 0.0:
         return 0.0
-    if isinstance(model, Constant):
-        return s / model.L
-    if isinstance(model, Affine):
-        if model.L1 == 0:
-            return s / model.L0
-        base = model.L0 + model.L1 * a
-        return math.log1p(model.L1 * s / base) / model.L1
-    if isinstance(model, Power) and model.rho == 2 and model.L1 > 0:
-        c = math.sqrt(model.L1 / model.L0)
-        scale = 1.0 / math.sqrt(model.L0 * model.L1)
-        return scale * (math.atan(c * (a + s)) - math.atan(c * a))
-    if isinstance(model, Power) and (model.L1 == 0 or model.rho == 0):
-        return s / (model.L0 + model.L1)
-    val, _ = quad(
-        lambda v: 1.0 / ell_eval(model, a + v), 0.0, s,
-        epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
-    )
-    return val
+    return model.q(s, a)
 
 
 def q_max(model: EllModel, a: float) -> float:
@@ -385,18 +451,7 @@ def q_max(model: EllModel, a: float) -> float:
     profile grows superlinearly."""
     if a < 0 or math.isnan(a):
         raise DomainError(f"q_max needs a >= 0, got {a}")
-    if isinstance(model, (Constant, Affine, CustomMonotone)):
-        return math.inf
-    if model.L1 == 0 or model.rho <= 1:
-        return math.inf
-    if model.rho == 2:
-        c = math.sqrt(model.L1 / model.L0)
-        return (math.pi / 2.0 - math.atan(c * a)) / math.sqrt(model.L0 * model.L1)
-    val, _ = quad(
-        lambda v: 1.0 / ell_eval(model, a + v), 0.0, math.inf,
-        epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
-    )
-    return val
+    return model.q_max(a)
 
 
 def q_inverse(model: EllModel, r: float, a: float) -> float:
@@ -412,58 +467,79 @@ def q_inverse(model: EllModel, r: float, a: float) -> float:
         raise OutOfRangeError(f"r = {r} is not below q_max(a) = {qm}")
     if r == 0.0:
         return 0.0
-    if isinstance(model, Constant):
-        return r * model.L
-    if isinstance(model, Affine):
-        if model.L1 == 0:
-            return r * model.L0
-        base = model.L0 + model.L1 * a
-        return base * math.expm1(model.L1 * r) / model.L1
-    if isinstance(model, Power) and model.rho == 2 and model.L1 > 0:
-        c = math.sqrt(model.L1 / model.L0)
-        ang = r * math.sqrt(model.L0 * model.L1) + math.atan(c * a)
-        return math.tan(ang) / c - a
-    if isinstance(model, Power) and (model.L1 == 0 or model.rho == 0):
-        return r * (model.L0 + model.L1)
-    lo, hi = 0.0, 1.0
-    while q_eval(model, hi, a) < r:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(BISECT_MAX_ITER):
+    return model.q_inverse(r, a)
+
+
+# --- warm-start delta policy -------------------------------------------------
+
+def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> float:
+    """Warm-start gap target for the given profile.
+
+    Constant-like profiles (bounded by 2 ell(0) everywhere) admit every
+    delta; the infinite sentinel tells the caller to skip the warm start.
+    Otherwise the profile's ``delta_head`` sets the target.  A non-monotone
+    psi additionally needs ``m_bar``, an upper bound on the gradient norm
+    over the ball of radius 2 r_bar around the optimum, and the returned
+    value is clipped until the two-branch geometry conditions hold.
+    """
+    if not r_bar > 0:
+        raise PreconditionError("r_bar must be positive")
+    if admissible_delta(model, math.inf):
+        return math.inf
+    superquadratic = math.isfinite(model.delta_max)
+    if superquadratic and m_bar is None:
+        raise ConfigurationError(
+            "this profile has a non-monotone psi; m_bar (gradient bound on the "
+            "2*r_bar ball) is required to select delta"
+        )
+    delta = model.delta_head(r_bar, m_bar)
+    if superquadratic:
+        return _clip_to_branch_region(model, delta, m_bar)
+    if not admissible_delta(model, delta):
+        raise PreconditionError(f"internal: policy delta {delta} not admissible")
+    return delta
+
+
+def _admissible_boundary(model: EllModel) -> float:
+    # largest admissible delta by bisection on the monotone predicate
+    hi = 1.0
+    while admissible_delta(model, hi):
+        hi *= 2.0
+        if hi > 1e308:
+            return math.inf
+    lo = 0.0
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if q_eval(model, mid, a) < r:
+        if admissible_delta(model, mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 4e-16 * max(mid, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    return lo
+
+
+def _clip_to_branch_region(model: EllModel, delta: float, m_bar: float) -> float:
+    delta = min(delta, model.psi_sup / 2.0)
+    l0 = ell_zero(model)
+    for _ in range(200):
+        left, right = delta_left_right(model, delta)
+        if ell_eval(model, 4.0 * left) <= 2.0 * l0 and right >= 2.0 * m_bar:
+            return delta
+        delta *= 0.5
+    raise PreconditionError(
+        "could not find a delta satisfying the two-branch geometry conditions"
+    )
 
 
 # --- serialization ---------------------------------------------------------
-
-def model_to_config(model: EllModel) -> dict:
-    if isinstance(model, Constant):
-        return {"kind": "constant", "L": model.L}
-    if isinstance(model, Affine):
-        return {"kind": "affine", "L0": model.L0, "L1": model.L1}
-    if isinstance(model, Power):
-        return {"kind": "power", "rho": model.rho, "L0": model.L0, "L1": model.L1}
-    return {"kind": "custom", "points": [[s, v] for s, v in model.points]}
-
 
 def model_from_config(cfg: dict) -> EllModel:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigurationError(f"ell model config needs a 'kind' field: {cfg!r}")
     kind = cfg["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigurationError(f"unknown ell model kind {kind!r}")
     try:
-        if kind == "constant":
-            return Constant(L=float(cfg["L"]))
-        if kind == "affine":
-            return Affine(L0=float(cfg["L0"]), L1=float(cfg["L1"]))
-        if kind == "power":
-            return Power(rho=float(cfg["rho"]), L0=float(cfg["L0"]), L1=float(cfg["L1"]))
-        if kind == "custom":
-            return CustomMonotone(points=tuple((float(s), float(v)) for s, v in cfg["points"]))
+        return cls.from_config(cfg)
     except KeyError as exc:
         raise ConfigurationError(f"ell model config missing field {exc} for kind {kind!r}")
-    raise ConfigurationError(f"unknown ell model kind {kind!r}")

@@ -37,12 +37,7 @@ from .errors import (
 )
 from .problems import Problem, evaluate, project_closure
 from .smoothness import (
-    Affine,
-    Constant,
-    CustomMonotone,
     EllModel,
-    Power,
-    PsiProfile,
     admissible_delta,
     delta_left_right,
     ell_eval,
@@ -176,6 +171,7 @@ class RunResult:
     oracle_calls: int
     flags_total: int = 0
     warmup_bound: int | None = None
+    gamma_cap0: float | None = None  # the adaptive run's starting level
     message: str = ""
 
     @property
@@ -316,10 +312,12 @@ def _gd_phase(
     r_bar: float,
     max_calls: int,
     trace: list[TraceRecord] | None,
+    check_invariants: bool,
     strict: bool,
 ):
     """Run x <- x - grad / (2 ell(2 |grad|)) until the gap is certified to
-    be at most ``target``.
+    be at most ``target``.  With checks on, a step that moves x away from a
+    known optimum sets GD_MONOTONE (and aborts in strict mode).
 
     Returns (status, x, f, g, iters, flags_total).
     """
@@ -347,7 +345,7 @@ def _gd_phase(
         flags = 0
         if x_star is not None:
             dist_next = float(np.linalg.norm(x - x_star))
-            if dist_next > dist * (1.0 + 1e-12):
+            if check_invariants and dist_next > dist * (1.0 + 1e-12):
                 flags = int(flags | Flag.GD_MONOTONE)
                 flags_total = int(flags_total | Flag.GD_MONOTONE)
                 if strict:
@@ -392,7 +390,7 @@ def gd_run(
     trace: list[TraceRecord] | None = [] if collect_trace else None
     status, x, f, g, iters, flags = _gd_phase(
         oracle, model, x0, f0, g0, epsilon, r_bar, max_calls=budget,
-        trace=trace, strict=strict and check_invariants,
+        trace=trace, check_invariants=check_invariants, strict=strict,
     )
     opt = problem.optimum
     state = AgdState(y=x, u=x.copy(), gamma_cap=1.0, k=0, f_y=f, grad_y=g)
@@ -403,89 +401,7 @@ def gd_run(
     )
 
 
-# --- delta selection policy -------------------------------------------------
-
-def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> float:
-    """Warm-start gap target for the given profile class.
-
-    Constant-like profiles (bounded by 2 ell(0) everywhere) admit every
-    delta; the infinite sentinel tells the caller to skip the warm start.
-    Superquadratic power profiles additionally need ``m_bar``, an upper
-    bound on the gradient norm over the ball of radius 2 r_bar around the
-    optimum, and the returned value is clipped until the two-branch
-    geometry conditions hold.
-    """
-    if not r_bar > 0:
-        raise PreconditionError("r_bar must be positive")
-    if admissible_delta(model, math.inf):
-        return math.inf
-    l0 = ell_zero(model)
-    if isinstance(model, Affine):
-        head = math.inf if model.L1 == 0 else model.L0 / (64.0 * model.L1**2)
-        delta = min(head, model.L0 * r_bar**2 / 64.0)
-    elif isinstance(model, Power) and model.rho <= 2:
-        head = model.L0 ** (2.0 / model.rho - 1.0) / model.L1 ** (2.0 / model.rho)
-        delta = min(head, model.L0 * r_bar**2) / 64.0
-    elif isinstance(model, Power):
-        if m_bar is None:
-            raise ConfigurationError(
-                "superquadratic profiles need m_bar (gradient bound on the "
-                "2*r_bar ball) to select delta"
-            )
-        rho, L0, L1 = model.rho, model.L0, model.L1
-        delta = min(
-            L0 ** (2.0 / rho - 1.0) / L1 ** (2.0 / rho),
-            L0 / L1**2,
-            (1.0 / (2.0 * m_bar)) ** (rho - 2.0) / L1,
-            L0 * r_bar**2,
-        )
-        delta = _clip_to_branch_region(model, delta, m_bar)
-    elif isinstance(model, CustomMonotone):
-        delta = min(_admissible_boundary(model), l0 * r_bar**2 / 64.0)
-        profile = PsiProfile.from_model(model)
-        if math.isfinite(profile.delta_max):
-            if m_bar is None:
-                raise ConfigurationError(
-                    "this profile has a non-monotone psi; m_bar is required"
-                )
-            delta = _clip_to_branch_region(model, delta, m_bar)
-    else:  # pragma: no cover - Constant handled by the sentinel branch
-        return math.inf
-    if math.isinf(PsiProfile.from_model(model).delta_max) and not admissible_delta(model, delta):
-        raise PreconditionError(f"internal: policy delta {delta} not admissible")
-    return delta
-
-
-def _admissible_boundary(model: EllModel) -> float:
-    # largest admissible delta by bisection on the monotone predicate
-    hi = 1.0
-    while admissible_delta(model, hi):
-        hi *= 2.0
-        if hi > 1e308:
-            return math.inf
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if admissible_delta(model, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _clip_to_branch_region(model: EllModel, delta: float, m_bar: float) -> float:
-    profile = PsiProfile.from_model(model)
-    delta = min(delta, profile.psi_at_delta_max / 2.0)
-    l0 = ell_zero(model)
-    for _ in range(200):
-        left, right = delta_left_right(profile, delta)
-        if ell_eval(model, 4.0 * left) <= 2.0 * l0 and right >= 2.0 * m_bar:
-            return delta
-        delta *= 0.5
-    raise PreconditionError(
-        "could not find a delta satisfying the two-branch geometry conditions"
-    )
-
+# --- gradient bound heuristic -----------------------------------------------
 
 def estimate_grad_bound(
     problem: Problem, r_bar: float, seed: int = 0, samples: int = 64, safety: float = 2.0
@@ -538,7 +454,6 @@ class _Checks:
 def _run_agd(
     oracle: _Oracle,
     model: EllModel,
-    profile: PsiProfile,
     state: AgdState,
     r_bar: float,
     epsilon: float,
@@ -560,10 +475,10 @@ def _run_agd(
     rb2 = r_bar * r_bar
     checks = _Checks(strict=strict)
     adaptive = step_gamma_const is None
-    superquadratic = math.isfinite(profile.delta_max)
+    superquadratic = math.isfinite(model.delta_max)
     kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
     gap_scale = max(1.0, abs(f_star)) if f_star is not None else 1.0
-    is_constant_model = isinstance(model, Constant)
+    flat = model.ell_sup() == l0
     # the certificate function feeds the LYAPUNOV check and the trace column
     track_v = x_star is not None and (check_invariants or trace is not None)
 
@@ -585,13 +500,13 @@ def _run_agd(
             envelope_x = None
         else:
             t = state.gamma_cap * rb2
-            if is_constant_model:
-                # ell is flat, so ell(4 psi_inverse(t)) = L identically;
-                # the envelope value itself is only needed for the check
-                envelope_x = psi_inverse(profile, t) if check_invariants else None
-                step_gamma = 1.0 / model.L
+            if flat:
+                # ell(4 psi_inverse(t)) = ell(0) identically; the envelope
+                # value itself is only needed for the check
+                envelope_x = psi_inverse(model, t) if check_invariants else None
+                step_gamma = 1.0 / l0
             else:
-                envelope_x = psi_inverse(profile, t)
+                envelope_x = psi_inverse(model, t)
                 step_gamma = 1.0 / ell_eval(model, 4.0 * envelope_x)
 
         if check_invariants:
@@ -674,32 +589,24 @@ def _run_agd(
             checks.take_pending()
 
 
-def _warm_start_refusal(
-    problem: Problem, model: EllModel, profile: PsiProfile, delta: float,
-    r_bar: float, m_bar: float | None,
-) -> tuple[str, str]:
-    """Why ``delta`` cannot seed the warm start ("" if it can), and a note
-    naming any heuristic used to decide."""
+def _warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> str:
+    """Why ``delta`` cannot seed the warm start ("" if it can)."""
     if not delta > 0:
-        return f"resolved delta {delta} is not positive", ""
-    if not math.isfinite(profile.delta_max):
+        return f"resolved delta {delta} is not positive"
+    if not math.isfinite(model.delta_max):
         if admissible_delta(model, delta):
-            return "", ""
-        return f"delta {delta} fails the admissibility check", ""
-    if delta > profile.psi_at_delta_max / 2.0:
-        return f"delta {delta} exceeds half the peak of psi", ""
-    left, right = delta_left_right(profile, delta)
+            return ""
+        return f"delta {delta} fails the admissibility check"
+    if delta > model.psi_sup / 2.0:
+        return f"delta {delta} exceeds half the peak of psi"
+    left, right = delta_left_right(model, delta)
     if ell_eval(model, 4.0 * left) > 2.0 * ell_zero(model):
-        return "delta violates the small-curvature branch condition", ""
-    note = ""
-    if m_bar is None and problem.optimum is not None:
-        m_bar = estimate_grad_bound(problem, r_bar)
-        note = f"m_bar estimated by sphere sampling (heuristic): {m_bar}"
+        return "delta violates the small-curvature branch condition"
     if m_bar is None:
-        return "superquadratic profile needs m_bar or a known optimum", note
+        return "superquadratic profile needs m_bar (gradient bound on the 2*r_bar ball)"
     if right < 2.0 * m_bar:
-        return f"right crossing {right} is below 2*m_bar = {2 * m_bar}", note
-    return "", note
+        return f"right crossing {right} is below 2*m_bar = {2 * m_bar}"
+    return ""
 
 
 def algorithm1_run(
@@ -721,7 +628,8 @@ def algorithm1_run(
     ``budget`` caps total oracle calls across both phases.  An infinite
     ``delta`` (the select_delta sentinel for constant-like profiles) is
     replaced by twice the initial gap (or its gradient certificate), which
-    makes the warm start a no-op.
+    makes the warm start a no-op.  A profile with a non-monotone psi needs
+    ``m_bar``; without it the run is refused.
     """
     if not (epsilon > 0 and r_bar > 0 and budget >= 1):
         raise ConfigurationError("algorithm1_run needs epsilon > 0, r_bar > 0, budget >= 1")
@@ -749,15 +657,14 @@ def algorithm1_run(
             delta_eff = 2.0 * float(np.linalg.norm(g0)) * r_bar
     else:
         delta_eff = delta
-    profile = PsiProfile.from_model(model)
-    refusal, message = _warm_start_refusal(problem, model, profile, delta_eff, r_bar, m_bar)
+    refusal = _warm_start_refusal(model, delta_eff, m_bar)
     if refusal:
         return _refuse(oracle, refusal)
 
     trace: list[TraceRecord] | None = [] if collect_trace else None
     status, xbar, f, g, gd_iters, gd_flags = _gd_phase(
         oracle, model, x0, f0, g0, delta_eff / 2.0, r_bar, max_calls=budget,
-        trace=trace, strict=strict and check_invariants,
+        trace=trace, check_invariants=check_invariants, strict=strict,
     )
     state = AgdState(y=xbar, u=xbar.copy(), gamma_cap=delta_eff / r_bar**2,
                      k=0, f_y=f, grad_y=g)
@@ -766,14 +673,13 @@ def algorithm1_run(
                        gd_iters=gd_iters, flags_total=gd_flags)
 
     state, termination, flags_total, msg = _run_agd(
-        oracle, model, profile, state, r_bar, epsilon, budget,
+        oracle, model, state, r_bar, epsilon, budget,
         step_gamma_const=1.0 / (2.0 * ell_zero(model)),
         check_invariants=check_invariants, strict=strict, trace=trace,
         state_sink=state_sink,
     )
     return _finish(oracle, state, termination, r_bar, trace, gd_iters=gd_iters,
-                   flags_total=flags_total | gd_flags,
-                   message="; ".join(m for m in (message, msg) if m))
+                   flags_total=flags_total | gd_flags, message=msg)
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -784,12 +690,11 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     The adaptive algorithm does not steer by it; every agd2 run reports it
     as ``warmup_bound`` in its result and summary.
     """
-    profile = PsiProfile.from_model(model)
     l0 = ell_zero(model)
     t0 = gamma_cap0 * r_bar**2
-    if t0 >= profile.psi_at_delta_max:
+    if t0 >= model.psi_sup:
         raise ConfigurationError("gamma_cap0 * r_bar^2 is out of the psi range")
-    lref = ell_eval(model, 4.0 * psi_inverse(profile, t0))
+    lref = ell_eval(model, 4.0 * psi_inverse(model, t0))
     c = math.sqrt(lref * l0) * r_bar
 
     def ok(k: int) -> bool:
@@ -816,7 +721,7 @@ def algorithm2_run(
     problem: Problem,
     model: EllModel,
     x0: np.ndarray,
-    gamma_cap0: float,
+    gamma_cap0: float | None,
     r_bar: float,
     epsilon: float,
     budget: int,
@@ -829,31 +734,40 @@ def algorithm2_run(
 
     Requires psi to be strictly increasing on all of [0, inf); profiles
     with a finite increase region are rejected as a configuration error,
-    as is a starting certificate level outside the range of psi.
+    as is a starting certificate level outside the range of psi.  With a
+    known optimum the start admits no level below twice the initial gap
+    over the squared initial distance; ``gamma_cap0=None`` starts there (at
+    1 from the optimum itself).  The result's ``gamma_cap0`` is the level
+    the run started from.
     """
-    if not (epsilon > 0 and r_bar > 0 and budget >= 1 and gamma_cap0 > 0):
+    if not (epsilon > 0 and r_bar > 0 and budget >= 1
+            and (gamma_cap0 is None or gamma_cap0 > 0)):
         raise ConfigurationError(
             "algorithm2_run needs gamma_cap0 > 0, epsilon > 0, r_bar > 0, budget >= 1"
         )
-    profile = PsiProfile.from_model(model)
-    if math.isfinite(profile.delta_max):
+    if math.isfinite(model.delta_max):
         raise ConfigurationError(
             "psi is not invertible on [0, inf) for this profile "
-            f"(increase stops at {profile.delta_max}); use the warm-started variant"
+            f"(increase stops at {model.delta_max}); use the warm-started variant"
         )
-    if gamma_cap0 * r_bar**2 >= profile.psi_at_delta_max:
+    opt = problem.optimum
+    if gamma_cap0 is None and opt is None:
+        raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
+    oracle, x0, f0, g0, refusal = _start(problem, x0, r_bar)
+    r0 = float(np.linalg.norm(x0 - opt.x_star)) if opt is not None else 0.0
+    floor = 2.0 * (f0 - opt.f_star) / r0**2 if r0 > 0 else None
+    if gamma_cap0 is None:
+        gamma_cap0 = 1.0 if floor is None else floor
+    if gamma_cap0 * r_bar**2 >= model.psi_sup:
         raise ConfigurationError(
             f"gamma_cap0 * r_bar^2 = {gamma_cap0 * r_bar**2} is not below "
-            f"sup psi = {profile.psi_at_delta_max}; the adaptive step is undefined"
+            f"sup psi = {model.psi_sup}; the adaptive step is undefined"
         )
-    oracle, x0, f0, g0, refusal = _start(problem, x0, r_bar)
+    if refusal is None and floor is not None and gamma_cap0 < floor * (1 - 1e-12):
+        refusal = _refuse(oracle, f"gamma_cap0 must be >= {floor}")
     if refusal is not None:
+        refusal.gamma_cap0 = gamma_cap0
         return refusal
-    opt = problem.optimum
-    if opt is not None:
-        r0 = float(np.linalg.norm(x0 - opt.x_star))
-        if r0 > 0 and gamma_cap0 < 2.0 * (f0 - opt.f_star) / r0**2 * (1 - 1e-12):
-            return _refuse(oracle, f"gamma_cap0 must be >= {2.0 * (f0 - opt.f_star) / r0**2}")
 
     try:
         warmup = warmup_iterations_bound(model, gamma_cap0, r_bar)
@@ -861,14 +775,15 @@ def algorithm2_run(
         warmup = None
 
     state = AgdState(y=x0, u=x0.copy(), gamma_cap=gamma_cap0, k=0, f_y=f0, grad_y=g0)
-    stationary = _stationary_start(oracle, state, r_bar, warmup_bound=warmup)
-    if stationary is not None:
-        return stationary
-    trace: list[TraceRecord] | None = [] if collect_trace else None
-    state, termination, flags_total, msg = _run_agd(
-        oracle, model, profile, state, r_bar, epsilon, budget,
-        step_gamma_const=None, check_invariants=check_invariants,
-        strict=strict, trace=trace, state_sink=state_sink,
-    )
-    return _finish(oracle, state, termination, r_bar, trace,
-                   flags_total=flags_total, warmup_bound=warmup, message=msg)
+    result = _stationary_start(oracle, state, r_bar, warmup_bound=warmup)
+    if result is None:
+        trace: list[TraceRecord] | None = [] if collect_trace else None
+        state, termination, flags_total, msg = _run_agd(
+            oracle, model, state, r_bar, epsilon, budget,
+            step_gamma_const=None, check_invariants=check_invariants,
+            strict=strict, trace=trace, state_sink=state_sink,
+        )
+        result = _finish(oracle, state, termination, r_bar, trace,
+                         flags_total=flags_total, warmup_bound=warmup, message=msg)
+    result.gamma_cap0 = gamma_cap0
+    return result

@@ -19,7 +19,6 @@ from .errors import PreconditionError
 from .problems import Problem, evaluate, project_closure
 from .smoothness import (
     EllModel,
-    PsiProfile,
     QUAD_REL_TOL,
     delta_left_right,
     ell_eval,
@@ -82,7 +81,7 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     if diff == 0.0:
         return rhs
     integral, _ = quad(
-        lambda v: (1.0 - v) / ell_eval(model, a + diff * v), 0.0, 1.0,
+        lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0,
         epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
     )
     return rhs - diff * diff * integral
@@ -138,7 +137,7 @@ def check_descent_step(
 
 
 def check_gap_to_grad(
-    problem: Problem, profile: PsiProfile, y: np.ndarray, delta: float
+    problem: Problem, model: EllModel, y: np.ndarray, delta: float
 ) -> bool:
     """Two-branch gradient localization at gap level ``delta``.
 
@@ -147,11 +146,9 @@ def check_gap_to_grad(
     ``|g| >= delta_right(delta)``; with an everywhere-increasing psi the
     right branch is infinite and only the left bound remains.
     """
-    if delta >= profile.psi_at_delta_max:
-        raise PreconditionError(
-            f"delta = {delta} is not below sup psi = {profile.psi_at_delta_max}"
-        )
-    left, right = delta_left_right(profile, delta)
+    if delta >= model.psi_sup:
+        raise PreconditionError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
+    left, right = delta_left_right(model, delta)
     _, g = evaluate(problem, y)
     gn = float(np.linalg.norm(g))
     ok_left = gn <= left * (1.0 + 1e-9) + 1e-15
@@ -238,7 +235,7 @@ def sweep_gap_to_grad(
     if problem.optimum is None:
         raise PreconditionError("gap-to-gradient sweep needs a known optimum")
     rng = np.random.default_rng(seed)
-    profile = PsiProfile.from_model(model if model is not None else problem.ell_model)
+    model = model if model is not None else problem.ell_model
     f_star = problem.optimum.f_star
 
     def gen():
@@ -246,9 +243,9 @@ def sweep_gap_to_grad(
             y = _sample_interior(problem, rng)
             f_y, _ = evaluate(problem, y)
             delta = (f_y - f_star) * 1.0000001 + 1e-15
-            if delta >= profile.psi_at_delta_max:
+            if delta >= model.psi_sup:
                 continue
-            ok = check_gap_to_grad(problem, profile, y, delta)
+            ok = check_gap_to_grad(problem, model, y, delta)
             yield (0.0 if ok else -1.0), (tuple(y), delta)
 
     return _margin_report("gap-to-gradient", gen(), MARGIN_TOL, seed)

@@ -13,14 +13,12 @@ import pytest
 from agdsmooth import (
     Affine,
     Power,
-    PsiProfile,
     admissible_delta,
     algorithm1_run,
     algorithm2_run,
     catalog,
     check_descent_step,
     delta_left_right,
-    delta_max,
     ell_eval,
     evaluate,
     kbar,
@@ -147,9 +145,9 @@ def test_criterion_03_psi_inverse_closed_form():
     for _ in range(10):
         L0 = 10.0 ** rng.uniform(-2, 2)
         L1 = 10.0 ** rng.uniform(-2, 2)
-        profile = PsiProfile.from_model(Affine(L0, L1))
+        model = Affine(L0, L1)
         for t in np.geomspace(1e-8, 1e6, 100):
-            got = psi_inverse(profile, float(t), 1e-12)
+            got = psi_inverse(model, float(t))
             closed = 4 * L1 * t + math.sqrt(16 * L1**2 * t**2 + 2 * L0 * t)
             rel = abs(got - closed) / closed
             worst = max(worst, rel)
@@ -269,11 +267,10 @@ def test_criterion_07_inequality_sweeps():
 def test_criterion_08_superquadratic_geometry():
     failures = []
     model = Power(3, 1, 1)
-    dm = delta_max(model)
+    dm = model.delta_max
     if abs(dm - 2 ** (-5 / 3)) > 1e-8:
         failures.append(f"delta_max {dm!r} differs from 2^(-5/3) by more than 1e-8")
-    profile = PsiProfile.from_model(model)
-    left, right = delta_left_right(profile, 0.01)
+    left, right = delta_left_right(model, 0.01)
     for label, root in (("left", left), ("right", right)):
         back = psi_eval(model, root)
         if abs(back - 0.01) > 1e-8:
@@ -300,10 +297,9 @@ def test_criterion_09_gradient_envelope_and_steps():
         if not res.converged or res.flags_total != 0:
             failures.append(f"{name}: term={res.termination} flags={res.flags_total}")
             continue
-        profile = PsiProfile.from_model(model)
         rows = [r for r in res.trace if r.phase == "agd"]
         for r in rows[:: max(1, len(rows) // 500)]:
-            env = psi_inverse(profile, r.gamma_cap * r_bar**2, 1e-12)
+            env = psi_inverse(model, r.gamma_cap * r_bar**2)
             if r.grad_norm > env * (1 + 1e-9) + 1e-15:
                 failures.append(f"{name}: envelope broken at k={r.k}")
                 break

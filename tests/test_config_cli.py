@@ -124,6 +124,39 @@ class TestExecute:
         with pytest.raises(ConfigurationError):
             execute(cfg)
 
+    def test_agd1_given_delta_estimates_m_bar_with_config_seed(self, tmp_path):
+        from agdsmooth import catalog, estimate_grad_bound
+
+        cfg = self.base(tmp_path, algorithm="agd1", problem="quadratic", x0=[0.3, 0.3],
+                        r_bar=0.5, delta=1e-3, seed=5,
+                        ell={"kind": "power", "rho": 3, "L0": 1, "L1": 1})
+        result, summary = execute(cfg)
+        m_bar = estimate_grad_bound(catalog("quadratic"), 0.5, seed=5)
+        assert result.converged
+        assert summary["config"]["m_bar"] == m_bar
+        assert any("m_bar estimated" in n for n in summary["notes"])
+        assert "m_bar" not in summary["message"]
+
+    def test_default_gamma_cap0_costs_no_extra_evaluation(self, tmp_path, monkeypatch):
+        import sys
+
+        import agdsmooth.problems
+
+        original = agdsmooth.problems.evaluate
+        calls = []
+
+        def counting(problem, x):
+            calls.append(1)
+            return original(problem, x)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("agdsmooth") and getattr(mod, "evaluate", None) is original:
+                monkeypatch.setattr(mod, "evaluate", counting)
+        result, summary = execute(self.base(tmp_path, gamma_cap0=None, x0=None, r_bar=None))
+        assert summary["config"]["gamma_cap0"] > 0
+        assert any("gamma_cap0 defaulted" in n for n in summary["notes"])
+        assert len(calls) == result.oracle_calls == summary["oracle_calls"]
+
     def test_agd1_inadmissible_delta_precondition_failed(self, tmp_path):
         cfg = self.base(tmp_path, algorithm="agd1", delta=1e6)
         result, _ = execute(cfg)

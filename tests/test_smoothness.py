@@ -14,13 +14,10 @@ from agdsmooth import (
     OutOfRangeError,
     ConfigurationError,
     Power,
-    PsiProfile,
     admissible_delta,
     delta_left_right,
-    delta_max,
     ell_eval,
     model_from_config,
-    model_to_config,
     psi_eval,
     psi_inverse,
     q_eval,
@@ -44,6 +41,21 @@ MODELS = [
 ]
 
 
+@st.composite
+def piecewise_linear_profiles(draw):
+    """Monotone piecewise-linear profiles; steep rises make psi dip."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    widths = draw(st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=n, max_size=n))
+    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)),
+                          min_size=n, max_size=n))
+    s, v = 0.0, draw(st.floats(min_value=0.1, max_value=5.0))
+    points = [(s, v)]
+    for width, rise in zip(widths, rises):
+        s, v = s + width, v + rise
+        points.append((s, v))
+    return CustomMonotone(points=tuple(points))
+
+
 def models_strategy():
     pos = st.floats(min_value=1e-3, max_value=1e3)
     return st.one_of(
@@ -63,6 +75,11 @@ class TestEllEval:
 
     def test_power_by_hand(self):
         assert ell_eval(Power(3, 1, 1), 2) == 1 + 2**3
+
+    def test_flat_power_supremum(self):
+        # rho = 0: ell = L0 + L1 everywhere
+        model = Power(0, 1, 2)
+        assert model.ell_sup() == 3.0 == ell_eval(model, 5.0)
 
     def test_custom_interpolates(self):
         assert ell_eval(DIPPING_CUSTOM, 1.5) == pytest.approx(50.5)
@@ -114,90 +131,109 @@ class TestPsi:
 
 class TestDeltaMax:
     def test_affine_infinite(self):
-        assert delta_max(Affine(5, 3)) == math.inf
+        assert Affine(5, 3).delta_max == math.inf
 
     def test_quadratic_growth_boundary(self):
-        assert delta_max(Power(2, 1, 1)) == math.inf
+        assert Power(2, 1, 1).delta_max == math.inf
 
     def test_superquadratic_closed_form(self):
-        assert delta_max(Power(3, 1, 1)) == pytest.approx(2 ** (-5 / 3), rel=1e-12)
+        assert Power(3, 1, 1).delta_max == pytest.approx(2 ** (-5 / 3), rel=1e-12)
 
     def test_superquadratic_matches_grid_argmax(self):
         for rho, L0, L1 in [(2.5, 1.0, 2.0), (3.0, 4.0, 1.0), (4.0, 0.5, 0.5)]:
             model = Power(rho, L0, L1)
-            dm = delta_max(model)
+            dm = model.delta_max
             xs = np.linspace(max(dm - 0.2 * dm, 0), dm + 0.2 * dm, 100001)
             vals = [psi_eval(model, float(x)) for x in xs]
             assert abs(float(xs[int(np.argmax(vals))]) - dm) < 1e-4 * dm
 
     def test_custom_scan_finds_segment_edge(self):
         # the steep middle segment turns psi over exactly at s/4 = 0.25
-        assert delta_max(DIPPING_CUSTOM) == pytest.approx(0.25, abs=1e-9)
+        assert DIPPING_CUSTOM.delta_max == 0.25
 
     def test_monotone_custom_infinite(self):
         gentle = CustomMonotone(points=((0.0, 1.0), (1.0, 1.5), (2.0, 2.0)))
-        assert delta_max(gentle) == math.inf
+        assert gentle.delta_max == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(piecewise_linear_profiles(), st.floats(min_value=0.01, max_value=0.99))
+    def test_piecewise_linear_geometry(self, model, frac):
+        # psi can only turn over at a breakpoint, where ell(4 x) changes slope
+        dmax = model.delta_max
+        x_const = model.points[-1][0] / 4.0
+        if math.isinf(dmax):
+            vals = [psi_eval(model, float(x)) for x in np.linspace(0.0, 1.5 * x_const, 61)]
+            assert all(b > a for a, b in zip(vals, vals[1:]))
+            return
+        assert dmax in {s / 4.0 for s, _ in model.points}
+        vals = [psi_eval(model, float(x)) for x in np.linspace(0.0, dmax, 61)]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+        delta = frac * model.psi_sup
+        left, right = delta_left_right(model, delta)
+        if math.isfinite(right):
+            assert psi_eval(model, right) == pytest.approx(delta, rel=1e-10)
+        upper = right if math.isfinite(right) else 2.0 * x_const
+        for x in np.linspace(left, upper, 52)[1:-1]:
+            assert psi_eval(model, float(x)) > delta
 
 
 class TestPsiInverse:
     def test_constant_closed_form(self):
-        prof = PsiProfile.from_model(Constant(2))
-        assert psi_inverse(prof, 1.0, 1e-12) == pytest.approx(2.0, rel=1e-12)
+        model = Constant(2)
+        assert psi_inverse(model, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_affine_matches_quadratic_formula(self):
-        prof = PsiProfile.from_model(Affine(1, 1))
-        assert psi_inverse(prof, 2 / 9, 1e-12) == pytest.approx(2.0, rel=1e-12)
+        model = Affine(1, 1)
+        assert psi_inverse(model, 2 / 9) == pytest.approx(2.0, rel=1e-12)
 
     def test_out_of_range_beyond_peak(self):
-        prof = PsiProfile.from_model(Power(3, 1, 1))
+        model = Power(3, 1, 1)
         with pytest.raises(OutOfRangeError):
-            psi_inverse(prof, 0.02, 1e-10)
+            psi_inverse(model, 0.02)
 
     def test_bounded_psi_out_of_range(self):
         # quadratic power growth: psi increases to 1 / (32 L1), never attained
-        prof = PsiProfile.from_model(Power(2, 1, 1))
-        assert prof.psi_at_delta_max == pytest.approx(1 / 32)
+        model = Power(2, 1, 1)
+        assert model.psi_sup == pytest.approx(1 / 32)
         with pytest.raises(OutOfRangeError):
-            psi_inverse(prof, 1 / 32, 1e-10)
-        x = psi_inverse(prof, 0.9 / 32, 1e-12)
-        assert psi_eval(prof.model, x) == pytest.approx(0.9 / 32, rel=1e-9)
+            psi_inverse(model, 1 / 32)
+        x = psi_inverse(model, 0.9 / 32)
+        assert psi_eval(model, x) == pytest.approx(0.9 / 32, rel=1e-9)
 
     def test_negative_t_rejected(self):
-        prof = PsiProfile.from_model(Constant(1))
+        model = Constant(1)
         with pytest.raises(DomainError):
-            psi_inverse(prof, -1e-9, 1e-12)
+            psi_inverse(model, -1e-9)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_inverse_consistency_log_grid(self, model):
-        prof = PsiProfile.from_model(model)
-        hi = prof.psi_at_delta_max
+        hi = model.psi_sup
         hi = 0.9 * hi if math.isfinite(hi) else 1e6
         for t in np.geomspace(1e-8, hi, 40):
-            x = psi_inverse(prof, float(t), 1e-12)
+            x = psi_inverse(model, float(t))
             assert psi_eval(model, x) == pytest.approx(float(t), rel=1e-8)
 
 
 class TestDeltaLeftRight:
     def test_affine_has_no_right_branch(self):
-        prof = PsiProfile.from_model(Affine(1, 1))
-        left, right = delta_left_right(prof, 2 / 9)
+        model = Affine(1, 1)
+        left, right = delta_left_right(model, 2 / 9)
         assert left == pytest.approx(2.0, rel=1e-10)
         assert right == math.inf
 
     def test_superquadratic_both_roots(self):
-        prof = PsiProfile.from_model(Power(3, 1, 1))
-        left, right = delta_left_right(prof, 0.01)
+        model = Power(3, 1, 1)
+        left, right = delta_left_right(model, 0.01)
         assert left == pytest.approx(0.1585, abs=2e-4)
         assert right == pytest.approx(0.755, abs=2e-3)
-        assert psi_eval(prof.model, left) == pytest.approx(0.01, rel=1e-8)
-        assert psi_eval(prof.model, right) == pytest.approx(0.01, rel=1e-8)
+        assert psi_eval(model, left) == pytest.approx(0.01, rel=1e-8)
+        assert psi_eval(model, right) == pytest.approx(0.01, rel=1e-8)
 
     def test_superquadratic_matches_grid_sign_scan(self):
         # oracle: sign changes of psi - delta on a dense grid
         model = Power(3, 1, 1)
-        prof = PsiProfile.from_model(model)
         delta = 0.004
-        left, right = delta_left_right(prof, delta)
+        left, right = delta_left_right(model, delta)
         xs = np.linspace(1e-6, 3.0, 300001)
         vals = np.array([psi_eval(model, float(x)) for x in xs]) - delta
         crossings = xs[np.flatnonzero(np.diff(np.sign(vals)) != 0)]
@@ -205,13 +241,12 @@ class TestDeltaLeftRight:
         assert abs(crossings[1] - right) < 1e-4
 
     def test_zero_level(self):
-        prof = PsiProfile.from_model(Power(3, 1, 1))
-        left, right = delta_left_right(prof, 0.0)
+        model = Power(3, 1, 1)
+        left, right = delta_left_right(model, 0.0)
         assert left == 0.0 and right == math.inf
 
     def test_custom_dip_crossings(self):
-        prof = PsiProfile.from_model(DIPPING_CUSTOM)
-        left, right = delta_left_right(prof, 0.01)
+        left, right = delta_left_right(DIPPING_CUSTOM, 0.01)
         # left branch: psi = x^2/2 there, so left = sqrt(0.02)
         assert left == pytest.approx(math.sqrt(0.02), rel=1e-10)
         assert psi_eval(DIPPING_CUSTOM, right) == pytest.approx(0.01, rel=1e-8)
@@ -220,14 +255,14 @@ class TestDeltaLeftRight:
             assert psi_eval(DIPPING_CUSTOM, float(x)) > 0.01
 
     def test_out_of_range(self):
-        prof = PsiProfile.from_model(Power(3, 1, 1))
+        model = Power(3, 1, 1)
         with pytest.raises(OutOfRangeError):
-            delta_left_right(prof, prof.psi_at_delta_max)
+            delta_left_right(model, model.psi_sup)
 
     def test_right_root_monotone_in_delta(self):
-        prof = PsiProfile.from_model(Power(3, 1, 1))
-        deltas = np.geomspace(1e-5, 0.95 * prof.psi_at_delta_max, 25)
-        rights = [delta_left_right(prof, float(d))[1] for d in deltas]
+        model = Power(3, 1, 1)
+        deltas = np.geomspace(1e-5, 0.95 * model.psi_sup, 25)
+        rights = [delta_left_right(model, float(d))[1] for d in deltas]
         # deltas increase along the grid, so right roots must decrease
         for r_small_delta, r_big_delta in zip(rights, rights[1:]):
             assert r_small_delta >= r_big_delta * (1 - 1e-10)
@@ -337,11 +372,11 @@ class TestQ:
 class TestSerialization:
     @pytest.mark.parametrize("model", MODELS)
     def test_round_trip(self, model):
-        assert model_from_config(model_to_config(model)) == model
+        assert model_from_config(model.to_config()) == model
 
     def test_schema(self):
-        assert model_to_config(Affine(1.0, 1.0)) == {"kind": "affine", "L0": 1.0, "L1": 1.0}
-        cfg = model_to_config(DIPPING_CUSTOM)
+        assert Affine(1.0, 1.0).to_config() == {"kind": "affine", "L0": 1.0, "L1": 1.0}
+        cfg = DIPPING_CUSTOM.to_config()
         assert cfg["kind"] == "custom" and cfg["points"][0] == [0.0, 1.0]
 
     def test_bad_configs(self):

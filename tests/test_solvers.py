@@ -12,10 +12,10 @@ from agdsmooth import (
     AgdState,
     ConfigurationError,
     Constant,
+    CustomMonotone,
     DomainViolationError,
     Power,
     PreconditionError,
-    PsiProfile,
     agd_step,
     algorithm1_run,
     algorithm2_run,
@@ -135,6 +135,16 @@ class TestGdRun:
         res = gd_run(p, p.ell_model, np.array([1.0]), 0.005, 1.0, budget=2)
         assert res.termination == "budget" and res.oracle_calls == 2
 
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_monotone_flag_only_with_checks(self, checks):
+        # ell = 0.2 understates the curvature 1, so each step overshoots
+        p = catalog("quadratic", {})
+        res = gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20,
+                     check_invariants=checks)
+        assert res.flags_total == (128 if checks else 0)
+        dists = [r.dist_to_opt for r in res.trace]
+        assert len(dists) == 19 and dists[-1] > dists[0]
+
     def test_certificate_stop_without_optimum(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
         res = gd_run(p, p.ell_model, np.array([1.0]), 0.1, 1.0, budget=100)
@@ -160,6 +170,10 @@ class TestSelectDelta:
     def test_constant_sentinel(self):
         assert select_delta(Constant(5), 1.0) == math.inf
 
+    def test_bounded_custom_sentinel(self):
+        # ell rises to 1.5 <= 2 ell(0) and stays there: every delta is admissible
+        assert select_delta(CustomMonotone(((0.0, 1.0), (1.0, 1.5))), 1.0) == math.inf
+
     def test_subquadratic_power(self):
         # rho = 2: head term is 1 / (64 L1)
         assert select_delta(Power(2, 1, 2), 100.0) == pytest.approx(1 / 128)
@@ -172,9 +186,8 @@ class TestSelectDelta:
         model = Power(3, 1, 1)
         m_bar = 1.0
         delta = select_delta(model, 1.0, m_bar=m_bar)
-        prof = PsiProfile.from_model(model)
-        assert 0 < delta <= prof.psi_at_delta_max / 2
-        left, right = delta_left_right(prof, delta)
+        assert 0 < delta <= model.psi_sup / 2
+        left, right = delta_left_right(model, delta)
         assert ell_eval(model, 4 * left) <= 2 * ell_eval(model, 0)
         assert right >= 2 * m_bar
 
@@ -182,9 +195,8 @@ class TestSelectDelta:
         from test_smoothness import DIPPING_CUSTOM
 
         delta = select_delta(DIPPING_CUSTOM, 1.0, m_bar=0.5)
-        prof = PsiProfile.from_model(DIPPING_CUSTOM)
-        assert 0 < delta <= prof.psi_at_delta_max / 2
-        left, right = delta_left_right(prof, delta)
+        assert 0 < delta <= DIPPING_CUSTOM.psi_sup / 2
+        left, right = delta_left_right(DIPPING_CUSTOM, delta)
         assert ell_eval(DIPPING_CUSTOM, 4 * left) <= 2 * ell_eval(DIPPING_CUSTOM, 0)
         assert right >= 1.0
 
@@ -242,12 +254,19 @@ class TestAlgorithm1:
                              1e-9, 100000, m_bar=m_bar, strict=True)
         assert res.converged and res.flags_total == 0
 
+    def test_superquadratic_refused_without_m_bar(self):
+        p = catalog("quadratic", {"L": 1.0, "d": 2})
+        model = Power(3, 1, 1)
+        delta = select_delta(model, 2.0, m_bar=estimate_grad_bound(p, 2.0))
+        res = algorithm1_run(p, model, np.array([1.0, 1.0]), delta, 2.0, 1e-9, 100)
+        assert res.termination == "precondition-failed"
+        assert "m_bar" in res.message and res.oracle_calls == 1
+
     def test_superquadratic_bad_delta(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
         model = Power(3, 1, 1)
-        prof = PsiProfile.from_model(model)
         res = algorithm1_run(p, model, np.array([1.0, 1.0]),
-                             prof.psi_at_delta_max * 0.9, 2.0, 1e-9, 100,
+                             model.psi_sup * 0.9, 2.0, 1e-9, 100,
                              m_bar=5.66)
         assert res.termination == "precondition-failed"
 
@@ -262,6 +281,13 @@ class TestAlgorithm2:
         p = catalog("exp-1d", {})
         with pytest.raises(DomainViolationError, match="not finite"):
             algorithm2_run(p, p.ell_model, np.array([math.nan]), 4.0, 4.0, 1e-6, 100)
+
+    @pytest.mark.parametrize("model", [Affine(4.0, 0.0), Power(0.0, 1.0, 3.0)])
+    def test_flat_profiles_use_one_over_ell_zero(self, model):
+        p = catalog("quadratic", {"L": 4.0, "d": 2})
+        res = algorithm2_run(p, model, np.ones(2), 4.0, 2.0, 1e-10, 10000)
+        assert res.converged and res.flags_total == 0
+        assert {r.step_gamma for r in res.trace if r.phase == "agd"} == {0.25}
 
     def test_constant_model_uses_one_over_L(self):
         p = catalog("quadratic", {"L": 4.0, "d": 2})
@@ -284,13 +310,12 @@ class TestAlgorithm2:
         # bounded psi (rho = 2) only admits starts whose certificate level
         # fits under sup psi = 1 / (32 L1), so begin close to the optimum
         p = catalog("neg-log-barrier", {"c": 1.0, "d": 1})
-        prof = PsiProfile.from_model(p.ell_model)
         x0 = np.array([1.05])
         r0 = float(np.linalg.norm(x0 - p.optimum.x_star))
         r_bar = 1.05 * r0
         f0, _ = evaluate(p, x0)
         gcap0 = 2.0 * (f0 - p.optimum.f_star) / r0**2
-        assert gcap0 * r_bar**2 < prof.psi_at_delta_max
+        assert gcap0 * r_bar**2 < p.ell_model.psi_sup
         res = algorithm2_run(p, p.ell_model, x0, gcap0, r_bar, 1e-12, 100000, strict=True)
         assert res.converged and res.flags_total == 0
 
@@ -337,10 +362,9 @@ class TestAlgorithm2:
     def test_warmup_bound_is_smallest(self):
         model = Affine(3.301, 1.0)
         k = warmup_iterations_bound(model, 100.0, 100.0)
-        prof = PsiProfile.from_model(model)
         from agdsmooth import psi_inverse
 
-        lref = ell_eval(model, 4 * psi_inverse(prof, 100.0 * 100.0**2))
+        lref = ell_eval(model, 4 * psi_inverse(model, 100.0 * 100.0**2))
         c = math.sqrt(lref * ell_eval(model, 0)) * 100.0
 
         def ok(kk):

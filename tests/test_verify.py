@@ -11,7 +11,6 @@ from agdsmooth import (
     Constant,
     Power,
     PreconditionError,
-    PsiProfile,
     catalog,
     check_convexity_smoothness,
     check_descent_step,
@@ -147,22 +146,20 @@ class TestDescentStep:
 class TestGapToGrad:
     def test_at_optimum_true(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        prof = PsiProfile.from_model(p.ell_model)
-        assert check_gap_to_grad(p, prof, np.zeros(1), 0.123)
+        assert check_gap_to_grad(p, p.ell_model, np.zeros(1), 0.123)
 
     def test_quadratic_boundary_tight(self):
         # gap delta at y means |y| = sqrt(2 delta) = psi_inverse(delta) exactly
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        prof = PsiProfile.from_model(p.ell_model)
         delta = 0.08
         y = np.array([math.sqrt(2 * delta)])
-        assert check_gap_to_grad(p, prof, y, delta)
+        assert check_gap_to_grad(p, p.ell_model, y, delta)
 
     def test_two_branch_disjunction_superquadratic_claim(self):
         # a quadratic with L = 1 is also majorized by 1 + s^3; points with
         # gap <= 0.01 must sit on the left branch of that profile
         p = catalog("quadratic", {"L": 1.0, "d": 2})
-        prof = PsiProfile.from_model(Power(3, 1, 1))
+        model = Power(3, 1, 1)
         rng = np.random.default_rng(0)
         checked = 0
         for _ in range(200):
@@ -171,15 +168,15 @@ class TestGapToGrad:
             gap = f - 0.0
             if gap > 0.01:
                 continue
-            assert check_gap_to_grad(p, prof, y, 0.01)
+            assert check_gap_to_grad(p, model, y, 0.01)
             checked += 1
         assert checked > 50
 
     def test_delta_out_of_range(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        prof = PsiProfile.from_model(Power(3, 1, 1))
+        model = Power(3, 1, 1)
         with pytest.raises(PreconditionError):
-            check_gap_to_grad(p, prof, np.zeros(1), 0.02)
+            check_gap_to_grad(p, model, np.zeros(1), 0.02)
 
     def test_sweep_all_catalog(self):
         for name in CATALOG_NAMES:
