@@ -12,10 +12,12 @@ Exit codes:
 * 0 -- converged (``run``), or every check passed (``verify``);
 * 2 -- the oracle-call budget ran out (``budget`` termination);
 * 3 -- a precondition failed, or a sweep point raised;
-* 4 -- configuration error, including a start point outside the feasible
-  set or one where the objective overflows or is not finite;
-* 5 -- a strict-mode invariant violation, an iterate that left the
-  feasible set, or a failed ``verify`` check.
+* 4 -- configuration error: a malformed or out-of-range config value,
+  ``verify --trials`` below 1, or a start point outside the feasible set
+  or one where the objective overflows or is not finite;
+* 5 -- a strict-mode invariant violation (any flag bit, GD monotonicity
+  included), an iterate that left the feasible set (a breach of the
+  step-size contract), or a failed ``verify`` check.
 
 The environment variable ``AGDSMOOTH_OUTPUT_DIR`` overrides where trace,
 summary, and report files land (default: current directory).

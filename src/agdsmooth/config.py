@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_number
 from .problems import CATALOG_NAMES, Problem, catalog, default_x0
 from .smoothness import EllModel, model_from_config, select_delta
 from .solvers import (
@@ -64,16 +64,24 @@ class RunConfig:
                 f"config field 'problem': unknown problem {self.problem!r}; "
                 f"available: {', '.join(CATALOG_NAMES)}"
             )
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
-            raise ConfigurationError("config field 'epsilon': must be > 0")
         if not (isinstance(self.budget, int) and self.budget >= 1):
             raise ConfigurationError("config field 'budget': must be an integer >= 1")
-        if self.r_bar is not None and not self.r_bar > 0:
-            raise ConfigurationError("config field 'r_bar': must be > 0")
-        if self.delta is not None and not self.delta > 0:
-            raise ConfigurationError("config field 'delta': must be > 0")
-        if self.gamma_cap0 is not None and not self.gamma_cap0 > 0:
-            raise ConfigurationError("config field 'gamma_cap0': must be > 0")
+        for name in ("epsilon", "r_bar", "delta", "gamma_cap0", "m_bar"):
+            value = getattr(self, name)
+            if value is None and name != "epsilon":
+                continue  # resolved by the run
+            if not require_number(value, f"config field {name!r}") > 0:
+                raise ConfigurationError(f"config field {name!r}: must be > 0")
+        if self.x0 is not None:
+            if not isinstance(self.x0, (list, tuple)):
+                raise ConfigurationError("config field 'x0': must be a list of numbers")
+            for value in self.x0:
+                require_number(value, "config field 'x0': each coordinate")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigurationError(f"config field 'seed': must be an integer, got {self.seed!r}")
+        for name in ("trace_path", "summary_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigurationError(f"config field {name!r}: must be a path string")
 
 
 def _expand_flat_keys(obj: dict) -> dict:

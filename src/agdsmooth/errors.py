@@ -4,8 +4,11 @@ CLI exit codes map onto these: ``ConfigurationError``, ``DomainError``,
 ``OutOfRangeError`` and ``DomainViolationError`` exit 4;
 ``PreconditionError`` exits 3; ``InvariantViolationError`` and
 ``SafetyViolationError`` exit 5.  Budget exhaustion is not an exception:
-runs return the ``budget`` termination, which exits 2.
+runs return the ``budget`` termination, which exits 2.  ``require_number``
+is the type check that the config, catalog and profile boundaries share.
 """
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -36,12 +39,23 @@ class DomainViolationError(RuntimeError):
 
 
 class SafetyViolationError(RuntimeError):
-    """A step-size or monotonicity contract was breached during a run."""
+    """An iterate left the feasible set during a run or a descent check,
+    which breaches the step-size contract; raised in either mode."""
 
 
 class InvariantViolationError(RuntimeError):
-    """A runtime certificate failed while running in strict mode."""
+    """A runtime certificate failed while running in strict mode.  Every
+    strict-mode flag bit raises it, ``GD_MONOTONE`` included, with the bit
+    in ``flags``."""
 
     def __init__(self, message: str, flags: int = 0):
         super().__init__(message)
         self.flags = flags
+
+
+def require_number(value, name: str) -> float:
+    """``value`` as a float if it is a real number.  Anything else, a
+    string or a bool included, is a ``ConfigurationError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)

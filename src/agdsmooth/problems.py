@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, DomainViolationError
+from .errors import ConfigurationError, DomainError, DomainViolationError, require_number
 from .smoothness import Affine, Constant, EllModel, Power
 
 
@@ -117,8 +117,15 @@ def finite_diff_check(problem: Problem, x: np.ndarray, h: float) -> float:
 
 # --- catalog ---------------------------------------------------------------
 
+def _param(params: dict, key: str, default: float) -> float:
+    value = require_number(params.get(key, default), f"problem param {key!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"problem param {key!r} must be finite, got {value}")
+    return value
+
+
 def _exp_experiment(params: dict) -> Problem:
-    mu = float(params.get("mu", 0.001))
+    mu = _param(params, "mu", 0.001)
     if mu <= 0:
         raise ConfigurationError("exp-experiment needs mu > 0")
 
@@ -141,8 +148,8 @@ def _exp_experiment(params: dict) -> Problem:
 
 
 def _quadratic(params: dict) -> Problem:
-    L = float(params.get("L", 1.0))
-    d = int(params.get("d", 2))
+    L = _param(params, "L", 1.0)
+    d = int(_param(params, "d", 2))
     if L <= 0 or d < 1:
         raise ConfigurationError("quadratic needs L > 0 and d >= 1")
 
@@ -162,9 +169,9 @@ def _quadratic(params: dict) -> Problem:
 
 
 def _power_p(params: dict) -> Problem:
-    p = int(params.get("p", 4))
-    d = int(params.get("d", 2))
-    L0 = float(params.get("L0", 1.0))
+    p = int(_param(params, "p", 4))
+    d = int(_param(params, "d", 2))
+    L0 = _param(params, "L0", 1.0)
     if p <= 2 or p % 2 != 0:
         raise ConfigurationError("power-p needs an even integer p > 2")
     if d < 1 or L0 <= 0:
@@ -191,8 +198,8 @@ def _power_p(params: dict) -> Problem:
 
 
 def _neg_log_barrier(params: dict) -> Problem:
-    c = float(params.get("c", 1.0))
-    d = int(params.get("d", 2))
+    c = _param(params, "c", 1.0)
+    d = int(_param(params, "d", 2))
     if c <= 0 or d < 1:
         raise ConfigurationError("neg-log-barrier needs c > 0 and d >= 1")
 
@@ -258,6 +265,8 @@ def catalog(name: str, params: dict | None = None) -> Problem:
     ``params`` may carry ``known_optimum: false`` to withhold the stored
     optimum, forcing runs to terminate on certified bounds only.
     """
+    if not isinstance(params, (dict, type(None))):
+        raise ConfigurationError(f"problem params must be an object, got {params!r}")
     params = dict(params or {})
     if name not in _BUILDERS:
         raise ConfigurationError(

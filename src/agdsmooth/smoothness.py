@@ -30,7 +30,13 @@ from functools import cached_property
 
 from scipy.integrate import quad
 
-from .errors import ConfigurationError, DomainError, OutOfRangeError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    OutOfRangeError,
+    PreconditionError,
+    require_number,
+)
 
 # Quadrature is kept two orders tighter than the 1e-6/1e-8 test tolerances
 # that consume it.
@@ -122,7 +128,8 @@ class EllModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "EllModel":
-        return cls(**{f.name: float(cfg[f.name]) for f in fields(cls)})
+        return cls(**{f.name: require_number(cfg[f.name], f"ell field {f.name!r}")
+                      for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,14 @@ class CustomMonotone(EllModel):
     kind = "custom"
 
     def __post_init__(self):
-        pts = tuple((float(s), float(v)) for s, v in self.points)
+        points = self.points
+        if not (isinstance(points, (list, tuple)) and all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in points)):
+            raise ConfigurationError(
+                f"CustomMonotone points must be [s, ell(s)] pairs, got {points!r}"
+            )
+        pts = tuple((require_number(s, "breakpoint s"), require_number(v, "breakpoint ell(s)"))
+                    for s, v in points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 1:
             raise ConfigurationError("CustomMonotone needs at least one breakpoint")

@@ -179,16 +179,98 @@ class RunResult:
         return self.termination == "converged"
 
 
-class _Oracle:
-    """Counts gradient evaluations; one call returns (f, grad)."""
+class _Run:
+    """One run's context, shared by its GD and accelerated phases.
 
-    def __init__(self, problem: Problem):
+    Holds the counted oracle, the optimum (``f_star``/``x_star``, None when
+    withheld), r_bar, the oracle-call budget, the invariant flags, the trace
+    (None when off) and the GD iteration count.  A phase that stops on the
+    budget sets ``termination``, and one that stops on a saturated level
+    sets ``message``; ``result`` and ``refuse`` build the RunResult.
+    """
+
+    def __init__(self, problem: Problem, model: EllModel, r_bar: float, budget: int,
+                 check_invariants: bool, strict: bool, collect_trace: bool):
+        opt = problem.optimum
         self.problem = problem
+        self.model = model
+        self.f_star = opt.f_star if opt is not None else None
+        self.x_star = opt.x_star if opt is not None else None
+        self.r_bar = r_bar
+        self.budget = budget
+        self.check_invariants = check_invariants
+        self.strict = strict
+        self.trace: list[TraceRecord] | None = [] if collect_trace else None
         self.calls = 0
+        self.gd_iters = 0
+        self.flags_total = 0
+        self.pending = 0
+        self.termination = "converged"
+        self.message = ""
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def oracle(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """One counted gradient evaluation: (f, grad) at x."""
         self.calls += 1
         return evaluate(self.problem, x)
+
+    def start(self, x0) -> tuple[AgdState, str]:
+        """The first oracle call, at x0, as a state at level 1, and why the
+        run must be refused there ("" if it need not be): an r_bar below
+        the true initial distance."""
+        x0 = np.asarray(x0, dtype=float)
+        f0, g0 = self.oracle(x0)
+        refusal = ""
+        if (self.x_star is not None
+                and float(np.linalg.norm(x0 - self.x_star)) > self.r_bar * (1 + 1e-12)):
+            refusal = "r_bar is below the true initial distance"
+        return AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), refusal
+
+    def note(self, bit: Flag, ok: bool, message: str) -> None:
+        """Record ``bit`` unless ``ok``; in strict mode a breach raises."""
+        if ok:
+            return
+        # plain ints throughout: IntFlag instances stringify as names on
+        # some interpreters, which would corrupt the CSV flags column
+        self.pending = int(self.pending | bit)
+        self.flags_total = int(self.flags_total | bit)
+        if self.strict:
+            raise InvariantViolationError(message, flags=int(bit))
+
+    def take_pending(self) -> int:
+        """The bits noted since the last call: one trace row's flags."""
+        out = self.pending
+        self.pending = 0
+        return out
+
+    def result(self, state: AgdState, achieved: float | None = None) -> RunResult:
+        """The converged or budget result at ``state``.  The achieved gap
+        defaults to the true gap at y, or the certified bound when the
+        optimum is unknown."""
+        if achieved is None:
+            achieved = (state.f_y - self.f_star if self.f_star is not None
+                        else state.gamma_cap * self.r_bar * self.r_bar)
+        return RunResult(
+            state=state, gd_iters=self.gd_iters, agd_iters=state.k,
+            achieved_gap=achieved, trace=self.trace or [],
+            termination=self.termination, oracle_calls=self.calls,
+            flags_total=self.flags_total, message=self.message,
+        )
+
+    def stationary(self, state: AgdState) -> RunResult | None:
+        """A zero gradient at the start: convexity certifies optimality
+        outright.  None when the gradient is not zero."""
+        if float(np.linalg.norm(state.grad_y)) != 0.0:
+            return None
+        self.message = "stationary start"
+        return self.result(state, 0.0 if self.f_star is None else state.f_y - self.f_star)
+
+    def refuse(self, message: str) -> RunResult:
+        """The precondition-failed exit: no state, nothing certified."""
+        return RunResult(
+            state=None, gd_iters=0, agd_iters=0, achieved_gap=math.inf, trace=[],
+            termination="precondition-failed", oracle_calls=self.calls,
+            message=message,
+        )
 
 
 def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
@@ -235,134 +317,54 @@ def agd_step(
     )
 
 
-# --- run results -------------------------------------------------------------
-
-def _finish(
-    oracle, state, termination, r_bar, trace, gd_iters=0, flags_total=0,
-    warmup_bound=None, message="", achieved=None,
-) -> RunResult:
-    """Result of a run that reached a state.  The achieved gap defaults to
-    the true gap at y, or the certified bound when the optimum is unknown."""
-    opt = oracle.problem.optimum
-    if achieved is None:
-        achieved = (state.f_y - opt.f_star if opt is not None
-                    else state.gamma_cap * r_bar * r_bar)
-    return RunResult(
-        state=state, gd_iters=gd_iters, agd_iters=state.k,
-        achieved_gap=achieved, trace=trace or [], termination=termination,
-        oracle_calls=oracle.calls, flags_total=flags_total,
-        warmup_bound=warmup_bound, message=message,
-    )
-
-
-def _refuse(oracle: _Oracle, message: str) -> RunResult:
-    """The precondition-failed exit: no state, nothing certified."""
-    return RunResult(
-        state=None, gd_iters=0, agd_iters=0, achieved_gap=math.inf, trace=[],
-        termination="precondition-failed", oracle_calls=oracle.calls,
-        message=message,
-    )
-
-
-def _start(problem: Problem, x0, r_bar: float):
-    """Prologue of both accelerated runs: the oracle and its first call at
-    x0.  Returns ``(oracle, x0, f0, g0, refusal)``; ``refusal`` is the
-    precondition-failed result when r_bar is below the true initial
-    distance, else None."""
-    x0 = np.asarray(x0, dtype=float)
-    oracle = _Oracle(problem)
-    f0, g0 = oracle(x0)
-    opt = problem.optimum
-    refusal = None
-    if opt is not None and float(np.linalg.norm(x0 - opt.x_star)) > r_bar * (1 + 1e-12):
-        refusal = _refuse(oracle, "r_bar is below the true initial distance")
-    return oracle, x0, f0, g0, refusal
-
-
-def _stationary_start(
-    oracle: _Oracle, state: AgdState, r_bar: float, warmup_bound: int | None = None
-) -> RunResult | None:
-    """A zero gradient at the start: convexity certifies optimality outright."""
-    if float(np.linalg.norm(state.grad_y)) != 0.0:
-        return None
-    opt = oracle.problem.optimum
-    return _finish(
-        oracle, state, "converged", r_bar, None, warmup_bound=warmup_bound,
-        message="stationary start",
-        achieved=0.0 if opt is None else state.f_y - opt.f_star,
-    )
-
-
 # --- gradient descent --------------------------------------------------------
 
-def _gd_stop(f: float, grad_norm: float, f_star: float | None, r_bar: float, target: float) -> bool:
-    if f_star is not None:
-        return f - f_star <= target
-    # convexity certificate: gap <= |grad| * distance <= |grad| * r_bar
-    return grad_norm * r_bar <= target
-
-
-def _gd_phase(
-    oracle: _Oracle,
-    model: EllModel,
-    x: np.ndarray,
-    f: float,
-    g: np.ndarray,
-    target: float,
-    r_bar: float,
-    max_calls: int,
-    trace: list[TraceRecord] | None,
-    check_invariants: bool,
-    strict: bool,
-):
-    """Run x <- x - grad / (2 ell(2 |grad|)) until the gap is certified to
-    be at most ``target``.  With checks on, a step that moves x away from a
-    known optimum sets GD_MONOTONE (and aborts in strict mode).
-
-    Returns (status, x, f, g, iters, flags_total).
-    """
-    problem = oracle.problem
-    opt = problem.optimum
-    f_star = opt.f_star if opt is not None else None
-    x_star = opt.x_star if opt is not None else None
+def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
+    """Run x <- x - grad / (2 ell(2 |grad|)) from ``state.y`` until the gap
+    is certified to be at most ``target``.  The returned state keeps the
+    level and k of ``state``.  With checks on, a step that moves x away
+    from a known optimum notes GD_MONOTONE."""
+    model, f_star, x_star, r_bar = run.model, run.f_star, run.x_star, run.r_bar
+    trace = run.trace
+    x, f, g = state.y, state.f_y, state.grad_y
     dist = float(np.linalg.norm(x - x_star)) if x_star is not None else None
-    flags_total = 0
-    iters = 0
     while True:
         gn = float(np.linalg.norm(g))
-        if _gd_stop(f, gn, f_star, r_bar, target):
-            return "ok", x, f, g, iters, flags_total
-        if oracle.calls >= max_calls:
-            return "budget", x, f, g, iters, flags_total
+        # without the optimum, convexity certifies gap <= |grad| * r_bar
+        if (f - f_star if f_star is not None else gn * r_bar) <= target:
+            break
+        if run.calls >= run.budget:
+            run.termination = "budget"
+            break
         gamma_t = 1.0 / (2.0 * ell_eval(model, 2.0 * gn))
         try:
             x_next = x - gamma_t * g
-            f, g = oracle(x_next)
+            f, g = run.oracle(x_next)
         except DomainViolationError as exc:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
-        iters += 1
-        flags = 0
+        run.gd_iters += 1
         if x_star is not None:
             dist_next = float(np.linalg.norm(x - x_star))
-            if check_invariants and dist_next > dist * (1.0 + 1e-12):
-                flags = int(flags | Flag.GD_MONOTONE)
-                flags_total = int(flags_total | Flag.GD_MONOTONE)
-                if strict:
-                    raise SafetyViolationError(
-                        f"GD distance to optimum increased at iteration {iters}: "
-                        f"{dist} -> {dist_next}"
-                    )
+            if run.check_invariants:
+                run.note(
+                    Flag.GD_MONOTONE,
+                    dist_next <= dist * (1.0 + 1e-12),
+                    f"GD distance to optimum increased at iteration {run.gd_iters}: "
+                    f"{dist} -> {dist_next}",
+                )
             dist = dist_next
+        flags = run.take_pending()
         if trace is not None:
             trace.append(TraceRecord(
-                k=iters, phase="gd",
+                k=run.gd_iters, phase="gd",
                 f_gap=None if f_star is None else f - f_star,
                 grad_norm=float(np.linalg.norm(g)),
                 gamma_cap=None, alpha=None, step_gamma=gamma_t,
                 dist_to_opt=dist, bound_gap=None, lyapunov=None,
-                flags=int(flags),
+                flags=flags,
             ))
+    return AgdState(y=x, u=x.copy(), gamma_cap=state.gamma_cap, k=state.k, f_y=f, grad_y=g)
 
 
 def gd_run(
@@ -384,36 +386,30 @@ def gd_run(
     """
     if not (epsilon > 0 and r_bar > 0 and budget >= 1):
         raise ConfigurationError("gd_run needs epsilon > 0, r_bar > 0, budget >= 1")
-    x0 = np.asarray(x0, dtype=float)
-    oracle = _Oracle(problem)
-    f0, g0 = oracle(x0)
-    trace: list[TraceRecord] | None = [] if collect_trace else None
-    status, x, f, g, iters, flags = _gd_phase(
-        oracle, model, x0, f0, g0, epsilon, r_bar, max_calls=budget,
-        trace=trace, check_invariants=check_invariants, strict=strict,
-    )
-    opt = problem.optimum
-    state = AgdState(y=x, u=x.copy(), gamma_cap=1.0, k=0, f_y=f, grad_y=g)
-    return _finish(
-        oracle, state, "converged" if status == "ok" else "budget", r_bar, trace,
-        gd_iters=iters, flags_total=flags,
-        achieved=(f - opt.f_star) if opt is not None else float(np.linalg.norm(g)) * r_bar,
-    )
+    run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
+    state, _ = run.start(x0)
+    state = _gd_phase(run, state, epsilon)
+    return run.result(state, state.f_y - run.f_star if run.f_star is not None
+                      else float(np.linalg.norm(state.grad_y)) * r_bar)
 
 
 # --- gradient bound heuristic -----------------------------------------------
 
-def estimate_grad_bound(
-    problem: Problem, r_bar: float, seed: int = 0, samples: int = 64, safety: float = 2.0
-) -> float:
-    """Heuristic m_bar: sample gradient norms on the sphere of radius
-    2 r_bar around the optimum and scale by a safety factor."""
+# Sphere samples and safety factor of the m_bar heuristic.
+GRAD_BOUND_SAMPLES = 64
+GRAD_BOUND_SAFETY = 2.0
+
+
+def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
+    """Heuristic m_bar: sample ``GRAD_BOUND_SAMPLES`` gradient norms on the
+    sphere of radius 2 r_bar around the optimum and scale the largest by
+    ``GRAD_BOUND_SAFETY``."""
     if problem.optimum is None:
         raise PreconditionError("gradient-bound estimation needs a known optimum")
     rng = np.random.default_rng(seed)
     x_star = problem.optimum.x_star
     best = 0.0
-    for _ in range(samples):
+    for _ in range(GRAD_BOUND_SAMPLES):
         d = rng.standard_normal(problem.dim)
         d /= np.linalg.norm(d)
         x = x_star + 2.0 * r_bar * d
@@ -424,56 +420,23 @@ def estimate_grad_bound(
         best = max(best, float(np.linalg.norm(g)))
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
-    return safety * best
+    return GRAD_BOUND_SAFETY * best
 
 
 # --- shared accelerated loop -------------------------------------------------
 
-@dataclass
-class _Checks:
-    strict: bool
-    flags_total: int = 0
-    pending: int = 0
-
-    def note(self, bit: Flag, ok: bool, message: str) -> None:
-        if ok:
-            return
-        # plain ints throughout: IntFlag instances stringify as names on
-        # some interpreters, which would corrupt the CSV flags column
-        self.pending = int(self.pending | bit)
-        self.flags_total = int(self.flags_total | bit)
-        if self.strict:
-            raise InvariantViolationError(message, flags=int(bit))
-
-    def take_pending(self) -> int:
-        out = self.pending
-        self.pending = 0
-        return out
-
-
 def _run_agd(
-    oracle: _Oracle,
-    model: EllModel,
-    state: AgdState,
-    r_bar: float,
-    epsilon: float,
-    max_calls: int,
-    step_gamma_const: float | None,
-    check_invariants: bool,
-    strict: bool,
-    trace: list[TraceRecord] | None,
-    state_sink: Callable[[AgdState, float], None] | None,
-):
+    run: _Run, state: AgdState, epsilon: float, step_gamma_const: float | None
+) -> AgdState:
     """Accelerated steps from ``state`` until the gap is certified.  A fixed
     ``step_gamma_const`` is the warm-started variant; None selects the
     adaptive step ``1 / ell(4 psi_inverse(Gamma_k r_bar^2))``."""
-    problem = oracle.problem
-    opt = problem.optimum
-    f_star = opt.f_star if opt is not None else None
-    x_star = opt.x_star if opt is not None else None
+    problem, model, r_bar, budget = run.problem, run.model, run.r_bar, run.budget
+    f_star, x_star = run.f_star, run.x_star
+    check_invariants, trace = run.check_invariants, run.trace
+    oracle, note, take_pending = run.oracle, run.note, run.take_pending
     l0 = ell_zero(model)
     rb2 = r_bar * r_bar
-    checks = _Checks(strict=strict)
     adaptive = step_gamma_const is None
     superquadratic = math.isfinite(model.delta_max)
     kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
@@ -488,9 +451,10 @@ def _run_agd(
         gap = None if f_star is None else state.f_y - f_star
         bound = state.gamma_cap * rb2
         if (gap is not None and gap <= epsilon) or bound <= epsilon:
-            return state, "converged", checks.flags_total, ""
+            return state
         if state.gamma_cap < GAMMA_UNDERFLOW:
-            return state, "converged", checks.flags_total, "gamma_cap underflow; certified bound saturated"
+            run.message = "gamma_cap underflow; certified bound saturated"
+            return state
 
         grad_norm = float(np.linalg.norm(state.grad_y))
 
@@ -511,14 +475,15 @@ def _run_agd(
 
         if check_invariants:
             if not adaptive:
-                checks.note(
+                region = ell_eval(model, 4.0 * grad_norm)
+                note(
                     Flag.WARM_REGION,
-                    ell_eval(model, 4.0 * grad_norm) <= 2.0 * l0 * (1.0 + 1e-12),
+                    region <= 2.0 * l0 * (1.0 + 1e-12),
                     f"small-curvature region left at k={state.k}: "
-                    f"ell(4|g|)={ell_eval(model, 4.0 * grad_norm)} > 2 ell(0)={2 * l0}",
+                    f"ell(4|g|)={region} > 2 ell(0)={2 * l0}",
                 )
             elif envelope_x is not None:
-                checks.note(
+                note(
                     Flag.GRAD_ENVELOPE,
                     grad_norm <= envelope_x * (1.0 + 1e-9) + 1e-15,
                     f"gradient envelope broken at k={state.k}: "
@@ -527,23 +492,22 @@ def _run_agd(
             if superquadratic and x_star is not None:
                 dy = float(np.linalg.norm(state.y - x_star))
                 du = float(np.linalg.norm(state.u - x_star))
-                checks.note(
+                note(
                     Flag.BALL_CONFINEMENT,
                     max(dy, du) <= 2.0 * r_bar * (1.0 + 1e-12),
                     f"iterate left the 2*r_bar ball at k={state.k}",
                 )
-            checks.note(
+            note(
                 Flag.STEP_SAFETY,
                 step_gamma <= (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm),
                 f"step size above the safety cap at k={state.k}",
             )
 
-        if oracle.calls >= max_calls:
-            return state, "budget", checks.flags_total, ""
+        if run.calls >= budget:
+            run.termination = "budget"
+            return state
 
         alpha = math.sqrt(step_gamma * state.gamma_cap)
-        if state_sink is not None:
-            state_sink(state, step_gamma)
         prev_k = state.k
         state = agd_step(state, step_gamma, problem, _eval=oracle)
         v_new = lyapunov(state, f_star, x_star) if track_v else None
@@ -551,14 +515,14 @@ def _run_agd(
         if check_invariants:
             if f_star is not None:
                 new_gap = state.f_y - f_star
-                checks.note(
+                note(
                     Flag.CERTIFIED_GAP,
                     new_gap <= state.gamma_cap * rb2 + 1e-9 * gap_scale,
                     f"certified gap bound broken at k={state.k}: "
                     f"gap={new_gap} > bound={state.gamma_cap * rb2}",
                 )
             if x_star is not None:
-                checks.note(
+                note(
                     Flag.LYAPUNOV,
                     v_new <= v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev),
                     f"certificate function failed to contract at k={state.k}",
@@ -566,7 +530,7 @@ def _run_agd(
                 v_prev = v_new
             if kbar_value is not None and prev_k - k0 >= kbar_value:
                 env = gamma_envelope(prev_k - k0, step_gamma_const, kbar_value)
-                checks.note(
+                note(
                     Flag.GAMMA_ENVELOPE,
                     state.gamma_cap <= env + 4.0 * math.ulp(env),
                     f"gamma_cap exceeded its certified envelope at k={state.k}",
@@ -583,10 +547,10 @@ def _run_agd(
                 dist_to_opt=None if x_star is None else float(np.linalg.norm(state.y - x_star)),
                 bound_gap=state.gamma_cap * rb2,
                 lyapunov=v_new,
-                flags=checks.take_pending(),
+                flags=take_pending(),
             ))
         else:
-            checks.take_pending()
+            take_pending()
 
 
 def _warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> str:
@@ -621,7 +585,6 @@ def algorithm1_run(
     check_invariants: bool = True,
     strict: bool = False,
     collect_trace: bool = True,
-    state_sink: Callable[[AgdState, float], None] | None = None,
 ) -> RunResult:
     """Warm-started accelerated run with the fixed step 1 / (2 ell(0)).
 
@@ -633,53 +596,34 @@ def algorithm1_run(
     """
     if not (epsilon > 0 and r_bar > 0 and budget >= 1):
         raise ConfigurationError("algorithm1_run needs epsilon > 0, r_bar > 0, budget >= 1")
-    oracle, x0, f0, g0, refusal = _start(problem, x0, r_bar)
-    if refusal is not None:
-        return refusal
-    opt = problem.optimum
-    f_star = opt.f_star if opt is not None else None
+    run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
+    state, refusal = run.start(x0)
+    if refusal:
+        return run.refuse(refusal)
+    f_star = run.f_star
 
-    if f_star is not None and f0 - f_star <= epsilon:
-        gcap0 = delta / r_bar**2 if (math.isfinite(delta) and delta > 0) else 1.0
-        state = AgdState(y=x0, u=x0.copy(), gamma_cap=gcap0, k=0, f_y=f0, grad_y=g0)
-        return _finish(oracle, state, "converged", r_bar, None)
-    stationary = _stationary_start(
-        oracle, AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), r_bar
-    )
+    if f_star is not None and state.f_y - f_star <= epsilon:
+        state.gamma_cap = delta / r_bar**2 if (math.isfinite(delta) and delta > 0) else 1.0
+        return run.result(state)
+    stationary = run.stationary(state)
     if stationary is not None:
         return stationary
 
     # resolve the warm-start gap target
     if math.isinf(delta):
         if f_star is not None:
-            delta_eff = 2.0 * (f0 - f_star)
+            delta = 2.0 * (state.f_y - f_star)
         else:
-            delta_eff = 2.0 * float(np.linalg.norm(g0)) * r_bar
-    else:
-        delta_eff = delta
-    refusal = _warm_start_refusal(model, delta_eff, m_bar)
+            delta = 2.0 * float(np.linalg.norm(state.grad_y)) * r_bar
+    refusal = _warm_start_refusal(model, delta, m_bar)
     if refusal:
-        return _refuse(oracle, refusal)
+        return run.refuse(refusal)
 
-    trace: list[TraceRecord] | None = [] if collect_trace else None
-    status, xbar, f, g, gd_iters, gd_flags = _gd_phase(
-        oracle, model, x0, f0, g0, delta_eff / 2.0, r_bar, max_calls=budget,
-        trace=trace, check_invariants=check_invariants, strict=strict,
-    )
-    state = AgdState(y=xbar, u=xbar.copy(), gamma_cap=delta_eff / r_bar**2,
-                     k=0, f_y=f, grad_y=g)
-    if status == "budget":
-        return _finish(oracle, state, "budget", r_bar, trace,
-                       gd_iters=gd_iters, flags_total=gd_flags)
-
-    state, termination, flags_total, msg = _run_agd(
-        oracle, model, state, r_bar, epsilon, budget,
-        step_gamma_const=1.0 / (2.0 * ell_zero(model)),
-        check_invariants=check_invariants, strict=strict, trace=trace,
-        state_sink=state_sink,
-    )
-    return _finish(oracle, state, termination, r_bar, trace, gd_iters=gd_iters,
-                   flags_total=flags_total | gd_flags, message=msg)
+    state.gamma_cap = delta / r_bar**2
+    state = _gd_phase(run, state, delta / 2.0)
+    if run.termination == "budget":
+        return run.result(state)
+    return run.result(_run_agd(run, state, epsilon, 1.0 / (2.0 * ell_zero(model))))
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -728,7 +672,6 @@ def algorithm2_run(
     check_invariants: bool = True,
     strict: bool = False,
     collect_trace: bool = True,
-    state_sink: Callable[[AgdState, float], None] | None = None,
 ) -> RunResult:
     """Adaptive-step accelerated run without a warm start.
 
@@ -750,12 +693,13 @@ def algorithm2_run(
             "psi is not invertible on [0, inf) for this profile "
             f"(increase stops at {model.delta_max}); use the warm-started variant"
         )
-    opt = problem.optimum
-    if gamma_cap0 is None and opt is None:
+    if gamma_cap0 is None and problem.optimum is None:
         raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
-    oracle, x0, f0, g0, refusal = _start(problem, x0, r_bar)
-    r0 = float(np.linalg.norm(x0 - opt.x_star)) if opt is not None else 0.0
-    floor = 2.0 * (f0 - opt.f_star) / r0**2 if r0 > 0 else None
+    run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
+    state, refusal = run.start(x0)
+    x_star = run.x_star
+    r0 = float(np.linalg.norm(state.y - x_star)) if x_star is not None else 0.0
+    floor = 2.0 * (state.f_y - run.f_star) / r0**2 if r0 > 0 else None
     if gamma_cap0 is None:
         gamma_cap0 = 1.0 if floor is None else floor
     if gamma_cap0 * r_bar**2 >= model.psi_sup:
@@ -763,27 +707,17 @@ def algorithm2_run(
             f"gamma_cap0 * r_bar^2 = {gamma_cap0 * r_bar**2} is not below "
             f"sup psi = {model.psi_sup}; the adaptive step is undefined"
         )
-    if refusal is None and floor is not None and gamma_cap0 < floor * (1 - 1e-12):
-        refusal = _refuse(oracle, f"gamma_cap0 must be >= {floor}")
-    if refusal is not None:
-        refusal.gamma_cap0 = gamma_cap0
-        return refusal
-
-    try:
-        warmup = warmup_iterations_bound(model, gamma_cap0, r_bar)
-    except ConfigurationError:
-        warmup = None
-
-    state = AgdState(y=x0, u=x0.copy(), gamma_cap=gamma_cap0, k=0, f_y=f0, grad_y=g0)
-    result = _stationary_start(oracle, state, r_bar, warmup_bound=warmup)
-    if result is None:
-        trace: list[TraceRecord] | None = [] if collect_trace else None
-        state, termination, flags_total, msg = _run_agd(
-            oracle, model, state, r_bar, epsilon, budget,
-            step_gamma_const=None, check_invariants=check_invariants,
-            strict=strict, trace=trace, state_sink=state_sink,
-        )
-        result = _finish(oracle, state, termination, r_bar, trace,
-                         flags_total=flags_total, warmup_bound=warmup, message=msg)
+    if not refusal and floor is not None and gamma_cap0 < floor * (1 - 1e-12):
+        refusal = f"gamma_cap0 must be >= {floor}"
+    if refusal:
+        result = run.refuse(refusal)
+    else:
+        try:
+            warmup = warmup_iterations_bound(model, gamma_cap0, r_bar)
+        except ConfigurationError:
+            warmup = None
+        state.gamma_cap = gamma_cap0
+        result = run.stationary(state) or run.result(_run_agd(run, state, epsilon, None))
+        result.warmup_bound = warmup
     result.gamma_cap0 = gamma_cap0
     return result

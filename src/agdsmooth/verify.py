@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .problems import Problem, evaluate, project_closure
 from .smoothness import (
     EllModel,
@@ -201,15 +201,14 @@ def sweep_gradient_transfer(
 
 
 def sweep_descent_step(
-    problem: Problem, trials: int = 200, seed: int = 0,
-    model: EllModel | None = None,
+    problem: Problem, trials: int = 200, seed: int = 0
 ) -> CheckReport:
     """Random solver states: y, u sampled in the problem box, certificate
     level log-uniform, step a random fraction of the safety cap."""
     if problem.optimum is None:
         raise PreconditionError("descent sweep needs a known optimum")
     rng = np.random.default_rng(seed)
-    model = model if model is not None else problem.ell_model
+    model = problem.ell_model
 
     def gen():
         for _ in range(trials):
@@ -227,15 +226,14 @@ def sweep_descent_step(
 
 
 def sweep_gap_to_grad(
-    problem: Problem, trials: int = 500, seed: int = 0,
-    model: EllModel | None = None,
+    problem: Problem, trials: int = 500, seed: int = 0
 ) -> CheckReport:
     """Sample points, measure their true gap, and check the localization at
     a level just above it (skipping points whose gap is out of psi range)."""
     if problem.optimum is None:
         raise PreconditionError("gap-to-gradient sweep needs a known optimum")
     rng = np.random.default_rng(seed)
-    model = model if model is not None else problem.ell_model
+    model = problem.ell_model
     f_star = problem.optimum.f_star
 
     def gen():
@@ -254,6 +252,10 @@ def sweep_gap_to_grad(
 def run_all_checks(
     problem: Problem, trials: int = 1000, seed: int = 0
 ) -> list[CheckReport]:
+    """Every sweep that applies to ``problem``, each over ``trials`` points;
+    the descent and gap-to-gradient sweeps need a known optimum."""
+    if trials < 1:
+        raise ConfigurationError(f"verify needs trials >= 1, got {trials}")
     reports = [
         sweep_convexity_smoothness(problem, trials=trials, seed=seed),
         sweep_gradient_transfer(problem, trials=trials, seed=seed),

@@ -14,6 +14,7 @@ from agdsmooth import (
     Affine,
     Power,
     admissible_delta,
+    agd_step,
     algorithm1_run,
     algorithm2_run,
     catalog,
@@ -71,17 +72,29 @@ def adaptive_reference_run():
     """The pinned adaptive-variant run: exp-experiment, mu = 0.001,
     x0 = (-6, -5), r_bar = 100, gamma_cap0 = 100, epsilon = 1e-6, with the
     oracle-call budget set to the crossing that ``y_gap_crossing`` derives.
-    Also collects every (state, step) pair for the descent audit."""
+
+    The descent audit needs every (state, step) pair the run visited.  They
+    are rebuilt by replaying the trace's ``step_gamma`` column with
+    ``agd_step`` from x0, and the replay must land bit for bit on the run's
+    final y and u, so the audited states are the run's own."""
     problem = catalog("exp-experiment", {"mu": 0.001})
     budget = y_gap_crossing(problem.ell_model, 0.001, -5.0, 100.0, 100.0, 1e-6)
-    visited: list[tuple[AgdState, float]] = []
+    x0 = np.array([-6.0, -5.0])
     start = time.perf_counter()
     result = algorithm2_run(
-        problem, problem.ell_model, np.array([-6.0, -5.0]),
+        problem, problem.ell_model, x0,
         gamma_cap0=100.0, r_bar=100.0, epsilon=1e-6, budget=budget,
-        state_sink=lambda s, g: visited.append((s, g)),
     )
     elapsed = time.perf_counter() - start
+
+    f0, g0 = evaluate(problem, x0)
+    state = AgdState(y=x0, u=x0.copy(), gamma_cap=100.0, k=0, f_y=f0, grad_y=g0)
+    visited: list[tuple[AgdState, float]] = []
+    for row in result.trace:
+        visited.append((state, row.step_gamma))
+        state = agd_step(state, row.step_gamma, problem)
+    assert np.array_equal(state.y, result.state.y)
+    assert np.array_equal(state.u, result.state.u)
     return problem, result, visited, elapsed, budget
 
 

@@ -314,6 +314,45 @@ class TestCli:
                              x0=[-1.0, 1.0])
         assert main(["run", cfg]) == 4
 
+    SUPERQUADRATIC = {"algorithm": "agd1", "problem": "quadratic", "x0": [0.3, 0.3],
+                      "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1}}
+
+    MALFORMED = {
+        "r_bar-string": {"r_bar": "abc"},
+        "delta-string": {"algorithm": "agd1", "delta": "x"},
+        "m_bar-string": {**SUPERQUADRATIC, "m_bar": "q"},
+        "m_bar-zero": {**SUPERQUADRATIC, "m_bar": 0},
+        "seed-string": {**SUPERQUADRATIC, "seed": "x"},
+        "x0-string": {"x0": ["a", 1]},
+        "x0-numeric-string": {"x0": ["2"]},
+        "param-string": {"problem": "exp-experiment", "problem_params": {"mu": "abc"}},
+        "params-list": {"problem_params": [1]},
+        "param-int-string": {"problem": "quadratic", "problem_params": {"d": "x"}},
+        "ell-constant-string": {"ell": {"kind": "constant", "L": "abc"}},
+        "ell-numeric-string": {"ell": {"kind": "constant", "L": "2"}},
+        "ell-power-string": {"ell": {"kind": "power", "rho": "abc", "L0": 1, "L1": 1}},
+        "ell-custom-short-point": {"ell": {"kind": "custom", "points": [[0, 1], [1]]}},
+        "ell-custom-scalar": {"ell": {"kind": "custom", "points": 5}},
+        "trace_path-number": {"trace_path": 5},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_value_exit_four(self, tmp_path, capsys, name):
+        # numbers must be JSON numbers: nothing is converted from a string
+        assert main(["run", self.write_cfg(tmp_path, **self.MALFORMED[name])]) == 4
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_m_bar_names_the_field(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, **self.SUPERQUADRATIC, m_bar=-1)
+        assert main(["run", cfg]) == 4
+        assert "'m_bar'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_verify_without_trials_exit_four(self, tmp_path, trials):
+        out = tmp_path / "rep.json"
+        code = main(["verify", "quadratic", "claimed", "--trials", trials, "--out", str(out)])
+        assert code == 4 and not out.exists()
+
     def test_start_overflow_exit_four(self, tmp_path):
         cfg = self.write_cfg(tmp_path, problem="exp-experiment", x0=[-800.0, 0.0],
                              r_bar=1e3, gamma_cap0=1e6)

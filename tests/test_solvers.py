@@ -1,7 +1,9 @@
 """Solver mechanics: auxiliary sequence, steps, warm start, both variants."""
 
+import functools
 import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from agdsmooth import (
     Constant,
     CustomMonotone,
     DomainViolationError,
+    Flag,
+    InvariantViolationError,
     Power,
     PreconditionError,
     agd_step,
@@ -32,6 +36,7 @@ from agdsmooth import (
     select_delta,
     warmup_iterations_bound,
 )
+from agdsmooth.config import config_from_dict, execute
 from agdsmooth.solvers import TRACE_HEADER, format_trace_row
 
 
@@ -144,6 +149,13 @@ class TestGdRun:
         assert res.flags_total == (128 if checks else 0)
         dists = [r.dist_to_opt for r in res.trace]
         assert len(dists) == 19 and dists[-1] > dists[0]
+
+    def test_strict_monotone_breach_is_an_invariant_violation(self):
+        # GD_MONOTONE is a flag bit like any other: strict mode raises it
+        p = catalog("quadratic", {})
+        with pytest.raises(InvariantViolationError) as err:
+            gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20, strict=True)
+        assert err.value.flags == Flag.GD_MONOTONE == 128
 
     def test_certificate_stop_without_optimum(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
@@ -434,3 +446,24 @@ class TestCertificates:
                 if rec.phase == "agd":
                     assert rec.f_gap <= rec.bound_gap + 1e-9 * max(
                         1.0, abs(p.optimum.f_star))
+
+
+class TestFlagsTotal:
+    """``flags_total`` is the OR of the trace rows' flags, whichever phase
+    set them."""
+
+    @pytest.mark.parametrize("settings, expected", [
+        # the claim understates exp-1d's curvature, so the GD warm start
+        # overshoots the optimum until the budget runs out
+        ({"algorithm": "agd1", "problem": "exp-1d",
+          "ell": {"kind": "affine", "L0": 0.3, "L1": 0.01}, "budget": 3000},
+         Flag.GD_MONOTONE),
+        # the observe-mode golden run: accelerated-phase bits only
+        ({"algorithm": "agd2", "problem": "quadratic",
+          "ell": {"kind": "constant", "L": 0.5}, "epsilon": 1e-8, "budget": 200},
+         Flag.CERTIFIED_GAP | Flag.LYAPUNOV | Flag.GRAD_ENVELOPE),
+    ], ids=["agd1-gd-phase", "agd2-constant-claim"])
+    def test_or_of_trace_row_flags(self, settings, expected):
+        result, summary = execute(config_from_dict(settings), write_files=False)
+        rows = functools.reduce(operator.or_, (r.flags for r in result.trace), 0)
+        assert result.flags_total == summary["flags_total"] == rows == expected
