@@ -118,10 +118,18 @@ def finite_diff_check(problem: Problem, x: np.ndarray, h: float) -> float:
 # --- catalog ---------------------------------------------------------------
 
 def _param(params: dict, key: str, default: float) -> float:
-    value = require_number(params.get(key, default), f"problem param {key!r}")
+    """Take ``key`` out of ``params``; what a builder leaves is unknown."""
+    value = require_number(params.pop(key, default), f"problem param {key!r}")
     if not math.isfinite(value):
         raise ConfigurationError(f"problem param {key!r} must be finite, got {value}")
     return value
+
+
+def _int_param(params: dict, key: str, default: int) -> int:
+    value = _param(params, key, default)
+    if not value.is_integer():
+        raise ConfigurationError(f"problem param {key!r} must be an integer, got {value}")
+    return int(value)
 
 
 def _exp_experiment(params: dict) -> Problem:
@@ -149,7 +157,7 @@ def _exp_experiment(params: dict) -> Problem:
 
 def _quadratic(params: dict) -> Problem:
     L = _param(params, "L", 1.0)
-    d = int(_param(params, "d", 2))
+    d = _int_param(params, "d", 2)
     if L <= 0 or d < 1:
         raise ConfigurationError("quadratic needs L > 0 and d >= 1")
 
@@ -169,8 +177,8 @@ def _quadratic(params: dict) -> Problem:
 
 
 def _power_p(params: dict) -> Problem:
-    p = int(_param(params, "p", 4))
-    d = int(_param(params, "d", 2))
+    p = _int_param(params, "p", 4)
+    d = _int_param(params, "d", 2)
     L0 = _param(params, "L0", 1.0)
     if p <= 2 or p % 2 != 0:
         raise ConfigurationError("power-p needs an even integer p > 2")
@@ -199,7 +207,7 @@ def _power_p(params: dict) -> Problem:
 
 def _neg_log_barrier(params: dict) -> Problem:
     c = _param(params, "c", 1.0)
-    d = int(_param(params, "d", 2))
+    d = _int_param(params, "d", 2)
     if c <= 0 or d < 1:
         raise ConfigurationError("neg-log-barrier needs c > 0 and d >= 1")
 
@@ -263,7 +271,9 @@ def catalog(name: str, params: dict | None = None) -> Problem:
     """Construct a catalog problem by name.
 
     ``params`` may carry ``known_optimum: false`` to withhold the stored
-    optimum, forcing runs to terminate on certified bounds only.
+    optimum, forcing runs to terminate on certified bounds only.  A key the
+    problem does not read, a non-bool ``known_optimum`` and a non-integral
+    ``d`` or ``p`` are configuration errors.
     """
     if not isinstance(params, (dict, type(None))):
         raise ConfigurationError(f"problem params must be an object, got {params!r}")
@@ -273,7 +283,13 @@ def catalog(name: str, params: dict | None = None) -> Problem:
             f"unknown problem {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
     known = params.pop("known_optimum", True)
+    if not isinstance(known, bool):
+        raise ConfigurationError(
+            f"problem param 'known_optimum' must be true or false, got {known!r}"
+        )
     problem = _BUILDERS[name](params)
+    if params:
+        raise ConfigurationError(f"unknown problem param {next(iter(params))!r} for {name}")
     if not known:
         problem = Problem(
             name=problem.name,

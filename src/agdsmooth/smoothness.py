@@ -15,11 +15,11 @@ Two derived functions drive everything else in the package:
 Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the q budget with its inverse and limit, the psi peak,
 the right crossing and its warm-start delta head.  The base holds the
-generic quadrature and bisection; the module-level functions validate their
-arguments and dispatch to the model.  Models are immutable after
-construction (their psi geometry is computed once, on first use) and safe to
-share across threads.  ``math.inf`` is the extended-real sentinel for
-unbounded quantities (never a large finite float).
+generic quadrature, the Newton q inverse and bisection; the module-level
+functions validate their arguments and dispatch to the model.  Models are
+immutable after construction (their psi geometry is computed once, on first
+use) and safe to share across threads.  ``math.inf`` is the extended-real
+sentinel for unbounded quantities (never a large finite float).
 """
 
 from __future__ import annotations
@@ -42,8 +42,15 @@ from .errors import (
 # that consume it.
 QUAD_REL_TOL = 1e-10
 
-# Bisection policy: no Newton, geometric bracket growth by 2, hard cap.
+# Bisection policy: geometric bracket growth by 2, hard cap.
 BISECT_MAX_ITER = 200
+
+# q(s; a) is increasing and concave in s because 1/ell does not increase, so
+# its tangent at s lies above it and the Newton step
+# s + (r - q(s)) * ell(a + s) never passes the root of q = r.  Newton from
+# below therefore needs no line search; a rounding overshoot or a stall
+# hands the bracket to bisection.
+NEWTON_MAX_ITER = 50
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -105,23 +112,56 @@ class EllModel:
             lo, hi = hi, min(2.0 * hi, dmax)
         return _bisect(lambda x: psi_eval(self, x) < t, lo, hi)
 
-    def q(self, s: float, a: float) -> float:
-        """q(s; a) by adaptive quadrature at 1e-10 relative."""
-        val, _ = quad(
-            lambda v: 1.0 / self.ell(a + v), 0.0, s,
+    def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
+        """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
+        the quadrature's error estimate."""
+        return quad(
+            lambda v: 1.0 / self.ell(a + v), s0, s1,
             epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
         )
-        return val
+
+    def q(self, s: float, a: float) -> float:
+        return self._q_between(0.0, s, a)[0]
 
     def q_max(self, a: float) -> float:
         return math.inf
 
     def q_inverse(self, r: float, a: float) -> float:
-        """Bisection on the strictly increasing map s -> q(s; a)."""
-        lo, hi = 0.0, 1.0
-        while q_eval(self, hi, a) < r:
-            lo, hi = hi, 2.0 * hi
-        return _bisect(lambda s: q_eval(self, s, a) < r, lo, hi)
+        """Newton from below on s -> q(s; a) (see ``NEWTON_MAX_ITER``); each
+        step integrates only the increment from the last iterate.  The
+        iterates stay below the root, so a step landing past r by more than
+        rounding brackets the root, and bisection finishes inside that
+        bracket, as it does above the last iterate when Newton stalls."""
+        s = q_s = 0.0
+        for _ in range(NEWTON_MAX_ITER):
+            step = (r - q_s) * self.ell(a + s)
+            if step <= 1e-15 * s:
+                return s + step
+            inc, err = self._q_between(s, s + step, a)
+            while err > QUAD_REL_TOL * inc:
+                # the quadrature missed its tolerance (a near-singular
+                # profile close to s); a shorter step still stays below
+                step *= 0.5
+                inc, err = self._q_between(s, s + step, a)
+            q_next = q_s + inc
+            if q_next >= r:
+                # within a few ulps of r the step has landed; past that the
+                # quadrature overshot, and the root lies in [s, s + step]
+                if q_next - r <= 4e-16 * r:
+                    return s + step
+                return self._q_bisect(r, a, s, q_s, s + step)
+            s, q_s = s + step, q_next
+        return self._q_bisect(r, a, s, q_s, None)
+
+    def _q_bisect(self, r: float, a: float, lo: float, q_lo: float, hi: float | None) -> float:
+        """Bisection for q(s; a) = r above ``lo``, where q is ``q_lo``.  With
+        ``hi`` None the bracket doubles from ``lo`` first, so that no
+        quadrature spans more than a factor of 2 in s."""
+        if hi is None:
+            hi = max(2.0 * lo, 1.0)
+            while (q_hi := q_lo + self._q_between(lo, hi, a)[0]) < r:
+                lo, q_lo, hi = hi, q_hi, 2.0 * hi
+        return _bisect(lambda s: q_lo + self._q_between(lo, s, a)[0] < r, lo, hi)
 
     def to_config(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -288,7 +328,8 @@ class CustomMonotone(EllModel):
     extrapolation keeps the profile bounded, so ``q_max`` is always
     infinite for this variant.  On a segment ``ell(4 x) = b + 4 m x``, so
     psi' has the sign of ``b + 2 m x``; that grows along the segment, which
-    puts the psi geometry in closed form.
+    puts the psi geometry in closed form.  The q budget is exact too: a
+    segment of length x starting at ell = e spends ``log1p(m x / e) / m``.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -365,6 +406,34 @@ class CustomMonotone(EllModel):
             if root <= x1:
                 return max(root, x0)
         return math.inf
+
+    def _pieces(self, a: float):
+        """``(length, ell_start, m)`` of each linear piece of ell on [a, inf),
+        in order; the last is the constant tail, of infinite length."""
+        for (s0, v0), (s1, v1) in zip(self.points, self.points[1:]):
+            if s1 > a:
+                m = (v1 - v0) / (s1 - s0)
+                start = max(a, s0)
+                yield s1 - start, v0 + m * (start - s0), m
+        yield math.inf, self.points[-1][1], 0.0
+
+    def q(self, s: float, a: float) -> float:
+        total = 0.0
+        for length, e, m in self._pieces(a):
+            x = min(length, s)
+            total += x / e if m == 0 else math.log1p(m * x / e) / m
+            s -= x
+            if s <= 0:
+                return total
+
+    def q_inverse(self, r: float, a: float) -> float:
+        s = 0.0
+        for length, e, m in self._pieces(a):
+            spend = length / e if m == 0 else math.log1p(m * length / e) / m
+            if spend >= r:
+                return s + (r * e if m == 0 else e * math.expm1(m * r) / m)
+            s += length
+            r -= spend
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "points": [[s, v] for s, v in self.points]}
@@ -450,8 +519,9 @@ def admissible_delta(model: EllModel, delta: float) -> bool:
 def q_eval(model: EllModel, s: float, a: float) -> float:
     """Step-length budget q(s; a) = int_0^s dv / ell(a + v).
 
-    Closed forms cover the constant, affine, and quadratic-power profiles;
-    anything else goes through adaptive quadrature at 1e-10 relative.
+    Closed forms cover the constant, affine, quadratic-power and
+    piecewise-linear profiles; a general power profile goes through adaptive
+    quadrature at 1e-10 relative.
     """
     if s < 0 or a < 0 or math.isnan(s) or math.isnan(a):
         raise DomainError(f"q needs s, a >= 0, got s={s}, a={a}")
@@ -471,8 +541,9 @@ def q_max(model: EllModel, a: float) -> float:
 def q_inverse(model: EllModel, r: float, a: float) -> float:
     """Inverse of q with respect to s: the step length that spends budget r.
 
-    Closed forms where q has one; otherwise bisection on the strictly
-    increasing map s -> q(s; a).
+    Closed forms for the profiles where q has one; a general power profile
+    runs Newton from below on the increasing concave map s -> q(s; a), one
+    increment quadrature per step, with a bisection fallback.
     """
     if r < 0 or a < 0 or math.isnan(r) or math.isnan(a):
         raise DomainError(f"q_inverse needs r, a >= 0, got r={r}, a={a}")

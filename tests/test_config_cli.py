@@ -328,6 +328,12 @@ class TestCli:
         "param-string": {"problem": "exp-experiment", "problem_params": {"mu": "abc"}},
         "params-list": {"problem_params": [1]},
         "param-int-string": {"problem": "quadratic", "problem_params": {"d": "x"}},
+        "param-unknown": {"problem": "exp-1d", "problem_params": {"d": 2}},
+        "param-d-fraction": {"problem": "quadratic", "problem_params": {"d": 4.5},
+                             "x0": [1.0] * 4},
+        "param-p-fraction": {"problem": "power-p", "problem_params": {"p": 4.5},
+                             "x0": [1.0, 1.0]},
+        "known_optimum-string": {"problem_params": {"known_optimum": "x"}},
         "ell-constant-string": {"ell": {"kind": "constant", "L": "abc"}},
         "ell-numeric-string": {"ell": {"kind": "constant", "L": "2"}},
         "ell-power-string": {"ell": {"kind": "power", "rho": "abc", "L0": 1, "L1": 1}},
@@ -346,6 +352,12 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, **self.SUPERQUADRATIC, m_bar=-1)
         assert main(["run", cfg]) == 4
         assert "'m_bar'" in capsys.readouterr().err
+
+    def test_unknown_problem_param_names_the_key(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, problem="quadratic", problem_params={"mu": 1.0},
+                             x0=[1.0, 1.0])
+        assert main(["run", cfg]) == 4
+        assert "'mu'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_verify_without_trials_exit_four(self, tmp_path, trials):

@@ -1,6 +1,7 @@
 """Unit and property tests for the curvature-profile machinery."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from agdsmooth import (
     Constant,
     CustomMonotone,
     DomainError,
+    EllModel,
     OutOfRangeError,
     ConfigurationError,
     Power,
@@ -24,6 +26,7 @@ from agdsmooth import (
     q_inverse,
     q_max,
 )
+from agdsmooth import smoothness
 
 # A custom profile whose psi dips: the middle segment is steep enough that
 # its backward-extrapolated intercept is negative, so psi turns over exactly
@@ -367,6 +370,143 @@ class TestQ:
             q_eval(Constant(1), -1, 0)
         with pytest.raises(DomainError):
             q_max(Constant(1), -1)
+
+
+def dyadic_brackets(s):
+    """[0, 1], [1, 2], [2, 4], ... cut at s: no bracket spans more than a
+    factor of 2, where one quadrature of 1/ell stays accurate."""
+    lo, hi = 0.0, 1.0
+    while lo < s:
+        yield lo, min(hi, s)
+        lo, hi = hi, 2.0 * hi
+
+
+def dyadic_q(model, s, a):
+    """q(s; a) summed over dyadic brackets.  A single quadrature across many
+    decades can be far off: q_eval(Power(1.125, 1, 1), 8.5e7, 0) reads
+    -0.82 where q is 7.35."""
+    return sum(q_eval(model, hi - lo, a + lo) for lo, hi in dyadic_brackets(s))
+
+
+def bisect_q_inverse(model, r, a):
+    """Reference inverse: bisection on q(s; a) inside the first dyadic
+    bracket that reaches r, stopped 4e-16 wide relative."""
+    base, q_base, hi = 0.0, 0.0, 1.0
+    while (q_hi := q_base + q_eval(model, hi - base, a + base)) < r:
+        base, q_base, hi = hi, q_hi, 2.0 * hi
+    lo = base
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if q_base + q_eval(model, mid - base, a + base) < r:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 4e-16 * mid:
+            break
+    return 0.5 * (lo + hi)
+
+
+def general_powers():
+    """Power profiles without a closed-form q: rho in (0, 4], rho != 2."""
+    return st.builds(
+        Power,
+        rho=st.floats(min_value=0.0, max_value=4.0, exclude_min=True).filter(lambda x: x != 2.0),
+        L0=st.floats(min_value=0.1, max_value=10.0),
+        L1=st.floats(min_value=0.1, max_value=10.0),
+    )
+
+
+def linear_pieces(model, s, a):
+    """(length, start) of the pieces of [a, a + s] between breakpoints."""
+    cuts = sorted({a, a + s} | {p for p, _ in model.points if a < p < a + s})
+    return [(hi - lo, lo) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@dataclass(frozen=True)
+class Falling(EllModel):
+    """Not a valid profile: ell falls, so q(s; 0) = s + s^2 / 2 is convex
+    and a Newton step from below passes the root."""
+
+    def ell(self, s):
+        return 1.0 / (1.0 + s)
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    """Records each call of the module's bisection."""
+    calls = []
+    bisect = smoothness._bisect
+    monkeypatch.setattr(smoothness, "_bisect", lambda *args: calls.append(args) or bisect(*args))
+    return calls
+
+
+class TestQInverse:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_reference_bisection(self, model):
+        for a in (0.0, 0.7, 5.0):
+            qm = q_max(model, a)
+            hi = 0.9 * qm if math.isfinite(qm) else 10.0
+            for r in np.geomspace(1e-6, hi, 15):
+                s = q_inverse(model, float(r), a)
+                assert s == pytest.approx(bisect_q_inverse(model, float(r), a), rel=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(general_powers(), piecewise_linear_profiles()),
+           st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=1.0))
+    def test_newton_inverts_q(self, model, a, frac):
+        # r log-uniform over eight decades below 0.9 q_max (below 10 where
+        # q_max is infinite or larger)
+        r = min(0.9 * q_max(model, a), 10.0) * 1e-8 ** frac
+        s = q_inverse(model, r, a)
+        assert dyadic_q(model, s, a) == pytest.approx(r, rel=1e-9)
+        # Both inverses solve q = r with q good to QUAD_REL_TOL, and
+        # kappa = q(s) ell(a + s) / s >= 1 turns a relative error in q into
+        # one in s.  They mostly agree to 1e-12; near a = 0, where v**rho is
+        # not smooth, either was off by a few 1e-11 against 30-digit roots.
+        kappa = r * model.ell(a + s) / s
+        tol = 2.0 * smoothness.QUAD_REL_TOL * kappa
+        assert s == pytest.approx(bisect_q_inverse(model, r, a), rel=tol)
+
+    def test_stalled_newton_falls_back_to_bisection(self, monkeypatch, bisections):
+        monkeypatch.setattr(smoothness, "NEWTON_MAX_ITER", 1)
+        model = Power(rho=1.5, L0=1.0, L1=2.0)
+        s = q_inverse(model, 0.5, 0.7)
+        assert bisections
+        assert s == pytest.approx(bisect_q_inverse(model, 0.5, 0.7), rel=1e-13)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.5, 4.0])
+    def test_overshoot_falls_back_to_bisection(self, bisections, r):
+        s = Falling().q_inverse(r, 0.0)
+        assert bisections
+        assert s == pytest.approx(math.sqrt(1.0 + 2.0 * r) - 1.0, rel=1e-13)
+
+    def test_custom_inverse_by_hand(self):
+        # from a = 0.7: 0.3 on the flat start, log(100) / 99 on the ramp,
+        # then 1/100 per unit; quadrature across the ramp got 1000.0
+        expected = 1.3 + 100.0 * (10.0 - 0.3 - math.log(100.0) / 99.0)
+        assert q_inverse(DIPPING_CUSTOM, 10.0, 0.7) == pytest.approx(expected, rel=1e-13)
+
+    def test_custom_uses_no_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature on a piecewise-linear profile")
+
+        monkeypatch.setattr(smoothness, "quad", no_quad)
+        gentle = CustomMonotone(points=((0.0, 1.0), (1.0, 1.5), (2.0, 2.0)))
+        for model in (DIPPING_CUSTOM, gentle):
+            for a in (0.0, 0.5, 1.0, 150.0):
+                for r in (1e-6, 0.3, 1.0, 50.0):
+                    s = q_inverse(model, r, a)
+                    assert q_eval(model, s, a) == pytest.approx(r, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(piecewise_linear_profiles(), st.floats(min_value=0.0, max_value=30.0),
+           st.floats(min_value=1e-6, max_value=50.0))
+    def test_custom_q_matches_quadrature_per_piece(self, model, a, s):
+        # the generic quadrature is reliable on each linear piece, not across
+        # a kink; summed per piece it checks the exact per-segment logs
+        pieces = linear_pieces(model, s, a)
+        reference = sum(EllModel.q(model, length, start) for length, start in pieces)
+        assert q_eval(model, s, a) == pytest.approx(reference, rel=1e-9)
 
 
 class TestSerialization:
