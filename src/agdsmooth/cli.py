@@ -119,9 +119,6 @@ def _cmd_verify(args) -> int:
         problem = dataclasses.replace(problem, ell_model=model_from_config(model_cfg))
     reports = run_all_checks(problem, trials=args.trials, seed=args.seed)
     payload = [asdict(r) for r in reports]
-    for entry in payload:
-        if entry["witness"] is not None:
-            entry["witness"] = json.loads(json.dumps(entry["witness"], default=list))
     out = args.out or str(output_dir() / f"{args.problem}-verify-report.json")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

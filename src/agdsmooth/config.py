@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, require_number
-from .problems import CATALOG_NAMES, Problem, catalog, default_x0
-from .smoothness import EllModel, model_from_config, select_delta
+from .problems import CATALOG_NAMES, catalog, default_x0
+from .smoothness import model_from_config, select_delta
 from .solvers import (
     RunResult,
     algorithm1_run,
@@ -106,6 +106,8 @@ _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
 
 
 def config_from_dict(obj: dict) -> RunConfig:
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"run config must be a JSON object, got {obj!r}")
     data = _expand_flat_keys(obj)
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
@@ -119,15 +121,25 @@ def config_from_dict(obj: dict) -> RunConfig:
     return cfg
 
 
+def _read_object(path: str | Path, what: str) -> dict:
+    """The JSON object held by the ``what`` file at ``path``; a missing or
+    unreadable file, invalid JSON or another value is a configuration error
+    that names the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{what} file {path} cannot be read: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} file {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} file {path} must hold a JSON object")
+    return raw
+
+
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
     """Read a JSON config file; ``overrides`` are ``key=json_value`` pairs
     from the command line and take precedence over file keys."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    raw = _read_object(path, "config")
     raw.update(parse_overrides(overrides or []))
     return config_from_dict(raw)
 
@@ -166,12 +178,6 @@ def output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _resolve_model(config: RunConfig, problem: Problem) -> EllModel:
-    if config.ell is None:
-        return problem.ell_model
-    return model_from_config(config.ell)
-
-
 def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dict]:
     """Run one configured experiment; write trace and summary files.
 
@@ -180,7 +186,7 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     """
     config.validate()
     problem = catalog(config.problem, config.problem_params)
-    model = _resolve_model(config, problem)
+    model = problem.ell_model if config.ell is None else model_from_config(config.ell)
     x0 = np.asarray(
         config.x0 if config.x0 is not None else default_x0(config.problem, problem.dim),
         dtype=float,
@@ -332,13 +338,12 @@ def sweep_from_dict(obj: dict) -> SweepSpec:
 
 
 def load_sweep(path: str | Path, overrides: list[str] | None = None) -> SweepSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"sweep file {path} is not valid JSON: {exc}")
+    raw = _read_object(path, "sweep")
+    base = raw.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigurationError(f"sweep file {path}: field 'base' must be a JSON object")
     if overrides:
-        base = raw.setdefault("base", {})
-        base.update(parse_overrides(overrides))
+        raw["base"] = {**base, **parse_overrides(overrides)}
     return sweep_from_dict(raw)
 
 

@@ -9,7 +9,7 @@ exact target.  Problems are immutable and evaluation is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -259,11 +259,11 @@ CATALOG_NAMES = tuple(sorted(_BUILDERS))
 
 # Natural starting points for runs when the config does not pin one.
 DEFAULT_X0 = {
-    "exp-experiment": (-6.0, -5.0),
+    "exp-experiment": lambda d: (-6.0, -5.0),
     "quadratic": lambda d: (1.0,) * d,
     "power-p": lambda d: (1.0,) * d,
     "neg-log-barrier": lambda d: (2.0,) * d,
-    "exp-1d": (3.0,),
+    "exp-1d": lambda d: (3.0,),
 }
 
 
@@ -291,21 +291,9 @@ def catalog(name: str, params: dict | None = None) -> Problem:
     if params:
         raise ConfigurationError(f"unknown problem param {next(iter(params))!r} for {name}")
     if not known:
-        problem = Problem(
-            name=problem.name,
-            dim=problem.dim,
-            domain=problem.domain,
-            ell_model=problem.ell_model,
-            fn=problem.fn,
-            optimum=None,
-            sample_lo=problem.sample_lo,
-            sample_hi=problem.sample_hi,
-        )
+        problem = replace(problem, optimum=None)
     return problem
 
 
 def default_x0(name: str, dim: int) -> np.ndarray:
-    entry = DEFAULT_X0[name]
-    if callable(entry):
-        return np.asarray(entry(dim), dtype=float)
-    return np.asarray(entry, dtype=float)
+    return np.asarray(DEFAULT_X0[name](dim), dtype=float)

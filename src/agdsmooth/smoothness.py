@@ -16,15 +16,17 @@ Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the q budget with its inverse and limit, the psi peak,
 the right crossing and its warm-start delta head.  The base holds the
 generic quadrature, the Newton q inverse and bisection; the module-level
-functions validate their arguments and dispatch to the model.  Models are
-immutable after construction (their psi geometry is computed once, on first
-use) and safe to share across threads.  ``math.inf`` is the extended-real
-sentinel for unbounded quantities (never a large finite float).
+functions validate their arguments and dispatch to the model, and
+``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
+Models are immutable after construction (their psi geometry is computed
+once, on first use) and safe to share across threads.  ``math.inf`` is the
+extended-real sentinel for unbounded quantities (never a large finite float).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -362,14 +364,8 @@ class CustomMonotone(EllModel):
         if s >= pts[-1][0]:
             return pts[-1][1]
         # linear interpolation within the bracketing segment
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= s:
-                lo = mid
-            else:
-                hi = mid
-        (s0, v0), (s1, v1) = pts[lo], pts[hi]
+        hi = bisect_right(pts, s, key=lambda p: p[0])
+        (s0, v0), (s1, v1) = pts[hi - 1], pts[hi]
         return v0 + (v1 - v0) * (s - s0) / (s1 - s0)
 
     def ell_sup(self) -> float:
@@ -453,10 +449,6 @@ def ell_eval(model: EllModel, s: float) -> float:
     return model.ell(s)
 
 
-def ell_zero(model: EllModel) -> float:
-    return ell_eval(model, 0.0)
-
-
 def psi_eval(model: EllModel, x: float) -> float:
     """Gap-to-gradient conversion curve psi(x) = x^2 / (2 ell(4 x))."""
     if x < 0 or math.isnan(x):
@@ -509,7 +501,7 @@ def admissible_delta(model: EllModel, delta: float) -> bool:
     """
     if delta < 0 or math.isnan(delta):
         raise DomainError(f"delta must be >= 0, got {delta}")
-    l0 = ell_zero(model)
+    l0 = ell_eval(model, 0.0)
     if math.isinf(delta):
         # admissible only if ell is bounded by 2 ell(0) everywhere
         return model.ell_sup() <= 2.0 * l0
@@ -557,6 +549,27 @@ def q_inverse(model: EllModel, r: float, a: float) -> float:
 
 # --- warm-start delta policy -------------------------------------------------
 
+def warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> str:
+    """Why ``delta`` cannot seed the warm start ("" if it can); the one
+    statement of the two-branch geometry that ``select_delta`` obeys."""
+    if not delta > 0:
+        return f"resolved delta {delta} is not positive"
+    if not math.isfinite(model.delta_max):
+        if admissible_delta(model, delta):
+            return ""
+        return f"delta {delta} fails the admissibility check"
+    if delta > model.psi_sup / 2.0:
+        return f"delta {delta} exceeds half the peak of psi"
+    left, right = delta_left_right(model, delta)
+    if ell_eval(model, 4.0 * left) > 2.0 * ell_eval(model, 0.0):
+        return "delta violates the small-curvature branch condition"
+    if m_bar is None:
+        return "superquadratic profile needs m_bar (gradient bound on the 2*r_bar ball)"
+    if right < 2.0 * m_bar:
+        return f"right crossing {right} is below 2*m_bar = {2 * m_bar}"
+    return ""
+
+
 def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> float:
     """Warm-start gap target for the given profile.
 
@@ -564,8 +577,8 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
     delta; the infinite sentinel tells the caller to skip the warm start.
     Otherwise the profile's ``delta_head`` sets the target.  A non-monotone
     psi additionally needs ``m_bar``, an upper bound on the gradient norm
-    over the ball of radius 2 r_bar around the optimum, and the returned
-    value is clipped until the two-branch geometry conditions hold.
+    over the ball of radius 2 r_bar around the optimum, and its target, at
+    most half the peak of psi, is halved until ``warm_start_refusal`` passes.
     """
     if not r_bar > 0:
         raise PreconditionError("r_bar must be positive")
@@ -578,11 +591,18 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
             "2*r_bar ball) is required to select delta"
         )
     delta = model.delta_head(r_bar, m_bar)
-    if superquadratic:
-        return _clip_to_branch_region(model, delta, m_bar)
-    if not admissible_delta(model, delta):
-        raise PreconditionError(f"internal: policy delta {delta} not admissible")
-    return delta
+    if not superquadratic:
+        if warm_start_refusal(model, delta, m_bar):
+            raise PreconditionError(f"internal: policy delta {delta} not admissible")
+        return delta
+    delta = min(delta, model.psi_sup / 2.0)
+    for _ in range(200):
+        if not warm_start_refusal(model, delta, m_bar):
+            return delta
+        delta *= 0.5
+    raise PreconditionError(
+        "could not find a delta satisfying the two-branch geometry conditions"
+    )
 
 
 def _admissible_boundary(model: EllModel) -> float:
@@ -600,19 +620,6 @@ def _admissible_boundary(model: EllModel) -> float:
         else:
             hi = mid
     return lo
-
-
-def _clip_to_branch_region(model: EllModel, delta: float, m_bar: float) -> float:
-    delta = min(delta, model.psi_sup / 2.0)
-    l0 = ell_zero(model)
-    for _ in range(200):
-        left, right = delta_left_right(model, delta)
-        if ell_eval(model, 4.0 * left) <= 2.0 * l0 and right >= 2.0 * m_bar:
-            return delta
-        delta *= 0.5
-    raise PreconditionError(
-        "could not find a delta satisfying the two-branch geometry conditions"
-    )
 
 
 # --- serialization ---------------------------------------------------------

@@ -36,14 +36,7 @@ from .errors import (
     SafetyViolationError,
 )
 from .problems import Problem, evaluate, project_closure
-from .smoothness import (
-    EllModel,
-    admissible_delta,
-    delta_left_right,
-    ell_eval,
-    ell_zero,
-    psi_inverse,
-)
+from .smoothness import EllModel, ell_eval, psi_inverse, warm_start_refusal
 
 LOG_3_2 = math.log(1.5)
 
@@ -236,6 +229,17 @@ class _Run:
         if self.strict:
             raise InvariantViolationError(message, flags=int(bit))
 
+    def phase(self, body, state: AgdState, *args) -> AgdState:
+        """``body(self, state, *args)``; a divergence in it names the flag
+        bits noted before it, which point at the likely cause."""
+        try:
+            return body(self, state, *args)
+        except SafetyViolationError as exc:
+            noted = [f.name for f in Flag if f and self.flags_total & f]
+            if not noted:
+                raise
+            raise SafetyViolationError(f"{exc}; flags noted before it: {', '.join(noted)}") from exc
+
     def take_pending(self) -> int:
         """The bits noted since the last call: one trace row's flags."""
         out = self.pending
@@ -388,7 +392,7 @@ def gd_run(
         raise ConfigurationError("gd_run needs epsilon > 0, r_bar > 0, budget >= 1")
     run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
     state, _ = run.start(x0)
-    state = _gd_phase(run, state, epsilon)
+    state = run.phase(_gd_phase, state, epsilon)
     return run.result(state, state.f_y - run.f_star if run.f_star is not None
                       else float(np.linalg.norm(state.grad_y)) * r_bar)
 
@@ -435,7 +439,7 @@ def _run_agd(
     f_star, x_star = run.f_star, run.x_star
     check_invariants, trace = run.check_invariants, run.trace
     oracle, note, take_pending = run.oracle, run.note, run.take_pending
-    l0 = ell_zero(model)
+    l0 = ell_eval(model, 0.0)
     rb2 = r_bar * r_bar
     adaptive = step_gamma_const is None
     superquadratic = math.isfinite(model.delta_max)
@@ -553,26 +557,6 @@ def _run_agd(
             take_pending()
 
 
-def _warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> str:
-    """Why ``delta`` cannot seed the warm start ("" if it can)."""
-    if not delta > 0:
-        return f"resolved delta {delta} is not positive"
-    if not math.isfinite(model.delta_max):
-        if admissible_delta(model, delta):
-            return ""
-        return f"delta {delta} fails the admissibility check"
-    if delta > model.psi_sup / 2.0:
-        return f"delta {delta} exceeds half the peak of psi"
-    left, right = delta_left_right(model, delta)
-    if ell_eval(model, 4.0 * left) > 2.0 * ell_zero(model):
-        return "delta violates the small-curvature branch condition"
-    if m_bar is None:
-        return "superquadratic profile needs m_bar (gradient bound on the 2*r_bar ball)"
-    if right < 2.0 * m_bar:
-        return f"right crossing {right} is below 2*m_bar = {2 * m_bar}"
-    return ""
-
-
 def algorithm1_run(
     problem: Problem,
     model: EllModel,
@@ -615,15 +599,15 @@ def algorithm1_run(
             delta = 2.0 * (state.f_y - f_star)
         else:
             delta = 2.0 * float(np.linalg.norm(state.grad_y)) * r_bar
-    refusal = _warm_start_refusal(model, delta, m_bar)
+    refusal = warm_start_refusal(model, delta, m_bar)
     if refusal:
         return run.refuse(refusal)
 
     state.gamma_cap = delta / r_bar**2
-    state = _gd_phase(run, state, delta / 2.0)
+    state = run.phase(_gd_phase, state, delta / 2.0)
     if run.termination == "budget":
         return run.result(state)
-    return run.result(_run_agd(run, state, epsilon, 1.0 / (2.0 * ell_zero(model))))
+    return run.result(run.phase(_run_agd, state, epsilon, 1.0 / (2.0 * ell_eval(model, 0.0))))
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -634,7 +618,7 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     The adaptive algorithm does not steer by it; every agd2 run reports it
     as ``warmup_bound`` in its result and summary.
     """
-    l0 = ell_zero(model)
+    l0 = ell_eval(model, 0.0)
     t0 = gamma_cap0 * r_bar**2
     if t0 >= model.psi_sup:
         raise ConfigurationError("gamma_cap0 * r_bar^2 is out of the psi range")
@@ -717,7 +701,7 @@ def algorithm2_run(
         except ConfigurationError:
             warmup = None
         state.gamma_cap = gamma_cap0
-        result = run.stationary(state) or run.result(_run_agd(run, state, epsilon, None))
+        result = run.stationary(state) or run.result(run.phase(_run_agd, state, epsilon, None))
         result.warmup_bound = warmup
     result.gamma_cap0 = gamma_cap0
     return result

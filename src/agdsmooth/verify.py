@@ -1,10 +1,11 @@
 """Stand-alone numeric validation of the inequalities the solvers rely on.
 
-Each check evaluates one inequality at concrete points and returns its
-margin (bound side minus sharp side), so a conforming implementation
-reports margins >= -tol.  Randomized sweeps drive the checks over many
-points and produce CheckReports; sweeps are seeded and reproducible, and
-reports record the seed and the worst margin even when passing.
+Each check evaluates one inequality at concrete points against the
+problem's claimed profile (``problem.ell_model``) and returns its margin
+(bound side minus sharp side), so a conforming implementation reports
+margins >= -tol.  Randomized sweeps drive the checks over many points
+through one loop, ``_sweep``, into CheckReports; they are seeded and
+reproducible, and record the seed and the worst margin even when passing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from scipy.integrate import quad
 from .errors import ConfigurationError, PreconditionError
 from .problems import Problem, evaluate, project_closure
 from .smoothness import (
-    EllModel,
     QUAD_REL_TOL,
     delta_left_right,
     ell_eval,
@@ -46,16 +46,22 @@ class CheckReport:
         return self.violations == 0
 
 
-def _margin_report(name, margins_witnesses, tol, seed) -> CheckReport:
-    worst = math.inf
-    witness = None
-    violations = 0
-    n = 0
-    for margin, wit in margins_witnesses:
+def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
+    """Run ``trial(rng)`` ``trials`` times on one generator seeded with
+    ``seed``.  A trial returns ``(margin, witness)``, or None to skip its
+    point; the report keeps the worst margin with its witness and counts
+    margins below ``-MARGIN_TOL`` as violations."""
+    rng = np.random.default_rng(seed)
+    worst, witness, violations, n = math.inf, None, 0, 0
+    for _ in range(trials):
+        out = trial(rng)
+        if out is None:
+            continue
+        margin, wit = out
         n += 1
         if margin < worst:
             worst, witness = margin, wit
-        if margin < -tol:
+        if margin < -MARGIN_TOL:
             violations += 1
     return CheckReport(
         name=name, trials=n, violations=violations,
@@ -102,9 +108,7 @@ def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> f
     return q_inverse(model, dist, a) - float(np.linalg.norm(gy - gx))
 
 
-def check_descent_step(
-    problem: Problem, model: EllModel, state: AgdState, step_gamma: float
-) -> float:
+def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> float:
     """Margin of the one-step certificate-decrease bound.
 
     Executes one accelerated step (``solvers.agd_step``) from ``state`` and
@@ -114,6 +118,7 @@ def check_descent_step(
     """
     if problem.optimum is None:
         raise PreconditionError("descent check needs a known optimum")
+    model = problem.ell_model
     gy = state.grad_y
     ny = float(np.linalg.norm(gy))
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
@@ -136,9 +141,7 @@ def check_descent_step(
     return rhs - lhs
 
 
-def check_gap_to_grad(
-    problem: Problem, model: EllModel, y: np.ndarray, delta: float
-) -> bool:
+def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
     """Two-branch gradient localization at gap level ``delta``.
 
     For a point with ``f(y) - f* <= delta`` (caller-verified) the gradient
@@ -146,6 +149,7 @@ def check_gap_to_grad(
     ``|g| >= delta_right(delta)``; with an everywhere-increasing psi the
     right branch is infinite and only the left bound remains.
     """
+    model = problem.ell_model
     if delta >= model.psi_sup:
         raise PreconditionError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
     left, right = delta_left_right(model, delta)
@@ -165,16 +169,12 @@ def _sample_interior(problem: Problem, rng: np.random.Generator) -> np.ndarray:
 def sweep_convexity_smoothness(
     problem: Problem, trials: int = 1000, seed: int = 0
 ) -> CheckReport:
-    rng = np.random.default_rng(seed)
+    def trial(rng):
+        x = _sample_interior(problem, rng)
+        y = _sample_interior(problem, rng)
+        return check_convexity_smoothness(problem, x, y), (tuple(x), tuple(y))
 
-    def gen():
-        for _ in range(trials):
-            x = _sample_interior(problem, rng)
-            y = _sample_interior(problem, rng)
-            margin = check_convexity_smoothness(problem, x, y)
-            yield margin, (tuple(x), tuple(y))
-
-    return _margin_report("convexity-smoothness", gen(), MARGIN_TOL, seed)
+    return _sweep("convexity-smoothness", trials, seed, trial)
 
 
 def sweep_gradient_transfer(
@@ -182,22 +182,19 @@ def sweep_gradient_transfer(
 ) -> CheckReport:
     """Pairs are shrunk toward x until they fit inside 0.9 q_max, which
     keeps them in the feasible set (it is convex)."""
-    rng = np.random.default_rng(seed)
     model = problem.ell_model
 
-    def gen():
-        for _ in range(trials):
-            x = _sample_interior(problem, rng)
-            y = _sample_interior(problem, rng)
-            _, gx = evaluate(problem, x)
-            budget = q_max(model, float(np.linalg.norm(gx)))
-            dist = float(np.linalg.norm(y - x))
-            if dist >= 0.9 * budget:
-                y = x + (y - x) * (0.9 * budget / dist) * rng.uniform(0.5, 1.0)
-            margin = check_gradient_transfer(problem, x, y)
-            yield margin, (tuple(x), tuple(y))
+    def trial(rng):
+        x = _sample_interior(problem, rng)
+        y = _sample_interior(problem, rng)
+        _, gx = evaluate(problem, x)
+        budget = q_max(model, float(np.linalg.norm(gx)))
+        dist = float(np.linalg.norm(y - x))
+        if dist >= 0.9 * budget:
+            y = x + (y - x) * (0.9 * budget / dist) * rng.uniform(0.5, 1.0)
+        return check_gradient_transfer(problem, x, y), (tuple(x), tuple(y))
 
-    return _margin_report("gradient-transfer", gen(), MARGIN_TOL, seed)
+    return _sweep("gradient-transfer", trials, seed, trial)
 
 
 def sweep_descent_step(
@@ -207,22 +204,20 @@ def sweep_descent_step(
     level log-uniform, step a random fraction of the safety cap."""
     if problem.optimum is None:
         raise PreconditionError("descent sweep needs a known optimum")
-    rng = np.random.default_rng(seed)
     model = problem.ell_model
 
-    def gen():
-        for _ in range(trials):
-            y = _sample_interior(problem, rng)
-            u = project_closure(problem.domain, _sample_interior(problem, rng))
-            f_y, g_y = evaluate(problem, y)
-            gcap = 10.0 ** rng.uniform(-3, 2)
-            cap = 1.0 / ell_eval(model, 2.0 * float(np.linalg.norm(g_y)))
-            gamma = cap * rng.uniform(0.05, 1.0)
-            state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y)
-            margin = check_descent_step(problem, model, state, gamma)
-            yield margin, (tuple(y), tuple(u), gcap, gamma)
+    def trial(rng):
+        y = _sample_interior(problem, rng)
+        u = project_closure(problem.domain, _sample_interior(problem, rng))
+        f_y, g_y = evaluate(problem, y)
+        gcap = 10.0 ** rng.uniform(-3, 2)
+        cap = 1.0 / ell_eval(model, 2.0 * float(np.linalg.norm(g_y)))
+        gamma = cap * rng.uniform(0.05, 1.0)
+        state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y)
+        margin = check_descent_step(problem, state, gamma)
+        return margin, (tuple(y), tuple(u), gcap, gamma)
 
-    return _margin_report("descent-step", gen(), MARGIN_TOL, seed)
+    return _sweep("descent-step", trials, seed, trial)
 
 
 def sweep_gap_to_grad(
@@ -232,21 +227,18 @@ def sweep_gap_to_grad(
     a level just above it (skipping points whose gap is out of psi range)."""
     if problem.optimum is None:
         raise PreconditionError("gap-to-gradient sweep needs a known optimum")
-    rng = np.random.default_rng(seed)
-    model = problem.ell_model
     f_star = problem.optimum.f_star
 
-    def gen():
-        for _ in range(trials):
-            y = _sample_interior(problem, rng)
-            f_y, _ = evaluate(problem, y)
-            delta = (f_y - f_star) * 1.0000001 + 1e-15
-            if delta >= model.psi_sup:
-                continue
-            ok = check_gap_to_grad(problem, model, y, delta)
-            yield (0.0 if ok else -1.0), (tuple(y), delta)
+    def trial(rng):
+        y = _sample_interior(problem, rng)
+        f_y, _ = evaluate(problem, y)
+        delta = (f_y - f_star) * 1.0000001 + 1e-15
+        if delta >= problem.ell_model.psi_sup:
+            return None
+        ok = check_gap_to_grad(problem, y, delta)
+        return (0.0 if ok else -1.0), (tuple(y), delta)
 
-    return _margin_report("gap-to-gradient", gen(), MARGIN_TOL, seed)
+    return _sweep("gap-to-gradient", trials, seed, trial)
 
 
 def run_all_checks(

@@ -331,7 +331,7 @@ def test_criterion_10_descent_audit(adaptive_reference_run):
     failures = []
     worst = math.inf
     for state, gamma in visited:
-        margin = check_descent_step(problem, model, state, gamma)
+        margin = check_descent_step(problem, state, gamma)
         scale = max(1.0, state.f_y - f_star)
         worst = min(worst, margin)
         if margin < -1e-9 * scale:
@@ -345,7 +345,7 @@ def test_criterion_10_descent_audit(adaptive_reference_run):
     for gcap in (0.1, 1.0, 7.3):
         state = AgdState(y=np.zeros(1), u=np.zeros(1), gamma_cap=gcap, k=0,
                          f_y=0.0, grad_y=np.zeros(1))
-        eq_margin = check_descent_step(quad, quad.ell_model, state, 1.0)
+        eq_margin = check_descent_step(quad, state, 1.0)
         if abs(eq_margin) > 1e-12:
             failures.append(f"equality-configuration margin {eq_margin!r} exceeds 1e-12")
     report(10, f"descent-bound audit over {len(visited)} visited states", failures)

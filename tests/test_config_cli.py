@@ -53,6 +53,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             config_from_dict({"problem": "nope"})
 
+    @pytest.mark.parametrize("obj", [[1, 2], 5, None])
+    def test_non_object_config_rejected(self, obj):
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            config_from_dict(obj)
+
     def test_overrides(self):
         got = parse_overrides(["epsilon=1e-8", "problem=exp-1d", "x0=[1.5]"])
         assert got == {"epsilon": 1e-8, "problem": "exp-1d", "x0": [1.5]}
@@ -358,6 +363,34 @@ class TestCli:
                              x0=[1.0, 1.0])
         assert main(["run", cfg]) == 4
         assert "'mu'" in capsys.readouterr().err
+
+    SCALAR_BASE = {"base": 5, "axis": "epsilon-quartering", "levels": 2}
+
+    LOADER_CASES = {
+        "run-missing-file": ("run", None, []),
+        "run-invalid-json": ("run", "{", []),
+        "sweep-missing-file": ("sweep", None, []),
+        "sweep-list-with-set": ("sweep", [1, 2], ["--set", "epsilon=1e-3"]),
+        "sweep-scalar-base": ("sweep", SCALAR_BASE, []),
+        "sweep-scalar-base-with-set": ("sweep", SCALAR_BASE, ["--set", "epsilon=1e-3"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOADER_CASES))
+    def test_unusable_input_file_exit_four_names_the_file(self, tmp_path, capsys, name):
+        command, payload, extra = self.LOADER_CASES[name]
+        path = tmp_path / "input.json"
+        if payload is not None:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        assert main([command, str(path), *extra]) == 4
+        assert str(path) in capsys.readouterr().err
+
+    def test_divergence_names_the_flags_noted_before_it(self, tmp_path, capsys):
+        # Gamma_0 = 1/64 is below the 2 (f0 - f*) / r0^2 = 93.1 floor; the
+        # breach shows as GRAD_ENVELOPE at k = 0, then y overflows
+        cfg = self.write_cfg(tmp_path, x0=[8.0], r_bar=8.0, gamma_cap0=1 / 64,
+                             problem_params={"known_optimum": False})
+        assert main(["run", cfg]) == 5
+        assert "GRAD_ENVELOPE" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_verify_without_trials_exit_four(self, tmp_path, trials):

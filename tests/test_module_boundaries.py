@@ -61,3 +61,15 @@ def test_no_profile_class_imports(name):
         if isinstance(node, ast.ImportFrom) for alias in node.names
     }
     assert not imported & (PROFILE_CLASSES - {"EllModel"}), f"{name} imports a profile class"
+
+
+def test_solvers_leaves_psi_geometry_to_smoothness():
+    # the warm-start predicate lives in smoothness, next to the psi geometry
+    # it reads; solvers asks it and does not restate it
+    path = Path(agdsmooth.__file__).parent / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not imported & {"admissible_delta", "delta_left_right"}

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import IntegrationWarning
 
 from agdsmooth import (
     Affine,
@@ -479,6 +480,25 @@ class TestQInverse:
         s = Falling().q_inverse(r, 0.0)
         assert bisections
         assert s == pytest.approx(math.sqrt(1.0 + 2.0 * r) - 1.0, rel=1e-13)
+
+    def test_inaccurate_increment_is_halved(self, monkeypatch):
+        # from a = 1.2e-7 the first Newton steps cross the cusp of s**0.125
+        # near 0, where quad misses QUAD_REL_TOL (and warns) until the
+        # increment is halved
+        steps = []
+        q_between = EllModel._q_between
+
+        def spy(self, s0, s1, a):
+            steps.append((s0, s1))
+            return q_between(self, s0, s1, a)
+
+        monkeypatch.setattr(EllModel, "_q_between", spy)
+        with pytest.warns(IntegrationWarning):
+            s = q_inverse(Power(0.125, 1.0, 2.0), 10.0, 1.2e-7)
+        assert any(b[0] == a[0] and b[1] - b[0] == 0.5 * (a[1] - a[0])
+                   for a, b in zip(steps, steps[1:]))
+        # 30 digits, computed with mpmath
+        assert s == pytest.approx(37.6847846041633855504752081385, rel=1e-12)
 
     def test_custom_inverse_by_hand(self):
         # from a = 0.7: 0.3 on the flat start, log(100) / 99 on the ramp,

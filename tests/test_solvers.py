@@ -20,6 +20,7 @@ from agdsmooth import (
     InvariantViolationError,
     Power,
     PreconditionError,
+    SafetyViolationError,
     agd_step,
     algorithm1_run,
     algorithm2_run,
@@ -169,6 +170,17 @@ class TestGdRun:
         assert res.converged
         dists = [r.dist_to_opt for r in res.trace]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
+
+    def test_gd_divergence_names_the_flags_noted_before_it(self):
+        # a claimed L = 0.5 on exp-1d: the first step overshoots the optimum
+        # (GD_MONOTONE) and the second overflows
+        p = catalog("exp-1d")
+        run = functools.partial(gd_run, p, Constant(0.5), np.array([3.0]), 1e-6, 8.0, 1000)
+        with pytest.raises(SafetyViolationError, match="GD_MONOTONE"):
+            run()
+        with pytest.raises(SafetyViolationError) as unchecked:
+            run(check_invariants=False)
+        assert "flags noted" not in str(unchecked.value)
 
 
 class TestSelectDelta:
@@ -370,6 +382,22 @@ class TestAlgorithm2:
         p = catalog("quadratic", {"L": 1.0, "d": 2, "known_optimum": False})
         res = algorithm2_run(p, p.ell_model, np.zeros(2), 1.0, 1.0, 1e-9, 100)
         assert res.converged and res.achieved_gap == 0.0 and res.oracle_calls == 1
+
+    def test_divergence_names_the_flags_noted_before_it(self):
+        # Gamma_0 = 1/64 is below the 2 (f0 - f*) / r0^2 = 93.1 floor: the
+        # breach shows as GRAD_ENVELOPE at k = 0, then y overflows
+        p = catalog("exp-1d", {"known_optimum": False})
+        run = functools.partial(algorithm2_run, p, p.ell_model, np.array([8.0]),
+                                1 / 64, 8.0, 1e-6, 1000)
+        with pytest.raises(SafetyViolationError, match="GRAD_ENVELOPE") as observed:
+            run()
+        with pytest.raises(SafetyViolationError) as unchecked:
+            run(check_invariants=False)
+        assert "flags noted" not in str(unchecked.value)
+        assert str(observed.value).startswith(str(unchecked.value))
+        with pytest.raises(InvariantViolationError) as strict:
+            run(strict=True)
+        assert strict.value.flags == Flag.GRAD_ENVELOPE
 
     def test_warmup_bound_is_smallest(self):
         model = Affine(3.301, 1.0)

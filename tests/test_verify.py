@@ -1,6 +1,7 @@
 """Inequality checks: pointwise cases with hand oracles, plus sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestDescentStep:
         p = catalog("quadratic", {"L": 1.0, "d": 1})
         for gcap in (0.1, 1.0, 7.3):
             state = make_state(p, [0.0], [0.0], gcap)
-            margin = check_descent_step(p, p.ell_model, state, 1.0)
+            margin = check_descent_step(p, state, 1.0)
             assert abs(margin) <= 1e-12
 
     def test_hand_computed_margin(self):
@@ -118,7 +119,7 @@ class TestDescentStep:
         # and the margin rhs - lhs = 1/4 + sqrt(2)/8.
         p = catalog("quadratic", {"L": 1.0, "d": 1})
         state = make_state(p, [1.0], [1.0], 1.0)
-        margin = check_descent_step(p, p.ell_model, state, 0.5)
+        margin = check_descent_step(p, state, 0.5)
         expected = 0.25 + math.sqrt(2.0) / 8.0
         assert margin == pytest.approx(expected, rel=1e-12)
         assert margin >= 0.0
@@ -127,14 +128,14 @@ class TestDescentStep:
         p = catalog("exp-1d", {})
         state = make_state(p, [1.0], [1.0], 1.0)
         with pytest.raises(PreconditionError):
-            check_descent_step(p, p.ell_model, state, 1.0)  # cap is 1/ell(2|g|) < 1
+            check_descent_step(p, state, 1.0)  # cap is 1/ell(2|g|) < 1
 
     def test_unknown_optimum_precondition(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
         state = AgdState(y=np.ones(1), u=np.ones(1), gamma_cap=1.0, k=0,
                          f_y=0.5, grad_y=np.ones(1))
         with pytest.raises(PreconditionError):
-            check_descent_step(p, p.ell_model, state, 0.5)
+            check_descent_step(p, state, 0.5)
 
     @pytest.mark.parametrize("name", ["quadratic", "exp-1d", "exp-experiment"])
     def test_random_state_sweeps(self, name):
@@ -146,20 +147,19 @@ class TestDescentStep:
 class TestGapToGrad:
     def test_at_optimum_true(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        assert check_gap_to_grad(p, p.ell_model, np.zeros(1), 0.123)
+        assert check_gap_to_grad(p, np.zeros(1), 0.123)
 
     def test_quadratic_boundary_tight(self):
         # gap delta at y means |y| = sqrt(2 delta) = psi_inverse(delta) exactly
         p = catalog("quadratic", {"L": 1.0, "d": 1})
         delta = 0.08
         y = np.array([math.sqrt(2 * delta)])
-        assert check_gap_to_grad(p, p.ell_model, y, delta)
+        assert check_gap_to_grad(p, y, delta)
 
     def test_two_branch_disjunction_superquadratic_claim(self):
         # a quadratic with L = 1 is also majorized by 1 + s^3; points with
         # gap <= 0.01 must sit on the left branch of that profile
-        p = catalog("quadratic", {"L": 1.0, "d": 2})
-        model = Power(3, 1, 1)
+        p = replace(catalog("quadratic", {"L": 1.0, "d": 2}), ell_model=Power(3, 1, 1))
         rng = np.random.default_rng(0)
         checked = 0
         for _ in range(200):
@@ -168,15 +168,14 @@ class TestGapToGrad:
             gap = f - 0.0
             if gap > 0.01:
                 continue
-            assert check_gap_to_grad(p, model, y, 0.01)
+            assert check_gap_to_grad(p, y, 0.01)
             checked += 1
         assert checked > 50
 
     def test_delta_out_of_range(self):
-        p = catalog("quadratic", {"L": 1.0, "d": 1})
-        model = Power(3, 1, 1)
+        p = replace(catalog("quadratic", {"L": 1.0, "d": 1}), ell_model=Power(3, 1, 1))
         with pytest.raises(PreconditionError):
-            check_gap_to_grad(p, model, np.zeros(1), 0.02)
+            check_gap_to_grad(p, np.zeros(1), 0.02)
 
     def test_sweep_all_catalog(self):
         for name in CATALOG_NAMES:
