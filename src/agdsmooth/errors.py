@@ -46,7 +46,8 @@ class SafetyViolationError(RuntimeError):
 class InvariantViolationError(RuntimeError):
     """A runtime certificate failed while running in strict mode.  Every
     strict-mode flag bit raises it, ``GD_MONOTONE`` included, with the bit
-    in ``flags``."""
+    in ``flags`` and the message ``"<FLAG> broken at k=<k>: <value> >
+    <bound>"``, the two sides of the inequality that failed."""
 
     def __init__(self, message: str, flags: int = 0):
         super().__init__(message)

@@ -123,7 +123,13 @@ class EllModel:
         )
 
     def q(self, s: float, a: float) -> float:
-        return self._q_between(0.0, s, a)[0]
+        """One quadrature per dyadic bracket [0, 1], [1, 2], [2, 4], ...; a
+        single one across many decades can be far off."""
+        total, lo, hi = 0.0, 0.0, 1.0
+        while lo < s:
+            total += self._q_between(lo, min(hi, s), a)[0]
+            lo, hi = hi, 2.0 * hi
+        return total
 
     def q_max(self, a: float) -> float:
         return math.inf
@@ -252,7 +258,10 @@ class Power(EllModel):
             raise ConfigurationError(f"Power profile needs L1 >= 0, got {self.L1}")
 
     def ell(self, s: float) -> float:
-        return self.L0 + self.L1 * s**self.rho
+        try:
+            return self.L0 + self.L1 * s**self.rho
+        except OverflowError:
+            return self.L0 if self.L1 == 0 else math.inf
 
     @property
     def _flat(self) -> bool:
@@ -264,7 +273,14 @@ class Power(EllModel):
 
     def delta_head(self, r_bar: float, m_bar: float | None) -> float:
         rho, L0, L1 = self.rho, self.L0, self.L1
-        head = L0 ** (2.0 / rho - 1.0) / L1 ** (2.0 / rho)
+        try:
+            head = L0 ** (2.0 / rho - 1.0) / L1 ** (2.0 / rho)
+        except (OverflowError, ZeroDivisionError):
+            # a power left the float range; the ratio form may stay inside
+            try:
+                head = (L0 / L1) ** (2.0 / rho) / L0
+            except OverflowError:
+                head = math.inf
         if rho <= 2:
             return min(head, L0 * r_bar**2) / 64.0
         return min(head, L0 / L1**2, (1.0 / (2.0 * m_bar)) ** (rho - 2.0) / L1, L0 * r_bar**2)
@@ -309,7 +325,7 @@ class Power(EllModel):
         if self.rho == 2:
             c = math.sqrt(self.L1 / self.L0)
             return (math.pi / 2.0 - math.atan(c * a)) / math.sqrt(self.L0 * self.L1)
-        return super().q(math.inf, a)
+        return self._q_between(0.0, math.inf, a)[0]
 
     def q_inverse(self, r: float, a: float) -> float:
         if self.rho == 2 and self.L1 > 0:
@@ -513,7 +529,7 @@ def q_eval(model: EllModel, s: float, a: float) -> float:
 
     Closed forms cover the constant, affine, quadratic-power and
     piecewise-linear profiles; a general power profile goes through adaptive
-    quadrature at 1e-10 relative.
+    quadrature at 1e-10 relative, one per dyadic bracket of s.
     """
     if s < 0 or a < 0 or math.isnan(s) or math.isnan(a):
         raise DomainError(f"q needs s, a >= 0, got s={s}, a={a}")
@@ -575,27 +591,22 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
 
     Constant-like profiles (bounded by 2 ell(0) everywhere) admit every
     delta; the infinite sentinel tells the caller to skip the warm start.
-    Otherwise the profile's ``delta_head`` sets the target.  A non-monotone
-    psi additionally needs ``m_bar``, an upper bound on the gradient norm
-    over the ball of radius 2 r_bar around the optimum, and its target, at
-    most half the peak of psi, is halved until ``warm_start_refusal`` passes.
+    Otherwise the profile's ``delta_head``, capped at half the peak of psi,
+    is halved until ``warm_start_refusal`` passes: a head on the edge of
+    admissibility can fail it by a rounding.  A non-monotone psi also needs
+    ``m_bar``, an upper bound on the gradient norm over the ball of radius
+    2 r_bar around the optimum.
     """
     if not r_bar > 0:
         raise PreconditionError("r_bar must be positive")
     if admissible_delta(model, math.inf):
         return math.inf
-    superquadratic = math.isfinite(model.delta_max)
-    if superquadratic and m_bar is None:
+    if math.isfinite(model.delta_max) and m_bar is None:
         raise ConfigurationError(
             "this profile has a non-monotone psi; m_bar (gradient bound on the "
             "2*r_bar ball) is required to select delta"
         )
-    delta = model.delta_head(r_bar, m_bar)
-    if not superquadratic:
-        if warm_start_refusal(model, delta, m_bar):
-            raise PreconditionError(f"internal: policy delta {delta} not admissible")
-        return delta
-    delta = min(delta, model.psi_sup / 2.0)
+    delta = min(model.delta_head(r_bar, m_bar), model.psi_sup / 2.0)
     for _ in range(200):
         if not warm_start_refusal(model, delta, m_bar):
             return delta

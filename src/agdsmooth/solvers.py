@@ -15,8 +15,9 @@ Two accelerated variants share one primal-dual step:
 The auxiliary sequence ``Gamma_{k+1} = Gamma_k / (1 + alpha_k)`` with
 ``alpha_k = sqrt(gamma Gamma_k)`` certifies the gap at every iteration:
 ``f(y_k) - f* <= Gamma_k * rbar^2``, and decays like ``9 / (gamma k^2)``.
-Certificates are recomputed at run time and violations either abort
-(strict mode) or set per-iteration flag bits (observe mode).
+Certificates are recomputed at run time, each one ``_Run.note`` of
+``value <= bound``; a violation either aborts (strict mode) or sets its
+flag bit in the iteration's trace row (observe mode).
 """
 
 from __future__ import annotations
@@ -176,9 +177,10 @@ class _Run:
     """One run's context, shared by its GD and accelerated phases.
 
     Holds the counted oracle, the optimum (``f_star``/``x_star``, None when
-    withheld), r_bar, the oracle-call budget, the invariant flags, the trace
-    (None when off) and the GD iteration count.  A phase that stops on the
-    budget sets ``termination``, and one that stops on a saturated level
+    withheld), r_bar, the oracle-call budget, ``flags_total`` (the OR of
+    every bit ``note`` returns; the loops OR them into their own rows), the
+    trace (None when off) and the GD iteration count.  A phase that stops on
+    the budget sets ``termination``, and one that stops on a saturated level
     sets ``message``; ``result`` and ``refuse`` build the RunResult.
     """
 
@@ -197,7 +199,6 @@ class _Run:
         self.calls = 0
         self.gd_iters = 0
         self.flags_total = 0
-        self.pending = 0
         self.termination = "converged"
         self.message = ""
 
@@ -218,16 +219,19 @@ class _Run:
             refusal = "r_bar is below the true initial distance"
         return AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), refusal
 
-    def note(self, bit: Flag, ok: bool, message: str) -> None:
-        """Record ``bit`` unless ``ok``; in strict mode a breach raises."""
-        if ok:
-            return
+    def note(self, bit: Flag, k: int, value: float, bound: float) -> int:
+        """The certificate ``value <= bound`` at iteration ``k``: 0 if it
+        holds, else ``bit``, which also joins ``flags_total``.  In strict
+        mode a breach raises, naming the flag, k and both sides."""
+        if value <= bound:
+            return 0
         # plain ints throughout: IntFlag instances stringify as names on
         # some interpreters, which would corrupt the CSV flags column
-        self.pending = int(self.pending | bit)
         self.flags_total = int(self.flags_total | bit)
         if self.strict:
-            raise InvariantViolationError(message, flags=int(bit))
+            raise InvariantViolationError(f"{bit.name} broken at k={k}: {value} > {bound}",
+                                          flags=int(bit))
+        return int(bit)
 
     def phase(self, body, state: AgdState, *args) -> AgdState:
         """``body(self, state, *args)``; a divergence in it names the flag
@@ -239,12 +243,6 @@ class _Run:
             if not noted:
                 raise
             raise SafetyViolationError(f"{exc}; flags noted before it: {', '.join(noted)}") from exc
-
-    def take_pending(self) -> int:
-        """The bits noted since the last call: one trace row's flags."""
-        out = self.pending
-        self.pending = 0
-        return out
 
     def result(self, state: AgdState, achieved: float | None = None) -> RunResult:
         """The converged or budget result at ``state``.  The achieved gap
@@ -348,17 +346,12 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
         run.gd_iters += 1
+        flags = 0
         if x_star is not None:
             dist_next = float(np.linalg.norm(x - x_star))
             if run.check_invariants:
-                run.note(
-                    Flag.GD_MONOTONE,
-                    dist_next <= dist * (1.0 + 1e-12),
-                    f"GD distance to optimum increased at iteration {run.gd_iters}: "
-                    f"{dist} -> {dist_next}",
-                )
+                flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
             dist = dist_next
-        flags = run.take_pending()
         if trace is not None:
             trace.append(TraceRecord(
                 k=run.gd_iters, phase="gd",
@@ -438,7 +431,7 @@ def _run_agd(
     problem, model, r_bar, budget = run.problem, run.model, run.r_bar, run.budget
     f_star, x_star = run.f_star, run.x_star
     check_invariants, trace = run.check_invariants, run.trace
-    oracle, note, take_pending = run.oracle, run.note, run.take_pending
+    oracle, note = run.oracle, run.note
     l0 = ell_eval(model, 0.0)
     rb2 = r_bar * r_bar
     adaptive = step_gamma_const is None
@@ -477,68 +470,41 @@ def _run_agd(
                 envelope_x = psi_inverse(model, t)
                 step_gamma = 1.0 / ell_eval(model, 4.0 * envelope_x)
 
+        # bits noted before a budget exit reach only flags_total
+        flags, k = 0, state.k
         if check_invariants:
             if not adaptive:
-                region = ell_eval(model, 4.0 * grad_norm)
-                note(
-                    Flag.WARM_REGION,
-                    region <= 2.0 * l0 * (1.0 + 1e-12),
-                    f"small-curvature region left at k={state.k}: "
-                    f"ell(4|g|)={region} > 2 ell(0)={2 * l0}",
-                )
+                flags |= note(Flag.WARM_REGION, k, ell_eval(model, 4.0 * grad_norm),
+                              2.0 * l0 * (1.0 + 1e-12))
             elif envelope_x is not None:
-                note(
-                    Flag.GRAD_ENVELOPE,
-                    grad_norm <= envelope_x * (1.0 + 1e-9) + 1e-15,
-                    f"gradient envelope broken at k={state.k}: "
-                    f"|g|={grad_norm} > psi_inverse={envelope_x}",
-                )
+                flags |= note(Flag.GRAD_ENVELOPE, k, grad_norm, envelope_x * (1.0 + 1e-9) + 1e-15)
             if superquadratic and x_star is not None:
                 dy = float(np.linalg.norm(state.y - x_star))
                 du = float(np.linalg.norm(state.u - x_star))
-                note(
-                    Flag.BALL_CONFINEMENT,
-                    max(dy, du) <= 2.0 * r_bar * (1.0 + 1e-12),
-                    f"iterate left the 2*r_bar ball at k={state.k}",
-                )
-            note(
-                Flag.STEP_SAFETY,
-                step_gamma <= (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm),
-                f"step size above the safety cap at k={state.k}",
-            )
+                flags |= note(Flag.BALL_CONFINEMENT, k, max(dy, du), 2.0 * r_bar * (1.0 + 1e-12))
+            flags |= note(Flag.STEP_SAFETY, k, step_gamma,
+                          (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm))
 
         if run.calls >= budget:
             run.termination = "budget"
             return state
 
         alpha = math.sqrt(step_gamma * state.gamma_cap)
-        prev_k = state.k
         state = agd_step(state, step_gamma, problem, _eval=oracle)
         v_new = lyapunov(state, f_star, x_star) if track_v else None
 
         if check_invariants:
             if f_star is not None:
-                new_gap = state.f_y - f_star
-                note(
-                    Flag.CERTIFIED_GAP,
-                    new_gap <= state.gamma_cap * rb2 + 1e-9 * gap_scale,
-                    f"certified gap bound broken at k={state.k}: "
-                    f"gap={new_gap} > bound={state.gamma_cap * rb2}",
-                )
+                flags |= note(Flag.CERTIFIED_GAP, state.k, state.f_y - f_star,
+                              state.gamma_cap * rb2 + 1e-9 * gap_scale)
             if x_star is not None:
-                note(
-                    Flag.LYAPUNOV,
-                    v_new <= v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev),
-                    f"certificate function failed to contract at k={state.k}",
-                )
+                flags |= note(Flag.LYAPUNOV, state.k, v_new,
+                              v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev))
                 v_prev = v_new
-            if kbar_value is not None and prev_k - k0 >= kbar_value:
-                env = gamma_envelope(prev_k - k0, step_gamma_const, kbar_value)
-                note(
-                    Flag.GAMMA_ENVELOPE,
-                    state.gamma_cap <= env + 4.0 * math.ulp(env),
-                    f"gamma_cap exceeded its certified envelope at k={state.k}",
-                )
+            if kbar_value is not None and k - k0 >= kbar_value:
+                env = gamma_envelope(k - k0, step_gamma_const, kbar_value)
+                flags |= note(Flag.GAMMA_ENVELOPE, state.k, state.gamma_cap,
+                              env + 4.0 * math.ulp(env))
 
         if trace is not None:
             trace.append(TraceRecord(
@@ -551,10 +517,8 @@ def _run_agd(
                 dist_to_opt=None if x_star is None else float(np.linalg.norm(state.y - x_star)),
                 bound_gap=state.gamma_cap * rb2,
                 lyapunov=v_new,
-                flags=take_pending(),
+                flags=flags,
             ))
-        else:
-            take_pending()
 
 
 def algorithm1_run(

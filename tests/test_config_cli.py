@@ -398,6 +398,36 @@ class TestCli:
         code = main(["verify", "quadratic", "claimed", "--trials", trials, "--out", str(out)])
         assert code == 4 and not out.exists()
 
+    # claims whose run once ended in a traceback (exit 1) or an "internal"
+    # refusal of the policy delta (exit 3); each now exits with a typed code
+    EDGE_CLAIMS = {
+        "affine-head-on-the-edge": (
+            {"algorithm": "agd1", "problem": "exp-1d",
+             "ell": {"kind": "affine", "L0": 3.4, "L1": 5.9}}, 0),
+        "power-ell-overflow": (
+            {"algorithm": "gd", "problem": "quadratic",
+             "ell": {"kind": "power", "rho": 3, "L0": 0.2205441513385468, "L1": 0},
+             "r_bar": 48.071779500596016, "epsilon": 9.113564270571782e-06,
+             "budget": 2000}, 5),
+        "power-head-overflow": (
+            {"algorithm": "agd1", "problem": "exp-1d",
+             "ell": {"kind": "power", "rho": 0.01, "L0": 1000, "L1": 1}}, 0),
+        "power-head-underflow": (
+            {"algorithm": "agd1", "problem": "quadratic",
+             "ell": {"kind": "power", "rho": 0.01, "L0": 8.832141718368205e-05,
+                     "L1": 0.0006041257682572129},
+             "x0": [8.21, -8.22], "budget": 1}, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CLAIMS))
+    def test_edge_claims_exit_typed(self, tmp_path, capsys, name):
+        payload, code = self.EDGE_CLAIMS[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path)]) == code
+        if code == 5:
+            assert "GD_MONOTONE" in capsys.readouterr().err
+
     def test_start_overflow_exit_four(self, tmp_path):
         cfg = self.write_cfg(tmp_path, problem="exp-experiment", x0=[-800.0, 0.0],
                              r_bar=1e3, gamma_cap0=1e6)

@@ -110,6 +110,11 @@ class TestEllEval:
         with pytest.raises(ConfigurationError):
             CustomMonotone(points=((1.0, 1.0),))  # must start at s=0
 
+    def test_power_overflow_is_an_unbounded_profile(self):
+        # s**rho past the float range: ell is inf, or L0 on a flat claim
+        assert ell_eval(Power(3, 0.5, 1), 1e200) == math.inf
+        assert ell_eval(Power(3, 0.5, 0), 1e200) == 0.5
+
 
 class TestPsi:
     def test_constant_by_hand(self):
@@ -320,6 +325,14 @@ class TestQ:
         assert q_max(Affine(1, 5), 0) == math.inf
         assert q_max(Constant(3), 17) == math.inf
         assert q_max(DIPPING_CUSTOM, 0.0) == math.inf
+
+    def test_quadrature_across_many_decades(self):
+        # one quadrature over [0, 8.5e7] read -0.816; the references are
+        # 40-digit mpmath values
+        model = Power(1.125, 1, 1)
+        assert q_eval(model, 8.5e7, 0) == pytest.approx(7.34838406083305927836959830964,
+                                                        rel=1e-12)
+        assert q_max(model, 0) == pytest.approx(8.16480215474298512, rel=1e-11)
 
     def test_q_max_analytic_power(self):
         # int_0^inf dv / (1 + v^p) = pi / (p sin(pi / p))

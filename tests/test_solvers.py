@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from agdsmooth import (
     warmup_iterations_bound,
 )
 from agdsmooth.config import config_from_dict, execute
+from agdsmooth.smoothness import warm_start_refusal
 from agdsmooth.solvers import TRACE_HEADER, format_trace_row
 
 
@@ -158,6 +160,20 @@ class TestGdRun:
             gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20, strict=True)
         assert err.value.flags == Flag.GD_MONOTONE == 128
 
+    def test_strict_message_states_both_sides(self):
+        # the strict run stops at the first row the observed run flags, and
+        # its message carries that row's distance and the bound it broke
+        p = catalog("quadratic", {})
+        observed = gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20)
+        with pytest.raises(InvariantViolationError) as err:
+            gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20, strict=True)
+        match = re.fullmatch(r"GD_MONOTONE broken at k=(\d+): (\S+) > (\S+)", str(err.value))
+        assert match is not None, str(err.value)
+        first = observed.trace[0]
+        assert first.flags == Flag.GD_MONOTONE and int(match[1]) == first.k == 1
+        assert float(match[2]) == first.dist_to_opt
+        assert float(match[3]) == math.sqrt(2.0) * (1.0 + 1e-12) < float(match[2])
+
     def test_certificate_stop_without_optimum(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
         res = gd_run(p, p.ell_model, np.array([1.0]), 0.1, 1.0, budget=100)
@@ -223,6 +239,28 @@ class TestSelectDelta:
         left, right = delta_left_right(DIPPING_CUSTOM, delta)
         assert ell_eval(DIPPING_CUSTOM, 4 * left) <= 2 * ell_eval(DIPPING_CUSTOM, 0)
         assert right >= 1.0
+
+    def test_head_on_the_admissibility_edge_is_halved(self):
+        # L0 / (64 L1^2) sits exactly on the edge, so rounding can put
+        # ell(8 sqrt(delta L0)) a hair above 2 ell(0): the policy halves
+        # such a head as it does every refused one
+        grid = [float(v) for v in np.logspace(-3, 3, 25)]
+        for L0 in grid:
+            for L1 in grid:
+                for model in (Affine(L0, L1), *(Power(rho, L0, L1) for rho in (0.5, 1, 1.5, 2))):
+                    head = model.delta_head(1e6, None)
+                    delta = select_delta(model, 1e6)
+                    assert not warm_start_refusal(model, delta, None), model
+                    assert delta in (head, head / 2), model
+
+    def test_power_head_outside_the_float_range(self):
+        # L0**(2/rho - 1) overflows, L1**(2/rho) underflows, or both; the
+        # head is then (L0/L1)**(2/rho) / L0, or inf past the float range
+        assert Power(0.01, 1e3, 1e3).delta_head(1e6, None) == pytest.approx(1e-3 / 64)
+        assert Power(0.01, 1e3, 1.0).delta_head(1.0, None) == 1e3 / 64
+        tiny = Power(0.01, 8.832141718368205e-05, 0.0006041257682572129)
+        assert tiny.delta_head(1.0, None) == pytest.approx(
+            (tiny.L0 / tiny.L1) ** 200 / tiny.L0 / 64, rel=1e-12)
 
 
 class TestAlgorithm1:
@@ -398,6 +436,17 @@ class TestAlgorithm2:
         with pytest.raises(InvariantViolationError) as strict:
             run(strict=True)
         assert strict.value.flags == Flag.GRAD_ENVELOPE
+
+    def test_bits_noted_before_a_budget_exit_reach_only_the_total(self):
+        # the pre-step breaches at k = 0 are noted, then the budget of one
+        # call (spent at x0) stops the run before any row is recorded
+        p = catalog("exp-1d", {"known_optimum": False})
+        res = algorithm2_run(p, p.ell_model, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1)
+        assert res.termination == "budget" and res.trace == []
+        assert res.flags_total == Flag.GRAD_ENVELOPE | Flag.STEP_SAFETY
+        first_breach = r"^GRAD_ENVELOPE broken at k=0: \S+ > \S+$"
+        with pytest.raises(InvariantViolationError, match=first_breach):
+            algorithm2_run(p, p.ell_model, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1, strict=True)
 
     def test_warmup_bound_is_smallest(self):
         model = Affine(3.301, 1.0)
