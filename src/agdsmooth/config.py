@@ -64,7 +64,7 @@ class RunConfig:
                 f"config field 'problem': unknown problem {self.problem!r}; "
                 f"available: {', '.join(CATALOG_NAMES)}"
             )
-        if not (isinstance(self.budget, int) and self.budget >= 1):
+        if isinstance(self.budget, bool) or not (isinstance(self.budget, int) and self.budget >= 1):
             raise ConfigurationError("config field 'budget': must be an integer >= 1")
         for name in ("epsilon", "r_bar", "delta", "gamma_cap0", "m_bar"):
             value = getattr(self, name)
@@ -112,10 +112,11 @@ def config_from_dict(obj: dict) -> RunConfig:
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    if "budget" in data and isinstance(data["budget"], float):
-        if data["budget"] != int(data["budget"]):
+    budget = data.get("budget")
+    if isinstance(budget, float):  # an integral float; inf and nan are not
+        if not budget.is_integer():
             raise ConfigurationError("config field 'budget': must be an integer")
-        data["budget"] = int(data["budget"])
+        data["budget"] = int(budget)
     cfg = RunConfig(**data)
     cfg.validate()
     return cfg
@@ -316,8 +317,8 @@ class SweepSpec:
                     "sweep field 'levels': scaling studies need an integer >= 2"
                 )
         else:
-            if not self.values:
-                raise ConfigurationError("sweep field 'values': a non-empty grid is required")
+            if not (isinstance(self.values, list) and self.values):
+                raise ConfigurationError("sweep field 'values': a non-empty JSON list is required")
 
 
 def sweep_from_dict(obj: dict) -> SweepSpec:

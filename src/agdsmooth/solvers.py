@@ -17,13 +17,15 @@ The auxiliary sequence ``Gamma_{k+1} = Gamma_k / (1 + alpha_k)`` with
 ``f(y_k) - f* <= Gamma_k * rbar^2``, and decays like ``9 / (gamma k^2)``.
 Certificates are recomputed at run time, each one ``_Run.note`` of
 ``value <= bound``; a violation either aborts (strict mode) or sets its
-flag bit in the iteration's trace row (observe mode).
+flag bit in the iteration's trace row (observe mode).  ``_Run`` keeps the
+run's record: it checks epsilon, r_bar and the budget, states the gap rule
+(``gap``) and makes every trace row (``row``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntFlag
 from typing import Callable
 
@@ -121,30 +123,18 @@ class TraceRecord:
     flags: int
 
 
-TRACE_HEADER = "k,phase,f_gap,grad_norm,gamma_cap,alpha,step_gamma,dist_to_opt,bound_gap,lyapunov,flags"
-
-
-def _fmt(v: float | None) -> str:
-    # repr of a python float is the shortest round-trip decimal
-    return "" if v is None else repr(float(v))
+# each column as (name, printed as a float); a float cell is the repr of a
+# python float, the shortest round-trip decimal, and None is an empty cell
+_COLUMNS = tuple((col.name, col.type not in ("int", "str")) for col in fields(TraceRecord))
+TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def format_trace_row(rec: TraceRecord) -> str:
-    return ",".join(
-        (
-            str(rec.k),
-            rec.phase,
-            _fmt(rec.f_gap),
-            _fmt(rec.grad_norm),
-            _fmt(rec.gamma_cap),
-            _fmt(rec.alpha),
-            _fmt(rec.step_gamma),
-            _fmt(rec.dist_to_opt),
-            _fmt(rec.bound_gap),
-            _fmt(rec.lyapunov),
-            str(rec.flags),
-        )
-    )
+    cells = []
+    for name, is_float in _COLUMNS:
+        v = getattr(rec, name)
+        cells.append(str(v) if not is_float else "" if v is None else repr(float(v)))
+    return ",".join(cells)
 
 
 def write_trace_csv(path, records: list[TraceRecord]) -> None:
@@ -174,23 +164,29 @@ class RunResult:
 
 
 class _Run:
-    """One run's context, shared by its GD and accelerated phases.
+    """One run's context and record, shared by its GD and accelerated phases.
 
     Holds the counted oracle, the optimum (``f_star``/``x_star``, None when
-    withheld), r_bar, the oracle-call budget, ``flags_total`` (the OR of
-    every bit ``note`` returns; the loops OR them into their own rows), the
-    trace (None when off) and the GD iteration count.  A phase that stops on
-    the budget sets ``termination``, and one that stops on a saturated level
+    withheld), epsilon, r_bar and the oracle-call budget (checked here for
+    every run function), ``flags_total`` (the OR of every bit ``note``
+    returns), the trace (None when off; ``row`` makes each row) and the GD
+    iteration count.  ``gap`` is the gap rule.  A phase that stops on the
+    budget sets ``termination``, and one that stops on a saturated level
     sets ``message``; ``result`` and ``refuse`` build the RunResult.
     """
 
-    def __init__(self, problem: Problem, model: EllModel, r_bar: float, budget: int,
-                 check_invariants: bool, strict: bool, collect_trace: bool):
+    def __init__(self, problem: Problem, model: EllModel, epsilon: float, r_bar: float,
+                 budget: int, check_invariants: bool, strict: bool, collect_trace: bool):
+        # r_bar scales every certificate, so it must be finite too
+        if not (epsilon > 0 and 0 < r_bar < math.inf and budget >= 1):
+            raise ConfigurationError(
+                "a run needs epsilon > 0, a finite r_bar > 0 and budget >= 1")
         opt = problem.optimum
         self.problem = problem
         self.model = model
         self.f_star = opt.f_star if opt is not None else None
         self.x_star = opt.x_star if opt is not None else None
+        self.epsilon = epsilon
         self.r_bar = r_bar
         self.budget = budget
         self.check_invariants = check_invariants
@@ -218,6 +214,28 @@ class _Run:
                 and float(np.linalg.norm(x0 - self.x_star)) > self.r_bar * (1 + 1e-12)):
             refusal = "r_bar is below the true initial distance"
         return AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), refusal
+
+    def gap(self, f: float, grad_norm: float) -> float:
+        """The gap at a point with value ``f``: ``f - f*``, or without the
+        optimum the bound ``|grad| * r_bar`` that convexity certifies."""
+        return f - self.f_star if self.f_star is not None else grad_norm * self.r_bar
+
+    def row(self, phase: str, k: int, y: np.ndarray, f: float, grad_norm: float,
+            step_gamma: float, flags: int, gamma_cap: float | None = None,
+            alpha: float | None = None, v: float | None = None) -> None:
+        """Append the trace row of iterate ``y``, if the trace is on; the gap
+        and distance cells need the optimum, the bound cell a level."""
+        if self.trace is None:
+            return
+        f_star, x_star = self.f_star, self.x_star
+        self.trace.append(TraceRecord(
+            k=k, phase=phase,
+            f_gap=None if f_star is None else f - f_star,
+            grad_norm=grad_norm, gamma_cap=gamma_cap, alpha=alpha, step_gamma=step_gamma,
+            dist_to_opt=None if x_star is None else float(np.linalg.norm(y - x_star)),
+            bound_gap=None if gamma_cap is None else gamma_cap * (self.r_bar * self.r_bar),
+            lyapunov=v, flags=flags,
+        ))
 
     def note(self, bit: Flag, k: int, value: float, bound: float) -> int:
         """The certificate ``value <= bound`` at iteration ``k``: 0 if it
@@ -264,7 +282,7 @@ class _Run:
         if float(np.linalg.norm(state.grad_y)) != 0.0:
             return None
         self.message = "stationary start"
-        return self.result(state, 0.0 if self.f_star is None else state.f_y - self.f_star)
+        return self.result(state, self.gap(state.f_y, 0.0))
 
     def refuse(self, message: str) -> RunResult:
         """The precondition-failed exit: no state, nothing certified."""
@@ -326,41 +344,31 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     is certified to be at most ``target``.  The returned state keeps the
     level and k of ``state``.  With checks on, a step that moves x away
     from a known optimum notes GD_MONOTONE."""
-    model, f_star, x_star, r_bar = run.model, run.f_star, run.x_star, run.r_bar
-    trace = run.trace
     x, f, g = state.y, state.f_y, state.grad_y
-    dist = float(np.linalg.norm(x - x_star)) if x_star is not None else None
+    gn = float(np.linalg.norm(g))
+    check = run.check_invariants and run.x_star is not None
+    dist = float(np.linalg.norm(x - run.x_star)) if check else None
     while True:
-        gn = float(np.linalg.norm(g))
-        # without the optimum, convexity certifies gap <= |grad| * r_bar
-        if (f - f_star if f_star is not None else gn * r_bar) <= target:
+        if run.gap(f, gn) <= target:
             break
         if run.calls >= run.budget:
             run.termination = "budget"
             break
-        gamma_t = 1.0 / (2.0 * ell_eval(model, 2.0 * gn))
+        gamma_t = 1.0 / (2.0 * ell_eval(run.model, 2.0 * gn))
         try:
             x_next = x - gamma_t * g
             f, g = run.oracle(x_next)
         except DomainViolationError as exc:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
+        gn = float(np.linalg.norm(g))
         run.gd_iters += 1
         flags = 0
-        if x_star is not None:
-            dist_next = float(np.linalg.norm(x - x_star))
-            if run.check_invariants:
-                flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
+        if check:
+            dist_next = float(np.linalg.norm(x - run.x_star))
+            flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
             dist = dist_next
-        if trace is not None:
-            trace.append(TraceRecord(
-                k=run.gd_iters, phase="gd",
-                f_gap=None if f_star is None else f - f_star,
-                grad_norm=float(np.linalg.norm(g)),
-                gamma_cap=None, alpha=None, step_gamma=gamma_t,
-                dist_to_opt=dist, bound_gap=None, lyapunov=None,
-                flags=flags,
-            ))
+        run.row("gd", run.gd_iters, x, f, gn, gamma_t, flags)
     return AgdState(y=x, u=x.copy(), gamma_cap=state.gamma_cap, k=state.k, f_y=f, grad_y=g)
 
 
@@ -381,13 +389,10 @@ def gd_run(
     certificate ``|grad| * r_bar <= epsilon`` holds; ``budget`` caps oracle
     calls.  The final iterate is the result state's ``y``.
     """
-    if not (epsilon > 0 and r_bar > 0 and budget >= 1):
-        raise ConfigurationError("gd_run needs epsilon > 0, r_bar > 0, budget >= 1")
-    run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
+    run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, _ = run.start(x0)
     state = run.phase(_gd_phase, state, epsilon)
-    return run.result(state, state.f_y - run.f_star if run.f_star is not None
-                      else float(np.linalg.norm(state.grad_y)) * r_bar)
+    return run.result(state, run.gap(state.f_y, float(np.linalg.norm(state.grad_y))))
 
 
 # --- gradient bound heuristic -----------------------------------------------
@@ -422,16 +427,13 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
 
 # --- shared accelerated loop -------------------------------------------------
 
-def _run_agd(
-    run: _Run, state: AgdState, epsilon: float, step_gamma_const: float | None
-) -> AgdState:
+def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdState:
     """Accelerated steps from ``state`` until the gap is certified.  A fixed
     ``step_gamma_const`` is the warm-started variant; None selects the
     adaptive step ``1 / ell(4 psi_inverse(Gamma_k r_bar^2))``."""
     problem, model, r_bar, budget = run.problem, run.model, run.r_bar, run.budget
-    f_star, x_star = run.f_star, run.x_star
-    check_invariants, trace = run.check_invariants, run.trace
-    oracle, note = run.oracle, run.note
+    epsilon, f_star, x_star = run.epsilon, run.f_star, run.x_star
+    check_invariants, oracle, note, row = run.check_invariants, run.oracle, run.note, run.row
     l0 = ell_eval(model, 0.0)
     rb2 = r_bar * r_bar
     adaptive = step_gamma_const is None
@@ -440,9 +442,10 @@ def _run_agd(
     gap_scale = max(1.0, abs(f_star)) if f_star is not None else 1.0
     flat = model.ell_sup() == l0
     # the certificate function feeds the LYAPUNOV check and the trace column
-    track_v = x_star is not None and (check_invariants or trace is not None)
+    track_v = x_star is not None and (check_invariants or run.trace is not None)
 
     v_prev = lyapunov(state, f_star, x_star) if track_v else None
+    grad_norm = float(np.linalg.norm(state.grad_y))
     k0 = state.k
     while True:
         gap = None if f_star is None else state.f_y - f_star
@@ -452,8 +455,6 @@ def _run_agd(
         if state.gamma_cap < GAMMA_UNDERFLOW:
             run.message = "gamma_cap underflow; certified bound saturated"
             return state
-
-        grad_norm = float(np.linalg.norm(state.grad_y))
 
         # step size for this iteration
         if not adaptive:
@@ -491,6 +492,7 @@ def _run_agd(
 
         alpha = math.sqrt(step_gamma * state.gamma_cap)
         state = agd_step(state, step_gamma, problem, _eval=oracle)
+        grad_norm = float(np.linalg.norm(state.grad_y))
         v_new = lyapunov(state, f_star, x_star) if track_v else None
 
         if check_invariants:
@@ -506,19 +508,8 @@ def _run_agd(
                 flags |= note(Flag.GAMMA_ENVELOPE, state.k, state.gamma_cap,
                               env + 4.0 * math.ulp(env))
 
-        if trace is not None:
-            trace.append(TraceRecord(
-                k=state.k, phase="agd",
-                f_gap=None if f_star is None else state.f_y - f_star,
-                grad_norm=float(np.linalg.norm(state.grad_y)),
-                gamma_cap=state.gamma_cap,
-                alpha=alpha,
-                step_gamma=step_gamma,
-                dist_to_opt=None if x_star is None else float(np.linalg.norm(state.y - x_star)),
-                bound_gap=state.gamma_cap * rb2,
-                lyapunov=v_new,
-                flags=flags,
-            ))
+        row("agd", state.k, state.y, state.f_y, grad_norm, step_gamma, flags,
+            state.gamma_cap, alpha, v_new)
 
 
 def algorithm1_run(
@@ -542,9 +533,7 @@ def algorithm1_run(
     makes the warm start a no-op.  A profile with a non-monotone psi needs
     ``m_bar``; without it the run is refused.
     """
-    if not (epsilon > 0 and r_bar > 0 and budget >= 1):
-        raise ConfigurationError("algorithm1_run needs epsilon > 0, r_bar > 0, budget >= 1")
-    run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
+    run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, refusal = run.start(x0)
     if refusal:
         return run.refuse(refusal)
@@ -559,10 +548,7 @@ def algorithm1_run(
 
     # resolve the warm-start gap target
     if math.isinf(delta):
-        if f_star is not None:
-            delta = 2.0 * (state.f_y - f_star)
-        else:
-            delta = 2.0 * float(np.linalg.norm(state.grad_y)) * r_bar
+        delta = 2.0 * run.gap(state.f_y, float(np.linalg.norm(state.grad_y)))
     refusal = warm_start_refusal(model, delta, m_bar)
     if refusal:
         return run.refuse(refusal)
@@ -571,7 +557,7 @@ def algorithm1_run(
     state = run.phase(_gd_phase, state, delta / 2.0)
     if run.termination == "budget":
         return run.result(state)
-    return run.result(run.phase(_run_agd, state, epsilon, 1.0 / (2.0 * ell_eval(model, 0.0))))
+    return run.result(run.phase(_run_agd, state, 1.0 / (2.0 * ell_eval(model, 0.0))))
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -631,11 +617,9 @@ def algorithm2_run(
     1 from the optimum itself).  The result's ``gamma_cap0`` is the level
     the run started from.
     """
-    if not (epsilon > 0 and r_bar > 0 and budget >= 1
-            and (gamma_cap0 is None or gamma_cap0 > 0)):
-        raise ConfigurationError(
-            "algorithm2_run needs gamma_cap0 > 0, epsilon > 0, r_bar > 0, budget >= 1"
-        )
+    run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
+    if not (gamma_cap0 is None or gamma_cap0 > 0):
+        raise ConfigurationError("algorithm2_run needs gamma_cap0 > 0")
     if math.isfinite(model.delta_max):
         raise ConfigurationError(
             "psi is not invertible on [0, inf) for this profile "
@@ -643,7 +627,6 @@ def algorithm2_run(
         )
     if gamma_cap0 is None and problem.optimum is None:
         raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
-    run = _Run(problem, model, r_bar, budget, check_invariants, strict, collect_trace)
     state, refusal = run.start(x0)
     x_star = run.x_star
     r0 = float(np.linalg.norm(state.y - x_star)) if x_star is not None else 0.0
@@ -665,7 +648,7 @@ def algorithm2_run(
         except ConfigurationError:
             warmup = None
         state.gamma_cap = gamma_cap0
-        result = run.stationary(state) or run.result(run.phase(_run_agd, state, epsilon, None))
+        result = run.stationary(state) or run.result(run.phase(_run_agd, state, None))
         result.warmup_bound = warmup
     result.gamma_cap0 = gamma_cap0
     return result

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import agdsmooth
 from agdsmooth import ConfigurationError, RunConfig, execute
 from agdsmooth.cli import main
 from agdsmooth.config import (
@@ -345,6 +349,13 @@ class TestCli:
         "ell-custom-short-point": {"ell": {"kind": "custom", "points": [[0, 1], [1]]}},
         "ell-custom-scalar": {"ell": {"kind": "custom", "points": 5}},
         "trace_path-number": {"trace_path": 5},
+        # JSON 1e400 reads as Infinity
+        "budget-infinity": {"budget": math.inf},
+        "budget-nan": {"budget": math.nan},
+        "budget-true": {"budget": True},
+        "r_bar-infinity-gd": {"algorithm": "gd", "r_bar": math.inf},
+        "r_bar-infinity-agd1": {"algorithm": "agd1", "r_bar": math.inf},
+        "r_bar-infinity-agd2": {"r_bar": math.inf},
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -352,6 +363,19 @@ class TestCli:
         # numbers must be JSON numbers: nothing is converted from a string
         assert main(["run", self.write_cfg(tmp_path, **self.MALFORMED[name])]) == 4
         assert "configuration error" in capsys.readouterr().err
+
+    def test_infinite_r_bar_names_the_run_parameters(self, tmp_path, capsys):
+        assert main(["run", self.write_cfg(tmp_path, r_bar=math.inf)]) == 4
+        assert ("a run needs epsilon > 0, a finite r_bar > 0 and budget >= 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("values", [5, {"4.0": 1}], ids=["number", "object"])
+    def test_sweep_values_must_be_a_list(self, tmp_path, capsys, values):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"axis": "gamma_cap0-grid", "values": values,
+                                    "base": {"problem": "exp-1d", "trace_path": ""}}))
+        assert main(["sweep", str(path)]) == 4
+        assert "'values'" in capsys.readouterr().err
 
     def test_negative_m_bar_names_the_field(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, **self.SUPERQUADRATIC, m_bar=-1)
@@ -427,6 +451,19 @@ class TestCli:
         assert main(["run", str(path)]) == code
         if code == 5:
             assert "GD_MONOTONE" in capsys.readouterr().err
+
+    def test_diverging_run_prints_no_numpy_warning(self, tmp_path):
+        # the oracle's guard already reports the overflow as a typed error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.EDGE_CLAIMS["power-ell-overflow"][0],
+                                    "trace_path": ""}))
+        env = {**os.environ, "PYTHONPATH": str(Path(agdsmooth.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "agdsmooth.cli", "run", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 5
+        assert "invariant violation: GD iterate left the feasible set" in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_start_overflow_exit_four(self, tmp_path):
         cfg = self.write_cfg(tmp_path, problem="exp-experiment", x0=[-800.0, 0.0],

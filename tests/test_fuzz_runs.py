@@ -1,6 +1,8 @@
 """Whole-run property test: any config either ends with a documented
 termination or raises one of the package's typed errors."""
 
+import math
+
 from hypothesis import given, strategies as st
 
 from agdsmooth import errors
@@ -26,6 +28,14 @@ def log_uniform(lo_exp: float, hi_exp: float):
 
 FIELD = log_uniform(-8, 8)
 MAYBE_ZERO = st.one_of(st.just(0.0), FIELD)
+# JSON reads 1e400 as Infinity
+NON_FINITE = st.sampled_from([math.inf, math.nan])
+BUDGET = st.one_of(
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=1, max_value=500).map(float),
+    NON_FINITE,
+    st.just(True),
+)
 
 
 @st.composite
@@ -63,14 +73,14 @@ def run_configs(draw):
         "ell": draw(ELL),
         "x0": draw(st.none() | st.lists(coordinate, min_size=DIMS[problem],
                                         max_size=DIMS[problem])),
-        "epsilon": draw(log_uniform(-10, 1)),
-        "budget": draw(st.integers(min_value=1, max_value=500)),
+        "epsilon": draw(log_uniform(-10, 1) | NON_FINITE),
+        "budget": draw(BUDGET),
         "check_invariants": draw(st.booleans()),
         "strict_checks": draw(st.booleans()),
         "trace_path": "",
     }
     for name in ("r_bar", "gamma_cap0", "delta", "m_bar"):
-        cfg[name] = draw(st.none() | FIELD)
+        cfg[name] = draw(st.none() | FIELD | NON_FINITE)
     return cfg
 
 

@@ -63,6 +63,17 @@ def test_no_profile_class_imports(name):
     assert not imported & (PROFILE_CLASSES - {"EllModel"}), f"{name} imports a profile class"
 
 
+def test_solvers_builds_trace_rows_in_one_place():
+    # _Run.row makes every trace row, so per-row columns are added there
+    path = Path(agdsmooth.__file__).parent / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func) == ["TraceRecord"]
+    ]
+    assert len(calls) == 1, f"TraceRecord is built at lines {calls}"
+
+
 def test_solvers_leaves_psi_geometry_to_smoothness():
     # the warm-start predicate lives in smoothness, next to the psi geometry
     # it reads; solvers asks it and does not restate it

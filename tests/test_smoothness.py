@@ -42,6 +42,10 @@ MODELS = [
     Power(rho=2.0, L0=1.0, L1=1.0),
     Power(rho=3.0, L0=1.0, L1=1.0),
     DIPPING_CUSTOM,
+    # flat profiles, which take the closed forms of a constant
+    Affine(L0=3.0, L1=0.0),
+    Power(rho=3.0, L0=2.0, L1=0.0),
+    Power(rho=0.0, L0=1.0, L1=1.0),
 ]
 
 

@@ -253,6 +253,16 @@ class TestSelectDelta:
                     assert not warm_start_refusal(model, delta, None), model
                     assert delta in (head, head / 2), model
 
+    def test_small_curvature_branch_refused(self):
+        # delta_max = 2.5 and sup psi = 0.625; at half the peak the left
+        # crossing is 1.435, where ell(4 left) = 3.3 > 2 ell(0)
+        model = CustomMonotone(((0.0, 1.0), (10.0, 5.0), (11.0, 100.0)))
+        assert (model.delta_max, model.psi_sup) == (2.5, 0.625)
+        assert (warm_start_refusal(model, 0.3125, 1.0)
+                == "delta violates the small-curvature branch condition")
+        delta = select_delta(model, 1e6, 1.0)
+        assert delta == 0.09765625000000004 and not warm_start_refusal(model, delta, 1.0)
+
     def test_power_head_outside_the_float_range(self):
         # L0**(2/rho - 1) overflows, L1**(2/rho) underflows, or both; the
         # head is then (L0/L1)**(2/rho) / L0, or inf past the float range
@@ -291,6 +301,12 @@ class TestAlgorithm1:
                              1e-12, 40)
         assert res.termination == "budget"
         assert res.oracle_calls == 40
+
+    def test_stationary_start_without_optimum(self):
+        p = catalog("quadratic", {"L": 1.0, "d": 2, "known_optimum": False})
+        res = algorithm1_run(p, p.ell_model, np.zeros(2), 0.5, 1.0, 1e-9, 100)
+        assert res.converged and res.message == "stationary start"
+        assert res.achieved_gap == 0.0 and res.oracle_calls == 1
 
     def test_r_bar_below_true_distance(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
@@ -331,6 +347,33 @@ class TestAlgorithm1:
                              model.psi_sup * 0.9, 2.0, 1e-9, 100,
                              m_bar=5.66)
         assert res.termination == "precondition-failed"
+
+
+class TestRunParameters:
+    RUNS = {
+        "gd": lambda p, eps, r_bar, budget: gd_run(
+            p, p.ell_model, np.array([2.0]), eps, r_bar, budget),
+        "agd1": lambda p, eps, r_bar, budget: algorithm1_run(
+            p, p.ell_model, np.array([2.0]), math.inf, r_bar, eps, budget),
+        "agd2": lambda p, eps, r_bar, budget: algorithm2_run(
+            p, p.ell_model, np.array([2.0]), 4.0, r_bar, eps, budget),
+    }
+    BAD = {
+        "epsilon-zero": (0.0, 4.0, 10),
+        "epsilon-negative": (-1e-6, 4.0, 10),
+        "epsilon-nan": (math.nan, 4.0, 10),
+        "r_bar-zero": (1e-6, 0.0, 10),
+        "r_bar-infinity": (1e-6, math.inf, 10),
+        "budget-zero": (1e-6, 4.0, 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("algorithm", sorted(RUNS))
+    def test_one_check_for_every_run(self, algorithm, case):
+        p = catalog("exp-1d")
+        with pytest.raises(ConfigurationError, match="a run needs epsilon > 0, "
+                           "a finite r_bar > 0 and budget >= 1"):
+            self.RUNS[algorithm](p, *self.BAD[case])
 
 
 class TestAlgorithm2:
