@@ -14,8 +14,11 @@ Two derived functions drive everything else in the package:
 
 Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the q budget with its inverse and limit, the psi peak,
-the right crossing and its warm-start delta head.  The base holds the
-generic quadrature, the Newton q inverse and bisection; the module-level
+the right crossing and its warm-start delta head.  The base holds the psi
+inverse that every profile uses (Brent's method from the seed
+``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
+flat head), the generic quadrature, the Newton q inverse and the bisection
+behind the q and right-crossing fallbacks; the module-level
 functions validate their arguments and dispatch to the model, and
 ``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
 Models are immutable after construction (their psi geometry is computed
@@ -26,11 +29,13 @@ extended-real sentinel for unbounded quantities (never a large finite float).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -46,6 +51,18 @@ QUAD_REL_TOL = 1e-10
 
 # Bisection policy: geometric bracket growth by 2, hard cap.
 BISECT_MAX_ITER = 200
+
+# psi inverse.  The seed sqrt(2 ell(0) t) squares back to t within 2.5 ulps
+# (four roundings), so a psi(seed) that short of t is a flat head's root.
+# Brent stops on a bracket 4 ulps wide relative to the root, the tightest
+# rtol brentq accepts; the absolute xtol only matters for subnormal roots.
+# Its iterations stay far below the cap: the bracket spans a factor of 2,
+# and Brent falls back to bisection (52 halvings to 4 ulps) when
+# interpolation does not shrink it.
+SEED_ROUNDING = 4.0 * sys.float_info.epsilon
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_XTOL = math.ulp(0.0)
+BRENT_MAX_ITER = 200
 
 # q(s; a) is increasing and concave in s because 1/ell does not increase, so
 # its tangent at s lies above it and the Newton step
@@ -105,14 +122,35 @@ class EllModel:
         return math.inf if math.isinf(self.delta_max) else psi_eval(self, self.delta_max)
 
     def psi_inverse(self, t: float) -> float:
-        """Bisection on the increasing branch of psi, for 0 < t < psi_sup;
-        the bracket grows geometrically from [0, 1] until psi(upper) >= t
-        or upper reaches delta_max."""
+        """Brent's method on the increasing branch of psi, for 0 < t < psi_sup.
+
+        ell does not decrease, so psi(x) <= x^2 / (2 ell(0)) and the seed
+        ``x0 = sqrt(2 ell(0) t)`` lies at or below the root.  Where psi(x0)
+        reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
+        is the root; otherwise the upper end doubles from 2 x0 (capped at
+        delta_max) until psi reaches t, and ``brentq`` solves psi(x) = t
+        inside that bracket to 4 ulps.
+        """
         dmax = self.delta_max
-        lo, hi = 0.0, min(1.0, dmax)
-        while hi < dmax and psi_eval(self, hi) < t:
-            lo, hi = hi, min(2.0 * hi, dmax)
-        return _bisect(lambda x: psi_eval(self, x) < t, lo, hi)
+        lo = math.sqrt(2.0 * self.ell(0.0) * t)
+        if lo >= dmax:
+            # the root lies at or below delta_max, so only rounding (a t
+            # within an ulp of psi_sup) puts x0 here
+            lo, hi = 0.0, dmax
+        elif psi_eval(self, lo) >= t * (1.0 - SEED_ROUNDING):
+            return lo
+        else:
+            hi = min(2.0 * lo, dmax)
+            # past x ~ 1.3e154, x * x overflows and psi reads inf or NaN
+            while hi < dmax and not t <= psi_eval(self, hi) < math.inf:
+                lo, hi = hi, min(2.0 * hi, dmax)
+        if math.isinf(hi):
+            raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
+        try:
+            return brentq(lambda x: psi_eval(self, x) - t, lo, hi,
+                          xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAX_ITER)
+        except (ValueError, RuntimeError) as exc:
+            raise OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: {exc}") from exc
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
         """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
@@ -475,8 +513,10 @@ def psi_eval(model: EllModel, x: float) -> float:
 def psi_inverse(model: EllModel, t: float) -> float:
     """Invert psi on its increasing branch.
 
-    Returns x in [0, delta_max) with psi(x) = t up to the bisection's stop,
-    a bracket 4e-16 wide relative to x.
+    Returns x in [0, delta_max] with psi(x) = t: the seed sqrt(2 ell(0) t)
+    on a flat head, else Brent's root, within 4 ulps of x; only a t within
+    rounding of sup psi returns delta_max itself.  A t that psi reaches
+    only where x * x overflows is an ``OutOfRangeError``.
     """
     if t < 0 or math.isnan(t):
         raise DomainError(f"psi_inverse needs t >= 0, got {t}")

@@ -170,9 +170,10 @@ class _Run:
     withheld), epsilon, r_bar and the oracle-call budget (checked here for
     every run function), ``flags_total`` (the OR of every bit ``note``
     returns), the trace (None when off; ``row`` makes each row) and the GD
-    iteration count.  ``gap`` is the gap rule.  A phase that stops on the
-    budget sets ``termination``, and one that stops on a saturated level
-    sets ``message``; ``result`` and ``refuse`` build the RunResult.
+    iteration count.  ``gap`` is the gap rule and ``bound`` the certified
+    bound.  A phase that stops on the budget sets ``termination``, and one
+    that stops on a saturated level sets ``message``; ``result`` and
+    ``refuse`` build the RunResult.
     """
 
     def __init__(self, problem: Problem, model: EllModel, epsilon: float, r_bar: float,
@@ -220,6 +221,12 @@ class _Run:
         optimum the bound ``|grad| * r_bar`` that convexity certifies."""
         return f - self.f_star if self.f_star is not None else grad_norm * self.r_bar
 
+    def bound(self, gamma_cap: float) -> float:
+        """The certified bound ``Gamma r_bar^2`` at level ``gamma_cap``, in
+        the one rounding order that the stop test, the trace and the
+        result share."""
+        return gamma_cap * (self.r_bar * self.r_bar)
+
     def row(self, phase: str, k: int, y: np.ndarray, f: float, grad_norm: float,
             step_gamma: float, flags: int, gamma_cap: float | None = None,
             alpha: float | None = None, v: float | None = None) -> None:
@@ -233,7 +240,7 @@ class _Run:
             f_gap=None if f_star is None else f - f_star,
             grad_norm=grad_norm, gamma_cap=gamma_cap, alpha=alpha, step_gamma=step_gamma,
             dist_to_opt=None if x_star is None else float(np.linalg.norm(y - x_star)),
-            bound_gap=None if gamma_cap is None else gamma_cap * (self.r_bar * self.r_bar),
+            bound_gap=None if gamma_cap is None else self.bound(gamma_cap),
             lyapunov=v, flags=flags,
         ))
 
@@ -268,7 +275,7 @@ class _Run:
         optimum is unknown."""
         if achieved is None:
             achieved = (state.f_y - self.f_star if self.f_star is not None
-                        else state.gamma_cap * self.r_bar * self.r_bar)
+                        else self.bound(state.gamma_cap))
         return RunResult(
             state=state, gd_iters=self.gd_iters, agd_iters=state.k,
             achieved_gap=achieved, trace=self.trace or [],
@@ -435,7 +442,6 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     epsilon, f_star, x_star = run.epsilon, run.f_star, run.x_star
     check_invariants, oracle, note, row = run.check_invariants, run.oracle, run.note, run.row
     l0 = ell_eval(model, 0.0)
-    rb2 = r_bar * r_bar
     adaptive = step_gamma_const is None
     superquadratic = math.isfinite(model.delta_max)
     kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
@@ -449,7 +455,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     k0 = state.k
     while True:
         gap = None if f_star is None else state.f_y - f_star
-        bound = state.gamma_cap * rb2
+        bound = run.bound(state.gamma_cap)
         if (gap is not None and gap <= epsilon) or bound <= epsilon:
             return state
         if state.gamma_cap < GAMMA_UNDERFLOW:
@@ -461,14 +467,13 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             step_gamma = step_gamma_const
             envelope_x = None
         else:
-            t = state.gamma_cap * rb2
             if flat:
-                # ell(4 psi_inverse(t)) = ell(0) identically; the envelope
+                # ell(4 psi_inverse(bound)) = ell(0) identically; the envelope
                 # value itself is only needed for the check
-                envelope_x = psi_inverse(model, t) if check_invariants else None
+                envelope_x = psi_inverse(model, bound) if check_invariants else None
                 step_gamma = 1.0 / l0
             else:
-                envelope_x = psi_inverse(model, t)
+                envelope_x = psi_inverse(model, bound)
                 step_gamma = 1.0 / ell_eval(model, 4.0 * envelope_x)
 
         # bits noted before a budget exit reach only flags_total
@@ -498,7 +503,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
         if check_invariants:
             if f_star is not None:
                 flags |= note(Flag.CERTIFIED_GAP, state.k, state.f_y - f_star,
-                              state.gamma_cap * rb2 + 1e-9 * gap_scale)
+                              run.bound(state.gamma_cap) + 1e-9 * gap_scale)
             if x_star is not None:
                 flags |= note(Flag.LYAPUNOV, state.k, v_new,
                               v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev))

@@ -1,11 +1,14 @@
-"""Whole-run property test: any config either ends with a documented
-termination or raises one of the package's typed errors."""
+"""Whole-run property tests: any config either ends with a documented
+termination or raises one of the package's typed errors, and a run under a
+profile that is valid for its problem ends with no flag."""
 
 import math
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from agdsmooth import errors
+from agdsmooth import algorithm2_run, errors, evaluate
 from agdsmooth.config import ALGORITHMS, config_from_dict, execute
 from agdsmooth.problems import CATALOG_NAMES, catalog
 
@@ -92,3 +95,41 @@ def test_run_ends_documented_or_raises_typed_error(raw):
         return
     assert result.termination in TERMINATIONS
     assert result.oracle_calls <= raw["budget"]
+
+
+@st.composite
+def valid_claim_starts(draw):
+    """An agd2 start near the optimum of a catalog problem whose own profile
+    is valid for it: r_bar in [1, 3] times the initial distance R, and
+    gamma_cap0 in [1, 10] times its floor 2 (f0 - f*) / R^2."""
+    problem = catalog(draw(st.sampled_from(
+        ["exp-1d", "exp-experiment", "quadratic", "neg-log-barrier"])))
+    if problem.dim == 1:
+        direction = np.array([draw(st.sampled_from([-1.0, 1.0]))])
+    else:
+        theta = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        direction = np.array([math.cos(theta), math.sin(theta)])
+    # sup psi = 1/64 on the barrier admits only starts within about 0.01
+    near = log_uniform(-3, -1.3) if problem.name == "neg-log-barrier" else log_uniform(-2, 0)
+    x0 = problem.optimum.x_star + draw(near) * direction
+    dist = float(np.linalg.norm(x0 - problem.optimum.x_star))
+    f0, _ = evaluate(problem, x0)
+    floor = 2.0 * (f0 - problem.optimum.f_star) / dist**2
+    r_bar = draw(st.floats(min_value=1.0, max_value=3.0)) * dist
+    gamma_cap0 = draw(st.floats(min_value=1.0, max_value=10.0)) * floor
+    return problem, x0, r_bar, gamma_cap0
+
+
+@settings(max_examples=100)
+@given(valid_claim_starts())
+def test_valid_claim_observes_no_flag(start):
+    problem, x0, r_bar, gamma_cap0 = start
+    model = problem.ell_model
+    if gamma_cap0 * r_bar**2 >= model.psi_sup:
+        # the adaptive step is undefined there: a documented exit 4
+        with pytest.raises(errors.ConfigurationError, match="sup psi"):
+            algorithm2_run(problem, model, x0, gamma_cap0, r_bar, 1e-6, 10**6)
+        return
+    result = algorithm2_run(problem, model, x0, gamma_cap0, r_bar, 1e-6, 10**6,
+                            collect_trace=False)
+    assert result.converged and result.flags_total == 0

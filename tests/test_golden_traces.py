@@ -24,7 +24,7 @@ GOLDEN_RUNS = {
         {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
          "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
          "budget": 20000},
-        "5ddc2cf6fc7e577818ad9dcacb250ea33aef2e14d2b381705d8a091d5a945360",
+        "0e66263baff3e3f3585327b354fe64201ec3a815a056f04cf3641edc9155b336",
         "41941380c19c57144ad1522375bdcf0d6109a707ae0a720321f07e21c0d654fa",
     ),
     "agd1-exp-1d": (

@@ -64,6 +64,16 @@ def piecewise_linear_profiles(draw):
     return CustomMonotone(points=tuple(points))
 
 
+def general_powers():
+    """Power profiles without a closed-form q: rho in (0, 4], rho != 2."""
+    return st.builds(
+        Power,
+        rho=st.floats(min_value=0.0, max_value=4.0, exclude_min=True).filter(lambda x: x != 2.0),
+        L0=st.floats(min_value=0.1, max_value=10.0),
+        L1=st.floats(min_value=0.1, max_value=10.0),
+    )
+
+
 def models_strategy():
     pos = st.floats(min_value=1e-3, max_value=1e3)
     return st.one_of(
@@ -190,6 +200,25 @@ class TestDeltaMax:
             assert psi_eval(model, float(x)) > delta
 
 
+def bisect_psi_inverse(model, t):
+    """Reference inverse: the bracket doubles from [0, 1] (capped at
+    delta_max) until psi reaches t, then bisection stops 4e-16 wide
+    relative."""
+    dmax = model.delta_max
+    lo, hi = 0.0, min(1.0, dmax)
+    while hi < dmax and psi_eval(model, hi) < t:
+        lo, hi = hi, min(2.0 * hi, dmax)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if psi_eval(model, mid) < t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 4e-16 * mid:
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestPsiInverse:
     def test_constant_closed_form(self):
         model = Constant(2)
@@ -225,6 +254,65 @@ class TestPsiInverse:
         for t in np.geomspace(1e-8, hi, 40):
             x = psi_inverse(model, float(t))
             assert psi_eval(model, x) == pytest.approx(float(t), rel=1e-8)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_reference_bisection(self, model):
+        sup = model.psi_sup
+        for t in np.geomspace(1e-14, 0.999 * sup if math.isfinite(sup) else 1e6, 60):
+            t = float(t)
+            x = psi_inverse(model, t)
+            assert x == pytest.approx(bisect_psi_inverse(model, t), rel=1e-13)
+            assert psi_eval(model, x) == pytest.approx(t, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.builds(Affine, L0=st.floats(min_value=1e-3, max_value=1e3),
+                               L1=st.floats(min_value=0.0, max_value=1e3)),
+                     general_powers(), piecewise_linear_profiles()),
+           st.floats(min_value=1e-6, max_value=0.999))
+    def test_inverts_psi_on_its_increasing_branch(self, model, frac):
+        sup = model.psi_sup
+        t = frac * sup if math.isfinite(sup) else frac / (1.0 - frac)
+        x = psi_inverse(model, t)
+        assert math.sqrt(2.0 * ell_eval(model, 0.0) * t) <= x < model.delta_max
+        assert psi_eval(model, x) == pytest.approx(t, rel=1e-15)
+
+    @pytest.mark.parametrize("model", [m for m in MODELS if m.ell_sup() == ell_eval(m, 0.0)]
+                             + [DIPPING_CUSTOM])
+    def test_flat_head_returns_the_seed(self, model, monkeypatch):
+        # ell is flat on [0, 4 x] for these levels, where psi(x) = x^2 / (2 ell(0))
+        evals = []
+        monkeypatch.setattr(smoothness, "psi_eval",
+                            lambda m, x: evals.append(x) or psi_eval(m, x))
+        top = 0.9 * model.psi_sup if math.isfinite(model.delta_max) else 1e6
+        for t in np.geomspace(1e-14, top, 50):
+            seed = math.sqrt(2.0 * ell_eval(model, 0.0) * float(t))
+            assert ell_eval(model, 4.0 * seed) == ell_eval(model, 0.0)
+            evals.clear()
+            assert psi_inverse(model, float(t)) == seed
+            assert evals == [seed]
+
+    def test_seed_rounded_onto_delta_max(self):
+        # one ulp below sup psi the seed rounds up to delta_max, the end of
+        # the flat head; the bracket is then [0, delta_max]
+        model = CustomMonotone(points=((0.0, 1.0), (5.0, 1.0), (6.0, 100.0)))
+        t = math.nextafter(model.psi_sup, 0.0)
+        assert math.sqrt(2.0 * t) >= model.delta_max == 1.25
+        x = psi_inverse(model, t)
+        assert x <= model.delta_max
+        assert psi_eval(model, x) == pytest.approx(t, rel=1e-15)
+
+    def test_solver_failure_is_typed(self):
+        # not a valid profile: ell is NaN on [4, 8), so psi is NaN at the
+        # seed of t = 1 while psi(2 seed) >= 1 brackets a root
+        with pytest.raises(OutOfRangeError, match="no root"):
+            psi_inverse(NanBand(), 1.0)
+
+    @pytest.mark.parametrize("t", [4e153, 1e307, 1e308])
+    def test_root_beyond_the_float_range(self, t):
+        # psi grows like x / (8 L1): t = 1e308 needs x near 8e308, and the
+        # smaller levels an x whose square overflows inside psi
+        with pytest.raises(OutOfRangeError, match="float range"):
+            psi_inverse(Affine(1.0, 1.0), t)
 
 
 class TestDeltaLeftRight:
@@ -424,16 +512,6 @@ def bisect_q_inverse(model, r, a):
     return 0.5 * (lo + hi)
 
 
-def general_powers():
-    """Power profiles without a closed-form q: rho in (0, 4], rho != 2."""
-    return st.builds(
-        Power,
-        rho=st.floats(min_value=0.0, max_value=4.0, exclude_min=True).filter(lambda x: x != 2.0),
-        L0=st.floats(min_value=0.1, max_value=10.0),
-        L1=st.floats(min_value=0.1, max_value=10.0),
-    )
-
-
 def linear_pieces(model, s, a):
     """(length, start) of the pieces of [a, a + s] between breakpoints."""
     cuts = sorted({a, a + s} | {p for p, _ in model.points if a < p < a + s})
@@ -447,6 +525,14 @@ class Falling(EllModel):
 
     def ell(self, s):
         return 1.0 / (1.0 + s)
+
+
+@dataclass(frozen=True)
+class NanBand(EllModel):
+    """Not a valid profile: ell is NaN on [4, 8) and 1 elsewhere."""
+
+    def ell(self, s):
+        return math.nan if 4.0 <= s < 8.0 else 1.0
 
 
 @pytest.fixture

@@ -459,6 +459,17 @@ class TestAlgorithm2:
             assert r.step_gamma == pytest.approx(1.0 / ell_eval(m, 4.0 * x), rel=1e-12)
             gcap = r.gamma_cap
 
+    @pytest.mark.parametrize("gamma_cap0", [0.5, 3.3, 17.0])
+    @pytest.mark.parametrize("r_bar", [0.37, 3.0, 5.9, 7.3, 11.1])
+    def test_withheld_optimum_reports_the_last_certified_bound(self, r_bar, gamma_cap0):
+        # Gamma r_bar^2 and Gamma r_bar r_bar round differently; the summary
+        # must report the bound the loop stopped on, as the trace records it
+        p = catalog("exp-1d", {"known_optimum": False})
+        res = algorithm2_run(p, p.ell_model, np.array([2.0]), gamma_cap0, r_bar, 1e-6, 100000,
+                             check_invariants=False)
+        assert res.converged
+        assert res.achieved_gap == res.trace[-1].bound_gap <= 1e-6
+
     def test_stationary_start(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2, "known_optimum": False})
         res = algorithm2_run(p, p.ell_model, np.zeros(2), 1.0, 1.0, 1e-9, 100)
