@@ -17,7 +17,10 @@ itself, its supremum, the q budget with its inverse and limit, the psi peak,
 the right crossing and its warm-start delta head.  The base holds the psi
 inverse that every profile uses (Brent's method from the seed
 ``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
-flat head), the generic quadrature, the Newton q inverse and the bisection
+flat head, in a doubling bracket that jumps past every upper end below
+``x sqrt(t / psi(x))`` of the last point x it evaluated, a bound on the root
+because psi(x) / x^2 does not increase), the generic quadrature, the Newton
+q inverse and the bisection
 behind the q and right-crossing fallbacks; the module-level
 functions validate their arguments and dispatch to the model, and
 ``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
@@ -60,6 +63,11 @@ BISECT_MAX_ITER = 200
 # and Brent falls back to bisection (52 halvings to 4 ulps) when
 # interpolation does not shrink it.
 SEED_ROUNDING = 4.0 * sys.float_info.epsilon
+# The bracket's jump floor h sqrt(t / psi(h)) is shrunk by JUMP_SLACK, which
+# covers psi's few roundings at both points many times over; a psi(h) or an
+# h * h below NORMAL_MIN has lost that precision and sets no floor.
+JUMP_SLACK = 1e-12
+NORMAL_MIN = sys.float_info.min
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_XTOL = math.ulp(0.0)
 BRENT_MAX_ITER = 200
@@ -129,7 +137,11 @@ class EllModel:
         reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
         is the root; otherwise the upper end doubles from 2 x0 (capped at
         delta_max) until psi reaches t, and ``brentq`` solves psi(x) = t
-        inside that bracket to 4 ulps.
+        inside that bracket to 4 ulps.  psi(x) / x^2 does not increase
+        either, so each evaluated psi(h) < t puts the root at or above
+        ``h sqrt(t / psi(h))``; the upper ends below that floor (less
+        ``JUMP_SLACK``) are doubled past without evaluating psi, which ends
+        on the bracket that evaluating each would reach.
         """
         dmax = self.delta_max
         lo = math.sqrt(2.0 * self.ell(0.0) * t)
@@ -137,13 +149,28 @@ class EllModel:
             # the root lies at or below delta_max, so only rounding (a t
             # within an ulp of psi_sup) puts x0 here
             lo, hi = 0.0, dmax
-        elif psi_eval(self, lo) >= t * (1.0 - SEED_ROUNDING):
+        elif (p := psi_eval(self, lo)) >= t * (1.0 - SEED_ROUNDING):
             return lo
         else:
-            hi = min(2.0 * lo, dmax)
-            # past x ~ 1.3e154, x * x overflows and psi reads inf or NaN
-            while hi < dmax and not t <= psi_eval(self, hi) < math.inf:
-                lo, hi = hi, min(2.0 * hi, dmax)
+            hi = lo
+            while True:
+                # psi(hi) = p is below t, or inf or NaN where x * x overflows
+                # (past x ~ 1.3e154); only a p computed from normal floats
+                # sets a floor.  The floor lies below the root, so the cap
+                # at dmax only guards rounding, and the doublings past it
+                # overshoot dmax at most once
+                floor = 0.0
+                if NORMAL_MIN <= p < math.inf and hi * hi >= NORMAL_MIN:
+                    floor = min(hi * math.sqrt(t / p) * (1.0 - JUMP_SLACK), dmax)
+                # a seed that underflowed to 0 doubles from the least subnormal
+                lo, hi = hi, 2.0 * hi or math.ulp(0.0)
+                while hi < floor:
+                    lo, hi = hi, 2.0 * hi
+                if hi >= dmax:
+                    hi = dmax
+                    break
+                if t <= (p := psi_eval(self, hi)) < math.inf:
+                    break
         if math.isinf(hi):
             raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
         try:

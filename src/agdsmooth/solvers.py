@@ -90,9 +90,15 @@ def gamma_envelope(k: int, step_gamma: float, kbar_value: float) -> float:
     return 9.0 / (step_gamma * (k + 1.0 - kbar_value) ** 2)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D real vector: ``np.linalg.norm``'s own formula
+    for that case, ``sqrt(v . v)``, so the bits agree, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 # --- state and trace ---------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class AgdState:
     """Solver triple (y, u, Gamma_k) plus the cached oracle output at y.
 
@@ -123,18 +129,22 @@ class TraceRecord:
     flags: int
 
 
-# each column as (name, printed as a float); a float cell is the repr of a
-# python float, the shortest round-trip decimal, and None is an empty cell
-_COLUMNS = tuple((col.name, col.type not in ("int", "str")) for col in fields(TraceRecord))
-TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
+TRACE_HEADER = ",".join(col.name for col in fields(TraceRecord))
+
+
+def _cell(v: float | None) -> str:
+    # the repr of a python float, the shortest round-trip decimal; None is
+    # an empty cell
+    return "" if v is None else repr(float(v))
 
 
 def format_trace_row(rec: TraceRecord) -> str:
-    cells = []
-    for name, is_float in _COLUMNS:
-        v = getattr(rec, name)
-        cells.append(str(v) if not is_float else "" if v is None else repr(float(v)))
-    return ",".join(cells)
+    """One CSV row, its cells in ``TRACE_HEADER`` order: the int and str
+    columns by ``str``, every float column by ``_cell``."""
+    c = _cell
+    return (f"{rec.k!s},{rec.phase!s},{c(rec.f_gap)},{c(rec.grad_norm)},{c(rec.gamma_cap)},"
+            f"{c(rec.alpha)},{c(rec.step_gamma)},{c(rec.dist_to_opt)},{c(rec.bound_gap)},"
+            f"{c(rec.lyapunov)},{rec.flags!s}")
 
 
 def write_trace_csv(path, records: list[TraceRecord]) -> None:
@@ -212,7 +222,7 @@ class _Run:
         f0, g0 = self.oracle(x0)
         refusal = ""
         if (self.x_star is not None
-                and float(np.linalg.norm(x0 - self.x_star)) > self.r_bar * (1 + 1e-12)):
+                and _norm(x0 - self.x_star) > self.r_bar * (1 + 1e-12)):
             refusal = "r_bar is below the true initial distance"
         return AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), refusal
 
@@ -239,7 +249,7 @@ class _Run:
             k=k, phase=phase,
             f_gap=None if f_star is None else f - f_star,
             grad_norm=grad_norm, gamma_cap=gamma_cap, alpha=alpha, step_gamma=step_gamma,
-            dist_to_opt=None if x_star is None else float(np.linalg.norm(y - x_star)),
+            dist_to_opt=None if x_star is None else _norm(y - x_star),
             bound_gap=None if gamma_cap is None else self.bound(gamma_cap),
             lyapunov=v, flags=flags,
         ))
@@ -260,9 +270,12 @@ class _Run:
 
     def phase(self, body, state: AgdState, *args) -> AgdState:
         """``body(self, state, *args)``; a divergence in it names the flag
-        bits noted before it, which point at the likely cause."""
+        bits noted before it, which point at the likely cause.  NumPy's
+        overflow warnings are off inside: a diverging phase ends in a typed
+        error or a noted flag, which the warnings would only repeat."""
         try:
-            return body(self, state, *args)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return body(self, state, *args)
         except SafetyViolationError as exc:
             noted = [f.name for f in Flag if f and self.flags_total & f]
             if not noted:
@@ -286,7 +299,7 @@ class _Run:
     def stationary(self, state: AgdState) -> RunResult | None:
         """A zero gradient at the start: convexity certifies optimality
         outright.  None when the gradient is not zero."""
-        if float(np.linalg.norm(state.grad_y)) != 0.0:
+        if _norm(state.grad_y) != 0.0:
             return None
         self.message = "stationary start"
         return self.result(state, self.gap(state.f_y, 0.0))
@@ -302,9 +315,7 @@ class _Run:
 
 def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
     """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``."""
-    return (state.f_y - f_star) + 0.5 * state.gamma_cap * float(
-        np.linalg.norm(state.u - x_star) ** 2
-    )
+    return (state.f_y - f_star) + 0.5 * state.gamma_cap * _norm(state.u - x_star) ** 2
 
 
 # --- single AGD step -------------------------------------------------------
@@ -325,12 +336,11 @@ def agd_step(
     callers check that contract themselves, against their own profile.
     """
     assert step_gamma > 0
-    ev = _eval if _eval is not None else (lambda p: evaluate(problem, p))
     alpha, gcap_next = gamma_alpha_step(state.gamma_cap, step_gamma)
     w = 1.0 / (1.0 + alpha)
     y_next = w * (state.y + alpha * state.u - step_gamma * state.grad_y)
     try:
-        f_next, g_next = ev(y_next)
+        f_next, g_next = _eval(y_next) if _eval is not None else evaluate(problem, y_next)
     except DomainViolationError as exc:
         raise SafetyViolationError(
             f"y left the feasible set at iteration {state.k + 1}: {exc}"
@@ -352,9 +362,9 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     level and k of ``state``.  With checks on, a step that moves x away
     from a known optimum notes GD_MONOTONE."""
     x, f, g = state.y, state.f_y, state.grad_y
-    gn = float(np.linalg.norm(g))
+    gn = _norm(g)
     check = run.check_invariants and run.x_star is not None
-    dist = float(np.linalg.norm(x - run.x_star)) if check else None
+    dist = _norm(x - run.x_star) if check else None
     while True:
         if run.gap(f, gn) <= target:
             break
@@ -368,11 +378,11 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         except DomainViolationError as exc:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
         run.gd_iters += 1
         flags = 0
         if check:
-            dist_next = float(np.linalg.norm(x - run.x_star))
+            dist_next = _norm(x - run.x_star)
             flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
             dist = dist_next
         run.row("gd", run.gd_iters, x, f, gn, gamma_t, flags)
@@ -399,7 +409,7 @@ def gd_run(
     run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, _ = run.start(x0)
     state = run.phase(_gd_phase, state, epsilon)
-    return run.result(state, run.gap(state.f_y, float(np.linalg.norm(state.grad_y))))
+    return run.result(state, run.gap(state.f_y, _norm(state.grad_y)))
 
 
 # --- gradient bound heuristic -----------------------------------------------
@@ -420,13 +430,13 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     best = 0.0
     for _ in range(GRAD_BOUND_SAMPLES):
         d = rng.standard_normal(problem.dim)
-        d /= np.linalg.norm(d)
+        d /= _norm(d)
         x = x_star + 2.0 * r_bar * d
         try:
             _, g = evaluate(problem, x)
         except DomainViolationError:
             continue
-        best = max(best, float(np.linalg.norm(g)))
+        best = max(best, _norm(g))
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
     return GRAD_BOUND_SAFETY * best
@@ -451,7 +461,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     track_v = x_star is not None and (check_invariants or run.trace is not None)
 
     v_prev = lyapunov(state, f_star, x_star) if track_v else None
-    grad_norm = float(np.linalg.norm(state.grad_y))
+    grad_norm = _norm(state.grad_y)
     k0 = state.k
     while True:
         gap = None if f_star is None else state.f_y - f_star
@@ -485,8 +495,8 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             elif envelope_x is not None:
                 flags |= note(Flag.GRAD_ENVELOPE, k, grad_norm, envelope_x * (1.0 + 1e-9) + 1e-15)
             if superquadratic and x_star is not None:
-                dy = float(np.linalg.norm(state.y - x_star))
-                du = float(np.linalg.norm(state.u - x_star))
+                dy = _norm(state.y - x_star)
+                du = _norm(state.u - x_star)
                 flags |= note(Flag.BALL_CONFINEMENT, k, max(dy, du), 2.0 * r_bar * (1.0 + 1e-12))
             flags |= note(Flag.STEP_SAFETY, k, step_gamma,
                           (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm))
@@ -497,7 +507,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
 
         alpha = math.sqrt(step_gamma * state.gamma_cap)
         state = agd_step(state, step_gamma, problem, _eval=oracle)
-        grad_norm = float(np.linalg.norm(state.grad_y))
+        grad_norm = _norm(state.grad_y)
         v_new = lyapunov(state, f_star, x_star) if track_v else None
 
         if check_invariants:
@@ -553,7 +563,7 @@ def algorithm1_run(
 
     # resolve the warm-start gap target
     if math.isinf(delta):
-        delta = 2.0 * run.gap(state.f_y, float(np.linalg.norm(state.grad_y)))
+        delta = 2.0 * run.gap(state.f_y, _norm(state.grad_y))
     refusal = warm_start_refusal(model, delta, m_bar)
     if refusal:
         return run.refuse(refusal)
@@ -634,7 +644,7 @@ def algorithm2_run(
         raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
     state, refusal = run.start(x0)
     x_star = run.x_star
-    r0 = float(np.linalg.norm(state.y - x_star)) if x_star is not None else 0.0
+    r0 = _norm(state.y - x_star) if x_star is not None else 0.0
     floor = 2.0 * (state.f_y - run.f_star) / r0**2 if r0 > 0 else None
     if gamma_cap0 is None:
         gamma_cap0 = 1.0 if floor is None else floor

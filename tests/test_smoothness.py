@@ -1,12 +1,14 @@
 """Unit and property tests for the curvature-profile machinery."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning
+from scipy.optimize import brentq
 
 from agdsmooth import (
     Affine,
@@ -219,6 +221,58 @@ def bisect_psi_inverse(model, t):
     return 0.5 * (lo + hi)
 
 
+def doubling_psi_inverse(model, t):
+    """Reference bracket for the psi inverse: from the seed, the upper end
+    doubles (capped at delta_max) with psi evaluated at every one until psi
+    reaches t, then the same ``brentq`` call as the package's."""
+    dmax = model.delta_max
+    lo = math.sqrt(2.0 * model.ell(0.0) * t)
+    if lo >= dmax:
+        lo, hi = 0.0, dmax
+    elif smoothness.psi_eval(model, lo) >= t * (1.0 - smoothness.SEED_ROUNDING):
+        return lo
+    else:
+        hi = min(2.0 * lo, dmax)
+        while hi < dmax and not t <= smoothness.psi_eval(model, hi) < math.inf:
+            lo, hi = hi, min(2.0 * hi, dmax)
+    if math.isinf(hi):
+        raise OutOfRangeError("beyond the float range")
+    try:
+        return brentq(lambda x: smoothness.psi_eval(model, x) - t, lo, hi,
+                      xtol=smoothness.BRENT_XTOL, rtol=smoothness.BRENT_RTOL,
+                      maxiter=smoothness.BRENT_MAX_ITER)
+    except (ValueError, RuntimeError) as exc:
+        raise OutOfRangeError("no root") from exc
+
+
+@pytest.fixture
+def psi_evals(monkeypatch):
+    """Counts the module's psi evaluations; a count past 10^4 raises, which
+    turns a bracket that never closes into a failure instead of a hang."""
+    count = [0]
+    evaluate = smoothness.psi_eval
+
+    def counted(model, x):
+        count[0] += 1
+        if count[0] > 10_000:
+            raise RuntimeError("psi evaluated more than 10^4 times")
+        return evaluate(model, x)
+
+    monkeypatch.setattr(smoothness, "psi_eval", counted)
+    return count
+
+
+def counted_call(count, fn, *args):
+    """``fn(*args)``, or the type of the exception it raised, with the psi
+    evaluations it made."""
+    count[0] = 0
+    try:
+        out = fn(*args)
+    except OutOfRangeError as exc:
+        out = type(exc)
+    return out, count[0]
+
+
 class TestPsiInverse:
     def test_constant_closed_form(self):
         model = Constant(2)
@@ -272,7 +326,15 @@ class TestPsiInverse:
     def test_inverts_psi_on_its_increasing_branch(self, model, frac):
         sup = model.psi_sup
         t = frac * sup if math.isfinite(sup) else frac / (1.0 - frac)
-        x = psi_inverse(model, t)
+        try:
+            x = psi_inverse(model, t)
+        except OutOfRangeError:
+            # psi grows so slowly (rho near 2) that it reaches t only where
+            # x * x overflows.  The doubling upper ends all read psi below
+            # t, and the last one whose square is finite lies past half of
+            # sqrt(max float)
+            assert psi_eval(model, math.sqrt(sys.float_info.max) / 2.0) < t
+            return
         assert math.sqrt(2.0 * ell_eval(model, 0.0) * t) <= x < model.delta_max
         assert psi_eval(model, x) == pytest.approx(t, rel=1e-15)
 
@@ -300,6 +362,44 @@ class TestPsiInverse:
         x = psi_inverse(model, t)
         assert x <= model.delta_max
         assert psi_eval(model, x) == pytest.approx(t, rel=1e-15)
+
+    @pytest.mark.parametrize("model", MODELS + [
+        # psi grows faster than linearly: x^1.5, and x^2 past a ramp
+        Power(0.5, 1.0, 1.0),
+        CustomMonotone(points=((0.0, 1.0), (1.0, 16.0))),
+        Affine(1e-12, 1e12),
+    ])
+    def test_jump_matches_the_doubling_bracket(self, model, psi_evals):
+        # the bracket skips only upper ends where psi stays below t, so it
+        # ends on the reference's bracket and brentq returns the same bits;
+        # up to 1e300 the grid includes roots beyond the float range
+        sup = model.psi_sup
+        top = math.nextafter(sup, 0.0) if math.isfinite(sup) else 1e300
+        for t in [float(t) for t in np.geomspace(1e-30, top, 200)] + [top]:
+            got, n = counted_call(psi_evals, model.psi_inverse, t)
+            want, n_ref = counted_call(psi_evals, doubling_psi_inverse, model, t)
+            assert got == want, t
+            assert n <= n_ref, t
+
+    @pytest.mark.parametrize("model, most, reference", [
+        (Power(1.5, 1.0, 2.0), 19, 47),
+        (Affine(3.301, 1.0), 10, 17),
+    ])
+    def test_jump_skips_the_doublings_below_the_root(self, model, most, reference, psi_evals):
+        # the seed sits 12 decades below the Power root and 3 below the Affine one
+        assert counted_call(psi_evals, doubling_psi_inverse, model, 1e6)[1] == reference
+        x, n = counted_call(psi_evals, model.psi_inverse, 1e6)
+        assert n <= most
+        assert x == doubling_psi_inverse(model, 1e6)
+
+    @pytest.mark.parametrize("model", [Constant(1e-12), Affine(1e-12, 1e12)])
+    def test_seed_underflowing_to_zero(self, model, psi_evals):
+        # 2 ell(0) t underflows to 0, so the bracket cannot double from the
+        # seed; it starts at the least subnormal instead
+        t = 5e-324
+        assert math.sqrt(2.0 * model.ell(0.0) * t) == 0.0
+        x = psi_inverse(model, t)
+        assert psi_eval(model, x / 2.0) < t <= psi_eval(model, 2.0 * x)
 
     def test_solver_failure_is_typed(self):
         # not a valid profile: ell is NaN on [4, 8), so psi is NaN at the

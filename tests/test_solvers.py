@@ -1,10 +1,12 @@
 """Solver mechanics: auxiliary sequence, steps, warm start, both variants."""
 
+import dataclasses
 import functools
 import io
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from agdsmooth import (
 )
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
-from agdsmooth.solvers import TRACE_HEADER, format_trace_row
+from agdsmooth.solvers import TRACE_HEADER, TraceRecord, _norm, format_trace_row
 
 
 def make_state(problem, y, u, gamma_cap, k=0):
@@ -375,6 +377,20 @@ class TestRunParameters:
                            "a finite r_bar > 0 and budget >= 1"):
             self.RUNS[algorithm](p, *self.BAD[case])
 
+    @pytest.mark.parametrize("algorithm", ["gd", "agd1", "agd2"])
+    def test_divergence_raises_without_numpy_warnings(self, algorithm):
+        # claiming 1/1000 of the true curvature makes every step diverge;
+        # the run ends in a typed error, and NumPy's overflow warnings stay
+        # off on the library path as they are under the CLI
+        cfg = {"algorithm": algorithm, "problem": "quadratic",
+               "ell": {"kind": "constant", "L": 1e-3}, "r_bar": 10.0, "budget": 2000}
+        if algorithm == "agd2":
+            cfg["gamma_cap0"] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SafetyViolationError):
+                execute(config_from_dict(cfg), write_files=False)
+
 
 class TestAlgorithm2:
     def test_overflowing_start_is_a_domain_violation(self):
@@ -551,6 +567,56 @@ class TestTraceFormat:
         for rec in res.trace:
             field = format_trace_row(rec).split(",")[-1]
             assert int(field) == rec.flags
+
+    @staticmethod
+    def reference_row(rec):
+        # one cell per field: int and str columns by str, float columns as
+        # the repr of a python float, None as an empty cell
+        return ",".join(
+            str(v) if f.type in ("int", "str") else "" if v is None else repr(float(v))
+            for f in dataclasses.fields(rec) for v in [getattr(rec, f.name)])
+
+    def test_rows_of_runs_match_the_per_cell_reference(self):
+        # agd1's warm start writes gd rows, whose level cells are None; the
+        # withheld optimum leaves the gap, distance and lyapunov cells None
+        p = catalog("exp-1d", {})
+        q = catalog("exp-1d", {"known_optimum": False})
+        delta = select_delta(p.ell_model, 4.0)
+        runs = [algorithm1_run(p, p.ell_model, np.array([3.0]), delta, 4.0, 1e-6, 1000),
+                algorithm2_run(q, q.ell_model, np.array([3.0]), 5.0, 4.0, 1e-6, 1000)]
+        assert {r.phase for r in runs[0].trace} == {"gd", "agd"}
+        for res in runs:
+            for rec in res.trace:
+                assert format_trace_row(rec) == self.reference_row(rec)
+
+    @settings(max_examples=100)
+    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["gd", "agd"]),
+           st.lists(st.one_of(st.none(), st.floats(), st.floats().map(np.float64)),
+                    min_size=8, max_size=8),
+           st.integers(min_value=0, max_value=255))
+    def test_format_matches_the_per_cell_reference(self, k, phase, cells, flags):
+        rec = TraceRecord(k, phase, *cells, flags)
+        assert format_trace_row(rec) == self.reference_row(rec)
+
+
+def vectors():
+    """1-D float vectors: any float entries, including inf and NaN, or
+    entries at scales from 1e-160 to 1e160, whose squares under- or
+    overflow."""
+    scaled = st.builds(lambda m, e: m * 10.0 ** e, st.floats(min_value=-10.0, max_value=10.0),
+                       st.integers(min_value=-160, max_value=160))
+    return st.lists(st.one_of(st.floats(), scaled), min_size=1, max_size=11).map(np.array)
+
+
+class TestNorm:
+    @given(vectors())
+    def test_bits_equal_numpy_norm(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _norm(v), float(np.linalg.norm(v))
+            got_sq, want_sq = _norm(v) ** 2, float(np.linalg.norm(v) ** 2)
+        assert type(got) is float
+        for a, b in ((got, want), (got_sq, want_sq)):
+            assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
 
 
 class TestCertificates:
