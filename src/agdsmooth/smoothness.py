@@ -156,12 +156,13 @@ class EllModel:
             while True:
                 # psi(hi) = p is below t, or inf or NaN where x * x overflows
                 # (past x ~ 1.3e154); only a p computed from normal floats
-                # sets a floor.  The floor lies below the root, so the cap
+                # sets a floor.  sqrt(t) / sqrt(p) stays finite where t / p
+                # would overflow.  The floor lies below the root, so the cap
                 # at dmax only guards rounding, and the doublings past it
                 # overshoot dmax at most once
                 floor = 0.0
                 if NORMAL_MIN <= p < math.inf and hi * hi >= NORMAL_MIN:
-                    floor = min(hi * math.sqrt(t / p) * (1.0 - JUMP_SLACK), dmax)
+                    floor = min(hi * (math.sqrt(t) / math.sqrt(p)) * (1.0 - JUMP_SLACK), dmax)
                 # a seed that underflowed to 0 doubles from the least subnormal
                 lo, hi = hi, 2.0 * hi or math.ulp(0.0)
                 while hi < floor:

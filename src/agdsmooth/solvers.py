@@ -129,22 +129,18 @@ class TraceRecord:
     flags: int
 
 
-TRACE_HEADER = ",".join(col.name for col in fields(TraceRecord))
-
-
-def _cell(v: float | None) -> str:
-    # the repr of a python float, the shortest round-trip decimal; None is
-    # an empty cell
-    return "" if v is None else repr(float(v))
+# each column as (name, printed as a float); a float cell is the repr of a
+# python float, the shortest round-trip decimal, and None is an empty cell
+_COLUMNS = tuple((col.name, col.type not in ("int", "str")) for col in fields(TraceRecord))
+TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def format_trace_row(rec: TraceRecord) -> str:
-    """One CSV row, its cells in ``TRACE_HEADER`` order: the int and str
-    columns by ``str``, every float column by ``_cell``."""
-    c = _cell
-    return (f"{rec.k!s},{rec.phase!s},{c(rec.f_gap)},{c(rec.grad_norm)},{c(rec.gamma_cap)},"
-            f"{c(rec.alpha)},{c(rec.step_gamma)},{c(rec.dist_to_opt)},{c(rec.bound_gap)},"
-            f"{c(rec.lyapunov)},{rec.flags!s}")
+    cells = []
+    for name, is_float in _COLUMNS:
+        v = getattr(rec, name)
+        cells.append(str(v) if not is_float else "" if v is None else repr(float(v)))
+    return ",".join(cells)
 
 
 def write_trace_csv(path, records: list[TraceRecord]) -> None:
@@ -428,15 +424,18 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x_star = problem.optimum.x_star
     best = 0.0
-    for _ in range(GRAD_BOUND_SAMPLES):
-        d = rng.standard_normal(problem.dim)
-        d /= _norm(d)
-        x = x_star + 2.0 * r_bar * d
-        try:
-            _, g = evaluate(problem, x)
-        except DomainViolationError:
-            continue
-        best = max(best, _norm(g))
+    # a finite gradient whose square overflows reads as an infinite bound,
+    # without NumPy's overflow warning
+    with np.errstate(over="ignore"):
+        for _ in range(GRAD_BOUND_SAMPLES):
+            d = rng.standard_normal(problem.dim)
+            d /= _norm(d)
+            x = x_star + 2.0 * r_bar * d
+            try:
+                _, g = evaluate(problem, x)
+            except DomainViolationError:
+                continue
+            best = max(best, _norm(g))
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
     return GRAD_BOUND_SAFETY * best

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning
 from scipy.optimize import brentq
 
@@ -224,7 +224,9 @@ def bisect_psi_inverse(model, t):
 def doubling_psi_inverse(model, t):
     """Reference bracket for the psi inverse: from the seed, the upper end
     doubles (capped at delta_max) with psi evaluated at every one until psi
-    reaches t, then the same ``brentq`` call as the package's."""
+    reaches t, then the same ``brentq`` call as the package's.  A seed that
+    underflowed to 0 doubles from the least subnormal, as the package's
+    does."""
     dmax = model.delta_max
     lo = math.sqrt(2.0 * model.ell(0.0) * t)
     if lo >= dmax:
@@ -232,7 +234,7 @@ def doubling_psi_inverse(model, t):
     elif smoothness.psi_eval(model, lo) >= t * (1.0 - smoothness.SEED_ROUNDING):
         return lo
     else:
-        hi = min(2.0 * lo, dmax)
+        hi = min(2.0 * lo or math.ulp(0.0), dmax)
         while hi < dmax and not t <= smoothness.psi_eval(model, hi) < math.inf:
             lo, hi = hi, min(2.0 * hi, dmax)
     if math.isinf(hi):
@@ -326,15 +328,11 @@ class TestPsiInverse:
     def test_inverts_psi_on_its_increasing_branch(self, model, frac):
         sup = model.psi_sup
         t = frac * sup if math.isfinite(sup) else frac / (1.0 - frac)
-        try:
-            x = psi_inverse(model, t)
-        except OutOfRangeError:
-            # psi grows so slowly (rho near 2) that it reaches t only where
-            # x * x overflows.  The doubling upper ends all read psi below
-            # t, and the last one whose square is finite lies past half of
-            # sqrt(max float)
-            assert psi_eval(model, math.sqrt(sys.float_info.max) / 2.0) < t
-            return
+        # a rho near 2 can put the root where x * x overflows, the case
+        # test_root_beyond_the_float_range covers; here psi reaches t at or
+        # below half of sqrt(max float)
+        assume(psi_eval(model, math.sqrt(sys.float_info.max) / 2.0) >= t)
+        x = psi_inverse(model, t)
         assert math.sqrt(2.0 * ell_eval(model, 0.0) * t) <= x < model.delta_max
         assert psi_eval(model, x) == pytest.approx(t, rel=1e-15)
 
@@ -368,6 +366,10 @@ class TestPsiInverse:
         Power(0.5, 1.0, 1.0),
         CustomMonotone(points=((0.0, 1.0), (1.0, 16.0))),
         Affine(1e-12, 1e12),
+        # ell(4 x0) / ell(0) above max float, so t / psi(x0) overflows, with
+        # delta_max infinite and finite
+        CustomMonotone(points=((0.0, 1e-300), (1e-200, 1e10))),
+        CustomMonotone(points=((0.0, 1e-300), (1e-200, 1e10), (1e7, 1e10), (1e7 + 1.0, 1e300))),
     ])
     def test_jump_matches_the_doubling_bracket(self, model, psi_evals):
         # the bracket skips only upper ends where psi stays below t, so it

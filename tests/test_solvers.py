@@ -391,6 +391,19 @@ class TestRunParameters:
             with pytest.raises(SafetyViolationError):
                 execute(config_from_dict(cfg), write_files=False)
 
+    def test_grad_bound_estimate_overflows_without_numpy_warnings(self):
+        # agd1 on exp-1d claiming a superquadratic profile estimates m_bar
+        # from samples at distance 2 r_bar = 400, where the gradient
+        # exp(400) is finite and its square is not: the bound reads inf and
+        # the run ends in a typed error
+        cfg = {"algorithm": "agd1", "problem": "exp-1d", "r_bar": 200.0, "budget": 10,
+               "ell": {"kind": "power", "rho": 3.0, "L0": 1.0, "L1": 1.0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_grad_bound(catalog("exp-1d"), 200.0) == math.inf
+            with pytest.raises(PreconditionError):
+                execute(config_from_dict(cfg), write_files=False)
+
 
 class TestAlgorithm2:
     def test_overflowing_start_is_a_domain_violation(self):
