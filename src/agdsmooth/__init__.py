@@ -30,7 +30,6 @@ from .smoothness import (
     model_from_config,
     psi_eval,
     psi_inverse,
-    q_eval,
     q_inverse,
     q_max,
     select_delta,
@@ -44,7 +43,6 @@ from .problems import (
     Problem,
     catalog,
     evaluate,
-    finite_diff_check,
     project_closure,
 )
 from .solvers import (

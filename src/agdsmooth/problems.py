@@ -97,24 +97,6 @@ def evaluate(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     return value, np.asarray(grad, dtype=float)
 
 
-def finite_diff_check(problem: Problem, x: np.ndarray, h: float) -> float:
-    """Worst per-coordinate relative error of central differences vs the
-    analytic gradient.  The stencil x +- h e_i must stay feasible."""
-    if not h > 0:
-        raise DomainError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    _, grad = evaluate(problem, x)
-    worst = 0.0
-    for i in range(problem.dim):
-        e = np.zeros(problem.dim)
-        e[i] = h
-        f_plus, _ = evaluate(problem, x + e)
-        f_minus, _ = evaluate(problem, x - e)
-        fd = (f_plus - f_minus) / (2.0 * h)
-        worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(grad[i])))
-    return worst
-
-
 # --- catalog ---------------------------------------------------------------
 
 def _param(params: dict, key: str, default: float) -> float:

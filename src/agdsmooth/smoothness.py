@@ -14,7 +14,8 @@ Two derived functions drive everything else in the package:
 
 Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the q budget with its inverse and limit, the psi peak,
-the right crossing and its warm-start delta head.  The base holds the psi
+the right crossing and its admissibility boundary, the largest delta that
+Algorithm 1's warm start admits, in closed form.  The base holds the psi
 inverse that every profile uses (Brent's method from the seed
 ``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
 flat head, in a doubling bracket that jumps past every upper end below
@@ -98,10 +99,11 @@ class EllModel:
     """Base of the curvature profiles.
 
     Subclasses are frozen dataclasses that define ``ell``, ``ell_sup``,
-    ``delta_head`` and, when their fields are not plain floats, the config
-    round trip.  They override the generic psi inverse, q machinery and
-    psi geometry where they have closed forms.  Methods take arguments
-    already known to be >= 0; the module-level functions check them.
+    ``admissible_boundary`` where ell passes 2 ell(0) and, when their fields
+    are not plain floats, the config round trip.  They override the generic
+    psi inverse, q machinery and psi geometry where they have closed forms.
+    Methods take arguments already known to be >= 0; the module-level
+    functions check them.
     """
 
     kind: str
@@ -113,10 +115,16 @@ class EllModel:
         """Supremum of ell over [0, inf)."""
         raise NotImplementedError
 
+    @cached_property
+    def admissible_boundary(self) -> float:
+        """Largest delta with ell(8 sqrt(delta ell(0))) <= 2 ell(0), in closed
+        form; infinite when ell never passes 2 ell(0)."""
+        return math.inf
+
     def delta_head(self, r_bar: float, m_bar: float | None) -> float:
-        """The profile's warm-start delta before any clipping; only asked of
-        profiles not bounded by 2 ell(0), which ``Constant`` always is."""
-        raise NotImplementedError
+        """The profile's warm-start delta before any clipping: the
+        admissibility boundary, capped by the gap term ell(0) r_bar^2 / 64."""
+        return min(self.admissible_boundary, self.ell(0.0) * r_bar**2 / 64.0)
 
     @cached_property
     def delta_max(self) -> float:
@@ -182,11 +190,12 @@ class EllModel:
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
         """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
-        the quadrature's error estimate."""
+        the quadrature's error estimate.  ``full_output`` keeps a missed
+        tolerance out of the warnings; ``q_inverse`` checks the estimate."""
         return quad(
             lambda v: 1.0 / self.ell(a + v), s0, s1,
-            epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
-        )
+            epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200, full_output=1,
+        )[:2]
 
     def q(self, s: float, a: float) -> float:
         """One quadrature per dyadic bracket [0, 1], [1, 2], [2, 4], ...; a
@@ -290,8 +299,10 @@ class Affine(EllModel):
     def ell_sup(self) -> float:
         return self.L0 if self.L1 == 0 else math.inf
 
-    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
-        return min(self.L0 / (64.0 * self.L1**2), self.L0 * r_bar**2 / 64.0)
+    @cached_property
+    def admissible_boundary(self) -> float:
+        # ell(s) = 2 L0 at s = L0 / L1
+        return math.inf if self.L1 == 0 else self.L0 / (64.0 * self.L1**2)
 
     def q(self, s: float, a: float) -> float:
         if self.L1 == 0:
@@ -337,7 +348,12 @@ class Power(EllModel):
     def ell_sup(self) -> float:
         return self.L0 + self.L1 if self._flat else math.inf
 
-    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
+    @cached_property
+    def admissible_boundary(self) -> float:
+        """The head (L0 / L1)**(2 / rho) / L0 over 64: ell(s) = 2 L0 at
+        s = (L0 / L1)**(1 / rho)."""
+        if self._flat:
+            return math.inf
         rho, L0, L1 = self.rho, self.L0, self.L1
         try:
             head = L0 ** (2.0 / rho - 1.0) / L1 ** (2.0 / rho)
@@ -347,9 +363,15 @@ class Power(EllModel):
                 head = (L0 / L1) ** (2.0 / rho) / L0
             except OverflowError:
                 head = math.inf
-        if rho <= 2:
-            return min(head, L0 * r_bar**2) / 64.0
-        return min(head, L0 / L1**2, (1.0 / (2.0 * m_bar)) ** (rho - 2.0) / L1, L0 * r_bar**2)
+        return head / 64.0
+
+    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
+        if self.rho <= 2:
+            return super().delta_head(r_bar, m_bar)
+        # the two-branch terms take the head itself, not a 64th of it
+        L0, L1 = self.L0, self.L1
+        return min(64.0 * self.admissible_boundary, L0 / L1**2,
+                   (1.0 / (2.0 * m_bar)) ** (self.rho - 2.0) / L1, L0 * r_bar**2)
 
     @cached_property
     def delta_max(self) -> float:
@@ -453,8 +475,20 @@ class CustomMonotone(EllModel):
     def ell_sup(self) -> float:
         return self.points[-1][1]
 
-    def delta_head(self, r_bar: float, m_bar: float | None) -> float:
-        return min(_admissible_boundary(self), self.ell(0.0) * r_bar**2 / 64.0)
+    @cached_property
+    def admissible_boundary(self) -> float:
+        """From the point s* where the first segment ending above 2 ell(0)
+        crosses it: (s* / 8)^2 / ell(0), stepped down by ulps until
+        ``admissible_delta`` accepts it, which its roundings can refuse."""
+        l0 = self.ell(0.0)
+        for (s0, v0), (s1, v1) in zip(self.points, self.points[1:]):
+            if v1 > 2.0 * l0:
+                s_star = s0 + (2.0 * l0 - v0) * (s1 - s0) / (v1 - v0)
+                delta = (s_star / 8.0) ** 2 / l0
+                while not admissible_delta(self, delta):
+                    delta = math.nextafter(delta, 0.0)
+                return delta
+        return math.inf
 
     def _falling_starts(self):
         """``(x0, x1, b, m)`` of each segment, in psi's argument x = s / 4,
@@ -592,20 +626,6 @@ def admissible_delta(model: EllModel, delta: float) -> bool:
     return ell_eval(model, 8.0 * math.sqrt(delta * l0)) <= 2.0 * l0
 
 
-def q_eval(model: EllModel, s: float, a: float) -> float:
-    """Step-length budget q(s; a) = int_0^s dv / ell(a + v).
-
-    Closed forms cover the constant, affine, quadratic-power and
-    piecewise-linear profiles; a general power profile goes through adaptive
-    quadrature at 1e-10 relative, one per dyadic bracket of s.
-    """
-    if s < 0 or a < 0 or math.isnan(s) or math.isnan(a):
-        raise DomainError(f"q needs s, a >= 0, got s={s}, a={a}")
-    if s == 0.0:
-        return 0.0
-    return model.q(s, a)
-
-
 def q_max(model: EllModel, a: float) -> float:
     """Total budget q_max(a) = int_0^inf dv / ell(a + v); inf unless the
     profile grows superlinearly."""
@@ -682,23 +702,6 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
     raise PreconditionError(
         "could not find a delta satisfying the two-branch geometry conditions"
     )
-
-
-def _admissible_boundary(model: EllModel) -> float:
-    # largest admissible delta by bisection on the monotone predicate
-    hi = 1.0
-    while admissible_delta(model, hi):
-        hi *= 2.0
-        if hi > 1e308:
-            return math.inf
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if admissible_delta(model, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # --- serialization ---------------------------------------------------------

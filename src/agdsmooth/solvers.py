@@ -545,7 +545,10 @@ def algorithm1_run(
     ``delta`` (the select_delta sentinel for constant-like profiles) is
     replaced by twice the initial gap (or its gradient certificate), which
     makes the warm start a no-op.  A profile with a non-monotone psi needs
-    ``m_bar``; without it the run is refused.
+    ``m_bar``; without it the run is refused.  The certificate assumes
+    ``r_bar >= |x0 - x*|``: with the optimum known a shorter r_bar is
+    refused, but without it nothing checks that, and a bound certified on
+    too short an r_bar need not hold.
     """
     run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, refusal = run.start(x0)
@@ -579,34 +582,34 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     small-curvature condition ``ell(24 sqrt(C)/k) <= 2 ell(0)`` with
     ``C = ell(4 psi_inverse(gamma_cap0 r_bar^2)) ell(0) r_bar^2``.
 
-    The adaptive algorithm does not steer by it; every agd2 run reports it
-    as ``warmup_bound`` in its result and summary.
+    The condition holds while ``24 sqrt(C)/k`` stays within
+    ``8 sqrt(delta* ell(0))``, where delta* is the profile's
+    ``admissible_boundary``, so k = ceil(3 r_bar sqrt(lref / delta*)) with
+    lref = ell(4 psi_inverse(gamma_cap0 r_bar^2)); k = 1 where ell never
+    passes 2 ell(0), and a k above 2**62 is a ``ConfigurationError``.  The
+    adaptive algorithm does not steer by it; every agd2 run reports it as
+    ``warmup_bound`` in its result and summary.
     """
-    l0 = ell_eval(model, 0.0)
     t0 = gamma_cap0 * r_bar**2
     if t0 >= model.psi_sup:
         raise ConfigurationError("gamma_cap0 * r_bar^2 is out of the psi range")
-    lref = ell_eval(model, 4.0 * psi_inverse(model, t0))
-    c = math.sqrt(lref * l0) * r_bar
-
-    def ok(k: int) -> bool:
-        return ell_eval(model, 24.0 * c / k) <= 2.0 * l0
-
-    if ok(1):
+    boundary = model.admissible_boundary
+    if math.isinf(boundary):
         return 1
-    hi = 2
-    while not ok(hi):
-        hi *= 2
-        if hi > 2**62:
-            raise ConfigurationError("no finite warmup bound found (profile unbounded?)")
-    lo = hi // 2  # smallest ok integer lies in (lo, hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lref = ell_eval(model, 4.0 * psi_inverse(model, t0))
+    x = 3.0 * r_bar * math.sqrt(lref / boundary) if boundary > 0 else math.inf
+    if not x <= 2**62:
+        raise ConfigurationError("no finite warmup bound found (profile unbounded?)")
+    # x carries a few ulps of rounding, which past k ~ 1e13 can cross an
+    # integer or two; the condition itself settles those last steps
+    l0 = ell_eval(model, 0.0)
+    c = math.sqrt(lref * l0) * r_bar
+    k = max(1, math.ceil(x))
+    while ell_eval(model, 24.0 * c / k) > 2.0 * l0:
+        k += 1
+    while k > 1 and ell_eval(model, 24.0 * c / (k - 1)) <= 2.0 * l0:
+        k -= 1
+    return k
 
 
 def algorithm2_run(
@@ -629,7 +632,8 @@ def algorithm2_run(
     known optimum the start admits no level below twice the initial gap
     over the squared initial distance; ``gamma_cap0=None`` starts there (at
     1 from the optimum itself).  The result's ``gamma_cap0`` is the level
-    the run started from.
+    the run started from.  As in ``algorithm1_run``, the certificate assumes
+    ``r_bar >= |x0 - x*|``, which nothing checks without the optimum.
     """
     run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     if not (gamma_cap0 is None or gamma_cap0 > 0):

@@ -50,8 +50,8 @@ GOLDEN_RUNS = {
     # a monotone piecewise-linear claim, warm-started and adaptive
     "agd1-exp-1d-custom": (
         {"algorithm": "agd1", "problem": "exp-1d", "ell": CUSTOM_CLAIM},
-        "95ea480e8392a623d34240f66a33ccda405c9768e4d85f639c9ab8b24c78913f",
-        "8a765fefd5b955f3ae824df69e6442dfcc3d589cef259a330586799a120b4780",
+        "3a7f97c8e4b974581e6cd5e39fb54585a67592e169e7aa977a76ac4890376a07",
+        "0cb56111a0267c317cf5a5eced2a023e70bab2f3779419cafd547621b0f38316",
     ),
     "agd2-exp-1d-custom": (
         {"algorithm": "agd2", "problem": "exp-1d", "ell": CUSTOM_CLAIM},

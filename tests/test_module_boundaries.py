@@ -1,8 +1,10 @@
 """Module boundaries: no package module imports another one's private names,
-and no code outside the profile classes dispatches on their type."""
+no code outside the profile classes dispatches on their type, and every
+public name is used by some module of the package."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -84,3 +86,18 @@ def test_solvers_leaves_psi_geometry_to_smoothness():
         if isinstance(node, ast.ImportFrom) for alias in node.names
     }
     assert not imported & {"admissible_delta", "delta_left_right"}
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a name in __all__ that no package module reads is surface nothing
+    # in the system needs; its tests can keep a private copy
+    used = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used.update(name for node in ast.walk(tree)
+                        if isinstance(node, (ast.Name, ast.Attribute))
+                        for name in _names(node))
+    public = {name for name in agdsmooth.__all__
+              if not isinstance(getattr(agdsmooth, name), ModuleType)}
+    assert not public - used, f"public names no module uses: {sorted(public - used)}"

@@ -2,12 +2,12 @@
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.integrate import IntegrationWarning
 from scipy.optimize import brentq
 
 from agdsmooth import (
@@ -25,7 +25,6 @@ from agdsmooth import (
     model_from_config,
     psi_eval,
     psi_inverse,
-    q_eval,
     q_inverse,
     q_max,
 )
@@ -495,12 +494,63 @@ class TestAdmissibleDelta:
         assert not admissible_delta(model, threshold * (1 + 1e-9))
 
 
+def bisect_admissible_boundary(model):
+    """Reference boundary: the largest delta that ``admissible_delta``
+    accepts, by bisection on that monotone predicate (inf past 1e308)."""
+    hi = 1.0
+    while admissible_delta(model, hi):
+        hi *= 2.0
+        if hi > 1e308:
+            return math.inf
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if admissible_delta(model, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def assert_matches_bisection(model):
+    boundary = model.admissible_boundary
+    if admissible_delta(model, math.inf):
+        # ell never passes 2 ell(0); the bisection would meet delta * ell(0)
+        # overflowing instead
+        assert boundary == math.inf
+    else:
+        assert boundary == pytest.approx(bisect_admissible_boundary(model), rel=1e-12)
+
+
+class TestAdmissibleBoundary:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_reference_bisection(self, model):
+        assert_matches_bisection(model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(piecewise_linear_profiles())
+    def test_custom_closed_form_is_admissible(self, model):
+        assert_matches_bisection(model)
+        boundary = model.admissible_boundary
+        if math.isfinite(boundary):
+            # admissible itself, not refused by a rounding, and no more than
+            # 1e-12 below the largest admissible delta
+            assert admissible_delta(model, boundary)
+            assert not admissible_delta(model, boundary * (1 + 1e-12))
+
+    def test_custom_by_hand(self):
+        # ell = 1 + 0.4 s reaches 2 at s = 2.5, and (2.5 / 8)^2 = 0.09765625;
+        # bisection read 0.09765625000000004
+        model = CustomMonotone(((0.0, 1.0), (10.0, 5.0), (11.0, 100.0)))
+        assert model.admissible_boundary == 0.09765625
+
+
 class TestQ:
     def test_constant(self):
-        assert q_eval(Constant(4), 2, 99) == pytest.approx(0.5)
+        assert Constant(4).q(2, 99) == pytest.approx(0.5)
 
     def test_affine_log(self):
-        assert q_eval(Affine(1, 1), math.e - 1, 0) == pytest.approx(1.0, rel=1e-12)
+        assert Affine(1, 1).q(math.e - 1, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_quadratic_power_arctan(self):
         assert q_max(Power(2, 1, 1), 0) == pytest.approx(math.pi / 2, rel=1e-12)
@@ -510,7 +560,7 @@ class TestQ:
         # against the analytic arctan on rho = 2 via a change of variable
         model = Power(1.5, 1.0, 1.0)
         val, a, s = None, 0.3, 2.0
-        got = q_eval(model, s, a)
+        got = model.q(s, a)
         grid = np.linspace(a, a + s, 200001)
         trapz = np.trapezoid(1.0 / (1.0 + grid**1.5), grid)
         assert got == pytest.approx(float(trapz), rel=1e-7)
@@ -524,8 +574,7 @@ class TestQ:
         # one quadrature over [0, 8.5e7] read -0.816; the references are
         # 40-digit mpmath values
         model = Power(1.125, 1, 1)
-        assert q_eval(model, 8.5e7, 0) == pytest.approx(7.34838406083305927836959830964,
-                                                        rel=1e-12)
+        assert model.q(8.5e7, 0) == pytest.approx(7.34838406083305927836959830964, rel=1e-12)
         assert q_max(model, 0) == pytest.approx(8.16480215474298512, rel=1e-11)
 
     def test_q_max_analytic_power(self):
@@ -556,7 +605,7 @@ class TestQ:
             lo = hi
             if lo >= a + s:
                 break
-        assert q_eval(model, s, a) == pytest.approx(expected, rel=1e-9)
+        assert model.q(s, a) == pytest.approx(expected, rel=1e-9)
 
     def test_q_inverse_examples(self):
         assert q_inverse(Constant(4), 0.5, 0) == pytest.approx(2.0)
@@ -571,11 +620,11 @@ class TestQ:
             hi = 0.9 * qm if math.isfinite(qm) else 10.0
             for r in np.geomspace(1e-6, hi, 15):
                 s = q_inverse(model, float(r), a)
-                assert q_eval(model, s, a) == pytest.approx(float(r), rel=1e-8)
+                assert model.q(s, a) == pytest.approx(float(r), rel=1e-8)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(DomainError):
-            q_eval(Constant(1), -1, 0)
+            q_inverse(Constant(1), -1, 0)
         with pytest.raises(DomainError):
             q_max(Constant(1), -1)
 
@@ -591,21 +640,21 @@ def dyadic_brackets(s):
 
 def dyadic_q(model, s, a):
     """q(s; a) summed over dyadic brackets.  A single quadrature across many
-    decades can be far off: q_eval(Power(1.125, 1, 1), 8.5e7, 0) reads
+    decades can be far off: for Power(1.125, 1, 1) on [0, 8.5e7] it read
     -0.82 where q is 7.35."""
-    return sum(q_eval(model, hi - lo, a + lo) for lo, hi in dyadic_brackets(s))
+    return sum(model.q(hi - lo, a + lo) for lo, hi in dyadic_brackets(s))
 
 
 def bisect_q_inverse(model, r, a):
     """Reference inverse: bisection on q(s; a) inside the first dyadic
     bracket that reaches r, stopped 4e-16 wide relative."""
     base, q_base, hi = 0.0, 0.0, 1.0
-    while (q_hi := q_base + q_eval(model, hi - base, a + base)) < r:
+    while (q_hi := q_base + model.q(hi - base, a + base)) < r:
         base, q_base, hi = hi, q_hi, 2.0 * hi
     lo = base
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if q_base + q_eval(model, mid - base, a + base) < r:
+        if q_base + model.q(mid - base, a + base) < r:
             lo = mid
         else:
             hi = mid
@@ -688,8 +737,8 @@ class TestQInverse:
 
     def test_inaccurate_increment_is_halved(self, monkeypatch):
         # from a = 1.2e-7 the first Newton steps cross the cusp of s**0.125
-        # near 0, where quad misses QUAD_REL_TOL (and warns) until the
-        # increment is halved
+        # near 0, where quad misses QUAD_REL_TOL until the increment is
+        # halved; the miss is read from the error estimate, not warned
         steps = []
         q_between = EllModel._q_between
 
@@ -698,7 +747,8 @@ class TestQInverse:
             return q_between(self, s0, s1, a)
 
         monkeypatch.setattr(EllModel, "_q_between", spy)
-        with pytest.warns(IntegrationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s = q_inverse(Power(0.125, 1.0, 2.0), 10.0, 1.2e-7)
         assert any(b[0] == a[0] and b[1] - b[0] == 0.5 * (a[1] - a[0])
                    for a, b in zip(steps, steps[1:]))
@@ -721,7 +771,7 @@ class TestQInverse:
             for a in (0.0, 0.5, 1.0, 150.0):
                 for r in (1e-6, 0.3, 1.0, 50.0):
                     s = q_inverse(model, r, a)
-                    assert q_eval(model, s, a) == pytest.approx(r, rel=1e-12)
+                    assert model.q(s, a) == pytest.approx(r, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(piecewise_linear_profiles(), st.floats(min_value=0.0, max_value=30.0),
@@ -731,7 +781,7 @@ class TestQInverse:
         # a kink; summed per piece it checks the exact per-segment logs
         pieces = linear_pieces(model, s, a)
         reference = sum(EllModel.q(model, length, start) for length, start in pieces)
-        assert q_eval(model, s, a) == pytest.approx(reference, rel=1e-9)
+        assert model.q(s, a) == pytest.approx(reference, rel=1e-9)
 
 
 class TestSerialization:

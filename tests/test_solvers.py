@@ -37,6 +37,7 @@ from agdsmooth import (
     gd_run,
     kbar,
     psi_eval,
+    psi_inverse,
     select_delta,
     warmup_iterations_bound,
 )
@@ -263,7 +264,7 @@ class TestSelectDelta:
         assert (warm_start_refusal(model, 0.3125, 1.0)
                 == "delta violates the small-curvature branch condition")
         delta = select_delta(model, 1e6, 1.0)
-        assert delta == 0.09765625000000004 and not warm_start_refusal(model, delta, 1.0)
+        assert delta == 0.09765625 and not warm_start_refusal(model, delta, 1.0)
 
     def test_power_head_outside_the_float_range(self):
         # L0**(2/rho - 1) overflows, L1**(2/rho) underflows, or both; the
@@ -403,6 +404,27 @@ class TestRunParameters:
             assert estimate_grad_bound(catalog("exp-1d"), 200.0) == math.inf
             with pytest.raises(PreconditionError):
                 execute(config_from_dict(cfg), write_files=False)
+
+    def test_r_bar_below_the_distance_goes_unseen_without_the_optimum(self):
+        # |x0 - x*| = sqrt(2) against r_bar = 0.01: every certificate scales
+        # with r_bar, so both runs "converge" on bounds that do not hold.
+        # Only the known optimum exposes the short r_bar
+        x0 = np.array([1.0, 1.0])
+        blind = catalog("quadratic", {"known_optimum": False})
+        res = algorithm2_run(blind, blind.ell_model, x0, 1.0, 0.01, 1e-2, 1000)
+        assert res.converged and res.oracle_calls == 1 and res.flags_total == 0
+        assert res.achieved_gap == pytest.approx(1e-4)
+        assert evaluate(blind, res.state.y)[0] == 1.0  # f* = 0
+        res = algorithm1_run(blind, blind.ell_model, x0, math.inf, 0.01, 1e-4, 1000)
+        assert res.converged and res.oracle_calls == 5 and res.flags_total == 0
+        assert res.achieved_gap == pytest.approx(9.85e-5, rel=1e-3)
+        assert evaluate(blind, res.state.y)[0] == pytest.approx(0.2284, rel=1e-3)
+
+        seen = catalog("quadratic")
+        for res in (algorithm2_run(seen, seen.ell_model, x0, 1.0, 0.01, 1e-2, 1000),
+                    algorithm1_run(seen, seen.ell_model, x0, math.inf, 0.01, 1e-4, 1000)):
+            assert res.termination == "precondition-failed"
+            assert res.message == "r_bar is below the true initial distance"
 
 
 class TestAlgorithm2:
@@ -544,6 +566,66 @@ class TestAlgorithm2:
 
         assert ok(k) and not ok(k - 1)
         assert warmup_iterations_bound(Constant(3), 10.0, 10.0) == 1
+
+
+def search_warmup_bound(model, gamma_cap0, r_bar):
+    """Reference warm-up bound: the smallest k with ell(24 c / k) <= 2 ell(0),
+    by doubling then integer bisection; None past 2**62."""
+    l0 = ell_eval(model, 0.0)
+    lref = ell_eval(model, 4.0 * psi_inverse(model, gamma_cap0 * r_bar**2))
+    c = math.sqrt(lref * l0) * r_bar
+
+    def ok(k):
+        return ell_eval(model, 24.0 * c / k) <= 2.0 * l0
+
+    if ok(1):
+        return 1
+    hi = 2
+    while not ok(hi):
+        hi *= 2
+        if hi > 2**62:
+            return None
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+WARMUP_PROFILES = (
+    Constant(3.0), Affine(3.301, 1.0), Affine(1e-3, 1e3), Affine(50.0, 1e-4),
+    Power(0.5, 2.0, 3.0), Power(1.5, 1.0, 2.0), Power(2.0, 1.0, 1.0), Power(2.0, 1e3, 1e-3),
+    Power(3.0, 1.0, 1.0),
+    CustomMonotone(((0.0, 2.0), (4.0, 6.0), (40.0, 60.0))),
+    CustomMonotone(((0.0, 1.0), (10.0, 5.0), (11.0, 100.0))),
+    CustomMonotone(((0.0, 1.0), (1.0, 1.0), (2.0, 100.0), (100.0, 100.0))),
+)
+
+
+class TestWarmupBound:
+    @pytest.mark.parametrize("model", WARMUP_PROFILES, ids=repr)
+    def test_closed_form_matches_the_search(self, model):
+        checked = 0
+        for gamma_cap0 in np.geomspace(1e-6, 1e6, 13):
+            for r_bar in np.geomspace(1e-3, 1e4, 15):
+                gamma_cap0, r_bar = float(gamma_cap0), float(r_bar)
+                if gamma_cap0 * r_bar**2 >= model.psi_sup:
+                    continue
+                reference = search_warmup_bound(model, gamma_cap0, r_bar)
+                if reference is None or reference >= 2**51:
+                    continue
+                assert warmup_iterations_bound(model, gamma_cap0, r_bar) == reference, (
+                    gamma_cap0, r_bar)
+                checked += 1
+        assert checked
+
+    def test_unbounded_level_is_a_configuration_error(self):
+        # ell reaches 2 ell(0) at s = 1e-300, so k passes 2**62
+        with pytest.raises(ConfigurationError, match="no finite warmup bound"):
+            warmup_iterations_bound(Affine(1e-300, 1.0), 1.0, 1.0)
 
 
 class TestTraceFormat:
