@@ -20,9 +20,10 @@ inverse that every profile uses (Brent's method from the seed
 ``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
 flat head, in a doubling bracket that jumps past every upper end below
 ``x sqrt(t / psi(x))`` of the last point x it evaluated, a bound on the root
-because psi(x) / x^2 does not increase), the generic quadrature, the Newton
-q inverse and the bisection
-behind the q and right-crossing fallbacks; the module-level
+because psi(x) / x^2 does not increase; the package's own Brent, a port of
+SciPy's ``brentq`` that returns its bits, starts from the psi values the
+bracket already has), the generic quadrature, the Newton q inverse and the
+bisection behind the q and right-crossing fallbacks; the module-level
 functions validate their arguments and dispatch to the model, and
 ``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
 Models are immutable after construction (their psi geometry is computed
@@ -39,7 +40,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -58,11 +58,12 @@ BISECT_MAX_ITER = 200
 
 # psi inverse.  The seed sqrt(2 ell(0) t) squares back to t within 2.5 ulps
 # (four roundings), so a psi(seed) that short of t is a flat head's root.
-# Brent stops on a bracket 4 ulps wide relative to the root, the tightest
-# rtol brentq accepts; the absolute xtol only matters for subnormal roots.
-# Its iterations stay far below the cap: the bracket spans a factor of 2,
-# and Brent falls back to bisection (52 halvings to 4 ulps) when
-# interpolation does not shrink it.
+# The package's Brent (``_brent``, a port of SciPy's brentq.c) stops on a
+# bracket 4 ulps wide relative to the root, the tightest rtol brentq
+# accepts; the absolute xtol only matters for subnormal roots.  Its
+# iterations stay far below the cap: the bracket spans a factor of 2, and
+# Brent falls back to bisection (52 halvings to 4 ulps) when interpolation
+# does not shrink it.
 SEED_ROUNDING = 4.0 * sys.float_info.epsilon
 # The bracket's jump floor h sqrt(t / psi(h)) is shrunk by JUMP_SLACK, which
 # covers psi's few roundings at both points many times over; a psi(h) or an
@@ -93,6 +94,80 @@ def _bisect(below, lo: float, hi: float) -> float:
         if hi - lo <= 4e-16 * max(mid, 1e-300):
             break
     return 0.5 * (lo + hi)
+
+
+def _no_root(t: float, lo: float, hi: float, why: str) -> OutOfRangeError:
+    return OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: {why}")
+
+
+def _brent(model: EllModel, t: float, lo: float, hi: float,
+           f_lo: float | None, f_hi: float | None) -> float:
+    """Brent's method for psi(x) = t on ``[lo, hi]``, where ``f_lo`` and
+    ``f_hi`` are psi - t at the ends, or None where psi was not evaluated.
+
+    A line-for-line port of SciPy's ``brentq.c``: the same tolerance
+    ``delta``, interpolation and extrapolation steps and bisection fallback,
+    in the same arithmetic order, so on a deterministic psi it returns the
+    bits ``brentq`` returns.  It evaluates psi only at the ends that have no
+    value and at its iterates.  A NaN, ends of one sign or no convergence
+    is an ``OutOfRangeError``, as each is a ``ValueError`` or
+    ``RuntimeError`` there.
+    """
+    if f_lo is None:
+        f_lo = psi_eval(model, lo) - t
+    if f_hi is None:
+        f_hi = psi_eval(model, hi) - t
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise _no_root(t, lo, hi, "psi is NaN at an end")
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    if (f_lo < 0) == (f_hi < 0):
+        raise _no_root(t, lo, hi, "psi - t has one sign at both ends")
+    xpre, fpre, xcur, fcur = lo, f_lo, hi, f_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; where Python raises on a division by 0 (a
+                # slope that underflows to 0), C's step is an inf or NaN,
+                # which the test below rejects
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = psi_eval(model, xcur) - t
+        if math.isnan(fcur):
+            raise _no_root(t, lo, hi, f"psi is NaN at {xcur}")
+    raise _no_root(t, lo, hi, f"no convergence in {BRENT_MAX_ITER} iterations")
 
 
 class EllModel:
@@ -144,19 +219,23 @@ class EllModel:
         ``x0 = sqrt(2 ell(0) t)`` lies at or below the root.  Where psi(x0)
         reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
         is the root; otherwise the upper end doubles from 2 x0 (capped at
-        delta_max) until psi reaches t, and ``brentq`` solves psi(x) = t
+        delta_max) until psi reaches t, and ``_brent`` solves psi(x) = t
         inside that bracket to 4 ulps.  psi(x) / x^2 does not increase
         either, so each evaluated psi(h) < t puts the root at or above
         ``h sqrt(t / psi(h))``; the upper ends below that floor (less
         ``JUMP_SLACK``) are doubled past without evaluating psi, which ends
-        on the bracket that evaluating each would reach.
+        on the bracket that evaluating each would reach.  ``_brent`` takes
+        psi at the ends the bracket evaluated (the upper end, and the lower
+        one unless it was jumped to) and evaluates only the others, so it
+        returns the root SciPy's ``brentq`` returns, with two fewer psi
+        evaluations in the usual case.
         """
         dmax = self.delta_max
         lo = math.sqrt(2.0 * self.ell(0.0) * t)
         if lo >= dmax:
             # the root lies at or below delta_max, so only rounding (a t
             # within an ulp of psi_sup) puts x0 here
-            lo, hi = 0.0, dmax
+            lo, hi, f_lo, f_hi = 0.0, dmax, None, None
         elif (p := psi_eval(self, lo)) >= t * (1.0 - SEED_ROUNDING):
             return lo
         else:
@@ -171,22 +250,21 @@ class EllModel:
                 floor = 0.0
                 if NORMAL_MIN <= p < math.inf and hi * hi >= NORMAL_MIN:
                     floor = min(hi * (math.sqrt(t) / math.sqrt(p)) * (1.0 - JUMP_SLACK), dmax)
-                # a seed that underflowed to 0 doubles from the least subnormal
+                # a seed that underflowed to 0 doubles from the least
+                # subnormal; a lower end jumped to has no psi value
+                f_lo = p - t
                 lo, hi = hi, 2.0 * hi or math.ulp(0.0)
                 while hi < floor:
-                    lo, hi = hi, 2.0 * hi
+                    lo, hi, f_lo = hi, 2.0 * hi, None
                 if hi >= dmax:
-                    hi = dmax
+                    hi, f_hi = dmax, None
                     break
                 if t <= (p := psi_eval(self, hi)) < math.inf:
+                    f_hi = p - t
                     break
         if math.isinf(hi):
             raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
-        try:
-            return brentq(lambda x: psi_eval(self, x) - t, lo, hi,
-                          xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAX_ITER)
-        except (ValueError, RuntimeError) as exc:
-            raise OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: {exc}") from exc
+        return _brent(self, t, lo, hi, f_lo, f_hi)
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
         """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
@@ -389,14 +467,37 @@ class Power(EllModel):
         return super().psi_sup
 
     def delta_right(self, delta: float) -> float:
-        # Tail bound: psi(x) < x^(2 - rho) / (2 L1 4^rho), so the tail root
-        # of that majorant brackets the true crossing from above.
+        """Bisection on psi's falling tail below the root of its majorant
+        x^(2 - rho) / (2 L1 4^rho), which brackets the crossing from above.
+        Past sqrt(max float), or where ell(4 x) overflows, psi has no float
+        value; a root out there is bracketed and bisected in logarithms,
+        and inf where psi stays above delta at every float."""
         rho, L1, dmax = self.rho, self.L1, self.delta_max
-        hi = (2.0 * L1 * 4.0**rho * delta) ** (-1.0 / (rho - 2.0))
+        try:
+            hi = (2.0 * L1 * 4.0**rho * delta) ** (-1.0 / (rho - 2.0))
+        except OverflowError:
+            hi = math.inf
         hi = max(hi, dmax * (1.0 + 1e-12))
-        while psi_eval(self, hi) > delta:  # numerical guard; grow until below
-            hi *= 2.0
-        return _bisect(lambda x: psi_eval(self, x) > delta, dmax, hi)
+        if hi * hi < math.inf and self.ell(4.0 * hi) < math.inf:
+            while psi_eval(self, hi) > delta:  # numerical guard; grow until below
+                hi *= 2.0
+            return _bisect(lambda x: psi_eval(self, x) > delta, dmax, hi)
+        log_delta = math.log(delta)
+        log_hi = -(math.log(2.0 * L1 * delta) + rho * math.log(4.0)) / (rho - 2.0)
+        if log_hi >= math.log(sys.float_info.max):
+            if self._log_psi(sys.float_info.max) > log_delta:
+                return math.inf
+            hi = sys.float_info.max
+        else:
+            hi = max(math.exp(log_hi), dmax * (1.0 + 1e-12))
+        return _bisect(lambda x: self._log_psi(x) > log_delta, dmax, hi)
+
+    def _log_psi(self, x: float) -> float:
+        """log psi(x) for x > 0, finite at every positive float x: the
+        denominator's log L0 and log(L1 (4 x)^rho) are summed in logs."""
+        a = math.log(self.L1) + self.rho * (math.log(4.0) + math.log(x))
+        b = math.log(self.L0)
+        return 2.0 * math.log(x) - math.log(2.0) - max(a, b) - math.log1p(math.exp(-abs(a - b)))
 
     def q(self, s: float, a: float) -> float:
         if self.rho == 2 and self.L1 > 0:
@@ -597,7 +698,8 @@ def delta_left_right(model: EllModel, delta: float) -> tuple[float, float]:
 
     The left root is the unique solution in [0, delta_max); the right root
     is the smallest solution in [delta_max, inf), or inf when psi stays
-    above delta on a divergence-certified tail.
+    above delta on a divergence-certified tail or at every float past
+    delta_max.
     """
     if delta < 0 or math.isnan(delta):
         raise DomainError(f"delta must be >= 0, got {delta}")

@@ -405,7 +405,11 @@ def gd_run(
     run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, _ = run.start(x0)
     state = run.phase(_gd_phase, state, epsilon)
-    return run.result(state, run.gap(state.f_y, _norm(state.grad_y)))
+    # a diverged run's gradient squares past the float range here too, as
+    # inside the phase
+    with np.errstate(over="ignore"):
+        achieved = run.gap(state.f_y, _norm(state.grad_y))
+    return run.result(state, achieved)
 
 
 # --- gradient bound heuristic -----------------------------------------------

@@ -323,6 +323,16 @@ class TestCli:
                              x0=[-1.0, 1.0])
         assert main(["run", cfg]) == 4
 
+    def test_right_crossing_past_the_float_range_is_infinite(self, tmp_path):
+        # rho just above 2 puts psi's right crossing near 2**(10**5): psi
+        # stays above delta at every float, so the crossing reads inf, the
+        # warm start is admitted and the run stops on its budget
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": "agd1", "problem": "exp-1d", "epsilon": 1, "budget": 1,
+            "ell": {"kind": "power", "rho": 2.00001, "L0": 1, "L1": 1}}))
+        assert main(["run", str(path)]) == 2
+
     SUPERQUADRATIC = {"algorithm": "agd1", "problem": "quadratic", "x0": [0.3, 0.3],
                       "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1}}
 

@@ -223,9 +223,9 @@ def bisect_psi_inverse(model, t):
 def doubling_psi_inverse(model, t):
     """Reference bracket for the psi inverse: from the seed, the upper end
     doubles (capped at delta_max) with psi evaluated at every one until psi
-    reaches t, then the same ``brentq`` call as the package's.  A seed that
-    underflowed to 0 doubles from the least subnormal, as the package's
-    does."""
+    reaches t, then SciPy's ``brentq``, which the package's Brent ports,
+    with the package's tolerances.  A seed that underflowed to 0 doubles
+    from the least subnormal, as the package's does."""
     dmax = model.delta_max
     lo = math.sqrt(2.0 * model.ell(0.0) * t)
     if lo >= dmax:
@@ -263,14 +263,18 @@ def psi_evals(monkeypatch):
     return count
 
 
-def counted_call(count, fn, *args):
-    """``fn(*args)``, or the type of the exception it raised, with the psi
-    evaluations it made."""
-    count[0] = 0
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raised."""
     try:
-        out = fn(*args)
+        return fn(*args)
     except OutOfRangeError as exc:
-        out = type(exc)
+        return type(exc)
+
+
+def counted_call(count, fn, *args):
+    """``outcome(fn, *args)`` with the psi evaluations it made."""
+    count[0] = 0
+    out = outcome(fn, *args)
     return out, count[0]
 
 
@@ -372,7 +376,7 @@ class TestPsiInverse:
     ])
     def test_jump_matches_the_doubling_bracket(self, model, psi_evals):
         # the bracket skips only upper ends where psi stays below t, so it
-        # ends on the reference's bracket and brentq returns the same bits;
+        # ends on the reference's bracket and Brent returns the same bits;
         # up to 1e300 the grid includes roots beyond the float range
         sup = model.psi_sup
         top = math.nextafter(sup, 0.0) if math.isfinite(sup) else 1e300
@@ -382,9 +386,28 @@ class TestPsiInverse:
             assert got == want, t
             assert n <= n_ref, t
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.builds(Affine, L0=st.floats(min_value=1e-3, max_value=1e3),
+                               L1=st.floats(min_value=0.0, max_value=1e3)),
+                     general_powers(), piecewise_linear_profiles()),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_brent_returns_the_bits_of_scipy_brentq(self, model, shift):
+        # the package's Brent ports brentq.c step for step and takes the
+        # bracket's psi values instead of evaluating them again: every root
+        # and every failure agrees with the reference, whose brentq
+        # evaluates both ends, on 40 levels per profile up to one ulp below
+        # a finite sup psi, or from 1e-300 to 1e300
+        sup = model.psi_sup
+        if math.isinf(sup):
+            levels = [10.0 ** (15.0 * (k + shift) - 300.0) for k in range(40)]
+        else:
+            levels = [sup * 2.0 ** (-(k + shift)) for k in range(39)] + [math.nextafter(sup, 0.0)]
+        for t in levels:
+            assert outcome(model.psi_inverse, t) == outcome(doubling_psi_inverse, model, t), t
+
     @pytest.mark.parametrize("model, most, reference", [
-        (Power(1.5, 1.0, 2.0), 19, 47),
-        (Affine(3.301, 1.0), 10, 17),
+        (Power(1.5, 1.0, 2.0), 16, 47),
+        (Affine(3.301, 1.0), 7, 17),
     ])
     def test_jump_skips_the_doublings_below_the_root(self, model, most, reference, psi_evals):
         # the seed sits 12 decades below the Power root and 3 below the Affine one
@@ -460,6 +483,32 @@ class TestDeltaLeftRight:
         model = Power(3, 1, 1)
         with pytest.raises(OutOfRangeError):
             delta_left_right(model, model.psi_sup)
+
+    def test_power_right_crossing_beyond_every_float(self):
+        # rho = 2.00001 puts the crossing near 2**(10**5): psi at the
+        # largest float is still above the level, so the crossing reads inf
+        model = Power(2.00001, 1.0, 1.0)
+        assert delta_left_right(model, model.psi_sup / 2.0)[1] == math.inf
+
+    def test_power_right_crossing_where_psi_overflows(self):
+        # rho = 2.001 puts the crossing near 2e302, where x * x overflows
+        # inside psi; there L0 is negligible against L1 (4 x)^rho, so the
+        # crossing solves x^(2 - rho) = 2 L1 4^rho delta
+        model = Power(2.001, 1.0, 1.0)
+        delta = model.psi_sup / 2.0
+        right = delta_left_right(model, delta)[1]
+        assert math.log(right) == pytest.approx(-math.log(2.0 * 4.0**2.001 * delta) / 0.001,
+                                                rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [600.0, 1e4])
+    def test_power_right_crossing_past_overflowing_powers_of_four(self, rho):
+        # 4**rho overflows in the tail bound; its logarithm still brackets
+        # the crossing
+        model = Power(rho, 1.0, 1.0)
+        delta = model.psi_sup / 2.0
+        right = delta_left_right(model, delta)[1]
+        assert right > model.delta_max
+        assert psi_eval(model, right) == pytest.approx(delta, rel=1e-10)
 
     def test_right_root_monotone_in_delta(self):
         model = Power(3, 1, 1)

@@ -392,6 +392,17 @@ class TestRunParameters:
             with pytest.raises(SafetyViolationError):
                 execute(config_from_dict(cfg), write_files=False)
 
+    def test_diverged_gd_budget_result_without_numpy_warnings(self):
+        # claiming ell = 1 on exp-experiment, two gd steps leave a gradient
+        # whose square overflows; the budget result's gap takes its norm
+        # without NumPy's overflow warning
+        cfg = {"algorithm": "gd", "problem": "exp-experiment",
+               "ell": {"kind": "constant", "L": 1.0}, "epsilon": 1.0, "budget": 2}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, _ = execute(config_from_dict(cfg), write_files=False)
+        assert result.termination == "budget" and result.oracle_calls == 2
+
     def test_grad_bound_estimate_overflows_without_numpy_warnings(self):
         # agd1 on exp-1d claiming a superquadratic profile estimates m_bar
         # from samples at distance 2 r_bar = 400, where the gradient
