@@ -10,10 +10,11 @@ Two derived functions drive everything else in the package:
   non-monotone profile the level set ``psi = delta`` has a left root below
   ``delta_max`` and possibly a second root ``delta_right`` beyond it.
 * ``q(s; a) = int_0^s dv / ell(a + v)`` bounds gradient variation between
-  nearby points; its limit ``q_max(a)`` caps safe step lengths.
+  nearby points.  The package needs only its inverse in s, the step that
+  spends a budget, and its limit ``q_max(a)``, which caps safe step lengths.
 
 Each profile class derives from ``EllModel`` and owns its maths: the profile
-itself, its supremum, the q budget with its inverse and limit, the psi peak,
+itself, its supremum, the inverse and limit of the q budget, the psi peak,
 the right crossing and its admissibility boundary, the largest delta that
 Algorithm 1's warm start admits, in closed form.  The base holds the psi
 inverse that every profile uses (Brent's method from the seed
@@ -23,7 +24,7 @@ flat head, in a doubling bracket that jumps past every upper end below
 because psi(x) / x^2 does not increase; the package's own Brent, a port of
 SciPy's ``brentq`` that returns its bits, starts from the psi values the
 bracket already has), the generic quadrature, the Newton q inverse and the
-bisection behind the q and right-crossing fallbacks; the module-level
+bisection behind its fallback and the right crossing; the module-level
 functions validate their arguments and dispatch to the model, and
 ``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
 Models are immutable after construction (their psi geometry is computed
@@ -70,6 +71,8 @@ SEED_ROUNDING = 4.0 * sys.float_info.epsilon
 # h * h below NORMAL_MIN has lost that precision and sets no floor.
 JUMP_SLACK = 1e-12
 NORMAL_MIN = sys.float_info.min
+FLOAT_MAX = sys.float_info.max
+LOG_FLOAT_MAX = math.log(FLOAT_MAX)
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_XTOL = math.ulp(0.0)
 BRENT_MAX_ITER = 200
@@ -84,16 +87,18 @@ NEWTON_MAX_ITER = 50
 
 def _bisect(below, lo: float, hi: float) -> float:
     """Shrink ``[lo, hi]`` around the point where ``below`` turns false; stops
-    once the bracket is 4e-16 wide relative to its midpoint."""
+    once the bracket is 4e-16 wide relative to its midpoint.  The midpoint
+    halves each end before adding, which rounds as halving their sum does
+    on normal floats but stays finite where that sum overflows."""
     for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if below(mid):
             lo = mid
         else:
             hi = mid
         if hi - lo <= 4e-16 * max(mid, 1e-300):
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _no_root(t: float, lo: float, hi: float, why: str) -> OutOfRangeError:
@@ -275,15 +280,6 @@ class EllModel:
             epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200, full_output=1,
         )[:2]
 
-    def q(self, s: float, a: float) -> float:
-        """One quadrature per dyadic bracket [0, 1], [1, 2], [2, 4], ...; a
-        single one across many decades can be far off."""
-        total, lo, hi = 0.0, 0.0, 1.0
-        while lo < s:
-            total += self._q_between(lo, min(hi, s), a)[0]
-            lo, hi = hi, 2.0 * hi
-        return total
-
     def q_max(self, a: float) -> float:
         return math.inf
 
@@ -350,9 +346,6 @@ class Constant(EllModel):
     def ell_sup(self) -> float:
         return self.L
 
-    def q(self, s: float, a: float) -> float:
-        return s / self.L
-
     def q_inverse(self, r: float, a: float) -> float:
         return r * self.L
 
@@ -381,12 +374,6 @@ class Affine(EllModel):
     def admissible_boundary(self) -> float:
         # ell(s) = 2 L0 at s = L0 / L1
         return math.inf if self.L1 == 0 else self.L0 / (64.0 * self.L1**2)
-
-    def q(self, s: float, a: float) -> float:
-        if self.L1 == 0:
-            return s / self.L0
-        base = self.L0 + self.L1 * a
-        return math.log1p(self.L1 * s / base) / self.L1
 
     def q_inverse(self, r: float, a: float) -> float:
         if self.L1 == 0:
@@ -467,29 +454,23 @@ class Power(EllModel):
         return super().psi_sup
 
     def delta_right(self, delta: float) -> float:
-        """Bisection on psi's falling tail below the root of its majorant
-        x^(2 - rho) / (2 L1 4^rho), which brackets the crossing from above.
-        Past sqrt(max float), or where ell(4 x) overflows, psi has no float
-        value; a root out there is bracketed and bisected in logarithms,
-        and inf where psi stays above delta at every float."""
-        rho, L1, dmax = self.rho, self.L1, self.delta_max
-        try:
-            hi = (2.0 * L1 * 4.0**rho * delta) ** (-1.0 / (rho - 2.0))
-        except OverflowError:
-            hi = math.inf
-        hi = max(hi, dmax * (1.0 + 1e-12))
-        if hi * hi < math.inf and self.ell(4.0 * hi) < math.inf:
-            while psi_eval(self, hi) > delta:  # numerical guard; grow until below
-                hi *= 2.0
-            return _bisect(lambda x: psi_eval(self, x) > delta, dmax, hi)
+        """Bisection on log psi over psi's falling tail, up to the root of
+        its majorant x^(2 - rho) / (2 L1 4^rho), which brackets the crossing
+        from above; inf where psi stays above delta at every float.  log psi
+        is finite at every positive float, where psi itself overflows or
+        reads 0 once x * x or 2 ell(4 x) passes the float range, so the root
+        is bracketed and bisected in logarithms throughout."""
+        rho, dmax = self.rho, self.delta_max
         log_delta = math.log(delta)
-        log_hi = -(math.log(2.0 * L1 * delta) + rho * math.log(4.0)) / (rho - 2.0)
-        if log_hi >= math.log(sys.float_info.max):
-            if self._log_psi(sys.float_info.max) > log_delta:
+        log_hi = -(math.log(2.0 * self.L1) + log_delta + rho * math.log(4.0)) / (rho - 2.0)
+        hi = max(math.exp(min(log_hi, LOG_FLOAT_MAX)), dmax * (1.0 + 1e-12))
+        while self._log_psi(hi) > log_delta:
+            # numerical guard: the majorant's root, taken in logs, can round
+            # a few 1e-13 in log psi short of the crossing; grow until below,
+            # up to the largest float
+            if hi == FLOAT_MAX:
                 return math.inf
-            hi = sys.float_info.max
-        else:
-            hi = max(math.exp(log_hi), dmax * (1.0 + 1e-12))
+            hi = min(2.0 * hi, FLOAT_MAX)
         return _bisect(lambda x: self._log_psi(x) > log_delta, dmax, hi)
 
     def _log_psi(self, x: float) -> float:
@@ -498,15 +479,6 @@ class Power(EllModel):
         a = math.log(self.L1) + self.rho * (math.log(4.0) + math.log(x))
         b = math.log(self.L0)
         return 2.0 * math.log(x) - math.log(2.0) - max(a, b) - math.log1p(math.exp(-abs(a - b)))
-
-    def q(self, s: float, a: float) -> float:
-        if self.rho == 2 and self.L1 > 0:
-            c = math.sqrt(self.L1 / self.L0)
-            scale = 1.0 / math.sqrt(self.L0 * self.L1)
-            return scale * (math.atan(c * (a + s)) - math.atan(c * a))
-        if self._flat:
-            return s / (self.L0 + self.L1)
-        return super().q(s, a)
 
     def q_max(self, a: float) -> float:
         if self.L1 == 0 or self.rho <= 1:
@@ -629,15 +601,6 @@ class CustomMonotone(EllModel):
                 start = max(a, s0)
                 yield s1 - start, v0 + m * (start - s0), m
         yield math.inf, self.points[-1][1], 0.0
-
-    def q(self, s: float, a: float) -> float:
-        total = 0.0
-        for length, e, m in self._pieces(a):
-            x = min(length, s)
-            total += x / e if m == 0 else math.log1p(m * x / e) / m
-            s -= x
-            if s <= 0:
-                return total
 
     def q_inverse(self, r: float, a: float) -> float:
         s = 0.0

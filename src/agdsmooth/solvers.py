@@ -24,6 +24,7 @@ run's record: it checks epsilon, r_bar and the budget, states the gap rule
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import IntFlag
@@ -266,12 +267,9 @@ class _Run:
 
     def phase(self, body, state: AgdState, *args) -> AgdState:
         """``body(self, state, *args)``; a divergence in it names the flag
-        bits noted before it, which point at the likely cause.  NumPy's
-        overflow warnings are off inside: a diverging phase ends in a typed
-        error or a noted flag, which the warnings would only repeat."""
+        bits noted before it, which point at the likely cause."""
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return body(self, state, *args)
+            return body(self, state, *args)
         except SafetyViolationError as exc:
             noted = [f.name for f in Flag if f and self.flags_total & f]
             if not noted:
@@ -307,6 +305,18 @@ class _Run:
             termination="precondition-failed", oracle_calls=self.calls,
             message=message,
         )
+
+
+def _quiet(run_function):
+    """``run_function`` with NumPy's floating-point warnings off for the
+    whole run, one scope from its first norm to its result: a diverging run
+    ends in a typed error, a noted flag or an infinite gap, which the
+    warnings would only repeat."""
+    @functools.wraps(run_function)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run_function(*args, **kwargs)
+    return quiet
 
 
 def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
@@ -385,6 +395,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     return AgdState(y=x, u=x.copy(), gamma_cap=state.gamma_cap, k=state.k, f_y=f, grad_y=g)
 
 
+@_quiet
 def gd_run(
     problem: Problem,
     model: EllModel,
@@ -405,11 +416,7 @@ def gd_run(
     run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, _ = run.start(x0)
     state = run.phase(_gd_phase, state, epsilon)
-    # a diverged run's gradient squares past the float range here too, as
-    # inside the phase
-    with np.errstate(over="ignore"):
-        achieved = run.gap(state.f_y, _norm(state.grad_y))
-    return run.result(state, achieved)
+    return run.result(state, run.gap(state.f_y, _norm(state.grad_y)))
 
 
 # --- gradient bound heuristic -----------------------------------------------
@@ -425,6 +432,9 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     ``GRAD_BOUND_SAFETY``."""
     if problem.optimum is None:
         raise PreconditionError("gradient-bound estimation needs a known optimum")
+    if not 0 < r_bar < math.inf:
+        # an infinite sphere has no points to sample
+        raise ConfigurationError(f"gradient-bound estimation needs a finite r_bar > 0, got {r_bar}")
     rng = np.random.default_rng(seed)
     x_star = problem.optimum.x_star
     best = 0.0
@@ -530,6 +540,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             state.gamma_cap, alpha, v_new)
 
 
+@_quiet
 def algorithm1_run(
     problem: Problem,
     model: EllModel,
@@ -616,6 +627,7 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     return k
 
 
+@_quiet
 def algorithm2_run(
     problem: Problem,
     model: EllModel,

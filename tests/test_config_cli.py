@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import agdsmooth
-from agdsmooth import ConfigurationError, RunConfig, execute
+from agdsmooth import Affine, ConfigurationError, RunConfig, execute, warmup_iterations_bound
 from agdsmooth.cli import main
 from agdsmooth.config import (
     config_from_dict,
@@ -128,6 +128,19 @@ class TestExecute:
         assert result.converged and result.trace == []
         assert "trace_path" not in summary
 
+    def test_agd2_warmup_bound_past_2_62_is_null(self, tmp_path):
+        # delta* = 1e-3 / (64e12) against a level of 1e-30 over r_bar = 1e12:
+        # the warm-up bound 3 r_bar sqrt(lref / delta*) passes 2**62, so the
+        # run reports none and still runs
+        cfg = self.base(tmp_path, problem_params={"known_optimum": False},
+                        ell={"kind": "affine", "L0": 1e-3, "L1": 1e6},
+                        r_bar=1e12, gamma_cap0=1e-30, budget=5)
+        result, _ = execute(cfg)
+        assert result.termination == "budget" and result.warmup_bound is None
+        assert json.loads(Path(tmp_path / "s.json").read_text())["warmup_bound"] is None
+        with pytest.raises(ConfigurationError, match="no finite warmup bound"):
+            warmup_iterations_bound(Affine(1e-3, 1e6), 1e-30, 1e12)
+
     def test_agd2_on_superquadratic_is_config_error(self, tmp_path):
         cfg = self.base(tmp_path, ell={"kind": "power", "rho": 3, "L0": 1, "L1": 1})
         with pytest.raises(ConfigurationError):
@@ -208,6 +221,36 @@ class TestSweeps:
         assert all(p["error"] is None for p in report["points"])
         assert all(b <= a for a, b in zip(gd_iters, gd_iters[1:]))
 
+    def test_sweep_files_write_one_trace_per_point(self, out_dir):
+        spec = sweep_from_dict({
+            "axis": "gamma_cap0-grid",
+            "values": [4.0, 8.0],
+            "base": {"algorithm": "agd2", "problem": "exp-1d", "x0": [2.0],
+                     "r_bar": 4.0, "epsilon": 1e-4, "budget": 10**5},
+        })
+        report = run_sweep(spec)
+        for i, point in enumerate(report["points"]):
+            assert point["error"] is None
+            trace = (out_dir / f"exp-1d-agd2-gamma_cap0-{i}-trace.csv").read_text()
+            assert len(trace.splitlines()) == 1 + point["iterations"]
+            assert (out_dir / f"exp-1d-agd2-gamma_cap0-{i}-summary.json").exists()
+        assert sorted(p.name for p in out_dir.glob("*-trace.csv")) == [
+            "exp-1d-agd2-gamma_cap0-0-trace.csv", "exp-1d-agd2-gamma_cap0-1-trace.csv"]
+        assert Path(report["report_path"]) == out_dir / "sweep-gamma_cap0-grid-report.json"
+
+    def test_quartering_sweep_of_raising_points_has_no_ratios(self):
+        # agd2 refuses a superquadratic claim at every level
+        spec = sweep_from_dict({
+            "axis": "epsilon-quartering",
+            "levels": 3,
+            "base": {"algorithm": "agd2", "problem": "exp-1d", "x0": [2.0],
+                     "r_bar": 4.0, "gamma_cap0": 4.0, "trace_path": "",
+                     "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1}},
+        })
+        report = run_sweep(spec, write_files=False)
+        assert all("ConfigurationError" in p["error"] for p in report["points"])
+        assert report["ratios"] == [None, None]
+
     def test_empty_grid_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
             sweep_from_dict({"axis": "delta-grid", "values": [], "base": {}})
@@ -253,6 +296,16 @@ class TestCli:
     def test_run_precondition_exit_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, algorithm="agd1", delta=1e9)
         assert main(["run", cfg]) == 3
+
+    def test_failed_precondition_raised_exit_three(self, tmp_path, capsys):
+        # every m_bar sample at distance 2 r_bar = 200 from the barrier's
+        # optimum leaves the orthant, so the estimate raises
+        cfg = self.write_cfg(tmp_path, algorithm="agd1", problem="neg-log-barrier",
+                             problem_params={"d": 20}, x0=None, r_bar=100.0,
+                             ell={"kind": "power", "rho": 3, "L0": 1, "L1": 1})
+        assert main(["run", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "precondition failed: all gradient-bound samples fell outside the feasible set\n")
 
     def test_configuration_error_exit_four(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,10 +1,12 @@
 """Module boundaries: no package module imports another one's private names,
 no code outside the profile classes dispatches on their type, and every
-public name is used by some module of the package."""
+public name, and every public method of a profile class, is used by some
+module of the package."""
 
 import ast
+from functools import cached_property
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -101,3 +103,38 @@ def test_every_public_name_is_used_by_the_package():
     public = {name for name in agdsmooth.__all__
               if not isinstance(getattr(agdsmooth, name), ModuleType)}
     assert not public - used, f"public names no module uses: {sorted(public - used)}"
+
+
+def _reads_outside_namesakes(tree):
+    """Names read in ``tree`` (plain or as attributes), leaving out reads
+    inside a function of the same name, such as a method calling its
+    ``super()`` version or a module function dispatching to its model."""
+    reads = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            reads.update(set(_names(node)) - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_profile_method_is_used_by_the_package():
+    # a public method or property on a profile class that nothing outside
+    # its own namesakes reads is maths the package does not run; its tests
+    # can keep a private copy
+    kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
+    defined = {
+        name
+        for cls in (EllModel, *EllModel.__subclasses__()) if cls.__module__ == EllModel.__module__
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and isinstance(member, kinds)
+    }
+    read = set()
+    for path in MODULES:
+        read |= _reads_outside_namesakes(ast.parse(path.read_text(), filename=str(path)))
+    assert not defined - read, f"profile methods no module uses: {sorted(defined - read)}"

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -439,6 +440,15 @@ class TestPsiInverse:
             psi_inverse(Affine(1.0, 1.0), t)
 
 
+def decimal_psi(model, x):
+    """psi(x) of a Power profile in 50-digit decimals, which neither
+    overflow nor underflow at any float x."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(x)
+        return x * x / (2 * (Decimal(model.L0) + Decimal(model.L1) * (4 * x) ** Decimal(model.rho)))
+
+
 class TestDeltaLeftRight:
     def test_affine_has_no_right_branch(self):
         model = Affine(1, 1)
@@ -490,6 +500,12 @@ class TestDeltaLeftRight:
         model = Power(2.00001, 1.0, 1.0)
         assert delta_left_right(model, model.psi_sup / 2.0)[1] == math.inf
 
+    def test_power_right_crossing_where_the_tail_bound_underflows(self):
+        # 2 L1 4^rho delta underflows to 0, which has no power or log; the
+        # crossing, near 7.8e327, is past every float
+        model = Power(3.0, 1.0, 1e-300)
+        assert delta_left_right(model, 1e-30)[1] == math.inf
+
     def test_power_right_crossing_where_psi_overflows(self):
         # rho = 2.001 puts the crossing near 2e302, where x * x overflows
         # inside psi; there L0 is negligible against L1 (4 x)^rho, so the
@@ -509,6 +525,25 @@ class TestDeltaLeftRight:
         right = delta_left_right(model, delta)[1]
         assert right > model.delta_max
         assert psi_eval(model, right) == pytest.approx(delta, rel=1e-10)
+
+    def test_power_right_crossing_where_the_denominator_overflows(self):
+        # near x = 5.2e151, 2 ell(4 x) passes the float range before x * x
+        # does, so psi reads 0 there; a bisection on psi itself returned
+        # 5.163e151, where psi / delta - 1 = +1.7e-4
+        model = Power(2.0137393523933977, 6392.36464973713, 17.022353224448562)
+        delta = 1.482678612812796e-05
+        right = delta_left_right(model, delta)[1]
+        assert float(decimal_psi(model, right) / Decimal(delta)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.6, 0.99])
+    def test_power_right_crossing_above_half_the_largest_float(self, fraction):
+        # the bracket ends at the largest float, and its midpoints there
+        # must not overflow
+        model = Power(2.001, 1.0, 1.0)
+        delta = float(decimal_psi(model, fraction * sys.float_info.max))
+        right = delta_left_right(model, delta)[1]
+        assert right < math.inf
+        assert float(decimal_psi(model, right) / Decimal(delta)) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_root_monotone_in_delta(self):
         model = Power(3, 1, 1)
@@ -594,12 +629,51 @@ class TestAdmissibleBoundary:
         assert model.admissible_boundary == 0.09765625
 
 
+def dyadic_quadrature_q(model, s, a):
+    """The generic q(s; a): one quadrature per dyadic bracket [0, 1],
+    [1, 2], [2, 4], ...; a single one across many decades can be far off."""
+    total, lo, hi = 0.0, 0.0, 1.0
+    while lo < s:
+        total += model._q_between(lo, min(hi, s), a)[0]
+        lo, hi = hi, 2.0 * hi
+    return total
+
+
+def q_reference(model, s, a):
+    """q(s; a) = int_0^s dv / ell(a + v), in each profile's closed form
+    where it has one, else by ``dyadic_quadrature_q``.  The package computes
+    only q's inverse and limit; the tests check them against q itself."""
+    if isinstance(model, Constant):
+        return s / model.L
+    if isinstance(model, Affine):
+        if model.L1 == 0:
+            return s / model.L0
+        base = model.L0 + model.L1 * a
+        return math.log1p(model.L1 * s / base) / model.L1
+    if isinstance(model, Power):
+        if model.rho == 2 and model.L1 > 0:
+            c = math.sqrt(model.L1 / model.L0)
+            scale = 1.0 / math.sqrt(model.L0 * model.L1)
+            return scale * (math.atan(c * (a + s)) - math.atan(c * a))
+        if model._flat:
+            return s / (model.L0 + model.L1)
+    if isinstance(model, CustomMonotone):
+        total = 0.0
+        for length, e, m in model._pieces(a):
+            x = min(length, s)
+            total += x / e if m == 0 else math.log1p(m * x / e) / m
+            s -= x
+            if s <= 0:
+                return total
+    return dyadic_quadrature_q(model, s, a)
+
+
 class TestQ:
     def test_constant(self):
-        assert Constant(4).q(2, 99) == pytest.approx(0.5)
+        assert q_reference(Constant(4), 2, 99) == pytest.approx(0.5)
 
     def test_affine_log(self):
-        assert Affine(1, 1).q(math.e - 1, 0) == pytest.approx(1.0, rel=1e-12)
+        assert q_reference(Affine(1, 1), math.e - 1, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_quadratic_power_arctan(self):
         assert q_max(Power(2, 1, 1), 0) == pytest.approx(math.pi / 2, rel=1e-12)
@@ -609,7 +683,7 @@ class TestQ:
         # against the analytic arctan on rho = 2 via a change of variable
         model = Power(1.5, 1.0, 1.0)
         val, a, s = None, 0.3, 2.0
-        got = model.q(s, a)
+        got = q_reference(model, s, a)
         grid = np.linspace(a, a + s, 200001)
         trapz = np.trapezoid(1.0 / (1.0 + grid**1.5), grid)
         assert got == pytest.approx(float(trapz), rel=1e-7)
@@ -623,7 +697,8 @@ class TestQ:
         # one quadrature over [0, 8.5e7] read -0.816; the references are
         # 40-digit mpmath values
         model = Power(1.125, 1, 1)
-        assert model.q(8.5e7, 0) == pytest.approx(7.34838406083305927836959830964, rel=1e-12)
+        assert q_reference(model, 8.5e7, 0) == pytest.approx(7.34838406083305927836959830964,
+                                                             rel=1e-12)
         assert q_max(model, 0) == pytest.approx(8.16480215474298512, rel=1e-11)
 
     def test_q_max_analytic_power(self):
@@ -654,7 +729,7 @@ class TestQ:
             lo = hi
             if lo >= a + s:
                 break
-        assert model.q(s, a) == pytest.approx(expected, rel=1e-9)
+        assert q_reference(model, s, a) == pytest.approx(expected, rel=1e-9)
 
     def test_q_inverse_examples(self):
         assert q_inverse(Constant(4), 0.5, 0) == pytest.approx(2.0)
@@ -669,7 +744,7 @@ class TestQ:
             hi = 0.9 * qm if math.isfinite(qm) else 10.0
             for r in np.geomspace(1e-6, hi, 15):
                 s = q_inverse(model, float(r), a)
-                assert model.q(s, a) == pytest.approx(float(r), rel=1e-8)
+                assert q_reference(model, s, a) == pytest.approx(float(r), rel=1e-8)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(DomainError):
@@ -691,19 +766,19 @@ def dyadic_q(model, s, a):
     """q(s; a) summed over dyadic brackets.  A single quadrature across many
     decades can be far off: for Power(1.125, 1, 1) on [0, 8.5e7] it read
     -0.82 where q is 7.35."""
-    return sum(model.q(hi - lo, a + lo) for lo, hi in dyadic_brackets(s))
+    return sum(q_reference(model, hi - lo, a + lo) for lo, hi in dyadic_brackets(s))
 
 
 def bisect_q_inverse(model, r, a):
     """Reference inverse: bisection on q(s; a) inside the first dyadic
     bracket that reaches r, stopped 4e-16 wide relative."""
     base, q_base, hi = 0.0, 0.0, 1.0
-    while (q_hi := q_base + model.q(hi - base, a + base)) < r:
+    while (q_hi := q_base + q_reference(model, hi - base, a + base)) < r:
         base, q_base, hi = hi, q_hi, 2.0 * hi
     lo = base
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if q_base + model.q(mid - base, a + base) < r:
+        if q_base + q_reference(model, mid - base, a + base) < r:
             lo = mid
         else:
             hi = mid
@@ -820,7 +895,7 @@ class TestQInverse:
             for a in (0.0, 0.5, 1.0, 150.0):
                 for r in (1e-6, 0.3, 1.0, 50.0):
                     s = q_inverse(model, r, a)
-                    assert model.q(s, a) == pytest.approx(r, rel=1e-12)
+                    assert q_reference(model, s, a) == pytest.approx(r, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(piecewise_linear_profiles(), st.floats(min_value=0.0, max_value=30.0),
@@ -829,8 +904,8 @@ class TestQInverse:
         # the generic quadrature is reliable on each linear piece, not across
         # a kink; summed per piece it checks the exact per-segment logs
         pieces = linear_pieces(model, s, a)
-        reference = sum(EllModel.q(model, length, start) for length, start in pieces)
-        assert model.q(s, a) == pytest.approx(reference, rel=1e-9)
+        reference = sum(dyadic_quadrature_q(model, length, start) for length, start in pieces)
+        assert q_reference(model, s, a) == pytest.approx(reference, rel=1e-9)
 
 
 class TestSerialization:

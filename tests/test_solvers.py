@@ -403,6 +403,21 @@ class TestRunParameters:
             result, _ = execute(config_from_dict(cfg), write_files=False)
         assert result.termination == "budget" and result.oracle_calls == 2
 
+    @pytest.mark.parametrize("algorithm", ["gd", "agd1", "agd2"])
+    def test_start_gradient_overflow_without_numpy_warnings(self, algorithm):
+        # at x0 = 700 on exp-1d the gradient exp(700) is finite and its
+        # square is not; agd1 takes its norm before any phase (the
+        # stationary-start test and the delta resolution), and every run
+        # keeps NumPy's overflow warnings off from its first norm
+        cfg = {"algorithm": algorithm, "problem": "exp-1d", "x0": [700.0],
+               "epsilon": 1.0, "budget": 3}
+        if algorithm == "agd2":
+            cfg["gamma_cap0"] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, _ = execute(config_from_dict(cfg), write_files=False)
+        assert result.termination == ("precondition-failed" if algorithm == "agd2" else "budget")
+
     def test_grad_bound_estimate_overflows_without_numpy_warnings(self):
         # agd1 on exp-1d claiming a superquadratic profile estimates m_bar
         # from samples at distance 2 r_bar = 400, where the gradient
@@ -414,6 +429,19 @@ class TestRunParameters:
             warnings.simplefilter("error")
             assert estimate_grad_bound(catalog("exp-1d"), 200.0) == math.inf
             with pytest.raises(PreconditionError):
+                execute(config_from_dict(cfg), write_files=False)
+
+    def test_grad_bound_estimate_refuses_an_infinite_r_bar(self):
+        # agd1 on the barrier claiming a superquadratic profile estimates
+        # m_bar before the run checks r_bar; on the sphere of radius inf
+        # the barrier's value is inf - inf, which leaked NumPy's "invalid
+        # value" warning before the estimate read every sample as infeasible
+        cfg = {"algorithm": "agd1", "problem": "neg-log-barrier", "r_bar": math.inf,
+               "epsilon": 1.0, "budget": 1, "trace_path": "",
+               "ell": {"kind": "custom", "points": [[0.0, 1.0], [1.0, 1.0], [1.1, 2.0]]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="needs a finite r_bar > 0, got inf"):
                 execute(config_from_dict(cfg), write_files=False)
 
     def test_r_bar_below_the_distance_goes_unseen_without_the_optimum(self):
