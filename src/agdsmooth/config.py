@@ -26,6 +26,7 @@ from .solvers import (
     algorithm2_run,
     estimate_grad_bound,
     gd_run,
+    norm,
     write_trace_csv,
 )
 
@@ -201,7 +202,7 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     if config.r_bar is not None:
         r_bar = config.r_bar
     elif problem.optimum is not None:
-        r_bar = 2.0 * float(np.linalg.norm(x0 - problem.optimum.x_star))
+        r_bar = 2.0 * norm(x0 - problem.optimum.x_star)
         notes.append("r_bar defaulted to twice the true initial distance")
     else:
         raise ConfigurationError(

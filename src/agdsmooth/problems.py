@@ -168,7 +168,7 @@ def _power_p(params: dict) -> Problem:
         raise ConfigurationError("power-p needs d >= 1 and L0 > 0")
 
     def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(np.sum(x**p)), p * x ** (p - 1)
+        return float((x**p).sum()), p * x ** (p - 1)
 
     # Exact curvature fit: ||hess|| = p(p-1) max|x_i|^(p-2) and
     # ||grad|| >= p max|x_i|^(p-1), so the profile L0 + L1 s^rho with
@@ -194,7 +194,7 @@ def _neg_log_barrier(params: dict) -> Problem:
         raise ConfigurationError("neg-log-barrier needs c > 0 and d >= 1")
 
     def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(-np.sum(np.log(x)) + 0.5 * c * (x @ x)), c * x - 1.0 / x
+        return float(-np.log(x).sum() + 0.5 * c * (x @ x)), c * x - 1.0 / x
 
     # Per coordinate, with t = 1/x and g = c x - 1/x one has
     # hess = t^2 + c and t <= |g| + sqrt(c), hence hess <= 3c + 2 g^2.

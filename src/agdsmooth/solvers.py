@@ -91,7 +91,7 @@ def gamma_envelope(k: int, step_gamma: float, kbar_value: float) -> float:
     return 9.0 / (step_gamma * (k + 1.0 - kbar_value) ** 2)
 
 
-def _norm(v: np.ndarray) -> float:
+def norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D real vector: ``np.linalg.norm``'s own formula
     for that case, ``sqrt(v . v)``, so the bits agree, without its dispatch."""
     return math.sqrt(v.dot(v))
@@ -219,7 +219,7 @@ class _Run:
         f0, g0 = self.oracle(x0)
         refusal = ""
         if (self.x_star is not None
-                and _norm(x0 - self.x_star) > self.r_bar * (1 + 1e-12)):
+                and norm(x0 - self.x_star) > self.r_bar * (1 + 1e-12)):
             refusal = "r_bar is below the true initial distance"
         return AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), refusal
 
@@ -246,7 +246,7 @@ class _Run:
             k=k, phase=phase,
             f_gap=None if f_star is None else f - f_star,
             grad_norm=grad_norm, gamma_cap=gamma_cap, alpha=alpha, step_gamma=step_gamma,
-            dist_to_opt=None if x_star is None else _norm(y - x_star),
+            dist_to_opt=None if x_star is None else norm(y - x_star),
             bound_gap=None if gamma_cap is None else self.bound(gamma_cap),
             lyapunov=v, flags=flags,
         ))
@@ -293,7 +293,7 @@ class _Run:
     def stationary(self, state: AgdState) -> RunResult | None:
         """A zero gradient at the start: convexity certifies optimality
         outright.  None when the gradient is not zero."""
-        if _norm(state.grad_y) != 0.0:
+        if norm(state.grad_y) != 0.0:
             return None
         self.message = "stationary start"
         return self.result(state, self.gap(state.f_y, 0.0))
@@ -321,7 +321,7 @@ def _quiet(run_function):
 
 def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
     """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``."""
-    return (state.f_y - f_star) + 0.5 * state.gamma_cap * _norm(state.u - x_star) ** 2
+    return (state.f_y - f_star) + 0.5 * state.gamma_cap * norm(state.u - x_star) ** 2
 
 
 # --- single AGD step -------------------------------------------------------
@@ -368,9 +368,9 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     level and k of ``state``.  With checks on, a step that moves x away
     from a known optimum notes GD_MONOTONE."""
     x, f, g = state.y, state.f_y, state.grad_y
-    gn = _norm(g)
+    gn = norm(g)
     check = run.check_invariants and run.x_star is not None
-    dist = _norm(x - run.x_star) if check else None
+    dist = norm(x - run.x_star) if check else None
     while True:
         if run.gap(f, gn) <= target:
             break
@@ -384,11 +384,11 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         except DomainViolationError as exc:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
-        gn = _norm(g)
+        gn = norm(g)
         run.gd_iters += 1
         flags = 0
         if check:
-            dist_next = _norm(x - run.x_star)
+            dist_next = norm(x - run.x_star)
             flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
             dist = dist_next
         run.row("gd", run.gd_iters, x, f, gn, gamma_t, flags)
@@ -416,7 +416,7 @@ def gd_run(
     run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
     state, _ = run.start(x0)
     state = run.phase(_gd_phase, state, epsilon)
-    return run.result(state, run.gap(state.f_y, _norm(state.grad_y)))
+    return run.result(state, run.gap(state.f_y, norm(state.grad_y)))
 
 
 # --- gradient bound heuristic -----------------------------------------------
@@ -443,13 +443,13 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     with np.errstate(over="ignore"):
         for _ in range(GRAD_BOUND_SAMPLES):
             d = rng.standard_normal(problem.dim)
-            d /= _norm(d)
+            d /= norm(d)
             x = x_star + 2.0 * r_bar * d
             try:
                 _, g = evaluate(problem, x)
             except DomainViolationError:
                 continue
-            best = max(best, _norm(g))
+            best = max(best, norm(g))
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
     return GRAD_BOUND_SAFETY * best
@@ -474,7 +474,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     track_v = x_star is not None and (check_invariants or run.trace is not None)
 
     v_prev = lyapunov(state, f_star, x_star) if track_v else None
-    grad_norm = _norm(state.grad_y)
+    grad_norm = norm(state.grad_y)
     k0 = state.k
     while True:
         gap = None if f_star is None else state.f_y - f_star
@@ -508,8 +508,8 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             elif envelope_x is not None:
                 flags |= note(Flag.GRAD_ENVELOPE, k, grad_norm, envelope_x * (1.0 + 1e-9) + 1e-15)
             if superquadratic and x_star is not None:
-                dy = _norm(state.y - x_star)
-                du = _norm(state.u - x_star)
+                dy = norm(state.y - x_star)
+                du = norm(state.u - x_star)
                 flags |= note(Flag.BALL_CONFINEMENT, k, max(dy, du), 2.0 * r_bar * (1.0 + 1e-12))
             flags |= note(Flag.STEP_SAFETY, k, step_gamma,
                           (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm))
@@ -520,7 +520,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
 
         alpha = math.sqrt(step_gamma * state.gamma_cap)
         state = agd_step(state, step_gamma, problem, _eval=oracle)
-        grad_norm = _norm(state.grad_y)
+        grad_norm = norm(state.grad_y)
         v_new = lyapunov(state, f_star, x_star) if track_v else None
 
         if check_invariants:
@@ -580,7 +580,7 @@ def algorithm1_run(
 
     # resolve the warm-start gap target
     if math.isinf(delta):
-        delta = 2.0 * run.gap(state.f_y, _norm(state.grad_y))
+        delta = 2.0 * run.gap(state.f_y, norm(state.grad_y))
     refusal = warm_start_refusal(model, delta, m_bar)
     if refusal:
         return run.refuse(refusal)
@@ -663,7 +663,7 @@ def algorithm2_run(
         raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
     state, refusal = run.start(x0)
     x_star = run.x_star
-    r0 = _norm(state.y - x_star) if x_star is not None else 0.0
+    r0 = norm(state.y - x_star) if x_star is not None else 0.0
     floor = 2.0 * (state.f_y - run.f_star) / r0**2 if r0 > 0 else None
     if gamma_cap0 is None:
         gamma_cap0 = 1.0 if floor is None else floor

@@ -25,7 +25,7 @@ from .smoothness import (
     q_inverse,
     q_max,
 )
-from .solvers import AgdState, agd_step, gamma_alpha_step, lyapunov
+from .solvers import AgdState, agd_step, gamma_alpha_step, lyapunov, norm
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
@@ -81,8 +81,8 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     model = problem.ell_model
     fx, gx = evaluate(problem, x)
     fy, gy = evaluate(problem, y)
-    diff = float(np.linalg.norm(gx - gy))
-    a = float(np.linalg.norm(gx))
+    diff = norm(gx - gy)
+    a = norm(gx)
     rhs = fx - fy - float(gy @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
@@ -99,13 +99,13 @@ def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> f
     model = problem.ell_model
     _, gx = evaluate(problem, x)
     _, gy = evaluate(problem, y)
-    a = float(np.linalg.norm(gx))
-    dist = float(np.linalg.norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float)))
+    a = norm(gx)
+    dist = norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
     if dist >= q_max(model, a):
         raise PreconditionError(
             f"|y - x| = {dist} is not below q_max = {q_max(model, a)}"
         )
-    return q_inverse(model, dist, a) - float(np.linalg.norm(gy - gx))
+    return q_inverse(model, dist, a) - norm(gy - gx)
 
 
 def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> float:
@@ -120,7 +120,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
         raise PreconditionError("descent check needs a known optimum")
     model = problem.ell_model
     gy = state.grad_y
-    ny = float(np.linalg.norm(gy))
+    ny = norm(gy)
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
         raise PreconditionError(
             f"step_gamma = {step_gamma} exceeds the safety cap "
@@ -132,12 +132,12 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     nxt = agd_step(state, step_gamma, problem)
     lhs = (
         (1.0 + alpha) * (nxt.f_y - f_star)
-        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * float(np.linalg.norm(nxt.u - x_star) ** 2)
+        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * norm(nxt.u - x_star) ** 2
         - lyapunov(state, f_star, x_star)
     )
     rhs = 0.5 * (
-        step_gamma - 1.0 / ell_eval(model, 2.0 * ny + float(np.linalg.norm(nxt.grad_y)))
-    ) * float(np.linalg.norm(nxt.grad_y - gy) ** 2)
+        step_gamma - 1.0 / ell_eval(model, 2.0 * ny + norm(nxt.grad_y))
+    ) * norm(nxt.grad_y - gy) ** 2
     return rhs - lhs
 
 
@@ -154,7 +154,7 @@ def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
         raise PreconditionError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
     left, right = delta_left_right(model, delta)
     _, g = evaluate(problem, y)
-    gn = float(np.linalg.norm(g))
+    gn = norm(g)
     ok_left = gn <= left * (1.0 + 1e-9) + 1e-15
     ok_right = math.isfinite(right) and gn >= right * (1.0 - 1e-9)
     return ok_left or ok_right
@@ -162,16 +162,36 @@ def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
 
 # --- randomized sweeps ------------------------------------------------------
 
-def _sample_interior(problem: Problem, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(problem.sample_lo, problem.sample_hi)
+def _uniform(rng: np.random.Generator, lo, hi, shape=None):
+    """``rng.uniform(lo, hi)`` in one ``random`` call: NumPy's own formula,
+    ``lo + (hi - lo) * next_double``, on the same doubles of the stream, so
+    the bits agree, without its per-call broadcasting and range checks."""
+    return lo + (hi - lo) * rng.random(shape)
+
+
+def _interior_sampler(problem: Problem):
+    """The draw ``rng -> point`` from the problem's sample box, whose bounds
+    are checked once: finite, with ``lo <= hi`` and a finite span."""
+    lo = np.asarray(problem.sample_lo, dtype=float)
+    hi = np.asarray(problem.sample_hi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    if not (np.isfinite(lo).all() and np.isfinite(span).all() and (span >= 0.0).all()):
+        raise PreconditionError(
+            f"{problem.name}: sample box [{problem.sample_lo}, {problem.sample_hi}] "
+            "needs finite bounds with lo <= hi"
+        )
+    return lambda rng: _uniform(rng, lo, hi, span.shape)
 
 
 def sweep_convexity_smoothness(
     problem: Problem, trials: int = 1000, seed: int = 0
 ) -> CheckReport:
+    sample = _interior_sampler(problem)
+
     def trial(rng):
-        x = _sample_interior(problem, rng)
-        y = _sample_interior(problem, rng)
+        x = sample(rng)
+        y = sample(rng)
         return check_convexity_smoothness(problem, x, y), (tuple(x), tuple(y))
 
     return _sweep("convexity-smoothness", trials, seed, trial)
@@ -183,15 +203,16 @@ def sweep_gradient_transfer(
     """Pairs are shrunk toward x until they fit inside 0.9 q_max, which
     keeps them in the feasible set (it is convex)."""
     model = problem.ell_model
+    sample = _interior_sampler(problem)
 
     def trial(rng):
-        x = _sample_interior(problem, rng)
-        y = _sample_interior(problem, rng)
+        x = sample(rng)
+        y = sample(rng)
         _, gx = evaluate(problem, x)
-        budget = q_max(model, float(np.linalg.norm(gx)))
-        dist = float(np.linalg.norm(y - x))
+        budget = q_max(model, norm(gx))
+        dist = norm(y - x)
         if dist >= 0.9 * budget:
-            y = x + (y - x) * (0.9 * budget / dist) * rng.uniform(0.5, 1.0)
+            y = x + (y - x) * (0.9 * budget / dist) * _uniform(rng, 0.5, 1.0)
         return check_gradient_transfer(problem, x, y), (tuple(x), tuple(y))
 
     return _sweep("gradient-transfer", trials, seed, trial)
@@ -205,14 +226,15 @@ def sweep_descent_step(
     if problem.optimum is None:
         raise PreconditionError("descent sweep needs a known optimum")
     model = problem.ell_model
+    sample = _interior_sampler(problem)
 
     def trial(rng):
-        y = _sample_interior(problem, rng)
-        u = project_closure(problem.domain, _sample_interior(problem, rng))
+        y = sample(rng)
+        u = project_closure(problem.domain, sample(rng))
         f_y, g_y = evaluate(problem, y)
-        gcap = 10.0 ** rng.uniform(-3, 2)
-        cap = 1.0 / ell_eval(model, 2.0 * float(np.linalg.norm(g_y)))
-        gamma = cap * rng.uniform(0.05, 1.0)
+        gcap = 10.0 ** _uniform(rng, -3.0, 2.0)
+        cap = 1.0 / ell_eval(model, 2.0 * norm(g_y))
+        gamma = cap * _uniform(rng, 0.05, 1.0)
         state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y)
         margin = check_descent_step(problem, state, gamma)
         return margin, (tuple(y), tuple(u), gcap, gamma)
@@ -228,9 +250,10 @@ def sweep_gap_to_grad(
     if problem.optimum is None:
         raise PreconditionError("gap-to-gradient sweep needs a known optimum")
     f_star = problem.optimum.f_star
+    sample = _interior_sampler(problem)
 
     def trial(rng):
-        y = _sample_interior(problem, rng)
+        y = sample(rng)
         f_y, _ = evaluate(problem, y)
         delta = (f_y - f_star) * 1.0000001 + 1e-15
         if delta >= problem.ell_model.psi_sup:

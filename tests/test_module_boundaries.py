@@ -1,7 +1,7 @@
 """Module boundaries: no package module imports another one's private names,
-no code outside the profile classes dispatches on their type, and every
-public name, and every public method of a profile class, is used by some
-module of the package."""
+no code outside the profile classes dispatches on their type, every norm is
+``solvers.norm``, and every public name, and every public method of a
+profile class, is used by some module of the package."""
 
 import ast
 from functools import cached_property
@@ -65,6 +65,22 @@ def test_no_profile_class_imports(name):
         if isinstance(node, ast.ImportFrom) for alias in node.names
     }
     assert not imported & (PROFILE_CLASSES - {"EllModel"}), f"{name} imports a profile class"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_norm(path):
+    # every Euclidean norm is solvers.norm, which pins np.linalg.norm's bits
+    # without its dispatch
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "norm"
+            and _names(node.value) == ["linalg"])
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+            and any(alias.name == "norm" for alias in node.names))
+    ]
+    assert not calls, f"{path.name} takes numpy.linalg's norm: {calls}"
 
 
 def test_solvers_builds_trace_rows_in_one_place():

@@ -43,7 +43,7 @@ from agdsmooth import (
 )
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
-from agdsmooth.solvers import TRACE_HEADER, TraceRecord, _norm, format_trace_row
+from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm
 
 
 def make_state(problem, y, u, gamma_cap, k=0):
@@ -746,8 +746,8 @@ class TestNorm:
     @given(vectors())
     def test_bits_equal_numpy_norm(self, v):
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _norm(v), float(np.linalg.norm(v))
-            got_sq, want_sq = _norm(v) ** 2, float(np.linalg.norm(v) ** 2)
+            got, want = norm(v), float(np.linalg.norm(v))
+            got_sq, want_sq = norm(v) ** 2, float(np.linalg.norm(v) ** 2)
         assert type(got) is float
         for a, b in ((got, want), (got_sq, want_sq)):
             assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))

@@ -1,11 +1,14 @@
 """Inequality checks: pointwise cases with hand oracles, plus sweeps."""
 
+import importlib
 import math
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import agdsmooth
 from agdsmooth import (
     AgdState,
     CATALOG_NAMES,
@@ -20,6 +23,8 @@ from agdsmooth import (
     evaluate,
 )
 from agdsmooth.verify import (
+    _interior_sampler,
+    _uniform,
     run_all_checks,
     sweep_convexity_smoothness,
     sweep_descent_step,
@@ -193,3 +198,89 @@ class TestRunAll:
             assert rep.violations == 0, (name, rep)
             assert math.isfinite(rep.worst_margin)
             assert rep.quadrature_tol == 1e-10
+
+
+# every catalog problem at its default size, and at d = 7 where it takes one
+BOXES = [(name, {}) for name in sorted(CATALOG_NAMES)] + [
+    (name, {"d": 7}) for name in ("neg-log-barrier", "power-p", "quadratic")
+]
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+class TestDraws:
+    # the sweeps draw with ``lo + (hi - lo) * rng.random(shape)``; these pin
+    # that it gives the bits ``rng.uniform`` gave, from the same stream
+
+    @pytest.mark.parametrize("name, params", BOXES, ids=lambda v: str(v))
+    def test_box_draw_bits_equal_numpy_uniform(self, name, params):
+        p = catalog(name, params)
+        sample = _interior_sampler(p)
+        got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+        for _ in range(2000):
+            got, want = sample(got_rng), want_rng.uniform(p.sample_lo, p.sample_hi)
+            assert got.shape == want.shape == (p.dim,)
+            assert hexes(got) == hexes(want)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-3, 2), (0.05, 1.0)])
+    def test_scalar_draw_bits_equal_numpy_uniform(self, lo, hi):
+        got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+        for _ in range(2000):
+            got, want = _uniform(got_rng, float(lo), float(hi)), want_rng.uniform(lo, hi)
+            # a witness keeps these floats; an np.float64 would change its repr
+            assert type(got) is float
+            assert got.hex() == want.hex()
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Count every ``problems.evaluate`` call, at each module that uses it."""
+    calls = [0]
+
+    def counted(problem, x):
+        calls[0] += 1
+        return evaluate(problem, x)
+
+    for info in pkgutil.iter_modules(agdsmooth.__path__):
+        module = importlib.import_module(f"agdsmooth.{info.name}")
+        if getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate", counted)
+    return calls
+
+
+class TestOracleCalls:
+    # the count that the verify-catalog benchmark divides its op time by
+    @pytest.mark.parametrize("name, calls", [
+        ("exp-1d", 1350), ("exp-experiment", 1350), ("neg-log-barrier", 1201),
+        ("power-p", 1350), ("quadratic", 1350),
+    ])
+    def test_run_all_checks_evaluate_calls(self, evaluate_calls, name, calls):
+        run_all_checks(catalog(name), trials=150, seed=0)
+        assert evaluate_calls[0] == calls
+
+
+class TestSampleBox:
+    @pytest.mark.parametrize("lo, hi", [
+        ([-2.0], [math.inf]),
+        ([-math.inf], [2.0]),
+        ([math.nan], [2.0]),
+        ([-2.0], [math.nan]),
+        ([2.0], [-2.0]),
+        ([-1e308], [1e308]),  # finite bounds whose span overflows
+    ], ids=["hi-inf", "lo-inf", "lo-nan", "hi-nan", "lo-above-hi", "span-overflows"])
+    def test_bad_box_is_a_precondition_error(self, evaluate_calls, lo, hi):
+        p = replace(catalog("exp-1d"), sample_lo=np.array(lo), sample_hi=np.array(hi))
+        for sweep in (sweep_convexity_smoothness, sweep_gradient_transfer,
+                      sweep_descent_step, sweep_gap_to_grad):
+            with pytest.raises(PreconditionError, match="sample box"):
+                sweep(p, trials=5, seed=0)
+        with pytest.raises(PreconditionError, match="sample box"):
+            run_all_checks(p, trials=5, seed=0)
+        assert evaluate_calls[0] == 0  # refused before any draw
+
+    def test_one_point_box_is_accepted(self):
+        p = replace(catalog("exp-1d"), sample_lo=np.array([0.5]), sample_hi=np.array([0.5]))
+        report = sweep_convexity_smoothness(p, trials=3, seed=0)
+        assert report.trials == 3 and report.witness == ((0.5,), (0.5,))
