@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import execute, load_config, load_sweep, output_dir, run_sweep
+from .config import execute, jsonable, load_config, load_sweep, output_dir, run_sweep
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
             raise ConfigurationError(f"model argument is not valid JSON: {exc}")
         problem = dataclasses.replace(problem, ell_model=model_from_config(model_cfg))
     reports = run_all_checks(problem, trials=args.trials, seed=args.seed)
-    payload = [asdict(r) for r in reports]
+    payload = jsonable([asdict(r) for r in reports])
     out = args.out or str(output_dir() / f"{args.problem}-verify-report.json")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

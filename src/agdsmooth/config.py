@@ -159,7 +159,9 @@ def parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _jsonable(value):
+def jsonable(value):
+    """``value`` with arrays as lists and non-finite floats as the strings
+    "nan", "inf" and "-inf", so that ``json.dumps`` writes valid JSON."""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -169,9 +171,9 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [float(v) for v in value]
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -266,7 +268,7 @@ def _summarize(config, result, model, r_bar, delta, gamma_cap0, m_bar, notes, x0
         gamma_cap0=gamma_cap0,
         m_bar=m_bar,
     )
-    return _jsonable(
+    return jsonable(
         {
             "config": resolved,
             "termination": result.termination,
@@ -391,7 +393,7 @@ def run_sweep(spec: SweepSpec, write_files: bool = True) -> dict:
             point.update(error=f"{type(exc).__name__}: {exc}")
         points.append(point)
 
-    report = {"axis": spec.axis, "points": _jsonable(points)}
+    report = {"axis": spec.axis, "points": jsonable(points)}
     if spec.axis == "epsilon-quartering":
         ratios = []
         for a, b in zip(points, points[1:]):

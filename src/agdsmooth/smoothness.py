@@ -27,6 +27,9 @@ bracket already has), the generic quadrature, the Newton q inverse and the
 bisection behind its fallback and the right crossing; the module-level
 functions validate their arguments and dispatch to the model, and
 ``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
+The quadrature is ``quad``, SciPy's, imported on its first call: only a
+general power profile's q inverse and limit and ``verify``'s convexity
+integral integrate, so the package and its solvers load no SciPy.
 Models are immutable after construction (their psi geometry is computed
 once, on first use) and safe to share across threads.  ``math.inf`` is the
 extended-real sentinel for unbounded quantities (never a large finite float).
@@ -38,9 +41,8 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
-
-from scipy.integrate import quad
 
 from .errors import (
     ConfigurationError,
@@ -83,6 +85,19 @@ BRENT_MAX_ITER = 200
 # below therefore needs no line search; a rounding overshoot or a stall
 # hands the bracket to bisection.
 NEWTON_MAX_ITER = 50
+
+# SciPy's quad, bound by the first call of ``quad``.
+_scipy_quad = None
+
+
+def quad(func, a: float, b: float, full_output: int = 0):
+    """SciPy's ``quad`` of ``func`` over [a, b] at ``QUAD_REL_TOL`` relative
+    and no absolute tolerance, imported on the first call and bound once."""
+    global _scipy_quad
+    if _scipy_quad is None:
+        from scipy.integrate import quad as _scipy_quad
+    return _scipy_quad(func, a, b, full_output=full_output,
+                       epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200)
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -275,10 +290,7 @@ class EllModel:
         """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
         the quadrature's error estimate.  ``full_output`` keeps a missed
         tolerance out of the warnings; ``q_inverse`` checks the estimate."""
-        return quad(
-            lambda v: 1.0 / self.ell(a + v), s0, s1,
-            epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200, full_output=1,
-        )[:2]
+        return quad(lambda v: 1.0 / self.ell(a + v), s0, s1, full_output=1)[:2]
 
     def q_max(self, a: float) -> float:
         return math.inf
@@ -551,13 +563,19 @@ class CustomMonotone(EllModel):
     @cached_property
     def admissible_boundary(self) -> float:
         """From the point s* where the first segment ending above 2 ell(0)
-        crosses it: (s* / 8)^2 / ell(0), stepped down by ulps until
-        ``admissible_delta`` accepts it, which its roundings can refuse."""
+        crosses it: (s* / 8)^2 / ell(0) in exact arithmetic, rounded down so
+        that the boundary is admissible in exact arithmetic too, then stepped
+        down by ulps until ``admissible_delta`` accepts it, which its
+        roundings can refuse."""
         l0 = self.ell(0.0)
         for (s0, v0), (s1, v1) in zip(self.points, self.points[1:]):
             if v1 > 2.0 * l0:
-                s_star = s0 + (2.0 * l0 - v0) * (s1 - s0) / (v1 - v0)
-                delta = (s_star / 8.0) ** 2 / l0
+                s0, v0, s1, v1, l0 = map(Fraction, (s0, v0, s1, v1, l0))
+                s_star = s0 + (2 * l0 - v0) * (s1 - s0) / (v1 - v0)
+                exact = min((s_star / 8) ** 2 / l0, Fraction(FLOAT_MAX))
+                delta = float(exact)
+                if delta > exact:
+                    delta = math.nextafter(delta, 0.0)
                 while not admissible_delta(self, delta):
                     delta = math.nextafter(delta, 0.0)
                 return delta
@@ -730,7 +748,12 @@ def warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> st
     if delta > model.psi_sup / 2.0:
         return f"delta {delta} exceeds half the peak of psi"
     left, right = delta_left_right(model, delta)
-    if ell_eval(model, 4.0 * left) > 2.0 * ell_eval(model, 0.0):
+    # below half the peak of psi, the small-curvature condition
+    # ell(4 left) <= 2 ell(0) is delta <= psi(s* / 4), where ell(s*) = 2 ell(0),
+    # which is the admissibility boundary: a delta up to it passes without
+    # the ulps that left and ell add there
+    if delta > model.admissible_boundary and (
+            ell_eval(model, 4.0 * left) > 2.0 * ell_eval(model, 0.0)):
         return "delta violates the small-curvature branch condition"
     if m_bar is None:
         return "superquadratic profile needs m_bar (gradient bound on the 2*r_bar ball)"

@@ -6,6 +6,8 @@ problem's claimed profile (``problem.ell_model``) and returns its margin
 margins >= -tol.  Randomized sweeps drive the checks over many points
 through one loop, ``_sweep``, into CheckReports; they are seeded and
 reproducible, and record the seed and the worst margin even when passing.
+The convexity integral is ``smoothness.quad``, which imports SciPy on its
+first call, so SciPy loads with the first sweep, not with this module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, PreconditionError
 from .problems import Problem, evaluate, project_closure
@@ -24,6 +25,7 @@ from .smoothness import (
     ell_eval,
     q_inverse,
     q_max,
+    quad,
 )
 from .solvers import AgdState, agd_step, gamma_alpha_step, lyapunov, norm
 
@@ -86,10 +88,7 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     rhs = fx - fy - float(gy @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
-    integral, _ = quad(
-        lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0,
-        epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200,
-    )
+    integral, _ = quad(lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0)
     return rhs - diff * diff * integral
 
 

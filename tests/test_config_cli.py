@@ -330,6 +330,19 @@ class TestCli:
         assert all(entry["violations"] == 0 for entry in report)
         assert {e["name"] for e in report} >= {"convexity-smoothness", "gradient-transfer"}
 
+    def test_verify_report_is_valid_json_without_samples(self, tmp_path, capsys):
+        # the gap-to-gradient sweep draws no usable sample here, so its worst
+        # margin is NaN, which is written as "nan" as summaries write it
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "rep.json"
+        assert main(["verify", "neg-log-barrier", "claimed", "--trials", "60",
+                     "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        gap = next(entry for entry in report if entry["name"] == "gap-to-gradient")
+        assert (gap["trials"], gap["worst_margin"]) == (0, "nan")
+
     def test_verify_with_explicit_model(self, tmp_path):
         model = json.dumps({"kind": "affine", "L0": 2.5, "L1": 1.0})
         code = main(["verify", "exp-1d", model, "--trials", "30",

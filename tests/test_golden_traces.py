@@ -93,7 +93,7 @@ GOLDEN_RUNS = {
 GOLDEN_VERIFY = {
     "exp-1d": "5365dc494ba850b225bd0fe71417e444d260390c0501627101edb21a505f1a68",
     "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
-    "neg-log-barrier": "9bc5c4ebae4024c093fd41b63cdd0da6624c8965d50d2579fb77e3c79e176e94",
+    "neg-log-barrier": "d78944b6335db761ee61e847edeff76f5b79a3271016dbaf92ee68fdfc8fcd2a",
     "power-p": "09ef6a207b29fd6d09634f4a3405a3f1184365d1c084f61733a5f2c5be527227",
     "quadratic": "8900f975b00822ce0cb0350526ef00cc10af3d129d6c33ddd6663e153f907b79",
 }

@@ -5,6 +5,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -627,6 +628,29 @@ class TestAdmissibleBoundary:
         # bisection read 0.09765625000000004
         model = CustomMonotone(((0.0, 1.0), (10.0, 5.0), (11.0, 100.0)))
         assert model.admissible_boundary == 0.09765625
+
+    @settings(max_examples=200, deadline=None)
+    @given(piecewise_linear_profiles())
+    def test_custom_boundary_is_admissible_in_exact_arithmetic(self, model):
+        # the float closed form rounded up past (s* / 8)^2 / ell(0) on about
+        # a third of random profiles, where ell's roundings then accepted it
+        exact = exact_admissible_boundary(model)
+        if exact is None:
+            assert model.admissible_boundary == math.inf
+        else:
+            assert Fraction(model.admissible_boundary) <= exact
+
+
+def exact_admissible_boundary(model):
+    """(s* / 8)^2 / ell(0) of a piecewise-linear profile in exact
+    arithmetic, where s* is the last point with ell(s*) <= 2 ell(0); None
+    where ell never passes 2 ell(0)."""
+    (_, l0), *_ = points = [(Fraction(s), Fraction(v)) for s, v in model.points]
+    for (s0, v0), (s1, v1) in zip(points, points[1:]):
+        if v1 > 2 * l0:
+            s_star = s0 + (2 * l0 - v0) * (s1 - s0) / (v1 - v0)
+            return (s_star / 8) ** 2 / l0
+    return None
 
 
 def dyadic_quadrature_q(model, s, a):

@@ -7,10 +7,11 @@ import math
 import operator
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agdsmooth import (
     Affine,
@@ -44,6 +45,7 @@ from agdsmooth import (
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
 from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm
+from test_smoothness import exact_admissible_boundary, piecewise_linear_profiles
 
 
 def make_state(problem, y, u, gamma_cap, k=0):
@@ -265,6 +267,29 @@ class TestSelectDelta:
                 == "delta violates the small-curvature branch condition")
         delta = select_delta(model, 1e6, 1.0)
         assert delta == 0.09765625 and not warm_start_refusal(model, delta, 1.0)
+
+    def test_custom_head_on_the_edge_is_kept(self):
+        # psi dips past delta_max = 0.0201, and the head is the admissibility
+        # boundary, admissible in exact arithmetic; its left crossing read
+        # ell(4 left) = 10.9672309079366 against 2 ell(0) = 10.967230907936598,
+        # one ulp over, and the head was halved to 1.0464978475974648e-06
+        model = CustomMonotone(((0.0, 5.483615453968299),
+                                (0.08035113780974162, 21.741025970617585),
+                                (1.9437224060847778, 9775.451297128395)))
+        head = model.admissible_boundary
+        assert head == 2.0929956951949297e-06
+        assert Fraction(head) <= exact_admissible_boundary(model)
+        assert math.isfinite(model.delta_max) and head < model.psi_sup / 2
+        assert select_delta(model, 4.887178419395202, 1e-3) == head
+
+    @settings(max_examples=200, deadline=None)
+    @given(piecewise_linear_profiles())
+    def test_custom_head_passes_the_branch_condition(self, model):
+        # every delta up to the boundary meets ell(4 left) <= 2 ell(0) in
+        # exact arithmetic, so the policy keeps the head whole
+        assume(math.isfinite(model.delta_max) and math.isfinite(model.admissible_boundary))
+        head = min(model.delta_head(1e6, None), model.psi_sup / 2)
+        assert select_delta(model, 1e6, 1e-300) == head
 
     def test_power_head_outside_the_float_range(self):
         # L0**(2/rho - 1) overflows, L1**(2/rho) underflows, or both; the

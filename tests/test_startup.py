@@ -1,0 +1,81 @@
+"""SciPy stays off the run path.
+
+Only a general power profile's q inverse and limit and ``verify``'s
+convexity integral integrate, through ``smoothness.quad``, which imports
+SciPy on its first call.  Importing the package and running the solvers
+load NumPy alone.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import agdsmooth
+from agdsmooth import Power, q_inverse, q_max
+from agdsmooth import smoothness
+
+# Run in a fresh interpreter in which any import of SciPy raises.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+
+import agdsmooth
+import agdsmooth.cli
+from agdsmooth import Power, q_inverse
+from agdsmooth.config import config_from_dict, execute, run_sweep, sweep_from_dict
+
+
+def run(settings):
+    result, _ = execute(config_from_dict({**settings, "trace_path": ""}), write_files=False)
+    return result.termination, result.oracle_calls
+
+
+# the pinned adaptive run of the benchmark, trace off
+assert run({"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
+            "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
+            "budget": 20000}) == ("converged", 7265)
+# an epsilon-quartering sweep on the quadratic's constant claim
+report = run_sweep(sweep_from_dict({
+    "axis": "epsilon-quartering", "levels": 3,
+    "base": {"algorithm": "agd2", "problem": "quadratic", "epsilon": 1e-4, "trace_path": ""},
+}), write_files=False)
+assert [p["termination"] for p in report["points"]] == ["converged"] * 3, report
+# agd1 on a piecewise-linear claim and on the rho = 2 power claim of neg-log-barrier
+custom = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
+assert run({"algorithm": "agd1", "problem": "exp-1d", "ell": custom})[0] == "converged"
+assert run({"algorithm": "agd1", "problem": "neg-log-barrier", "epsilon": 1e-8})[0] == "converged"
+
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+assert not loaded, loaded
+# a general power profile's q inverse is the one solver-side quadrature
+try:
+    q_inverse(Power(1.5, 1.0, 1.0), 1.0, 0.3)
+except ImportError:
+    print("general power needs scipy")
+"""
+
+
+def test_run_path_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(agdsmooth.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "general power needs scipy\n"
+
+
+def test_general_power_integrates_through_smoothness_quad(monkeypatch):
+    calls = []
+    scipy_quad = smoothness.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return scipy_quad(*args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "quad", counting)
+    q_inverse(Power(1.5, 1.0, 1.0), 1.0, 0.3)
+    assert calls
+    calls.clear()
+    q_max(Power(3.0, 1.0, 1.0), 0.0)
+    assert calls == [(0.0, float("inf"))]
