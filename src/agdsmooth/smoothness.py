@@ -747,16 +747,15 @@ def warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> st
         return f"delta {delta} fails the admissibility check"
     if delta > model.psi_sup / 2.0:
         return f"delta {delta} exceeds half the peak of psi"
-    left, right = delta_left_right(model, delta)
     # below half the peak of psi, the small-curvature condition
-    # ell(4 left) <= 2 ell(0) is delta <= psi(s* / 4), where ell(s*) = 2 ell(0),
-    # which is the admissibility boundary: a delta up to it passes without
-    # the ulps that left and ell add there
-    if delta > model.admissible_boundary and (
-            ell_eval(model, 4.0 * left) > 2.0 * ell_eval(model, 0.0)):
+    # ell(4 delta_left) <= 2 ell(0) is delta <= psi(s* / 4), where
+    # ell(s*) = 2 ell(0): the admissibility boundary.  Where s* / 4 lies past
+    # delta_max, psi(s* / 4) is above half the peak and every delta here passes
+    if delta > model.admissible_boundary:
         return "delta violates the small-curvature branch condition"
     if m_bar is None:
         return "superquadratic profile needs m_bar (gradient bound on the 2*r_bar ball)"
+    right = model.delta_right(delta)
     if right < 2.0 * m_bar:
         return f"right crossing {right} is below 2*m_bar = {2 * m_bar}"
     return ""
