@@ -10,11 +10,12 @@ the file formats re-pins them and says why.
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from agdsmooth.cli import main
-from agdsmooth.config import config_from_dict, execute
+from agdsmooth.config import config_from_dict, execute, jsonable, run_sweep, sweep_from_dict
 
 CUSTOM_CLAIM = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
 
@@ -26,6 +27,21 @@ GOLDEN_RUNS = {
          "budget": 20000},
         "0e66263baff3e3f3585327b354fe64201ec3a815a056f04cf3641edc9155b336",
         "41941380c19c57144ad1522375bdcf0d6109a707ae0a720321f07e21c0d654fa",
+    ),
+    # the same run with the runtime checks off: the trace still carries the
+    # certificate function, and no check reads it
+    "adaptive-exp-checks-off": (
+        {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
+         "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
+         "budget": 20000, "check_invariants": False},
+        "0e66263baff3e3f3585327b354fe64201ec3a815a056f04cf3641edc9155b336",
+        "fb89eb88abb7820de9a2abc6da24d7acecb2233d712f695e7cf95e8b53477b1f",
+    ),
+    # the adaptive loop's budget exit
+    "agd2-exp-experiment-budget": (
+        {"algorithm": "agd2", "problem": "exp-experiment", "budget": 50},
+        "6440072be95f7e485d4aa5c777901887c7e65444a30049656392e87cac682b3b",
+        "0d34c30b634c7d767f8d1862fb7c23a15bdc78f464a1b2c1b7290f438c62ad10",
     ),
     "agd1-exp-1d": (
         {"algorithm": "agd1", "problem": "exp-1d", "epsilon": 1e-8},
@@ -99,6 +115,18 @@ GOLDEN_VERIFY = {
 }
 VERIFY_TRIALS = 60
 
+# An epsilon-quartering sweep shaped like the benchmark's: a 10-d quadratic
+# with the optimum withheld, checks and trace off, agd1 then agd2.
+SWEEP_DIM = 10
+SWEEP_BASE = {
+    "problem": "quadratic",
+    "problem_params": {"L": 1.0, "d": SWEEP_DIM, "known_optimum": False},
+    "x0": [0.1] * SWEEP_DIM, "r_bar": 0.1 * math.sqrt(SWEEP_DIM), "gamma_cap0": 1.0,
+    "epsilon": 1e-4, "check_invariants": False, "trace_path": "",
+}
+SWEEP_LEVELS = 3
+GOLDEN_SWEEP = "b05335f146fea41dcda0c55f131ddf2b88e1155d3adb4889707403c4b6ef8989"
+
 PATH_KEYS = ("trace_path", "summary_path")
 
 
@@ -133,3 +161,14 @@ def test_verify_report_is_pinned(problem, tmp_path, capsys):
                  "--seed", "0", "--out", str(out)])
     assert code == 0
     assert sha256(out.read_bytes()) == GOLDEN_VERIFY[problem]
+
+
+def test_sweep_report_is_pinned():
+    reports = [
+        run_sweep(sweep_from_dict({"base": {**SWEEP_BASE, "algorithm": algorithm},
+                                   "axis": "epsilon-quartering", "levels": SWEEP_LEVELS}),
+                  write_files=False)
+        for algorithm in ("agd1", "agd2")
+    ]
+    text = json.dumps(jsonable(reports), indent=2, sort_keys=True) + "\n"
+    assert sha256(text.encode()) == GOLDEN_SWEEP
