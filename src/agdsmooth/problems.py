@@ -32,10 +32,15 @@ Domain = FullSpace | PositiveOrthant
 
 
 def project_closure(domain: Domain, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the closure of the feasible set."""
+    """Euclidean projection onto the closure of the feasible set.
+
+    The full-space projection is the identity and returns its argument as
+    a float array, without a copy: a float array passed in comes back
+    itself, so a caller that keeps ``x`` passes a copy or a fresh array.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(domain, FullSpace):
-        return x.copy()
+        return x
     return np.maximum(x, 0.0)
 
 

@@ -133,10 +133,13 @@ def _brent(model: EllModel, t: float, lo: float, hi: float,
     is an ``OutOfRangeError``, as each is a ``ValueError`` or
     ``RuntimeError`` there.
     """
+    # locals for the loop; psi_eval is looked up once per call, so a
+    # wrapper bound to the module name still sees every evaluation
+    psi, xtol, rtol = psi_eval, BRENT_XTOL, BRENT_RTOL
     if f_lo is None:
-        f_lo = psi_eval(model, lo) - t
+        f_lo = psi(model, lo) - t
     if f_hi is None:
-        f_hi = psi_eval(model, hi) - t
+        f_hi = psi(model, hi) - t
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise _no_root(t, lo, hi, "psi is NaN at an end")
     if f_lo == 0:
@@ -154,7 +157,7 @@ def _brent(model: EllModel, t: float, lo: float, hi: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -184,7 +187,7 @@ def _brent(model: EllModel, t: float, lo: float, hi: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = psi_eval(model, xcur) - t
+        fcur = psi(model, xcur) - t
         if math.isnan(fcur):
             raise _no_root(t, lo, hi, f"psi is NaN at {xcur}")
     raise _no_root(t, lo, hi, f"no convergence in {BRENT_MAX_ITER} iterations")

@@ -130,25 +130,24 @@ class TraceRecord:
     flags: int
 
 
-# each column as (name, printed as a float); a float cell is the repr of a
-# python float, the shortest round-trip decimal, and None is an empty cell
-_COLUMNS = tuple((col.name, col.type not in ("int", "str")) for col in fields(TraceRecord))
-TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
+TRACE_HEADER = ",".join(col.name for col in fields(TraceRecord))
 
 
 def format_trace_row(rec: TraceRecord) -> str:
-    cells = []
-    for name, is_float in _COLUMNS:
-        v = getattr(rec, name)
-        cells.append(str(v) if not is_float else "" if v is None else repr(float(v)))
-    return ",".join(cells)
+    """One CSV line: the int and str cells by ``str``, each float cell the
+    repr of a python float (the shortest round-trip decimal), None empty."""
+    floats = ",".join(["" if v is None else repr(float(v)) for v in (
+        rec.f_gap, rec.grad_norm, rec.gamma_cap, rec.alpha, rec.step_gamma,
+        rec.dist_to_opt, rec.bound_gap, rec.lyapunov)])
+    return f"{rec.k!s},{rec.phase!s},{floats},{rec.flags!s}"
 
 
 def write_trace_csv(path, records: list[TraceRecord]) -> None:
+    lines = [TRACE_HEADER]
+    lines += map(format_trace_row, records)
+    lines.append("")
     with open(path, "w", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in records:
-            fh.write(format_trace_row(rec) + "\n")
+        fh.write("\n".join(lines))
 
 
 @dataclass
@@ -234,22 +233,18 @@ class _Run:
         result share."""
         return gamma_cap * (self.r_bar * self.r_bar)
 
-    def row(self, phase: str, k: int, y: np.ndarray, f: float, grad_norm: float,
-            step_gamma: float, flags: int, gamma_cap: float | None = None,
-            alpha: float | None = None, v: float | None = None) -> None:
-        """Append the trace row of iterate ``y``, if the trace is on; the gap
-        and distance cells need the optimum, the bound cell a level."""
-        if self.trace is None:
-            return
-        f_star, x_star = self.f_star, self.x_star
-        self.trace.append(TraceRecord(
-            k=k, phase=phase,
-            f_gap=None if f_star is None else f - f_star,
-            grad_norm=grad_norm, gamma_cap=gamma_cap, alpha=alpha, step_gamma=step_gamma,
-            dist_to_opt=None if x_star is None else norm(y - x_star),
-            bound_gap=None if gamma_cap is None else self.bound(gamma_cap),
-            lyapunov=v, flags=flags,
-        ))
+    def row(self, phase: str, k: int, f_gap: float | None, grad_norm: float,
+            step_gamma: float, dist: float | None, flags: int,
+            gamma_cap: float | None = None, alpha: float | None = None,
+            bound: float | None = None, v: float | None = None) -> None:
+        """Append a trace row, if the trace is on.  The caller passes each
+        cell as its own checks computed it: the gap ``f - f*`` and the
+        distance ``|y - x*|`` (None without the optimum), and in the
+        accelerated phase the level, its ``bound`` and the certificate
+        function ``v``."""
+        if self.trace is not None:
+            self.trace.append(TraceRecord(k, phase, f_gap, grad_norm, gamma_cap, alpha,
+                                          step_gamma, dist, bound, v, flags))
 
     def note(self, bit: Flag, k: int, value: float, bound: float) -> int:
         """The certificate ``value <= bound`` at iteration ``k``: 0 if it
@@ -321,7 +316,13 @@ def _quiet(run_function):
 
 def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
     """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``."""
-    return (state.f_y - f_star) + 0.5 * state.gamma_cap * norm(state.u - x_star) ** 2
+    return _certificate(state.f_y - f_star, state.gamma_cap, norm(state.u - x_star))
+
+
+def _certificate(gap: float, gamma_cap: float, dist_u: float) -> float:
+    """``lyapunov`` from its parts: the gap ``f(y) - f*``, the level and
+    ``|u - x*|``, which the step loop shares with its other checks."""
+    return gap + 0.5 * gamma_cap * dist_u ** 2
 
 
 # --- single AGD step -------------------------------------------------------
@@ -331,18 +332,24 @@ def agd_step(
     step_gamma: float,
     problem: Problem,
     _eval: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
+    alpha: float | None = None,
 ) -> AgdState:
     """One accelerated step; exactly one fresh gradient evaluation.
 
     ``y_next`` blends y, u and the cached gradient at y; ``u_next`` takes a
     projected dual step against the fresh gradient.  ``_eval`` replaces the
-    plain oracle (the run loops pass their call counter).  Raises a safety
-    violation if y_next leaves the open feasible set, which signals a
-    breach of the step-size contract ``step_gamma <= 1 / ell(2 |grad y|)``;
-    callers check that contract themselves, against their own profile.
+    plain oracle (the run loops pass their call counter).  ``alpha`` is the
+    step's ``sqrt(step_gamma * gamma_cap)`` where the caller has it already
+    (the run loop and the descent check do); None computes it, as
+    ``gamma_alpha_step`` does.  Raises a safety violation if y_next leaves
+    the open feasible set, which signals a breach of the step-size contract
+    ``step_gamma <= 1 / ell(2 |grad y|)``; callers check that contract
+    themselves, against their own profile.
     """
     assert step_gamma > 0
-    alpha, gcap_next = gamma_alpha_step(state.gamma_cap, step_gamma)
+    gamma_cap = state.gamma_cap
+    if alpha is None:
+        alpha = math.sqrt(step_gamma * gamma_cap)
     w = 1.0 / (1.0 + alpha)
     y_next = w * (state.y + alpha * state.u - step_gamma * state.grad_y)
     try:
@@ -351,13 +358,8 @@ def agd_step(
         raise SafetyViolationError(
             f"y left the feasible set at iteration {state.k + 1}: {exc}"
         ) from exc
-    u_next = project_closure(
-        problem.domain, state.u - (alpha / state.gamma_cap) * g_next
-    )
-    return AgdState(
-        y=y_next, u=u_next, gamma_cap=gcap_next, k=state.k + 1,
-        f_y=f_next, grad_y=g_next,
-    )
+    u_next = project_closure(problem.domain, state.u - (alpha / gamma_cap) * g_next)
+    return AgdState(y_next, u_next, gamma_cap / (1.0 + alpha), state.k + 1, f_next, g_next)
 
 
 # --- gradient descent --------------------------------------------------------
@@ -369,8 +371,11 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     from a known optimum notes GD_MONOTONE."""
     x, f, g = state.y, state.f_y, state.grad_y
     gn = norm(g)
-    check = run.check_invariants and run.x_star is not None
-    dist = norm(x - run.x_star) if check else None
+    f_star, x_star = run.f_star, run.x_star
+    check = run.check_invariants and x_star is not None
+    # |x - x*| feeds the monotone check and the trace's distance cell
+    track_dist = x_star is not None and (check or run.trace is not None)
+    dist = norm(x - x_star) if check else None
     while True:
         if run.gap(f, gn) <= target:
             break
@@ -387,11 +392,12 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         gn = norm(g)
         run.gd_iters += 1
         flags = 0
+        dist_next = norm(x - x_star) if track_dist else None
         if check:
-            dist_next = norm(x - run.x_star)
             flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
-            dist = dist_next
-        run.row("gd", run.gd_iters, x, f, gn, gamma_t, flags)
+        dist = dist_next
+        run.row("gd", run.gd_iters, None if f_star is None else f - f_star, gn, gamma_t,
+                dist, flags)
     return AgdState(y=x, u=x.copy(), gamma_cap=state.gamma_cap, k=state.k, f_y=f, grad_y=g)
 
 
@@ -460,25 +466,38 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
 def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdState:
     """Accelerated steps from ``state`` until the gap is certified.  A fixed
     ``step_gamma_const`` is the warm-started variant; None selects the
-    adaptive step ``1 / ell(4 psi_inverse(Gamma_k r_bar^2))``."""
-    problem, model, r_bar, budget = run.problem, run.model, run.r_bar, run.budget
+    adaptive step ``1 / ell(4 psi_inverse(Gamma_k r_bar^2))``.
+
+    Each sum is taken once per iteration and shared: the gap ``f(y) - f*``
+    and the level's bound ``Gamma r_bar^2`` by the stop test, CERTIFIED_GAP
+    and the row; ``|u - x*|`` by the certificate function and, at the next
+    iteration, BALL_CONFINEMENT, which also takes the row's ``|y - x*|``.
+    A certificate is noted only when it does not hold (a NaN does not)."""
+    problem, model, budget = run.problem, run.model, run.budget
     epsilon, f_star, x_star = run.epsilon, run.f_star, run.x_star
     check_invariants, oracle, note, row = run.check_invariants, run.oracle, run.note, run.row
     l0 = ell_eval(model, 0.0)
     adaptive = step_gamma_const is None
-    superquadratic = math.isfinite(model.delta_max)
     kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
-    gap_scale = max(1.0, abs(f_star)) if f_star is not None else 1.0
+    gap_tol = 1e-9 * (max(1.0, abs(f_star)) if f_star is not None else 1.0)
+    warm_cap = 2.0 * l0 * (1.0 + 1e-12)
+    ball_cap = 2.0 * run.r_bar * (1.0 + 1e-12)
     flat = model.ell_sup() == l0
-    # the certificate function feeds the LYAPUNOV check and the trace column
+    check_v = check_invariants and x_star is not None
+    ball = check_v and math.isfinite(model.delta_max)
+    # the certificate function feeds the LYAPUNOV check and the trace
+    # column, |y - x*| the ball check and the distance column
     track_v = x_star is not None and (check_invariants or run.trace is not None)
+    track_dist = x_star is not None and (ball or run.trace is not None)
 
-    v_prev = lyapunov(state, f_star, x_star) if track_v else None
+    gap = None if f_star is None else state.f_y - f_star
+    bound = run.bound(state.gamma_cap)
     grad_norm = norm(state.grad_y)
+    dist_u = norm(state.u - x_star) if check_v else None
+    v_prev = _certificate(gap, state.gamma_cap, dist_u) if check_v else None
+    dist = norm(state.y - x_star) if ball else None
     k0 = state.k
     while True:
-        gap = None if f_star is None else state.f_y - f_star
-        bound = run.bound(state.gamma_cap)
         if (gap is not None and gap <= epsilon) or bound <= epsilon:
             return state
         if state.gamma_cap < GAMMA_UNDERFLOW:
@@ -503,41 +522,55 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
         flags, k = 0, state.k
         if check_invariants:
             if not adaptive:
-                flags |= note(Flag.WARM_REGION, k, ell_eval(model, 4.0 * grad_norm),
-                              2.0 * l0 * (1.0 + 1e-12))
+                value = ell_eval(model, 4.0 * grad_norm)
+                if not value <= warm_cap:
+                    flags |= note(Flag.WARM_REGION, k, value, warm_cap)
             elif envelope_x is not None:
-                flags |= note(Flag.GRAD_ENVELOPE, k, grad_norm, envelope_x * (1.0 + 1e-9) + 1e-15)
-            if superquadratic and x_star is not None:
-                dy = norm(state.y - x_star)
-                du = norm(state.u - x_star)
-                flags |= note(Flag.BALL_CONFINEMENT, k, max(dy, du), 2.0 * r_bar * (1.0 + 1e-12))
-            flags |= note(Flag.STEP_SAFETY, k, step_gamma,
-                          (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm))
+                cap = envelope_x * (1.0 + 1e-9) + 1e-15
+                if not grad_norm <= cap:
+                    flags |= note(Flag.GRAD_ENVELOPE, k, grad_norm, cap)
+            if ball:
+                value = max(dist, dist_u)
+                if not value <= ball_cap:
+                    flags |= note(Flag.BALL_CONFINEMENT, k, value, ball_cap)
+            cap = (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm)
+            if not step_gamma <= cap:
+                flags |= note(Flag.STEP_SAFETY, k, step_gamma, cap)
 
         if run.calls >= budget:
             run.termination = "budget"
             return state
 
         alpha = math.sqrt(step_gamma * state.gamma_cap)
-        state = agd_step(state, step_gamma, problem, _eval=oracle)
+        state = agd_step(state, step_gamma, problem, oracle, alpha)
+        gamma_cap = state.gamma_cap
         grad_norm = norm(state.grad_y)
-        v_new = lyapunov(state, f_star, x_star) if track_v else None
+        gap = None if f_star is None else state.f_y - f_star
+        bound = run.bound(gamma_cap)
+        v_new = None
+        if track_v:
+            dist_u = norm(state.u - x_star)
+            v_new = _certificate(gap, gamma_cap, dist_u)
 
         if check_invariants:
             if f_star is not None:
-                flags |= note(Flag.CERTIFIED_GAP, state.k, state.f_y - f_star,
-                              run.bound(state.gamma_cap) + 1e-9 * gap_scale)
-            if x_star is not None:
-                flags |= note(Flag.LYAPUNOV, state.k, v_new,
-                              v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev))
+                cap = bound + gap_tol
+                if not gap <= cap:
+                    flags |= note(Flag.CERTIFIED_GAP, state.k, gap, cap)
+            if check_v:
+                cap = v_prev / (1.0 + alpha) + 1e-9 * max(1.0, v_prev)
+                if not v_new <= cap:
+                    flags |= note(Flag.LYAPUNOV, state.k, v_new, cap)
                 v_prev = v_new
             if kbar_value is not None and k - k0 >= kbar_value:
                 env = gamma_envelope(k - k0, step_gamma_const, kbar_value)
-                flags |= note(Flag.GAMMA_ENVELOPE, state.k, state.gamma_cap,
-                              env + 4.0 * math.ulp(env))
+                cap = env + 4.0 * math.ulp(env)
+                if not gamma_cap <= cap:
+                    flags |= note(Flag.GAMMA_ENVELOPE, state.k, gamma_cap, cap)
 
-        row("agd", state.k, state.y, state.f_y, grad_norm, step_gamma, flags,
-            state.gamma_cap, alpha, v_new)
+        dist = norm(state.y - x_star) if track_dist else None
+        row("agd", state.k, gap, grad_norm, step_gamma, dist, flags, gamma_cap, alpha,
+            bound, v_new)
 
 
 @_quiet

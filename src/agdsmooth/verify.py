@@ -128,7 +128,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     f_star = problem.optimum.f_star
     x_star = problem.optimum.x_star
     alpha, _ = gamma_alpha_step(state.gamma_cap, step_gamma)
-    nxt = agd_step(state, step_gamma, problem)
+    nxt = agd_step(state, step_gamma, problem, alpha=alpha)
     lhs = (
         (1.0 + alpha) * (nxt.f_y - f_star)
         + 0.5 * (1.0 + alpha) * nxt.gamma_cap * norm(nxt.u - x_star) ** 2

@@ -59,6 +59,21 @@ class TestProjection:
         got = project_closure(PositiveOrthant(), np.array([-1.0, 2.0]))
         assert np.array_equal(got, np.array([0.0, 2.0]))
 
+    @pytest.mark.parametrize("domain", [FullSpace(), PositiveOrthant()])
+    def test_feasible_points_keep_their_values(self, domain):
+        # a point of the closure is its own projection, bit for bit, and the
+        # projection leaves its argument as it was
+        for x in (np.array([3.0, 0.0, 1e-300]), np.array([2, 5])):
+            before = x.copy()
+            got = project_closure(domain, x)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.asarray(before, dtype=float).tobytes()
+            assert x.tobytes() == before.tobytes()
+
+    def test_full_space_returns_its_float_argument(self):
+        x = np.array([3.0, -4.0])
+        assert project_closure(FullSpace(), x) is x
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=2),
            st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=2))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from agdsmooth import (
+    CATALOG_NAMES,
     Affine,
     AgdState,
     ConfigurationError,
@@ -42,6 +43,7 @@ from agdsmooth import (
     select_delta,
     warmup_iterations_bound,
 )
+from agdsmooth import solvers
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
 from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm
@@ -129,6 +131,86 @@ class TestAgdStep:
         st0 = make_state(p, [1.0, 1.0], [1.0, 1.0], gamma_cap=1.0)
         agd_step(st0, 0.5, p, _eval=lambda x: (calls.append(1), evaluate(p, x))[1])
         assert len(calls) == 1
+
+    @staticmethod
+    def sampled_states(problem, n=20, seed=0):
+        """(state, step) pairs at random points of the problem's box, with
+        levels log-uniform and steps a fraction of the safety cap."""
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            y = rng.uniform(problem.sample_lo, problem.sample_hi)
+            u = rng.uniform(problem.sample_lo, problem.sample_hi)
+            state = make_state(problem, y, u, gamma_cap=10.0 ** rng.uniform(-3.0, 2.0))
+            cap = 1.0 / ell_eval(problem.ell_model, 2.0 * norm(state.grad_y))
+            yield state, cap * rng.uniform(0.05, 1.0)
+
+    @staticmethod
+    def bits(state):
+        return (state.y.tobytes(), state.u.tobytes(), state.gamma_cap.hex(), state.k,
+                state.f_y.hex(), state.grad_y.tobytes())
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_passed_alpha_gives_the_same_bits(self, name):
+        # the run loop passes its alpha = sqrt(step_gamma * gamma_cap); the
+        # step must land where computing it afresh lands
+        p = catalog(name)
+        for state, gamma in self.sampled_states(p):
+            alpha, _ = gamma_alpha_step(state.gamma_cap, gamma)
+            assert self.bits(agd_step(state, gamma, p, alpha=alpha)) == \
+                self.bits(agd_step(state, gamma, p))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_next_u_never_aliases_the_state(self, name):
+        # the full-space projection returns its argument uncopied, so the
+        # dual step itself must make a fresh array
+        p = catalog(name)
+        for state, gamma in self.sampled_states(p, n=3):
+            u = state.u.copy()
+            nxt = agd_step(state, gamma, p)
+            assert not np.shares_memory(nxt.u, state.u)
+            assert not np.shares_memory(nxt.u, nxt.y)
+            assert state.u.tobytes() == u.tobytes()
+
+
+class TestSavedWork:
+    """Each accelerated iteration takes three norms: the gradient's, the
+    certificate function's |u - x*| (which the next ball check reuses) and
+    the row's |y - x*| (likewise)."""
+
+    @staticmethod
+    def counted_run(monkeypatch, tmp_path, settings):
+        calls = [0]
+        plain = solvers.norm
+
+        def counted(v):
+            calls[0] += 1
+            return plain(v)
+
+        monkeypatch.setattr(solvers, "norm", counted)
+        result, _ = execute(config_from_dict({
+            **settings, "check_invariants": True, "trace_path": str(tmp_path / "trace.csv"),
+            "summary_path": str(tmp_path / "summary.json")}))
+        return result, calls[0]
+
+    def test_three_norms_per_iteration_with_the_ball_check(self, monkeypatch, tmp_path):
+        # a superquadratic claim, so BALL_CONFINEMENT runs every iteration
+        settings = {"algorithm": "agd1", "problem": "quadratic",
+                    "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1}, "x0": [0.3, 0.3]}
+        short, short_norms = self.counted_run(monkeypatch, tmp_path, {**settings, "epsilon": 1e-8})
+        long, long_norms = self.counted_run(monkeypatch, tmp_path, {**settings, "epsilon": 1e-12})
+        assert (short.gd_iters, short.agd_iters, long.gd_iters, long.agd_iters) == (5, 10, 5, 26)
+        assert long_norms - short_norms == 3 * (long.agd_iters - short.agd_iters)
+
+    def test_three_norms_per_iteration_on_the_pinned_run(self, monkeypatch, tmp_path):
+        result, norms = self.counted_run(monkeypatch, tmp_path, {
+            "algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
+            "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
+            "budget": 20000})
+        # five outside the loop: the start's r_bar check, the adaptive start's
+        # distance, the stationary test, and the loop's first gradient and
+        # certificate function
+        assert result.agd_iters == 7264
+        assert norms == 3 * 7264 + 5
 
 
 class TestGdRun:
