@@ -23,6 +23,7 @@ from agdsmooth import (
     DomainViolationError,
     Flag,
     InvariantViolationError,
+    Optimum,
     Power,
     PreconditionError,
     SafetyViolationError,
@@ -211,6 +212,67 @@ class TestSavedWork:
         # certificate function
         assert result.agd_iters == 7264
         assert norms == 3 * 7264 + 5
+
+
+class TestSharedChecks:
+    """The checks that read shared sums note what they would note with
+    each sum taken afresh, with the trace on or off."""
+
+    @staticmethod
+    def recorded_run(monkeypatch, bit, trace, *args, **kwargs):
+        """algorithm1_run with every ``bit`` noted as (k, value) and every
+        state the loop steps from."""
+        notes, states = [], []
+        plain_note, plain_step = solvers._Run.note, solvers.agd_step
+
+        def note(self, flag, k, value, bound):
+            if flag == bit:
+                notes.append((k, value))
+            return plain_note(self, flag, k, value, bound)
+
+        def step(state, *a, **kw):
+            states.append(state)
+            return plain_step(state, *a, **kw)
+
+        monkeypatch.setattr(solvers._Run, "note", note)
+        monkeypatch.setattr(solvers, "agd_step", step)
+        result = algorithm1_run(*args, collect_trace=trace, **kwargs)
+        monkeypatch.undo()
+        return result, notes, states
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_ball_check_reads_both_distances(self, monkeypatch, trace):
+        # a claimed optimum near x0 and r_bar = |x0 - x*|: the iterates run
+        # to the true optimum and leave the ball of radius 2 r_bar about
+        # the claim, y and u each the farther at some step
+        p = catalog("quadratic")
+        claimed = np.array([0.9, 0.0])
+        q = dataclasses.replace(p, optimum=Optimum(p.optimum.f_star, claimed))
+        x0, model = np.array([1.0, 0.0]), Power(3, 1, 1)
+        r_bar = norm(x0 - claimed)
+        m_bar = estimate_grad_bound(p, 1.0)
+        result, notes, states = self.recorded_run(
+            monkeypatch, Flag.BALL_CONFINEMENT, trace, q, model, x0,
+            select_delta(model, r_bar, m_bar), r_bar, 1e-8, 10000, m_bar=m_bar)
+        dists = [(s.k, norm(s.y - claimed), norm(s.u - claimed)) for s in states]
+        assert any(dy > du for _, dy, du in dists) and any(du > dy for _, dy, du in dists)
+        expected = [(k, max(dy, du)) for k, dy, du in dists
+                    if not max(dy, du) <= 2.0 * r_bar * (1.0 + 1e-12)]
+        assert notes == expected and len(expected) == result.agd_iters
+        assert result.flags_total & Flag.BALL_CONFINEMENT
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_nan_certificate_is_noted(self, monkeypatch, trace):
+        # a certificate that holds is not noted, but a NaN holds nothing
+        monkeypatch.setattr(solvers, "_certificate", lambda gap, gamma_cap, dist_u: math.nan)
+        p = catalog("quadratic")
+        result, notes, _ = self.recorded_run(
+            monkeypatch, Flag.LYAPUNOV, trace, p, Constant(1.0), np.array([0.3, 0.3]),
+            math.inf, 1.0, 1e-8, 10000)
+        assert result.agd_iters > 0
+        assert [k for k, _ in notes] == list(range(1, result.agd_iters + 1))
+        assert all(math.isnan(v) for _, v in notes)
+        assert result.flags_total & Flag.LYAPUNOV
 
 
 class TestGdRun:
