@@ -30,11 +30,10 @@ import dataclasses
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
-from .config import execute, jsonable, load_config, load_sweep, output_dir, run_sweep
+from .config import execute, jsonable, load_config, load_sweep, output_dir, run_sweep, write_json
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -122,8 +121,7 @@ def _cmd_verify(args) -> int:
     reports = run_all_checks(problem, trials=args.trials, seed=args.seed)
     payload = jsonable([asdict(r) for r in reports])
     out = args.out or str(output_dir() / f"{args.problem}-verify-report.json")
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out, payload)
     ok = True
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

@@ -24,6 +24,7 @@ from .solvers import (
     RunResult,
     algorithm1_run,
     algorithm2_run,
+    check_run_parameters,
     estimate_grad_bound,
     gd_run,
     norm,
@@ -182,6 +183,14 @@ def output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
+def write_json(path: str | Path, record) -> None:
+    """Write ``record`` to ``path`` as indented JSON with sorted keys and a
+    trailing newline, making the parent directory first if need be."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
 def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dict]:
     """Run one configured experiment; write trace and summary files.
 
@@ -235,6 +244,8 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
             m_bar = estimate_grad_bound(problem, r_bar, seed=config.seed)
             notes.append(f"m_bar estimated by sphere sampling (heuristic): {m_bar}")
         if delta is None:
+            # the run's own check, before the policy takes r_bar^2
+            check_run_parameters(config.epsilon, r_bar, config.budget)
             delta = select_delta(model, r_bar, m_bar)
             notes.append(f"delta selected by policy: {delta}")
         result = algorithm1_run(
@@ -292,8 +303,7 @@ def _write_outputs(config: RunConfig, result: RunResult, summary: dict) -> None:
         write_trace_csv(trace_path, result.trace)
         summary["trace_path"] = trace_path
     summary_path = config.summary_path or str(output_dir() / f"{stem}-summary.json")
-    Path(summary_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(summary_path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(summary_path, summary)
     summary["summary_path"] = summary_path
 
 
@@ -404,6 +414,6 @@ def run_sweep(spec: SweepSpec, write_files: bool = True) -> dict:
         report["ratios"] = ratios
     if write_files:
         path = output_dir() / f"sweep-{spec.axis}-report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(path, report)
         report["report_path"] = str(path)
     return report

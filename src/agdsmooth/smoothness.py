@@ -116,6 +116,15 @@ def _bisect(below, lo: float, hi: float) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
+def _power(x: float, y: float) -> float:
+    """``x**y`` for x >= 0 and y > 0, with its float limit inf where it
+    overflows (Python raises there; an underflow already gives 0.0)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def _no_root(t: float, lo: float, hi: float, why: str) -> OutOfRangeError:
     return OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: {why}")
 
@@ -387,8 +396,10 @@ class Affine(EllModel):
 
     @cached_property
     def admissible_boundary(self) -> float:
-        # ell(s) = 2 L0 at s = L0 / L1
-        return math.inf if self.L1 == 0 else self.L0 / (64.0 * self.L1**2)
+        # ell(s) = 2 L0 at s = L0 / L1; 0.0 where L1^2 overflows, inf where
+        # it is 0 (L1 = 0, or an underflow)
+        square = _power(self.L1, 2)
+        return self.L0 / (64.0 * square) if square else math.inf
 
     def q_inverse(self, r: float, a: float) -> float:
         if self.L1 == 0:
@@ -448,10 +459,13 @@ class Power(EllModel):
     def delta_head(self, r_bar: float, m_bar: float | None) -> float:
         if self.rho <= 2:
             return super().delta_head(r_bar, m_bar)
-        # the two-branch terms take the head itself, not a 64th of it
+        # the two-branch terms take the head itself, not a 64th of it; each
+        # power takes its float limit, so L0 / L1^2 is 0.0 where the square
+        # overflows and inf where it underflows
         L0, L1 = self.L0, self.L1
-        return min(64.0 * self.admissible_boundary, L0 / L1**2,
-                   (1.0 / (2.0 * m_bar)) ** (self.rho - 2.0) / L1, L0 * r_bar**2)
+        square = _power(L1, 2)
+        return min(64.0 * self.admissible_boundary, L0 / square if square else math.inf,
+                   _power(1.0 / (2.0 * m_bar), self.rho - 2.0) / L1, L0 * _power(r_bar, 2))
 
     @cached_property
     def delta_max(self) -> float:
@@ -803,6 +817,9 @@ def model_from_config(cfg: dict) -> EllModel:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigurationError(f"unknown ell model kind {kind!r}")
+    unknown = sorted(set(cfg) - {"kind"} - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"ell model kind {kind!r} has no field(s) {unknown}")
     try:
         return cls.from_config(cfg)
     except KeyError as exc:

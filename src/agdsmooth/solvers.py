@@ -15,16 +15,16 @@ Two accelerated variants share one primal-dual step:
 The auxiliary sequence ``Gamma_{k+1} = Gamma_k / (1 + alpha_k)`` with
 ``alpha_k = sqrt(gamma Gamma_k)`` certifies the gap at every iteration:
 ``f(y_k) - f* <= Gamma_k * rbar^2``, and decays like ``9 / (gamma k^2)``.
-Certificates are recomputed at run time, each one ``_Run.note`` of
-``value <= bound``; a violation either aborts (strict mode) or sets its
-flag bit in the iteration's trace row (observe mode).  ``_Run`` keeps the
-run's record: it checks epsilon, r_bar and the budget, states the gap rule
+Certificates are recomputed at run time; each breach of one is a
+``_Run.note``, which either aborts (strict mode) or sets its flag bit in
+the iteration's trace row (observe mode).  ``_Run`` is the run's scope and
+record: it checks epsilon, r_bar and the budget, keeps NumPy's
+floating-point warnings off while the run lasts, states the gap rule
 (``gap``) and makes every trace row (``row``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from enum import IntFlag
@@ -97,11 +97,22 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def check_run_parameters(epsilon: float, r_bar: float, budget: int) -> None:
+    """Refuse a run without epsilon > 0, budget >= 1 and an r_bar > 0 whose
+    square is a positive float: r_bar^2 scales every certificate, so an
+    r_bar^2 that is 0 or inf in floats certifies nothing."""
+    if not (epsilon > 0 and r_bar > 0 and 0 < r_bar * r_bar < math.inf and budget >= 1):
+        raise ConfigurationError(
+            "a run needs epsilon > 0, a finite r_bar > 0 and budget >= 1, "
+            f"with r_bar^2 a positive float (r_bar = {r_bar})")
+
+
 # --- state and trace ---------------------------------------------------------
 
 @dataclass(slots=True)
 class AgdState:
-    """Solver triple (y, u, Gamma_k) plus the cached oracle output at y.
+    """Solver triple (y, u, Gamma_k) plus the cached oracle output at y,
+    and the ``alpha`` of the step that made it (None at a start state).
 
     Caching f and grad at y is what keeps the method at one fresh gradient
     evaluation per iteration.
@@ -113,6 +124,7 @@ class AgdState:
     k: int
     f_y: float
     grad_y: np.ndarray
+    alpha: float | None = None
 
 
 @dataclass(slots=True)
@@ -170,7 +182,7 @@ class RunResult:
 
 
 class _Run:
-    """One run's context and record, shared by its GD and accelerated phases.
+    """One run's scope and record, shared by its GD and accelerated phases.
 
     Holds the counted oracle, the optimum (``f_star``/``x_star``, None when
     withheld), epsilon, r_bar and the oracle-call budget (checked here for
@@ -179,15 +191,16 @@ class _Run:
     iteration count.  ``gap`` is the gap rule and ``bound`` the certified
     bound.  A phase that stops on the budget sets ``termination``, and one
     that stops on a saturated level sets ``message``; ``result`` and
-    ``refuse`` build the RunResult.
+    ``refuse`` build the RunResult.  As a context manager it keeps NumPy's
+    floating-point warnings off from the run's first norm to its result (a
+    divergence ends in a typed error, a noted flag or an infinite gap, which
+    they would only repeat), and a ``SafetyViolationError`` leaving it names
+    the flag bits noted before it, which point at the likely cause.
     """
 
     def __init__(self, problem: Problem, model: EllModel, epsilon: float, r_bar: float,
                  budget: int, check_invariants: bool, strict: bool, collect_trace: bool):
-        # r_bar scales every certificate, so it must be finite too
-        if not (epsilon > 0 and 0 < r_bar < math.inf and budget >= 1):
-            raise ConfigurationError(
-                "a run needs epsilon > 0, a finite r_bar > 0 and budget >= 1")
+        check_run_parameters(epsilon, r_bar, budget)
         opt = problem.optimum
         self.problem = problem
         self.model = model
@@ -247,11 +260,10 @@ class _Run:
                                           step_gamma, dist, bound, v, flags))
 
     def note(self, bit: Flag, k: int, value: float, bound: float) -> int:
-        """The certificate ``value <= bound`` at iteration ``k``: 0 if it
-        holds, else ``bit``, which also joins ``flags_total``.  In strict
-        mode a breach raises, naming the flag, k and both sides."""
-        if value <= bound:
-            return 0
+        """A breach of the certificate ``value <= bound`` at iteration
+        ``k``, which the caller found (a NaN breaks every bound): returns
+        ``bit``, which also joins ``flags_total``.  In strict mode the
+        breach raises, naming the flag, k and both sides."""
         # plain ints throughout: IntFlag instances stringify as names on
         # some interpreters, which would corrupt the CSV flags column
         self.flags_total = int(self.flags_total | bit)
@@ -260,16 +272,17 @@ class _Run:
                                           flags=int(bit))
         return int(bit)
 
-    def phase(self, body, state: AgdState, *args) -> AgdState:
-        """``body(self, state, *args)``; a divergence in it names the flag
-        bits noted before it, which point at the likely cause."""
-        try:
-            return body(self, state, *args)
-        except SafetyViolationError as exc:
+    def __enter__(self) -> "_Run":
+        self._errors = np.seterr(over="ignore", invalid="ignore", divide="ignore")
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        np.seterr(**self._errors)
+        if isinstance(exc, SafetyViolationError):
             noted = [f.name for f in Flag if f and self.flags_total & f]
-            if not noted:
-                raise
-            raise SafetyViolationError(f"{exc}; flags noted before it: {', '.join(noted)}") from exc
+            if noted:
+                raise SafetyViolationError(
+                    f"{exc}; flags noted before it: {', '.join(noted)}") from exc
 
     def result(self, state: AgdState, achieved: float | None = None) -> RunResult:
         """The converged or budget result at ``state``.  The achieved gap
@@ -302,26 +315,10 @@ class _Run:
         )
 
 
-def _quiet(run_function):
-    """``run_function`` with NumPy's floating-point warnings off for the
-    whole run, one scope from its first norm to its result: a diverging run
-    ends in a typed error, a noted flag or an infinite gap, which the
-    warnings would only repeat."""
-    @functools.wraps(run_function)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return run_function(*args, **kwargs)
-    return quiet
-
-
-def lyapunov(state: AgdState, f_star: float, x_star: np.ndarray) -> float:
-    """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``."""
-    return _certificate(state.f_y - f_star, state.gamma_cap, norm(state.u - x_star))
-
-
-def _certificate(gap: float, gamma_cap: float, dist_u: float) -> float:
-    """``lyapunov`` from its parts: the gap ``f(y) - f*``, the level and
-    ``|u - x*|``, which the step loop shares with its other checks."""
+def lyapunov(gap: float, gamma_cap: float, dist_u: float) -> float:
+    """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``
+    from its parts: the gap ``f(y_k) - f*``, the level and ``|u_k - x*|``,
+    which the step loop shares with its other checks."""
     return gap + 0.5 * gamma_cap * dist_u ** 2
 
 
@@ -332,24 +329,21 @@ def agd_step(
     step_gamma: float,
     problem: Problem,
     _eval: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
-    alpha: float | None = None,
 ) -> AgdState:
     """One accelerated step; exactly one fresh gradient evaluation.
 
     ``y_next`` blends y, u and the cached gradient at y; ``u_next`` takes a
-    projected dual step against the fresh gradient.  ``_eval`` replaces the
-    plain oracle (the run loops pass their call counter).  ``alpha`` is the
-    step's ``sqrt(step_gamma * gamma_cap)`` where the caller has it already
-    (the run loop and the descent check do); None computes it, as
-    ``gamma_alpha_step`` does.  Raises a safety violation if y_next leaves
-    the open feasible set, which signals a breach of the step-size contract
+    projected dual step against the fresh gradient.  ``alpha`` and the next
+    level are ``gamma_alpha_step``'s, and the returned state records that
+    alpha.  ``_eval`` replaces the plain oracle (the run loops pass their
+    call counter).  Raises a safety violation if y_next leaves the open
+    feasible set, which signals a breach of the step-size contract
     ``step_gamma <= 1 / ell(2 |grad y|)``; callers check that contract
     themselves, against their own profile.
     """
     assert step_gamma > 0
     gamma_cap = state.gamma_cap
-    if alpha is None:
-        alpha = math.sqrt(step_gamma * gamma_cap)
+    alpha, gamma_next = gamma_alpha_step(gamma_cap, step_gamma)
     w = 1.0 / (1.0 + alpha)
     y_next = w * (state.y + alpha * state.u - step_gamma * state.grad_y)
     try:
@@ -359,7 +353,7 @@ def agd_step(
             f"y left the feasible set at iteration {state.k + 1}: {exc}"
         ) from exc
     u_next = project_closure(problem.domain, state.u - (alpha / gamma_cap) * g_next)
-    return AgdState(y_next, u_next, gamma_cap / (1.0 + alpha), state.k + 1, f_next, g_next)
+    return AgdState(y_next, u_next, gamma_next, state.k + 1, f_next, g_next, alpha)
 
 
 # --- gradient descent --------------------------------------------------------
@@ -394,14 +388,15 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         flags = 0
         dist_next = norm(x - x_star) if track_dist else None
         if check:
-            flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, dist * (1.0 + 1e-12))
+            cap = dist * (1.0 + 1e-12)
+            if not dist_next <= cap:
+                flags = run.note(Flag.GD_MONOTONE, run.gd_iters, dist_next, cap)
         dist = dist_next
         run.row("gd", run.gd_iters, None if f_star is None else f - f_star, gn, gamma_t,
                 dist, flags)
     return AgdState(y=x, u=x.copy(), gamma_cap=state.gamma_cap, k=state.k, f_y=f, grad_y=g)
 
 
-@_quiet
 def gd_run(
     problem: Problem,
     model: EllModel,
@@ -419,10 +414,11 @@ def gd_run(
     certificate ``|grad| * r_bar <= epsilon`` holds; ``budget`` caps oracle
     calls.  The final iterate is the result state's ``y``.
     """
-    run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
-    state, _ = run.start(x0)
-    state = run.phase(_gd_phase, state, epsilon)
-    return run.result(state, run.gap(state.f_y, norm(state.grad_y)))
+    with _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict,
+              collect_trace) as run:
+        state, _ = run.start(x0)
+        state = _gd_phase(run, state, epsilon)
+        return run.result(state, run.gap(state.f_y, norm(state.grad_y)))
 
 
 # --- gradient bound heuristic -----------------------------------------------
@@ -494,7 +490,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     bound = run.bound(state.gamma_cap)
     grad_norm = norm(state.grad_y)
     dist_u = norm(state.u - x_star) if check_v else None
-    v_prev = _certificate(gap, state.gamma_cap, dist_u) if check_v else None
+    v_prev = lyapunov(gap, state.gamma_cap, dist_u) if check_v else None
     dist = norm(state.y - x_star) if ball else None
     k0 = state.k
     while True:
@@ -541,16 +537,15 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             run.termination = "budget"
             return state
 
-        alpha = math.sqrt(step_gamma * state.gamma_cap)
-        state = agd_step(state, step_gamma, problem, oracle, alpha)
-        gamma_cap = state.gamma_cap
+        state = agd_step(state, step_gamma, problem, oracle)
+        gamma_cap, alpha = state.gamma_cap, state.alpha
         grad_norm = norm(state.grad_y)
         gap = None if f_star is None else state.f_y - f_star
         bound = run.bound(gamma_cap)
         v_new = None
         if track_v:
             dist_u = norm(state.u - x_star)
-            v_new = _certificate(gap, gamma_cap, dist_u)
+            v_new = lyapunov(gap, gamma_cap, dist_u)
 
         if check_invariants:
             if f_star is not None:
@@ -573,7 +568,6 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             bound, v_new)
 
 
-@_quiet
 def algorithm1_run(
     problem: Problem,
     model: EllModel,
@@ -598,31 +592,32 @@ def algorithm1_run(
     refused, but without it nothing checks that, and a bound certified on
     too short an r_bar need not hold.
     """
-    run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
-    state, refusal = run.start(x0)
-    if refusal:
-        return run.refuse(refusal)
-    f_star = run.f_star
+    with _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict,
+              collect_trace) as run:
+        state, refusal = run.start(x0)
+        if refusal:
+            return run.refuse(refusal)
+        f_star = run.f_star
 
-    if f_star is not None and state.f_y - f_star <= epsilon:
-        state.gamma_cap = delta / r_bar**2 if (math.isfinite(delta) and delta > 0) else 1.0
-        return run.result(state)
-    stationary = run.stationary(state)
-    if stationary is not None:
-        return stationary
+        if f_star is not None and state.f_y - f_star <= epsilon:
+            state.gamma_cap = delta / r_bar**2 if (math.isfinite(delta) and delta > 0) else 1.0
+            return run.result(state)
+        stationary = run.stationary(state)
+        if stationary is not None:
+            return stationary
 
-    # resolve the warm-start gap target
-    if math.isinf(delta):
-        delta = 2.0 * run.gap(state.f_y, norm(state.grad_y))
-    refusal = warm_start_refusal(model, delta, m_bar)
-    if refusal:
-        return run.refuse(refusal)
+        # resolve the warm-start gap target
+        if math.isinf(delta):
+            delta = 2.0 * run.gap(state.f_y, norm(state.grad_y))
+        refusal = warm_start_refusal(model, delta, m_bar)
+        if refusal:
+            return run.refuse(refusal)
 
-    state.gamma_cap = delta / r_bar**2
-    state = run.phase(_gd_phase, state, delta / 2.0)
-    if run.termination == "budget":
-        return run.result(state)
-    return run.result(run.phase(_run_agd, state, 1.0 / (2.0 * ell_eval(model, 0.0))))
+        state.gamma_cap = delta / r_bar**2
+        state = _gd_phase(run, state, delta / 2.0)
+        if run.termination == "budget":
+            return run.result(state)
+        return run.result(_run_agd(run, state, 1.0 / (2.0 * ell_eval(model, 0.0))))
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -660,7 +655,6 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     return k
 
 
-@_quiet
 def algorithm2_run(
     problem: Problem,
     model: EllModel,
@@ -684,38 +678,39 @@ def algorithm2_run(
     the run started from.  As in ``algorithm1_run``, the certificate assumes
     ``r_bar >= |x0 - x*|``, which nothing checks without the optimum.
     """
-    run = _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict, collect_trace)
-    if not (gamma_cap0 is None or gamma_cap0 > 0):
-        raise ConfigurationError("algorithm2_run needs gamma_cap0 > 0")
-    if math.isfinite(model.delta_max):
-        raise ConfigurationError(
-            "psi is not invertible on [0, inf) for this profile "
-            f"(increase stops at {model.delta_max}); use the warm-started variant"
-        )
-    if gamma_cap0 is None and problem.optimum is None:
-        raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
-    state, refusal = run.start(x0)
-    x_star = run.x_star
-    r0 = norm(state.y - x_star) if x_star is not None else 0.0
-    floor = 2.0 * (state.f_y - run.f_star) / r0**2 if r0 > 0 else None
-    if gamma_cap0 is None:
-        gamma_cap0 = 1.0 if floor is None else floor
-    if gamma_cap0 * r_bar**2 >= model.psi_sup:
-        raise ConfigurationError(
-            f"gamma_cap0 * r_bar^2 = {gamma_cap0 * r_bar**2} is not below "
-            f"sup psi = {model.psi_sup}; the adaptive step is undefined"
-        )
-    if not refusal and floor is not None and gamma_cap0 < floor * (1 - 1e-12):
-        refusal = f"gamma_cap0 must be >= {floor}"
-    if refusal:
-        result = run.refuse(refusal)
-    else:
-        try:
-            warmup = warmup_iterations_bound(model, gamma_cap0, r_bar)
-        except ConfigurationError:
-            warmup = None
-        state.gamma_cap = gamma_cap0
-        result = run.stationary(state) or run.result(run.phase(_run_agd, state, None))
-        result.warmup_bound = warmup
-    result.gamma_cap0 = gamma_cap0
-    return result
+    with _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict,
+              collect_trace) as run:
+        if not (gamma_cap0 is None or gamma_cap0 > 0):
+            raise ConfigurationError("algorithm2_run needs gamma_cap0 > 0")
+        if math.isfinite(model.delta_max):
+            raise ConfigurationError(
+                "psi is not invertible on [0, inf) for this profile "
+                f"(increase stops at {model.delta_max}); use the warm-started variant"
+            )
+        if gamma_cap0 is None and problem.optimum is None:
+            raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
+        state, refusal = run.start(x0)
+        x_star = run.x_star
+        r0 = norm(state.y - x_star) if x_star is not None else 0.0
+        floor = 2.0 * (state.f_y - run.f_star) / r0**2 if r0 > 0 else None
+        if gamma_cap0 is None:
+            gamma_cap0 = 1.0 if floor is None else floor
+        if gamma_cap0 * r_bar**2 >= model.psi_sup:
+            raise ConfigurationError(
+                f"gamma_cap0 * r_bar^2 = {gamma_cap0 * r_bar**2} is not below "
+                f"sup psi = {model.psi_sup}; the adaptive step is undefined"
+            )
+        if not refusal and floor is not None and gamma_cap0 < floor * (1 - 1e-12):
+            refusal = f"gamma_cap0 must be >= {floor}"
+        if refusal:
+            result = run.refuse(refusal)
+        else:
+            try:
+                warmup = warmup_iterations_bound(model, gamma_cap0, r_bar)
+            except ConfigurationError:
+                warmup = None
+            state.gamma_cap = gamma_cap0
+            result = run.stationary(state) or run.result(_run_agd(run, state, None))
+            result.warmup_bound = warmup
+        result.gamma_cap0 = gamma_cap0
+        return result

@@ -27,7 +27,7 @@ from .smoothness import (
     q_max,
     quad,
 )
-from .solvers import AgdState, agd_step, gamma_alpha_step, lyapunov, norm
+from .solvers import AgdState, agd_step, lyapunov, norm
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
@@ -127,12 +127,12 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
         )
     f_star = problem.optimum.f_star
     x_star = problem.optimum.x_star
-    alpha, _ = gamma_alpha_step(state.gamma_cap, step_gamma)
-    nxt = agd_step(state, step_gamma, problem, alpha=alpha)
+    nxt = agd_step(state, step_gamma, problem)
+    alpha = nxt.alpha
     lhs = (
         (1.0 + alpha) * (nxt.f_y - f_star)
         + 0.5 * (1.0 + alpha) * nxt.gamma_cap * norm(nxt.u - x_star) ** 2
-        - lyapunov(state, f_star, x_star)
+        - lyapunov(state.f_y - f_star, state.gamma_cap, norm(state.u - x_star))
     )
     rhs = 0.5 * (
         step_gamma - 1.0 / ell_eval(model, 2.0 * ny + norm(nxt.grad_y))

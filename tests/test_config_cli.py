@@ -367,6 +367,19 @@ class TestCli:
         assert (tmp_path / "exp-1d-agd2-trace.csv").exists()
         assert (tmp_path / "exp-1d-agd2-summary.json").exists()
 
+    def test_sweep_report_makes_a_missing_output_dir(self, tmp_path, monkeypatch, capsys):
+        # the one point raises before it writes a file, so the report is
+        # the first file to land in the directory
+        out = tmp_path / "not" / "yet"
+        monkeypatch.setenv("AGDSMOOTH_OUTPUT_DIR", str(out))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"axis": "delta-grid", "values": ["x"],
+                                    "base": {"algorithm": "agd1", "problem": "exp-1d"}}))
+        assert main(["sweep", str(path)]) == 3
+        report = json.loads((out / "sweep-delta-grid-report.json").read_text())
+        assert "ConfigurationError" in report["points"][0]["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["sweep-delta-grid-report.json"]
+
     def test_strict_violation_exit_five(self, tmp_path):
         # claim a curvature bound that the objective plainly violates; the
         # oversized GD step breaks distance monotonicity under strict checks
@@ -432,6 +445,12 @@ class TestCli:
         "r_bar-infinity-gd": {"algorithm": "gd", "r_bar": math.inf},
         "r_bar-infinity-agd1": {"algorithm": "agd1", "r_bar": math.inf},
         "r_bar-infinity-agd2": {"r_bar": math.inf},
+        # r_bar^2 scales every certificate, so it must stay a positive float
+        "r_bar-square-overflow-agd1": {"algorithm": "agd1", "r_bar": 1e200},
+        "r_bar-square-overflow-agd2": {"r_bar": 1e200},
+        "r_bar-square-underflow-agd1": {"algorithm": "agd1", "r_bar": 1e-200, "delta": 1e-3,
+                                        "problem_params": {"known_optimum": False}},
+        "ell-unknown-field": {"ell": {"kind": "affine", "L0": 1, "L1": 1, "rho": 3}},
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -457,6 +476,12 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, **self.SUPERQUADRATIC, m_bar=-1)
         assert main(["run", cfg]) == 4
         assert "'m_bar'" in capsys.readouterr().err
+
+    def test_unknown_profile_field_names_the_key(self, tmp_path, capsys):
+        model = json.dumps({"kind": "constant", "L": 1, "L1": 2})
+        code = main(["verify", "quadratic", model, "--out", str(tmp_path / "rep.json")])
+        assert code == 4 and not (tmp_path / "rep.json").exists()
+        assert "'L1'" in capsys.readouterr().err
 
     def test_unknown_problem_param_names_the_key(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, problem="quadratic", problem_params={"mu": 1.0},
@@ -527,6 +552,27 @@ class TestCli:
         assert main(["run", str(path)]) == code
         if code == 5:
             assert "GD_MONOTONE" in capsys.readouterr().err
+
+    # claims whose profile terms leave the float range: a square of L1 that
+    # overflows or underflows, or a power of 1 / (2 m_bar) that overflows.
+    # Each once ended in a traceback; each term now takes its float limit
+    # true claims on the quadratic, so that every run that starts converges
+    RANGE_CLAIMS = {
+        **{f"affine-L1-{L1:g}-{algorithm}": {
+            "algorithm": algorithm, "problem": "quadratic", "x0": [0.3, 0.3],
+            "ell": {"kind": "affine", "L0": 1, "L1": L1}}
+           for L1 in (1e200, 1e-200) for algorithm in ("agd1", "agd2")},
+        "power-rho-3-L1-1e200": {**SUPERQUADRATIC,
+                                 "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1e200}},
+        "power-rho-3-L1-1e-200": {**SUPERQUADRATIC,
+                                  "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1e-200}},
+        "power-rho-12-m_bar-1e-40": {**SUPERQUADRATIC, "m_bar": 1e-40,
+                                     "ell": {"kind": "power", "rho": 12, "L0": 1, "L1": 1}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(RANGE_CLAIMS))
+    def test_float_range_claims_exit_typed(self, tmp_path, name):
+        assert main(["run", self.write_cfg(tmp_path, **self.RANGE_CLAIMS[name])]) in (0, 2, 3, 4)
 
     def test_diverging_run_prints_no_numpy_warning(self, tmp_path):
         # the oracle's guard already reports the overflow as a typed error

@@ -151,14 +151,26 @@ class TestAgdStep:
                 state.f_y.hex(), state.grad_y.tobytes())
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_passed_alpha_gives_the_same_bits(self, name):
-        # the run loop passes its alpha = sqrt(step_gamma * gamma_cap); the
-        # step must land where computing it afresh lands
+    def test_alpha_and_level_are_the_recurrences_bits(self, name):
+        # the step owns alpha = sqrt(step_gamma * gamma_cap) and the next
+        # level gamma_cap / (1 + alpha) through gamma_alpha_step, and
+        # records that alpha on the state it returns
         p = catalog(name)
         for state, gamma in self.sampled_states(p):
-            alpha, _ = gamma_alpha_step(state.gamma_cap, gamma)
-            assert self.bits(agd_step(state, gamma, p, alpha=alpha)) == \
-                self.bits(agd_step(state, gamma, p))
+            assert state.alpha is None
+            alpha, gamma_next = gamma_alpha_step(state.gamma_cap, gamma)
+            nxt = agd_step(state, gamma, p)
+            assert (nxt.alpha.hex(), nxt.gamma_cap.hex()) == (alpha.hex(), gamma_next.hex())
+
+    def test_start_state_has_no_alpha(self):
+        # a budget of one call stops the adaptive run at its start state;
+        # a converged run ends on a stepped state, with the last row's alpha
+        p = catalog("exp-1d")
+        start = algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0, 1e-6, 1)
+        assert start.termination == "budget" and start.state.k == 0
+        assert start.state.alpha is None
+        done = algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0, 1e-6, 10000)
+        assert done.converged and done.state.alpha == done.trace[-1].alpha
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_next_u_never_aliases_the_state(self, name):
@@ -264,7 +276,7 @@ class TestSharedChecks:
     @pytest.mark.parametrize("trace", [True, False])
     def test_nan_certificate_is_noted(self, monkeypatch, trace):
         # a certificate that holds is not noted, but a NaN holds nothing
-        monkeypatch.setattr(solvers, "_certificate", lambda gap, gamma_cap, dist_u: math.nan)
+        monkeypatch.setattr(solvers, "lyapunov", lambda gap, gamma_cap, dist_u: math.nan)
         p = catalog("quadratic")
         result, notes, _ = self.recorded_run(
             monkeypatch, Flag.LYAPUNOV, trace, p, Constant(1.0), np.array([0.3, 0.3]),
@@ -536,6 +548,9 @@ class TestRunParameters:
         "epsilon-nan": (math.nan, 4.0, 10),
         "r_bar-zero": (1e-6, 0.0, 10),
         "r_bar-infinity": (1e-6, math.inf, 10),
+        # r_bar^2 scales every certificate: it must not overflow or vanish
+        "r_bar-square-overflow": (1e-6, 1e200, 10),
+        "r_bar-square-underflow": (1e-6, 1e-200, 10),
         "budget-zero": (1e-6, 4.0, 0),
     }
 
@@ -633,6 +648,41 @@ class TestRunParameters:
                     algorithm1_run(seen, seen.ell_model, x0, math.inf, 0.01, 1e-4, 1000)):
             assert res.termination == "precondition-failed"
             assert res.message == "r_bar is below the true initial distance"
+
+
+class TestRunScope:
+    """Each run function is one ``_Run`` scope, which leaves NumPy's
+    floating-point error settings as it found them, on a return and on a
+    divergence alike."""
+
+    # settings that differ from the run's own, under which none of these
+    # runs computes anything
+    OUTSIDE = {"over": "raise", "invalid": "print", "divide": "warn", "under": "ignore"}
+
+    RUNS = {
+        "gd": lambda p: gd_run(p, p.ell_model, np.array([2.0]), 1e-6, 4.0, 1000),
+        "agd1": lambda p: algorithm1_run(p, p.ell_model, np.array([2.0]),
+                                         select_delta(p.ell_model, 4.0), 4.0, 1e-6, 1000),
+        "agd2": lambda p: algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0,
+                                         1e-6, 1000),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(RUNS))
+    def test_settings_restored_on_return(self, algorithm):
+        with np.errstate(**self.OUTSIDE):
+            before = np.geterr()
+            assert self.RUNS[algorithm](catalog("exp-1d")).converged
+            assert np.geterr() == before == self.OUTSIDE
+
+    def test_settings_restored_on_divergence(self):
+        # Gamma_0 = 1/64 below the start's floor: y overflows after the
+        # GRAD_ENVELOPE breach, which the error names on leaving the scope
+        p = catalog("exp-1d", {"known_optimum": False})
+        with np.errstate(**self.OUTSIDE):
+            with pytest.raises(SafetyViolationError, match="flags noted before it: "
+                               "GRAD_ENVELOPE"):
+                algorithm2_run(p, p.ell_model, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1000)
+            assert np.geterr() == self.OUTSIDE
 
 
 class TestAlgorithm2:
