@@ -16,17 +16,19 @@ Two derived functions drive everything else in the package:
 Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the inverse and limit of the q budget, the psi peak,
 the right crossing and its admissibility boundary, the largest delta that
-Algorithm 1's warm start admits, in closed form.  The base holds the psi
-inverse that every profile uses (Brent's method from the seed
-``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
-flat head, in a doubling bracket that jumps past every upper end below
-``x sqrt(t / psi(x))`` of the last point x it evaluated, a bound on the root
-because psi(x) / x^2 does not increase; the package's own Brent, a port of
-SciPy's ``brentq`` that returns its bits, starts from the psi values the
-bracket already has), the generic quadrature, the Newton q inverse and the
-bisection behind its fallback and the right crossing; the module-level
-functions validate their arguments and dispatch to the model, and
-``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
+Algorithm 1's warm start admits, in closed form.  An affine profile and a
+quadratic power state psi's root in closed form too, which ``psi_inverse``
+keeps once psi at it reads t.  The base holds the generic psi inverse
+(Brent's method from the seed ``sqrt(2 ell(0) t)``, which lies at or below
+the root and is the root on a flat head, in a doubling bracket that jumps
+past every upper end below ``x sqrt(t / psi(x))`` of the last point x it
+evaluated, a bound on the root because psi(x) / x^2 does not increase;
+the package's own Brent, a port of SciPy's ``brentq`` that returns its
+bits, starts from the psi values the bracket already has), the generic
+quadrature, the Newton q inverse and the bisection behind its fallback and
+the right crossing; the module-level functions validate their arguments
+and dispatch to the model, and ``warm_start_refusal`` states which delta
+Algorithm 1's warm start accepts.
 The quadrature is ``quad``, SciPy's, imported on its first call: only a
 general power profile's q inverse and limit and ``verify``'s convexity
 integral integrate, so the package and its solvers load no SciPy.
@@ -78,6 +80,11 @@ LOG_FLOAT_MAX = math.log(FLOAT_MAX)
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_XTOL = math.ulp(0.0)
 BRENT_MAX_ITER = 200
+# A profile's closed-form psi root is kept only where psi at it reads t to
+# within CLOSED_FORM_RESIDUAL relative: a root computed to a few roundings
+# passes many times over, and one that an overflow, an underflow or a
+# cancellation has lost fails and hands t to the generic path.
+CLOSED_FORM_RESIDUAL = 16.0 * sys.float_info.epsilon
 
 # q(s; a) is increasing and concave in s because 1/ell does not increase, so
 # its tangent at s lies above it and the Newton step
@@ -244,23 +251,36 @@ class EllModel:
         """Supremum of psi over [0, delta_max) (may be a limit, not attained)."""
         return math.inf if math.isinf(self.delta_max) else psi_eval(self, self.delta_max)
 
+    def _psi_root(self, t: float) -> float | None:
+        """The root of psi(x) = t in closed form, for 0 < t < psi_sup, or
+        None where the profile has none; ``psi_inverse`` keeps it only after
+        checking psi at it."""
+        return None
+
     def psi_inverse(self, t: float) -> float:
-        """Brent's method on the increasing branch of psi, for 0 < t < psi_sup.
+        """Brent's method on the increasing branch of psi, for 0 < t < psi_sup:
+        the generic path, which ``psi_inverse`` takes wherever the profile
+        has no closed-form root or psi refuses it.
 
         ell does not decrease, so psi(x) <= x^2 / (2 ell(0)) and the seed
         ``x0 = sqrt(2 ell(0) t)`` lies at or below the root.  Where psi(x0)
         reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
         is the root; otherwise the upper end doubles from 2 x0 (capped at
         delta_max) until psi reaches t, and ``_brent`` solves psi(x) = t
-        inside that bracket to 4 ulps.  psi(x) / x^2 does not increase
-        either, so each evaluated psi(h) < t puts the root at or above
-        ``h sqrt(t / psi(h))``; the upper ends below that floor (less
+        inside that bracket until it is 4 ulps wide.  psi(x) / x^2 does not
+        increase either, so each evaluated psi(h) < t puts the root at or
+        above ``h sqrt(t / psi(h))``; the upper ends below that floor (less
         ``JUMP_SLACK``) are doubled past without evaluating psi, which ends
         on the bracket that evaluating each would reach.  ``_brent`` takes
         psi at the ends the bracket evaluated (the upper end, and the lower
         one unless it was jumped to) and evaluates only the others, so it
         returns the root SciPy's ``brentq`` returns, with two fewer psi
-        evaluations in the usual case.
+        evaluations in the usual case.  That root is within 4 ulps of the
+        exact one only where psi is well-conditioned and computed from
+        normal floats: where psi is flat in floats, as near a bounded psi's
+        supremum, Brent stops at the first x where psi(x) - t reads 0, which
+        can lie far from the root, and where x * x is subnormal psi itself
+        has lost those digits.
         """
         dmax = self.delta_max
         lo = math.sqrt(2.0 * self.ell(0.0) * t)
@@ -401,6 +421,13 @@ class Affine(EllModel):
         square = _power(self.L1, 2)
         return self.L0 / (64.0 * square) if square else math.inf
 
+    def _psi_root(self, t: float) -> float:
+        # the positive root of x^2 - 8 L1 t x - 2 L0 t = 0, a sum of two
+        # non-negative terms, so nothing cancels; it is inf where (4 L1 t)^2
+        # overflows
+        a = 4.0 * self.L1 * t
+        return a + math.sqrt(a * a + 2.0 * self.L0 * t)
+
     def q_inverse(self, r: float, a: float) -> float:
         if self.L1 == 0:
             return r * self.L0
@@ -481,6 +508,14 @@ class Power(EllModel):
             # psi -> 1 / (32 L1) from below as x -> inf
             return 1.0 / (32.0 * self.L1)
         return super().psi_sup
+
+    def _psi_root(self, t: float) -> float | None:
+        if self.rho != 2 or self._flat:
+            return None
+        # x^2 (1 - 32 L1 t) = 2 L0 t; the factor is above 0 for t < psi_sup
+        # except where 32 L1 t rounds up to 1
+        d = 1.0 - 32.0 * self.L1 * t
+        return math.sqrt(2.0 * self.L0 * t / d) if d > 0 else None
 
     def delta_right(self, delta: float) -> float:
         """Bisection on log psi over psi's falling tail, up to the root of
@@ -674,8 +709,13 @@ def psi_eval(model: EllModel, x: float) -> float:
 def psi_inverse(model: EllModel, t: float) -> float:
     """Invert psi on its increasing branch.
 
-    Returns x in [0, delta_max] with psi(x) = t: the seed sqrt(2 ell(0) t)
-    on a flat head, else Brent's root, within 4 ulps of x; only a t within
+    Returns x in [0, delta_max] with psi(x) = t.  A profile's closed-form
+    root (affine, and a quadratic power) is kept where it is finite and psi
+    at it reads t to within ``CLOSED_FORM_RESIDUAL`` relative, which one
+    psi evaluation checks.  Otherwise ``EllModel.psi_inverse`` answers: the
+    seed sqrt(2 ell(0) t) on a flat head, else Brent's root, within 4 ulps
+    of the exact root where psi is well-conditioned and computed from
+    normal floats (see ``EllModel.psi_inverse``); only a t within
     rounding of sup psi returns delta_max itself.  A t that psi reaches
     only where x * x overflows is an ``OutOfRangeError``.
     """
@@ -688,6 +728,10 @@ def psi_inverse(model: EllModel, t: float) -> float:
         )
     if t == 0.0:
         return 0.0
+    x = model._psi_root(t)
+    if x is not None and math.isfinite(x) and (
+            abs(psi_eval(model, x) - t) <= CLOSED_FORM_RESIDUAL * t):
+        return x
     return model.psi_inverse(t)
 
 

@@ -511,8 +511,10 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
                 envelope_x = psi_inverse(model, bound) if check_invariants else None
                 step_gamma = 1.0 / l0
             else:
+                # psi_inverse returns an x >= 0, never NaN, so ell needs no
+                # argument check
                 envelope_x = psi_inverse(model, bound)
-                step_gamma = 1.0 / ell_eval(model, 4.0 * envelope_x)
+                step_gamma = 1.0 / model.ell(4.0 * envelope_x)
 
         # bits noted before a budget exit reach only flags_total
         flags, k = 0, state.k

@@ -25,7 +25,7 @@ GOLDEN_RUNS = {
         {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
          "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
          "budget": 20000},
-        "0e66263baff3e3f3585327b354fe64201ec3a815a056f04cf3641edc9155b336",
+        "26a629deb1c82e3a203723dd2cbd77d136a9210e89cda46dd5f2cfd30c9d32cf",
         "41941380c19c57144ad1522375bdcf0d6109a707ae0a720321f07e21c0d654fa",
     ),
     # the same run with the runtime checks off: the trace still carries the
@@ -34,14 +34,14 @@ GOLDEN_RUNS = {
         {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
          "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
          "budget": 20000, "check_invariants": False},
-        "0e66263baff3e3f3585327b354fe64201ec3a815a056f04cf3641edc9155b336",
+        "26a629deb1c82e3a203723dd2cbd77d136a9210e89cda46dd5f2cfd30c9d32cf",
         "fb89eb88abb7820de9a2abc6da24d7acecb2233d712f695e7cf95e8b53477b1f",
     ),
     # the adaptive loop's budget exit
     "agd2-exp-experiment-budget": (
         {"algorithm": "agd2", "problem": "exp-experiment", "budget": 50},
-        "6440072be95f7e485d4aa5c777901887c7e65444a30049656392e87cac682b3b",
-        "0d34c30b634c7d767f8d1862fb7c23a15bdc78f464a1b2c1b7290f438c62ad10",
+        "6329a6bcb5a8144df32bcfcff3d334bbd0605af580c1d10a245aecfd6cb7dba6",
+        "54b2d6a9e710f0e4408fcbf615597f577903f12a60cfe338841d092c37e40bb2",
     ),
     "agd1-exp-1d": (
         {"algorithm": "agd1", "problem": "exp-1d", "epsilon": 1e-8},

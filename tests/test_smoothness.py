@@ -379,11 +379,13 @@ class TestPsiInverse:
     def test_jump_matches_the_doubling_bracket(self, model, psi_evals):
         # the bracket skips only upper ends where psi stays below t, so it
         # ends on the reference's bracket and Brent returns the same bits;
-        # up to 1e300 the grid includes roots beyond the float range
+        # up to 1e300 the grid includes roots beyond the float range.  Here
+        # and below, ``EllModel.psi_inverse`` is the generic path, which
+        # ``psi_inverse`` takes wherever it has no closed-form root to keep
         sup = model.psi_sup
         top = math.nextafter(sup, 0.0) if math.isfinite(sup) else 1e300
         for t in [float(t) for t in np.geomspace(1e-30, top, 200)] + [top]:
-            got, n = counted_call(psi_evals, model.psi_inverse, t)
+            got, n = counted_call(psi_evals, EllModel.psi_inverse, model, t)
             want, n_ref = counted_call(psi_evals, doubling_psi_inverse, model, t)
             assert got == want, t
             assert n <= n_ref, t
@@ -405,7 +407,8 @@ class TestPsiInverse:
         else:
             levels = [sup * 2.0 ** (-(k + shift)) for k in range(39)] + [math.nextafter(sup, 0.0)]
         for t in levels:
-            assert outcome(model.psi_inverse, t) == outcome(doubling_psi_inverse, model, t), t
+            got = outcome(EllModel.psi_inverse, model, t)
+            assert got == outcome(doubling_psi_inverse, model, t), t
 
     @pytest.mark.parametrize("model, most, reference", [
         (Power(1.5, 1.0, 2.0), 16, 47),
@@ -414,7 +417,7 @@ class TestPsiInverse:
     def test_jump_skips_the_doublings_below_the_root(self, model, most, reference, psi_evals):
         # the seed sits 12 decades below the Power root and 3 below the Affine one
         assert counted_call(psi_evals, doubling_psi_inverse, model, 1e6)[1] == reference
-        x, n = counted_call(psi_evals, model.psi_inverse, 1e6)
+        x, n = counted_call(psi_evals, EllModel.psi_inverse, model, 1e6)
         assert n <= most
         assert x == doubling_psi_inverse(model, 1e6)
 
@@ -439,6 +442,108 @@ class TestPsiInverse:
         # smaller levels an x whose square overflows inside psi
         with pytest.raises(OutOfRangeError, match="float range"):
             psi_inverse(Affine(1.0, 1.0), t)
+
+
+def decimal_psi_root(model, t):
+    """The root of psi(x) = t of an affine or quadratic power profile, in
+    60-digit decimals from the float t."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t, L0, L1 = Decimal(t), Decimal(model.L0), Decimal(model.L1)
+        if isinstance(model, Affine):
+            a = 4 * L1 * t
+            return a + (a * a + 2 * L0 * t).sqrt()
+        return (2 * L0 * t / (1 - 32 * L1 * t)).sqrt()
+
+
+def ulps_from(x, exact):
+    return abs(Decimal(x) - exact) / Decimal(math.ulp(x))
+
+
+def bits(out):
+    """An ``outcome``'s ``float.hex``, or the exception type it holds."""
+    return out.hex() if isinstance(out, float) else out
+
+
+def check_closed_form(model, t):
+    """``psi_inverse(model, t)`` keeps the closed-form root only where psi
+    at it reads t, and there the root is within 2 ulps of the exact one;
+    elsewhere it returns the generic path's bits or raises its exception.
+    Returns whether the closed form was kept."""
+    got = outcome(psi_inverse, model, t)
+    kept = isinstance(got, float) and got == model._psi_root(t)
+    if kept:
+        assert abs(psi_eval(model, got) - t) <= 16 * sys.float_info.epsilon * t, t
+        assert ulps_from(got, decimal_psi_root(model, t)) <= 2, t
+    else:
+        assert bits(got) == bits(outcome(EllModel.psi_inverse, model, t)), t
+    return kept
+
+
+class TestClosedFormRoot:
+    """An affine profile and a quadratic power invert psi in closed form,
+    certified by one psi evaluation."""
+
+    @pytest.mark.parametrize("model", [Affine(3.301, 1.0), Affine(1e-3, 1e3), Affine(1e3, 1e-3)])
+    def test_affine_within_two_ulps_on_a_log_grid(self, model):
+        # the closed form is refused only where x * x overflows inside psi,
+        # above t ~ 1e150 (L1 = 1e3) to 1e156 (L1 = 1e-3), and there the
+        # generic path raises as it did before
+        kept = [check_closed_form(model, float(t)) for t in np.geomspace(1e-300, 1e300, 2000)]
+        assert all(kept[:1400]) and not any(kept[-400:])
+
+    @pytest.mark.parametrize("model", [Power(2, 1.0, 1.0), Power(2, 1.0, 2.0),
+                                       Power(2, 1e-3, 1e3), Power(2, 1e3, 1e-3)])
+    def test_quadratic_power_within_two_ulps_up_to_half_the_peak(self, model):
+        sup = model.psi_sup
+        levels = [float(t) for t in np.geomspace(1e-290, sup / 2.0, 1000)] + [sup / 2.0]
+        assert all([check_closed_form(model, t) for t in levels])
+
+    def test_one_psi_evaluation_where_kept(self, psi_evals):
+        for model in (Affine(3.301, 1.0), Power(2, 1.0, 2.0)):
+            assert counted_call(psi_evals, psi_inverse, model, 1e-3)[1] == 1
+
+    @pytest.mark.parametrize("model, t", [
+        # x * x overflows inside psi at the root, so psi reads inf there
+        (Affine(1.0, 1.0), 2e153),
+        # (4 L1 t)^2 overflows, so the closed form is inf
+        (Affine(1.0, 1.0), 4e153),
+        # 2 ell(0) t underflows to 0, and psi at the closed form reads 0
+        (Affine(1e-12, 1e12), 5e-324),
+        (Power(2, 1e-12, 1e12), 5e-324),
+    ])
+    def test_refused_where_psi_does_not_read_t(self, model, t):
+        x = model._psi_root(t)
+        assert not (math.isfinite(x) and abs(psi_eval(model, x) - t) <= 1e-12 * t)
+        assert not check_closed_form(model, t)
+
+    def test_exact_root_next_to_the_peak(self):
+        # psi is flat in floats here: Brent stops at the first x where
+        # psi(x) - t reads 0, 9% above the root, while 1 - 64 t = 2^-53
+        # exactly and the closed form rounds the exact root
+        model = Power(2, 1.0, 2.0)
+        t = math.nextafter(1 / 64, 0.0)
+        assert 1.0 - 64.0 * t == 2.0**-53
+        assert EllModel.psi_inverse(model, t).hex() == "0x1.17acc0835a77cp+24"
+        x = psi_inverse(model, t)
+        assert x.hex() == "0x1.fffffffffffffp+23"
+        assert ulps_from(x, decimal_psi_root(model, t)) <= 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.builds(Affine, L0=st.floats(min_value=1e-3, max_value=1e3),
+                            L1=st.floats(min_value=0.0, max_value=1e3)),
+                  st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)),
+        st.tuples(st.builds(Power, rho=st.just(2.0), L0=st.floats(min_value=1e-3, max_value=1e3),
+                            L1=st.floats(min_value=1e-3, max_value=1e3)),
+                  st.floats(min_value=1e-280, max_value=0.5)),
+    ))
+    def test_kept_roots_are_exact_and_refused_ones_generic(self, case):
+        # a quadratic power's level is the fraction of sup psi drawn
+        model, t = case
+        if isinstance(model, Power):
+            t *= model.psi_sup
+        check_closed_form(model, t)
 
 
 def decimal_psi(model, x):

@@ -44,11 +44,11 @@ from agdsmooth import (
     select_delta,
     warmup_iterations_bound,
 )
-from agdsmooth import solvers
+from agdsmooth import smoothness, solvers
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
 from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm
-from test_smoothness import exact_admissible_boundary, piecewise_linear_profiles
+from test_smoothness import decimal_psi_root, exact_admissible_boundary, piecewise_linear_profiles
 
 
 def make_state(problem, y, u, gamma_cap, k=0):
@@ -185,6 +185,12 @@ class TestAgdStep:
             assert state.u.tobytes() == u.tobytes()
 
 
+# the benchmark's pinned adaptive run
+PINNED_RUN = {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
+              "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
+              "budget": 20000}
+
+
 class TestSavedWork:
     """Each accelerated iteration takes three norms: the gradient's, the
     certificate function's |u - x*| (which the next ball check reuses) and
@@ -215,15 +221,33 @@ class TestSavedWork:
         assert long_norms - short_norms == 3 * (long.agd_iters - short.agd_iters)
 
     def test_three_norms_per_iteration_on_the_pinned_run(self, monkeypatch, tmp_path):
-        result, norms = self.counted_run(monkeypatch, tmp_path, {
-            "algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
-            "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
-            "budget": 20000})
+        result, norms = self.counted_run(monkeypatch, tmp_path, PINNED_RUN)
         # five outside the loop: the start's r_bar check, the adaptive start's
         # distance, the stationary test, and the loop's first gradient and
         # certificate function
         assert result.agd_iters == 7264
         assert norms == 3 * 7264 + 5
+
+    def test_one_psi_evaluation_per_psi_inverse_on_the_pinned_run(self, monkeypatch, tmp_path):
+        # every psi inverse of the affine profile keeps its closed-form root,
+        # which one psi evaluation certifies: 7264 steps and the warm-up
+        # bound's one, with none handed on to Brent.  Each name is wrapped
+        # in every module on the run's path that binds it
+        counts = {"psi_eval": 0, "psi_inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        inverse = counted("psi_inverse", smoothness.psi_inverse)
+        monkeypatch.setattr(smoothness, "psi_eval", counted("psi_eval", smoothness.psi_eval))
+        monkeypatch.setattr(smoothness, "psi_inverse", inverse)
+        monkeypatch.setattr(solvers, "psi_inverse", inverse)
+        result, _ = self.counted_run(monkeypatch, tmp_path, PINNED_RUN)
+        assert result.agd_iters == 7264 and result.oracle_calls == 7265
+        assert counts == {"psi_eval": 7264 + 1, "psi_inverse": 7264 + 1}
 
 
 class TestSharedChecks:
@@ -732,6 +756,22 @@ class TestAlgorithm2:
         assert gcap0 * r_bar**2 < p.ell_model.psi_sup
         res = algorithm2_run(p, p.ell_model, x0, gcap0, r_bar, 1e-12, 100000, strict=True)
         assert res.converged and res.flags_total == 0
+
+    def test_start_level_within_rounding_of_the_peak(self):
+        # Gamma_0 r_bar^2 is the float below sup psi = 1 / 32, where psi is
+        # flat in floats; the first step is 1 / ell(4 x) at the exact root x
+        p = catalog("quadratic")
+        model = Power(2, 1.0, 1.0)
+        r_bar = 0.15
+        gcap0 = math.nextafter(1 / 32, 0.0) / r_bar**2
+        t = gcap0 * (r_bar * r_bar)
+        assert t == math.nextafter(model.psi_sup, 0.0)
+        res = algorithm2_run(p, model, np.array([0.1, 0.1]), gcap0, r_bar, 1e-8, 1000)
+        assert res.converged and res.flags_total == 0 and res.oracle_calls == 13
+        first = next(r for r in res.trace if r.phase == "agd")
+        root = float(decimal_psi_root(model, t))
+        assert first.step_gamma == 1.0 / model.ell(4.0 * root)
+        assert first.step_gamma.hex() == "0x1.0000000000001p-53"
 
     def test_gamma_cap0_too_small(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
