@@ -19,16 +19,13 @@ the right crossing and its admissibility boundary, the largest delta that
 Algorithm 1's warm start admits, in closed form.  An affine profile and a
 quadratic power state psi's root in closed form too, which ``psi_inverse``
 keeps once psi at it reads t.  The base holds the generic psi inverse
-(Brent's method from the seed ``sqrt(2 ell(0) t)``, which lies at or below
-the root and is the root on a flat head, in a doubling bracket that jumps
-past every upper end below ``x sqrt(t / psi(x))`` of the last point x it
-evaluated, a bound on the root because psi(x) / x^2 does not increase;
-the package's own Brent, a port of SciPy's ``brentq`` that returns its
-bits, starts from the psi values the bracket already has), the generic
-quadrature, the Newton q inverse and the bisection behind its fallback and
-the right crossing; the module-level functions validate their arguments
-and dispatch to the model, and ``warm_start_refusal`` states which delta
-Algorithm 1's warm start accepts.
+(the seed ``sqrt(2 ell(0) t)``, which lies at or below the root and is the
+root on a flat head, else Brent's method in a doubling bracket above it;
+the package's own Brent is a port of SciPy's ``brentq`` that returns its
+bits), the generic quadrature, the Newton q inverse and the bisection
+behind its fallback and the right crossing; the module-level functions
+validate their arguments and dispatch to the model, and
+``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
 The quadrature is ``quad``, SciPy's, imported on its first call: only a
 general power profile's q inverse and limit and ``verify``'s convexity
 integral integrate, so the package and its solvers load no SciPy.
@@ -70,11 +67,6 @@ BISECT_MAX_ITER = 200
 # Brent falls back to bisection (52 halvings to 4 ulps) when interpolation
 # does not shrink it.
 SEED_ROUNDING = 4.0 * sys.float_info.epsilon
-# The bracket's jump floor h sqrt(t / psi(h)) is shrunk by JUMP_SLACK, which
-# covers psi's few roundings at both points many times over; a psi(h) or an
-# h * h below NORMAL_MIN has lost that precision and sets no floor.
-JUMP_SLACK = 1e-12
-NORMAL_MIN = sys.float_info.min
 FLOAT_MAX = sys.float_info.max
 LOG_FLOAT_MAX = math.log(FLOAT_MAX)
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -136,26 +128,22 @@ def _no_root(t: float, lo: float, hi: float, why: str) -> OutOfRangeError:
     return OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: {why}")
 
 
-def _brent(model: EllModel, t: float, lo: float, hi: float,
-           f_lo: float | None, f_hi: float | None) -> float:
-    """Brent's method for psi(x) = t on ``[lo, hi]``, where ``f_lo`` and
-    ``f_hi`` are psi - t at the ends, or None where psi was not evaluated.
+def _brent(model: EllModel, t: float, lo: float, hi: float) -> float:
+    """Brent's method for psi(x) = t on ``[lo, hi]``.
 
     A line-for-line port of SciPy's ``brentq.c``: the same tolerance
     ``delta``, interpolation and extrapolation steps and bisection fallback,
     in the same arithmetic order, so on a deterministic psi it returns the
-    bits ``brentq`` returns.  It evaluates psi only at the ends that have no
-    value and at its iterates.  A NaN, ends of one sign or no convergence
-    is an ``OutOfRangeError``, as each is a ``ValueError`` or
-    ``RuntimeError`` there.
+    bits ``brentq`` returns, evaluating psi at both ends and at its
+    iterates.  A NaN, ends of one sign or no convergence is an
+    ``OutOfRangeError``, as each is a ``ValueError`` or ``RuntimeError``
+    there.
     """
     # locals for the loop; psi_eval is looked up once per call, so a
     # wrapper bound to the module name still sees every evaluation
     psi, xtol, rtol = psi_eval, BRENT_XTOL, BRENT_RTOL
-    if f_lo is None:
-        f_lo = psi(model, lo) - t
-    if f_hi is None:
-        f_hi = psi(model, hi) - t
+    f_lo = psi(model, lo) - t
+    f_hi = psi(model, hi) - t
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise _no_root(t, lo, hi, "psi is NaN at an end")
     if f_lo == 0:
@@ -266,57 +254,33 @@ class EllModel:
         ``x0 = sqrt(2 ell(0) t)`` lies at or below the root.  Where psi(x0)
         reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
         is the root; otherwise the upper end doubles from 2 x0 (capped at
-        delta_max) until psi reaches t, and ``_brent`` solves psi(x) = t
-        inside that bracket until it is 4 ulps wide.  psi(x) / x^2 does not
-        increase either, so each evaluated psi(h) < t puts the root at or
-        above ``h sqrt(t / psi(h))``; the upper ends below that floor (less
-        ``JUMP_SLACK``) are doubled past without evaluating psi, which ends
-        on the bracket that evaluating each would reach.  ``_brent`` takes
-        psi at the ends the bracket evaluated (the upper end, and the lower
-        one unless it was jumped to) and evaluates only the others, so it
-        returns the root SciPy's ``brentq`` returns, with two fewer psi
-        evaluations in the usual case.  That root is within 4 ulps of the
-        exact one only where psi is well-conditioned and computed from
-        normal floats: where psi is flat in floats, as near a bounded psi's
-        supremum, Brent stops at the first x where psi(x) - t reads 0, which
-        can lie far from the root, and where x * x is subnormal psi itself
-        has lost those digits.
+        delta_max), with psi evaluated at each, until psi reaches t, and
+        ``_brent`` solves psi(x) = t inside that bracket until it is 4 ulps
+        wide, returning the root SciPy's ``brentq`` returns.  That root is
+        within 4 ulps of the exact one only where psi is well-conditioned
+        and computed from normal floats: where psi is flat in floats, as
+        near a bounded psi's supremum, Brent stops at the first x where
+        psi(x) - t reads 0, which can lie far from the root, and where
+        x * x is subnormal psi itself has lost those digits.
         """
         dmax = self.delta_max
         lo = math.sqrt(2.0 * self.ell(0.0) * t)
         if lo >= dmax:
             # the root lies at or below delta_max, so only rounding (a t
             # within an ulp of psi_sup) puts x0 here
-            lo, hi, f_lo, f_hi = 0.0, dmax, None, None
-        elif (p := psi_eval(self, lo)) >= t * (1.0 - SEED_ROUNDING):
+            lo, hi = 0.0, dmax
+        elif psi_eval(self, lo) >= t * (1.0 - SEED_ROUNDING):
             return lo
         else:
-            hi = lo
-            while True:
-                # psi(hi) = p is below t, or inf or NaN where x * x overflows
-                # (past x ~ 1.3e154); only a p computed from normal floats
-                # sets a floor.  sqrt(t) / sqrt(p) stays finite where t / p
-                # would overflow.  The floor lies below the root, so the cap
-                # at dmax only guards rounding, and the doublings past it
-                # overshoot dmax at most once
-                floor = 0.0
-                if NORMAL_MIN <= p < math.inf and hi * hi >= NORMAL_MIN:
-                    floor = min(hi * (math.sqrt(t) / math.sqrt(p)) * (1.0 - JUMP_SLACK), dmax)
-                # a seed that underflowed to 0 doubles from the least
-                # subnormal; a lower end jumped to has no psi value
-                f_lo = p - t
-                lo, hi = hi, 2.0 * hi or math.ulp(0.0)
-                while hi < floor:
-                    lo, hi, f_lo = hi, 2.0 * hi, None
-                if hi >= dmax:
-                    hi, f_hi = dmax, None
-                    break
-                if t <= (p := psi_eval(self, hi)) < math.inf:
-                    f_hi = p - t
-                    break
+            # a seed that underflowed to 0 doubles from the least subnormal;
+            # psi reads inf or NaN where x * x overflows (past x ~ 1.3e154),
+            # and the doublings go on until hi reaches delta_max or inf
+            hi = min(2.0 * lo or math.ulp(0.0), dmax)
+            while hi < dmax and not t <= psi_eval(self, hi) < math.inf:
+                lo, hi = hi, min(2.0 * hi, dmax)
         if math.isinf(hi):
             raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
-        return _brent(self, t, lo, hi, f_lo, f_hi)
+        return _brent(self, t, lo, hi)
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
         """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
@@ -513,8 +477,12 @@ class Power(EllModel):
         if self.rho != 2 or self._flat:
             return None
         # x^2 (1 - 32 L1 t) = 2 L0 t; the factor is above 0 for t < psi_sup
-        # except where 32 L1 t rounds up to 1
+        # except where psi_sup, 1 / (32 L1) rounded, lies above the exact one
         d = 1.0 - 32.0 * self.L1 * t
+        if d < 0.5:
+            # the difference cancels after 32 L1 t was rounded; take it
+            # exactly and round once
+            d = float(1 - 32 * Fraction(self.L1) * Fraction(t))
         return math.sqrt(2.0 * self.L0 * t / d) if d > 0 else None
 
     def delta_right(self, delta: float) -> float:

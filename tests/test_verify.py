@@ -13,6 +13,7 @@ from agdsmooth import (
     AgdState,
     CATALOG_NAMES,
     Constant,
+    EllModel,
     Power,
     PreconditionError,
     catalog,
@@ -21,6 +22,7 @@ from agdsmooth import (
     check_gap_to_grad,
     check_gradient_transfer,
     evaluate,
+    smoothness,
 )
 from agdsmooth.verify import (
     _interior_sampler,
@@ -259,6 +261,39 @@ class TestOracleCalls:
     def test_run_all_checks_evaluate_calls(self, evaluate_calls, name, calls):
         run_all_checks(catalog(name), trials=150, seed=0)
         assert evaluate_calls[0] == calls
+
+
+class TestPsiInverseTraffic:
+    # which psi inverses of a gap-to-gradient sweep reach the generic path
+    # (``EllModel.psi_inverse``): none of the affine and quadratic power
+    # profiles', whose closed forms are kept; each of quadratic's, which the
+    # seed answers at one psi evaluation; and each of power-p's, the only
+    # ones that Brent solves
+    @pytest.mark.parametrize("name, generic", [
+        ("exp-1d", 0), ("exp-experiment", 0), ("neg-log-barrier", 0),
+        ("power-p", 150), ("quadratic", 150),
+    ])
+    def test_generic_psi_inverse_calls(self, monkeypatch, name, generic):
+        evals, psi_calls = [], [0]
+        inverse, psi = EllModel.psi_inverse, smoothness.psi_eval
+
+        def counted_inverse(model, t):
+            # records the psi evaluations this generic call made
+            before = psi_calls[0]
+            x = inverse(model, t)
+            evals.append(psi_calls[0] - before)
+            return x
+
+        def counted_psi(model, x):
+            psi_calls[0] += 1
+            return psi(model, x)
+
+        monkeypatch.setattr(EllModel, "psi_inverse", counted_inverse)
+        monkeypatch.setattr(smoothness, "psi_eval", counted_psi)
+        sweep_gap_to_grad(catalog(name), 150, 0)
+        assert len(evals) == generic
+        # the seed answers with its one psi evaluation; Brent takes more
+        assert all((n == 1) == (name == "quadratic") for n in evals)
 
 
 class TestSampleBox:
