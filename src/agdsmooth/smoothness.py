@@ -26,9 +26,9 @@ bits), the generic quadrature, the Newton q inverse and the bisection
 behind its fallback and the right crossing; the module-level functions
 validate their arguments and dispatch to the model, and
 ``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
-The quadrature is ``quad``, SciPy's, imported on its first call: only a
-general power profile's q inverse and limit and ``verify``'s convexity
-integral integrate, so the package and its solvers load no SciPy.
+The quadrature is ``quad``, the package's own adaptive Gauss-Kronrod rule
+with its error estimate; only a general power profile's q inverse and limit
+and ``verify``'s convexity integral integrate.
 Models are immutable after construction (their psi geometry is computed
 once, on first use) and safe to share across threads.  ``math.inf`` is the
 extended-real sentinel for unbounded quantities (never a large finite float).
@@ -85,18 +85,44 @@ CLOSED_FORM_RESIDUAL = 16.0 * sys.float_info.epsilon
 # hands the bracket to bisection.
 NEWTON_MAX_ITER = 50
 
-# SciPy's quad, bound by the first call of ``quad``.
-_scipy_quad = None
+# QUADPACK's 10/21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al., 1983): node pairs
+# +-x, their Kronrod and Gauss weights (0 at Kronrod-only nodes); the centre's weight is last.
+GK21_NODES = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+              0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+              0.2943928627014602, 0.14887433898163122)
+GK21_KRONROD = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
+                0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.14944555400291691)
+GK21_GAUSS = (0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+              0.0, 0.26926671930999635, 0.0, 0.29552422471475287)
+QUAD_MAX_PANELS = 200
 
 
-def quad(func, a: float, b: float, full_output: int = 0):
-    """SciPy's ``quad`` of ``func`` over [a, b] at ``QUAD_REL_TOL`` relative
-    and no absolute tolerance, imported on the first call and bound once."""
-    global _scipy_quad
-    if _scipy_quad is None:
-        from scipy.integrate import quad as _scipy_quad
-    return _scipy_quad(func, a, b, full_output=full_output,
-                       epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200)
+def _gk21(func, a: float, b: float) -> tuple[float, float]:
+    """Kronrod's 21-point sum of ``func`` over [a, b] and its distance from Gauss's 10."""
+    half, mid = 0.5 * (b - a), 0.5 * a + 0.5 * b
+    kronrod, gauss = GK21_KRONROD[10] * func(mid), 0.0
+    for x, wk, wg in zip(GK21_NODES, GK21_KRONROD, GK21_GAUSS):
+        pair = func(mid - half * x) + func(mid + half * x)
+        kronrod, gauss = kronrod + wk * pair, gauss + wg * pair
+    return half * kronrod, abs(half * (kronrod - gauss))
+
+
+def quad(func, a: float, b: float) -> tuple[float, float]:
+    """Adaptive Gauss-Kronrod quadrature of ``func`` over the finite [a, b] and its error
+    estimate, the sum of |K21 - G10| over the panels.  The worst panel is bisected until the
+    estimate is within ``QUAD_REL_TOL`` of the value or there are ``QUAD_MAX_PANELS``."""
+    value, err = _gk21(func, a, b)
+    panels = [(err, a, b, value)]
+    while err > QUAD_REL_TOL * abs(value) and len(panels) < QUAD_MAX_PANELS:
+        panels.remove(worst := max(panels))
+        _, lo, hi, _ = worst
+        mid = 0.5 * lo + 0.5 * hi
+        for end0, end1 in ((lo, mid), (mid, hi)):
+            v, e = _gk21(func, end0, end1)
+            panels.append((e, end0, end1, v))
+        value, err = math.fsum(p[3] for p in panels), sum(p[0] for p in panels)
+    return value, err
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -116,8 +142,8 @@ def _bisect(below, lo: float, hi: float) -> float:
 
 
 def _power(x: float, y: float) -> float:
-    """``x**y`` for x >= 0 and y > 0, with its float limit inf where it
-    overflows (Python raises there; an underflow already gives 0.0)."""
+    """``x**y`` for x >= 0 (x > 0 where y < 0), with its float limit inf
+    where it overflows (Python raises there; an underflow already gives 0.0)."""
     try:
         return x**y
     except OverflowError:
@@ -261,7 +287,8 @@ class EllModel:
         and computed from normal floats: where psi is flat in floats, as
         near a bounded psi's supremum, Brent stops at the first x where
         psi(x) - t reads 0, which can lie far from the root, and where
-        x * x is subnormal psi itself has lost those digits.
+        x * x is subnormal psi itself has lost those digits: a t where 2 ell(0) t or x * x is
+        subnormal lies outside the 4-ulp contract (Affine(1e-12, 1e12), t in [1e-300, 1e-290]).
         """
         dmax = self.delta_max
         lo = math.sqrt(2.0 * self.ell(0.0) * t)
@@ -283,10 +310,12 @@ class EllModel:
         return _brent(self, t, lo, hi)
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
-        """q(s1; a) - q(s0; a) by adaptive quadrature at 1e-10 relative, with
-        the quadrature's error estimate.  ``full_output`` keeps a missed
-        tolerance out of the warnings; ``q_inverse`` checks the estimate."""
-        return quad(lambda v: 1.0 / self.ell(a + v), s0, s1, full_output=1)[:2]
+        """q(s1; a) - q(s0; a) by ``quad``, with its error estimate.  From the
+        origin, where s**rho is not smooth, v = y^2 integrates 2 y / ell(y^2),
+        whose singularity is milder (and gone at rho = 1.5)."""
+        if a + s0 == 0.0:
+            return quad(lambda y: 2.0 * y / self.ell(y * y), 0.0, math.sqrt(s1))
+        return quad(lambda v: 1.0 / self.ell(a + v), s0, s1)
 
     def q_max(self, a: float) -> float:
         return math.inf
@@ -513,12 +542,24 @@ class Power(EllModel):
         return 2.0 * math.log(x) - math.log(2.0) - max(a, b) - math.log1p(math.exp(-abs(a - b)))
 
     def q_max(self, a: float) -> float:
-        if self.L1 == 0 or self.rho <= 1:
+        """q over [a, b] for b >= x_s, where ell(x_s) = 2 L0 (any b > 0 splits exactly), plus
+        b^(1 - rho) / L1 times 1 / (rho - 1), the tail of 1 / (L1 x^rho), less the integral of
+        c k y / (1 + c y^(k rho)) over [0, 1], into which x = b y^(-k) maps L0 / (L1 x^rho ell(x));
+        k = 2 / (2 rho - 1) and c = (x_s / b)^rho <= 1 keep that integrand bounded."""
+        rho, L0, L1 = self.rho, self.L0, self.L1
+        if L1 == 0 or rho <= 1:
             return math.inf
-        if self.rho == 2:
+        if rho == 2:
             c = math.sqrt(self.L1 / self.L0)
             return (math.pi / 2.0 - math.atan(c * a)) / math.sqrt(self.L0 * self.L1)
-        return self._q_between(0.0, math.inf, a)[0]
+        x_s = L0 ** (1.0 / rho) / L1 ** (1.0 / rho)
+        if x_s == math.inf:
+            raise OutOfRangeError(f"q_max of {self} needs (L0 / L1)^(1 / rho) in float range")
+        b = max(a, x_s, sys.float_info.min)
+        c, k = (x_s / b) ** rho, 2.0 / (2.0 * rho - 1.0)
+        less = quad(lambda y: c * k * y / (1.0 + c * y ** (k * rho)), 0.0, 1.0)[0]
+        head = self._q_between(0.0, b - a, a)[0] if b > a else 0.0
+        return head + _power(b, 1.0 - rho) / L1 * (1.0 / (rho - 1.0) - less)
 
     def q_inverse(self, r: float, a: float) -> float:
         if self.rho == 2 and self.L1 > 0:
@@ -683,7 +724,9 @@ def psi_inverse(model: EllModel, t: float) -> float:
     psi evaluation checks.  Otherwise ``EllModel.psi_inverse`` answers: the
     seed sqrt(2 ell(0) t) on a flat head, else Brent's root, within 4 ulps
     of the exact root where psi is well-conditioned and computed from
-    normal floats (see ``EllModel.psi_inverse``); only a t within
+    normal floats (see ``EllModel.psi_inverse``; a t at which 2 ell(0) t or
+    x * x is subnormal lies outside that contract on both paths, as at
+    ``Affine(1e-12, 1e12)`` for t in [1e-300, 1e-290]); only a t within
     rounding of sup psi returns delta_max itself.  A t that psi reaches
     only where x * x overflows is an ``OutOfRangeError``.
     """

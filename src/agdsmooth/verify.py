@@ -6,8 +6,8 @@ problem's claimed profile (``problem.ell_model``) and returns its margin
 margins >= -tol.  Randomized sweeps drive the checks over many points
 through one loop, ``_sweep``, into CheckReports; they are seeded and
 reproducible, and record the seed and the worst margin even when passing.
-The convexity integral is ``smoothness.quad``, which imports SciPy on its
-first call, so SciPy loads with the first sweep, not with this module.
+The convexity integral is ``smoothness.quad``, the package's Gauss-Kronrod
+rule, and a point where it misses its tolerance is a ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     rhs = fx - fy - float(gy @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
-    integral, _ = quad(lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0)
+    integral, err = quad(lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0)
+    if not err <= QUAD_REL_TOL * abs(integral):
+        raise PreconditionError(f"convexity integral {integral} has error estimate {err}")
     return rhs - diff * diff * integral
 
 

@@ -106,12 +106,14 @@ GOLDEN_RUNS = {
     ),
 }
 
+# Every convexity integral and a general power's q integrate with the
+# package's Gauss-Kronrod rule (``smoothness.quad``).
 GOLDEN_VERIFY = {
     "exp-1d": "5365dc494ba850b225bd0fe71417e444d260390c0501627101edb21a505f1a68",
     "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
-    "neg-log-barrier": "d78944b6335db761ee61e847edeff76f5b79a3271016dbaf92ee68fdfc8fcd2a",
-    "power-p": "09ef6a207b29fd6d09634f4a3405a3f1184365d1c084f61733a5f2c5be527227",
-    "quadratic": "8900f975b00822ce0cb0350526ef00cc10af3d129d6c33ddd6663e153f907b79",
+    "neg-log-barrier": "13f8bed4ac945c7c6e0b719af2b0b68cb046c0a01eef9cc60378ea49b91320cc",
+    "power-p": "070804a3fc2e3cf9a8c76822007df241f7087d0c44a68d46295ff57c7a390593",
+    "quadratic": "35bd70c1bfc708fb90dfff7e46a5119d995fbd3912476dbe6d6bd77b9b92613b",
 }
 VERIFY_TRIALS = 60
 

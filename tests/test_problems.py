@@ -189,7 +189,6 @@ class TestConvexityAndProfileConsistency:
     def test_profile_consistency_via_gradient_transfer(self, name):
         # claimed ell must bound gradient variation through q_inverse
         p = catalog(name)
-        trials = 1000 if name != "power-p" else 300  # quadrature-backed inverse is slow
-        report = sweep_gradient_transfer(p, trials=trials, seed=2)
+        report = sweep_gradient_transfer(p, trials=1000, seed=2)
         assert report.violations == 0, report
         assert report.worst_margin >= -1e-8

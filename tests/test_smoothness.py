@@ -7,8 +7,10 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
@@ -875,6 +877,60 @@ class TestQ:
             q_max(Constant(1), -1)
 
 
+def power_q_max_reference(model, a):
+    """q_max(a) of a power profile in 30 digits: with x_s = (L0 / L1)^(1 / rho)
+    and c = a / x_s, the integral of dx / (L0 + L1 x^rho) over [a, inf) is
+    x_s / L0 (pi / (rho sin(pi / rho)) - c 2F1(1, 1 / rho; 1 + 1 / rho; -c^rho))."""
+    with mpmath.workdps(30):
+        rho, L0, L1 = (mpmath.mpf(v) for v in (model.rho, model.L0, model.L1))
+        x_s = (L0 / L1) ** (1 / rho)
+        c = mpmath.mpf(a) / x_s
+        whole = mpmath.pi / (rho * mpmath.sin(mpmath.pi / rho))
+        return float(x_s / L0 * (whole - c * mpmath.hyp2f1(1, 1 / rho, 1 + 1 / rho, -c**rho)))
+
+
+class TestQuad:
+    """``smoothness.quad``, the package's Gauss-Kronrod rule, against SciPy's
+    QUADPACK, and a general power's q_max, whose tail it maps onto [0, 1],
+    against the closed form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_powers(), st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=1e-6, max_value=100.0),
+           st.booleans())
+    def test_matches_scipy_quad(self, model, a, s0, length, convexity):
+        # q's integrand 1 / ell(a + v) over [s0, s0 + length], or verify's
+        # convexity integrand (1 - v) / ell(a + length v) over [0, 1]
+        if convexity:
+            func, lo, hi = (lambda v: (1.0 - v) / model.ell(a + length * v)), 0.0, 1.0
+        else:
+            func, lo, hi = (lambda v: 1.0 / model.ell(a + v)), s0, s0 + length
+        value, err = smoothness.quad(func, lo, hi)
+        reference, _ = scipy.integrate.quad(func, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert err <= smoothness.QUAD_REL_TOL * value
+        assert abs(value - reference) <= max(2.0 * smoothness.QUAD_REL_TOL * reference, err)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(min_value=1.0, max_value=1.01, exclude_min=True),
+                     st.floats(min_value=1.01, max_value=8.0).filter(lambda x: x != 2.0)),
+           st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
+    def test_q_max_tail_matches_closed_form(self, rho, L0, L1, a):
+        # rho near 1 puts most of the integral at huge x, where 1 / ell
+        # decays like x^(-rho)
+        model = Power(rho, L0, L1)
+        reference = power_q_max_reference(model, a)
+        assert q_max(model, a) == pytest.approx(reference, rel=2.0 * smoothness.QUAD_REL_TOL)
+
+    def test_q_max_where_the_scale_leaves_the_float_range(self):
+        # (L0 / L1)^(1 / rho) overflows: the head alone passes every float
+        with pytest.raises(OutOfRangeError, match="float range"):
+            q_max(Power(1.5, 1e300, 1e-300), 0.0)
+        # it underflows: the split moves up to the least normal float
+        model = Power(1.001, 1e-300, 1e300)
+        assert q_max(model, 0.0) == pytest.approx(power_q_max_reference(model, 0.0), rel=1e-10)
+
+
 def dyadic_brackets(s):
     """[0, 1], [1, 2], [2, 4], ... cut at s: no bracket spans more than a
     factor of 2, where one quadrature of 1/ell stays accurate."""
@@ -983,14 +1039,17 @@ class TestQInverse:
 
     def test_inaccurate_increment_is_halved(self, monkeypatch):
         # from a = 1.2e-7 the first Newton steps cross the cusp of s**0.125
-        # near 0, where quad misses QUAD_REL_TOL until the increment is
-        # halved; the miss is read from the error estimate, not warned
+        # near 0.  Each increment longer than 1 reports an estimate that
+        # misses QUAD_REL_TOL, as a quadrature that ran out of panels does;
+        # the miss is read from the estimate, not warned, and the increment
+        # is halved until it is met
         steps = []
         q_between = EllModel._q_between
 
         def spy(self, s0, s1, a):
             steps.append((s0, s1))
-            return q_between(self, s0, s1, a)
+            inc, err = q_between(self, s0, s1, a)
+            return inc, (inc if s1 - s0 > 1.0 else err)
 
         monkeypatch.setattr(EllModel, "_q_between", spy)
         with warnings.catch_warnings():
@@ -998,6 +1057,7 @@ class TestQInverse:
             s = q_inverse(Power(0.125, 1.0, 2.0), 10.0, 1.2e-7)
         assert any(b[0] == a[0] and b[1] - b[0] == 0.5 * (a[1] - a[0])
                    for a, b in zip(steps, steps[1:]))
+        assert all(s1 - s0 <= 1.0 for (s0, s1), nxt in zip(steps, steps[1:]) if nxt[0] > s0)
         # 30 digits, computed with mpmath
         assert s == pytest.approx(37.6847846041633855504752081385, rel=1e-12)
 

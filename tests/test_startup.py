@@ -1,9 +1,9 @@
-"""SciPy stays off the run path.
+"""The package runs without SciPy.
 
-Only a general power profile's q inverse and limit and ``verify``'s
-convexity integral integrate, through ``smoothness.quad``, which imports
-SciPy on its first call.  Importing the package and running the solvers
-load NumPy alone.
+A general power profile's q inverse and limit and ``verify``'s convexity
+integral integrate through ``smoothness.quad``, the package's own
+Gauss-Kronrod rule.  Importing the package, running the solvers, verifying
+and integrating load NumPy alone; SciPy serves only as a test reference.
 """
 
 import os
@@ -20,9 +20,14 @@ WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
 
+import contextlib
+import io
+import os
+import tempfile
+
 import agdsmooth
 import agdsmooth.cli
-from agdsmooth import Power, q_inverse
+from agdsmooth import CATALOG_NAMES, Power, q_inverse, q_max
 from agdsmooth.config import config_from_dict, execute, run_sweep, sweep_from_dict
 
 
@@ -45,15 +50,24 @@ assert [p["termination"] for p in report["points"]] == ["converged"] * 3, report
 custom = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
 assert run({"algorithm": "agd1", "problem": "exp-1d", "ell": custom})[0] == "converged"
 assert run({"algorithm": "agd1", "problem": "neg-log-barrier", "epsilon": 1e-8})[0] == "converged"
+# plain gradient descent
+assert run({"algorithm": "gd", "problem": "quadratic", "epsilon": 1e-4})[0] == "converged"
+# verify on every catalog problem, whose convexity integrals and power-p's
+# q inverses integrate
+with tempfile.TemporaryDirectory() as out:
+    for name in CATALOG_NAMES:
+        report = os.path.join(out, name + ".json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = agdsmooth.cli.main(["verify", name, "claimed", "--trials", "20", "--out", report])
+        assert code == 0, name
+# a general power profile's q inverse and limit, below rho = 2 and above it
+for model in (Power(1.5, 1.0, 1.0), Power(3.0, 1.0, 1.0)):
+    budget = q_max(model, 0.3)
+    assert 0.0 < budget < float("inf") and 0.0 < q_inverse(model, 0.5 * budget, 0.3) < float("inf")
 
 loaded = sorted(name for name, mod in sys.modules.items()
                 if name.split(".")[0] == "scipy" and mod is not None)
 assert not loaded, loaded
-# a general power profile's q inverse is the one solver-side quadrature
-try:
-    q_inverse(Power(1.5, 1.0, 1.0), 1.0, 0.3)
-except ImportError:
-    print("general power needs scipy")
 """
 
 
@@ -62,20 +76,21 @@ def test_run_path_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "general power needs scipy\n"
+    assert proc.stdout == ""
 
 
 def test_general_power_integrates_through_smoothness_quad(monkeypatch):
     calls = []
-    scipy_quad = smoothness.quad
+    package_quad = smoothness.quad
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
-        return scipy_quad(*args, **kwargs)
+        return package_quad(*args, **kwargs)
 
     monkeypatch.setattr(smoothness, "quad", counting)
     q_inverse(Power(1.5, 1.0, 1.0), 1.0, 0.3)
     assert calls
     calls.clear()
+    # the limit integrates a head and a mapped tail, both over finite intervals
     q_max(Power(3.0, 1.0, 1.0), 0.0)
-    assert calls == [(0.0, float("inf"))]
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]

@@ -3,7 +3,7 @@
 import importlib
 import math
 import pkgutil
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -78,6 +78,24 @@ class TestConvexitySmoothness:
         bregman = fx - fy - float(gy @ (x - y))
         margin = check_convexity_smoothness(p, x, y)
         assert margin == pytest.approx(bregman - sharp, rel=1e-8)
+
+
+@dataclass(frozen=True)
+class NanAbove(EllModel):
+    """Not a valid profile: ell is NaN above s = 1, so no quadrature of
+    1 / ell across s = 1 meets its tolerance."""
+
+    def ell(self, s):
+        return math.nan if s > 1.0 else 1.0
+
+
+def test_missed_quadrature_tolerance_is_a_precondition_error():
+    p = replace(catalog("exp-1d", {}), ell_model=NanAbove())
+    x, y = np.array([0.0]), np.array([2.0])
+    assert check_convexity_smoothness(p, x, np.array([0.1])) == pytest.approx(
+        check_convexity_smoothness(replace(p, ell_model=Constant(1.0)), x, np.array([0.1])))
+    with pytest.raises(PreconditionError, match="convexity integral"):
+        check_convexity_smoothness(p, x, y)
 
 
 class TestGradientTransfer:
