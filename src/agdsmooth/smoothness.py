@@ -16,16 +16,18 @@ Two derived functions drive everything else in the package:
 Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the inverse and limit of the q budget, the psi peak,
 the right crossing and its admissibility boundary, the largest delta that
-Algorithm 1's warm start admits, in closed form.  An affine profile and a
-quadratic power state psi's root in closed form too, which ``psi_inverse``
-keeps once psi at it reads t.  The base holds the generic psi inverse
-(the seed ``sqrt(2 ell(0) t)``, which lies at or below the root and is the
-root on a flat head, else Brent's method in a doubling bracket above it;
-the package's own Brent is a port of SciPy's ``brentq`` that returns its
-bits), the generic quadrature, the Newton q inverse and the bisection
-behind its fallback and the right crossing; the module-level functions
-validate their arguments and dispatch to the model, and
-``warm_start_refusal`` states which delta Algorithm 1's warm start accepts.
+Algorithm 1's warm start admits, in closed form.  Each profile but a flat
+one also owns psi's root, which ``psi_inverse`` keeps once psi at it reads
+t: an affine profile and a quadratic power in closed form, a
+piecewise-linear profile on its segment, any other power by Newton from
+below.  The base holds the generic psi inverse (the seed
+``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
+flat head, else ``_bisect`` in a doubling bracket above it), the generic
+quadrature, the Newton q inverse and ``_bisect``, the one bracketing root
+finder, behind the psi inverse, the q inverse's fallback and the right
+crossing; the module-level functions validate their arguments and dispatch
+to the model, and ``warm_start_refusal`` states which delta Algorithm 1's
+warm start accepts.
 The quadrature is ``quad``, the package's own adaptive Gauss-Kronrod rule
 with its error estimate; only a general power profile's q inverse and limit
 and ``verify``'s convexity integral integrate.
@@ -58,24 +60,18 @@ QUAD_REL_TOL = 1e-10
 # Bisection policy: geometric bracket growth by 2, hard cap.
 BISECT_MAX_ITER = 200
 
-# psi inverse.  The seed sqrt(2 ell(0) t) squares back to t within 2.5 ulps
-# (four roundings), so a psi(seed) that short of t is a flat head's root.
-# The package's Brent (``_brent``, a port of SciPy's brentq.c) stops on a
-# bracket 4 ulps wide relative to the root, the tightest rtol brentq
-# accepts; the absolute xtol only matters for subnormal roots.  Its
-# iterations stay far below the cap: the bracket spans a factor of 2, and
-# Brent falls back to bisection (52 halvings to 4 ulps) when interpolation
-# does not shrink it.
+# The generic psi inverse, which serves a flat profile and refused roots:
+# the seed sqrt(2 ell(0) t) squares back to t within 2.5 ulps (four
+# roundings), so a psi(seed) that short of t is a flat head's root; else
+# ``_bisect`` closes a doubling bracket above the seed, a factor of 2 wide,
+# in about 52 halvings.
 SEED_ROUNDING = 4.0 * sys.float_info.epsilon
 FLOAT_MAX = sys.float_info.max
 LOG_FLOAT_MAX = math.log(FLOAT_MAX)
-BRENT_RTOL = 4.0 * sys.float_info.epsilon
-BRENT_XTOL = math.ulp(0.0)
-BRENT_MAX_ITER = 200
-# A profile's closed-form psi root is kept only where psi at it reads t to
-# within CLOSED_FORM_RESIDUAL relative: a root computed to a few roundings
-# passes many times over, and one that an overflow, an underflow or a
-# cancellation has lost fails and hands t to the generic path.
+# A profile's own psi root is kept only where psi at it reads t to within
+# CLOSED_FORM_RESIDUAL relative: a root computed to a few roundings passes
+# many times over, and one that an overflow, an underflow or a cancellation
+# has lost fails and hands t to the generic path.
 CLOSED_FORM_RESIDUAL = 16.0 * sys.float_info.epsilon
 
 # q(s; a) is increasing and concave in s because 1/ell does not increase, so
@@ -150,86 +146,14 @@ def _power(x: float, y: float) -> float:
         return math.inf
 
 
-def _no_root(t: float, lo: float, hi: float, why: str) -> OutOfRangeError:
-    return OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: {why}")
-
-
-def _brent(model: EllModel, t: float, lo: float, hi: float) -> float:
-    """Brent's method for psi(x) = t on ``[lo, hi]``.
-
-    A line-for-line port of SciPy's ``brentq.c``: the same tolerance
-    ``delta``, interpolation and extrapolation steps and bisection fallback,
-    in the same arithmetic order, so on a deterministic psi it returns the
-    bits ``brentq`` returns, evaluating psi at both ends and at its
-    iterates.  A NaN, ends of one sign or no convergence is an
-    ``OutOfRangeError``, as each is a ``ValueError`` or ``RuntimeError``
-    there.
-    """
-    # locals for the loop; psi_eval is looked up once per call, so a
-    # wrapper bound to the module name still sees every evaluation
-    psi, xtol, rtol = psi_eval, BRENT_XTOL, BRENT_RTOL
-    f_lo = psi(model, lo) - t
-    f_hi = psi(model, hi) - t
-    if math.isnan(f_lo) or math.isnan(f_hi):
-        raise _no_root(t, lo, hi, "psi is NaN at an end")
-    if f_lo == 0:
-        return lo
-    if f_hi == 0:
-        return hi
-    if (f_lo < 0) == (f_hi < 0):
-        raise _no_root(t, lo, hi, "psi - t has one sign at both ends")
-    xpre, fpre, xcur, fcur = lo, f_lo, hi, f_hi
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate; where Python raises on a division by 0 (a
-                # slope that underflows to 0), C's step is an inf or NaN,
-                # which the test below rejects
-                try:
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:
-                    stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = psi(model, xcur) - t
-        if math.isnan(fcur):
-            raise _no_root(t, lo, hi, f"psi is NaN at {xcur}")
-    raise _no_root(t, lo, hi, f"no convergence in {BRENT_MAX_ITER} iterations")
-
-
 class EllModel:
     """Base of the curvature profiles.
 
     Subclasses are frozen dataclasses that define ``ell``, ``ell_sup``,
     ``admissible_boundary`` where ell passes 2 ell(0) and, when their fields
-    are not plain floats, the config round trip.  They override the generic
-    psi inverse, q machinery and psi geometry where they have closed forms.
+    are not plain floats, the config round trip.  They supply their own psi
+    root and override the generic q machinery and psi geometry where they
+    have closed forms.
     Methods take arguments already known to be >= 0; the module-level
     functions check them.
     """
@@ -266,29 +190,30 @@ class EllModel:
         return math.inf if math.isinf(self.delta_max) else psi_eval(self, self.delta_max)
 
     def _psi_root(self, t: float) -> float | None:
-        """The root of psi(x) = t in closed form, for 0 < t < psi_sup, or
-        None where the profile has none; ``psi_inverse`` keeps it only after
-        checking psi at it."""
+        """The profile's own root of psi(x) = t, for 0 < t < psi_sup, or
+        None where it has none; ``psi_inverse`` keeps it only after checking
+        psi at it."""
         return None
 
     def psi_inverse(self, t: float) -> float:
-        """Brent's method on the increasing branch of psi, for 0 < t < psi_sup:
+        """Bisection on the increasing branch of psi, for 0 < t < psi_sup:
         the generic path, which ``psi_inverse`` takes wherever the profile
-        has no closed-form root or psi refuses it.
+        has no root of its own or psi refuses it.
 
         ell does not decrease, so psi(x) <= x^2 / (2 ell(0)) and the seed
         ``x0 = sqrt(2 ell(0) t)`` lies at or below the root.  Where psi(x0)
         reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
         is the root; otherwise the upper end doubles from 2 x0 (capped at
         delta_max), with psi evaluated at each, until psi reaches t, and
-        ``_brent`` solves psi(x) = t inside that bracket until it is 4 ulps
-        wide, returning the root SciPy's ``brentq`` returns.  That root is
-        within 4 ulps of the exact one only where psi is well-conditioned
-        and computed from normal floats: where psi is flat in floats, as
-        near a bounded psi's supremum, Brent stops at the first x where
-        psi(x) - t reads 0, which can lie far from the root, and where
-        x * x is subnormal psi itself has lost those digits: a t where 2 ell(0) t or x * x is
-        subnormal lies outside the 4-ulp contract (Affine(1e-12, 1e12), t in [1e-300, 1e-290]).
+        ``_bisect`` halves that bracket until it is 4e-16 wide relative; a
+        NaN psi met there is an ``OutOfRangeError``.  The root is within a
+        few ulps of the exact one only where psi is well-conditioned and
+        computed from normal floats: where psi is flat in floats, as near a
+        bounded psi's supremum, the bisection closes on the x where psi
+        turns from below t to t or above, which can lie far from the root,
+        and where x * x is subnormal psi itself has lost those digits: a t
+        where 2 ell(0) t or x * x is subnormal lies outside that contract
+        (Affine(1e-12, 1e12), t in [1e-300, 1e-290]).
         """
         dmax = self.delta_max
         lo = math.sqrt(2.0 * self.ell(0.0) * t)
@@ -307,7 +232,15 @@ class EllModel:
                 lo, hi = hi, min(2.0 * hi, dmax)
         if math.isinf(hi):
             raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
-        return _brent(self, t, lo, hi)
+
+        def below(x: float) -> bool:
+            psi = psi_eval(self, x)
+            if math.isnan(psi):
+                raise OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: "
+                                      f"psi is NaN at {x}")
+            return psi < t
+
+        return _bisect(below, lo, hi)
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
         """q(s1; a) - q(s0; a) by ``quad``, with its error estimate.  From the
@@ -503,16 +436,43 @@ class Power(EllModel):
         return super().psi_sup
 
     def _psi_root(self, t: float) -> float | None:
-        if self.rho != 2 or self._flat:
+        if self._flat:
             return None
-        # x^2 (1 - 32 L1 t) = 2 L0 t; the factor is above 0 for t < psi_sup
-        # except where psi_sup, 1 / (32 L1) rounded, lies above the exact one
-        d = 1.0 - 32.0 * self.L1 * t
-        if d < 0.5:
-            # the difference cancels after 32 L1 t was rounded; take it
-            # exactly and round once
-            d = float(1 - 32 * Fraction(self.L1) * Fraction(t))
-        return math.sqrt(2.0 * self.L0 * t / d) if d > 0 else None
+        rho, L0, L1 = self.rho, self.L0, self.L1
+        if rho == 2:
+            # x^2 (1 - 32 L1 t) = 2 L0 t; the factor is above 0 for t < psi_sup
+            # except where psi_sup, 1 / (32 L1) rounded, lies above the exact one
+            d = 1.0 - 32.0 * L1 * t
+            if d < 0.5:
+                # the difference cancels after 32 L1 t was rounded; take it
+                # exactly and round once
+                d = float(1 - 32 * Fraction(L1) * Fraction(t))
+            return math.sqrt(2.0 * L0 * t / d) if d > 0 else None
+        # Newton on g(z) = log psi(e^z) - log t from the seed, which lies at or
+        # below the root.  On psi's increasing branch
+        # g' = 2 - rho L1 (4 x)^rho / ell(4 x) = 2 - rho (1 - L0 / ell(4 x))
+        # is positive and falls, so g is concave and each step
+        # x (t / psi(x))^(1 / g') stays at or below the root; ell(4 x) is read
+        # back from psi as x^2 / (2 psi).  The residual is the ratio t / psi(x):
+        # a difference of logs would lose |log t| ulps.  The iterates stop
+        # where x no longer rises.  A long step, log(x1 / x0) = 99 from a seed
+        # far below the root, rounds to about that many ulps, so where g is
+        # near linear it can land above the root; the step back from there
+        # lands at or below the root and is the last one (never below the
+        # seed, which the root is not below).
+        x = seed = math.sqrt(2.0 * L0 * t)
+        for _ in range(NEWTON_MAX_ITER):
+            psi = psi_eval(self, x)
+            if not (psi > 0 and 0 < (ratio := t / psi) < math.inf):
+                return None
+            slope = 2.0 - rho * (1.0 - 2.0 * L0 * psi / (x * x))
+            if not slope > 0:
+                return None
+            step = x * _power(ratio, 1.0 / slope)
+            if not step > x:
+                return max(step, seed)
+            x = step
+        return x
 
     def delta_right(self, delta: float) -> float:
         """Bisection on log psi over psi's falling tail, up to the root of
@@ -642,14 +602,31 @@ class CustomMonotone(EllModel):
                 return delta
         return math.inf
 
-    def _falling_starts(self):
-        """``(x0, x1, b, m)`` of each segment, in psi's argument x = s / 4,
-        on which psi falls at x0: ``ell(s) = b + m s`` and ``b + 2 m x0 < 0``."""
+    @cached_property
+    def _segments(self) -> tuple[tuple[float, float, float, float], ...]:
+        """``(x0, x1, b, m)`` of each segment, in psi's argument x = s / 4:
+        ``ell(s) = b + m s`` on [4 x0, 4 x1]."""
+        segments = []
         for (s0, v0), (s1, v1) in zip(self.points, self.points[1:]):
             m = (v1 - v0) / (s1 - s0)
-            b = v0 - m * s0
-            if b + 2.0 * m * (s0 / 4.0) < 0:
-                yield s0 / 4.0, s1 / 4.0, b, m
+            segments.append((s0 / 4.0, s1 / 4.0, v0 - m * s0, m))
+        return tuple(segments)
+
+    def _falling_starts(self):
+        """The segments on which psi falls at x0: ``b + 2 m x0 < 0``."""
+        return ((x0, x1, b, m) for x0, x1, b, m in self._segments if b + 2.0 * m * x0 < 0)
+
+    def _psi_root(self, t: float) -> float:
+        # psi = t is x^2 - 8 m t x - 2 b t = 0 on a segment.  The segment that
+        # holds the root is the first whose end x1 has psi(x1) >= t, that is,
+        # whose larger root is at most x1; the smaller root lies on psi's falling
+        # part where b < 0.  Past the last breakpoint ell is constant.
+        for _, x1, b, m in self._segments:
+            a = 4.0 * m * t
+            disc = a * a + 2.0 * b * t
+            if disc >= 0 and (x := a + math.sqrt(disc)) <= x1:
+                return x
+        return math.sqrt(2.0 * self.points[-1][1] * t)
 
     @cached_property
     def delta_max(self) -> float:
@@ -718,14 +695,16 @@ def psi_eval(model: EllModel, x: float) -> float:
 def psi_inverse(model: EllModel, t: float) -> float:
     """Invert psi on its increasing branch.
 
-    Returns x in [0, delta_max] with psi(x) = t.  A profile's closed-form
-    root (affine, and a quadratic power) is kept where it is finite and psi
-    at it reads t to within ``CLOSED_FORM_RESIDUAL`` relative, which one
-    psi evaluation checks.  Otherwise ``EllModel.psi_inverse`` answers: the
-    seed sqrt(2 ell(0) t) on a flat head, else Brent's root, within 4 ulps
-    of the exact root where psi is well-conditioned and computed from
-    normal floats (see ``EllModel.psi_inverse``; a t at which 2 ell(0) t or
-    x * x is subnormal lies outside that contract on both paths, as at
+    Returns x in [0, delta_max] with psi(x) = t.  The profile's own root
+    (``_psi_root``: affine and quadratic power in closed form, per segment
+    for a piecewise-linear profile, Newton from below for any other power)
+    is kept where it is finite and psi at it reads t to within
+    ``CLOSED_FORM_RESIDUAL`` relative, which one psi evaluation checks.
+    Otherwise ``EllModel.psi_inverse`` answers: the seed sqrt(2 ell(0) t) on
+    a flat head, else the bisection's root.  Either is within a few ulps of
+    the exact root where psi is well-conditioned and computed from normal
+    floats (see ``EllModel.psi_inverse``; a t at which 2 ell(0) t or x * x
+    is subnormal lies outside that contract on both paths, as at
     ``Affine(1e-12, 1e12)`` for t in [1e-300, 1e-290]); only a t within
     rounding of sup psi returns delta_max itself.  A t that psi reaches
     only where x * x overflows is an ``OutOfRangeError``.

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import brentq
 
 from agdsmooth import (
     Affine,
@@ -227,9 +226,9 @@ def bisect_psi_inverse(model, t):
 def doubling_psi_inverse(model, t):
     """Reference bracket for the psi inverse: from the seed, the upper end
     doubles (capped at delta_max) with psi evaluated at every one until psi
-    reaches t, then SciPy's ``brentq``, which the package's Brent ports,
-    with the package's tolerances.  A seed that underflowed to 0 doubles
-    from the least subnormal, as the package's does."""
+    reaches t, then bisection with the package's stop rule.  A seed that
+    underflowed to 0 doubles from the least subnormal, as the package's
+    does."""
     dmax = model.delta_max
     lo = math.sqrt(2.0 * model.ell(0.0) * t)
     if lo >= dmax:
@@ -242,12 +241,15 @@ def doubling_psi_inverse(model, t):
             lo, hi = hi, min(2.0 * hi, dmax)
     if math.isinf(hi):
         raise OutOfRangeError("beyond the float range")
-    try:
-        return brentq(lambda x: smoothness.psi_eval(model, x) - t, lo, hi,
-                      xtol=smoothness.BRENT_XTOL, rtol=smoothness.BRENT_RTOL,
-                      maxiter=smoothness.BRENT_MAX_ITER)
-    except (ValueError, RuntimeError) as exc:
-        raise OutOfRangeError("no root") from exc
+    for _ in range(smoothness.BISECT_MAX_ITER):
+        mid = 0.5 * lo + 0.5 * hi
+        if smoothness.psi_eval(model, mid) < t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 4e-16 * max(mid, 1e-300):
+            break
+    return 0.5 * lo + 0.5 * hi
 
 
 @pytest.fixture
@@ -397,10 +399,10 @@ class TestPsiInverse:
                                L1=st.floats(min_value=0.0, max_value=1e3)),
                      general_powers(), piecewise_linear_profiles()),
            st.floats(min_value=0.0, max_value=1.0))
-    def test_brent_returns_the_bits_of_scipy_brentq(self, model, shift):
-        # the package's Brent ports brentq.c step for step: every root and
-        # every failure agrees with the reference on 40 levels per profile
-        # up to one ulp below a finite sup psi, or from 1e-300 to 1e300
+    def test_generic_path_is_the_doubling_bracket_on_drawn_profiles(self, model, shift):
+        # every root and every failure agrees with the reference on 40
+        # levels per profile up to one ulp below a finite sup psi, or from
+        # 1e-300 to 1e300
         sup = model.psi_sup
         if math.isinf(sup):
             levels = [10.0 ** (15.0 * (k + shift) - 300.0) for k in range(40)]
@@ -519,13 +521,13 @@ class TestClosedFormRoot:
         assert not check_closed_form(model, t)
 
     def test_exact_root_next_to_the_peak(self):
-        # psi is flat in floats here: Brent stops at the first x where
-        # psi(x) - t reads 0, 9% above the root, while 1 - 64 t = 2^-53
-        # exactly and the closed form rounds the exact root
+        # psi is flat in floats here: the generic bisection closes on the
+        # x where psi first reads t or above, 9% above the root, while
+        # 1 - 64 t = 2^-53 exactly and the closed form rounds the exact root
         model = Power(2, 1.0, 2.0)
         t = math.nextafter(1 / 64, 0.0)
         assert 1.0 - 64.0 * t == 2.0**-53
-        assert EllModel.psi_inverse(model, t).hex() == "0x1.17acc0835a77cp+24"
+        assert EllModel.psi_inverse(model, t).hex() == "0x1.17acc0835a77ap+24"
         x = psi_inverse(model, t)
         assert x.hex() == "0x1.fffffffffffffp+23"
         assert ulps_from(x, decimal_psi_root(model, t)) <= 0.5
@@ -545,6 +547,92 @@ class TestClosedFormRoot:
         if isinstance(model, Power):
             t *= model.psi_sup
         check_closed_form(model, t)
+
+
+def mp_psi_root(model, t, start):
+    """The root of psi(x) = t on psi's increasing branch, in 60-digit mpmath
+    from the float t: a piecewise-linear profile's on the first segment whose
+    end has psi >= t, a power profile's by the secant method on
+    log psi(e^z) = log t from ``start``."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(t)
+        if isinstance(model, CustomMonotone):
+            pts = [(mpmath.mpf(s), mpmath.mpf(v)) for s, v in model.points]
+            for (s0, v0), (s1, v1) in zip(pts, pts[1:]):
+                if (s1 / 4) ** 2 / (2 * v1) >= t:
+                    m = (v1 - v0) / (s1 - s0)
+                    a = 4 * m * t
+                    return a + mpmath.sqrt(a * a + 2 * (v0 - m * s0) * t)
+            return mpmath.sqrt(2 * pts[-1][1] * t)
+        L0, L1, rho = map(mpmath.mpf, (model.L0, model.L1, model.rho))
+        z = mpmath.findroot(lambda z: 2 * z - mpmath.log(2 * (L0 + L1 * (4 * mpmath.exp(z)) ** rho))
+                            - mpmath.log(t), mpmath.log(start))
+        return mpmath.exp(z)
+
+
+def mp_ulps_from(x, exact):
+    with mpmath.workdps(60):
+        return float(abs(mpmath.mpf(x) - exact) / math.ulp(x))
+
+
+def psi_slope(model, x):
+    """g'(log x) for g(z) = log psi(e^z): 2 - s ell'(s) / ell(s) at s = 4 x,
+    which sets the root's condition number 1 / g'."""
+    s = 4.0 * x
+    if isinstance(model, CustomMonotone):
+        slope = next(((v1 - v0) / (s1 - s0) for (s0, v0), (s1, v1)
+                      in zip(model.points, model.points[1:]) if s0 <= s < s1), 0.0)
+    else:
+        slope = model.rho * model.L1 * s ** (model.rho - 1.0)
+    return 2.0 - s * slope / model.ell(s)
+
+
+class TestProfileRoot:
+    """A general power profile inverts psi by Newton from below and a
+    piecewise-linear one on its segment, each certified by one psi
+    evaluation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(general_powers(), piecewise_linear_profiles()),
+           st.floats(min_value=1e-6, max_value=0.999), st.floats(min_value=-30.0, max_value=30.0))
+    def test_kept_roots_within_a_few_ulps(self, model, frac, exponent):
+        # a fraction of a finite sup psi, else a level from 1e-30 to 1e30
+        # whose root lies where x * x stays finite
+        sup = model.psi_sup
+        t = frac * sup if math.isfinite(sup) else 10.0**exponent
+        assume(psi_eval(model, math.sqrt(sys.float_info.max) / 2.0) >= t)
+        x = psi_inverse(model, t)
+        assert abs(psi_eval(model, x) - t) <= 16 * sys.float_info.epsilon * t
+        if x != model._psi_root(t):
+            return
+        assert math.sqrt(2.0 * ell_eval(model, 0.0) * t) <= x < model.delta_max
+        # next to a peak g' -> 0 amplifies psi's rounding for any method,
+        # and the residual above is the contract
+        if psi_slope(model, x) >= 0.5:
+            ulps = mp_ulps_from(x, mp_psi_root(model, t, x))
+            assert ulps <= (4 if isinstance(model, CustomMonotone) else 8), t
+
+    @pytest.mark.parametrize("model", [Power(1.5, 1.0, 2.0), Power(0.5, 1.0, 1.0),
+                                       Power(2 / 3, 1.0, 1.0), Power(3.0, 1.0, 1.0),
+                                       Power(3.5, 1e-3, 1e3), DIPPING_CUSTOM,
+                                       CustomMonotone(points=((0.0, 2.0), (4.0, 6.0), (40.0, 60.0)))])
+    def test_every_root_is_kept_below_half_the_peak(self, model):
+        sup = model.psi_sup
+        top = sup / 2.0 if math.isfinite(sup) else 1e30
+        for t in np.geomspace(1e-30, top, 300):
+            t = float(t)
+            assert psi_inverse(model, t) == model._psi_root(t), t
+
+    def test_long_step_rounded_past_the_root(self):
+        # from a seed 43 decades below the root, g is near linear and one
+        # step of log(x1 / x0) = 99 lands 46 ulps above the root (the
+        # rounding of 1 / g' times that length); the step back from above
+        # lands within rounding of it
+        model = Power(1.4516761776428853, 4.2535257067158225, 9.762847958014737)
+        t = 6.948786195296682e+29
+        x = psi_inverse(model, t)
+        assert x == model._psi_root(t)
+        assert mp_ulps_from(x, mp_psi_root(model, t, x)) <= 8
 
 
 def decimal_psi(model, x):

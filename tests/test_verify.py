@@ -283,13 +283,12 @@ class TestOracleCalls:
 
 class TestPsiInverseTraffic:
     # which psi inverses of a gap-to-gradient sweep reach the generic path
-    # (``EllModel.psi_inverse``): none of the affine and quadratic power
-    # profiles', whose closed forms are kept; each of quadratic's, which the
-    # seed answers at one psi evaluation; and each of power-p's, the only
-    # ones that Brent solves
+    # (``EllModel.psi_inverse``): none of the affine and power profiles',
+    # whose own roots are kept (power-p's rho = 2/3 by Newton), and each of
+    # quadratic's, which the seed answers at one psi evaluation
     @pytest.mark.parametrize("name, generic", [
         ("exp-1d", 0), ("exp-experiment", 0), ("neg-log-barrier", 0),
-        ("power-p", 150), ("quadratic", 150),
+        ("power-p", 0), ("quadratic", 150),
     ])
     def test_generic_psi_inverse_calls(self, monkeypatch, name, generic):
         evals, psi_calls = [], [0]
@@ -310,8 +309,24 @@ class TestPsiInverseTraffic:
         monkeypatch.setattr(smoothness, "psi_eval", counted_psi)
         sweep_gap_to_grad(catalog(name), 150, 0)
         assert len(evals) == generic
-        # the seed answers with its one psi evaluation; Brent takes more
-        assert all((n == 1) == (name == "quadratic") for n in evals)
+        # the seed answers with its one psi evaluation
+        assert all(n == 1 for n in evals)
+
+    def test_power_p_psi_evaluations(self, monkeypatch):
+        # power-p's 150 Newton roots, each with its certifying evaluation,
+        # took 968 psi evaluations, at most 8 per inverse; the Brent port
+        # that solved them before took 1812
+        psi_calls = [0]
+        psi = smoothness.psi_eval
+
+        def counted_psi(model, x):
+            psi_calls[0] += 1
+            return psi(model, x)
+
+        monkeypatch.setattr(smoothness, "psi_eval", counted_psi)
+        report = sweep_gap_to_grad(catalog("power-p"), 150, 0)
+        assert report.trials == 150
+        assert psi_calls[0] <= 1812
 
 
 class TestSampleBox:
