@@ -13,11 +13,12 @@ Exit codes:
 * 2 -- the oracle-call budget ran out (``budget`` termination);
 * 3 -- a precondition failed, or a sweep point raised;
 * 4 -- configuration error: a malformed or out-of-range config value,
-  ``verify --trials`` below 1, or a start point outside the feasible set
-  or one where the objective overflows or is not finite;
+  ``verify --trials`` below 1, or a start point (or a ``verify`` sample)
+  outside the feasible set or where f overflows, f is not finite or the
+  gradient is NaN;
 * 5 -- a strict-mode invariant violation (any flag bit, GD monotonicity
-  included), an iterate that left the feasible set (a breach of the
-  step-size contract), or a failed ``verify`` check.
+  included), an iterate that left the feasible set or met a NaN gradient
+  (a breach of the step-size contract), or a failed ``verify`` check.
 
 The environment variable ``AGDSMOOTH_OUTPUT_DIR`` overrides where trace,
 summary, and report files land (default: current directory).

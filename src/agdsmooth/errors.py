@@ -29,9 +29,10 @@ class PreconditionError(ValueError):
 
 class DomainViolationError(RuntimeError):
     """The objective cannot be evaluated at a point: it lies outside the open
-    feasible set (``coordinate`` names the offending one), or the value
-    overflows or is not finite.  The run loops turn one raised mid-run into a
-    ``SafetyViolationError``, so at the CLI it comes from the start point."""
+    feasible set (``coordinate`` names the offending one), its value overflows
+    or is not finite, or its gradient has a NaN component.  The run loops turn
+    one raised mid-run into a ``SafetyViolationError``, so at the CLI it comes
+    from the start point or a point ``verify`` sampled."""
 
     def __init__(self, message: str, coordinate: int | None = None):
         super().__init__(message)

@@ -382,7 +382,9 @@ class Power(EllModel):
         try:
             return self.L0 + self.L1 * s**self.rho
         except OverflowError:
-            return self.L0 if self.L1 == 0 else math.inf
+            # s**rho left the float range; L1 s**rho may not have
+            e = math.log(self.L1) + self.rho * math.log(s) if self.L1 else -math.inf
+            return self.L0 + math.exp(e) if e <= LOG_FLOAT_MAX else math.inf
 
     @property
     def _flat(self) -> bool:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntFlag
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .errors import (
     SafetyViolationError,
 )
 from .problems import Problem, evaluate, project_closure
-from .smoothness import EllModel, ell_eval, psi_inverse, warm_start_refusal
+from .smoothness import EllModel, psi_inverse, warm_start_refusal
 
 LOG_3_2 = math.log(1.5)
 
@@ -97,6 +96,15 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def grad_norm(g: np.ndarray) -> float:
+    """``norm(g)``, refused as a ``DomainViolationError`` where a NaN component
+    makes it NaN; an infinite norm (a finite g whose square overflows) is valid."""
+    n = norm(g)
+    if math.isnan(n):
+        raise DomainViolationError(f"the gradient has a NaN component: {g}")
+    return n
+
+
 def check_run_parameters(epsilon: float, r_bar: float, budget: int) -> None:
     """Refuse a run without epsilon > 0, budget >= 1 and an r_bar > 0 whose
     square is a positive float: r_bar^2 scales every certificate, so an
@@ -111,11 +119,11 @@ def check_run_parameters(epsilon: float, r_bar: float, budget: int) -> None:
 
 @dataclass(slots=True)
 class AgdState:
-    """Solver triple (y, u, Gamma_k) plus the cached oracle output at y,
-    and the ``alpha`` of the step that made it (None at a start state).
+    """Solver triple (y, u, Gamma_k), the cached f, grad and ``grad_norm`` at
+    y, and the ``alpha`` of the step that made it (None at a start state).
 
-    Caching f and grad at y is what keeps the method at one fresh gradient
-    evaluation per iteration.
+    Caching them is what keeps the method at one fresh gradient evaluation,
+    and one gradient norm, per iteration.
     """
 
     y: np.ndarray
@@ -124,6 +132,7 @@ class AgdState:
     k: int
     f_y: float
     grad_y: np.ndarray
+    grad_norm: float
     alpha: float | None = None
 
 
@@ -218,22 +227,23 @@ class _Run:
         self.termination = "converged"
         self.message = ""
 
-    def oracle(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One counted gradient evaluation: (f, grad) at x."""
+    def oracle(self, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """One counted gradient evaluation: (f, grad, grad_norm(grad)) at x."""
         self.calls += 1
-        return evaluate(self.problem, x)
+        f, g = evaluate(self.problem, x)
+        return f, g, grad_norm(g)
 
     def start(self, x0) -> tuple[AgdState, str]:
         """The first oracle call, at x0, as a state at level 1, and why the
         run must be refused there ("" if it need not be): an r_bar below
         the true initial distance."""
         x0 = np.asarray(x0, dtype=float)
-        f0, g0 = self.oracle(x0)
+        f0, g0, gn0 = self.oracle(x0)
         refusal = ""
         if (self.x_star is not None
                 and norm(x0 - self.x_star) > self.r_bar * (1 + 1e-12)):
             refusal = "r_bar is below the true initial distance"
-        return AgdState(y=x0, u=x0.copy(), gamma_cap=1.0, k=0, f_y=f0, grad_y=g0), refusal
+        return AgdState(x0, x0.copy(), 1.0, 0, f0, g0, gn0), refusal
 
     def gap(self, f: float, grad_norm: float) -> float:
         """The gap at a point with value ``f``: ``f - f*``, or without the
@@ -301,7 +311,7 @@ class _Run:
     def stationary(self, state: AgdState) -> RunResult | None:
         """A zero gradient at the start: convexity certifies optimality
         outright.  None when the gradient is not zero."""
-        if norm(state.grad_y) != 0.0:
+        if state.grad_norm != 0.0:
             return None
         self.message = "stationary start"
         return self.result(state, self.gap(state.f_y, 0.0))
@@ -324,22 +334,17 @@ def lyapunov(gap: float, gamma_cap: float, dist_u: float) -> float:
 
 # --- single AGD step -------------------------------------------------------
 
-def agd_step(
-    state: AgdState,
-    step_gamma: float,
-    problem: Problem,
-    _eval: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
-) -> AgdState:
-    """One accelerated step; exactly one fresh gradient evaluation.
+def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
+    """One accelerated step; exactly one fresh gradient evaluation, by
+    ``evaluate``, which the caller counts.
 
     ``y_next`` blends y, u and the cached gradient at y; ``u_next`` takes a
     projected dual step against the fresh gradient.  ``alpha`` and the next
-    level are ``gamma_alpha_step``'s, and the returned state records that
-    alpha.  ``_eval`` replaces the plain oracle (the run loops pass their
-    call counter).  Raises a safety violation if y_next leaves the open
-    feasible set, which signals a breach of the step-size contract
-    ``step_gamma <= 1 / ell(2 |grad y|)``; callers check that contract
-    themselves, against their own profile.
+    level are ``gamma_alpha_step``'s; the returned state records that alpha
+    and the fresh gradient's ``grad_norm``.  A y_next outside the open
+    feasible set, or with a NaN gradient, raises a safety violation: it
+    breaches the step-size contract ``step_gamma <= 1 / ell(2 |grad y|)``,
+    which callers check themselves, against their own profile.
     """
     assert step_gamma > 0
     gamma_cap = state.gamma_cap
@@ -347,13 +352,14 @@ def agd_step(
     w = 1.0 / (1.0 + alpha)
     y_next = w * (state.y + alpha * state.u - step_gamma * state.grad_y)
     try:
-        f_next, g_next = _eval(y_next) if _eval is not None else evaluate(problem, y_next)
+        f_next, g_next = evaluate(problem, y_next)
+        gn_next = grad_norm(g_next)
     except DomainViolationError as exc:
         raise SafetyViolationError(
             f"y left the feasible set at iteration {state.k + 1}: {exc}"
         ) from exc
     u_next = project_closure(problem.domain, state.u - (alpha / gamma_cap) * g_next)
-    return AgdState(y_next, u_next, gamma_next, state.k + 1, f_next, g_next, alpha)
+    return AgdState(y_next, u_next, gamma_next, state.k + 1, f_next, g_next, gn_next, alpha)
 
 
 # --- gradient descent --------------------------------------------------------
@@ -363,8 +369,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     is certified to be at most ``target``.  The returned state keeps the
     level and k of ``state``.  With checks on, a step that moves x away
     from a known optimum notes GD_MONOTONE."""
-    x, f, g = state.y, state.f_y, state.grad_y
-    gn = norm(g)
+    x, f, g, gn = state.y, state.f_y, state.grad_y, state.grad_norm
     f_star, x_star = run.f_star, run.x_star
     check = run.check_invariants and x_star is not None
     # |x - x*| feeds the monotone check and the trace's distance cell
@@ -376,14 +381,13 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         if run.calls >= run.budget:
             run.termination = "budget"
             break
-        gamma_t = 1.0 / (2.0 * ell_eval(run.model, 2.0 * gn))
+        gamma_t = 1.0 / (2.0 * run.model.ell(2.0 * gn))
         try:
             x_next = x - gamma_t * g
-            f, g = run.oracle(x_next)
+            f, g, gn = run.oracle(x_next)
         except DomainViolationError as exc:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
-        gn = norm(g)
         run.gd_iters += 1
         flags = 0
         dist_next = norm(x - x_star) if track_dist else None
@@ -394,7 +398,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         dist = dist_next
         run.row("gd", run.gd_iters, None if f_star is None else f - f_star, gn, gamma_t,
                 dist, flags)
-    return AgdState(y=x, u=x.copy(), gamma_cap=state.gamma_cap, k=state.k, f_y=f, grad_y=g)
+    return AgdState(x, x.copy(), state.gamma_cap, state.k, f, g, gn)
 
 
 def gd_run(
@@ -418,7 +422,7 @@ def gd_run(
               collect_trace) as run:
         state, _ = run.start(x0)
         state = _gd_phase(run, state, epsilon)
-        return run.result(state, run.gap(state.f_y, norm(state.grad_y)))
+        return run.result(state, run.gap(state.f_y, state.grad_norm))
 
 
 # --- gradient bound heuristic -----------------------------------------------
@@ -449,9 +453,9 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
             x = x_star + 2.0 * r_bar * d
             try:
                 _, g = evaluate(problem, x)
+                best = max(best, grad_norm(g))
             except DomainViolationError:
                 continue
-            best = max(best, norm(g))
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
     return GRAD_BOUND_SAFETY * best
@@ -471,8 +475,8 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     A certificate is noted only when it does not hold (a NaN does not)."""
     problem, model, budget = run.problem, run.model, run.budget
     epsilon, f_star, x_star = run.epsilon, run.f_star, run.x_star
-    check_invariants, oracle, note, row = run.check_invariants, run.oracle, run.note, run.row
-    l0 = ell_eval(model, 0.0)
+    check_invariants, note, row = run.check_invariants, run.note, run.row
+    l0 = model.ell(0.0)
     adaptive = step_gamma_const is None
     kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
     gap_tol = 1e-9 * (max(1.0, abs(f_star)) if f_star is not None else 1.0)
@@ -488,7 +492,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
 
     gap = None if f_star is None else state.f_y - f_star
     bound = run.bound(state.gamma_cap)
-    grad_norm = norm(state.grad_y)
+    gn = state.grad_norm
     dist_u = norm(state.u - x_star) if check_v else None
     v_prev = lyapunov(gap, state.gamma_cap, dist_u) if check_v else None
     dist = norm(state.y - x_star) if ball else None
@@ -520,18 +524,18 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
         flags, k = 0, state.k
         if check_invariants:
             if not adaptive:
-                value = ell_eval(model, 4.0 * grad_norm)
+                value = model.ell(4.0 * gn)
                 if not value <= warm_cap:
                     flags |= note(Flag.WARM_REGION, k, value, warm_cap)
             elif envelope_x is not None:
                 cap = envelope_x * (1.0 + 1e-9) + 1e-15
-                if not grad_norm <= cap:
-                    flags |= note(Flag.GRAD_ENVELOPE, k, grad_norm, cap)
+                if not gn <= cap:
+                    flags |= note(Flag.GRAD_ENVELOPE, k, gn, cap)
             if ball:
                 value = max(dist, dist_u)
                 if not value <= ball_cap:
                     flags |= note(Flag.BALL_CONFINEMENT, k, value, ball_cap)
-            cap = (1.0 + 1e-12) / ell_eval(model, 2.0 * grad_norm)
+            cap = (1.0 + 1e-12) / model.ell(2.0 * gn)
             if not step_gamma <= cap:
                 flags |= note(Flag.STEP_SAFETY, k, step_gamma, cap)
 
@@ -539,9 +543,9 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             run.termination = "budget"
             return state
 
-        state = agd_step(state, step_gamma, problem, oracle)
-        gamma_cap, alpha = state.gamma_cap, state.alpha
-        grad_norm = norm(state.grad_y)
+        run.calls += 1
+        state = agd_step(state, step_gamma, problem)
+        gamma_cap, alpha, gn = state.gamma_cap, state.alpha, state.grad_norm
         gap = None if f_star is None else state.f_y - f_star
         bound = run.bound(gamma_cap)
         v_new = None
@@ -566,7 +570,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
                     flags |= note(Flag.GAMMA_ENVELOPE, state.k, gamma_cap, cap)
 
         dist = norm(state.y - x_star) if track_dist else None
-        row("agd", state.k, gap, grad_norm, step_gamma, dist, flags, gamma_cap, alpha,
+        row("agd", state.k, gap, gn, step_gamma, dist, flags, gamma_cap, alpha,
             bound, v_new)
 
 
@@ -610,7 +614,7 @@ def algorithm1_run(
 
         # resolve the warm-start gap target
         if math.isinf(delta):
-            delta = 2.0 * run.gap(state.f_y, norm(state.grad_y))
+            delta = 2.0 * run.gap(state.f_y, state.grad_norm)
         refusal = warm_start_refusal(model, delta, m_bar)
         if refusal:
             return run.refuse(refusal)
@@ -619,7 +623,7 @@ def algorithm1_run(
         state = _gd_phase(run, state, delta / 2.0)
         if run.termination == "budget":
             return run.result(state)
-        return run.result(_run_agd(run, state, 1.0 / (2.0 * ell_eval(model, 0.0))))
+        return run.result(_run_agd(run, state, 1.0 / (2.0 * model.ell(0.0))))
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -641,18 +645,18 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
     boundary = model.admissible_boundary
     if math.isinf(boundary):
         return 1
-    lref = ell_eval(model, 4.0 * psi_inverse(model, t0))
+    lref = model.ell(4.0 * psi_inverse(model, t0))
     x = 3.0 * r_bar * math.sqrt(lref / boundary) if boundary > 0 else math.inf
     if not x <= 2**62:
         raise ConfigurationError("no finite warmup bound found (profile unbounded?)")
     # x carries a few ulps of rounding, which past k ~ 1e13 can cross an
     # integer or two; the condition itself settles those last steps
-    l0 = ell_eval(model, 0.0)
+    l0 = model.ell(0.0)
     c = math.sqrt(lref * l0) * r_bar
     k = max(1, math.ceil(x))
-    while ell_eval(model, 24.0 * c / k) > 2.0 * l0:
+    while model.ell(24.0 * c / k) > 2.0 * l0:
         k += 1
-    while k > 1 and ell_eval(model, 24.0 * c / (k - 1)) <= 2.0 * l0:
+    while k > 1 and model.ell(24.0 * c / (k - 1)) <= 2.0 * l0:
         k -= 1
     return k
 

@@ -27,7 +27,7 @@ from .smoothness import (
     q_max,
     quad,
 )
-from .solvers import AgdState, agd_step, lyapunov, norm
+from .solvers import AgdState, agd_step, grad_norm, lyapunov, norm
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
@@ -83,8 +83,8 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     model = problem.ell_model
     fx, gx = evaluate(problem, x)
     fy, gy = evaluate(problem, y)
-    diff = norm(gx - gy)
-    a = norm(gx)
+    diff = grad_norm(gx - gy)
+    a = grad_norm(gx)
     rhs = fx - fy - float(gy @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
@@ -100,20 +100,20 @@ def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> f
     model = problem.ell_model
     _, gx = evaluate(problem, x)
     _, gy = evaluate(problem, y)
-    a = norm(gx)
+    a = grad_norm(gx)
     dist = norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
     if dist >= q_max(model, a):
         raise PreconditionError(
             f"|y - x| = {dist} is not below q_max = {q_max(model, a)}"
         )
-    return q_inverse(model, dist, a) - norm(gy - gx)
+    return q_inverse(model, dist, a) - grad_norm(gy - gx)
 
 
 def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> float:
     """Margin of the one-step certificate-decrease bound.
 
     Executes one accelerated step (``solvers.agd_step``) from ``state`` and
-    compares the certificate difference against
+    compares the certificate difference, with |g_y| taken afresh, against
     ``0.5 * (gamma - 1 / ell(2 |g_y| + |g_next|)) * |g_next - g_y|^2``.
     Requires a known optimum and ``step_gamma <= 1 / ell(2 |g_y|)``.
     """
@@ -121,7 +121,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
         raise PreconditionError("descent check needs a known optimum")
     model = problem.ell_model
     gy = state.grad_y
-    ny = norm(gy)
+    ny = grad_norm(gy)
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
         raise PreconditionError(
             f"step_gamma = {step_gamma} exceeds the safety cap "
@@ -137,8 +137,8 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
         - lyapunov(state.f_y - f_star, state.gamma_cap, norm(state.u - x_star))
     )
     rhs = 0.5 * (
-        step_gamma - 1.0 / ell_eval(model, 2.0 * ny + norm(nxt.grad_y))
-    ) * norm(nxt.grad_y - gy) ** 2
+        step_gamma - 1.0 / ell_eval(model, 2.0 * ny + nxt.grad_norm)
+    ) * grad_norm(nxt.grad_y - gy) ** 2
     return rhs - lhs
 
 
@@ -155,7 +155,7 @@ def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
         raise PreconditionError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
     left, right = delta_left_right(model, delta)
     _, g = evaluate(problem, y)
-    gn = norm(g)
+    gn = grad_norm(g)
     ok_left = gn <= left * (1.0 + 1e-9) + 1e-15
     ok_right = math.isfinite(right) and gn >= right * (1.0 - 1e-9)
     return ok_left or ok_right
@@ -210,7 +210,7 @@ def sweep_gradient_transfer(
         x = sample(rng)
         y = sample(rng)
         _, gx = evaluate(problem, x)
-        budget = q_max(model, norm(gx))
+        budget = q_max(model, grad_norm(gx))
         dist = norm(y - x)
         if dist >= 0.9 * budget:
             y = x + (y - x) * (0.9 * budget / dist) * _uniform(rng, 0.5, 1.0)
@@ -234,9 +234,10 @@ def sweep_descent_step(
         u = project_closure(problem.domain, sample(rng))
         f_y, g_y = evaluate(problem, y)
         gcap = 10.0 ** _uniform(rng, -3.0, 2.0)
-        cap = 1.0 / ell_eval(model, 2.0 * norm(g_y))
+        gn = grad_norm(g_y)
+        cap = 1.0 / ell_eval(model, 2.0 * gn)
         gamma = cap * _uniform(rng, 0.05, 1.0)
-        state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y)
+        state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y, grad_norm=gn)
         margin = check_descent_step(problem, state, gamma)
         return margin, (tuple(y), tuple(u), gcap, gamma)
 

@@ -88,7 +88,8 @@ def adaptive_reference_run():
     elapsed = time.perf_counter() - start
 
     f0, g0 = evaluate(problem, x0)
-    state = AgdState(y=x0, u=x0.copy(), gamma_cap=100.0, k=0, f_y=f0, grad_y=g0)
+    state = AgdState(y=x0, u=x0.copy(), gamma_cap=100.0, k=0, f_y=f0, grad_y=g0,
+                     grad_norm=float(np.linalg.norm(g0)))
     visited: list[tuple[AgdState, float]] = []
     for row in result.trace:
         visited.append((state, row.step_gamma))
@@ -344,7 +345,7 @@ def test_criterion_10_descent_audit(adaptive_reference_run):
     quad = catalog("quadratic", {"L": 1.0, "d": 1})
     for gcap in (0.1, 1.0, 7.3):
         state = AgdState(y=np.zeros(1), u=np.zeros(1), gamma_cap=gcap, k=0,
-                         f_y=0.0, grad_y=np.zeros(1))
+                         f_y=0.0, grad_y=np.zeros(1), grad_norm=0.0)
         eq_margin = check_descent_step(quad, state, 1.0)
         if abs(eq_margin) > 1e-12:
             failures.append(f"equality-configuration margin {eq_margin!r} exceeds 1e-12")

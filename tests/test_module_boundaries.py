@@ -1,8 +1,8 @@
 """Module boundaries: no package module imports another one's private names,
 no code outside the profile classes dispatches on their type, every norm is
-``solvers.norm``, no module imports SciPy, and every public
-name, and every public method of a profile class, is used by some module of
-the package."""
+``solvers.norm``, solvers calls ell without ``ell_eval``, no module imports
+SciPy, and every public name, and every public method of a profile class, is
+used by some module of the package."""
 
 import ast
 from functools import cached_property
@@ -124,6 +124,20 @@ def test_solvers_leaves_psi_geometry_to_smoothness():
         if isinstance(node, ast.ImportFrom) for alias in node.names
     }
     assert not imported & {"admissible_delta", "delta_left_right"}
+
+
+def test_solvers_calls_ell_directly():
+    # every ell argument in solvers is a gradient norm that grad_norm has
+    # guarded, or a computed level, so ell_eval's argument check has nothing
+    # left to catch there
+    path = Path(agdsmooth.__file__).parent / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and any(a.name == "ell_eval" for a in node.names))
+        or (isinstance(node, (ast.Name, ast.Attribute)) and _names(node) == ["ell_eval"])
+    ]
+    assert not uses, f"solvers uses ell_eval at lines {uses}"
 
 
 def test_every_public_name_is_used_by_the_package():

@@ -133,6 +133,14 @@ class TestEllEval:
         assert ell_eval(Power(3, 0.5, 1), 1e200) == math.inf
         assert ell_eval(Power(3, 0.5, 0), 1e200) == 0.5
 
+    def test_power_overflow_keeps_a_finite_product(self):
+        # s**rho = 1e309 leaves the float range, L1 s**rho = 1e9 does not
+        model = Power(3, 1e300, 1e-300)
+        assert ell_eval(model, 1e103) == 1e300
+        # the head's share of q_max(0), about 1.2e-100, is no longer lost
+        # to an infinite ell (the tail's share still underflows)
+        assert 8e-101 < q_max(model, 0.0) < 1.21e-100
+
 
 class TestPsi:
     def test_constant_by_hand(self):

@@ -54,7 +54,7 @@ from test_smoothness import decimal_psi_root, exact_admissible_boundary, piecewi
 def make_state(problem, y, u, gamma_cap, k=0):
     f, g = evaluate(problem, np.asarray(y, dtype=float))
     return AgdState(y=np.asarray(y, dtype=float), u=np.asarray(u, dtype=float),
-                    gamma_cap=gamma_cap, k=k, f_y=f, grad_y=g)
+                    gamma_cap=gamma_cap, k=k, f_y=f, grad_y=g, grad_norm=norm(g))
 
 
 class TestAuxSequence:
@@ -126,11 +126,13 @@ class TestAgdStep:
         nxt = agd_step(st0, gamma, p)
         assert nxt.u[0] == 0.0  # clamped to the closure boundary
 
-    def test_oracle_count_one_per_step(self):
+    def test_oracle_count_one_per_step(self, monkeypatch):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
         calls = []
         st0 = make_state(p, [1.0, 1.0], [1.0, 1.0], gamma_cap=1.0)
-        agd_step(st0, 0.5, p, _eval=lambda x: (calls.append(1), evaluate(p, x))[1])
+        monkeypatch.setattr(solvers, "evaluate",
+                            lambda problem, x: (calls.append(1), evaluate(problem, x))[1])
+        agd_step(st0, 0.5, p)
         assert len(calls) == 1
 
     @staticmethod
@@ -222,17 +224,18 @@ class TestSavedWork:
 
     def test_three_norms_per_iteration_on_the_pinned_run(self, monkeypatch, tmp_path):
         result, norms = self.counted_run(monkeypatch, tmp_path, PINNED_RUN)
-        # five outside the loop: the start's r_bar check, the adaptive start's
-        # distance, the stationary test, and the loop's first gradient and
-        # certificate function
+        # four outside the loop: the start's gradient, which the stationary
+        # test and the loop's first iteration share, the start's r_bar check,
+        # the adaptive start's distance and the loop's first certificate
+        # function
         assert result.agd_iters == 7264
-        assert norms == 3 * 7264 + 5
+        assert norms == 3 * 7264 + 4
 
     def test_one_psi_evaluation_per_psi_inverse_on_the_pinned_run(self, monkeypatch, tmp_path):
         # every psi inverse of the affine profile keeps its closed-form root,
         # which one psi evaluation certifies: 7264 steps and the warm-up
-        # bound's one, with none handed on to Brent.  Each name is wrapped
-        # in every module on the run's path that binds it
+        # bound's one, with none handed on to the generic path.  Each name
+        # is wrapped in every module on the run's path that binds it
         counts = {"psi_eval": 0, "psi_inverse": 0}
 
         def counted(name, fn):

@@ -39,7 +39,7 @@ def make_state(problem, y, u, gamma_cap):
     y = np.asarray(y, dtype=float)
     f, g = evaluate(problem, y)
     return AgdState(y=y, u=np.asarray(u, dtype=float), gamma_cap=gamma_cap,
-                    k=0, f_y=f, grad_y=g)
+                    k=0, f_y=f, grad_y=g, grad_norm=float(np.linalg.norm(g)))
 
 
 class TestConvexitySmoothness:
@@ -158,7 +158,7 @@ class TestDescentStep:
     def test_unknown_optimum_precondition(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
         state = AgdState(y=np.ones(1), u=np.ones(1), gamma_cap=1.0, k=0,
-                         f_y=0.5, grad_y=np.ones(1))
+                         f_y=0.5, grad_y=np.ones(1), grad_norm=1.0)
         with pytest.raises(PreconditionError):
             check_descent_step(p, state, 0.5)
 
