@@ -16,18 +16,13 @@ Two derived functions drive everything else in the package:
 Each profile class derives from ``EllModel`` and owns its maths: the profile
 itself, its supremum, the inverse and limit of the q budget, the psi peak,
 the right crossing and its admissibility boundary, the largest delta that
-Algorithm 1's warm start admits, in closed form.  Each profile but a flat
-one also owns psi's root, which ``psi_inverse`` keeps once psi at it reads
-t: an affine profile and a quadratic power in closed form, a
-piecewise-linear profile on its segment, any other power by Newton from
-below.  The base holds the generic psi inverse (the seed
-``sqrt(2 ell(0) t)``, which lies at or below the root and is the root on a
-flat head, else ``_bisect`` in a doubling bracket above it), the generic
+Algorithm 1's warm start admits, in closed form, and psi's root, which
+``psi_inverse`` checks.  The base holds the flat profile's root, the generic
 quadrature, the Newton q inverse and ``_bisect``, the one bracketing root
-finder, behind the psi inverse, the q inverse's fallback and the right
-crossing; the module-level functions validate their arguments and dispatch
-to the model, and ``warm_start_refusal`` states which delta Algorithm 1's
-warm start accepts.
+finder, behind the psi inverse's fallback for refused roots, the q inverse's
+fallback and the right crossing; the module-level functions validate their
+arguments and dispatch to the model, and ``warm_start_refusal`` states which
+delta Algorithm 1's warm start accepts.
 The quadrature is ``quad``, the package's own adaptive Gauss-Kronrod rule
 with its error estimate; only a general power profile's q inverse and limit
 and ``verify``'s convexity integral integrate.
@@ -60,18 +55,12 @@ QUAD_REL_TOL = 1e-10
 # Bisection policy: geometric bracket growth by 2, hard cap.
 BISECT_MAX_ITER = 200
 
-# The generic psi inverse, which serves a flat profile and refused roots:
-# the seed sqrt(2 ell(0) t) squares back to t within 2.5 ulps (four
-# roundings), so a psi(seed) that short of t is a flat head's root; else
-# ``_bisect`` closes a doubling bracket above the seed, a factor of 2 wide,
-# in about 52 halvings.
-SEED_ROUNDING = 4.0 * sys.float_info.epsilon
 FLOAT_MAX = sys.float_info.max
 LOG_FLOAT_MAX = math.log(FLOAT_MAX)
 # A profile's own psi root is kept only where psi at it reads t to within
 # CLOSED_FORM_RESIDUAL relative: a root computed to a few roundings passes
 # many times over, and one that an overflow, an underflow or a cancellation
-# has lost fails and hands t to the generic path.
+# has lost fails and hands t to the bisection fallback.
 CLOSED_FORM_RESIDUAL = 16.0 * sys.float_info.epsilon
 
 # q(s; a) is increasing and concave in s because 1/ell does not increase, so
@@ -146,14 +135,20 @@ def _power(x: float, y: float) -> float:
         return math.inf
 
 
+def _exp(x: float) -> float:
+    """``math.exp(x)``, with its float limit inf where it overflows (Python
+    raises there)."""
+    return math.exp(x) if x <= LOG_FLOAT_MAX else math.inf
+
+
 class EllModel:
     """Base of the curvature profiles.
 
     Subclasses are frozen dataclasses that define ``ell``, ``ell_sup``,
     ``admissible_boundary`` where ell passes 2 ell(0) and, when their fields
-    are not plain floats, the config round trip.  They supply their own psi
-    root and override the generic q machinery and psi geometry where they
-    have closed forms.
+    are not plain floats, the config round trip.  Those that are not flat
+    supply their own psi root, and they override the generic q machinery and
+    psi geometry where they have closed forms.
     Methods take arguments already known to be >= 0; the module-level
     functions check them.
     """
@@ -190,57 +185,11 @@ class EllModel:
         return math.inf if math.isinf(self.delta_max) else psi_eval(self, self.delta_max)
 
     def _psi_root(self, t: float) -> float | None:
-        """The profile's own root of psi(x) = t, for 0 < t < psi_sup, or
-        None where it has none; ``psi_inverse`` keeps it only after checking
-        psi at it."""
-        return None
-
-    def psi_inverse(self, t: float) -> float:
-        """Bisection on the increasing branch of psi, for 0 < t < psi_sup:
-        the generic path, which ``psi_inverse`` takes wherever the profile
-        has no root of its own or psi refuses it.
-
-        ell does not decrease, so psi(x) <= x^2 / (2 ell(0)) and the seed
-        ``x0 = sqrt(2 ell(0) t)`` lies at or below the root.  Where psi(x0)
-        reaches t up to the seed's rounding, ell is flat on [0, 4 x0] and x0
-        is the root; otherwise the upper end doubles from 2 x0 (capped at
-        delta_max), with psi evaluated at each, until psi reaches t, and
-        ``_bisect`` halves that bracket until it is 4e-16 wide relative; a
-        NaN psi met there is an ``OutOfRangeError``.  The root is within a
-        few ulps of the exact one only where psi is well-conditioned and
-        computed from normal floats: where psi is flat in floats, as near a
-        bounded psi's supremum, the bisection closes on the x where psi
-        turns from below t to t or above, which can lie far from the root,
-        and where x * x is subnormal psi itself has lost those digits: a t
-        where 2 ell(0) t or x * x is subnormal lies outside that contract
-        (Affine(1e-12, 1e12), t in [1e-300, 1e-290]).
-        """
-        dmax = self.delta_max
-        lo = math.sqrt(2.0 * self.ell(0.0) * t)
-        if lo >= dmax:
-            # the root lies at or below delta_max, so only rounding (a t
-            # within an ulp of psi_sup) puts x0 here
-            lo, hi = 0.0, dmax
-        elif psi_eval(self, lo) >= t * (1.0 - SEED_ROUNDING):
-            return lo
-        else:
-            # a seed that underflowed to 0 doubles from the least subnormal;
-            # psi reads inf or NaN where x * x overflows (past x ~ 1.3e154),
-            # and the doublings go on until hi reaches delta_max or inf
-            hi = min(2.0 * lo or math.ulp(0.0), dmax)
-            while hi < dmax and not t <= psi_eval(self, hi) < math.inf:
-                lo, hi = hi, min(2.0 * hi, dmax)
-        if math.isinf(hi):
-            raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
-
-        def below(x: float) -> bool:
-            psi = psi_eval(self, x)
-            if math.isnan(psi):
-                raise OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: "
-                                      f"psi is NaN at {x}")
-            return psi < t
-
-        return _bisect(below, lo, hi)
+        """The profile's own root of psi(x) = t, for 0 < t < psi_sup, or None
+        where it has none.  Here the seed sqrt(2 ell(0) t): ell does not
+        decrease, so psi(x) <= x^2 / (2 ell(0)) and the seed lies at or below
+        the root, which it is wherever ell is flat on [0, 4 x]."""
+        return math.sqrt(2.0 * self.ell(0.0) * t)
 
     def _q_between(self, s0: float, s1: float, a: float) -> tuple[float, float]:
         """q(s1; a) - q(s0; a) by ``quad``, with its error estimate.  From the
@@ -384,7 +333,7 @@ class Power(EllModel):
         except OverflowError:
             # s**rho left the float range; L1 s**rho may not have
             e = math.log(self.L1) + self.rho * math.log(s) if self.L1 else -math.inf
-            return self.L0 + math.exp(e) if e <= LOG_FLOAT_MAX else math.inf
+            return self.L0 + _exp(e)
 
     @property
     def _flat(self) -> bool:
@@ -439,7 +388,7 @@ class Power(EllModel):
 
     def _psi_root(self, t: float) -> float | None:
         if self._flat:
-            return None
+            return super()._psi_root(t)
         rho, L0, L1 = self.rho, self.L0, self.L1
         if rho == 2:
             # x^2 (1 - 32 L1 t) = 2 L0 t; the factor is above 0 for t < psi_sup
@@ -504,24 +453,32 @@ class Power(EllModel):
         return 2.0 * math.log(x) - math.log(2.0) - max(a, b) - math.log1p(math.exp(-abs(a - b)))
 
     def q_max(self, a: float) -> float:
-        """q over [a, b] for b >= x_s, where ell(x_s) = 2 L0 (any b > 0 splits exactly), plus
-        b^(1 - rho) / L1 times 1 / (rho - 1), the tail of 1 / (L1 x^rho), less the integral of
-        c k y / (1 + c y^(k rho)) over [0, 1], into which x = b y^(-k) maps L0 / (L1 x^rho ell(x));
-        k = 2 / (2 rho - 1) and c = (x_s / b)^rho <= 1 keep that integrand bounded."""
+        """In the unit u = s / x_s, where ell(x_s) = 2 L0, ell is L0 (1 + u^rho), so q_max(a) is
+        x_s / L0 times the integral of 1 / (1 + u^rho) over [a / x_s, inf): the head up to
+        b = max(a / x_s, 1), plus b^(1 - rho) times 1 / (rho - 1), the tail of u^-rho, less the
+        integral of c k y / (1 + c y^(k rho)) over [0, 1], into which u = b y^(-k) maps
+        1 / (u^rho (1 + u^rho)); k = 2 / (2 rho - 1) and c = b^-rho <= 1 keep that integrand
+        bounded.  x_s, b and the scales are taken in logs, so an x_s that underflows or an
+        a / x_s that overflows still gives the float q_max; an x_s that overflows is an
+        ``OutOfRangeError``."""
         rho, L0, L1 = self.rho, self.L0, self.L1
         if L1 == 0 or rho <= 1:
             return math.inf
         if rho == 2:
             c = math.sqrt(self.L1 / self.L0)
             return (math.pi / 2.0 - math.atan(c * a)) / math.sqrt(self.L0 * self.L1)
-        x_s = L0 ** (1.0 / rho) / L1 ** (1.0 / rho)
-        if x_s == math.inf:
+        log_x_s = (math.log(L0) - math.log(L1)) / rho
+        if log_x_s > LOG_FLOAT_MAX:
             raise OutOfRangeError(f"q_max of {self} needs (L0 / L1)^(1 / rho) in float range")
-        b = max(a, x_s, sys.float_info.min)
-        c, k = (x_s / b) ** rho, 2.0 / (2.0 * rho - 1.0)
+        log_a = math.log(a) - log_x_s if a > 0 else -math.inf
+        log_b, log_scale = max(log_a, 0.0), log_x_s - math.log(L0)
+        c, k = math.exp(-rho * log_b), 2.0 / (2.0 * rho - 1.0)
         less = quad(lambda y: c * k * y / (1.0 + c * y ** (k * rho)), 0.0, 1.0)[0]
-        head = self._q_between(0.0, b - a, a)[0] if b > a else 0.0
-        return head + _power(b, 1.0 - rho) / L1 * (1.0 / (rho - 1.0) - less)
+        tail = _exp(log_scale + (1.0 - rho) * log_b) * (1.0 / (rho - 1.0) - less)
+        if log_a >= 0:
+            return tail
+        head = quad(lambda u: 1.0 / (1.0 + u**rho), math.exp(log_a), 1.0)[0]
+        return _exp(log_scale) * head + tail
 
     def q_inverse(self, r: float, a: float) -> float:
         if self.rho == 2 and self.L1 > 0:
@@ -695,21 +652,23 @@ def psi_eval(model: EllModel, x: float) -> float:
 
 
 def psi_inverse(model: EllModel, t: float) -> float:
-    """Invert psi on its increasing branch.
+    """Invert psi on its increasing branch: x in [0, delta_max] with
+    psi(x) = t, for 0 <= t < sup psi.
 
-    Returns x in [0, delta_max] with psi(x) = t.  The profile's own root
-    (``_psi_root``: affine and quadratic power in closed form, per segment
-    for a piecewise-linear profile, Newton from below for any other power)
-    is kept where it is finite and psi at it reads t to within
-    ``CLOSED_FORM_RESIDUAL`` relative, which one psi evaluation checks.
-    Otherwise ``EllModel.psi_inverse`` answers: the seed sqrt(2 ell(0) t) on
-    a flat head, else the bisection's root.  Either is within a few ulps of
-    the exact root where psi is well-conditioned and computed from normal
-    floats (see ``EllModel.psi_inverse``; a t at which 2 ell(0) t or x * x
-    is subnormal lies outside that contract on both paths, as at
-    ``Affine(1e-12, 1e12)`` for t in [1e-300, 1e-290]); only a t within
-    rounding of sup psi returns delta_max itself.  A t that psi reaches
-    only where x * x overflows is an ``OutOfRangeError``.
+    The profile's own root (``_psi_root``: the seed sqrt(2 ell(0) t) on a flat
+    profile, affine and quadratic power in closed form, per segment for a
+    piecewise-linear profile, Newton from below for any other power) is kept
+    where it is finite and psi at it reads t to within
+    ``CLOSED_FORM_RESIDUAL`` relative, which one psi evaluation checks;
+    otherwise ``_psi_bisect`` answers.  Either is within a few ulps of the
+    exact root where psi is well-conditioned and computed from normal floats.
+    Where psi is flat in floats, as near a bounded psi's supremum, the
+    bisection closes on the x where psi turns from below t to t or above,
+    which can lie far from the root; a t at which 2 ell(0) t or x * x is
+    subnormal lies outside the contract (``Affine(1e-12, 1e12)``, t in
+    [1e-300, 1e-290]); only a t within rounding of sup psi returns delta_max
+    itself.  A t that psi reaches only where x * x overflows, and a NaN psi
+    met in the bisection, are an ``OutOfRangeError``.
     """
     if t < 0 or math.isnan(t):
         raise DomainError(f"psi_inverse needs t >= 0, got {t}")
@@ -724,7 +683,39 @@ def psi_inverse(model: EllModel, t: float) -> float:
     if x is not None and math.isfinite(x) and (
             abs(psi_eval(model, x) - t) <= CLOSED_FORM_RESIDUAL * t):
         return x
-    return model.psi_inverse(t)
+    return _psi_bisect(model, t)
+
+
+def _psi_bisect(model: EllModel, t: float) -> float:
+    """``psi_inverse``'s fallback where the profile's root was refused: the
+    bracket's lower end is the seed sqrt(2 ell(0) t), which lies at or below
+    the root, and its upper end doubles from twice the seed (capped at
+    delta_max), with psi evaluated at each, until psi reaches t; ``_bisect``
+    then halves it until it is 4e-16 wide relative."""
+    dmax = model.delta_max
+    lo = math.sqrt(2.0 * model.ell(0.0) * t)
+    if lo >= dmax:
+        # the root lies at or below delta_max, so only rounding (a t
+        # within an ulp of psi_sup) puts the seed here
+        lo, hi = 0.0, dmax
+    else:
+        # a seed that underflowed to 0 doubles from the least subnormal;
+        # psi reads inf or NaN where x * x overflows (past x ~ 1.3e154),
+        # and the doublings go on until hi reaches delta_max or inf
+        hi = min(2.0 * lo or math.ulp(0.0), dmax)
+        while hi < dmax and not t <= psi_eval(model, hi) < math.inf:
+            lo, hi = hi, min(2.0 * hi, dmax)
+    if math.isinf(hi):
+        raise OutOfRangeError(f"t = {t} is beyond the levels psi reaches in float range")
+
+    def below(x: float) -> bool:
+        psi = psi_eval(model, x)
+        if math.isnan(psi):
+            raise OutOfRangeError(f"psi_inverse({t}) found no root in [{lo}, {hi}]: "
+                                  f"psi is NaN at {x}")
+        return psi < t
+
+    return _bisect(below, lo, hi)
 
 
 def delta_left_right(model: EllModel, delta: float) -> tuple[float, float]:

@@ -5,7 +5,10 @@ problem's claimed profile (``problem.ell_model``) and returns its margin
 (bound side minus sharp side), so a conforming implementation reports
 margins >= -tol.  Randomized sweeps drive the checks over many points
 through one loop, ``_sweep``, into CheckReports; they are seeded and
-reproducible, and record the seed and the worst margin even when passing.
+reproducible, and record the seed and the worst margin even when passing;
+a NaN margin holds nothing, so it is a violation and the worst margin.  A
+gradient sampled with an infinite component is refused, as a point where f
+overflows is.
 The convexity integral is ``smoothness.quad``, the package's Gauss-Kronrod
 rule, and a point where it misses its tolerance is a ``PreconditionError``.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, DomainViolationError, PreconditionError
 from .problems import Problem, evaluate, project_closure
 from .smoothness import (
     QUAD_REL_TOL,
@@ -51,8 +54,9 @@ class CheckReport:
 def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
     """Run ``trial(rng)`` ``trials`` times on one generator seeded with
     ``seed``.  A trial returns ``(margin, witness)``, or None to skip its
-    point; the report keeps the worst margin with its witness and counts
-    margins below ``-MARGIN_TOL`` as violations."""
+    point; the report keeps the worst margin with its witness, a NaN being
+    worse than any number, and counts every margin that is not at least
+    ``-MARGIN_TOL`` as a violation."""
     rng = np.random.default_rng(seed)
     worst, witness, violations, n = math.inf, None, 0, 0
     for _ in range(trials):
@@ -61,15 +65,27 @@ def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
             continue
         margin, wit = out
         n += 1
-        if margin < worst:
+        if not (margin >= worst or math.isnan(worst)):
             worst, witness = margin, wit
-        if margin < -MARGIN_TOL:
+        if not margin >= -MARGIN_TOL:
             violations += 1
     return CheckReport(
         name=name, trials=n, violations=violations,
         worst_margin=worst if n else math.nan, witness=witness,
         quadrature_tol=QUAD_REL_TOL, seed=seed,
     )
+
+
+def _sampled_norm(problem: Problem, x: np.ndarray, g: np.ndarray) -> float:
+    """``grad_norm`` of the gradient ``g`` sampled at ``x``, refusing one with
+    an infinite component as a ``DomainViolationError`` that names x: the
+    checks take differences of gradients, where inf - inf is NaN.  A finite
+    gradient whose square overflows keeps its infinite norm."""
+    n = grad_norm(g)
+    if n == math.inf and np.isinf(g).any():
+        raise DomainViolationError(
+            f"{problem.name}: the gradient at {x} has an infinite component: {g}")
+    return n
 
 
 def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -> float:
@@ -83,8 +99,9 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     model = problem.ell_model
     fx, gx = evaluate(problem, x)
     fy, gy = evaluate(problem, y)
+    a = _sampled_norm(problem, x, gx)
+    _sampled_norm(problem, y, gy)
     diff = grad_norm(gx - gy)
-    a = grad_norm(gx)
     rhs = fx - fy - float(gy @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
@@ -100,7 +117,8 @@ def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> f
     model = problem.ell_model
     _, gx = evaluate(problem, x)
     _, gy = evaluate(problem, y)
-    a = grad_norm(gx)
+    a = _sampled_norm(problem, x, gx)
+    _sampled_norm(problem, y, gy)
     dist = norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
     if dist >= q_max(model, a):
         raise PreconditionError(
@@ -121,7 +139,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
         raise PreconditionError("descent check needs a known optimum")
     model = problem.ell_model
     gy = state.grad_y
-    ny = grad_norm(gy)
+    ny = _sampled_norm(problem, state.y, gy)
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
         raise PreconditionError(
             f"step_gamma = {step_gamma} exceeds the safety cap "
@@ -155,7 +173,7 @@ def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
         raise PreconditionError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
     left, right = delta_left_right(model, delta)
     _, g = evaluate(problem, y)
-    gn = grad_norm(g)
+    gn = _sampled_norm(problem, y, g)
     ok_left = gn <= left * (1.0 + 1e-9) + 1e-15
     ok_right = math.isfinite(right) and gn >= right * (1.0 - 1e-9)
     return ok_left or ok_right

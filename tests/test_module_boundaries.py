@@ -1,13 +1,14 @@
 """Module boundaries: no package module imports another one's private names,
 no code outside the profile classes dispatches on their type, every norm is
 ``solvers.norm``, solvers calls ell without ``ell_eval``, no module imports
-SciPy, and every public name, and every public method of a profile class, is
-used by some module of the package."""
+SciPy, every public top-level name, and every public method of a profile
+class, is used by some module of the package, and ``psi_inverse`` is one
+function."""
 
 import ast
 from functools import cached_property
 from pathlib import Path
-from types import FunctionType, ModuleType
+from types import FunctionType
 
 import pytest
 
@@ -140,21 +141,6 @@ def test_solvers_calls_ell_directly():
     assert not uses, f"solvers uses ell_eval at lines {uses}"
 
 
-def test_every_public_name_is_used_by_the_package():
-    # a name in __all__ that no package module reads is surface nothing
-    # in the system needs; its tests can keep a private copy
-    used = set()
-    for path in MODULES:
-        if path.name != "__init__.py":
-            tree = ast.parse(path.read_text(), filename=str(path))
-            used.update(name for node in ast.walk(tree)
-                        if isinstance(node, (ast.Name, ast.Attribute))
-                        for name in _names(node))
-    public = {name for name in agdsmooth.__all__
-              if not isinstance(getattr(agdsmooth, name), ModuleType)}
-    assert not public - used, f"public names no module uses: {sorted(public - used)}"
-
-
 def _reads_outside_namesakes(tree):
     """Names read in ``tree`` (plain or as attributes), leaving out reads
     inside a function of the same name, such as a method calling its
@@ -188,3 +174,35 @@ def test_every_profile_method_is_used_by_the_package():
     for path in MODULES:
         read |= _reads_outside_namesakes(ast.parse(path.read_text(), filename=str(path)))
     assert not defined - read, f"profile methods no module uses: {sorted(defined - read)}"
+
+
+def _top_level_names(tree):
+    """The names a module binds at its top level: by def, class or
+    assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a public top-level name of a package module (every name in __all__
+    # is one) that no module reads outside its own namesakes is surface
+    # nothing in the system needs, such as a constant left behind by the
+    # code that read it; its tests can keep a private copy
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    read = set().union(*map(_reads_outside_namesakes, trees.values()))
+    unread = sorted(f"{module}: {name}" for module, tree in trees.items()
+                    for name in _top_level_names(tree)
+                    if not name.startswith("_") and name not in read)
+    assert not unread, f"public names no module uses: {unread}"
+
+
+def test_psi_inverse_is_one_function():
+    # ``smoothness.psi_inverse(model, t)`` is the package's one psi inverse;
+    # a profile answers it through its private ``_psi_root``
+    owners = [cls.__name__ for cls in (EllModel, *EllModel.__subclasses__())
+              if "psi_inverse" in vars(cls)]
+    assert not owners, f"profile classes with their own psi_inverse: {owners}"

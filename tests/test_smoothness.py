@@ -232,17 +232,15 @@ def bisect_psi_inverse(model, t):
 
 
 def doubling_psi_inverse(model, t):
-    """Reference bracket for the psi inverse: from the seed, the upper end
-    doubles (capped at delta_max) with psi evaluated at every one until psi
-    reaches t, then bisection with the package's stop rule.  A seed that
-    underflowed to 0 doubles from the least subnormal, as the package's
+    """Reference bracket for the psi inverse's fallback: from the seed, the
+    upper end doubles (capped at delta_max) with psi evaluated at every one
+    until psi reaches t, then bisection with the package's stop rule.  A seed
+    that underflowed to 0 doubles from the least subnormal, as the package's
     does."""
     dmax = model.delta_max
     lo = math.sqrt(2.0 * model.ell(0.0) * t)
     if lo >= dmax:
         lo, hi = 0.0, dmax
-    elif smoothness.psi_eval(model, lo) >= t * (1.0 - smoothness.SEED_ROUNDING):
-        return lo
     else:
         hi = min(2.0 * lo or math.ulp(0.0), dmax)
         while hi < dmax and not t <= smoothness.psi_eval(model, hi) < math.inf:
@@ -391,13 +389,13 @@ class TestPsiInverse:
     def test_generic_path_is_the_doubling_bracket(self, model, psi_evals):
         # the same bits, or the same exception, from the same psi
         # evaluations as the reference; up to 1e300 the grid includes roots
-        # beyond the float range.  Here and below, ``EllModel.psi_inverse``
-        # is the generic path, which ``psi_inverse`` takes wherever it has
-        # no closed-form root to keep
+        # beyond the float range.  Here and below, ``_psi_bisect`` is the
+        # fallback, which ``psi_inverse`` takes wherever it refuses the
+        # profile's own root
         sup = model.psi_sup
         top = math.nextafter(sup, 0.0) if math.isfinite(sup) else 1e300
         for t in [float(t) for t in np.geomspace(1e-30, top, 200)] + [top]:
-            got, n = counted_call(psi_evals, EllModel.psi_inverse, model, t)
+            got, n = counted_call(psi_evals, smoothness._psi_bisect, model, t)
             want, n_ref = counted_call(psi_evals, doubling_psi_inverse, model, t)
             assert got == want, t
             assert n == n_ref, t
@@ -417,7 +415,7 @@ class TestPsiInverse:
         else:
             levels = [sup * 2.0 ** (-(k + shift)) for k in range(39)] + [math.nextafter(sup, 0.0)]
         for t in levels:
-            got = outcome(EllModel.psi_inverse, model, t)
+            got = outcome(smoothness._psi_bisect, model, t)
             assert got == outcome(doubling_psi_inverse, model, t), t
 
     @pytest.mark.parametrize("model", [Constant(1e-12), Affine(1e-12, 1e12)])
@@ -475,7 +473,7 @@ def check_closed_form(model, t):
         assert abs(psi_eval(model, got) - t) <= 16 * sys.float_info.epsilon * t, t
         assert ulps_from(got, decimal_psi_root(model, t)) <= 2, t
     else:
-        assert bits(got) == bits(outcome(EllModel.psi_inverse, model, t)), t
+        assert bits(got) == bits(outcome(smoothness._psi_bisect, model, t)), t
     return kept
 
 
@@ -535,7 +533,7 @@ class TestClosedFormRoot:
         model = Power(2, 1.0, 2.0)
         t = math.nextafter(1 / 64, 0.0)
         assert 1.0 - 64.0 * t == 2.0**-53
-        assert EllModel.psi_inverse(model, t).hex() == "0x1.17acc0835a77ap+24"
+        assert smoothness._psi_bisect(model, t).hex() == "0x1.17acc0835a77ap+24"
         x = psi_inverse(model, t)
         assert x.hex() == "0x1.fffffffffffffp+23"
         assert ulps_from(x, decimal_psi_root(model, t)) <= 0.5
@@ -1025,6 +1023,20 @@ class TestQuad:
         # it underflows: the split moves up to the least normal float
         model = Power(1.001, 1e-300, 1e300)
         assert q_max(model, 0.0) == pytest.approx(power_q_max_reference(model, 0.0), rel=1e-10)
+
+    @pytest.mark.parametrize("model, a, reference", [
+        # L1 s^rho leaves the float range on the head, and s^(1 - rho) at x_s
+        (Power(12, 1e-300, 1e300), 0.0, 1.0115151599274625407e+250),
+        (Power(3, 1e300, 1e-300), 0.0, 1.2091995761561451813e-100),
+        # x_s = 4e-600 underflows, and a / x_s overflows
+        (Power(1.001, 1e-300, 1e300), 0.0, 3.9755874627641089467e-297),
+        (Power(1.001, 1e-300, 1e300), 1e-200, 1.5848931924612075692e-297),
+        (Power(1.001, 1.0, 1e10), 1e300, 5.0118723362736561209e-08),
+    ])
+    def test_q_max_in_the_unit_of_x_s(self, model, a, reference):
+        # 40-digit closed forms; pytest.approx's absolute floor would pass
+        # any two values this small, so the relative error is taken as is
+        assert abs(q_max(model, a) - reference) <= 1e-10 * reference
 
 
 def dyadic_brackets(s):

@@ -313,6 +313,90 @@ class TestSharedChecks:
         assert all(math.isnan(v) for _, v in notes)
         assert result.flags_total & Flag.LYAPUNOV
 
+    # an affine claim whose L0 understates the quadratic's curvature 1 ten
+    # times admits its boundary delta at a start whose gradient is already
+    # outside the warm region: ell(4 |g|) = 0.24 > 2 ell(0) = 0.2
+    WARM_MODEL = Affine(0.1, 1.0)
+    WARM_RUN = (catalog("quadratic"), WARM_MODEL, np.array([0.035, 0.0]),
+                WARM_MODEL.admissible_boundary, 1.0, 1e-8, 10)
+
+    @staticmethod
+    def flagged_rows(result, bit):
+        return [r.k for r in result.trace if r.flags & bit]
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_warm_region_is_noted(self, monkeypatch, trace):
+        model = self.WARM_MODEL
+        result, notes, states = self.recorded_run(monkeypatch, Flag.WARM_REGION, trace,
+                                                  *self.WARM_RUN)
+        cap = 2.0 * model.ell(0.0) * (1.0 + 1e-12)
+        stepped = [(s.k, model.ell(4.0 * s.grad_norm)) for s in states]
+        assert result.gd_iters == 0 and result.agd_iters == len(states) == 9
+        assert notes[:9] == [(k, v) for k, v in stepped if not v <= cap]
+        assert notes[0] == (0, model.ell(4.0 * 0.035)) and result.flags_total & Flag.WARM_REGION
+        if trace:
+            # each row carries the bits noted before the step that made it
+            assert self.flagged_rows(result, Flag.WARM_REGION) == [k + 1 for k, _ in notes[:9]]
+
+    def test_strict_warm_region(self):
+        with pytest.raises(InvariantViolationError) as err:
+            algorithm1_run(*self.WARM_RUN, strict=True)
+        assert err.value.flags == Flag.WARM_REGION
+        match = re.fullmatch(r"WARM_REGION broken at k=(\d+): (\S+) > (\S+)", str(err.value))
+        assert match is not None, str(err.value)
+        assert int(match[1]) == 0 and float(match[2]) == self.WARM_MODEL.ell(4.0 * 0.035)
+        assert float(match[3]) == 2.0 * 0.1 * (1.0 + 1e-12) < float(match[2])
+
+    # the recurrence stays within a fifth of its own envelope on this run,
+    # so the check is made to breach one eight times tighter
+    ENVELOPE_RUN = (catalog("quadratic"), Constant(1.0), np.array([0.3, 0.3]), math.inf, 1.0,
+                    1e-8, 10000)
+
+    @staticmethod
+    def tighten_envelope(monkeypatch):
+        plain = solvers.gamma_envelope
+
+        def tight(k, step_gamma, kbar_value):
+            return plain(k, step_gamma, kbar_value) / 8.0
+
+        monkeypatch.setattr(solvers, "gamma_envelope", tight)
+        return tight
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_gamma_envelope_is_noted(self, monkeypatch, trace):
+        tight = self.tighten_envelope(monkeypatch)
+        result, notes, states = self.recorded_run(monkeypatch, Flag.GAMMA_ENVELOPE, trace,
+                                                  *self.ENVELOPE_RUN)
+        step, k0 = 0.5, states[0].k
+        kbar_value = kbar(states[0].gamma_cap, step)
+        expected = []
+        for s in states:
+            level = gamma_alpha_step(s.gamma_cap, step)[1]
+            if s.k - k0 >= kbar_value:
+                env = tight(s.k - k0, step, kbar_value)
+                if not level <= env + 4.0 * math.ulp(env):
+                    expected.append((s.k + 1, level))
+        assert result.converged and expected and notes == expected
+        assert result.flags_total == Flag.GAMMA_ENVELOPE
+        if trace:
+            assert self.flagged_rows(result, Flag.GAMMA_ENVELOPE) == [k for k, _ in notes]
+
+    def test_strict_gamma_envelope(self, monkeypatch):
+        tight = self.tighten_envelope(monkeypatch)
+        observed = algorithm1_run(*self.ENVELOPE_RUN)
+        with pytest.raises(InvariantViolationError) as err:
+            algorithm1_run(*self.ENVELOPE_RUN, strict=True)
+        assert err.value.flags == Flag.GAMMA_ENVELOPE
+        match = re.fullmatch(r"GAMMA_ENVELOPE broken at k=(\d+): (\S+) > (\S+)", str(err.value))
+        assert match is not None, str(err.value)
+        first = next(r for r in observed.trace if r.flags & Flag.GAMMA_ENVELOPE)
+        assert int(match[1]) == first.k and float(match[2]) == first.gamma_cap
+        # the level the run starts from is 2 (f(x0) - f*) / r_bar^2
+        p, x0 = self.ENVELOPE_RUN[0], self.ENVELOPE_RUN[2]
+        gamma_cap0 = 2.0 * (evaluate(p, x0)[0] - p.optimum.f_star)
+        env = tight(first.k - 1, 0.5, kbar(gamma_cap0, 0.5))
+        assert float(match[3]) == env + 4.0 * math.ulp(env) < first.gamma_cap
+
 
 class TestGdRun:
     def test_quadratic_four_iterations(self):

@@ -1,6 +1,7 @@
 """Inequality checks: pointwise cases with hand oracles, plus sweeps."""
 
 import importlib
+import json
 import math
 import pkgutil
 from dataclasses import dataclass, replace
@@ -13,6 +14,7 @@ from agdsmooth import (
     AgdState,
     CATALOG_NAMES,
     Constant,
+    DomainViolationError,
     EllModel,
     Power,
     PreconditionError,
@@ -24,8 +26,10 @@ from agdsmooth import (
     evaluate,
     smoothness,
 )
+from agdsmooth import cli
 from agdsmooth.verify import (
     _interior_sampler,
+    _sweep,
     _uniform,
     run_all_checks,
     sweep_convexity_smoothness,
@@ -282,35 +286,25 @@ class TestOracleCalls:
 
 
 class TestPsiInverseTraffic:
-    # which psi inverses of a gap-to-gradient sweep reach the generic path
-    # (``EllModel.psi_inverse``): none of the affine and power profiles',
-    # whose own roots are kept (power-p's rho = 2/3 by Newton), and each of
-    # quadratic's, which the seed answers at one psi evaluation
+    # which psi inverses of a gap-to-gradient sweep reach the bisection
+    # fallback (``smoothness._psi_bisect``): none, since every profile's own
+    # root is kept, power-p's rho = 2/3 by Newton and quadratic's constant
+    # profile at the seed
     @pytest.mark.parametrize("name, generic", [
         ("exp-1d", 0), ("exp-experiment", 0), ("neg-log-barrier", 0),
-        ("power-p", 0), ("quadratic", 150),
+        ("power-p", 0), ("quadratic", 0),
     ])
     def test_generic_psi_inverse_calls(self, monkeypatch, name, generic):
-        evals, psi_calls = [], [0]
-        inverse, psi = EllModel.psi_inverse, smoothness.psi_eval
+        calls = [0]
+        fallback = smoothness._psi_bisect
 
-        def counted_inverse(model, t):
-            # records the psi evaluations this generic call made
-            before = psi_calls[0]
-            x = inverse(model, t)
-            evals.append(psi_calls[0] - before)
-            return x
+        def counted_fallback(model, t):
+            calls[0] += 1
+            return fallback(model, t)
 
-        def counted_psi(model, x):
-            psi_calls[0] += 1
-            return psi(model, x)
-
-        monkeypatch.setattr(EllModel, "psi_inverse", counted_inverse)
-        monkeypatch.setattr(smoothness, "psi_eval", counted_psi)
-        sweep_gap_to_grad(catalog(name), 150, 0)
-        assert len(evals) == generic
-        # the seed answers with its one psi evaluation
-        assert all(n == 1 for n in evals)
+        monkeypatch.setattr(smoothness, "_psi_bisect", counted_fallback)
+        report = sweep_gap_to_grad(catalog(name), 150, 0)
+        assert report.trials > 0 and calls[0] == generic
 
     def test_power_p_psi_evaluations(self, monkeypatch):
         # power-p's 150 Newton roots, each with its certifying evaluation,
@@ -352,3 +346,97 @@ class TestSampleBox:
         p = replace(catalog("exp-1d"), sample_lo=np.array([0.5]), sample_hi=np.array([0.5]))
         report = sweep_convexity_smoothness(p, trials=3, seed=0)
         assert report.trials == 3 and report.witness == ((0.5,), (0.5,))
+
+
+def gradient_from(problem, scale):
+    """``problem`` with its gradient multiplied by ``scale`` where x[0] < 0
+    and f unchanged."""
+    fn = problem.fn
+
+    def scaled(x):
+        f, g = fn(x)
+        return f, (g * scale if x[0] < 0 else g)
+
+    return replace(problem, fn=scaled)
+
+
+class TestNonFiniteVerdict:
+    """A NaN margin fails its sweep and is its witness; a gradient sampled
+    with an infinite component is refused before any difference is taken."""
+
+    def test_nan_margin_is_a_violation_and_the_witness(self):
+        margins = iter([1.0, math.nan, -1.0, math.nan])
+        report = _sweep("nan", 4, 0, lambda rng: (m := next(margins), m))
+        assert report.trials == 4 and report.violations == 3
+        assert math.isnan(report.worst_margin) and math.isnan(report.witness)
+        assert not report.passed
+
+    def test_margins_at_the_tolerance_pass(self):
+        margins = iter([0.0, -1e-8, math.inf])
+        report = _sweep("tol", 3, 0, lambda rng: (m := next(margins), m))
+        assert report.passed and report.worst_margin == report.witness == -1e-8
+
+    @pytest.mark.parametrize("x, y", [([-0.5], [0.5]), ([0.5], [-0.5])])
+    @pytest.mark.parametrize("check", [check_convexity_smoothness, check_gradient_transfer])
+    def test_infinite_gradient_names_its_point(self, check, x, y):
+        # exp-1d with grad f = [inf] for x < 0: the convexity margin read
+        # NaN in either order
+        p = gradient_from(catalog("exp-1d"), math.inf)
+        with pytest.raises(DomainViolationError, match=r"gradient at \[-0.5\] has an infinite"):
+            check(p, np.array(x), np.array(y))
+
+    def test_infinite_gradient_everywhere_is_not_a_nan_difference(self):
+        p = gradient_from(catalog("exp-1d"), math.inf)
+        with pytest.raises(DomainViolationError) as err:
+            check_convexity_smoothness(p, np.array([-0.5]), np.array([-0.25]))
+        assert "[-0.5] has an infinite component" in str(err.value)
+        assert "NaN" not in str(err.value)
+
+    def test_gap_and_descent_checks_refuse_an_infinite_gradient(self):
+        p = gradient_from(catalog("exp-1d"), math.inf)
+        y = np.array([-0.5])
+        with pytest.raises(DomainViolationError, match="infinite component"):
+            check_gap_to_grad(p, y, 0.5)
+        f, g = evaluate(p, y)
+        state = AgdState(y=y, u=y.copy(), gamma_cap=1.0, k=0, f_y=f, grad_y=g, grad_norm=1.0)
+        with pytest.raises(DomainViolationError, match=r"\[-0.5\] has an infinite"):
+            check_descent_step(p, state, 0.01)
+
+    def test_a_gradient_whose_square_overflows_keeps_its_infinite_norm(self):
+        # finite components, so nothing is refused; the margin is NaN (the
+        # library checks leave NumPy's overflow warning on, as the CLI does not)
+        p = gradient_from(catalog("exp-1d"), 1e200)
+        with np.errstate(over="ignore"):
+            margin = check_convexity_smoothness(p, np.array([-0.5]), np.array([0.5]))
+        assert math.isnan(margin)
+
+    @pytest.fixture
+    def steep_catalog(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("AGDSMOOTH_OUTPUT_DIR", str(tmp_path))
+        plain = cli.catalog
+
+        def steep(scale):
+            monkeypatch.setattr(cli, "catalog",
+                                lambda name, params=None: gradient_from(plain(name, params), scale))
+
+        return steep
+
+    def test_cli_nan_margin_exits_five(self, steep_catalog, tmp_path, capsys):
+        # quadratic without its optimum runs the convexity and transfer
+        # sweeps; an affine claim reads ell(inf) = inf, so every pair with a
+        # point below 0 has a NaN margin, which fails and is the witness
+        steep_catalog(1e200)
+        argv = ["verify", "quadratic", '{"kind": "affine", "L0": 1, "L1": 1}',
+                "--params", '{"known_optimum": false}', "--trials", "20"]
+        assert cli.main(argv) == 5
+        out = capsys.readouterr().out
+        assert "FAIL convexity-smoothness" in out and "worst_margin=nan" in out
+        report = json.loads((tmp_path / "quadratic-verify-report.json").read_text())
+        convexity = report[0]
+        assert convexity["worst_margin"] == "nan" and convexity["violations"] > 0
+        assert min(convexity["witness"][0][0], convexity["witness"][1][0]) < 0
+
+    def test_cli_infinite_gradient_exits_four(self, steep_catalog, capsys):
+        steep_catalog(math.inf)
+        assert cli.main(["verify", "exp-1d", "claimed", "--trials", "20"]) == 4
+        assert "has an infinite component" in capsys.readouterr().err
