@@ -102,7 +102,7 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     a = _sampled_norm(problem, x, gx)
     _sampled_norm(problem, y, gy)
     diff = grad_norm(gx - gy)
-    rhs = fx - fy - float(gy @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    rhs = fx - fy - float(gy.dot(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
     integral, err = quad(lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0)
@@ -133,13 +133,19 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     Executes one accelerated step (``solvers.agd_step``) from ``state`` and
     compares the certificate difference, with |g_y| taken afresh, against
     ``0.5 * (gamma - 1 / ell(2 |g_y| + |g_next|)) * |g_next - g_y|^2``.
-    Requires a known optimum and ``step_gamma <= 1 / ell(2 |g_y|)``.
+    Requires a known optimum and ``0 < step_gamma <= 1 / ell(2 |g_y|)``;
+    where |g_y| overflows, the cap is 0 and no step is admissible.
     """
     if problem.optimum is None:
         raise PreconditionError("descent check needs a known optimum")
     model = problem.ell_model
     gy = state.grad_y
     ny = _sampled_norm(problem, state.y, gy)
+    if not step_gamma > 0.0:
+        raise PreconditionError(
+            f"{problem.name}: step_gamma = {step_gamma} at y = {state.y} is not > 0 "
+            f"(|g_y| = {ny})"
+        )
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
         raise PreconditionError(
             f"step_gamma = {step_gamma} exceeds the safety cap "
@@ -181,16 +187,19 @@ def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
 
 # --- randomized sweeps ------------------------------------------------------
 
-def _uniform(rng: np.random.Generator, lo, hi, shape=None):
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     """``rng.uniform(lo, hi)`` in one ``random`` call: NumPy's own formula,
     ``lo + (hi - lo) * next_double``, on the same doubles of the stream, so
-    the bits agree, without its per-call broadcasting and range checks."""
-    return lo + (hi - lo) * rng.random(shape)
+    the bits agree, without its per-call broadcasting and range checks.  It
+    serves the sweeps' scalar draws; the box draw of ``_interior_sampler``
+    applies the same formula to the span it has already computed."""
+    return lo + (hi - lo) * rng.random()
 
 
 def _interior_sampler(problem: Problem):
     """The draw ``rng -> point`` from the problem's sample box, whose bounds
-    are checked once: finite, with ``lo <= hi`` and a finite span."""
+    are checked once: finite, with ``lo <= hi`` and a finite span, which
+    every draw reuses in ``_uniform``'s formula."""
     lo = np.asarray(problem.sample_lo, dtype=float)
     hi = np.asarray(problem.sample_hi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,7 +209,8 @@ def _interior_sampler(problem: Problem):
             f"{problem.name}: sample box [{problem.sample_lo}, {problem.sample_hi}] "
             "needs finite bounds with lo <= hi"
         )
-    return lambda rng: _uniform(rng, lo, hi, span.shape)
+    shape = span.shape
+    return lambda rng: lo + span * rng.random(shape)
 
 
 def sweep_convexity_smoothness(

@@ -1,6 +1,7 @@
 """Objective catalog and domain machinery tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from agdsmooth import (
     evaluate,
     project_closure,
 )
+from agdsmooth.problems import interior_violation
 from agdsmooth.verify import sweep_gradient_transfer
 
 
@@ -48,6 +50,131 @@ class TestEvaluate:
         p = catalog("quadratic", {"L": 1.0, "d": 3})
         with pytest.raises(Exception):
             evaluate(p, np.zeros(2))
+
+
+def numpy_scalar_fn(name, params):
+    """The catalog oracle ``name`` in its NumPy-scalar form: coordinates
+    unpacked as ``np.float64`` and inner products taken with ``@``.  The
+    package computes on Python floats and with ``.dot``; ``TestOracleBits``
+    holds it to these bits."""
+    if name == "exp-experiment":
+        mu = params.get("mu", 0.001)
+
+        def fn(p):
+            x, y = p
+            ex, e1x = math.exp(x), math.exp(1.0 - x)
+            return ex + e1x + 0.5 * mu * y * y, np.array([ex - e1x, mu * y])
+    elif name == "quadratic":
+        L = params.get("L", 1.0)
+
+        def fn(p):
+            return 0.5 * L * float(p @ p), L * p
+    elif name == "power-p":
+        p = params.get("p", 4)
+
+        def fn(x):
+            return float((x**p).sum()), p * x ** (p - 1)
+    elif name == "neg-log-barrier":
+        c = params.get("c", 1.0)
+
+        def fn(x):
+            return float(-np.log(x).sum() + 0.5 * c * (x @ x)), c * x - 1.0 / x
+    else:
+        assert name == "exp-1d"
+
+        def fn(x):
+            ex, emx = math.exp(x[0]), math.exp(-x[0])
+            return ex + emx, np.array([ex - emx])
+    return fn
+
+
+def oracle_bits(fn, x):
+    """``fn(x)`` as the hex of its value and of each gradient component, or
+    the name of the error it raises; NumPy's overflow warnings are off, as
+    in the runs."""
+    try:
+        with np.errstate(all="ignore"):
+            value, grad = fn(x)
+    except OverflowError:
+        return "OverflowError"
+    grad = np.asarray(grad)
+    return float(value).hex(), grad.dtype.str, grad.shape, [g.hex() for g in grad.tolist()]
+
+
+def numpy_interior_violation(x):
+    """``interior_violation`` on the positive orthant, by its index search
+    alone: the package settles the all-positive case by ``x.min()`` first."""
+    bad = np.flatnonzero(x <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        return i, f"coordinate {i} = {x[i]} is not > 0"
+    return None
+
+
+# the catalog oracles at their default d and at d = 7
+ORACLES = [
+    ("exp-1d", {}), ("exp-experiment", {}), ("neg-log-barrier", {}),
+    ("neg-log-barrier", {"d": 7}), ("power-p", {}), ("power-p", {"d": 7}),
+    ("quadratic", {}), ("quadratic", {"d": 7}),
+]
+
+
+@st.composite
+def oracle_points(draw, dim, positive):
+    """Coordinates log-uniform from 1e-8 up to an overflow edge: exp's
+    (about 710), x^4's (1e77), a square's (1e154) or the float range's;
+    laid out contiguous or with stride 2."""
+    top = draw(st.sampled_from([2.86, 77.1, 154.2, 308.25]))
+    coords = []
+    for _ in range(dim):
+        magnitude = 10.0 ** draw(st.floats(min_value=-8.0, max_value=top))
+        negative = not positive and draw(st.booleans())
+        coords.append(-magnitude if negative else magnitude)
+    if draw(st.booleans()):
+        return np.array(coords)
+    buf = np.zeros(2 * dim)
+    buf[::2] = coords
+    return buf[::2]
+
+
+class TestOracleBits:
+    @pytest.mark.parametrize("name, params", ORACLES, ids=lambda v: str(v))
+    @given(data=st.data())
+    def test_value_and_gradient_bits_equal_the_numpy_form(self, name, params, data):
+        problem = catalog(name, params)
+        x = data.draw(oracle_points(problem.dim, name == "neg-log-barrier"))
+        want = oracle_bits(numpy_scalar_fn(name, params), x)
+        assert oracle_bits(problem.fn, x) == want
+
+    @pytest.mark.parametrize("name", ["neg-log-barrier", "quadratic"])
+    @pytest.mark.parametrize("d", [2, 7, 20])
+    def test_a_reversed_view_takes_the_contiguous_ddot(self, name, d):
+        # ``@`` sums a view with a negative stride in its own loop, which can
+        # round apart from BLAS's ddot; ``.dot`` copies such a view first, so
+        # the value is the contiguous point's, bit for bit
+        problem = catalog(name, {"d": d})
+        rng = np.random.default_rng(d)
+        for _ in range(500):
+            x = rng.uniform(0.3, 30.0, 2 * d)[::-2]
+            want = problem.fn(np.ascontiguousarray(x))[0]
+            assert problem.fn(x)[0].hex() == want.hex()
+
+    def test_exp_experiment_overflow_is_a_domain_violation(self):
+        # 0.5 mu y^2 overflows: on Python floats it is inf, which evaluate
+        # refuses, and no NumPy overflow warning escapes the oracle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolationError, match="is not finite"):
+                evaluate(catalog("exp-experiment"), [0.0, 1e200])
+
+    @pytest.mark.parametrize("x", [
+        [1.0, 2.0], [1.0, 0.0], [1.0, -0.0], [-1.0, 2.0], [2.0, -3.0, -1.0],
+        [math.nan, 1.0], [1.0, math.nan], [math.nan, -1.0], [5e-324, 1.0],
+        [math.inf, 1.0], [-math.inf, 1.0],
+    ])
+    def test_interior_verdict_equals_the_index_search(self, x):
+        x = np.array(x)
+        assert interior_violation(PositiveOrthant(), x) == numpy_interior_violation(x)
 
 
 class TestProjection:

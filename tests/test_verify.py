@@ -235,8 +235,10 @@ def hexes(values):
 
 
 class TestDraws:
-    # the sweeps draw with ``lo + (hi - lo) * rng.random(shape)``; these pin
-    # that it gives the bits ``rng.uniform`` gave, from the same stream
+    # the box draw is ``lo + span * rng.random(shape)`` on the sampler's
+    # precomputed span, and ``_uniform`` serves the scalar draws with
+    # ``lo + (hi - lo) * rng.random()``; these pin that both give the bits
+    # ``rng.uniform`` gave, from the same stream
 
     @pytest.mark.parametrize("name, params", BOXES, ids=lambda v: str(v))
     def test_box_draw_bits_equal_numpy_uniform(self, name, params):
@@ -410,6 +412,22 @@ class TestNonFiniteVerdict:
             margin = check_convexity_smoothness(p, np.array([-0.5]), np.array([0.5]))
         assert math.isnan(margin)
 
+    @pytest.mark.parametrize("step_gamma", [0.0, -0.01, math.nan])
+    def test_descent_check_refuses_a_step_that_is_not_positive(self, step_gamma):
+        p = catalog("exp-1d")
+        state = make_state(p, [0.5], [0.25], 1.0)
+        with pytest.raises(PreconditionError, match=r"step_gamma = .* at y = \[0.5\] is not > 0"):
+            check_descent_step(p, state, step_gamma)
+
+    def test_descent_sweep_refuses_a_state_with_no_positive_step(self):
+        # a finite gradient whose norm overflows: the safety cap
+        # 1 / ell(2 |g_y|) is 0, so the sweep draws step_gamma = 0, which
+        # no accelerated step takes
+        p = gradient_from(catalog("exp-1d"), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(
+                PreconditionError, match=r"step_gamma = 0.0 at y = \[-.*\] is not > 0"):
+            sweep_descent_step(p, trials=20, seed=0)
+
     @pytest.fixture
     def steep_catalog(self, monkeypatch, tmp_path):
         monkeypatch.setenv("AGDSMOOTH_OUTPUT_DIR", str(tmp_path))
@@ -435,6 +453,11 @@ class TestNonFiniteVerdict:
         convexity = report[0]
         assert convexity["worst_margin"] == "nan" and convexity["violations"] > 0
         assert min(convexity["witness"][0][0], convexity["witness"][1][0]) < 0
+
+    def test_cli_no_positive_step_exits_three(self, steep_catalog, capsys):
+        steep_catalog(1e200)
+        assert cli.main(["verify", "exp-1d", "claimed", "--trials", "20"]) == 3
+        assert "precondition failed: exp-1d: step_gamma = 0.0" in capsys.readouterr().err
 
     def test_cli_infinite_gradient_exits_four(self, steep_catalog, capsys):
         steep_catalog(math.inf)
