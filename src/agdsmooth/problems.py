@@ -5,20 +5,26 @@ set it lives on, and the curvature profile claimed for it.  Gradients are
 hand-coded formulas (no autodiff) so that finite-difference checks have an
 exact target.  Problems are immutable and evaluation is pure.
 
-The oracles run once per gradient call, so they keep NumPy off scalar
-work: where an oracle unpacks coordinates it computes on Python floats
-(``tolist()``), and inner products are ``.dot``, which reaches the same
+A point comes in one of two kinds.  Below ``solvers``' float cutoff
+the step loop holds its vectors as tuples of Python floats, which
+``evaluate`` and ``project_closure`` take and give back as tuples; every
+other caller, and every public result, holds float arrays.  The oracles run
+once per gradient call, so each computes on its own kind and ``evaluate``
+converts at the boundary: the exp oracles unpack coordinates and compute on
+Python floats (``Problem.on_floats``), and the array oracles get one
+``np.array`` and take inner products with ``.dot``, which reaches the same
 BLAS ddot as ``@`` at less dispatch, and reaches it for every layout (``@``
-sums a view with a negative stride in its own loop).
-``tests/test_problems.py::TestOracleBits`` pins every catalog oracle's
-value and gradient bits to its NumPy-scalar form.
+sums a view with a negative stride in its own loop).  Both kinds give the
+same bits: ``tests/test_problems.py::TestOracleBits`` pins every catalog
+oracle's value and gradient bits to its NumPy-scalar form, and those of
+``evaluate`` on a tuple to those on an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,32 +45,45 @@ class PositiveOrthant:
 Domain = FullSpace | PositiveOrthant
 
 
-def project_closure(domain: Domain, x: np.ndarray) -> np.ndarray:
+def project_closure(domain: Domain, x):
     """Euclidean projection onto the closure of the feasible set.
 
-    The full-space projection is the identity and returns its argument as
-    a float array, without a copy: a float array passed in comes back
-    itself, so a caller that keeps ``x`` passes a copy or a fresh array.
+    A tuple of floats comes back a tuple, anything else a float array.  The
+    full-space projection is the identity and returns its argument without a
+    copy: a float array passed in comes back itself, so a caller that keeps
+    ``x`` passes a copy or a fresh array.  On the orthant a tuple takes
+    ``np.maximum``'s rule, bit for bit: a NaN stays and -0.0 becomes 0.0.
     """
+    if type(x) is tuple:
+        if isinstance(domain, FullSpace):
+            return x
+        return tuple([v if v > 0.0 or v != v else 0.0 for v in x])
     x = np.asarray(x, dtype=float)
     if isinstance(domain, FullSpace):
         return x
     return np.maximum(x, 0.0)
 
 
-def interior_violation(domain: Domain, x: np.ndarray) -> tuple[int, str] | None:
-    """None if x lies in the open interior, else (coordinate, description)."""
+def interior_violation(domain: Domain, x) -> tuple[int, str] | None:
+    """None if x (a tuple of floats or a float array) lies in the open
+    interior, else (coordinate, description)."""
     if isinstance(domain, FullSpace):
         return None
-    if x.min() > 0.0:
-        return None
     # a NaN coordinate fails the min test but is not <= 0: it is left to
-    # the value check
-    bad = np.flatnonzero(x <= 0.0)
-    if bad.size:
-        i = int(bad[0])
-        return i, f"coordinate {i} = {x[i]} is not > 0"
-    return None
+    # the value check.  Python's min skips a NaN after the first item, but
+    # then the index search finds no coordinate <= 0 either
+    if type(x) is tuple:
+        if min(x) > 0.0:
+            return None
+        i = next((i for i, v in enumerate(x) if v <= 0.0), None)
+    else:
+        if x.min() > 0.0:
+            return None
+        bad = np.flatnonzero(x <= 0.0)
+        i = int(bad[0]) if bad.size else None
+    if i is None:
+        return None
+    return i, f"coordinate {i} = {float(x[i])} is not > 0"
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,10 @@ class Optimum:
 class Problem:
     """Objective oracle plus the feasible set and claimed curvature profile.
 
+    ``fn`` maps a point to its value and gradient.  It takes a float array
+    and returns an array, or, with ``on_floats``, takes a sequence of Python
+    floats and returns its gradient as a tuple of floats; ``evaluate``
+    converts either way, so a caller never sees the oracle's own kind.
     ``sample_lo``/``sample_hi`` give an interior box used by randomized
     property sweeps; they are part of the test harness, not the math.
     """
@@ -85,33 +108,54 @@ class Problem:
     dim: int
     domain: Domain
     ell_model: EllModel
-    fn: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    fn: Callable[..., tuple[float, Any]]
     optimum: Optimum | None
     sample_lo: np.ndarray
     sample_hi: np.ndarray
+    on_floats: bool = False
 
 
-def evaluate(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
+def evaluate(problem: Problem, x) -> tuple[float, Any]:
     """Value and gradient at an interior point.
+
+    A tuple (a step state below ``solvers``' float cutoff) must hold Python
+    floats, and gets its gradient as a tuple of floats; any other point,
+    a list included, is taken as a float array and gets an array.  The
+    oracle sees its own kind, converted here once, so the two kinds give the
+    same bits and the same errors.
 
     Raises ``DomainViolationError`` outside the open feasible set, and where
     the objective overflows or its value is not finite.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dim,):
-        raise DomainError(f"expected a point of dimension {problem.dim}, got shape {x.shape}")
+    floats = type(x) is tuple
+    if floats:
+        if len(x) != problem.dim:
+            raise DomainError(f"expected a point of dimension {problem.dim}, "
+                              f"got shape {np.shape(x)}")
+        point = x if problem.on_floats else np.array(x, dtype=float)
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (problem.dim,):
+            raise DomainError(f"expected a point of dimension {problem.dim}, got shape {x.shape}")
+        point = x.tolist() if problem.on_floats else x
     bad = interior_violation(problem.domain, x)
     if bad is not None:
         coord, msg = bad
         raise DomainViolationError(f"{problem.name}: {msg}", coordinate=coord)
     try:
-        value, grad = problem.fn(x)
+        value, grad = problem.fn(point)
     except OverflowError as exc:
-        raise DomainViolationError(f"{problem.name}: overflow at {x}: {exc}") from exc
+        raise DomainViolationError(
+            f"{problem.name}: overflow at {np.asarray(x)}: {exc}") from exc
     value = float(value)
     if not math.isfinite(value):
-        raise DomainViolationError(f"{problem.name}: value {value} at {x} is not finite")
-    return value, np.asarray(grad, dtype=float)
+        raise DomainViolationError(
+            f"{problem.name}: value {value} at {np.asarray(x)} is not finite")
+    if not floats:
+        return value, np.asarray(grad, dtype=float)
+    if type(grad) is not tuple:
+        grad = tuple(np.asarray(grad, dtype=float).tolist())
+    return value, grad
 
 
 # --- catalog ---------------------------------------------------------------
@@ -136,10 +180,10 @@ def _exp_experiment(params: dict) -> Problem:
     if mu <= 0:
         raise ConfigurationError("exp-experiment needs mu > 0")
 
-    def fn(p: np.ndarray) -> tuple[float, np.ndarray]:
-        x, y = p.tolist()
+    def fn(p) -> tuple[float, tuple[float, float]]:
+        x, y = p
         ex, e1x = math.exp(x), math.exp(1.0 - x)
-        return ex + e1x + 0.5 * mu * y * y, np.array([ex - e1x, mu * y])
+        return ex + e1x + 0.5 * mu * y * y, (ex - e1x, mu * y)
 
     f_star = 2.0 * math.sqrt(math.e)
     return Problem(
@@ -151,6 +195,7 @@ def _exp_experiment(params: dict) -> Problem:
         optimum=Optimum(f_star=f_star, x_star=np.array([0.5, 0.0])),
         sample_lo=np.array([-3.0, -3.0]),
         sample_hi=np.array([3.0, 3.0]),
+        on_floats=True,
     )
 
 
@@ -230,10 +275,10 @@ def _neg_log_barrier(params: dict) -> Problem:
 
 
 def _exp_1d(params: dict) -> Problem:
-    def fn(p: np.ndarray) -> tuple[float, np.ndarray]:
-        (x,) = p.tolist()
+    def fn(p) -> tuple[float, tuple[float]]:
+        (x,) = p
         ex, emx = math.exp(x), math.exp(-x)
-        return ex + emx, np.array([ex - emx])
+        return ex + emx, (ex - emx,)
 
     return Problem(
         name="exp-1d",
@@ -244,6 +289,7 @@ def _exp_1d(params: dict) -> Problem:
         optimum=Optimum(f_star=2.0, x_star=np.zeros(1)),
         sample_lo=np.array([-2.0]),
         sample_hi=np.array([2.0]),
+        on_floats=True,
     )
 
 

@@ -21,6 +21,14 @@ the iteration's trace row (observe mode).  ``_Run`` is the run's scope and
 record: it checks epsilon, r_bar and the budget, keeps NumPy's
 floating-point warnings off while the run lasts, states the gap rule
 (``gap``) and makes every trace row (``row``).
+
+A run of dimension at most ``_FLOAT_DIM`` holds y, u and the gradient as
+tuples of Python floats, which ``evaluate`` and ``project_closure`` take as
+they are; a larger one holds float arrays.  The run chooses once, at its
+start, and the step's vector helpers follow the kind they are given:
+elementwise IEEE operations round alike in both, and ``norm`` is
+``math.hypot`` on both, so the choice moves no bit.  Every public boundary
+(``RunResult.state``, ``agd_step`` on array states) holds arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +54,12 @@ LOG_3_2 = math.log(1.5)
 # Gamma underflow guard: below this the certified bound is, for every
 # representable epsilon, already met.
 GAMMA_UNDERFLOW = 1e-300
+
+# The largest dimension whose run holds its vectors as tuples of floats.  A
+# whole step on the quadratic, whose oracle takes an array, costs about the
+# same on both kinds between d = 16 and d = 32 (BENCH_26.json times it and
+# each vector helper alone); the exp oracles compute on floats at d <= 2.
+_FLOAT_DIM = 16
 
 
 class Flag(IntFlag):
@@ -90,19 +104,65 @@ def gamma_envelope(k: int, step_gamma: float, kbar_value: float) -> float:
     return 9.0 / (step_gamma * (k + 1.0 - kbar_value) ** 2)
 
 
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D real vector: ``np.linalg.norm``'s own formula
-    for that case, ``sqrt(v . v)``, so the bits agree, without its dispatch."""
-    return math.sqrt(v.dot(v))
+def norm(v) -> float:
+    """Euclidean norm of a 1-D real vector, a tuple or list of floats or a
+    float array: ``math.hypot`` of its components.  That is CPython's own
+    code, so the bits depend on neither the BLAS nor the NumPy build, and
+    every kind gives the same bits, within one ulp of the true norm.  It is
+    finite up to the float range and inf past it, never an
+    ``OverflowError``; a NaN component makes it NaN unless another component
+    is infinite.  ``tests/test_norm_pin.py`` pins its bits on every CPython."""
+    return math.hypot(*(v if type(v) is tuple or type(v) is list else v.tolist()))
 
 
-def grad_norm(g: np.ndarray) -> float:
-    """``norm(g)``, refused as a ``DomainViolationError`` where a NaN component
-    makes it NaN; an infinite norm (a finite g whose square overflows) is valid."""
+def grad_norm(g) -> float:
+    """``norm(g)``, refused as a ``DomainViolationError`` where g has a NaN
+    component; an infinite norm (an infinite component, or finite ones past
+    the float range) is valid."""
     n = norm(g)
-    if math.isnan(n):
-        raise DomainViolationError(f"the gradient has a NaN component: {g}")
+    if n != n or (n == math.inf and any(c != c for c in g)):
+        raise DomainViolationError(f"the gradient has a NaN component: {np.asarray(g)}")
     return n
+
+
+def square(x: float) -> float:
+    """``x ** 2`` in the float power's rounding, which the pinned traces
+    carry (``x * x`` rounds apart on about one draw in a thousand), and inf
+    where the float power raises ``OverflowError`` past the float range."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+# --- vector kinds ------------------------------------------------------------
+# Each helper takes tuples of floats or float arrays and returns the kind it
+# was given, in the rounding order of the array expression it names.
+
+def _blend(w: float, y, alpha: float, u, gamma: float, g):
+    """``w * (y + alpha * u - gamma * g)``."""
+    if type(y) is tuple:
+        return tuple([w * (a + alpha * b - gamma * c) for a, b, c in zip(y, u, g)])
+    return w * (y + alpha * u - gamma * g)
+
+
+def _descend(v, c: float, g):
+    """``v - c * g``: a gradient step, or the dual step before projection."""
+    if type(v) is tuple:
+        return tuple([a - c * b for a, b in zip(v, g)])
+    return v - c * g
+
+
+def _distance(a, b) -> float:
+    """``norm(a - b)``."""
+    if type(a) is tuple:
+        return norm([p - q for p, q in zip(a, b)])
+    return norm(a - b)
+
+
+def _copy(v):
+    """A copy that a state may keep beside ``v``; a tuple is its own."""
+    return v if type(v) is tuple else v.copy()
 
 
 def check_run_parameters(epsilon: float, r_bar: float, budget: int) -> None:
@@ -123,17 +183,28 @@ class AgdState:
     y, and the ``alpha`` of the step that made it (None at a start state).
 
     Caching them is what keeps the method at one fresh gradient evaluation,
-    and one gradient norm, per iteration.
+    and one gradient norm, per iteration.  Inside a run of dimension at most
+    ``_FLOAT_DIM``, y, u and ``grad_y`` are tuples of Python floats; a state
+    that leaves a run, in its ``RunResult``, holds float arrays, and
+    ``agd_step`` returns the kind it is given.
     """
 
-    y: np.ndarray
-    u: np.ndarray
+    y: np.ndarray | tuple[float, ...]
+    u: np.ndarray | tuple[float, ...]
     gamma_cap: float
     k: int
     f_y: float
-    grad_y: np.ndarray
+    grad_y: np.ndarray | tuple[float, ...]
     grad_norm: float
     alpha: float | None = None
+
+
+def _arrays(state: AgdState) -> AgdState:
+    """``state`` with float arrays in place of tuples."""
+    if type(state.y) is not tuple:
+        return state
+    return AgdState(np.array(state.y), np.array(state.u), state.gamma_cap, state.k,
+                    state.f_y, np.array(state.grad_y), state.grad_norm, state.alpha)
 
 
 @dataclass(slots=True)
@@ -193,11 +264,12 @@ class RunResult:
 class _Run:
     """One run's scope and record, shared by its GD and accelerated phases.
 
-    Holds the counted oracle, the optimum (``f_star``/``x_star``, None when
-    withheld), epsilon, r_bar and the oracle-call budget (checked here for
-    every run function), ``flags_total`` (the OR of every bit ``note``
-    returns), the trace (None when off; ``row`` makes each row) and the GD
-    iteration count.  ``gap`` is the gap rule and ``bound`` the certified
+    Holds the run's vector kind (``floats``: tuples of floats up to
+    ``_FLOAT_DIM``), the counted oracle, the optimum (``f_star``/``x_star``,
+    None when withheld; ``x_star`` in the run's kind), epsilon, r_bar and the
+    oracle-call budget (checked here for every run function),
+    ``flags_total`` (the OR of every bit ``note`` returns), the trace (None
+    when off; ``row`` makes each row) and the GD iteration count.  ``gap`` is the gap rule and ``bound`` the certified
     bound.  A phase that stops on the budget sets ``termination``, and one
     that stops on a saturated level sets ``message``; ``result`` and
     ``refuse`` build the RunResult.  As a context manager it keeps NumPy's
@@ -213,8 +285,12 @@ class _Run:
         opt = problem.optimum
         self.problem = problem
         self.model = model
+        self.floats = problem.dim <= _FLOAT_DIM
         self.f_star = opt.f_star if opt is not None else None
-        self.x_star = opt.x_star if opt is not None else None
+        self.x_star = None
+        if opt is not None:
+            self.x_star = (tuple(np.asarray(opt.x_star, dtype=float).tolist()) if self.floats
+                           else opt.x_star)
         self.epsilon = epsilon
         self.r_bar = r_bar
         self.budget = budget
@@ -227,23 +303,25 @@ class _Run:
         self.termination = "converged"
         self.message = ""
 
-    def oracle(self, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def oracle(self, x) -> tuple[float, object, float]:
         """One counted gradient evaluation: (f, grad, grad_norm(grad)) at x."""
         self.calls += 1
         f, g = evaluate(self.problem, x)
         return f, g, grad_norm(g)
 
     def start(self, x0) -> tuple[AgdState, str]:
-        """The first oracle call, at x0, as a state at level 1, and why the
-        run must be refused there ("" if it need not be): an r_bar below
-        the true initial distance."""
+        """The first oracle call, at x0 in the run's vector kind, as a state
+        at level 1, and why the run must be refused there ("" if it need not
+        be): an r_bar below the true initial distance."""
         x0 = np.asarray(x0, dtype=float)
+        if self.floats and x0.shape == (self.problem.dim,):
+            x0 = tuple(x0.tolist())
         f0, g0, gn0 = self.oracle(x0)
         refusal = ""
         if (self.x_star is not None
-                and norm(x0 - self.x_star) > self.r_bar * (1 + 1e-12)):
+                and _distance(x0, self.x_star) > self.r_bar * (1 + 1e-12)):
             refusal = "r_bar is below the true initial distance"
-        return AgdState(x0, x0.copy(), 1.0, 0, f0, g0, gn0), refusal
+        return AgdState(x0, _copy(x0), 1.0, 0, f0, g0, gn0), refusal
 
     def gap(self, f: float, grad_norm: float) -> float:
         """The gap at a point with value ``f``: ``f - f*``, or without the
@@ -295,14 +373,14 @@ class _Run:
                     f"{exc}; flags noted before it: {', '.join(noted)}") from exc
 
     def result(self, state: AgdState, achieved: float | None = None) -> RunResult:
-        """The converged or budget result at ``state``.  The achieved gap
-        defaults to the true gap at y, or the certified bound when the
-        optimum is unknown."""
+        """The converged or budget result at ``state``, whose vectors it
+        holds as arrays.  The achieved gap defaults to the true gap at y, or
+        the certified bound when the optimum is unknown."""
         if achieved is None:
             achieved = (state.f_y - self.f_star if self.f_star is not None
                         else self.bound(state.gamma_cap))
         return RunResult(
-            state=state, gd_iters=self.gd_iters, agd_iters=state.k,
+            state=_arrays(state), gd_iters=self.gd_iters, agd_iters=state.k,
             achieved_gap=achieved, trace=self.trace or [],
             termination=self.termination, oracle_calls=self.calls,
             flags_total=self.flags_total, message=self.message,
@@ -329,7 +407,7 @@ def lyapunov(gap: float, gamma_cap: float, dist_u: float) -> float:
     """Certificate function ``V_k = f(y_k) - f* + (Gamma_k / 2) |u_k - x*|^2``
     from its parts: the gap ``f(y_k) - f*``, the level and ``|u_k - x*|``,
     which the step loop shares with its other checks."""
-    return gap + 0.5 * gamma_cap * dist_u ** 2
+    return gap + 0.5 * gamma_cap * square(dist_u)
 
 
 # --- single AGD step -------------------------------------------------------
@@ -341,16 +419,17 @@ def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
     ``y_next`` blends y, u and the cached gradient at y; ``u_next`` takes a
     projected dual step against the fresh gradient.  ``alpha`` and the next
     level are ``gamma_alpha_step``'s; the returned state records that alpha
-    and the fresh gradient's ``grad_norm``.  A y_next outside the open
-    feasible set, or with a NaN gradient, raises a safety violation: it
-    breaches the step-size contract ``step_gamma <= 1 / ell(2 |grad y|)``,
-    which callers check themselves, against their own profile.
+    and the fresh gradient's ``grad_norm``.  Its vectors are the kind of
+    ``state``'s: tuples of floats inside a small run, arrays otherwise.  A
+    y_next outside the open feasible set, or with a NaN gradient, raises a
+    safety violation: it breaches the step-size contract
+    ``step_gamma <= 1 / ell(2 |grad y|)``, which callers check themselves,
+    against their own profile.
     """
     assert step_gamma > 0
     gamma_cap = state.gamma_cap
     alpha, gamma_next = gamma_alpha_step(gamma_cap, step_gamma)
-    w = 1.0 / (1.0 + alpha)
-    y_next = w * (state.y + alpha * state.u - step_gamma * state.grad_y)
+    y_next = _blend(1.0 / (1.0 + alpha), state.y, alpha, state.u, step_gamma, state.grad_y)
     try:
         f_next, g_next = evaluate(problem, y_next)
         gn_next = grad_norm(g_next)
@@ -358,7 +437,7 @@ def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
         raise SafetyViolationError(
             f"y left the feasible set at iteration {state.k + 1}: {exc}"
         ) from exc
-    u_next = project_closure(problem.domain, state.u - (alpha / gamma_cap) * g_next)
+    u_next = project_closure(problem.domain, _descend(state.u, alpha / gamma_cap, g_next))
     return AgdState(y_next, u_next, gamma_next, state.k + 1, f_next, g_next, gn_next, alpha)
 
 
@@ -374,7 +453,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     check = run.check_invariants and x_star is not None
     # |x - x*| feeds the monotone check and the trace's distance cell
     track_dist = x_star is not None and (check or run.trace is not None)
-    dist = norm(x - x_star) if check else None
+    dist = _distance(x, x_star) if check else None
     while True:
         if run.gap(f, gn) <= target:
             break
@@ -383,14 +462,14 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
             break
         gamma_t = 1.0 / (2.0 * run.model.ell(2.0 * gn))
         try:
-            x_next = x - gamma_t * g
+            x_next = _descend(x, gamma_t, g)
             f, g, gn = run.oracle(x_next)
         except DomainViolationError as exc:
             raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
         x = x_next
         run.gd_iters += 1
         flags = 0
-        dist_next = norm(x - x_star) if track_dist else None
+        dist_next = _distance(x, x_star) if track_dist else None
         if check:
             cap = dist * (1.0 + 1e-12)
             if not dist_next <= cap:
@@ -398,7 +477,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         dist = dist_next
         run.row("gd", run.gd_iters, None if f_star is None else f - f_star, gn, gamma_t,
                 dist, flags)
-    return AgdState(x, x.copy(), state.gamma_cap, state.k, f, g, gn)
+    return AgdState(x, _copy(x), state.gamma_cap, state.k, f, g, gn)
 
 
 def gd_run(
@@ -444,8 +523,8 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x_star = problem.optimum.x_star
     best = 0.0
-    # a finite gradient whose square overflows reads as an infinite bound,
-    # without NumPy's overflow warning
+    # an array oracle's own overflow (the quadratic's inner product past
+    # 1.3e154) reads as an infeasible sample, without NumPy's warning
     with np.errstate(over="ignore"):
         for _ in range(GRAD_BOUND_SAMPLES):
             d = rng.standard_normal(problem.dim)
@@ -493,9 +572,9 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     gap = None if f_star is None else state.f_y - f_star
     bound = run.bound(state.gamma_cap)
     gn = state.grad_norm
-    dist_u = norm(state.u - x_star) if check_v else None
+    dist_u = _distance(state.u, x_star) if check_v else None
     v_prev = lyapunov(gap, state.gamma_cap, dist_u) if check_v else None
-    dist = norm(state.y - x_star) if ball else None
+    dist = _distance(state.y, x_star) if ball else None
     k0 = state.k
     while True:
         if (gap is not None and gap <= epsilon) or bound <= epsilon:
@@ -550,7 +629,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
         bound = run.bound(gamma_cap)
         v_new = None
         if track_v:
-            dist_u = norm(state.u - x_star)
+            dist_u = _distance(state.u, x_star)
             v_new = lyapunov(gap, gamma_cap, dist_u)
 
         if check_invariants:
@@ -569,7 +648,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
                 if not gamma_cap <= cap:
                     flags |= note(Flag.GAMMA_ENVELOPE, state.k, gamma_cap, cap)
 
-        dist = norm(state.y - x_star) if track_dist else None
+        dist = _distance(state.y, x_star) if track_dist else None
         row("agd", state.k, gap, gn, step_gamma, dist, flags, gamma_cap, alpha,
             bound, v_new)
 
@@ -697,8 +776,10 @@ def algorithm2_run(
             raise ConfigurationError("gamma_cap0 is required when the problem optimum is unknown")
         state, refusal = run.start(x0)
         x_star = run.x_star
-        r0 = norm(state.y - x_star) if x_star is not None else 0.0
-        floor = 2.0 * (state.f_y - run.f_star) / r0**2 if r0 > 0 else None
+        # the floor needs |x0 - x*|^2 > 0: a distance whose square
+        # underflows leaves no floor, as the optimum itself does
+        r0_sq = square(_distance(state.y, x_star)) if x_star is not None else 0.0
+        floor = 2.0 * (state.f_y - run.f_star) / r0_sq if r0_sq > 0 else None
         if gamma_cap0 is None:
             gamma_cap0 = 1.0 if floor is None else floor
         if gamma_cap0 * r_bar**2 >= model.psi_sup:

@@ -30,7 +30,7 @@ from .smoothness import (
     q_max,
     quad,
 )
-from .solvers import AgdState, agd_step, grad_norm, lyapunov, norm
+from .solvers import AgdState, agd_step, grad_norm, lyapunov, norm, square
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
@@ -79,8 +79,8 @@ def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
 def _sampled_norm(problem: Problem, x: np.ndarray, g: np.ndarray) -> float:
     """``grad_norm`` of the gradient ``g`` sampled at ``x``, refusing one with
     an infinite component as a ``DomainViolationError`` that names x: the
-    checks take differences of gradients, where inf - inf is NaN.  A finite
-    gradient whose square overflows keeps its infinite norm."""
+    checks take differences of gradients, where inf - inf is NaN.  Finite
+    components whose norm passes the float range keep that infinite norm."""
     n = grad_norm(g)
     if n == math.inf and np.isinf(g).any():
         raise DomainViolationError(
@@ -134,7 +134,9 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     compares the certificate difference, with |g_y| taken afresh, against
     ``0.5 * (gamma - 1 / ell(2 |g_y| + |g_next|)) * |g_next - g_y|^2``.
     Requires a known optimum and ``0 < step_gamma <= 1 / ell(2 |g_y|)``;
-    where |g_y| overflows, the cap is 0 and no step is admissible.
+    where |g_y| is infinite, past the float range, the cap is 0 and no step
+    is admissible.  The squares of norms are ``solvers.square``'s, inf past
+    the float range.
     """
     if problem.optimum is None:
         raise PreconditionError("descent check needs a known optimum")
@@ -157,12 +159,12 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     alpha = nxt.alpha
     lhs = (
         (1.0 + alpha) * (nxt.f_y - f_star)
-        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * norm(nxt.u - x_star) ** 2
+        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * square(norm(nxt.u - x_star))
         - lyapunov(state.f_y - f_star, state.gamma_cap, norm(state.u - x_star))
     )
     rhs = 0.5 * (
         step_gamma - 1.0 / ell_eval(model, 2.0 * ny + nxt.grad_norm)
-    ) * grad_norm(nxt.grad_y - gy) ** 2
+    ) * square(grad_norm(nxt.grad_y - gy))
     return rhs - lhs
 
 

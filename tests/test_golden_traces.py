@@ -5,7 +5,9 @@ trace CSV and summary JSON are hashed.  The summary is hashed with the
 output paths removed (they depend on the test's temporary directory) and
 re-serialized exactly as ``execute`` writes it.  A refactor of the solvers
 must leave every hash unchanged; a deliberate change of the numbers or of
-the file formats re-pins them and says why.
+the file formats re-pins them and says why.  A run of small dimension holds
+its vectors as tuples of floats; replayed with that cutoff at 0, on arrays
+throughout, every run and the sweep write the same bytes.
 """
 
 import hashlib
@@ -14,18 +16,21 @@ import math
 
 import pytest
 
+from agdsmooth import solvers
 from agdsmooth.cli import main
 from agdsmooth.config import config_from_dict, execute, jsonable, run_sweep, sweep_from_dict
 
 CUSTOM_CLAIM = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
 
+# The run hashes pin the math.hypot norm (solvers.norm), whose bits do not
+# depend on the BLAS.
 GOLDEN_RUNS = {
     # the pinned adaptive run of the benchmark
     "adaptive-exp": (
         {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
          "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
          "budget": 20000},
-        "26a629deb1c82e3a203723dd2cbd77d136a9210e89cda46dd5f2cfd30c9d32cf",
+        "3bae6b0b23dc24b7286338a7479eb841ef0cbd2569af94a7c779b18df54b279d",
         "41941380c19c57144ad1522375bdcf0d6109a707ae0a720321f07e21c0d654fa",
     ),
     # the same run with the runtime checks off: the trace still carries the
@@ -34,13 +39,13 @@ GOLDEN_RUNS = {
         {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.mu": 1e-3,
          "x0": [-6.0, -5.0], "r_bar": 100.0, "gamma_cap0": 100.0, "epsilon": 1e-6,
          "budget": 20000, "check_invariants": False},
-        "26a629deb1c82e3a203723dd2cbd77d136a9210e89cda46dd5f2cfd30c9d32cf",
+        "3bae6b0b23dc24b7286338a7479eb841ef0cbd2569af94a7c779b18df54b279d",
         "fb89eb88abb7820de9a2abc6da24d7acecb2233d712f695e7cf95e8b53477b1f",
     ),
     # the adaptive loop's budget exit
     "agd2-exp-experiment-budget": (
         {"algorithm": "agd2", "problem": "exp-experiment", "budget": 50},
-        "6329a6bcb5a8144df32bcfcff3d334bbd0605af580c1d10a245aecfd6cb7dba6",
+        "8451192a165d6518ae85619f8a558adef2363c758cfec7c1f3f42383377bee0b",
         "54b2d6a9e710f0e4408fcbf615597f577903f12a60cfe338841d092c37e40bb2",
     ),
     "agd1-exp-1d": (
@@ -52,7 +57,7 @@ GOLDEN_RUNS = {
     # everywhere (delta_max is infinite) and no m_bar is estimated
     "agd1-neg-log-barrier": (
         {"algorithm": "agd1", "problem": "neg-log-barrier", "epsilon": 1e-8},
-        "26cb50120280e60d91aba05ba0a14ef4e4ab69240509709f5af42e845b9ada68",
+        "9f5351dae733f740f13251d5fadef58c2115ed0aad1e542940de04235a0d29f8",
         "79c3baf7ea4dd3d90d3cb6286a395eefd40823231f02e9e5a3f25b1ba160e6fc",
     ),
     # superquadratic claim: m_bar estimated by sphere sampling, delta clipped
@@ -61,7 +66,7 @@ GOLDEN_RUNS = {
         {"algorithm": "agd1", "problem": "quadratic",
          "ell": {"kind": "power", "rho": 3, "L0": 1, "L1": 1}, "x0": [0.3, 0.3]},
         "a18ebaa3b434e299535399c056605330a306b74bbd0152dba3e50742618d1082",
-        "e62a664df5e300842919cf88baed6ab1628c818999b9ef7582020296263769dd",
+        "d90b7228e68c499c0fa07bfc9bb6866a771d61806f6bb2912ba86daf9ea79933",
     ),
     # a monotone piecewise-linear claim, warm-started and adaptive
     "agd1-exp-1d-custom": (
@@ -76,14 +81,14 @@ GOLDEN_RUNS = {
     ),
     "gd-exp-experiment": (
         {"algorithm": "gd", "problem": "exp-experiment", "epsilon": 1e-4},
-        "1347be1436c1f984ff035a0217d9ee015d95ebb7f637cf988b8c5bd93028f4cc",
+        "729b3a04710880649658c564804a0c954b41d84be8226f546cd2c49f38e0b633",
         "ece3a2c8a9b2e526965f30ecebae9ffde4794ce4b9aeef5a0757e44ce2b9756f",
     ),
     # a claimed profile too small for the objective: observe-mode flags
     "agd2-quadratic-constant-claim": (
         {"algorithm": "agd2", "problem": "quadratic", "ell": {"kind": "constant", "L": 0.5},
          "epsilon": 1e-8, "budget": 200},
-        "9d17f42c224be446518ddefb10b5678ce7914bff1de0644139041801312c56e4",
+        "7df388908c6279f62450ab80b9a2a8f2170aad0e4a831c4fc67f17ccbc32bc90",
         "ba8fafb63d763f2643ce279e6ae3fad091dfb48c2e568cfa291731ca7e15fc94",
     ),
     # certificate-only stopping: the optimum is withheld
@@ -91,7 +96,7 @@ GOLDEN_RUNS = {
         {"algorithm": "agd1", "problem": "quadratic",
          "problem_params": {"d": 3, "known_optimum": False}, "r_bar": 2.0,
          "epsilon": 1e-6},
-        "8e0535ec7c13dcd0a57737ebf69127babec807be70dab97aad77d82c9ff0011e",
+        "185d90376d5cb5b0a3bcc77a3303bcde1beb6dab9c50fdeb100087855c5ee8f5",
         "b897acf33be1ad8ae2abd2d4f790b61d4c6b767302647f7e570448c9b2b928e8",
     ),
     "agd2-stationary-start": (
@@ -156,6 +161,12 @@ def test_run_outputs_are_pinned(name, tmp_path):
     assert summary_digest(summary.read_text()) == summary_sha
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_outputs_are_the_same_on_arrays(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "_FLOAT_DIM", 0)
+    test_run_outputs_are_pinned(name, tmp_path)
+
+
 @pytest.mark.parametrize("problem", sorted(GOLDEN_VERIFY))
 def test_verify_report_is_pinned(problem, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -174,3 +185,10 @@ def test_sweep_report_is_pinned():
     ]
     text = json.dumps(jsonable(reports), indent=2, sort_keys=True) + "\n"
     assert sha256(text.encode()) == GOLDEN_SWEEP
+
+
+def test_sweep_report_is_the_same_on_arrays(monkeypatch):
+    # the pinned sweep's points hold tuples of floats; here, arrays
+    assert SWEEP_DIM <= solvers._FLOAT_DIM
+    monkeypatch.setattr(solvers, "_FLOAT_DIM", 0)
+    test_sweep_report_is_pinned()

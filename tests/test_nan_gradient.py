@@ -81,13 +81,18 @@ def start(problem):
 
 
 def test_guard_refuses_only_a_nan_norm():
-    assert grad_norm(np.array([3.0, 4.0])) == 5.0
-    # a finite gradient whose square overflows: an infinite norm ell takes
-    with np.errstate(over="ignore"):
-        assert grad_norm(np.array([1e200, 1e200])) == math.inf
+    assert grad_norm(np.array([3.0, 4.0])) == grad_norm((3.0, 4.0)) == 5.0
+    # a finite gradient whose square overflows has a finite norm, and one
+    # past the float range an infinite norm that ell takes; neither warns
+    assert grad_norm(np.array([1e200, 1e200])) == math.hypot(1e200, 1e200) < math.inf
+    assert grad_norm((1.5e308, 1.5e308)) == math.inf
     assert grad_norm(np.array([math.inf, -math.inf])) == math.inf
-    with pytest.raises(DomainViolationError, match=NAN_MESSAGE):
-        grad_norm(np.array([1.0, math.nan]))
+    # a NaN component is refused even beside an infinite one, whose norm
+    # reads inf
+    for g in (np.array([1.0, math.nan]), (math.nan, 1.0), np.array([math.inf, math.nan]),
+              (math.nan, -math.inf)):
+        with pytest.raises(DomainViolationError, match=NAN_MESSAGE):
+            grad_norm(g)
 
 
 @given(name=st.sampled_from(sorted(PROFILES)), data=st.data(),

@@ -137,7 +137,62 @@ def oracle_points(draw, dim, positive):
     return buf[::2]
 
 
+# coordinates that evaluate refuses or that make the oracle overflow: the
+# orthant's boundary and outside, non-finite values, and magnitudes whose
+# square, fourth power or exp overflow
+WITNESS_COORDINATES = [0.0, -0.0, -1.0, -1e-300, 5e-324, math.nan, math.inf, -math.inf,
+                       800.0, 1e100, 1e200, 1e308]
+
+
+@st.composite
+def evaluate_points(draw, dim, positive):
+    """``oracle_points``, with up to two coordinates replaced by refusal
+    witnesses, or its length off by one (a shape refusal)."""
+    x = draw(oracle_points(dim, positive)).tolist()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        x[draw(st.integers(min_value=0, max_value=dim - 1))] = draw(
+            st.sampled_from(WITNESS_COORDINATES))
+    shape = draw(st.sampled_from(["same"] * 8 + ["short", "long"]))
+    if shape == "short":
+        x = x[:-1]
+    elif shape == "long":
+        x = x + [1.0]
+    return np.array(x)
+
+
+def evaluation(problem, x):
+    """``evaluate(problem, x)`` as the hex of its value and gradient bits
+    with the gradient's kind, or the refusal's type, message and
+    coordinate; NumPy's floating-point warnings are off, as in the runs."""
+    try:
+        with np.errstate(all="ignore"):
+            value, grad = evaluate(problem, x)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "coordinate", None)
+    if isinstance(grad, np.ndarray):
+        assert grad.dtype == np.float64 and grad.shape == (problem.dim,)
+        kind, grad = "array", grad.tolist()
+    else:
+        assert type(grad) is tuple and all(type(g) is float for g in grad)
+        kind = "tuple"
+    return kind, value.hex(), [g.hex() for g in grad]
+
+
 class TestOracleBits:
+    @pytest.mark.parametrize("name, params", ORACLES, ids=lambda v: str(v))
+    @given(data=st.data())
+    def test_evaluate_on_a_tuple_gives_the_bits_of_an_array(self, name, params, data):
+        # the float path of small runs and the array path of every other
+        # caller: the same value and gradient bits, or the same refusal
+        problem = catalog(name, params)
+        x = data.draw(evaluate_points(problem.dim, name == "neg-log-barrier"))
+        on_array = evaluation(problem, x)
+        on_tuple = evaluation(problem, tuple(x.tolist()))
+        if on_array[0] == "array":
+            assert on_tuple == ("tuple", *on_array[1:])
+        else:
+            assert on_tuple == on_array
+
     @pytest.mark.parametrize("name, params", ORACLES, ids=lambda v: str(v))
     @given(data=st.data())
     def test_value_and_gradient_bits_equal_the_numpy_form(self, name, params, data):
@@ -173,8 +228,9 @@ class TestOracleBits:
         [math.inf, 1.0], [-math.inf, 1.0],
     ])
     def test_interior_verdict_equals_the_index_search(self, x):
-        x = np.array(x)
-        assert interior_violation(PositiveOrthant(), x) == numpy_interior_violation(x)
+        want = numpy_interior_violation(np.array(x))
+        assert interior_violation(PositiveOrthant(), np.array(x)) == want
+        assert interior_violation(PositiveOrthant(), tuple(x)) == want
 
 
 class TestProjection:
@@ -200,6 +256,19 @@ class TestProjection:
     def test_full_space_returns_its_float_argument(self):
         x = np.array([3.0, -4.0])
         assert project_closure(FullSpace(), x) is x
+        t = (3.0, -4.0)
+        assert project_closure(FullSpace(), t) is t
+
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0])), min_size=1,
+                    max_size=9))
+    def test_a_tuple_projects_to_the_bits_of_an_array(self, x):
+        # np.maximum(x, 0.0) keeps a NaN and turns -0.0 into 0.0
+        for dom in (FullSpace(), PositiveOrthant()):
+            got = project_closure(dom, tuple(x))
+            want = project_closure(dom, np.array(x)).tolist()
+            assert type(got) is tuple
+            assert [(v.hex(), math.copysign(1.0, v)) for v in got] == [
+                (v.hex(), math.copysign(1.0, v)) for v in want]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=2),

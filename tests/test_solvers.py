@@ -6,6 +6,7 @@ import io
 import math
 import operator
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -22,9 +23,11 @@ from agdsmooth import (
     CustomMonotone,
     DomainViolationError,
     Flag,
+    FullSpace,
     InvariantViolationError,
     Optimum,
     Power,
+    Problem,
     PreconditionError,
     SafetyViolationError,
     agd_step,
@@ -47,7 +50,7 @@ from agdsmooth import (
 from agdsmooth import smoothness, solvers
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
-from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm
+from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm, square
 from test_smoothness import decimal_psi_root, exact_admissible_boundary, piecewise_linear_profiles
 
 
@@ -173,6 +176,26 @@ class TestAgdStep:
         assert start.state.alpha is None
         done = algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0, 1e-6, 10000)
         assert done.converged and done.state.alpha == done.trace[-1].alpha
+
+    @pytest.mark.parametrize("d, kind", [(2, tuple), (solvers._FLOAT_DIM, tuple),
+                                         (solvers._FLOAT_DIM + 1, np.ndarray)])
+    def test_small_runs_step_on_floats_and_return_arrays(self, monkeypatch, d, kind):
+        # the run picks its vector kind once, from the dimension; the step
+        # keeps it, and the result holds arrays either way
+        kinds, plain = set(), solvers.agd_step
+
+        def step(state, *args):
+            kinds.update(type(v) for v in (state.y, state.u, state.grad_y))
+            nxt = plain(state, *args)
+            kinds.update(type(v) for v in (nxt.y, nxt.u, nxt.grad_y))
+            return nxt
+
+        monkeypatch.setattr(solvers, "agd_step", step)
+        p = catalog("quadratic", {"d": d})
+        res = algorithm2_run(p, p.ell_model, np.full(d, 0.5), None, float(d), 1e-6, 100)
+        assert res.converged and res.agd_iters > 0 and kinds == {kind}
+        assert all(type(v) is np.ndarray and v.dtype == np.float64
+                   for v in (res.state.y, res.state.u, res.state.grad_y))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_next_u_never_aliases_the_state(self, name):
@@ -716,15 +739,20 @@ class TestRunParameters:
     def test_grad_bound_estimate_overflows_without_numpy_warnings(self):
         # agd1 on exp-1d claiming a superquadratic profile estimates m_bar
         # from samples at distance 2 r_bar = 400, where the gradient
-        # exp(400) is finite and its square is not: the bound reads inf and
-        # the run ends in a typed error
+        # exp(400) is finite and its square is not: its norm is finite, so
+        # the bound is twice it, and the run ends on its budget.  On the
+        # quadratic at r_bar = 1e200 the oracle's own inner product
+        # overflows, and every sample reads as infeasible
         cfg = {"algorithm": "agd1", "problem": "exp-1d", "r_bar": 200.0, "budget": 10,
                "ell": {"kind": "power", "rho": 3.0, "L0": 1.0, "L1": 1.0}}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert estimate_grad_bound(catalog("exp-1d"), 200.0) == math.inf
-            with pytest.raises(PreconditionError):
-                execute(config_from_dict(cfg), write_files=False)
+            bound = estimate_grad_bound(catalog("exp-1d"), 200.0)
+            assert bound == 2.0 * (math.exp(400.0) - math.exp(-400.0)) < math.inf
+            result, _ = execute(config_from_dict(cfg), write_files=False)
+            assert result.termination == "budget" and result.oracle_calls == 10
+            with pytest.raises(PreconditionError, match="all gradient-bound samples fell"):
+                estimate_grad_bound(catalog("quadratic"), 1e200)
 
     def test_grad_bound_estimate_refuses_an_infinite_r_bar(self):
         # agd1 on the barrier claiming a superquadratic profile estimates
@@ -797,6 +825,26 @@ class TestRunScope:
 
 
 class TestAlgorithm2:
+    def test_start_distance_whose_square_overflows_is_refused(self):
+        # f = x1 + x2 claiming its optimum at 0: at x0 = (1e200, 1e200) the
+        # value is finite and |x0 - x*| squares past the float range, so the
+        # start's level floor reads 0 (solvers.square), not a raw
+        # OverflowError, and the short r_bar refuses the run
+        p = Problem("linear", 2, FullSpace(), Constant(1.0),
+                    lambda x: (float(x.sum()), np.ones(2)), Optimum(0.0, np.zeros(2)),
+                    np.zeros(2), np.ones(2))
+        res = algorithm2_run(p, p.ell_model, np.array([1e200, 1e200]), None, 1.0, 1e-6, 10)
+        assert res.termination == "precondition-failed" and res.gamma_cap0 == 0.0
+        assert res.message == "r_bar is below the true initial distance"
+
+    def test_start_distance_whose_square_underflows_leaves_no_floor(self):
+        # |x0 - x*| = 2.8e-241 is positive and its square is 0: the run
+        # starts at level 1, as from the optimum itself, with no division
+        p = catalog("power-p")
+        res = algorithm2_run(p, p.ell_model, np.array([0.0, 2.8e-241]), None, 1.0, 1.0, 1,
+                             check_invariants=False, collect_trace=False)
+        assert res.converged and res.gamma_cap0 == 1.0
+
     def test_overflowing_start_is_a_domain_violation(self):
         p = catalog("exp-experiment", {})
         with pytest.raises(DomainViolationError, match="overflow"):
@@ -1089,14 +1137,43 @@ def vectors():
 
 
 class TestNorm:
+    """``norm`` is ``math.hypot`` of the components: the same bits on a
+    tuple and on an array, within one ulp of the true norm, finite up to the
+    float range and inf past it, with no NumPy warning on the way."""
+
     @given(vectors())
-    def test_bits_equal_numpy_norm(self, v):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = norm(v), float(np.linalg.norm(v))
-            got_sq, want_sq = norm(v) ** 2, float(np.linalg.norm(v) ** 2)
-        assert type(got) is float
-        for a, b in ((got, want), (got_sq, want_sq)):
-            assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+    def test_within_one_ulp_of_the_true_norm(self, v):
+        got = norm(v)
+        values = v.tolist()
+        assert type(got) is float and got.hex() == norm(tuple(values)).hex()
+        if any(math.isinf(c) for c in values):
+            assert got == math.inf
+            return
+        if any(math.isnan(c) for c in values):
+            assert math.isnan(got)
+            return
+        # the true norm squared, exactly
+        total = sum(Fraction(c) ** 2 for c in values)
+        if got == math.inf:
+            assert total > Fraction(sys.float_info.max - math.ulp(sys.float_info.max)) ** 2
+        else:
+            ulp = Fraction(math.ulp(got))
+            assert max(Fraction(got) - ulp, 0) ** 2 <= total <= (Fraction(got) + ulp) ** 2
+
+    def test_a_norm_whose_square_underflows_or_overflows(self):
+        assert norm((2.0 ** -975,)) == 2.0 ** -975
+        assert norm(np.array([3.0, 4.0]) * 2.0 ** -700) == 5.0 * 2.0 ** -700
+        assert norm(np.array([3.0, 4.0]) * 2.0 ** 700) == 5.0 * 2.0 ** 700
+        assert norm((1.5e308, 1.5e308)) == math.inf
+
+    @given(st.floats())
+    def test_square_is_the_float_power_or_inf(self, x):
+        try:
+            want = x ** 2
+        except OverflowError:
+            want = math.inf
+        got = square(x)
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 class TestCertificates:

@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import pkgutil
+import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import agdsmooth
 from agdsmooth import (
+    Affine,
     AgdState,
     CATALOG_NAMES,
     Constant,
@@ -27,6 +30,7 @@ from agdsmooth import (
     smoothness,
 )
 from agdsmooth import cli
+from agdsmooth.solvers import norm
 from agdsmooth.verify import (
     _interior_sampler,
     _sweep,
@@ -352,12 +356,13 @@ class TestSampleBox:
 
 def gradient_from(problem, scale):
     """``problem`` with its gradient multiplied by ``scale`` where x[0] < 0
-    and f unchanged."""
+    and f unchanged.  An oracle on floats returns a tuple, which is scaled
+    as an array."""
     fn = problem.fn
 
     def scaled(x):
         f, g = fn(x)
-        return f, (g * scale if x[0] < 0 else g)
+        return f, (np.asarray(g) * scale if x[0] < 0 else g)
 
     return replace(problem, fn=scaled)
 
@@ -404,13 +409,17 @@ class TestNonFiniteVerdict:
         with pytest.raises(DomainViolationError, match=r"\[-0.5\] has an infinite"):
             check_descent_step(p, state, 0.01)
 
-    def test_a_gradient_whose_square_overflows_keeps_its_infinite_norm(self):
-        # finite components, so nothing is refused; the margin is NaN (the
-        # library checks leave NumPy's overflow warning on, as the CLI does not)
+    def test_a_gradient_whose_square_overflows_has_a_finite_norm(self):
+        # finite components, so nothing is refused, and a finite norm
+        # (solvers.norm is math.hypot), so no NumPy overflow warning leaks
+        # from the library check: the energy |gx - gy|^2 passes the float
+        # range, and the margin is -inf, a violation
         p = gradient_from(catalog("exp-1d"), 1e200)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(evaluate(p, np.array([-0.5]))[1]) < math.inf
             margin = check_convexity_smoothness(p, np.array([-0.5]), np.array([0.5]))
-        assert math.isnan(margin)
+        assert margin == -math.inf
 
     @pytest.mark.parametrize("step_gamma", [0.0, -0.01, math.nan])
     def test_descent_check_refuses_a_step_that_is_not_positive(self, step_gamma):
@@ -420,13 +429,29 @@ class TestNonFiniteVerdict:
             check_descent_step(p, state, step_gamma)
 
     def test_descent_sweep_refuses_a_state_with_no_positive_step(self):
-        # a finite gradient whose norm overflows: the safety cap
-        # 1 / ell(2 |g_y|) is 0, so the sweep draws step_gamma = 0, which
-        # no accelerated step takes
-        p = gradient_from(catalog("exp-1d"), 1e200)
-        with np.errstate(over="ignore"), pytest.raises(
-                PreconditionError, match=r"step_gamma = 0.0 at y = \[-.*\] is not > 0"):
+        # at d = 7 a gradient scaled by 8e307 has finite components and a
+        # norm past the float range: an affine claim makes the safety cap
+        # 1 / ell(2 |g_y|) 0, so the sweep draws step_gamma = 0, which no
+        # accelerated step takes
+        p = replace(gradient_from(catalog("quadratic", {"d": 7}), 8e307),
+                    ell_model=Affine(1.0, 1.0))
+        with warnings.catch_warnings(), pytest.raises(
+                PreconditionError, match=r"step_gamma = 0.0 at y = \[-[^]]*\] is not > 0 "
+                r"\(\|g_y\| = inf\)"):
+            warnings.simplefilter("error")
             sweep_descent_step(p, trials=20, seed=0)
+
+    def test_descent_sweep_fails_where_squared_norms_overflow(self):
+        # a finite gradient of norm about 1e200: the safety cap 1 / ell(2 |g_y|)
+        # is positive, so the sweep steps, and the certificate's squared
+        # norms read inf (solvers.square), not a raw OverflowError; their
+        # difference inf - inf is a NaN margin, which fails the sweep
+        p = gradient_from(catalog("exp-1d"), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sweep_descent_step(p, trials=20, seed=0)
+        assert report.trials == 20 and report.violations > 0 and not report.passed
+        assert math.isnan(report.worst_margin)
 
     @pytest.fixture
     def steep_catalog(self, monkeypatch, tmp_path):
@@ -441,11 +466,13 @@ class TestNonFiniteVerdict:
 
     def test_cli_nan_margin_exits_five(self, steep_catalog, tmp_path, capsys):
         # quadratic without its optimum runs the convexity and transfer
-        # sweeps; an affine claim reads ell(inf) = inf, so every pair with a
-        # point below 0 has a NaN margin, which fails and is the witness
-        steep_catalog(1e200)
+        # sweeps; at d = 7 a gradient scaled by 8e307 has finite components
+        # and a norm past the float range, an affine claim reads
+        # ell(inf) = inf, so every pair with a point below 0 has a NaN
+        # margin, which fails and is the witness
+        steep_catalog(8e307)
         argv = ["verify", "quadratic", '{"kind": "affine", "L0": 1, "L1": 1}',
-                "--params", '{"known_optimum": false}', "--trials", "20"]
+                "--params", '{"known_optimum": false, "d": 7}', "--trials", "20"]
         assert cli.main(argv) == 5
         out = capsys.readouterr().out
         assert "FAIL convexity-smoothness" in out and "worst_margin=nan" in out
@@ -454,10 +481,15 @@ class TestNonFiniteVerdict:
         assert convexity["worst_margin"] == "nan" and convexity["violations"] > 0
         assert min(convexity["witness"][0][0], convexity["witness"][1][0]) < 0
 
-    def test_cli_no_positive_step_exits_three(self, steep_catalog, capsys):
+    def test_cli_steep_gradient_exits_three_on_the_quadrature(self, steep_catalog, capsys):
+        # a gradient of norm about 1e200 beside one of norm about 1: the
+        # convexity integrand 1 / ell(|gx| + |gx - gy| v) falls by 200
+        # orders within v < 1e-199, and the rule's error estimate misses
+        # its tolerance, which refuses the point before any margin
         steep_catalog(1e200)
         assert cli.main(["verify", "exp-1d", "claimed", "--trials", "20"]) == 3
-        assert "precondition failed: exp-1d: step_gamma = 0.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"precondition failed: convexity integral \S+ has error estimate", err)
 
     def test_cli_infinite_gradient_exits_four(self, steep_catalog, capsys):
         steep_catalog(math.inf)
