@@ -1,9 +1,11 @@
-"""Objective catalog, feasible-set machinery, and gradient oracles.
+"""Objective catalog, feasible-set machinery, and the guarded oracle.
 
 Each problem bundles an analytic value/gradient oracle, the open feasible
 set it lives on, and the curvature profile claimed for it.  Gradients are
 hand-coded formulas (no autodiff) so that finite-difference checks have an
-exact target.  Problems are immutable and evaluation is pure.
+exact target.  Problems are immutable and evaluation is pure.  ``evaluate``
+returns the value, the gradient and its ``norm``, which every step rule and
+certificate reads, and refuses a NaN gradient, so no caller guards one.
 
 A point comes in one of two kinds.  Below ``solvers``' float cutoff
 the step loop holds its vectors as tuples of Python floats, which
@@ -17,12 +19,13 @@ BLAS ddot as ``@`` at less dispatch, and reaches it for every layout (``@``
 sums a view with a negative stride in its own loop).  Both kinds give the
 same bits: ``tests/test_problems.py::TestOracleBits`` pins every catalog
 oracle's value and gradient bits to its NumPy-scalar form, and those of
-``evaluate`` on a tuple to those on an array.
+``evaluate`` on a tuple, the norm's included, to those on an array.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -115,8 +118,18 @@ class Problem:
     on_floats: bool = False
 
 
-def evaluate(problem: Problem, x) -> tuple[float, Any]:
-    """Value and gradient at an interior point.
+def norm(v) -> float:
+    """Euclidean norm of a 1-D real vector, a tuple or list of floats or a
+    float array: ``math.hypot`` of its components, CPython's own code, so its
+    bits depend on neither the BLAS nor the NumPy build and are the same on
+    every kind, within one ulp of the true norm (``tests/test_norm_pin.py``
+    pins them).  It is inf past the float range, never an ``OverflowError``;
+    a NaN component makes it NaN unless another component is infinite."""
+    return math.hypot(*(v if type(v) is tuple or type(v) is list else v.tolist()))
+
+
+def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
+    """Value, gradient and gradient ``norm`` at an interior point.
 
     A tuple (a step state below ``solvers``' float cutoff) must hold Python
     floats, and gets its gradient as a tuple of floats; any other point,
@@ -124,38 +137,52 @@ def evaluate(problem: Problem, x) -> tuple[float, Any]:
     oracle sees its own kind, converted here once, so the two kinds give the
     same bits and the same errors.
 
-    Raises ``DomainViolationError`` outside the open feasible set, and where
-    the objective overflows or its value is not finite.
+    Raises ``DomainError`` for a point of the wrong shape or with a
+    coordinate that is not a real number, and ``DomainViolationError``
+    outside the open feasible set, where the objective overflows or its
+    value is not finite, and where the gradient has a NaN component; an
+    infinite norm (an infinite component, or finite ones past the float
+    range) is valid.
     """
     floats = type(x) is tuple
-    if floats:
-        if len(x) != problem.dim:
+    try:
+        if floats:
+            point = x if problem.on_floats else np.array(x, dtype=float)
+            shaped = len(x) == problem.dim
+        else:
+            x = np.asarray(x, dtype=float)
+            point = x.tolist() if problem.on_floats else x
+            shaped = x.shape == (problem.dim,)
+        if not shaped:
             raise DomainError(f"expected a point of dimension {problem.dim}, "
                               f"got shape {np.shape(x)}")
-        point = x if problem.on_floats else np.array(x, dtype=float)
-    else:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (problem.dim,):
-            raise DomainError(f"expected a point of dimension {problem.dim}, got shape {x.shape}")
-        point = x.tolist() if problem.on_floats else x
-    bad = interior_violation(problem.domain, x)
-    if bad is not None:
-        coord, msg = bad
-        raise DomainViolationError(f"{problem.name}: {msg}", coordinate=coord)
-    try:
+        if (bad := interior_violation(problem.domain, x)) is not None:
+            raise DomainViolationError(f"{problem.name}: {bad[1]}", coordinate=bad[0])
         value, grad = problem.fn(point)
+        value = float(value)
+        if not floats:
+            grad = np.asarray(grad, dtype=float)
+        elif type(grad) is not tuple:
+            grad = tuple(np.asarray(grad, dtype=float).tolist())
+        n = norm(grad)
+    except DomainError:
+        raise
     except OverflowError as exc:
         raise DomainViolationError(
             f"{problem.name}: overflow at {np.asarray(x)}: {exc}") from exc
-    value = float(value)
+    except (TypeError, ValueError) as exc:
+        # a coordinate that is not a real number fails where it is used first
+        i = next((i for i, v in enumerate(x) if not isinstance(v, numbers.Real)), None)
+        if i is None:
+            raise
+        raise DomainError(f"{problem.name}: coordinate {i} = {x[i]!r} is not a real number")
     if not math.isfinite(value):
         raise DomainViolationError(
             f"{problem.name}: value {value} at {np.asarray(x)} is not finite")
-    if not floats:
-        return value, np.asarray(grad, dtype=float)
-    if type(grad) is not tuple:
-        grad = tuple(np.asarray(grad, dtype=float).tolist())
-    return value, grad
+    if n != n or (n == math.inf and any(c != c for c in grad)):
+        raise DomainViolationError(f"{problem.name}: the gradient has a NaN component at "
+                                   f"{np.asarray(x)}: {np.asarray(grad)}")
+    return value, grad, n
 
 
 # --- catalog ---------------------------------------------------------------

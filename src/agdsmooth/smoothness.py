@@ -135,6 +135,12 @@ def _power(x: float, y: float) -> float:
         return math.inf
 
 
+def square(x: float) -> float:
+    """``x ** 2``, inf past the float range: the float power's rounding, which
+    the pinned traces carry (``x * x`` rounds apart on one draw in 1000)."""
+    return _power(x, 2)
+
+
 def _exp(x: float) -> float:
     """``math.exp(x)``, with its float limit inf where it overflows (Python
     raises there)."""
@@ -293,8 +299,8 @@ class Affine(EllModel):
     def admissible_boundary(self) -> float:
         # ell(s) = 2 L0 at s = L0 / L1; 0.0 where L1^2 overflows, inf where
         # it is 0 (L1 = 0, or an underflow)
-        square = _power(self.L1, 2)
-        return self.L0 / (64.0 * square) if square else math.inf
+        l1_sq = square(self.L1)
+        return self.L0 / (64.0 * l1_sq) if l1_sq else math.inf
 
     def _psi_root(self, t: float) -> float:
         # the positive root of x^2 - 8 L1 t x - 2 L0 t = 0, a sum of two
@@ -367,9 +373,9 @@ class Power(EllModel):
         # power takes its float limit, so L0 / L1^2 is 0.0 where the square
         # overflows and inf where it underflows
         L0, L1 = self.L0, self.L1
-        square = _power(L1, 2)
-        return min(64.0 * self.admissible_boundary, L0 / square if square else math.inf,
-                   _power(1.0 / (2.0 * m_bar), self.rho - 2.0) / L1, L0 * _power(r_bar, 2))
+        l1_sq = square(L1)
+        return min(64.0 * self.admissible_boundary, L0 / l1_sq if l1_sq else math.inf,
+                   _power(1.0 / (2.0 * m_bar), self.rho - 2.0) / L1, L0 * square(r_bar))
 
     @cached_property
     def delta_max(self) -> float:

@@ -26,9 +26,10 @@ A run of dimension at most ``_FLOAT_DIM`` holds y, u and the gradient as
 tuples of Python floats, which ``evaluate`` and ``project_closure`` take as
 they are; a larger one holds float arrays.  The run chooses once, at its
 start, and the step's vector helpers follow the kind they are given:
-elementwise IEEE operations round alike in both, and ``norm`` is
-``math.hypot`` on both, so the choice moves no bit.  Every public boundary
-(``RunResult.state``, ``agd_step`` on array states) holds arrays.
+elementwise IEEE operations round alike in both, and ``problems.norm`` is
+``math.hypot`` on both, so the choice moves no bit.  ``evaluate`` returns
+each gradient with its norm, and refuses a NaN gradient.  Every public
+boundary (``RunResult.state``, ``agd_step`` on array states) holds arrays.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .errors import (
     PreconditionError,
     SafetyViolationError,
 )
-from .problems import Problem, evaluate, project_closure
-from .smoothness import EllModel, psi_inverse, warm_start_refusal
+from .problems import Problem, evaluate, norm, project_closure
+from .smoothness import EllModel, psi_inverse, square, warm_start_refusal
 
 LOG_3_2 = math.log(1.5)
 
@@ -104,37 +105,6 @@ def gamma_envelope(k: int, step_gamma: float, kbar_value: float) -> float:
     return 9.0 / (step_gamma * (k + 1.0 - kbar_value) ** 2)
 
 
-def norm(v) -> float:
-    """Euclidean norm of a 1-D real vector, a tuple or list of floats or a
-    float array: ``math.hypot`` of its components.  That is CPython's own
-    code, so the bits depend on neither the BLAS nor the NumPy build, and
-    every kind gives the same bits, within one ulp of the true norm.  It is
-    finite up to the float range and inf past it, never an
-    ``OverflowError``; a NaN component makes it NaN unless another component
-    is infinite.  ``tests/test_norm_pin.py`` pins its bits on every CPython."""
-    return math.hypot(*(v if type(v) is tuple or type(v) is list else v.tolist()))
-
-
-def grad_norm(g) -> float:
-    """``norm(g)``, refused as a ``DomainViolationError`` where g has a NaN
-    component; an infinite norm (an infinite component, or finite ones past
-    the float range) is valid."""
-    n = norm(g)
-    if n != n or (n == math.inf and any(c != c for c in g)):
-        raise DomainViolationError(f"the gradient has a NaN component: {np.asarray(g)}")
-    return n
-
-
-def square(x: float) -> float:
-    """``x ** 2`` in the float power's rounding, which the pinned traces
-    carry (``x * x`` rounds apart on about one draw in a thousand), and inf
-    where the float power raises ``OverflowError`` past the float range."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 # --- vector kinds ------------------------------------------------------------
 # Each helper takes tuples of floats or float arrays and returns the kind it
 # was given, in the rounding order of the array expression it names.
@@ -179,8 +149,8 @@ def check_run_parameters(epsilon: float, r_bar: float, budget: int) -> None:
 
 @dataclass(slots=True)
 class AgdState:
-    """Solver triple (y, u, Gamma_k), the cached f, grad and ``grad_norm`` at
-    y, and the ``alpha`` of the step that made it (None at a start state).
+    """Solver triple (y, u, Gamma_k), ``evaluate``'s f, grad and ``grad_norm``
+    at y, and the ``alpha`` of the step that made it (None at a start state).
 
     Caching them is what keeps the method at one fresh gradient evaluation,
     and one gradient norm, per iteration.  Inside a run of dimension at most
@@ -266,17 +236,18 @@ class _Run:
 
     Holds the run's vector kind (``floats``: tuples of floats up to
     ``_FLOAT_DIM``), the counted oracle, the optimum (``f_star``/``x_star``,
-    None when withheld; ``x_star`` in the run's kind), epsilon, r_bar and the
-    oracle-call budget (checked here for every run function),
+    None when withheld; ``x_star`` in the run's kind), epsilon, r_bar and
+    the oracle-call budget (checked here for every run function),
     ``flags_total`` (the OR of every bit ``note`` returns), the trace (None
-    when off; ``row`` makes each row) and the GD iteration count.  ``gap`` is the gap rule and ``bound`` the certified
-    bound.  A phase that stops on the budget sets ``termination``, and one
-    that stops on a saturated level sets ``message``; ``result`` and
-    ``refuse`` build the RunResult.  As a context manager it keeps NumPy's
-    floating-point warnings off from the run's first norm to its result (a
-    divergence ends in a typed error, a noted flag or an infinite gap, which
-    they would only repeat), and a ``SafetyViolationError`` leaving it names
-    the flag bits noted before it, which point at the likely cause.
+    when off; ``row`` makes each row) and the GD iteration count.  ``gap``
+    is the gap rule and ``bound`` the certified bound.  A phase that stops
+    on the budget sets ``termination``, and one that stops on a saturated
+    level sets ``message``; ``result`` and ``refuse`` build the RunResult.
+    As a context manager it keeps NumPy's floating-point warnings off from
+    the run's first norm to its result (a divergence ends in a typed error,
+    a noted flag or an infinite gap, which they would only repeat), and a
+    ``SafetyViolationError`` leaving it names the flag bits noted before it,
+    which point at the likely cause.
     """
 
     def __init__(self, problem: Problem, model: EllModel, epsilon: float, r_bar: float,
@@ -304,10 +275,9 @@ class _Run:
         self.message = ""
 
     def oracle(self, x) -> tuple[float, object, float]:
-        """One counted gradient evaluation: (f, grad, grad_norm(grad)) at x."""
+        """One counted ``evaluate``: (f, grad, |grad|) at x."""
         self.calls += 1
-        f, g = evaluate(self.problem, x)
-        return f, g, grad_norm(g)
+        return evaluate(self.problem, x)
 
     def start(self, x0) -> tuple[AgdState, str]:
         """The first oracle call, at x0 in the run's vector kind, as a state
@@ -419,7 +389,7 @@ def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
     ``y_next`` blends y, u and the cached gradient at y; ``u_next`` takes a
     projected dual step against the fresh gradient.  ``alpha`` and the next
     level are ``gamma_alpha_step``'s; the returned state records that alpha
-    and the fresh gradient's ``grad_norm``.  Its vectors are the kind of
+    and the fresh gradient's norm.  Its vectors are the kind of
     ``state``'s: tuples of floats inside a small run, arrays otherwise.  A
     y_next outside the open feasible set, or with a NaN gradient, raises a
     safety violation: it breaches the step-size contract
@@ -431,8 +401,7 @@ def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
     alpha, gamma_next = gamma_alpha_step(gamma_cap, step_gamma)
     y_next = _blend(1.0 / (1.0 + alpha), state.y, alpha, state.u, step_gamma, state.grad_y)
     try:
-        f_next, g_next = evaluate(problem, y_next)
-        gn_next = grad_norm(g_next)
+        f_next, g_next, gn_next = evaluate(problem, y_next)
     except DomainViolationError as exc:
         raise SafetyViolationError(
             f"y left the feasible set at iteration {state.k + 1}: {exc}"
@@ -531,8 +500,7 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
             d /= norm(d)
             x = x_star + 2.0 * r_bar * d
             try:
-                _, g = evaluate(problem, x)
-                best = max(best, grad_norm(g))
+                best = max(best, evaluate(problem, x)[2])
             except DomainViolationError:
                 continue
     if best == 0.0:

@@ -6,9 +6,9 @@ problem's claimed profile (``problem.ell_model``) and returns its margin
 margins >= -tol.  Randomized sweeps drive the checks over many points
 through one loop, ``_sweep``, into CheckReports; they are seeded and
 reproducible, and record the seed and the worst margin even when passing;
-a NaN margin holds nothing, so it is a violation and the worst margin.  A
-gradient sampled with an infinite component is refused, as a point where f
-overflows is.
+a NaN margin holds nothing, so it is a violation and the worst margin.
+``evaluate`` refuses a NaN gradient; one sampled with an infinite
+component is refused here too, as a point where f overflows is.
 The convexity integral is ``smoothness.quad``, the package's Gauss-Kronrod
 rule, and a point where it misses its tolerance is a ``PreconditionError``.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainViolationError, PreconditionError
-from .problems import Problem, evaluate, project_closure
+from .problems import Problem, evaluate, norm, project_closure
 from .smoothness import (
     QUAD_REL_TOL,
     delta_left_right,
@@ -29,8 +29,9 @@ from .smoothness import (
     q_inverse,
     q_max,
     quad,
+    square,
 )
-from .solvers import AgdState, agd_step, grad_norm, lyapunov, norm, square
+from .solvers import AgdState, agd_step, lyapunov
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
@@ -76,12 +77,14 @@ def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
     )
 
 
-def _sampled_norm(problem: Problem, x: np.ndarray, g: np.ndarray) -> float:
-    """``grad_norm`` of the gradient ``g`` sampled at ``x``, refusing one with
-    an infinite component as a ``DomainViolationError`` that names x: the
-    checks take differences of gradients, where inf - inf is NaN.  Finite
-    components whose norm passes the float range keep that infinite norm."""
-    n = grad_norm(g)
+def _sampled_norm(problem: Problem, x: np.ndarray, g: np.ndarray, n: float) -> float:
+    """``n``, the norm of the gradient ``g`` at ``x``, refusing a NaN norm (a
+    caller-built state's) or an infinite component as a ``DomainViolationError``
+    that names x: the checks take differences of gradients, where inf - inf
+    is NaN.  Finite components past the float range keep their inf norm."""
+    if n != n:
+        raise DomainViolationError(
+            f"{problem.name}: the gradient has a NaN component at {x}: {g}")
     if n == math.inf and np.isinf(g).any():
         raise DomainViolationError(
             f"{problem.name}: the gradient at {x} has an infinite component: {g}")
@@ -97,11 +100,11 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     it must not exceed the Bregman gap ``f(x) - f(y) - <gy, x - y>``.
     """
     model = problem.ell_model
-    fx, gx = evaluate(problem, x)
-    fy, gy = evaluate(problem, y)
-    a = _sampled_norm(problem, x, gx)
-    _sampled_norm(problem, y, gy)
-    diff = grad_norm(gx - gy)
+    fx, gx, a = evaluate(problem, x)
+    fy, gy, b = evaluate(problem, y)
+    _sampled_norm(problem, x, gx, a)
+    _sampled_norm(problem, y, gy, b)
+    diff = norm(gx - gy)
     rhs = fx - fy - float(gy.dot(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if diff == 0.0:
         return rhs
@@ -115,16 +118,14 @@ def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> f
     """Margin of the gradient-variation bound
     ``|grad f(y) - grad f(x)| <= q_inverse(|y - x|; |grad f(x)|)``."""
     model = problem.ell_model
-    _, gx = evaluate(problem, x)
-    _, gy = evaluate(problem, y)
-    a = _sampled_norm(problem, x, gx)
-    _sampled_norm(problem, y, gy)
+    _, gx, a = evaluate(problem, x)
+    _, gy, b = evaluate(problem, y)
+    _sampled_norm(problem, x, gx, a)
+    _sampled_norm(problem, y, gy, b)
     dist = norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
     if dist >= q_max(model, a):
-        raise PreconditionError(
-            f"|y - x| = {dist} is not below q_max = {q_max(model, a)}"
-        )
-    return q_inverse(model, dist, a) - grad_norm(gy - gx)
+        raise PreconditionError(f"|y - x| = {dist} is not below q_max = {q_max(model, a)}")
+    return q_inverse(model, dist, a) - norm(gy - gx)
 
 
 def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> float:
@@ -135,24 +136,22 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     ``0.5 * (gamma - 1 / ell(2 |g_y| + |g_next|)) * |g_next - g_y|^2``.
     Requires a known optimum and ``0 < step_gamma <= 1 / ell(2 |g_y|)``;
     where |g_y| is infinite, past the float range, the cap is 0 and no step
-    is admissible.  The squares of norms are ``solvers.square``'s, inf past
-    the float range.
+    is admissible.  The squares of norms are ``smoothness.square``'s, inf
+    past the float range.
     """
     if problem.optimum is None:
         raise PreconditionError("descent check needs a known optimum")
     model = problem.ell_model
     gy = state.grad_y
-    ny = _sampled_norm(problem, state.y, gy)
+    ny = _sampled_norm(problem, state.y, gy, norm(gy))
     if not step_gamma > 0.0:
         raise PreconditionError(
             f"{problem.name}: step_gamma = {step_gamma} at y = {state.y} is not > 0 "
             f"(|g_y| = {ny})"
         )
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
-        raise PreconditionError(
-            f"step_gamma = {step_gamma} exceeds the safety cap "
-            f"{1.0 / ell_eval(model, 2.0 * ny)}"
-        )
+        raise PreconditionError(f"step_gamma = {step_gamma} exceeds the safety cap "
+                                f"{1.0 / ell_eval(model, 2.0 * ny)}")
     f_star = problem.optimum.f_star
     x_star = problem.optimum.x_star
     nxt = agd_step(state, step_gamma, problem)
@@ -164,7 +163,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     )
     rhs = 0.5 * (
         step_gamma - 1.0 / ell_eval(model, 2.0 * ny + nxt.grad_norm)
-    ) * square(grad_norm(nxt.grad_y - gy))
+    ) * square(norm(nxt.grad_y - gy))
     return rhs - lhs
 
 
@@ -180,8 +179,8 @@ def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
     if delta >= model.psi_sup:
         raise PreconditionError(f"delta = {delta} is not below sup psi = {model.psi_sup}")
     left, right = delta_left_right(model, delta)
-    _, g = evaluate(problem, y)
-    gn = _sampled_norm(problem, y, g)
+    _, g, gn = evaluate(problem, y)
+    _sampled_norm(problem, y, g, gn)
     ok_left = gn <= left * (1.0 + 1e-9) + 1e-15
     ok_right = math.isfinite(right) and gn >= right * (1.0 - 1e-9)
     return ok_left or ok_right
@@ -239,8 +238,7 @@ def sweep_gradient_transfer(
     def trial(rng):
         x = sample(rng)
         y = sample(rng)
-        _, gx = evaluate(problem, x)
-        budget = q_max(model, grad_norm(gx))
+        budget = q_max(model, evaluate(problem, x)[2])
         dist = norm(y - x)
         if dist >= 0.9 * budget:
             y = x + (y - x) * (0.9 * budget / dist) * _uniform(rng, 0.5, 1.0)
@@ -262,9 +260,8 @@ def sweep_descent_step(
     def trial(rng):
         y = sample(rng)
         u = project_closure(problem.domain, sample(rng))
-        f_y, g_y = evaluate(problem, y)
+        f_y, g_y, gn = evaluate(problem, y)
         gcap = 10.0 ** _uniform(rng, -3.0, 2.0)
-        gn = grad_norm(g_y)
         cap = 1.0 / ell_eval(model, 2.0 * gn)
         gamma = cap * _uniform(rng, 0.05, 1.0)
         state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y, grad_norm=gn)
@@ -286,7 +283,7 @@ def sweep_gap_to_grad(
 
     def trial(rng):
         y = sample(rng)
-        f_y, _ = evaluate(problem, y)
+        f_y = evaluate(problem, y)[0]
         delta = (f_y - f_star) * 1.0000001 + 1e-15
         if delta >= problem.ell_model.psi_sup:
             return None

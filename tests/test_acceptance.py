@@ -87,7 +87,7 @@ def adaptive_reference_run():
     )
     elapsed = time.perf_counter() - start
 
-    f0, g0 = evaluate(problem, x0)
+    f0, g0, _ = evaluate(problem, x0)
     state = AgdState(y=x0, u=x0.copy(), gamma_cap=100.0, k=0, f_y=f0, grad_y=g0,
                      grad_norm=float(np.linalg.norm(g0)))
     visited: list[tuple[AgdState, float]] = []

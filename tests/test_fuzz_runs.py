@@ -117,7 +117,7 @@ def valid_claim_starts(draw):
     near = log_uniform(-3, -1.3) if problem.name == "neg-log-barrier" else log_uniform(-2, 0)
     x0 = problem.optimum.x_star + draw(near) * direction
     dist = float(np.linalg.norm(x0 - problem.optimum.x_star))
-    f0, _ = evaluate(problem, x0)
+    f0, _, _ = evaluate(problem, x0)
     floor = 2.0 * (f0 - problem.optimum.f_star) / dist**2
     r_bar = draw(st.floats(min_value=1.0, max_value=3.0)) * dist
     gamma_cap0 = draw(st.floats(min_value=1.0, max_value=10.0)) * floor

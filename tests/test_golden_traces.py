@@ -22,7 +22,7 @@ from agdsmooth.config import config_from_dict, execute, jsonable, run_sweep, swe
 
 CUSTOM_CLAIM = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
 
-# The run hashes pin the math.hypot norm (solvers.norm), whose bits do not
+# The run hashes pin the math.hypot norm (problems.norm), whose bits do not
 # depend on the BLAS.
 GOLDEN_RUNS = {
     # the pinned adaptive run of the benchmark

@@ -1,9 +1,9 @@
 """Module boundaries: no package module imports another one's private names,
 no code outside the profile classes dispatches on their type, every norm is
-``solvers.norm``, every inner product is ``.dot`` rather than ``@``, solvers
-calls ell without ``ell_eval``, no module imports SciPy, every public
-top-level name, and every public method of a profile class, is used by some
-module of the package, and ``psi_inverse`` is one function."""
+``problems.norm``, defined once, every inner product is ``.dot`` rather
+than ``@``, solvers calls ell without ``ell_eval``, no module imports SciPy,
+every public top-level name, and every public method of a profile class, is
+used by some module of the package, and ``psi_inverse`` is one function."""
 
 import ast
 from functools import cached_property
@@ -71,8 +71,9 @@ def test_no_profile_class_imports(name):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_norm(path):
-    # every Euclidean norm is solvers.norm, which pins np.linalg.norm's bits
-    # without its dispatch
+    """Every Euclidean norm is ``problems.norm``, ``math.hypot`` of the
+    components, whose bits depend on neither the BLAS nor the NumPy build:
+    no module takes NumPy's."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [
         f"line {node.lineno}"
@@ -83,6 +84,17 @@ def test_one_norm(path):
             and any(alias.name == "norm" for alias in node.names))
     ]
     assert not calls, f"{path.name} takes numpy.linalg's norm: {calls}"
+
+
+def test_norm_is_defined_once():
+    # evaluate returns the gradient's norm, so no module restates a guarded
+    # gradient norm of its own
+    defined = [
+        (path.name, node.name) for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in {"norm", "grad_norm"}
+    ]
+    assert defined == [("problems.py", "norm")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -141,9 +153,9 @@ def test_solvers_leaves_psi_geometry_to_smoothness():
 
 
 def test_solvers_calls_ell_directly():
-    # every ell argument in solvers is a gradient norm that grad_norm has
-    # guarded, or a computed level, so ell_eval's argument check has nothing
-    # left to catch there
+    # every ell argument in solvers is a gradient norm from evaluate, which
+    # refuses a NaN gradient, or a computed level, so ell_eval's argument
+    # check has nothing left to catch there
     path = Path(agdsmooth.__file__).parent / "solvers.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     uses = [

@@ -1,6 +1,6 @@
 """A gradient that turns NaN is a typed error at the oracle boundary.
 
-``solvers.grad_norm`` refuses a NaN gradient norm as a
+``problems.evaluate`` refuses a NaN gradient as a
 ``DomainViolationError``: at the start point it leaves the run as that
 error (CLI exit 4), and mid-run the step that met it turns it into a
 ``SafetyViolationError`` naming the NaN gradient (exit 5), whatever the
@@ -37,7 +37,7 @@ from agdsmooth import (
 )
 from agdsmooth import cli, config
 from agdsmooth.problems import CATALOG_NAMES, default_x0
-from agdsmooth.solvers import grad_norm, norm
+from agdsmooth.problems import norm
 from agdsmooth.verify import run_all_checks
 
 NAN_MESSAGE = "the gradient has a NaN component"
@@ -81,6 +81,12 @@ def start(problem):
 
 
 def test_guard_refuses_only_a_nan_norm():
+    def grad_norm(g):
+        """The norm that ``evaluate`` returns with the gradient ``g``, at a
+        point of the gradient's kind."""
+        problem = dataclasses.replace(catalog("quadratic"), fn=lambda x: (1.0, np.array(g)))
+        return evaluate(problem, (0.5, 0.5) if type(g) is tuple else np.array([0.5, 0.5]))[2]
+
     assert grad_norm(np.array([3.0, 4.0])) == grad_norm((3.0, 4.0)) == 5.0
     # a finite gradient whose square overflows has a finite norm, and one
     # past the float range an infinite norm that ell takes; neither warns
@@ -163,7 +169,7 @@ def test_descent_check_takes_the_state_norm_afresh():
     # norm, is refused before the step
     clean = catalog("exp-1d")
     y = np.array([0.5])
-    f, g = evaluate(clean, y)
+    f, g, _ = evaluate(clean, y)
     state = AgdState(y=y, u=y.copy(), gamma_cap=1.0, k=0, f_y=f,
                      grad_y=np.array([math.nan]), grad_norm=abs(float(g[0])))
     with pytest.raises(DomainViolationError, match=NAN_MESSAGE):
@@ -211,4 +217,19 @@ class TestCli:
     def test_verify_exits_four(self, monkeypatch, capsys):
         self.nan_catalog(monkeypatch, 1)
         assert cli.main(["verify", "exp-1d", "claimed", "--trials", "20"]) == 4
+        assert NAN_MESSAGE in capsys.readouterr().err
+
+    def test_verify_exits_four_at_a_gap_sweep_point_out_of_psi_range(self, monkeypatch,
+                                                                      capsys):
+        # on the barrier every gap that the gap-to-gradient sweep samples
+        # here is at or above sup psi, so the sweep skips each point, but
+        # its evaluation has already refused the NaN gradient there
+        problem, trials = catalog("neg-log-barrier"), 20
+        calls = [0]
+        reports = run_all_checks(nan_from(problem, math.inf, calls), trials=trials, seed=0)
+        assert reports[-1].name == "gap-to-gradient" and reports[-1].trials == 0
+        first_gap_point = calls[0] - trials + 1
+        self.nan_catalog(monkeypatch, first_gap_point)
+        assert cli.main(["verify", "neg-log-barrier", "claimed", "--trials", str(trials),
+                         "--seed", "0"]) == 4
         assert NAN_MESSAGE in capsys.readouterr().err

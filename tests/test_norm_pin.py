@@ -1,9 +1,9 @@
-"""The bits of ``solvers.norm`` pinned on seeded vectors, in pure Python.
+"""The bits of ``problems.norm`` pinned on seeded vectors, in pure Python.
 
 ``norm`` is ``math.hypot`` of a vector's components, which is CPython's own
 code: its bits depend on neither the BLAS nor the NumPy build, so the trace
 hashes do not either.  This file needs no NumPy.  It takes ``norm``'s source
-out of ``src/agdsmooth/solvers.py`` and runs it on tuples, so any CPython
+out of ``src/agdsmooth/problems.py`` and runs it on tuples, so any CPython
 from 3.10 on can check the pin, with or without the package's dependencies:
 
     python3 tests/test_norm_pin.py
@@ -21,7 +21,7 @@ import math
 import random
 from pathlib import Path
 
-SOLVERS = Path(__file__).resolve().parents[1] / "src" / "agdsmooth" / "solvers.py"
+PROBLEMS = Path(__file__).resolve().parents[1] / "src" / "agdsmooth" / "problems.py"
 
 DIMS = (1, 2, 3, 7, 50)
 EXPONENTS = (-498, 0, 498)
@@ -77,11 +77,11 @@ SPECIAL = [
 
 
 def package_norm():
-    """``solvers.norm``, compiled from its source alone with ``math`` as
+    """``problems.norm``, compiled from its source alone with ``math`` as
     its one global."""
-    tree = ast.parse(SOLVERS.read_text(), filename=str(SOLVERS))
+    tree = ast.parse(PROBLEMS.read_text(), filename=str(PROBLEMS))
     node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "norm")
-    code = compile(ast.Module(body=[node], type_ignores=[]), str(SOLVERS), "exec",
+    code = compile(ast.Module(body=[node], type_ignores=[]), str(PROBLEMS), "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     namespace = {"math": math}
     exec(code, namespace)

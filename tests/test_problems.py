@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from agdsmooth import (
     CATALOG_NAMES,
     ConfigurationError,
+    DomainError,
     DomainViolationError,
     FullSpace,
     PositiveOrthant,
@@ -17,27 +19,27 @@ from agdsmooth import (
     evaluate,
     project_closure,
 )
-from agdsmooth.problems import interior_violation
+from agdsmooth.problems import interior_violation, norm
 from agdsmooth.verify import sweep_gradient_transfer
 
 
 class TestEvaluate:
     def test_exp_experiment_optimum(self):
         p = catalog("exp-experiment", {"mu": 0.001})
-        f, g = evaluate(p, np.array([0.5, 0.0]))
+        f, g, _ = evaluate(p, np.array([0.5, 0.0]))
         assert f == pytest.approx(2 * math.sqrt(math.e), rel=1e-15)
         assert np.allclose(g, 0.0)
 
     def test_exp_experiment_start_point(self):
         p = catalog("exp-experiment", {"mu": 0.001})
-        _, g = evaluate(p, np.array([-6.0, -5.0]))
+        _, g, _ = evaluate(p, np.array([-6.0, -5.0]))
         assert g[0] == pytest.approx(math.exp(-6) - math.exp(7), rel=1e-14)
         assert g[1] == pytest.approx(-0.005)
         assert np.linalg.norm(g) == pytest.approx(1096.63, abs=0.01)
 
     def test_quadratic_at_zero(self):
         p = catalog("quadratic", {"L": 1.0, "d": 3})
-        f, g = evaluate(p, np.zeros(3))
+        f, g, _ = evaluate(p, np.zeros(3))
         assert f == 0.0 and np.all(g == 0.0)
 
     def test_outside_domain_carries_coordinate(self):
@@ -50,6 +52,26 @@ class TestEvaluate:
         p = catalog("quadratic", {"L": 1.0, "d": 3})
         with pytest.raises(Exception):
             evaluate(p, np.zeros(2))
+
+    @pytest.mark.parametrize("kind", [tuple, np.array])
+    @pytest.mark.parametrize("on_floats", [True, False])
+    def test_a_nan_gradient_is_refused(self, kind, on_floats):
+        # the oracle returns a NaN gradient, on its own kind, at a point of
+        # either kind; NaN beside inf is refused too, though its norm is inf
+        for grad in ([math.nan], [math.nan, math.inf], [-math.inf, math.nan]):
+            p = replace(catalog("quadratic", {"d": len(grad)}), on_floats=on_floats,
+                        fn=lambda x, g=grad: (1.0, tuple(g) if on_floats else np.array(g)))
+            with pytest.raises(DomainViolationError, match="the gradient has a NaN component"):
+                evaluate(p, kind([0.5] * len(grad)))
+
+    @pytest.mark.parametrize("name", ["exp-1d", "quadratic", "neg-log-barrier"])
+    @pytest.mark.parametrize("x", [((1.0,),), ("a",), (1j,), ["a"], [(1.0,)], ["a", 1.0]],
+                             ids=repr)
+    def test_a_coordinate_that_is_not_a_real_number_is_a_domain_error(self, name, x):
+        # on the float oracles, the array oracles and the orthant's interior
+        # test alike, and never a raw TypeError or ValueError
+        with pytest.raises(DomainError):
+            evaluate(catalog(name, {"d": 1} if name != "exp-1d" else {}), x)
 
 
 def numpy_scalar_fn(name, params):
@@ -161,21 +183,23 @@ def evaluate_points(draw, dim, positive):
 
 
 def evaluation(problem, x):
-    """``evaluate(problem, x)`` as the hex of its value and gradient bits
-    with the gradient's kind, or the refusal's type, message and
-    coordinate; NumPy's floating-point warnings are off, as in the runs."""
+    """``evaluate(problem, x)`` as the hex of its value, gradient and
+    gradient-norm bits with the gradient's kind, or the refusal's type,
+    message and coordinate; NumPy's floating-point warnings are off, as in
+    the runs.  The norm is ``norm`` of the gradient, bit for bit."""
     try:
         with np.errstate(all="ignore"):
-            value, grad = evaluate(problem, x)
+            value, grad, grad_norm = evaluate(problem, x)
     except Exception as exc:
         return type(exc).__name__, str(exc), getattr(exc, "coordinate", None)
+    assert type(grad_norm) is float and grad_norm.hex() == norm(grad).hex()
     if isinstance(grad, np.ndarray):
         assert grad.dtype == np.float64 and grad.shape == (problem.dim,)
         kind, grad = "array", grad.tolist()
     else:
         assert type(grad) is tuple and all(type(g) is float for g in grad)
         kind = "tuple"
-    return kind, value.hex(), [g.hex() for g in grad]
+    return kind, value.hex(), [g.hex() for g in grad], grad_norm.hex()
 
 
 class TestOracleBits:
@@ -290,12 +314,12 @@ class TestCatalog:
 
     def test_quadratic_gradient_norm(self):
         p = catalog("quadratic", {"L": 1.0, "d": 10})
-        _, g = evaluate(p, np.ones(10))
+        _, g, _ = evaluate(p, np.ones(10))
         assert np.linalg.norm(g) == pytest.approx(math.sqrt(10))
 
     def test_exp_1d(self):
         p = catalog("exp-1d", {})
-        f, g = evaluate(p, np.zeros(1))
+        f, g, _ = evaluate(p, np.zeros(1))
         assert f == pytest.approx(2.0) and g[0] == pytest.approx(0.0)
         assert p.optimum.f_star == 2.0
 
@@ -316,16 +340,16 @@ class TestCatalog:
     def test_optimum_validity(self):
         for name in CATALOG_NAMES:
             p = catalog(name)
-            _, g = evaluate(p, p.optimum.x_star)
+            _, g, _ = evaluate(p, p.optimum.x_star)
             scale = max(1.0, abs(p.optimum.f_star))
             assert np.linalg.norm(g) <= 1e-8 * scale
-            f, _ = evaluate(p, p.optimum.x_star)
+            f, _, _ = evaluate(p, p.optimum.x_star)
             assert f == pytest.approx(p.optimum.f_star, abs=1e-12 * scale)
 
     def test_neg_log_barrier_optimum_position(self):
         p = catalog("neg-log-barrier", {"c": 4.0, "d": 2})
         assert np.allclose(p.optimum.x_star, 0.5)
-        f, _ = evaluate(p, p.optimum.x_star)
+        f, _, _ = evaluate(p, p.optimum.x_star)
         assert f == pytest.approx(p.optimum.f_star, rel=1e-14)
 
 
@@ -333,13 +357,13 @@ def finite_diff_check(problem, x, h):
     """Worst per-coordinate relative error of central differences vs the
     analytic gradient.  The stencil x +- h e_i must stay feasible."""
     x = np.asarray(x, dtype=float)
-    _, grad = evaluate(problem, x)
+    _, grad, _ = evaluate(problem, x)
     worst = 0.0
     for i in range(problem.dim):
         e = np.zeros(problem.dim)
         e[i] = h
-        f_plus, _ = evaluate(problem, x + e)
-        f_minus, _ = evaluate(problem, x - e)
+        f_plus, _, _ = evaluate(problem, x + e)
+        f_minus, _, _ = evaluate(problem, x - e)
         fd = (f_plus - f_minus) / (2.0 * h)
         worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(grad[i])))
     return worst
@@ -376,8 +400,8 @@ class TestConvexityAndProfileConsistency:
         for _ in range(1000):
             x = rng.uniform(p.sample_lo, p.sample_hi)
             y = rng.uniform(p.sample_lo, p.sample_hi)
-            fx, gx = evaluate(p, x)
-            fy, _ = evaluate(p, y)
+            fx, gx, _ = evaluate(p, x)
+            fy, _, _ = evaluate(p, y)
             scale = max(1.0, abs(fx), abs(fy))
             assert fy >= fx + float(gx @ (y - x)) - 1e-9 * scale
 

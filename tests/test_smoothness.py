@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from agdsmooth import (
     Affine,
@@ -983,6 +983,18 @@ def power_q_max_reference(model, a):
         return float(x_s / L0 * (whole - c * mpmath.hyp2f1(1, 1 / rho, 1 + 1 / rho, -c**rho)))
 
 
+def mpmath_power_integral(model, a, lo, hi, length=None):
+    """The integral of 1 / ell(a + v) over [lo, hi] for a ``Power`` profile,
+    or with ``length`` of (1 - v) / ell(a + length v), at 40 digits."""
+    with mpmath.workdps(40):
+        rho, L0, L1, a = (mpmath.mpf(v) for v in (model.rho, model.L0, model.L1, a))
+        if length is None:
+            integrand = lambda v: 1 / (L0 + L1 * (a + v) ** rho)
+        else:
+            integrand = lambda v: (1 - v) / (L0 + L1 * (a + mpmath.mpf(length) * v) ** rho)
+        return float(mpmath.quad(integrand, [mpmath.mpf(lo), mpmath.mpf(hi)]))
+
+
 class TestQuad:
     """``smoothness.quad``, the package's Gauss-Kronrod rule, against SciPy's
     QUADPACK, and a general power's q_max, whose tail it maps onto [0, 1],
@@ -992,6 +1004,10 @@ class TestQuad:
     @given(general_powers(), st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=1e-6, max_value=100.0),
            st.booleans())
+    # s^rho with rho < 1 has an unbounded slope at s = 0, just left of these
+    # intervals, where QUADPACK misses its tolerance
+    @example(Power(0.25, 1.0, 1.0), 0.0, 1e-8, 1.0, False)
+    @example(Power(0.25, 1.0, 1.0), 0.0, 2.7591400671874257e-08, 2.0, False)
     def test_matches_scipy_quad(self, model, a, s0, length, convexity):
         # q's integrand 1 / ell(a + v) over [s0, s0 + length], or verify's
         # convexity integrand (1 - v) / ell(a + length v) over [0, 1]
@@ -1000,7 +1016,15 @@ class TestQuad:
         else:
             func, lo, hi = (lambda v: 1.0 / model.ell(a + v)), s0, s0 + length
         value, err = smoothness.quad(func, lo, hi)
-        reference, _ = scipy.integrate.quad(func, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
+                reference, _ = scipy.integrate.quad(func, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                                    limit=200)
+        except scipy.integrate.IntegrationWarning:
+            # where QUADPACK does not converge, mpmath's tanh-sinh rule at 40
+            # digits, whose nodes crowd at the ends, is the reference
+            reference = mpmath_power_integral(model, a, lo, hi, length if convexity else None)
         assert err <= smoothness.QUAD_REL_TOL * value
         assert abs(value - reference) <= max(2.0 * smoothness.QUAD_REL_TOL * reference, err)
 

@@ -47,17 +47,19 @@ from agdsmooth import (
     select_delta,
     warmup_iterations_bound,
 )
-from agdsmooth import smoothness, solvers
+from agdsmooth import problems, smoothness, solvers
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
-from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row, norm, square
+from agdsmooth.problems import norm
+from agdsmooth.smoothness import square
+from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row
 from test_smoothness import decimal_psi_root, exact_admissible_boundary, piecewise_linear_profiles
 
 
 def make_state(problem, y, u, gamma_cap, k=0):
-    f, g = evaluate(problem, np.asarray(y, dtype=float))
+    f, g, n = evaluate(problem, np.asarray(y, dtype=float))
     return AgdState(y=np.asarray(y, dtype=float), u=np.asarray(u, dtype=float),
-                    gamma_cap=gamma_cap, k=k, f_y=f, grad_y=g, grad_norm=norm(g))
+                    gamma_cap=gamma_cap, k=k, f_y=f, grad_y=g, grad_norm=n)
 
 
 class TestAuxSequence:
@@ -217,19 +219,20 @@ PINNED_RUN = {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.
 
 
 class TestSavedWork:
-    """Each accelerated iteration takes three norms: the gradient's, the
-    certificate function's |u - x*| (which the next ball check reuses) and
-    the row's |y - x*| (likewise)."""
+    """Each accelerated iteration takes three norms: the gradient's, in
+    ``evaluate``, the certificate function's |u - x*| (which the next ball
+    check reuses) and the row's |y - x*| (likewise)."""
 
     @staticmethod
     def counted_run(monkeypatch, tmp_path, settings):
         calls = [0]
-        plain = solvers.norm
+        plain = problems.norm
 
         def counted(v):
             calls[0] += 1
             return plain(v)
 
+        monkeypatch.setattr(problems, "norm", counted)
         monkeypatch.setattr(solvers, "norm", counted)
         result, _ = execute(config_from_dict({
             **settings, "check_invariants": True, "trace_path": str(tmp_path / "trace.csv"),
@@ -828,7 +831,7 @@ class TestAlgorithm2:
     def test_start_distance_whose_square_overflows_is_refused(self):
         # f = x1 + x2 claiming its optimum at 0: at x0 = (1e200, 1e200) the
         # value is finite and |x0 - x*| squares past the float range, so the
-        # start's level floor reads 0 (solvers.square), not a raw
+        # start's level floor reads 0 (smoothness.square), not a raw
         # OverflowError, and the short r_bar refuses the run
         p = Problem("linear", 2, FullSpace(), Constant(1.0),
                     lambda x: (float(x.sum()), np.ones(2)), Optimum(0.0, np.zeros(2)),
@@ -886,7 +889,7 @@ class TestAlgorithm2:
         x0 = np.array([1.05])
         r0 = float(np.linalg.norm(x0 - p.optimum.x_star))
         r_bar = 1.05 * r0
-        f0, _ = evaluate(p, x0)
+        f0, _, _ = evaluate(p, x0)
         gcap0 = 2.0 * (f0 - p.optimum.f_star) / r0**2
         assert gcap0 * r_bar**2 < p.ell_model.psi_sup
         res = algorithm2_run(p, p.ell_model, x0, gcap0, r_bar, 1e-12, 100000, strict=True)
@@ -1190,7 +1193,7 @@ class TestCertificates:
                 res = algorithm1_run(p, p.ell_model, x0, delta, r_bar, 1e-8,
                                      100000, strict=True)
             else:
-                f0, _ = evaluate(p, x0)
+                f0, _, _ = evaluate(p, x0)
                 r0 = float(np.linalg.norm(x0 - p.optimum.x_star))
                 gcap0 = 2.0 * (f0 - p.optimum.f_star) / r0**2
                 res = algorithm2_run(p, p.ell_model, x0, gcap0, r_bar, 1e-8,

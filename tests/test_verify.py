@@ -30,7 +30,7 @@ from agdsmooth import (
     smoothness,
 )
 from agdsmooth import cli
-from agdsmooth.solvers import norm
+from agdsmooth.problems import norm
 from agdsmooth.verify import (
     _interior_sampler,
     _sweep,
@@ -45,7 +45,7 @@ from agdsmooth.verify import (
 
 def make_state(problem, y, u, gamma_cap):
     y = np.asarray(y, dtype=float)
-    f, g = evaluate(problem, y)
+    f, g, _ = evaluate(problem, y)
     return AgdState(y=y, u=np.asarray(u, dtype=float), gamma_cap=gamma_cap,
                     k=0, f_y=f, grad_y=g, grad_norm=float(np.linalg.norm(g)))
 
@@ -76,8 +76,8 @@ class TestConvexitySmoothness:
 
         p = catalog("exp-experiment", {})
         x, y = np.array([1.2, -0.7]), np.array([-1.5, 2.0])
-        fx, gx = evaluate(p, x)
-        fy, gy = evaluate(p, y)
+        fx, gx, _ = evaluate(p, x)
+        fy, gy, _ = evaluate(p, y)
         diff = float(np.linalg.norm(gx - gy))
         a = float(np.linalg.norm(gx))
         vs = np.linspace(0.0, 1.0, 400001)
@@ -126,7 +126,7 @@ class TestGradientTransfer:
     def test_beyond_q_max_rejected(self):
         p = catalog("neg-log-barrier", {"c": 1.0, "d": 1})  # rho=2: finite q_max
         x = np.array([1.0])
-        _, gx = evaluate(p, x)
+        _, gx, _ = evaluate(p, x)
         from agdsmooth import q_max
 
         budget = q_max(p.ell_model, float(np.abs(gx[0])))
@@ -197,7 +197,7 @@ class TestGapToGrad:
         checked = 0
         for _ in range(200):
             y = rng.uniform(-0.14, 0.14, size=2)
-            f, _ = evaluate(p, y)
+            f, _, _ = evaluate(p, y)
             gap = f - 0.0
             if gap > 0.01:
                 continue
@@ -404,14 +404,14 @@ class TestNonFiniteVerdict:
         y = np.array([-0.5])
         with pytest.raises(DomainViolationError, match="infinite component"):
             check_gap_to_grad(p, y, 0.5)
-        f, g = evaluate(p, y)
+        f, g, _ = evaluate(p, y)
         state = AgdState(y=y, u=y.copy(), gamma_cap=1.0, k=0, f_y=f, grad_y=g, grad_norm=1.0)
         with pytest.raises(DomainViolationError, match=r"\[-0.5\] has an infinite"):
             check_descent_step(p, state, 0.01)
 
     def test_a_gradient_whose_square_overflows_has_a_finite_norm(self):
         # finite components, so nothing is refused, and a finite norm
-        # (solvers.norm is math.hypot), so no NumPy overflow warning leaks
+        # (problems.norm is math.hypot), so no NumPy overflow warning leaks
         # from the library check: the energy |gx - gy|^2 passes the float
         # range, and the margin is -inf, a violation
         p = gradient_from(catalog("exp-1d"), 1e200)
@@ -444,7 +444,7 @@ class TestNonFiniteVerdict:
     def test_descent_sweep_fails_where_squared_norms_overflow(self):
         # a finite gradient of norm about 1e200: the safety cap 1 / ell(2 |g_y|)
         # is positive, so the sweep steps, and the certificate's squared
-        # norms read inf (solvers.square), not a raw OverflowError; their
+        # norms read inf (smoothness.square), not a raw OverflowError; their
         # difference inf - inf is a NaN margin, which fails the sweep
         p = gradient_from(catalog("exp-1d"), 1e200)
         with warnings.catch_warnings():
