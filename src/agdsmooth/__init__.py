@@ -24,7 +24,6 @@ from .smoothness import (
     CustomMonotone,
     EllModel,
     Power,
-    admissible_delta,
     delta_left_right,
     ell_eval,
     model_from_config,

@@ -17,8 +17,8 @@ Exit codes:
   outside the feasible set or where f overflows, f is not finite or the
   gradient is NaN;
 * 5 -- a strict-mode invariant violation (any flag bit, GD monotonicity
-  included), an iterate that left the feasible set or met a NaN gradient
-  (a breach of the step-size contract), or a failed ``verify`` check.
+  included), an iterate that the oracle refuses for any of exit 4's
+  reasons (a breach of the step-size contract), or a failed ``verify`` check.
 
 The environment variable ``AGDSMOOTH_OUTPUT_DIR`` overrides where trace,
 summary, and report files land (default: current directory).

@@ -24,7 +24,6 @@ from .solvers import (
     RunResult,
     algorithm1_run,
     algorithm2_run,
-    check_run_parameters,
     estimate_grad_bound,
     gd_run,
     norm,
@@ -244,8 +243,6 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
             m_bar = estimate_grad_bound(problem, r_bar, seed=config.seed)
             notes.append(f"m_bar estimated by sphere sampling (heuristic): {m_bar}")
         if delta is None:
-            # the run's own check, before the policy takes r_bar^2
-            check_run_parameters(config.epsilon, r_bar, config.budget)
             delta = select_delta(model, r_bar, m_bar)
             notes.append(f"delta selected by policy: {delta}")
         result = algorithm1_run(

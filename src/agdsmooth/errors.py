@@ -40,8 +40,9 @@ class DomainViolationError(RuntimeError):
 
 
 class SafetyViolationError(RuntimeError):
-    """An iterate left the feasible set during a run or a descent check,
-    which breaches the step-size contract; raised in either mode."""
+    """``evaluate`` refused an iterate of a run or a descent check, which
+    breaches the step-size contract; the message names the iterate, its
+    iteration and ``evaluate``'s reason.  Raised in either mode."""
 
 
 class InvariantViolationError(RuntimeError):

@@ -75,15 +75,9 @@ def interior_violation(domain: Domain, x) -> tuple[int, str] | None:
     # a NaN coordinate fails the min test but is not <= 0: it is left to
     # the value check.  Python's min skips a NaN after the first item, but
     # then the index search finds no coordinate <= 0 either
-    if type(x) is tuple:
-        if min(x) > 0.0:
-            return None
-        i = next((i for i, v in enumerate(x) if v <= 0.0), None)
-    else:
-        if x.min() > 0.0:
-            return None
-        bad = np.flatnonzero(x <= 0.0)
-        i = int(bad[0]) if bad.size else None
+    if (min(x) if type(x) is tuple else x.min()) > 0.0:
+        return None
+    i = next((i for i, v in enumerate(x) if v <= 0.0), None)
     if i is None:
         return None
     return i, f"coordinate {i} = {float(x[i])} is not > 0"

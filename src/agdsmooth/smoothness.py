@@ -22,7 +22,8 @@ quadrature, the Newton q inverse and ``_bisect``, the one bracketing root
 finder, behind the psi inverse's fallback for refused roots, the q inverse's
 fallback and the right crossing; the module-level functions validate their
 arguments and dispatch to the model, and ``warm_start_refusal`` states which
-delta Algorithm 1's warm start accepts.
+delta Algorithm 1's warm start accepts: on either branch of psi, one at or
+below the closed-form admissibility boundary.
 The quadrature is ``quad``, the package's own adaptive Gauss-Kronrod rule
 with its error estimate; only a general power profile's q inverse and limit
 and ``verify``'s convexity integral integrate.
@@ -177,7 +178,7 @@ class EllModel:
     def delta_head(self, r_bar: float, m_bar: float | None) -> float:
         """The profile's warm-start delta before any clipping: the
         admissibility boundary, capped by the gap term ell(0) r_bar^2 / 64."""
-        return min(self.admissible_boundary, self.ell(0.0) * r_bar**2 / 64.0)
+        return min(self.admissible_boundary, self.ell(0.0) * square(r_bar) / 64.0)
 
     @cached_property
     def delta_max(self) -> float:
@@ -549,10 +550,9 @@ class CustomMonotone(EllModel):
     @cached_property
     def admissible_boundary(self) -> float:
         """From the point s* where the first segment ending above 2 ell(0)
-        crosses it: (s* / 8)^2 / ell(0) in exact arithmetic, rounded down so
-        that the boundary is admissible in exact arithmetic too, then stepped
-        down by ulps until ``admissible_delta`` accepts it, which its
-        roundings can refuse."""
+        crosses it: (s* / 8)^2 / ell(0) in exact arithmetic, rounded down to
+        the largest float at or below it, so that the boundary is admissible
+        in exact arithmetic too."""
         l0 = self.ell(0.0)
         for (s0, v0), (s1, v1) in zip(self.points, self.points[1:]):
             if v1 > 2.0 * l0:
@@ -560,11 +560,7 @@ class CustomMonotone(EllModel):
                 s_star = s0 + (2 * l0 - v0) * (s1 - s0) / (v1 - v0)
                 exact = min((s_star / 8) ** 2 / l0, Fraction(FLOAT_MAX))
                 delta = float(exact)
-                if delta > exact:
-                    delta = math.nextafter(delta, 0.0)
-                while not admissible_delta(self, delta):
-                    delta = math.nextafter(delta, 0.0)
-                return delta
+                return math.nextafter(delta, 0.0) if delta > exact else delta
         return math.inf
 
     @cached_property
@@ -743,22 +739,6 @@ def delta_left_right(model: EllModel, delta: float) -> tuple[float, float]:
     return left, model.delta_right(delta)
 
 
-def admissible_delta(model: EllModel, delta: float) -> bool:
-    """Warm-start admissibility: ell(8 sqrt(delta ell(0))) <= 2 ell(0).
-
-    Equality is accepted (the condition is non-strict).  A delta passing
-    this check keeps the post-warm-start iterates inside the region where
-    the local smoothness constant is at most twice its base value.
-    """
-    if delta < 0 or math.isnan(delta):
-        raise DomainError(f"delta must be >= 0, got {delta}")
-    l0 = ell_eval(model, 0.0)
-    if math.isinf(delta):
-        # admissible only if ell is bounded by 2 ell(0) everywhere
-        return model.ell_sup() <= 2.0 * l0
-    return ell_eval(model, 8.0 * math.sqrt(delta * l0)) <= 2.0 * l0
-
-
 def q_max(model: EllModel, a: float) -> float:
     """Total budget q_max(a) = int_0^inf dv / ell(a + v); inf unless the
     profile grows superlinearly."""
@@ -788,11 +768,13 @@ def q_inverse(model: EllModel, r: float, a: float) -> float:
 
 def warm_start_refusal(model: EllModel, delta: float, m_bar: float | None) -> str:
     """Why ``delta`` cannot seed the warm start ("" if it can); the one
-    statement of the two-branch geometry that ``select_delta`` obeys."""
+    statement of the two-branch geometry that ``select_delta`` obeys.  On
+    both branches the small-curvature condition ell(8 sqrt(delta ell(0)))
+    <= 2 ell(0) reads ``delta <= model.admissible_boundary``, its closed form."""
     if not delta > 0:
         return f"resolved delta {delta} is not positive"
     if not math.isfinite(model.delta_max):
-        if admissible_delta(model, delta):
+        if delta <= model.admissible_boundary:
             return ""
         return f"delta {delta} fails the admissibility check"
     if delta > model.psi_sup / 2.0:
@@ -817,14 +799,16 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
     Constant-like profiles (bounded by 2 ell(0) everywhere) admit every
     delta; the infinite sentinel tells the caller to skip the warm start.
     Otherwise the profile's ``delta_head``, capped at half the peak of psi,
-    is halved until ``warm_start_refusal`` passes: a head on the edge of
-    admissibility can fail it by a rounding.  A non-monotone psi also needs
-    ``m_bar``, an upper bound on the gradient norm over the ball of radius
-    2 r_bar around the optimum.
+    is halved until ``warm_start_refusal`` passes.  A monotone psi keeps
+    its head, which lies at or below the admissibility boundary; the halving
+    serves a non-monotone psi, whose head can fail the right-crossing
+    condition, and which also needs ``m_bar``, an upper bound on the
+    gradient norm over the ball of radius 2 r_bar around the optimum.  An
+    r_bar whose square is not positive in floats is a configuration error.
     """
-    if not r_bar > 0:
-        raise PreconditionError("r_bar must be positive")
-    if admissible_delta(model, math.inf):
+    if not square(r_bar) > 0:
+        raise ConfigurationError(f"r_bar^2 must be a positive float (r_bar = {r_bar})")
+    if model.ell_sup() <= 2.0 * model.ell(0.0):
         return math.inf
     if math.isfinite(model.delta_max) and m_bar is None:
         raise ConfigurationError(

@@ -391,10 +391,10 @@ def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
     level are ``gamma_alpha_step``'s; the returned state records that alpha
     and the fresh gradient's norm.  Its vectors are the kind of
     ``state``'s: tuples of floats inside a small run, arrays otherwise.  A
-    y_next outside the open feasible set, or with a NaN gradient, raises a
-    safety violation: it breaches the step-size contract
-    ``step_gamma <= 1 / ell(2 |grad y|)``, which callers check themselves,
-    against their own profile.
+    y_next that ``evaluate`` refuses raises a safety violation naming y_next,
+    its iteration and ``evaluate``'s reason: it breaches the step-size
+    contract ``step_gamma <= 1 / ell(2 |grad y|)``, which callers check
+    themselves, against their own profile.
     """
     assert step_gamma > 0
     gamma_cap = state.gamma_cap
@@ -404,8 +404,7 @@ def agd_step(state: AgdState, step_gamma: float, problem: Problem) -> AgdState:
         f_next, g_next, gn_next = evaluate(problem, y_next)
     except DomainViolationError as exc:
         raise SafetyViolationError(
-            f"y left the feasible set at iteration {state.k + 1}: {exc}"
-        ) from exc
+            f"y at iteration {state.k + 1} cannot be evaluated: {exc}") from exc
     u_next = project_closure(problem.domain, _descend(state.u, alpha / gamma_cap, g_next))
     return AgdState(y_next, u_next, gamma_next, state.k + 1, f_next, g_next, gn_next, alpha)
 
@@ -434,7 +433,8 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
             x_next = _descend(x, gamma_t, g)
             f, g, gn = run.oracle(x_next)
         except DomainViolationError as exc:
-            raise SafetyViolationError(f"GD iterate left the feasible set: {exc}") from exc
+            raise SafetyViolationError(
+                f"GD iterate at iteration {run.gd_iters + 1} cannot be evaluated: {exc}") from exc
         x = x_next
         run.gd_iters += 1
         flags = 0

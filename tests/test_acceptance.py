@@ -13,7 +13,6 @@ import pytest
 from agdsmooth import (
     Affine,
     Power,
-    admissible_delta,
     agd_step,
     algorithm1_run,
     algorithm2_run,
@@ -29,6 +28,7 @@ from agdsmooth import (
     AgdState,
 )
 from agdsmooth.verify import sweep_convexity_smoothness, sweep_gradient_transfer
+from test_smoothness import float_admissible
 
 CATALOG_AFFINE = ["exp-1d", "exp-experiment"]
 
@@ -247,18 +247,20 @@ def test_criterion_06_admissibility_boundary():
         L1 = 10.0 ** rng.uniform(-2, 2)
         model = Affine(L0, L1)
         hi = 1.0
-        while admissible_delta(model, hi):
+        while float_admissible(model, hi):
             hi *= 2.0
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if admissible_delta(model, mid):
+            if float_admissible(model, mid):
                 lo = mid
             else:
                 hi = mid
         threshold = 0.5 * (lo + hi)
         expected = L0 / (64.0 * L1**2)
-        worst = max(worst, abs(threshold - expected) / expected)
+        # the float condition's edge, and the closed form the warm start reads
+        for value in (threshold, model.admissible_boundary):
+            worst = max(worst, abs(value - expected) / expected)
     if worst > 1e-10:
         failures.append(f"worst relative threshold error {worst:.3e} > 1e-10")
     report(6, "admissibility threshold equals L0 / (64 L1^2)", failures)

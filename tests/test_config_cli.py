@@ -450,6 +450,9 @@ class TestCli:
         "r_bar-square-overflow-agd2": {"r_bar": 1e200},
         "r_bar-square-underflow-agd1": {"algorithm": "agd1", "r_bar": 1e-200, "delta": 1e-3,
                                         "problem_params": {"known_optimum": False}},
+        # the delta policy refuses it first: no positive delta fits under a
+        # gap term ell(0) r_bar^2 / 64 of 0
+        "r_bar-square-underflow-agd1-policy": {"algorithm": "agd1", "r_bar": 1e-200},
         "ell-unknown-field": {"ell": {"kind": "affine", "L0": 1, "L1": 1, "rho": 3}},
     }
 
@@ -461,6 +464,12 @@ class TestCli:
 
     def test_infinite_r_bar_names_the_run_parameters(self, tmp_path, capsys):
         assert main(["run", self.write_cfg(tmp_path, r_bar=math.inf)]) == 4
+        assert ("a run needs epsilon > 0, a finite r_bar > 0 and budget >= 1"
+                in capsys.readouterr().err)
+
+    def test_agd1_r_bar_square_overflow_names_the_run_parameters(self, tmp_path, capsys):
+        # the delta policy reads r_bar^2 as inf, and the run refuses that r_bar
+        assert main(["run", self.write_cfg(tmp_path, algorithm="agd1", r_bar=1e200)]) == 4
         assert ("a run needs epsilon > 0, a finite r_bar > 0 and budget >= 1"
                 in capsys.readouterr().err)
 
@@ -584,7 +593,8 @@ class TestCli:
             [sys.executable, "-W", "always", "-m", "agdsmooth.cli", "run", str(path)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 5
-        assert "invariant violation: GD iterate left the feasible set" in proc.stderr
+        assert ("invariant violation: GD iterate at iteration 1498 cannot be evaluated: "
+                "quadratic: value inf at" in proc.stderr)
         assert "Warning" not in proc.stderr
 
     def test_start_overflow_exit_four(self, tmp_path):

@@ -53,6 +53,16 @@ GOLDEN_RUNS = {
         "f6f617b35724ee8dcaa3ea2008fa184d93c86910aa64a0816154996fc077ea75",
         "47e0beadba6f883bd0463442699322f2cbf84f7b299753bf87b99fbab8201d2e",
     ),
+    # an affine claim whose warm-start head is its admissibility boundary
+    # 0.008786583206099204, at or below L0 / (64 L1^2) in exact arithmetic, where
+    # ell(8 sqrt(delta ell(0))) reads one ulp above 2 ell(0) in floats; the
+    # head is kept, not halved, and the run takes 362 oracle calls
+    "agd1-exp-1d-affine-edge": (
+        {"algorithm": "agd1", "problem": "exp-1d",
+         "ell": {"kind": "affine", "L0": 56.23413251903491, "L1": 10.0}, "strict_checks": True},
+        "71d58693b64ceeb99b7c249b8498444c9a44eb609c0d07b8dc7670e810580933",
+        "b039c87b009c3b6ae9c6f22e02ed7d0006c0987241fbddf57c8d3dbec88bd896",
+    ),
     # orthant projection of u; a rho = 2 power claim, so psi increases
     # everywhere (delta_max is infinite) and no m_bar is estimated
     "agd1-neg-log-barrier": (

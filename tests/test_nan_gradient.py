@@ -135,6 +135,25 @@ def test_nan_gradient_is_a_typed_error(name, data, algorithm, n, check_invariant
     assert result.flags_total == 0
 
 
+@pytest.mark.parametrize("algorithm", ["gd", "agd2"])
+def test_mid_run_nan_names_the_iterate_not_the_feasible_set(algorithm):
+    # the 5th evaluation is the 4th step's; its point is feasible, and the
+    # error keeps evaluate's reason without a claim about feasibility
+    clean = catalog("exp-1d")
+    x0, r_bar = start(clean)
+    problem = nan_from(clean, 5)
+    with pytest.raises(SafetyViolationError) as raised:
+        if algorithm == "gd":
+            gd_run(problem, clean.ell_model, x0, 1e-6, r_bar, 10**5)
+        else:
+            algorithm2_run(problem, clean.ell_model, x0, None, r_bar, 1e-6, 10**5)
+    message = str(raised.value)
+    iterate = {"gd": "GD iterate", "agd2": "y"}[algorithm]
+    assert message.startswith(f"{iterate} at iteration 4 cannot be evaluated: exp-1d: "
+                              f"{NAN_MESSAGE}")
+    assert "feasible" not in message
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_verify_refuses_a_nan_gradient_at_a_sampled_point(name):
     # NaN below the middle of the sample box's first coordinate, which the

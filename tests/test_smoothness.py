@@ -22,7 +22,6 @@ from agdsmooth import (
     OutOfRangeError,
     ConfigurationError,
     Power,
-    admissible_delta,
     delta_left_right,
     ell_eval,
     model_from_config,
@@ -32,6 +31,7 @@ from agdsmooth import (
     q_max,
 )
 from agdsmooth import smoothness
+from agdsmooth.smoothness import warm_start_refusal
 
 # A custom profile whose psi dips: the middle segment is steep enough that
 # its backward-extrapolated intercept is negative, so psi turns over exactly
@@ -757,17 +757,18 @@ class TestDeltaLeftRight:
 
 
 class TestAdmissibleDelta:
+    # a monotone psi admits delta up to the closed-form boundary, inclusive
     def test_affine_threshold(self):
-        assert admissible_delta(Affine(1, 1), 1 / 64)
-        assert not admissible_delta(Affine(1, 1), 1 / 63)
+        assert not warm_start_refusal(Affine(1, 1), 1 / 64, None)
+        assert warm_start_refusal(Affine(1, 1), 1 / 63, None)
 
     def test_constant_admits_everything(self):
-        assert admissible_delta(Constant(7), 1e9)
-        assert admissible_delta(Constant(7), math.inf)
+        assert not warm_start_refusal(Constant(7), 1e9, None)
+        assert not warm_start_refusal(Constant(7), math.inf, None)
 
     def test_boundary_equality_accepted(self):
         # ell(8 sqrt(delta * 4)) = 4 + 2 * 8 * sqrt(1/16) = 8 = 2 ell(0)
-        assert admissible_delta(Affine(4, 2), 1 / 64)
+        assert not warm_start_refusal(Affine(4, 2), 1 / 64, None)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3),
@@ -775,22 +776,33 @@ class TestAdmissibleDelta:
     def test_monotone_with_exact_affine_threshold(self, L0, L1):
         model = Affine(L0, L1)
         threshold = L0 / (64 * L1**2)
-        assert admissible_delta(model, threshold * (1 - 1e-9))
-        assert not admissible_delta(model, threshold * (1 + 1e-9))
+        assert not warm_start_refusal(model, threshold * (1 - 1e-9), None)
+        assert warm_start_refusal(model, threshold * (1 + 1e-9), None)
+
+
+def float_admissible(model, delta):
+    """The small-curvature condition ell(8 sqrt(delta ell(0))) <= 2 ell(0)
+    evaluated in floats (equality accepted); at an infinite delta, whether
+    ell stays within 2 ell(0) everywhere.  Its roundings go both ways near
+    the boundary, so it is a reference to 1e-12 relative, not to the ulp."""
+    l0 = ell_eval(model, 0.0)
+    if math.isinf(delta):
+        return model.ell_sup() <= 2.0 * l0
+    return ell_eval(model, 8.0 * math.sqrt(delta * l0)) <= 2.0 * l0
 
 
 def bisect_admissible_boundary(model):
-    """Reference boundary: the largest delta that ``admissible_delta``
+    """Reference boundary: the largest delta that ``float_admissible``
     accepts, by bisection on that monotone predicate (inf past 1e308)."""
     hi = 1.0
-    while admissible_delta(model, hi):
+    while float_admissible(model, hi):
         hi *= 2.0
         if hi > 1e308:
             return math.inf
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if admissible_delta(model, mid):
+        if float_admissible(model, mid):
             lo = mid
         else:
             hi = mid
@@ -799,7 +811,7 @@ def bisect_admissible_boundary(model):
 
 def assert_matches_bisection(model):
     boundary = model.admissible_boundary
-    if admissible_delta(model, math.inf):
+    if float_admissible(model, math.inf):
         # ell never passes 2 ell(0); the bisection would meet delta * ell(0)
         # overflowing instead
         assert boundary == math.inf
@@ -815,18 +827,18 @@ class TestAdmissibleBoundary:
     @settings(max_examples=200, deadline=None)
     @given(piecewise_linear_profiles())
     def test_custom_closed_form_is_admissible(self, model):
-        # admissible itself, not refused by a rounding, and at most 16 ulps
-        # below (s* / 8)^2 / ell(0) in exact arithmetic.  The float
-        # bisection is no reference here: where ell rises past 2 ell(0) by
-        # less than rounding, as (0, 1), (1, 2), (2, 2.00001), admissible_delta
-        # accepts up to 4.4e-11 past the exact boundary
+        # the largest float at or below (s* / 8)^2 / ell(0) in exact
+        # arithmetic, so admissible in exact arithmetic and less than one
+        # ulp below it.  The float bisection is no reference here: where ell
+        # rises past 2 ell(0) by less than rounding, as (0, 1), (1, 2),
+        # (2, 2.00001), float_admissible accepts up to 4.4e-11 past the
+        # exact boundary
         exact = exact_admissible_boundary(model)
         boundary = model.admissible_boundary
         if exact is None:
             assert boundary == math.inf
         else:
-            assert admissible_delta(model, boundary)
-            assert 0 <= exact - Fraction(boundary) <= 16 * Fraction(math.ulp(boundary))
+            assert 0 <= exact - Fraction(boundary) < Fraction(math.ulp(boundary))
 
     def test_custom_by_hand(self):
         # ell = 1 + 0.4 s reaches 2 at s = 2.5, and (2.5 / 8)^2 = 0.09765625;

@@ -538,10 +538,10 @@ class TestSelectDelta:
         assert ell_eval(DIPPING_CUSTOM, 4 * left) <= 2 * ell_eval(DIPPING_CUSTOM, 0)
         assert right >= 1.0
 
-    def test_head_on_the_admissibility_edge_is_halved(self):
-        # L0 / (64 L1^2) sits exactly on the edge, so rounding can put
-        # ell(8 sqrt(delta L0)) a hair above 2 ell(0): the policy halves
-        # such a head as it does every refused one
+    def test_head_on_the_admissibility_edge_is_kept(self):
+        # L0 / (64 L1^2) sits exactly on the edge, where rounding can put
+        # ell(8 sqrt(delta L0)) a hair above 2 ell(0); a monotone psi is
+        # decided by the closed-form boundary, so the head stays whole
         grid = [float(v) for v in np.logspace(-3, 3, 25)]
         for L0 in grid:
             for L1 in grid:
@@ -549,7 +549,18 @@ class TestSelectDelta:
                     head = model.delta_head(1e6, None)
                     delta = select_delta(model, 1e6)
                     assert not warm_start_refusal(model, delta, None), model
-                    assert delta in (head, head / 2), model
+                    assert delta == head, model
+
+    def test_r_bar_square_past_the_float_range(self):
+        # the gap term ell(0) r_bar^2 / 64 is inf, and the boundary binds
+        assert select_delta(Affine(2, 1), 1e200) == 0.03125
+        assert Power(1.5, 2, 1).delta_head(1e200, None) == Power(1.5, 2, 1).admissible_boundary
+
+    def test_r_bar_square_underflow_is_refused(self):
+        # no positive float lies under a gap term of 0; the run refuses the
+        # same r_bar as a configuration error too
+        with pytest.raises(ConfigurationError, match=r"r_bar\^2 must be a positive float"):
+            select_delta(Affine(2, 1), 1e-200)
 
     def test_small_curvature_branch_refused(self):
         # delta_max = 2.5 and sup psi = 0.625; at half the peak the left
