@@ -10,16 +10,16 @@ certificate reads, and refuses a NaN gradient, so no caller guards one.
 A point comes in one of two kinds.  Below ``solvers``' float cutoff
 the step loop holds its vectors as tuples of Python floats, which
 ``evaluate`` and ``project_closure`` take and give back as tuples; every
-other caller, and every public result, holds float arrays.  The oracles run
-once per gradient call, so each computes on its own kind and ``evaluate``
-converts at the boundary: the exp oracles unpack coordinates and compute on
-Python floats (``Problem.on_floats``), and the array oracles get one
-``np.array`` and take inner products with ``.dot``, which reaches the same
-BLAS ddot as ``@`` at less dispatch, and reaches it for every layout (``@``
-sums a view with a negative stride in its own loop).  Both kinds give the
-same bits: ``tests/test_problems.py::TestOracleBits`` pins every catalog
-oracle's value and gradient bits to its NumPy-scalar form, and those of
-``evaluate`` on a tuple, the norm's included, to those on an array.
+other caller, and every public result, holds float arrays.  Every oracle
+computes on Python floats: ``evaluate`` hands it the tuple as it is, or
+an array as one ``tolist()``, and turns its gradient back into an array
+for an array caller.  Each sum over the coordinates is ``math.fsum``,
+rounded once from its exact value, so no value depends on the BLAS, on the
+coordinates' order or layout, or on the interpreter (the builtin ``sum``
+compensates from 3.12 on, so its bits differ by version).
+``tests/test_problems.py::TestOracleBits`` pins every catalog oracle's
+value and gradient bits to a reference form, and those of ``evaluate`` on
+a tuple, the norm's included, to those on an array.
 """
 
 from __future__ import annotations
@@ -68,14 +68,14 @@ def project_closure(domain: Domain, x):
 
 
 def interior_violation(domain: Domain, x) -> tuple[int, str] | None:
-    """None if x (a tuple of floats or a float array) lies in the open
-    interior, else (coordinate, description)."""
+    """None if x, a sequence of floats, lies in the open interior, else
+    (coordinate, description)."""
     if isinstance(domain, FullSpace):
         return None
     # a NaN coordinate fails the min test but is not <= 0: it is left to
     # the value check.  Python's min skips a NaN after the first item, but
     # then the index search finds no coordinate <= 0 either
-    if (min(x) if type(x) is tuple else x.min()) > 0.0:
+    if min(x) > 0.0:
         return None
     i = next((i for i, v in enumerate(x) if v <= 0.0), None)
     if i is None:
@@ -93,10 +93,9 @@ class Optimum:
 class Problem:
     """Objective oracle plus the feasible set and claimed curvature profile.
 
-    ``fn`` maps a point to its value and gradient.  It takes a float array
-    and returns an array, or, with ``on_floats``, takes a sequence of Python
-    floats and returns its gradient as a tuple of floats; ``evaluate``
-    converts either way, so a caller never sees the oracle's own kind.
+    ``fn`` maps a sequence of Python floats, a tuple or a list, to its
+    value and gradient, a tuple of floats or any sequence that converts to
+    one; ``evaluate`` converts a caller's kind both ways.
     ``sample_lo``/``sample_hi`` give an interior box used by randomized
     property sweeps; they are part of the test harness, not the math.
     """
@@ -109,7 +108,6 @@ class Problem:
     optimum: Optimum | None
     sample_lo: np.ndarray
     sample_hi: np.ndarray
-    on_floats: bool = False
 
 
 def norm(v) -> float:
@@ -127,9 +125,10 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
 
     A tuple (a step state below ``solvers``' float cutoff) must hold Python
     floats, and gets its gradient as a tuple of floats; any other point,
-    a list included, is taken as a float array and gets an array.  The
-    oracle sees its own kind, converted here once, so the two kinds give the
-    same bits and the same errors.
+    a list included, is taken as a float array and gets an array; a str or
+    bytes coordinate is refused on every kind, never parsed.  The oracle
+    sees Python floats, converted here once, so the two kinds give the same
+    bits and the same errors.
 
     Raises ``DomainError`` for a point of the wrong shape or with a
     coordinate that is not a real number, and ``DomainViolationError``
@@ -141,22 +140,24 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
     floats = type(x) is tuple
     try:
         if floats:
-            point = x if problem.on_floats else np.array(x, dtype=float)
+            point = x
             shaped = len(x) == problem.dim
         else:
-            x = np.asarray(x, dtype=float)
-            point = x.tolist() if problem.on_floats else x
+            arr = x if type(x) is np.ndarray else np.asarray(x)
+            if arr.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+                # NumPy would parse a numeric string, which a tuple's oracle refuses
+                raise TypeError("a string is not a coordinate")
+            x = np.asarray(arr, dtype=float)
+            point = x.tolist()
             shaped = x.shape == (problem.dim,)
         if not shaped:
             raise DomainError(f"expected a point of dimension {problem.dim}, "
                               f"got shape {np.shape(x)}")
-        if (bad := interior_violation(problem.domain, x)) is not None:
+        if (bad := interior_violation(problem.domain, point)) is not None:
             raise DomainViolationError(f"{problem.name}: {bad[1]}", coordinate=bad[0])
         value, grad = problem.fn(point)
         value = float(value)
-        if not floats:
-            grad = np.asarray(grad, dtype=float)
-        elif type(grad) is not tuple:
+        if type(grad) is not tuple:
             grad = tuple(np.asarray(grad, dtype=float).tolist())
         n = norm(grad)
     except DomainError:
@@ -166,20 +167,24 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
             f"{problem.name}: overflow at {np.asarray(x)}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         # a coordinate that is not a real number fails where it is used first
-        i = next((i for i, v in enumerate(x) if not isinstance(v, numbers.Real)), None)
+        coords = x.tolist() if isinstance(x, np.ndarray) else x
+        i = next((i for i, v in enumerate(coords) if not isinstance(v, numbers.Real)), None)
         if i is None:
             raise
-        raise DomainError(f"{problem.name}: coordinate {i} = {x[i]!r} is not a real number")
+        raise DomainError(f"{problem.name}: coordinate {i} = {coords[i]!r} is not a real number")
     if not math.isfinite(value):
         raise DomainViolationError(
             f"{problem.name}: value {value} at {np.asarray(x)} is not finite")
     if n != n or (n == math.inf and any(c != c for c in grad)):
         raise DomainViolationError(f"{problem.name}: the gradient has a NaN component at "
                                    f"{np.asarray(x)}: {np.asarray(grad)}")
-    return value, grad, n
+    return value, grad if floats else np.array(grad, dtype=float), n
 
 
 # --- catalog ---------------------------------------------------------------
+# Every oracle computes on Python floats.  Past the float range a product
+# reads inf and ``**`` or ``math.fsum`` raises OverflowError; ``evaluate``
+# refuses each as a DomainViolationError, and NumPy warns of none.
 
 def _param(params: dict, key: str, default: float) -> float:
     """Take ``key`` out of ``params``; what a builder leaves is unknown."""
@@ -216,7 +221,6 @@ def _exp_experiment(params: dict) -> Problem:
         optimum=Optimum(f_star=f_star, x_star=np.array([0.5, 0.0])),
         sample_lo=np.array([-3.0, -3.0]),
         sample_hi=np.array([3.0, 3.0]),
-        on_floats=True,
     )
 
 
@@ -226,8 +230,8 @@ def _quadratic(params: dict) -> Problem:
     if L <= 0 or d < 1:
         raise ConfigurationError("quadratic needs L > 0 and d >= 1")
 
-    def fn(p: np.ndarray) -> tuple[float, np.ndarray]:
-        return 0.5 * L * float(p.dot(p)), L * p
+    def fn(p) -> tuple[float, tuple[float, ...]]:
+        return 0.5 * L * math.fsum([v * v for v in p]), tuple([L * v for v in p])
 
     return Problem(
         name="quadratic",
@@ -250,8 +254,8 @@ def _power_p(params: dict) -> Problem:
     if d < 1 or L0 <= 0:
         raise ConfigurationError("power-p needs d >= 1 and L0 > 0")
 
-    def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float((x**p).sum()), p * x ** (p - 1)
+    def fn(x) -> tuple[float, tuple[float, ...]]:
+        return math.fsum([v**p for v in x]), tuple([p * v ** (p - 1) for v in x])
 
     # Exact curvature fit: ||hess|| = p(p-1) max|x_i|^(p-2) and
     # ||grad|| >= p max|x_i|^(p-1), so the profile L0 + L1 s^rho with
@@ -276,8 +280,9 @@ def _neg_log_barrier(params: dict) -> Problem:
     if c <= 0 or d < 1:
         raise ConfigurationError("neg-log-barrier needs c > 0 and d >= 1")
 
-    def fn(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(-np.log(x).sum() + 0.5 * c * x.dot(x)), c * x - 1.0 / x
+    def fn(x) -> tuple[float, tuple[float, ...]]:
+        value = -math.fsum(map(math.log, x)) + 0.5 * c * math.fsum([v * v for v in x])
+        return value, tuple([c * v - 1.0 / v for v in x])
 
     # Per coordinate, with t = 1/x and g = c x - 1/x one has
     # hess = t^2 + c and t <= |g| + sqrt(c), hence hess <= 3c + 2 g^2.
@@ -310,7 +315,6 @@ def _exp_1d(params: dict) -> Problem:
         optimum=Optimum(f_star=2.0, x_star=np.zeros(1)),
         sample_lo=np.array([-2.0]),
         sample_hi=np.array([2.0]),
-        on_floats=True,
     )
 
 

@@ -816,6 +816,8 @@ def select_delta(model: EllModel, r_bar: float, m_bar: float | None = None) -> f
             "2*r_bar ball) is required to select delta"
         )
     delta = min(model.delta_head(r_bar, m_bar), model.psi_sup / 2.0)
+    if not delta > 0:
+        raise PreconditionError(f"the warm-start head delta = {delta} is not > 0")
     for _ in range(200):
         if not warm_start_refusal(model, delta, m_bar):
             return delta

@@ -56,10 +56,10 @@ LOG_3_2 = math.log(1.5)
 # representable epsilon, already met.
 GAMMA_UNDERFLOW = 1e-300
 
-# The largest dimension whose run holds its vectors as tuples of floats.  A
-# whole step on the quadratic, whose oracle takes an array, costs about the
-# same on both kinds between d = 16 and d = 32 (BENCH_26.json times it and
-# each vector helper alone); the exp oracles compute on floats at d <= 2.
+# The largest dimension whose run holds its vectors as tuples of floats.
+# Every catalog oracle takes a tuple with no conversion; the vector helpers
+# cost about the same on floats as on arrays between d = 16 and d = 32, and
+# grow with d on floats only (BENCH_26.json times each helper alone).
 _FLOAT_DIM = 16
 
 
@@ -492,17 +492,14 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x_star = problem.optimum.x_star
     best = 0.0
-    # an array oracle's own overflow (the quadratic's inner product past
-    # 1.3e154) reads as an infeasible sample, without NumPy's warning
-    with np.errstate(over="ignore"):
-        for _ in range(GRAD_BOUND_SAMPLES):
-            d = rng.standard_normal(problem.dim)
-            d /= norm(d)
-            x = x_star + 2.0 * r_bar * d
-            try:
-                best = max(best, evaluate(problem, x)[2])
-            except DomainViolationError:
-                continue
+    for _ in range(GRAD_BOUND_SAMPLES):
+        d = rng.standard_normal(problem.dim)
+        d /= norm(d)
+        x = x_star + 2.0 * r_bar * d
+        try:
+            best = max(best, evaluate(problem, x)[2])
+        except DomainViolationError:
+            continue
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
     return GRAD_BOUND_SAFETY * best

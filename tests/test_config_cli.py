@@ -584,7 +584,8 @@ class TestCli:
         assert main(["run", self.write_cfg(tmp_path, **self.RANGE_CLAIMS[name])]) in (0, 2, 3, 4)
 
     def test_diverging_run_prints_no_numpy_warning(self, tmp_path):
-        # the oracle's guard already reports the overflow as a typed error
+        # the iterate's squares are finite and their sum is not: math.fsum
+        # raises OverflowError, which evaluate reports as a typed error
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**self.EDGE_CLAIMS["power-ell-overflow"][0],
                                     "trace_path": ""}))
@@ -594,7 +595,7 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 5
         assert ("invariant violation: GD iterate at iteration 1498 cannot be evaluated: "
-                "quadratic: value inf at" in proc.stderr)
+                "quadratic: overflow at" in proc.stderr)
         assert "Warning" not in proc.stderr
 
     def test_start_overflow_exit_four(self, tmp_path):

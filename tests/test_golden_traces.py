@@ -22,8 +22,8 @@ from agdsmooth.config import config_from_dict, execute, jsonable, run_sweep, swe
 
 CUSTOM_CLAIM = {"kind": "custom", "points": [[0, 2], [4, 6], [40, 60]]}
 
-# The run hashes pin the math.hypot norm (problems.norm), whose bits do not
-# depend on the BLAS.
+# The run hashes pin the math.hypot norm (problems.norm) and the oracles'
+# math.fsum sums, whose bits depend on neither the BLAS nor the interpreter.
 GOLDEN_RUNS = {
     # the pinned adaptive run of the benchmark
     "adaptive-exp": (
@@ -67,7 +67,7 @@ GOLDEN_RUNS = {
     # everywhere (delta_max is infinite) and no m_bar is estimated
     "agd1-neg-log-barrier": (
         {"algorithm": "agd1", "problem": "neg-log-barrier", "epsilon": 1e-8},
-        "9f5351dae733f740f13251d5fadef58c2115ed0aad1e542940de04235a0d29f8",
+        "10e9219a262f059243257f453d10992e0a2e8843a7f896cf90869c5bd7977321",
         "79c3baf7ea4dd3d90d3cb6286a395eefd40823231f02e9e5a3f25b1ba160e6fc",
     ),
     # superquadratic claim: m_bar estimated by sphere sampling, delta clipped
@@ -128,7 +128,7 @@ GOLDEN_VERIFY = {
     "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
     "neg-log-barrier": "13f8bed4ac945c7c6e0b719af2b0b68cb046c0a01eef9cc60378ea49b91320cc",
     "power-p": "070804a3fc2e3cf9a8c76822007df241f7087d0c44a68d46295ff57c7a390593",
-    "quadratic": "35bd70c1bfc708fb90dfff7e46a5119d995fbd3912476dbe6d6bd77b9b92613b",
+    "quadratic": "acda2cef54bff0682a31ed6dea590cdaabcacbf15df1f1a10a20effd90772f1a",
 }
 VERIFY_TRIALS = 60
 

@@ -1,7 +1,8 @@
 """Module boundaries: no package module imports another one's private names,
 no code outside the profile classes dispatches on their type, every norm is
 ``problems.norm``, defined once, every inner product is ``.dot`` rather
-than ``@``, solvers calls ell without ``ell_eval``, no module imports SciPy,
+than ``@``, every catalog oracle sums Python floats with ``math.fsum``,
+solvers calls ell without ``ell_eval``, no module imports SciPy,
 every public top-level name, and every public method of a profile class, is
 used by some module of the package, and ``psi_inverse`` is one function."""
 
@@ -108,6 +109,23 @@ def test_no_matmul_operator(path):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert not ops, f"{path.name} multiplies with @: {ops}"
+
+
+def test_catalog_oracles_sum_with_fsum_on_floats():
+    # every catalog oracle (a builder's nested fn) computes on Python floats:
+    # no NumPy call, no .dot or .sum, and no builtin sum, whose bits differ
+    # by interpreter; its sums are math.fsum
+    path = Path(agdsmooth.__file__).parent / "problems.py"
+    oracles = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name == "fn"]
+    assert len(oracles) == 5
+    uses = [
+        f"line {node.lineno}"
+        for oracle in oracles for node in ast.walk(oracle)
+        if (isinstance(node, ast.Name) and node.id in {"np", "sum"})
+        or (isinstance(node, ast.Attribute) and node.attr in {"dot", "sum"})
+    ]
+    assert not uses, f"a catalog oracle leaves Python floats or sums with sum: {uses}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

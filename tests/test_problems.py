@@ -1,8 +1,11 @@
 """Objective catalog and domain machinery tests."""
 
+import hashlib
 import math
+import random
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,13 +57,14 @@ class TestEvaluate:
             evaluate(p, np.zeros(2))
 
     @pytest.mark.parametrize("kind", [tuple, np.array])
-    @pytest.mark.parametrize("on_floats", [True, False])
-    def test_a_nan_gradient_is_refused(self, kind, on_floats):
-        # the oracle returns a NaN gradient, on its own kind, at a point of
-        # either kind; NaN beside inf is refused too, though its norm is inf
+    @pytest.mark.parametrize("grad_kind", [tuple, np.array])
+    def test_a_nan_gradient_is_refused(self, kind, grad_kind):
+        # the oracle returns a NaN gradient, as a tuple or any sequence, at a
+        # point of either kind; NaN beside inf is refused too, though its
+        # norm is inf
         for grad in ([math.nan], [math.nan, math.inf], [-math.inf, math.nan]):
-            p = replace(catalog("quadratic", {"d": len(grad)}), on_floats=on_floats,
-                        fn=lambda x, g=grad: (1.0, tuple(g) if on_floats else np.array(g)))
+            p = replace(catalog("quadratic", {"d": len(grad)}),
+                        fn=lambda x, g=grad: (1.0, grad_kind(g)))
             with pytest.raises(DomainViolationError, match="the gradient has a NaN component"):
                 evaluate(p, kind([0.5] * len(grad)))
 
@@ -68,17 +72,66 @@ class TestEvaluate:
     @pytest.mark.parametrize("x", [((1.0,),), ("a",), (1j,), ["a"], [(1.0,)], ["a", 1.0]],
                              ids=repr)
     def test_a_coordinate_that_is_not_a_real_number_is_a_domain_error(self, name, x):
-        # on the float oracles, the array oracles and the orthant's interior
-        # test alike, and never a raw TypeError or ValueError
+        # on the oracles and the orthant's interior test alike, and never a
+        # raw TypeError or ValueError
         with pytest.raises(DomainError):
             evaluate(catalog(name, {"d": 1} if name != "exp-1d" else {}), x)
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("text", ["1.5", b"1.5"], ids=repr)
+    def test_a_numeric_string_is_refused_on_every_kind(self, name, text):
+        # NumPy parses "1.5" where it converts the point; evaluate refuses
+        # it there as the tuple's oracle does, with the same message
+        problem = catalog(name)
+        coords = [text] + [1.0] * (problem.dim - 1)
+        messages = set()
+        for x in (tuple(coords), coords, np.array(coords)):
+            with pytest.raises(DomainError) as err:
+                evaluate(problem, x)
+            assert type(err.value) is DomainError
+            messages.add(str(err.value))
+        assert messages == {f"{name}: coordinate 0 = {text!r} is not a real number"}
 
-def numpy_scalar_fn(name, params):
-    """The catalog oracle ``name`` in its NumPy-scalar form: coordinates
-    unpacked as ``np.float64`` and inner products taken with ``@``.  The
-    package computes on Python floats and with ``.dot``; ``TestOracleBits``
-    holds it to these bits."""
+    @pytest.mark.parametrize("kind", [tuple, list])
+    @pytest.mark.parametrize("name, x", [("quadratic", [1e200, 1.0]),
+                                         ("neg-log-barrier", [1e200, 1.0]),
+                                         ("power-p", [1e100, 1.0])])
+    def test_an_overflowing_sum_oracle_is_a_domain_violation(self, kind, name, x):
+        # the square or fourth power overflows on Python floats: inf, which
+        # evaluate refuses, or an OverflowError, which it reports; no NumPy
+        # warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainViolationError):
+                evaluate(catalog(name), kind(x))
+
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_a_subnormal_barrier_coordinate_has_an_infinite_norm(self, kind):
+        # 1 / 1e-320 is inf on Python floats, with no NumPy warning, and an
+        # infinite gradient component is valid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, grad, grad_norm = evaluate(catalog("neg-log-barrier"), kind([1e-320, 1.0]))
+        assert math.isfinite(value) and grad[0] == -math.inf and grad_norm == math.inf
+
+
+def exact_sum(terms):
+    """The sum of ``terms`` rounded once from its exact value, which is what
+    ``math.fsum`` promises: the terms are added as ``Fraction``s, and the
+    conversion raises ``OverflowError`` past the float range, as ``fsum``
+    does.  A non-finite term makes it the float sum's inf or NaN."""
+    if all(map(math.isfinite, terms)):
+        return float(sum(map(Fraction, terms)))
+    return sum(terms)
+
+
+def reference_fn(name, params):
+    """The catalog oracle ``name`` in a reference form, on a float array.
+    The exp oracles take ``np.float64`` coordinates.  The sum oracles take
+    each term and gradient component on Python floats, and round each sum
+    once from its exact value (``exact_sum``).  The package takes the
+    point as ``evaluate`` hands it over, a list of floats, and sums with
+    ``math.fsum``; ``TestOracleBits`` holds it to these bits."""
     if name == "exp-experiment":
         mu = params.get("mu", 0.001)
 
@@ -90,17 +143,21 @@ def numpy_scalar_fn(name, params):
         L = params.get("L", 1.0)
 
         def fn(p):
-            return 0.5 * L * float(p @ p), L * p
+            p = p.tolist()
+            return 0.5 * L * exact_sum([v * v for v in p]), [L * v for v in p]
     elif name == "power-p":
         p = params.get("p", 4)
 
         def fn(x):
-            return float((x**p).sum()), p * x ** (p - 1)
+            x = x.tolist()
+            return exact_sum([v**p for v in x]), [p * v ** (p - 1) for v in x]
     elif name == "neg-log-barrier":
         c = params.get("c", 1.0)
 
         def fn(x):
-            return float(-np.log(x).sum() + 0.5 * c * (x @ x)), c * x - 1.0 / x
+            x = x.tolist()
+            value = -exact_sum([math.log(v) for v in x]) + 0.5 * c * exact_sum([v * v for v in x])
+            return value, [c * v - 1.0 / v for v in x]
     else:
         assert name == "exp-1d"
 
@@ -125,12 +182,46 @@ def oracle_bits(fn, x):
 
 def numpy_interior_violation(x):
     """``interior_violation`` on the positive orthant, by its index search
-    alone: the package settles the all-positive case by ``x.min()`` first."""
+    alone: the package settles the all-positive case by ``min(x)`` first."""
     bad = np.flatnonzero(x <= 0.0)
     if bad.size:
         i = int(bad[0])
         return i, f"coordinate {i} = {x[i]} is not > 0"
     return None
+
+
+# sha256 of the value and gradient bits of each sum oracle at PIN_POINTS
+# seeded points of dimension PIN_DIM: one line per point, the float.hex of
+# the value and of each gradient component
+ORACLE_PIN = {
+    "neg-log-barrier": "15b760d16b7e4d13266b977eeebfc3770e9d1db966b872edb19eb6036d86d652",
+    "power-p": "8ca7c0b677cccb625cfc01ab8b90d9acc6710580737bf7e0b7cce1cb6b5f22a5",
+    "quadratic": "db446d85ebdd084d2f314084bb56fac0be9ddf3e4fa9488d3f02444aaed1b179",
+}
+PIN_DIM = 20
+PIN_POINTS = 300
+# binary exponents below each point's scale.  Their squares and fourth
+# powers make sums that fall just off a rounding tie, such as
+# 1 + 2**-54 + 2**-54 + 2**-108, which a compensated running sum rounds to
+# the tie's even side and the exact sum does not
+PIN_OFFSETS = (0, 13, 27, 54)
+
+
+def pin_points(positive):
+    """Seeded points whose coordinates are powers of two: most lie at
+    ``PIN_OFFSETS`` below the point's scale, the rest 80 below it.  Every
+    square and fourth power is exact, so the sums' roundings are what the
+    pin holds, beside ``math.log``'s.  ``random.Random`` and ``math.ldexp``
+    make the points the same on every platform."""
+    rng = random.Random(0)
+    for _ in range(PIN_POINTS):
+        scale = rng.randrange(-8, 9)
+        point = []
+        for _ in range(PIN_DIM):
+            offset = rng.choice(PIN_OFFSETS) if rng.random() < 0.7 else 80
+            v = math.ldexp(1.0, scale - offset)
+            point.append(v if positive or rng.random() < 0.5 else -v)
+        yield point
 
 
 # the catalog oracles at their default d and at d = 7
@@ -219,24 +310,37 @@ class TestOracleBits:
 
     @pytest.mark.parametrize("name, params", ORACLES, ids=lambda v: str(v))
     @given(data=st.data())
-    def test_value_and_gradient_bits_equal_the_numpy_form(self, name, params, data):
+    def test_value_and_gradient_bits_equal_the_reference_form(self, name, params, data):
         problem = catalog(name, params)
         x = data.draw(oracle_points(problem.dim, name == "neg-log-barrier"))
-        want = oracle_bits(numpy_scalar_fn(name, params), x)
-        assert oracle_bits(problem.fn, x) == want
+        want = oracle_bits(reference_fn(name, params), x)
+        assert oracle_bits(problem.fn, x.tolist()) == want
 
-    @pytest.mark.parametrize("name", ["neg-log-barrier", "quadratic"])
+    @pytest.mark.parametrize("name", ["neg-log-barrier", "power-p", "quadratic"])
     @pytest.mark.parametrize("d", [2, 7, 20])
-    def test_a_reversed_view_takes_the_contiguous_ddot(self, name, d):
-        # ``@`` sums a view with a negative stride in its own loop, which can
-        # round apart from BLAS's ddot; ``.dot`` copies such a view first, so
-        # the value is the contiguous point's, bit for bit
+    def test_value_bits_do_not_depend_on_coordinate_order_or_layout(self, name, d):
+        # each sum is rounded once from its exact value, so a permuted point,
+        # a strided view and a reversed one give the contiguous point's bits,
+        # where a running sum rounds apart on most of these draws
         problem = catalog(name, {"d": d})
         rng = np.random.default_rng(d)
         for _ in range(500):
-            x = rng.uniform(0.3, 30.0, 2 * d)[::-2]
-            want = problem.fn(np.ascontiguousarray(x))[0]
-            assert problem.fn(x)[0].hex() == want.hex()
+            buf = rng.uniform(0.3, 30.0, 2 * d)
+            want = evaluate(problem, buf[::2].copy())[0].hex()
+            order = rng.permutation(d)
+            for x in (buf[::2], buf[::2][::-1], buf[::2][order], tuple(buf[::2][order].tolist())):
+                assert evaluate(problem, x)[0].hex() == want
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PIN))
+    def test_value_and_gradient_bits_are_pinned(self, name):
+        # math.fsum's bits, the same on every CPython.  The builtin sum rounds
+        # apart on some of these points: a running sum before 3.12, and from
+        # 3.12 on a compensated one, on 37 quadratic, 51 power-p and 8
+        # barrier values (through the barrier's sum of squares)
+        fn = catalog(name, {"d": PIN_DIM}).fn
+        lines = [" ".join(v.hex() for v in (value, *grad))
+                 for value, grad in map(fn, pin_points(name == "neg-log-barrier"))]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_PIN[name]
 
     def test_exp_experiment_overflow_is_a_domain_violation(self):
         # 0.5 mu y^2 overflows: on Python floats it is inf, which evaluate

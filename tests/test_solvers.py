@@ -562,6 +562,16 @@ class TestSelectDelta:
         with pytest.raises(ConfigurationError, match=r"r_bar\^2 must be a positive float"):
             select_delta(Affine(2, 1), 1e-200)
 
+    def test_a_zero_head_is_refused_at_once(self):
+        # r_bar^2 = 1e-20 is positive, but ell(0) r_bar^2 / 64 underflows to
+        # 0: the head is refused as it is, not halved 200 times and blamed on
+        # the two-branch geometry, which this monotone psi does not test
+        model = Affine(1e-310, 1.0)
+        assert model.delta_head(1e-10, None) == 0.0
+        with pytest.raises(PreconditionError, match=r"head delta = 0.0 is not > 0") as err:
+            select_delta(model, 1e-10)
+        assert "two-branch" not in str(err.value)
+
     def test_small_curvature_branch_refused(self):
         # delta_max = 2.5 and sup psi = 0.625; at half the peak the left
         # crossing is 1.435, where ell(4 left) = 3.3 > 2 ell(0)
@@ -754,9 +764,7 @@ class TestRunParameters:
         # agd1 on exp-1d claiming a superquadratic profile estimates m_bar
         # from samples at distance 2 r_bar = 400, where the gradient
         # exp(400) is finite and its square is not: its norm is finite, so
-        # the bound is twice it, and the run ends on its budget.  On the
-        # quadratic at r_bar = 1e200 the oracle's own inner product
-        # overflows, and every sample reads as infeasible
+        # the bound is twice it, and the run ends on its budget
         cfg = {"algorithm": "agd1", "problem": "exp-1d", "r_bar": 200.0, "budget": 10,
                "ell": {"kind": "power", "rho": 3.0, "L0": 1.0, "L1": 1.0}}
         with warnings.catch_warnings():
@@ -765,8 +773,17 @@ class TestRunParameters:
             assert bound == 2.0 * (math.exp(400.0) - math.exp(-400.0)) < math.inf
             result, _ = execute(config_from_dict(cfg), write_files=False)
             assert result.termination == "budget" and result.oracle_calls == 10
+
+    @pytest.mark.parametrize("name", ["neg-log-barrier", "power-p", "quadratic"])
+    def test_grad_bound_estimate_at_r_bar_1e200_without_numpy_warnings(self, name):
+        # at distance 2e200 every sample's squares or fourth powers overflow,
+        # or it leaves the orthant: the oracle on Python floats reads inf or
+        # raises OverflowError, evaluate refuses the point, and every sample
+        # reads as infeasible, with no np.errstate around the sampling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(PreconditionError, match="all gradient-bound samples fell"):
-                estimate_grad_bound(catalog("quadratic"), 1e200)
+                estimate_grad_bound(catalog(name), 1e200)
 
     def test_grad_bound_estimate_refuses_an_infinite_r_bar(self):
         # agd1 on the barrier claiming a superquadratic profile estimates
@@ -845,7 +862,7 @@ class TestAlgorithm2:
         # start's level floor reads 0 (smoothness.square), not a raw
         # OverflowError, and the short r_bar refuses the run
         p = Problem("linear", 2, FullSpace(), Constant(1.0),
-                    lambda x: (float(x.sum()), np.ones(2)), Optimum(0.0, np.zeros(2)),
+                    lambda x: (math.fsum(x), (1.0, 1.0)), Optimum(0.0, np.zeros(2)),
                     np.zeros(2), np.ones(2))
         res = algorithm2_run(p, p.ell_model, np.array([1e200, 1e200]), None, 1.0, 1e-6, 10)
         assert res.termination == "precondition-failed" and res.gamma_cap0 == 0.0
