@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, require_number
-from .problems import CATALOG_NAMES, catalog, default_x0
+from .problems import CATALOG_NAMES, catalog, default_x0, distance
 from .smoothness import model_from_config, select_delta
 from .solvers import (
     RunResult,
@@ -26,7 +26,6 @@ from .solvers import (
     algorithm2_run,
     estimate_grad_bound,
     gd_run,
-    norm,
     write_trace_csv,
 )
 
@@ -212,7 +211,7 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     if config.r_bar is not None:
         r_bar = config.r_bar
     elif problem.optimum is not None:
-        r_bar = 2.0 * norm(x0 - problem.optimum.x_star)
+        r_bar = 2.0 * distance(x0, problem.optimum.x_star)
         notes.append("r_bar defaulted to twice the true initial distance")
     else:
         raise ConfigurationError(

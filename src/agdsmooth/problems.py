@@ -8,15 +8,15 @@ returns the value, the gradient and its ``norm``, which every step rule and
 certificate reads, and refuses a NaN gradient, so no caller guards one.
 
 A point comes in one of two kinds.  Below ``solvers``' float cutoff
-the step loop holds its vectors as tuples of Python floats, which
-``evaluate`` and ``project_closure`` take and give back as tuples; every
-other caller, and every public result, holds float arrays.  Every oracle
-computes on Python floats: ``evaluate`` hands it the tuple as it is, or
-an array as one ``tolist()``, and turns its gradient back into an array
-for an array caller.  Each sum over the coordinates is ``math.fsum``,
-rounded once from its exact value, so no value depends on the BLAS, on the
-coordinates' order or layout, or on the interpreter (the builtin ``sum``
-compensates from 3.12 on, so its bits differ by version).
+the step loop, and every ``verify`` sweep, holds its vectors as tuples of
+Python floats, which ``evaluate`` and ``project_closure`` take and give
+back as tuples; every other caller, and every public result, holds float
+arrays.  Every oracle computes on Python floats: ``evaluate`` hands it the
+tuple as it is, or an array as one ``tolist()``, and turns its gradient
+back into an array for an array caller.  Each sum over the coordinates is
+``math.fsum``, rounded once from its exact value, so no value depends on
+the BLAS, on the coordinates' order or layout, or on the interpreter (the
+builtin ``sum`` compensates from 3.12 on, so its bits differ by version).
 ``tests/test_problems.py::TestOracleBits`` pins every catalog oracle's
 value and gradient bits to a reference form, and those of ``evaluate`` on
 a tuple, the norm's included, to those on an array.
@@ -118,6 +118,16 @@ def norm(v) -> float:
     pins them).  It is inf past the float range, never an ``OverflowError``;
     a NaN component makes it NaN unless another component is infinite."""
     return math.hypot(*(v if type(v) is tuple or type(v) is list else v.tolist()))
+
+
+def distance(a, b) -> float:
+    """Euclidean distance between two 1-D real vectors of one length, each
+    a tuple or list of floats or a float array: ``math.dist``, which shares
+    ``math.hypot``'s code, so it equals ``norm`` of the componentwise
+    difference bit for bit (``tests/test_norm_pin.py`` pins that), with no
+    difference vector built.  A difference past the float range reads inf."""
+    return math.dist(a if type(a) is tuple or type(a) is list else a.tolist(),
+                     b if type(b) is tuple or type(b) is list else b.tolist())
 
 
 def evaluate(problem: Problem, x) -> tuple[float, Any, float]:

@@ -26,10 +26,11 @@ A run of dimension at most ``_FLOAT_DIM`` holds y, u and the gradient as
 tuples of Python floats, which ``evaluate`` and ``project_closure`` take as
 they are; a larger one holds float arrays.  The run chooses once, at its
 start, and the step's vector helpers follow the kind they are given:
-elementwise IEEE operations round alike in both, and ``problems.norm`` is
-``math.hypot`` on both, so the choice moves no bit.  ``evaluate`` returns
-each gradient with its norm, and refuses a NaN gradient.  Every public
-boundary (``RunResult.state``, ``agd_step`` on array states) holds arrays.
+elementwise IEEE operations round alike in both, and ``problems.norm`` and
+``problems.distance`` are ``math.hypot`` and ``math.dist`` on both, so the
+choice moves no bit.  ``evaluate`` returns each gradient with its norm, and
+refuses a NaN gradient.  Every public boundary (``RunResult.state``,
+``agd_step`` on array states) holds arrays.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     PreconditionError,
     SafetyViolationError,
 )
-from .problems import Problem, evaluate, norm, project_closure
+from .problems import Problem, distance, evaluate, norm, project_closure
 from .smoothness import EllModel, psi_inverse, square, warm_start_refusal
 
 LOG_3_2 = math.log(1.5)
@@ -121,13 +122,6 @@ def _descend(v, c: float, g):
     if type(v) is tuple:
         return tuple([a - c * b for a, b in zip(v, g)])
     return v - c * g
-
-
-def _distance(a, b) -> float:
-    """``norm(a - b)``."""
-    if type(a) is tuple:
-        return norm([p - q for p, q in zip(a, b)])
-    return norm(a - b)
 
 
 def _copy(v):
@@ -289,7 +283,7 @@ class _Run:
         f0, g0, gn0 = self.oracle(x0)
         refusal = ""
         if (self.x_star is not None
-                and _distance(x0, self.x_star) > self.r_bar * (1 + 1e-12)):
+                and distance(x0, self.x_star) > self.r_bar * (1 + 1e-12)):
             refusal = "r_bar is below the true initial distance"
         return AgdState(x0, _copy(x0), 1.0, 0, f0, g0, gn0), refusal
 
@@ -421,7 +415,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
     check = run.check_invariants and x_star is not None
     # |x - x*| feeds the monotone check and the trace's distance cell
     track_dist = x_star is not None and (check or run.trace is not None)
-    dist = _distance(x, x_star) if check else None
+    dist = distance(x, x_star) if check else None
     while True:
         if run.gap(f, gn) <= target:
             break
@@ -438,7 +432,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
         x = x_next
         run.gd_iters += 1
         flags = 0
-        dist_next = _distance(x, x_star) if track_dist else None
+        dist_next = distance(x, x_star) if track_dist else None
         if check:
             cap = dist * (1.0 + 1e-12)
             if not dist_next <= cap:
@@ -537,9 +531,9 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     gap = None if f_star is None else state.f_y - f_star
     bound = run.bound(state.gamma_cap)
     gn = state.grad_norm
-    dist_u = _distance(state.u, x_star) if check_v else None
+    dist_u = distance(state.u, x_star) if check_v else None
     v_prev = lyapunov(gap, state.gamma_cap, dist_u) if check_v else None
-    dist = _distance(state.y, x_star) if ball else None
+    dist = distance(state.y, x_star) if ball else None
     k0 = state.k
     while True:
         if (gap is not None and gap <= epsilon) or bound <= epsilon:
@@ -594,7 +588,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
         bound = run.bound(gamma_cap)
         v_new = None
         if track_v:
-            dist_u = _distance(state.u, x_star)
+            dist_u = distance(state.u, x_star)
             v_new = lyapunov(gap, gamma_cap, dist_u)
 
         if check_invariants:
@@ -613,7 +607,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
                 if not gamma_cap <= cap:
                     flags |= note(Flag.GAMMA_ENVELOPE, state.k, gamma_cap, cap)
 
-        dist = _distance(state.y, x_star) if track_dist else None
+        dist = distance(state.y, x_star) if track_dist else None
         row("agd", state.k, gap, gn, step_gamma, dist, flags, gamma_cap, alpha,
             bound, v_new)
 
@@ -743,7 +737,7 @@ def algorithm2_run(
         x_star = run.x_star
         # the floor needs |x0 - x*|^2 > 0: a distance whose square
         # underflows leaves no floor, as the optimum itself does
-        r0_sq = square(_distance(state.y, x_star)) if x_star is not None else 0.0
+        r0_sq = square(distance(state.y, x_star)) if x_star is not None else 0.0
         floor = 2.0 * (state.f_y - run.f_star) / r0_sq if r0_sq > 0 else None
         if gamma_cap0 is None:
             gamma_cap0 = 1.0 if floor is None else floor

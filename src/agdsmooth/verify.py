@@ -11,6 +11,14 @@ a NaN margin holds nothing, so it is a violation and the worst margin.
 component is refused here too, as a point where f overflows is.
 The convexity integral is ``smoothness.quad``, the package's Gauss-Kronrod
 rule, and a point where it misses its tolerance is a ``PreconditionError``.
+
+The sweeps draw their points as tuples of Python floats, the kind of a
+small run's step loop, so ``evaluate``, ``agd_step`` and
+``project_closure`` take them as they are and every gradient comes back a
+tuple.  The public checks also take arrays, and error messages print a
+point in NumPy's form.  Every distance is ``problems.distance`` and the
+Bregman term's inner product is ``math.fsum``, so no margin bit comes from
+the BLAS.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainViolationError, PreconditionError
-from .problems import Problem, evaluate, norm, project_closure
+from .problems import Problem, distance, evaluate, norm, project_closure
 from .smoothness import (
     QUAD_REL_TOL,
     delta_left_right,
@@ -77,21 +85,42 @@ def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
     )
 
 
-def _sampled_norm(problem: Problem, x: np.ndarray, g: np.ndarray, n: float) -> float:
+def _sampled_norm(problem: Problem, x, g, n: float) -> float:
     """``n``, the norm of the gradient ``g`` at ``x``, refusing a NaN norm (a
     caller-built state's) or an infinite component as a ``DomainViolationError``
     that names x: the checks take differences of gradients, where inf - inf
     is NaN.  Finite components past the float range keep their inf norm."""
     if n != n:
-        raise DomainViolationError(
-            f"{problem.name}: the gradient has a NaN component at {x}: {g}")
-    if n == math.inf and np.isinf(g).any():
-        raise DomainViolationError(
-            f"{problem.name}: the gradient at {x} has an infinite component: {g}")
+        raise DomainViolationError(f"{problem.name}: the gradient has a NaN component at "
+                                   f"{np.asarray(x)}: {np.asarray(g)}")
+    if n == math.inf and math.inf in map(abs, g):
+        raise DomainViolationError(f"{problem.name}: the gradient at {np.asarray(x)} "
+                                   f"has an infinite component: {np.asarray(g)}")
     return n
 
 
-def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -> float:
+def _floats(v) -> tuple[float, ...]:
+    """A point that ``evaluate`` has taken, or a gradient it gave, as a
+    tuple of Python floats."""
+    return v if type(v) is tuple else tuple(np.asarray(v, dtype=float).tolist())
+
+
+def _bregman_inner(g, x, y) -> float:
+    """``<g, x - y>`` on tuples of floats, the ``math.fsum`` of its terms,
+    rounded once from the exact sum.  Where fsum refuses, on finite terms
+    whose sum passes the float range or on inf - inf, it is the IEEE sum of
+    the terms in order, inf or NaN, which leaves the margin non-finite."""
+    terms = [c * (p - q) for c, p, q in zip(g, x, y)]
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+
+
+def check_convexity_smoothness(problem: Problem, x, y) -> float:
     """Margin of the smoothed convexity lower bound between two points.
 
     The sharp side is the gradient-difference energy weighted by the
@@ -104,8 +133,8 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     fy, gy, b = evaluate(problem, y)
     _sampled_norm(problem, x, gx, a)
     _sampled_norm(problem, y, gy, b)
-    diff = norm(gx - gy)
-    rhs = fx - fy - float(gy.dot(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    diff = distance(gx, gy)
+    rhs = fx - fy - _bregman_inner(_floats(gy), _floats(x), _floats(y))
     if diff == 0.0:
         return rhs
     integral, err = quad(lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0)
@@ -114,7 +143,7 @@ def check_convexity_smoothness(problem: Problem, x: np.ndarray, y: np.ndarray) -
     return rhs - diff * diff * integral
 
 
-def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> float:
+def check_gradient_transfer(problem: Problem, x, y) -> float:
     """Margin of the gradient-variation bound
     ``|grad f(y) - grad f(x)| <= q_inverse(|y - x|; |grad f(x)|)``."""
     model = problem.ell_model
@@ -122,10 +151,10 @@ def check_gradient_transfer(problem: Problem, x: np.ndarray, y: np.ndarray) -> f
     _, gy, b = evaluate(problem, y)
     _sampled_norm(problem, x, gx, a)
     _sampled_norm(problem, y, gy, b)
-    dist = norm(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
+    dist = distance(y, x)
     if dist >= q_max(model, a):
         raise PreconditionError(f"|y - x| = {dist} is not below q_max = {q_max(model, a)}")
-    return q_inverse(model, dist, a) - norm(gy - gx)
+    return q_inverse(model, dist, a) - distance(gy, gx)
 
 
 def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> float:
@@ -146,7 +175,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     ny = _sampled_norm(problem, state.y, gy, norm(gy))
     if not step_gamma > 0.0:
         raise PreconditionError(
-            f"{problem.name}: step_gamma = {step_gamma} at y = {state.y} is not > 0 "
+            f"{problem.name}: step_gamma = {step_gamma} at y = {np.asarray(state.y)} is not > 0 "
             f"(|g_y| = {ny})"
         )
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
@@ -158,16 +187,16 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     alpha = nxt.alpha
     lhs = (
         (1.0 + alpha) * (nxt.f_y - f_star)
-        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * square(norm(nxt.u - x_star))
-        - lyapunov(state.f_y - f_star, state.gamma_cap, norm(state.u - x_star))
+        + 0.5 * (1.0 + alpha) * nxt.gamma_cap * square(distance(nxt.u, x_star))
+        - lyapunov(state.f_y - f_star, state.gamma_cap, distance(state.u, x_star))
     )
     rhs = 0.5 * (
         step_gamma - 1.0 / ell_eval(model, 2.0 * ny + nxt.grad_norm)
-    ) * square(norm(nxt.grad_y - gy))
+    ) * square(distance(nxt.grad_y, gy))
     return rhs - lhs
 
 
-def check_gap_to_grad(problem: Problem, y: np.ndarray, delta: float) -> bool:
+def check_gap_to_grad(problem: Problem, y, delta: float) -> bool:
     """Two-branch gradient localization at gap level ``delta``.
 
     For a point with ``f(y) - f* <= delta`` (caller-verified) the gradient
@@ -193,25 +222,25 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     ``lo + (hi - lo) * next_double``, on the same doubles of the stream, so
     the bits agree, without its per-call broadcasting and range checks.  It
     serves the sweeps' scalar draws; the box draw of ``_interior_sampler``
-    applies the same formula to the span it has already computed."""
+    applies the same formula to each span it has already computed."""
     return lo + (hi - lo) * rng.random()
 
 
 def _interior_sampler(problem: Problem):
-    """The draw ``rng -> point`` from the problem's sample box, whose bounds
-    are checked once: finite, with ``lo <= hi`` and a finite span, which
-    every draw reuses in ``_uniform``'s formula."""
-    lo = np.asarray(problem.sample_lo, dtype=float)
-    hi = np.asarray(problem.sample_hi, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = hi - lo
-    if not (np.isfinite(lo).all() and np.isfinite(span).all() and (span >= 0.0).all()):
+    """The draw ``rng -> point``, a tuple of floats, from the problem's
+    sample box, whose bounds are checked once: finite, with ``lo <= hi`` and
+    a finite span, which every draw reuses in ``_uniform``'s formula,
+    coordinate by coordinate on one ``rng.random`` vector of the stream."""
+    lo = np.asarray(problem.sample_lo, dtype=float).tolist()
+    hi = np.asarray(problem.sample_hi, dtype=float).tolist()
+    span = [b - a for a, b in zip(lo, hi)]
+    if not all(-math.inf < a < math.inf and 0.0 <= s < math.inf for a, s in zip(lo, span)):
         raise PreconditionError(
             f"{problem.name}: sample box [{problem.sample_lo}, {problem.sample_hi}] "
             "needs finite bounds with lo <= hi"
         )
-    shape = span.shape
-    return lambda rng: lo + span * rng.random(shape)
+    n = len(span)
+    return lambda rng: tuple([a + s * r for a, s, r in zip(lo, span, rng.random(n).tolist())])
 
 
 def sweep_convexity_smoothness(
@@ -222,7 +251,7 @@ def sweep_convexity_smoothness(
     def trial(rng):
         x = sample(rng)
         y = sample(rng)
-        return check_convexity_smoothness(problem, x, y), (tuple(x), tuple(y))
+        return check_convexity_smoothness(problem, x, y), (x, y)
 
     return _sweep("convexity-smoothness", trials, seed, trial)
 
@@ -239,10 +268,11 @@ def sweep_gradient_transfer(
         x = sample(rng)
         y = sample(rng)
         budget = q_max(model, evaluate(problem, x)[2])
-        dist = norm(y - x)
+        dist = distance(y, x)
         if dist >= 0.9 * budget:
-            y = x + (y - x) * (0.9 * budget / dist) * _uniform(rng, 0.5, 1.0)
-        return check_gradient_transfer(problem, x, y), (tuple(x), tuple(y))
+            s, w = 0.9 * budget / dist, _uniform(rng, 0.5, 1.0)
+            y = tuple([a + (b - a) * s * w for a, b in zip(x, y)])
+        return check_gradient_transfer(problem, x, y), (x, y)
 
     return _sweep("gradient-transfer", trials, seed, trial)
 
@@ -266,7 +296,7 @@ def sweep_descent_step(
         gamma = cap * _uniform(rng, 0.05, 1.0)
         state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y, grad_norm=gn)
         margin = check_descent_step(problem, state, gamma)
-        return margin, (tuple(y), tuple(u), gcap, gamma)
+        return margin, (y, u, gcap, gamma)
 
     return _sweep("descent-step", trials, seed, trial)
 
@@ -288,7 +318,7 @@ def sweep_gap_to_grad(
         if delta >= problem.ell_model.psi_sup:
             return None
         ok = check_gap_to_grad(problem, y, delta)
-        return (0.0 if ok else -1.0), (tuple(y), delta)
+        return (0.0 if ok else -1.0), (y, delta)
 
     return _sweep("gap-to-gradient", trials, seed, trial)
 

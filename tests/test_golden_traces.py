@@ -122,12 +122,13 @@ GOLDEN_RUNS = {
 }
 
 # Every convexity integral and a general power's q integrate with the
-# package's Gauss-Kronrod rule (``smoothness.quad``).
+# package's Gauss-Kronrod rule (``smoothness.quad``), and every Bregman
+# term's inner product is a ``math.fsum``.
 GOLDEN_VERIFY = {
     "exp-1d": "5365dc494ba850b225bd0fe71417e444d260390c0501627101edb21a505f1a68",
     "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
     "neg-log-barrier": "13f8bed4ac945c7c6e0b719af2b0b68cb046c0a01eef9cc60378ea49b91320cc",
-    "power-p": "070804a3fc2e3cf9a8c76822007df241f7087d0c44a68d46295ff57c7a390593",
+    "power-p": "ff3c6b0f3c47d98efe35664a205206911e5cc4371cd150574b5ae9e6cf616a1d",
     "quadratic": "acda2cef54bff0682a31ed6dea590cdaabcacbf15df1f1a10a20effd90772f1a",
 }
 VERIFY_TRIALS = 60

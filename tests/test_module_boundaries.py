@@ -1,7 +1,8 @@
 """Module boundaries: no package module imports another one's private names,
 no code outside the profile classes dispatches on their type, every norm is
-``problems.norm``, defined once, every inner product is ``.dot`` rather
-than ``@``, every catalog oracle sums Python floats with ``math.fsum``,
+``problems.norm``, defined once, and every distance ``problems.distance``,
+no inner product is the BLAS's (no ``.dot`` and no ``@``), every catalog
+oracle sums Python floats with ``math.fsum``,
 solvers calls ell without ``ell_eval``, no module imports SciPy,
 every public top-level name, and every public method of a profile class, is
 used by some module of the package, and ``psi_inverse`` is one function."""
@@ -73,8 +74,10 @@ def test_no_profile_class_imports(name):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_norm(path):
     """Every Euclidean norm is ``problems.norm``, ``math.hypot`` of the
-    components, whose bits depend on neither the BLAS nor the NumPy build:
-    no module takes NumPy's."""
+    components, and every distance ``problems.distance``, ``math.dist``,
+    whose bits depend on neither the BLAS nor the NumPy build: no module
+    takes NumPy's norm, and none takes ``norm`` of a subtraction, which
+    builds the difference that ``distance`` does without."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [
         f"line {node.lineno}"
@@ -85,6 +88,14 @@ def test_one_norm(path):
             and any(alias.name == "norm" for alias in node.names))
     ]
     assert not calls, f"{path.name} takes numpy.linalg's norm: {calls}"
+    differences = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func) == ["norm"]
+        and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert not differences, f"{path.name} takes norm of a subtraction: {differences}"
 
 
 def test_norm_is_defined_once():
@@ -99,16 +110,17 @@ def test_norm_is_defined_once():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_matmul_operator(path):
-    # every inner product is .dot, which reaches the same BLAS routine as @
-    # at about half its dispatch on short vectors
+def test_no_blas_inner_product(path):
+    # no value bit comes from the BLAS: an inner product is a math.fsum of
+    # Python floats, never .dot or @, whose bits follow the BLAS kernel
     tree = ast.parse(path.read_text(), filename=str(path))
     ops = [
         f"line {node.lineno}"
         for node in ast.walk(tree)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr == "dot")
     ]
-    assert not ops, f"{path.name} multiplies with @: {ops}"
+    assert not ops, f"{path.name} takes a BLAS inner product: {ops}"
 
 
 def test_catalog_oracles_sum_with_fsum_on_floats():

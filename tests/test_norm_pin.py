@@ -1,17 +1,22 @@
-"""The bits of ``problems.norm`` pinned on seeded vectors, in pure Python.
+"""The bits of ``problems.norm`` pinned on seeded vectors, in pure Python,
+and those of ``problems.distance`` to ``norm`` of the difference.
 
 ``norm`` is ``math.hypot`` of a vector's components, which is CPython's own
 code: its bits depend on neither the BLAS nor the NumPy build, so the trace
-hashes do not either.  This file needs no NumPy.  It takes ``norm``'s source
-out of ``src/agdsmooth/problems.py`` and runs it on tuples, so any CPython
-from 3.10 on can check the pin, with or without the package's dependencies:
+hashes do not either.  ``distance`` is ``math.dist``, which shares
+``hypot``'s code on the absolute differences, so it equals ``norm`` of the
+componentwise difference bit for bit.  This file needs no NumPy.  It takes
+both functions' source out of ``src/agdsmooth/problems.py`` and runs them
+on tuples and lists, so any CPython from 3.10 on can check the pins, with
+or without the package's dependencies:
 
     python3 tests/test_norm_pin.py
 
 The vectors have d in {1, 2, 3, 7, 50} and magnitudes about 1e-150, 1 and
 1e150 (2**-498, 2**0 and 2**498, each component spread over 2**-8 to 2**8).
 They are built from ``random.Random`` draws and ``math.ldexp``, both exact
-and the same on every platform.
+and the same on every platform.  The distance pairs take d in {1, 2, 3, 7,
+10, 16}, each side at one of those magnitudes.
 """
 
 import __future__
@@ -76,23 +81,27 @@ SPECIAL = [
 ]
 
 
-def package_norm():
-    """``problems.norm``, compiled from its source alone with ``math`` as
-    its one global."""
+def package_function(name):
+    """The function ``name`` of ``problems``, compiled from its source alone
+    with ``math`` as its one global."""
     tree = ast.parse(PROBLEMS.read_text(), filename=str(PROBLEMS))
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "norm")
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
     code = compile(ast.Module(body=[node], type_ignores=[]), str(PROBLEMS), "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     namespace = {"math": math}
     exec(code, namespace)
-    return namespace["norm"]
+    return namespace[name]
+
+
+def vector(rng, d, exponent):
+    return tuple(math.ldexp(2.0 * rng.random() - 1.0, exponent + int(17 * rng.random()) - 8)
+                 for _ in range(d))
 
 
 def vectors(d, exponent):
     rng = random.Random(f"norm-pin-{d}-{exponent}")
     for _ in range(VECTORS):
-        yield tuple(math.ldexp(2.0 * rng.random() - 1.0, exponent + int(17 * rng.random()) - 8)
-                    for _ in range(d))
+        yield vector(rng, d, exponent)
 
 
 def digest(norm, d, exponent):
@@ -101,13 +110,13 @@ def digest(norm, d, exponent):
 
 
 def test_norm_bits_are_pinned():
-    norm = package_norm()
+    norm = package_function("norm")
     got = {(d, e): digest(norm, d, e) for d in DIMS for e in EXPONENTS}
     assert got == PIN
 
 
 def test_special_cases():
-    norm = package_norm()
+    norm = package_function("norm")
     assert [(v, norm(v).hex()) for v, _ in SPECIAL] == SPECIAL
 
 
@@ -116,7 +125,7 @@ def test_vectors_are_within_one_ulp_of_the_true_norm():
     # the sum of squares to one ulp
     from fractions import Fraction
 
-    norm = package_norm()
+    norm = package_function("norm")
     for d in DIMS:
         for e in EXPONENTS:
             for v in vectors(d, e):
@@ -126,10 +135,67 @@ def test_vectors_are_within_one_ulp_of_the_true_norm():
                 assert max(Fraction(n) - ulp, 0) ** 2 <= total <= (Fraction(n) + ulp) ** 2
 
 
+DISTANCE_DIMS = (1, 2, 3, 7, 10, 16)
+PAIRS = 200
+
+# hand pairs: differences past the float range, inf - inf, a NaN, subnormal
+# differences and exact cancellation
+SPECIAL_PAIRS = [
+    ((1.5e308, 1.0), (-1.5e308, 0.0)),
+    ((1.7e308, -1.7e308), (-1.7e308, 1.7e308)),
+    ((1e200, 1e200), (-1e200, -1e200)),
+    ((math.inf, 1.0), (0.0, 2.0)),
+    ((1.0, 2.0), (math.inf, -math.inf)),
+    ((math.inf, 1.0), (math.inf, 2.0)),
+    ((math.inf, math.nan), (0.0, 0.0)),
+    ((math.nan, 1.0), (0.0, 0.0)),
+    ((1.0, 2.0), (1.0, math.nan)),
+    ((5e-324,), (-5e-324,)),
+    ((5e-324, 1e-310), (0.0, -1e-310)),
+    ((2.0 ** -1022, 2.0 ** -1074), (2.0 ** -1023, 0.0)),
+    ((-0.0, 0.0), (0.0, -0.0)),
+    ((0.1, 0.2, 0.3), (0.1, 0.2, 0.3)),
+    ((), ()),
+]
+
+
+def pairs(d):
+    rng = random.Random(f"distance-pin-{d}")
+    for _ in range(PAIRS):
+        yield (vector(rng, d, EXPONENTS[int(3 * rng.random())]),
+               vector(rng, d, EXPONENTS[int(3 * rng.random())]))
+
+
+def difference_norm(norm, a, b):
+    return norm(tuple(p - q for p, q in zip(a, b)))
+
+
+def test_distance_is_the_norm_of_the_difference():
+    norm, distance = package_function("norm"), package_function("distance")
+    for d in DISTANCE_DIMS:
+        for a, b in pairs(d):
+            want = difference_norm(norm, a, b).hex()
+            assert distance(a, b).hex() == want, (a, b)
+            # a near pair: the difference cancels to its last bits
+            near = tuple(math.nextafter(v, math.inf) for v in a)
+            assert distance(a, near).hex() == difference_norm(norm, a, near).hex()
+            assert distance(list(a), b).hex() == distance(a, list(b)).hex() == want
+
+
+def test_distance_special_cases():
+    norm, distance = package_function("norm"), package_function("distance")
+    got = [distance(a, b).hex() for a, b in SPECIAL_PAIRS]
+    assert got == [difference_norm(norm, a, b).hex() for a, b in SPECIAL_PAIRS]
+    assert got[:3] == ["inf", "inf", "0x1.d8f9811335b57p+665"]
+    assert got[3:6] == ["inf", "inf", "nan"]  # inf - inf is a NaN component
+    assert got[6:9] == ["inf", "nan", "nan"]
+    assert got[9] == "0x0.0000000000002p-1022" and got[-2:] == ["0x0.0p+0"] * 2
+
+
 if __name__ == "__main__":
     import sys
 
     for name, test in sorted(globals().items()):
         if name.startswith("test_"):
             test()
-    print(f"norm pin holds on Python {sys.version.split()[0]}")
+    print(f"norm and distance pins hold on Python {sys.version.split()[0]}")

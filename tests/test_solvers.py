@@ -50,7 +50,7 @@ from agdsmooth import (
 from agdsmooth import problems, smoothness, solvers
 from agdsmooth.config import config_from_dict, execute
 from agdsmooth.smoothness import warm_start_refusal
-from agdsmooth.problems import norm
+from agdsmooth.problems import distance, norm
 from agdsmooth.smoothness import square
 from agdsmooth.solvers import TRACE_HEADER, TraceRecord, format_trace_row
 from test_smoothness import decimal_psi_root, exact_admissible_boundary, piecewise_linear_profiles
@@ -219,21 +219,25 @@ PINNED_RUN = {"algorithm": "agd2", "problem": "exp-experiment", "problem_params.
 
 
 class TestSavedWork:
-    """Each accelerated iteration takes three norms: the gradient's, in
-    ``evaluate``, the certificate function's |u - x*| (which the next ball
-    check reuses) and the row's |y - x*| (likewise)."""
+    """Each accelerated iteration takes three norms: the gradient's, a
+    ``problems.norm`` in ``evaluate``, and two ``problems.distance``s, the
+    certificate function's |u - x*| (which the next ball check reuses) and
+    the row's |y - x*| (likewise)."""
 
     @staticmethod
     def counted_run(monkeypatch, tmp_path, settings):
         calls = [0]
-        plain = problems.norm
 
-        def counted(v):
-            calls[0] += 1
-            return plain(v)
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(problems, "norm", counted)
-        monkeypatch.setattr(solvers, "norm", counted)
+        for name in ("norm", "distance"):
+            wrapped = counted(getattr(problems, name))
+            monkeypatch.setattr(problems, name, wrapped)
+            monkeypatch.setattr(solvers, name, wrapped)
         result, _ = execute(config_from_dict({
             **settings, "check_invariants": True, "trace_path": str(tmp_path / "trace.csv"),
             "summary_path": str(tmp_path / "summary.json")}))
@@ -1190,6 +1194,16 @@ class TestNorm:
         else:
             ulp = Fraction(math.ulp(got))
             assert max(Fraction(got) - ulp, 0) ** 2 <= total <= (Fraction(got) + ulp) ** 2
+
+    @given(vectors(), vectors())
+    def test_distance_is_the_norm_of_the_difference_on_every_kind(self, a, b):
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = norm(a - b).hex()
+        assert distance(a, b).hex() == want
+        assert distance(tuple(a.tolist()), b).hex() == want
+        assert distance(a.tolist(), tuple(b.tolist())).hex() == want
 
     def test_a_norm_whose_square_underflows_or_overflows(self):
         assert norm((2.0 ** -975,)) == 2.0 ** -975

@@ -29,9 +29,10 @@ from agdsmooth import (
     evaluate,
     smoothness,
 )
-from agdsmooth import cli
-from agdsmooth.problems import norm
+from agdsmooth import cli, verify
+from agdsmooth.problems import FullSpace, Problem, norm
 from agdsmooth.verify import (
+    _bregman_inner,
     _interior_sampler,
     _sweep,
     _uniform,
@@ -239,10 +240,11 @@ def hexes(values):
 
 
 class TestDraws:
-    # the box draw is ``lo + span * rng.random(shape)`` on the sampler's
-    # precomputed span, and ``_uniform`` serves the scalar draws with
-    # ``lo + (hi - lo) * rng.random()``; these pin that both give the bits
-    # ``rng.uniform`` gave, from the same stream
+    # the box draw is ``lo_i + span_i * r_i`` on the sampler's precomputed
+    # spans and one ``rng.random`` vector, a tuple of floats, and
+    # ``_uniform`` serves the scalar draws with ``lo + (hi - lo) *
+    # rng.random()``; these pin that both give the bits ``rng.uniform``
+    # gave, from the same stream
 
     @pytest.mark.parametrize("name, params", BOXES, ids=lambda v: str(v))
     def test_box_draw_bits_equal_numpy_uniform(self, name, params):
@@ -251,8 +253,37 @@ class TestDraws:
         got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
         for _ in range(2000):
             got, want = sample(got_rng), want_rng.uniform(p.sample_lo, p.sample_hi)
-            assert got.shape == want.shape == (p.dim,)
+            assert type(got) is tuple and len(got) == p.dim and want.shape == (p.dim,)
             assert hexes(got) == hexes(want)
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_transfer_pairs_equal_the_array_sweep(self, monkeypatch, d):
+        # the gradient-transfer sweep's pairs, drawn and shrunk on floats,
+        # have the bits of the array sweep it replaced:
+        # y = x + (y - x) * (0.9 budget / |y - x|) * uniform(0.5, 1).  The
+        # barrier's rho = 2 claim has a finite q_max, which shrinks most
+        # pairs; the other catalog claims shrink none at these draws
+        p = catalog("neg-log-barrier", {"d": d})
+        pairs = []
+        plain = verify.check_gradient_transfer
+
+        def recorded(problem, x, y):
+            pairs.append((x, y))
+            return plain(problem, x, y)
+
+        monkeypatch.setattr(verify, "check_gradient_transfer", recorded)
+        sweep_gradient_transfer(p, trials=300, seed=0)
+        rng, shrunk = np.random.default_rng(0), 0
+        for x, y in pairs:
+            want_x = rng.uniform(p.sample_lo, p.sample_hi)
+            want_y = rng.uniform(p.sample_lo, p.sample_hi)
+            budget = smoothness.q_max(p.ell_model, evaluate(p, want_x)[2])
+            dist = norm(want_y - want_x)
+            if dist >= 0.9 * budget:
+                shrunk += 1
+                want_y = want_x + (want_y - want_x) * (0.9 * budget / dist) * rng.uniform(0.5, 1.0)
+            assert (hexes(x), hexes(y)) == (hexes(want_x), hexes(want_y))
+        assert len(pairs) == 300 and shrunk > 250
 
     @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-3, 2), (0.05, 1.0)])
     def test_scalar_draw_bits_equal_numpy_uniform(self, lo, hi):
@@ -452,6 +483,47 @@ class TestNonFiniteVerdict:
             report = sweep_descent_step(p, trials=20, seed=0)
         assert report.trials == 20 and report.violations > 0 and not report.passed
         assert math.isnan(report.worst_margin)
+
+    # the Bregman term <g_y, x - y> is math.fsum of its terms, which refuses
+    # finite terms whose sum passes the float range (OverflowError) and
+    # inf - inf (ValueError), and returns a NaN term's NaN; each makes the
+    # term inf or NaN and the margin non-finite, a violation
+    BREGMAN_CASES = {
+        "intermediate-overflow": ((1e308, 1e308), (1.0, 1.0), (0.0, 0.0), OverflowError),
+        "inf-minus-inf": ((1e300, 1e300), (1e10, -1e10), (0.0, 0.0), ValueError),
+        "nan-term": ((0.0, 1.0), (1e308, 0.0), (-1e308, 0.0), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BREGMAN_CASES))
+    def test_bregman_term_past_fsum_is_a_non_finite_violation(self, case):
+        # f = 0 with a constant gradient, so |g_x - g_y| = 0 and the margin
+        # is the Bregman gap 0 - 0 - <g, x - y> itself
+        g, x, y, refusal = self.BREGMAN_CASES[case]
+        p = Problem(name="constant-gradient", dim=2, domain=FullSpace(),
+                    ell_model=Constant(1.0), fn=lambda point: (0.0, g), optimum=None,
+                    sample_lo=np.full(2, -1.0), sample_hi=np.full(2, 1.0))
+        terms = [c * (a - b) for c, a, b in zip(g, x, y)]
+        if refusal is None:
+            assert math.isnan(math.fsum(terms))
+        else:
+            with pytest.raises(refusal):
+                math.fsum(terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inner = _bregman_inner(g, x, y)
+            margins = [check_convexity_smoothness(p, x, y),
+                       check_convexity_smoothness(p, np.array(x), list(y))]
+        want = -math.inf if case == "intermediate-overflow" else math.nan
+        assert inner.hex() == (-want).hex()
+        assert [m.hex() for m in margins] == [want.hex()] * 2
+        pairs = iter(margins)
+        report = _sweep("convexity-smoothness", 2, 0, lambda rng: (next(pairs), (x, y)))
+        assert report.violations == 2 and not report.passed
+        assert not math.isfinite(report.worst_margin) and report.witness == (x, y)
+
+    def test_a_finite_bregman_term_is_the_exact_sum_rounded_once(self):
+        # 1e16 + 1 - 1e16 is 1 exactly; a sum in order would lose the 1
+        assert _bregman_inner((1e16, 1.0, -1e16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)) == 1.0
 
     @pytest.fixture
     def steep_catalog(self, monkeypatch, tmp_path):
