@@ -32,8 +32,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .config import execute, jsonable, load_config, load_sweep, output_dir, run_sweep, write_json
 from .errors import (
     ConfigurationError,
@@ -143,16 +141,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # the oracle and the runs turn non-finite arithmetic into typed
-        # errors, so NumPy's own floating-point warnings would only repeat them
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if args.command == "run":
-                return _cmd_run(args)
-            if args.command == "sweep":
-                return _cmd_sweep(args)
-            if args.command == "verify":
-                return _cmd_verify(args)
-            return _cmd_catalog(args)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_catalog(args)
     except (ConfigurationError, DomainError, DomainViolationError, OutOfRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigurationError, require_number
 from .problems import CATALOG_NAMES, catalog, default_x0, distance
@@ -167,7 +166,9 @@ def jsonable(value):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
-    if isinstance(value, np.ndarray):
+    # an array exists only once NumPy is loaded, so it is looked up, not imported
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, numpy.ndarray):
         return [float(v) for v in value]
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
@@ -198,13 +199,13 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     config.validate()
     problem = catalog(config.problem, config.problem_params)
     model = problem.ell_model if config.ell is None else model_from_config(config.ell)
-    x0 = np.asarray(
-        config.x0 if config.x0 is not None else default_x0(config.problem, problem.dim),
-        dtype=float,
-    )
-    if x0.shape != (problem.dim,):
+    if config.x0 is None:
+        x0 = default_x0(config.problem, problem.dim)
+    else:
+        x0 = tuple([float(v) for v in config.x0])
+    if len(x0) != problem.dim:
         raise ConfigurationError(
-            f"config field 'x0': expected {problem.dim} coordinates, got {x0.shape}"
+            f"config field 'x0': expected {problem.dim} coordinates, got {(len(x0),)}"
         )
     notes: list[str] = []
 
@@ -269,7 +270,7 @@ def _summarize(config, result, model, r_bar, delta, gamma_cap0, m_bar, notes, x0
     resolved = asdict(config)
     resolved.update(
         ell=model.to_config(),
-        x0=[float(v) for v in x0],
+        x0=list(x0),
         r_bar=r_bar,
         delta=delta,
         gamma_cap0=gamma_cap0,

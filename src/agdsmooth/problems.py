@@ -10,13 +10,17 @@ certificate reads, and refuses a NaN gradient, so no caller guards one.
 A point comes in one of two kinds.  Below ``solvers``' float cutoff
 the step loop, and every ``verify`` sweep, holds its vectors as tuples of
 Python floats, which ``evaluate`` and ``project_closure`` take and give
-back as tuples; every other caller, and every public result, holds float
-arrays.  Every oracle computes on Python floats: ``evaluate`` hands it the
-tuple as it is, or an array as one ``tolist()``, and turns its gradient
-back into an array for an array caller.  Each sum over the coordinates is
-``math.fsum``, rounded once from its exact value, so no value depends on
-the BLAS, on the coordinates' order or layout, or on the interpreter (the
-builtin ``sum`` compensates from 3.12 on, so its bits differ by version).
+back as tuples; a larger run, and any other caller, holds float arrays.
+The catalog's optima and sample boxes are tuples of floats.  Every oracle
+computes on Python floats: ``evaluate`` hands it the tuple as it is, or an
+array as one ``tolist()``, and turns its gradient back into an array for
+an array caller.  NumPy is imported only where an array is met, in the
+array branches of ``evaluate`` and ``project_closure``, and by
+``show_point``, which prints a point in an error message.  Each sum over
+the coordinates is ``math.fsum``, rounded once from its exact value, so no
+value depends on the BLAS, on the coordinates' order or layout, or on the
+interpreter (the builtin ``sum`` compensates from 3.12 on, so its bits
+differ by version).
 ``tests/test_problems.py::TestOracleBits`` pins every catalog oracle's
 value and gradient bits to a reference form, and those of ``evaluate`` on
 a tuple, the norm's included, to those on an array.
@@ -28,8 +32,6 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import ConfigurationError, DomainError, DomainViolationError, require_number
 from .smoothness import Affine, Constant, EllModel, Power
@@ -61,6 +63,8 @@ def project_closure(domain: Domain, x):
         if isinstance(domain, FullSpace):
             return x
         return tuple([v if v > 0.0 or v != v else 0.0 for v in x])
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if isinstance(domain, FullSpace):
         return x
@@ -86,7 +90,7 @@ def interior_violation(domain: Domain, x) -> tuple[int, str] | None:
 @dataclass(frozen=True)
 class Optimum:
     f_star: float
-    x_star: np.ndarray
+    x_star: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,17 @@ class Problem:
     ell_model: EllModel
     fn: Callable[..., tuple[float, Any]]
     optimum: Optimum | None
-    sample_lo: np.ndarray
-    sample_hi: np.ndarray
+    sample_lo: tuple[float, ...]
+    sample_hi: tuple[float, ...]
+
+
+def show_point(x) -> str:
+    """A point as an error message prints it: ``np.asarray(x)`` in NumPy's
+    ``[...]`` form, whatever the point's kind.  Only an error path reaches
+    it, so it imports NumPy there."""
+    import numpy as np
+
+    return str(np.asarray(x))
 
 
 def norm(v) -> float:
@@ -153,6 +166,8 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
             point = x
             shaped = len(x) == problem.dim
         else:
+            import numpy as np
+
             arr = x if type(x) is np.ndarray else np.asarray(x)
             if arr.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in arr.flat):
                 # NumPy would parse a numeric string, which a tuple's oracle refuses
@@ -161,6 +176,8 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
             point = x.tolist()
             shaped = x.shape == (problem.dim,)
         if not shaped:
+            import numpy as np
+
             raise DomainError(f"expected a point of dimension {problem.dim}, "
                               f"got shape {np.shape(x)}")
         if (bad := interior_violation(problem.domain, point)) is not None:
@@ -168,27 +185,31 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
         value, grad = problem.fn(point)
         value = float(value)
         if type(grad) is not tuple:
+            import numpy as np
+
             grad = tuple(np.asarray(grad, dtype=float).tolist())
         n = norm(grad)
     except DomainError:
         raise
     except OverflowError as exc:
         raise DomainViolationError(
-            f"{problem.name}: overflow at {np.asarray(x)}: {exc}") from exc
+            f"{problem.name}: overflow at {show_point(x)}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         # a coordinate that is not a real number fails where it is used first
-        coords = x.tolist() if isinstance(x, np.ndarray) else x
+        coords = x if floats or not isinstance(x, np.ndarray) else x.tolist()
         i = next((i for i, v in enumerate(coords) if not isinstance(v, numbers.Real)), None)
         if i is None:
             raise
         raise DomainError(f"{problem.name}: coordinate {i} = {coords[i]!r} is not a real number")
     if not math.isfinite(value):
         raise DomainViolationError(
-            f"{problem.name}: value {value} at {np.asarray(x)} is not finite")
+            f"{problem.name}: value {value} at {show_point(x)} is not finite")
     if n != n or (n == math.inf and any(c != c for c in grad)):
         raise DomainViolationError(f"{problem.name}: the gradient has a NaN component at "
-                                   f"{np.asarray(x)}: {np.asarray(grad)}")
-    return value, grad if floats else np.array(grad, dtype=float), n
+                                   f"{show_point(x)}: {show_point(grad)}")
+    if floats:
+        return value, grad, n
+    return value, np.array(grad, dtype=float), n
 
 
 # --- catalog ---------------------------------------------------------------
@@ -228,9 +249,9 @@ def _exp_experiment(params: dict) -> Problem:
         domain=FullSpace(),
         ell_model=Affine(L0=3.3 + mu, L1=1.0),
         fn=fn,
-        optimum=Optimum(f_star=f_star, x_star=np.array([0.5, 0.0])),
-        sample_lo=np.array([-3.0, -3.0]),
-        sample_hi=np.array([3.0, 3.0]),
+        optimum=Optimum(f_star=f_star, x_star=(0.5, 0.0)),
+        sample_lo=(-3.0, -3.0),
+        sample_hi=(3.0, 3.0),
     )
 
 
@@ -249,9 +270,9 @@ def _quadratic(params: dict) -> Problem:
         domain=FullSpace(),
         ell_model=Constant(L=L),
         fn=fn,
-        optimum=Optimum(f_star=0.0, x_star=np.zeros(d)),
-        sample_lo=np.full(d, -2.0),
-        sample_hi=np.full(d, 2.0),
+        optimum=Optimum(f_star=0.0, x_star=(0.0,) * d),
+        sample_lo=(-2.0,) * d,
+        sample_hi=(2.0,) * d,
     )
 
 
@@ -278,9 +299,9 @@ def _power_p(params: dict) -> Problem:
         domain=FullSpace(),
         ell_model=Power(rho=rho, L0=L0, L1=L1),
         fn=fn,
-        optimum=Optimum(f_star=0.0, x_star=np.zeros(d)),
-        sample_lo=np.full(d, -1.5),
-        sample_hi=np.full(d, 1.5),
+        optimum=Optimum(f_star=0.0, x_star=(0.0,) * d),
+        sample_lo=(-1.5,) * d,
+        sample_hi=(1.5,) * d,
     )
 
 
@@ -296,7 +317,7 @@ def _neg_log_barrier(params: dict) -> Problem:
 
     # Per coordinate, with t = 1/x and g = c x - 1/x one has
     # hess = t^2 + c and t <= |g| + sqrt(c), hence hess <= 3c + 2 g^2.
-    x_star = np.full(d, 1.0 / math.sqrt(c))
+    x_star = (1.0 / math.sqrt(c),) * d
     f_star = 0.5 * d * (math.log(c) + 1.0)
     return Problem(
         name="neg-log-barrier",
@@ -305,8 +326,8 @@ def _neg_log_barrier(params: dict) -> Problem:
         ell_model=Power(rho=2.0, L0=3.0 * c, L1=2.0),
         fn=fn,
         optimum=Optimum(f_star=f_star, x_star=x_star),
-        sample_lo=np.full(d, 0.3),
-        sample_hi=np.full(d, 3.0),
+        sample_lo=(0.3,) * d,
+        sample_hi=(3.0,) * d,
     )
 
 
@@ -322,9 +343,9 @@ def _exp_1d(params: dict) -> Problem:
         domain=FullSpace(),
         ell_model=Affine(L0=2.0, L1=1.0),
         fn=fn,
-        optimum=Optimum(f_star=2.0, x_star=np.zeros(1)),
-        sample_lo=np.array([-2.0]),
-        sample_hi=np.array([2.0]),
+        optimum=Optimum(f_star=2.0, x_star=(0.0,)),
+        sample_lo=(-2.0,),
+        sample_hi=(2.0,),
     )
 
 
@@ -376,5 +397,5 @@ def catalog(name: str, params: dict | None = None) -> Problem:
     return problem
 
 
-def default_x0(name: str, dim: int) -> np.ndarray:
-    return np.asarray(DEFAULT_X0[name](dim), dtype=float)
+def default_x0(name: str, dim: int) -> tuple[float, ...]:
+    return DEFAULT_X0[name](dim)

@@ -136,6 +136,24 @@ def _power(x: float, y: float) -> float:
         return math.inf
 
 
+def _expm1_over(c: float, x: float, m: float) -> float:
+    """``c * expm1(x) / m`` for c, m > 0 and x >= 0, with its float limit inf
+    past the float range.  Where expm1 or the product overflows, the
+    quotient is taken in logs, which keeps it where it is a float; past
+    expm1's range (Python raises there) expm1(x) is exp(x) to far below an
+    ulp."""
+    try:
+        e = math.expm1(x)
+    except OverflowError:
+        log_e = x
+    else:
+        value = c * e / m
+        if value < math.inf:
+            return value
+        log_e = math.log(e)
+    return _exp(math.log(c) + log_e - math.log(m))
+
+
 def square(x: float) -> float:
     """``x ** 2``, inf past the float range: the float power's rounding, which
     the pinned traces carry (``x * x`` rounds apart on one draw in 1000)."""
@@ -214,10 +232,14 @@ class EllModel:
         step integrates only the increment from the last iterate.  The
         iterates stay below the root, so a step landing past r by more than
         rounding brackets the root, and bisection finishes inside that
-        bracket, as it does above the last iterate when Newton stalls."""
+        bracket, as it does above the last iterate when Newton stalls.  An
+        iterate past the float range puts the root there too, and the
+        answer reads inf."""
         s = q_s = 0.0
         for _ in range(NEWTON_MAX_ITER):
             step = (r - q_s) * self.ell(a + s)
+            if s + step == math.inf:
+                return math.inf
             if step <= 1e-15 * s:
                 return s + step
             inc, err = self._q_between(s, s + step, a)
@@ -239,11 +261,14 @@ class EllModel:
     def _q_bisect(self, r: float, a: float, lo: float, q_lo: float, hi: float | None) -> float:
         """Bisection for q(s; a) = r above ``lo``, where q is ``q_lo``.  With
         ``hi`` None the bracket doubles from ``lo`` first, so that no
-        quadrature spans more than a factor of 2 in s."""
+        quadrature spans more than a factor of 2 in s; a root above the
+        largest float reads inf."""
         if hi is None:
             hi = max(2.0 * lo, 1.0)
             while (q_hi := q_lo + self._q_between(lo, hi, a)[0]) < r:
-                lo, q_lo, hi = hi, q_hi, 2.0 * hi
+                if hi == FLOAT_MAX:
+                    return math.inf
+                lo, q_lo, hi = hi, q_hi, min(2.0 * hi, FLOAT_MAX)
         return _bisect(lambda s: q_lo + self._q_between(lo, s, a)[0] < r, lo, hi)
 
     def to_config(self) -> dict:
@@ -313,8 +338,9 @@ class Affine(EllModel):
     def q_inverse(self, r: float, a: float) -> float:
         if self.L1 == 0:
             return r * self.L0
-        base = self.L0 + self.L1 * a
-        return base * math.expm1(self.L1 * r) / self.L1
+        # q_max is infinite, so every r is admissible; past the float
+        # range the answer reads inf
+        return _expm1_over(self.L0 + self.L1 * a, self.L1 * r, self.L1)
 
 
 @dataclass(frozen=True)
@@ -624,7 +650,7 @@ class CustomMonotone(EllModel):
         for length, e, m in self._pieces(a):
             spend = length / e if m == 0 else math.log1p(m * length / e) / m
             if spend >= r:
-                return s + (r * e if m == 0 else e * math.expm1(m * r) / m)
+                return s + (r * e if m == 0 else _expm1_over(e, m * r, m))
             s += length
             r -= spend
 

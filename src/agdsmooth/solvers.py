@@ -19,7 +19,7 @@ Certificates are recomputed at run time; each breach of one is a
 ``_Run.note``, which either aborts (strict mode) or sets its flag bit in
 the iteration's trace row (observe mode).  ``_Run`` is the run's scope and
 record: it checks epsilon, r_bar and the budget, keeps NumPy's
-floating-point warnings off while the run lasts, states the gap rule
+floating-point warnings off while an array run lasts, states the gap rule
 (``gap``) and makes every trace row (``row``).
 
 A run of dimension at most ``_FLOAT_DIM`` holds y, u and the gradient as
@@ -29,8 +29,10 @@ start, and the step's vector helpers follow the kind they are given:
 elementwise IEEE operations round alike in both, and ``problems.norm`` and
 ``problems.distance`` are ``math.hypot`` and ``math.dist`` on both, so the
 choice moves no bit.  ``evaluate`` returns each gradient with its norm, and
-refuses a NaN gradient.  Every public boundary (``RunResult.state``,
-``agd_step`` on array states) holds arrays.
+refuses a NaN gradient.  ``RunResult.state`` and ``agd_step`` keep the kind
+of the run or state they are given.  NumPy is imported only by the array
+path, by an x0 that is not already a tuple of floats, and by the m_bar
+heuristic's sphere draw; a small run from a tuple of floats needs none.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntFlag
-
-import numpy as np
+from typing import Any
 
 from .errors import (
     ConfigurationError,
@@ -147,28 +148,21 @@ class AgdState:
     at y, and the ``alpha`` of the step that made it (None at a start state).
 
     Caching them is what keeps the method at one fresh gradient evaluation,
-    and one gradient norm, per iteration.  Inside a run of dimension at most
-    ``_FLOAT_DIM``, y, u and ``grad_y`` are tuples of Python floats; a state
-    that leaves a run, in its ``RunResult``, holds float arrays, and
-    ``agd_step`` returns the kind it is given.
+    and one gradient norm, per iteration.  In a run of dimension at most
+    ``_FLOAT_DIM``, y, u and ``grad_y`` are tuples of Python floats, and
+    float arrays in a larger one; a state keeps its run's kind when it
+    leaves the run in a ``RunResult``, and ``agd_step`` returns the kind it
+    is given.
     """
 
-    y: np.ndarray | tuple[float, ...]
-    u: np.ndarray | tuple[float, ...]
+    y: Any
+    u: Any
     gamma_cap: float
     k: int
     f_y: float
-    grad_y: np.ndarray | tuple[float, ...]
+    grad_y: Any
     grad_norm: float
     alpha: float | None = None
-
-
-def _arrays(state: AgdState) -> AgdState:
-    """``state`` with float arrays in place of tuples."""
-    if type(state.y) is not tuple:
-        return state
-    return AgdState(np.array(state.y), np.array(state.u), state.gamma_cap, state.k,
-                    state.f_y, np.array(state.grad_y), state.grad_norm, state.alpha)
 
 
 @dataclass(slots=True)
@@ -230,16 +224,18 @@ class _Run:
 
     Holds the run's vector kind (``floats``: tuples of floats up to
     ``_FLOAT_DIM``), the counted oracle, the optimum (``f_star``/``x_star``,
-    None when withheld; ``x_star`` in the run's kind), epsilon, r_bar and
-    the oracle-call budget (checked here for every run function),
+    None when withheld; ``x_star`` the catalog's tuple, which ``distance``
+    takes beside either kind), epsilon, r_bar and the oracle-call budget
+    (checked here for every run function),
     ``flags_total`` (the OR of every bit ``note`` returns), the trace (None
     when off; ``row`` makes each row) and the GD iteration count.  ``gap``
     is the gap rule and ``bound`` the certified bound.  A phase that stops
     on the budget sets ``termination``, and one that stops on a saturated
     level sets ``message``; ``result`` and ``refuse`` build the RunResult.
     As a context manager it keeps NumPy's floating-point warnings off from
-    the run's first norm to its result (a divergence ends in a typed error,
-    a noted flag or an infinite gap, which they would only repeat), and a
+    an array run's first norm to its result (a divergence ends in a typed
+    error, a noted flag or an infinite gap, which they would only repeat;
+    a float run does no NumPy arithmetic), and a
     ``SafetyViolationError`` leaving it names the flag bits noted before it,
     which point at the likely cause.
     """
@@ -252,10 +248,7 @@ class _Run:
         self.model = model
         self.floats = problem.dim <= _FLOAT_DIM
         self.f_star = opt.f_star if opt is not None else None
-        self.x_star = None
-        if opt is not None:
-            self.x_star = (tuple(np.asarray(opt.x_star, dtype=float).tolist()) if self.floats
-                           else opt.x_star)
+        self.x_star = opt.x_star if opt is not None else None
         self.epsilon = epsilon
         self.r_bar = r_bar
         self.budget = budget
@@ -276,10 +269,14 @@ class _Run:
     def start(self, x0) -> tuple[AgdState, str]:
         """The first oracle call, at x0 in the run's vector kind, as a state
         at level 1, and why the run must be refused there ("" if it need not
-        be): an r_bar below the true initial distance."""
-        x0 = np.asarray(x0, dtype=float)
-        if self.floats and x0.shape == (self.problem.dim,):
-            x0 = tuple(x0.tolist())
+        be): an r_bar below the true initial distance.  A tuple of floats
+        starts a float run as it is; any other x0 is read by NumPy."""
+        if not (self.floats and type(x0) is tuple and all(type(v) is float for v in x0)):
+            import numpy as np
+
+            x0 = np.asarray(x0, dtype=float)
+            if self.floats and x0.shape == (self.problem.dim,):
+                x0 = tuple(x0.tolist())
         f0, g0, gn0 = self.oracle(x0)
         refusal = ""
         if (self.x_star is not None
@@ -325,11 +322,17 @@ class _Run:
         return int(bit)
 
     def __enter__(self) -> "_Run":
-        self._errors = np.seterr(over="ignore", invalid="ignore", divide="ignore")
+        if not self.floats:
+            import numpy as np
+
+            self._errors = np.seterr(over="ignore", invalid="ignore", divide="ignore")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        np.seterr(**self._errors)
+        if not self.floats:
+            import numpy as np
+
+            np.seterr(**self._errors)
         if isinstance(exc, SafetyViolationError):
             noted = [f.name for f in Flag if f and self.flags_total & f]
             if noted:
@@ -338,13 +341,13 @@ class _Run:
 
     def result(self, state: AgdState, achieved: float | None = None) -> RunResult:
         """The converged or budget result at ``state``, whose vectors it
-        holds as arrays.  The achieved gap defaults to the true gap at y, or
-        the certified bound when the optimum is unknown."""
+        holds in the run's kind.  The achieved gap defaults to the true gap
+        at y, or the certified bound when the optimum is unknown."""
         if achieved is None:
             achieved = (state.f_y - self.f_star if self.f_star is not None
                         else self.bound(state.gamma_cap))
         return RunResult(
-            state=_arrays(state), gd_iters=self.gd_iters, agd_iters=state.k,
+            state=state, gd_iters=self.gd_iters, agd_iters=state.k,
             achieved_gap=achieved, trace=self.trace or [],
             termination=self.termination, oracle_calls=self.calls,
             flags_total=self.flags_total, message=self.message,
@@ -446,7 +449,7 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
 def gd_run(
     problem: Problem,
     model: EllModel,
-    x0: np.ndarray,
+    x0,
     epsilon: float,
     r_bar: float,
     budget: int,
@@ -477,23 +480,28 @@ GRAD_BOUND_SAFETY = 2.0
 def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     """Heuristic m_bar: sample ``GRAD_BOUND_SAMPLES`` gradient norms on the
     sphere of radius 2 r_bar around the optimum and scale the largest by
-    ``GRAD_BOUND_SAFETY``."""
+    ``GRAD_BOUND_SAFETY``.  The draws are NumPy's ``standard_normal``, and
+    the points float arrays, whose arithmetic warns of nothing: an
+    overflowing point is one that ``evaluate`` refuses."""
     if problem.optimum is None:
         raise PreconditionError("gradient-bound estimation needs a known optimum")
     if not 0 < r_bar < math.inf:
         # an infinite sphere has no points to sample
         raise ConfigurationError(f"gradient-bound estimation needs a finite r_bar > 0, got {r_bar}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
-    x_star = problem.optimum.x_star
+    x_star = np.asarray(problem.optimum.x_star, dtype=float)
     best = 0.0
-    for _ in range(GRAD_BOUND_SAMPLES):
-        d = rng.standard_normal(problem.dim)
-        d /= norm(d)
-        x = x_star + 2.0 * r_bar * d
-        try:
-            best = max(best, evaluate(problem, x)[2])
-        except DomainViolationError:
-            continue
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(GRAD_BOUND_SAMPLES):
+            d = rng.standard_normal(problem.dim)
+            d /= norm(d)
+            x = x_star + 2.0 * r_bar * d
+            try:
+                best = max(best, evaluate(problem, x)[2])
+            except DomainViolationError:
+                continue
     if best == 0.0:
         raise PreconditionError("all gradient-bound samples fell outside the feasible set")
     return GRAD_BOUND_SAFETY * best
@@ -615,7 +623,7 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
 def algorithm1_run(
     problem: Problem,
     model: EllModel,
-    x0: np.ndarray,
+    x0,
     delta: float,
     r_bar: float,
     epsilon: float,
@@ -702,7 +710,7 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
 def algorithm2_run(
     problem: Problem,
     model: EllModel,
-    x0: np.ndarray,
+    x0,
     gamma_cap0: float | None,
     r_bar: float,
     epsilon: float,

@@ -16,20 +16,21 @@ The sweeps draw their points as tuples of Python floats, the kind of a
 small run's step loop, so ``evaluate``, ``agd_step`` and
 ``project_closure`` take them as they are and every gradient comes back a
 tuple.  The public checks also take arrays, and error messages print a
-point in NumPy's form.  Every distance is ``problems.distance`` and the
-Bregman term's inner product is ``math.fsum``, so no margin bit comes from
-the BLAS.
+point in NumPy's form (``problems.show_point``).  Every distance is
+``problems.distance`` and the Bregman term's inner product is
+``math.fsum``, so no margin bit comes from the BLAS.  NumPy serves only the
+sweeps' ``Generator``, an array that a public check is given, and an error
+message, and is imported there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .errors import ConfigurationError, DomainViolationError, PreconditionError
-from .problems import Problem, distance, evaluate, norm, project_closure
+from .problems import Problem, distance, evaluate, norm, project_closure, show_point
 from .smoothness import (
     QUAD_REL_TOL,
     delta_left_right,
@@ -66,6 +67,8 @@ def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
     point; the report keeps the worst margin with its witness, a NaN being
     worse than any number, and counts every margin that is not at least
     ``-MARGIN_TOL`` as a violation."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst, witness, violations, n = math.inf, None, 0, 0
     for _ in range(trials):
@@ -92,32 +95,45 @@ def _sampled_norm(problem: Problem, x, g, n: float) -> float:
     is NaN.  Finite components past the float range keep their inf norm."""
     if n != n:
         raise DomainViolationError(f"{problem.name}: the gradient has a NaN component at "
-                                   f"{np.asarray(x)}: {np.asarray(g)}")
+                                   f"{show_point(x)}: {show_point(g)}")
     if n == math.inf and math.inf in map(abs, g):
-        raise DomainViolationError(f"{problem.name}: the gradient at {np.asarray(x)} "
-                                   f"has an infinite component: {np.asarray(g)}")
+        raise DomainViolationError(f"{problem.name}: the gradient at {show_point(x)} "
+                                   f"has an infinite component: {show_point(g)}")
     return n
 
 
 def _floats(v) -> tuple[float, ...]:
-    """A point that ``evaluate`` has taken, or a gradient it gave, as a
-    tuple of Python floats."""
-    return v if type(v) is tuple else tuple(np.asarray(v, dtype=float).tolist())
+    """A point that ``evaluate`` has taken, a gradient it gave, or a sample
+    box's bound as a tuple of floats; a tuple is taken as it is."""
+    if type(v) is tuple:
+        return v
+    import numpy as np
+
+    return tuple(np.asarray(v, dtype=float).tolist())
 
 
 def _bregman_inner(g, x, y) -> float:
     """``<g, x - y>`` on tuples of floats, the ``math.fsum`` of its terms,
-    rounded once from the exact sum.  Where fsum refuses, on finite terms
-    whose sum passes the float range or on inf - inf, it is the IEEE sum of
-    the terms in order, inf or NaN, which leaves the margin non-finite."""
+    rounded once from the exact sum.  Where a partial sum of finite terms
+    passes the float range, which fsum refuses, the exact sum is taken in
+    Fractions and rounded once, so it is inf only past the float range.
+    Where a term is itself inf, it is the IEEE sum of the terms in order,
+    inf or NaN (inf - inf), which leaves the margin non-finite."""
     terms = [c * (p - q) for c, p, q in zip(g, x, y)]
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
+        pass
+    if all(map(math.isfinite, terms)):
+        exact = sum(map(Fraction, terms))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def check_convexity_smoothness(problem: Problem, x, y) -> float:
@@ -175,7 +191,7 @@ def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> 
     ny = _sampled_norm(problem, state.y, gy, norm(gy))
     if not step_gamma > 0.0:
         raise PreconditionError(
-            f"{problem.name}: step_gamma = {step_gamma} at y = {np.asarray(state.y)} is not > 0 "
+            f"{problem.name}: step_gamma = {step_gamma} at y = {show_point(state.y)} is not > 0 "
             f"(|g_y| = {ny})"
         )
     if step_gamma > (1.0 + 1e-12) / ell_eval(model, 2.0 * ny):
@@ -217,7 +233,7 @@ def check_gap_to_grad(problem: Problem, y, delta: float) -> bool:
 
 # --- randomized sweeps ------------------------------------------------------
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+def _uniform(rng, lo: float, hi: float) -> float:
     """``rng.uniform(lo, hi)`` in one ``random`` call: NumPy's own formula,
     ``lo + (hi - lo) * next_double``, on the same doubles of the stream, so
     the bits agree, without its per-call broadcasting and range checks.  It
@@ -231,12 +247,12 @@ def _interior_sampler(problem: Problem):
     sample box, whose bounds are checked once: finite, with ``lo <= hi`` and
     a finite span, which every draw reuses in ``_uniform``'s formula,
     coordinate by coordinate on one ``rng.random`` vector of the stream."""
-    lo = np.asarray(problem.sample_lo, dtype=float).tolist()
-    hi = np.asarray(problem.sample_hi, dtype=float).tolist()
+    lo, hi = _floats(problem.sample_lo), _floats(problem.sample_hi)
     span = [b - a for a, b in zip(lo, hi)]
     if not all(-math.inf < a < math.inf and 0.0 <= s < math.inf for a, s in zip(lo, span)):
         raise PreconditionError(
-            f"{problem.name}: sample box [{problem.sample_lo}, {problem.sample_hi}] "
+            f"{problem.name}: sample box [{show_point(problem.sample_lo)}, "
+            f"{show_point(problem.sample_hi)}] "
             "needs finite bounds with lo <= hi"
         )
     n = len(span)

@@ -189,7 +189,7 @@ def test_criterion_04_inverse_sqrt_epsilon_scaling():
                                  collect_trace=False)
         if not res.converged:
             failures.append(f"{algo} at eps={eps} did not converge")
-        return res.gd_iters + res.agd_iters, res.state.y
+        return res.gd_iters + res.agd_iters, np.asarray(res.state.y)
 
     for algo in ("agd1", "agd2"):
         for eps in eps_set:

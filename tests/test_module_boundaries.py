@@ -3,7 +3,8 @@ no code outside the profile classes dispatches on their type, every norm is
 ``problems.norm``, defined once, and every distance ``problems.distance``,
 no inner product is the BLAS's (no ``.dot`` and no ``@``), every catalog
 oracle sums Python floats with ``math.fsum``,
-solvers calls ell without ``ell_eval``, no module imports SciPy,
+solvers calls ell without ``ell_eval``, no module imports SciPy, and none
+imports NumPy at load time,
 every public top-level name, and every public method of a profile class, is
 used by some module of the package, and ``psi_inverse`` is one function."""
 
@@ -157,6 +158,30 @@ def test_no_scipy_import_at_load_time(path):
             and str(node.args[0].value).split(".")[0] == "scipy")
     ]
     assert not imports, f"{path.name} imports scipy: {imports}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_import_at_load_time(path):
+    # importing the package loads no NumPy: a function that needs it (the
+    # array path, a random draw, an error message) imports it itself, so
+    # no import of numpy runs when the module loads, in any of its
+    # top-level statements or the class bodies among them
+    def load_time(node):
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in ast.iter_child_nodes(node):
+                yield from load_time(child)
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [
+        f"line {node.lineno}"
+        for node in load_time(tree)
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "numpy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "numpy")
+    ]
+    assert not imports, f"{path.name} imports numpy at load time: {imports}"
 
 
 def test_solvers_builds_trace_rows_in_one_place():

@@ -74,9 +74,9 @@ def start(problem):
     """x0 and r_bar: the default start (next to the optimum on the barrier,
     whose sup psi admits no adaptive level from farther out), r_bar twice
     the initial distance."""
-    x_star = problem.optimum.x_star
-    x0 = x_star + 0.005 if problem.name == "neg-log-barrier" else default_x0(
-        problem.name, problem.dim)
+    x_star = np.asarray(problem.optimum.x_star)
+    x0 = x_star + 0.005 if problem.name == "neg-log-barrier" else np.asarray(default_x0(
+        problem.name, problem.dim))
     return x0, 2.0 * norm(x0 - x_star)
 
 

@@ -1208,6 +1208,38 @@ class TestQInverse:
         # 30 digits, computed with mpmath
         assert s == pytest.approx(37.6847846041633855504752081385, rel=1e-12)
 
+    @pytest.mark.parametrize("model, r, a", [
+        # an affine claim on exp-1d that verify met: expm1(L1 r) overflows
+        (Affine(3.577923071171738, 261.8909489753386), 10.0, 0.5),
+        # a general power whose Newton iterate passes the float range
+        (Power(0.5, 1.0, 1.0), 1e300, 0.5),
+        (Power(1.0, 1.0, 1.0), 1e10, 0.5),
+        # a ramp whose first piece spends an infinite budget, and its expm1
+        (CustomMonotone(((0.0, 1e-300), (1e300, 1e300))), 1e10, 0.0),
+    ])
+    def test_a_root_past_the_float_range_reads_inf(self, model, r, a):
+        # q_max is infinite for each, so r is admissible and the exact root
+        # is finite but past the float range, where the float answer is inf
+        assert q_max(model, a) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_inverse(model, r, a) == math.inf
+
+    @pytest.mark.parametrize("model, r, L0, L1", [
+        # from a = 0 both profiles start at ell = 1e-300 with slope 1, so
+        # q_inverse(1000; 0) = 1e-300 expm1(1000), about 2e134, though
+        # expm1(1000) itself overflows
+        (Affine(1e-300, 1.0), 1000.0, 1e-300, 1.0),
+        (CustomMonotone(((0.0, 1e-300), (1e300, 1e300))), 1000.0, 1e-300, 1.0),
+        # L0 expm1(L1 r) overflows, and the division by L1 brings it back
+        (Affine(1e300, 1e10), 2.07e-9, 1e300, 1e10),
+    ])
+    def test_an_overflowing_expm1_keeps_a_finite_root(self, model, r, L0, L1):
+        # q_inverse(r; 0) = L0 expm1(L1 r) / L1, by a 40-digit mpmath reference
+        with mpmath.workdps(40):
+            exact = float(mpmath.mpf(L0) * mpmath.expm1(mpmath.mpf(L1) * r) / L1)
+        assert q_inverse(model, r, 0.0) == pytest.approx(exact, rel=1e-12)
+
     def test_custom_inverse_by_hand(self):
         # from a = 0.7: 0.3 on the flat start, log(100) / 99 on the ramp,
         # then 1/100 per unit; quadrature across the ramp got 1000.0

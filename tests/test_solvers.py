@@ -181,9 +181,9 @@ class TestAgdStep:
 
     @pytest.mark.parametrize("d, kind", [(2, tuple), (solvers._FLOAT_DIM, tuple),
                                          (solvers._FLOAT_DIM + 1, np.ndarray)])
-    def test_small_runs_step_on_floats_and_return_arrays(self, monkeypatch, d, kind):
+    def test_runs_step_on_one_kind_and_return_it(self, monkeypatch, d, kind):
         # the run picks its vector kind once, from the dimension; the step
-        # keeps it, and the result holds arrays either way
+        # keeps it, and so does the result
         kinds, plain = set(), solvers.agd_step
 
         def step(state, *args):
@@ -196,8 +196,11 @@ class TestAgdStep:
         p = catalog("quadratic", {"d": d})
         res = algorithm2_run(p, p.ell_model, np.full(d, 0.5), None, float(d), 1e-6, 100)
         assert res.converged and res.agd_iters > 0 and kinds == {kind}
-        assert all(type(v) is np.ndarray and v.dtype == np.float64
-                   for v in (res.state.y, res.state.u, res.state.grad_y))
+        assert {type(v) for v in (res.state.y, res.state.u, res.state.grad_y)} == {kind}
+        if kind is tuple:
+            assert all(type(c) is float for v in (res.state.y, res.state.u) for c in v)
+        else:
+            assert all(v.dtype == np.float64 for v in (res.state.y, res.state.u, res.state.grad_y))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_next_u_never_aliases_the_state(self, name):

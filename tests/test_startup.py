@@ -1,9 +1,14 @@
-"""The package runs without SciPy.
+"""The package runs without SciPy, and a small run without NumPy.
 
 A general power profile's q inverse and limit and ``verify``'s convexity
 integral integrate through ``smoothness.quad``, the package's own
-Gauss-Kronrod rule.  Importing the package, running the solvers, verifying
-and integrating load NumPy alone; SciPy serves only as a test reference.
+Gauss-Kronrod rule, so no path of the package loads SciPy; it serves only
+as a test reference.  Importing the package loads no NumPy either: a run
+of dimension at most ``solvers._FLOAT_DIM`` steps on tuples of floats, and
+writes the pinned bytes of ``test_golden_traces.py`` with NumPy blocked.
+NumPy is loaded by the array path above that cutoff, by ``verify``'s and
+the m_bar heuristic's random draws, and by an error message that prints a
+point.
 """
 
 import os
@@ -71,12 +76,97 @@ assert not loaded, loaded
 """
 
 
+# Run in a fresh interpreter in which any import of NumPy raises; the
+# golden hashes come from test_golden_traces.py, beside this file.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import agdsmooth
+import agdsmooth.cli
+from agdsmooth.config import config_from_dict, execute, jsonable, run_sweep, sweep_from_dict
+from test_golden_traces import (
+    GOLDEN_RUNS, GOLDEN_SWEEP, SWEEP_BASE, SWEEP_LEVELS, sha256, summary_digest,
+)
+
+
+def digests(out):
+    return (sha256((out / "trace.csv").read_bytes()),
+            summary_digest((out / "summary.json").read_text()))
+
+
+def run(name, out):
+    settings, trace_sha, summary_sha = GOLDEN_RUNS[name]
+    execute(config_from_dict({**settings, "trace_path": str(out / "trace.csv"),
+                              "summary_path": str(out / "summary.json")}))
+    assert digests(out) == (trace_sha, summary_sha), name
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    # the pinned adaptive run with checks on and off, and agd1 and agd2 on a
+    # piecewise-linear claim
+    for name in ("adaptive-exp", "adaptive-exp-checks-off", "agd1-exp-1d-custom",
+                 "agd2-exp-1d-custom"):
+        run(name, out)
+    # the pinned adaptive run through the command line
+    settings, trace_sha, summary_sha = GOLDEN_RUNS["adaptive-exp"]
+    config = out / "run.json"
+    config.write_text(json.dumps({**settings, "trace_path": str(out / "trace.csv"),
+                                  "summary_path": str(out / "summary.json")}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert agdsmooth.cli.main(["run", str(config)]) == 0
+    assert digests(out) == (trace_sha, summary_sha)
+
+# the pinned epsilon-quartering sweep, agd1 then agd2
+reports = [
+    run_sweep(sweep_from_dict({"base": {**SWEEP_BASE, "algorithm": algorithm},
+                               "axis": "epsilon-quartering", "levels": SWEEP_LEVELS}),
+              write_files=False)
+    for algorithm in ("agd1", "agd2")
+]
+text = json.dumps(jsonable(reports), indent=2, sort_keys=True) + "\\n"
+assert sha256(text.encode()) == GOLDEN_SWEEP
+# plain gradient descent
+result, _ = execute(config_from_dict({"algorithm": "gd", "problem": "quadratic",
+                                      "epsilon": 1e-4, "trace_path": ""}), write_files=False)
+assert result.converged and type(result.state.y) is tuple
+
+assert sys.modules["numpy"] is None
+"""
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports the package from this
+    checkout and these tests' modules from beside this file."""
+    path = os.pathsep.join([str(Path(agdsmooth.__file__).parent.parent),
+                            str(Path(__file__).parent)])
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
 def test_run_path_loads_no_scipy():
-    env = {**os.environ, "PYTHONPATH": str(Path(agdsmooth.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_fresh(WITHOUT_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def test_small_runs_need_no_numpy():
+    proc = run_fresh(WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_importing_the_package_loads_no_numpy():
+    proc = run_fresh("import sys, agdsmooth, agdsmooth.cli; "
+                     "assert 'numpy' not in sys.modules, 'numpy'")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_general_power_integrates_through_smoothness_quad(monkeypatch):

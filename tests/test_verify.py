@@ -7,6 +7,7 @@ import pkgutil
 import re
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ class TestGradientTransfer:
         budget = q_max(p.ell_model, float(np.abs(gx[0])))
         with pytest.raises(PreconditionError):
             check_gradient_transfer(p, x, x + 1.01 * budget)
+
+    def test_steep_affine_claim_passes_past_the_float_range(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # an affine claim has q_max = inf, so every pair is admissible; where
+        # L1 |y - x| passes about 709.78, q_inverse's expm1 leaves the float
+        # range, and q_inverse reads inf, a passing margin, not a raw
+        # OverflowError out of the command
+        monkeypatch.setenv("AGDSMOOTH_OUTPUT_DIR", str(tmp_path))
+        claim = '{"kind":"affine","L0":3.577923071171738,"L1":261.8909489753386}'
+        assert cli.main(["verify", "exp-1d", claim, "--trials", "20", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "pass gradient-transfer: trials=20 violations=0" in out
+        report = json.loads((tmp_path / "exp-1d-verify-report.json").read_text())
+        assert [r["violations"] for r in report] == [0, 0, 0, 0]
 
 
 class TestDescentStep:
@@ -485,9 +500,10 @@ class TestNonFiniteVerdict:
         assert math.isnan(report.worst_margin)
 
     # the Bregman term <g_y, x - y> is math.fsum of its terms, which refuses
-    # finite terms whose sum passes the float range (OverflowError) and
-    # inf - inf (ValueError), and returns a NaN term's NaN; each makes the
-    # term inf or NaN and the margin non-finite, a violation
+    # finite terms whose sum passes the float range (OverflowError; the
+    # exact sum then reads inf) and inf - inf (ValueError), and returns a
+    # NaN term's NaN; each makes the term inf or NaN and the margin
+    # non-finite, a violation
     BREGMAN_CASES = {
         "intermediate-overflow": ((1e308, 1e308), (1.0, 1.0), (0.0, 0.0), OverflowError),
         "inf-minus-inf": ((1e300, 1e300), (1e10, -1e10), (0.0, 0.0), ValueError),
@@ -524,6 +540,19 @@ class TestNonFiniteVerdict:
     def test_a_finite_bregman_term_is_the_exact_sum_rounded_once(self):
         # 1e16 + 1 - 1e16 is 1 exactly; a sum in order would lose the 1
         assert _bregman_inner((1e16, 1.0, -1e16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("g, want", [
+        # fsum's partial sum 2e308 overflows, which it refuses; the exact sum
+        # is 1e308
+        ((1e308, 1e308, -1e308), 1e308),
+        ((-1e308, -1e308, 1e308, 5.0), -1e308 + 5.0),
+        ((1.5e308, 1.5e308, -1.5e308, -1.5e308, 1.0), 1.0),
+    ])
+    def test_a_finite_sum_past_an_overflowing_partial_sum_is_exact(self, g, want):
+        ones, zeros = (1.0,) * len(g), (0.0,) * len(g)
+        with pytest.raises(OverflowError):
+            math.fsum(g)
+        assert _bregman_inner(g, ones, zeros) == float(sum(map(Fraction, g))) == want
 
     @pytest.fixture
     def steep_catalog(self, monkeypatch, tmp_path):
