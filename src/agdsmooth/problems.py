@@ -15,8 +15,9 @@ The catalog's optima and sample boxes are tuples of floats.  Every oracle
 computes on Python floats: ``evaluate`` hands it the tuple as it is, or an
 array as one ``tolist()``, and turns its gradient back into an array for
 an array caller.  NumPy is imported only where an array is met, in the
-array branches of ``evaluate`` and ``project_closure``, and by
-``show_point``, which prints a point in an error message.  Each sum over
+array branches of ``evaluate`` and ``project_closure``, and by the error
+messages that print a point (``show_point``) or its shape, which fall
+back to plain Python where NumPy is not installed.  Each sum over
 the coordinates is ``math.fsum``, rounded once from its exact value, so no
 value depends on the BLAS, on the coordinates' order or layout, or on the
 interpreter (the builtin ``sum`` compensates from 3.12 on, so its bits
@@ -114,13 +115,22 @@ class Problem:
     sample_hi: tuple[float, ...]
 
 
+def _numpy():
+    """NumPy for an error message, or None where it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
 def show_point(x) -> str:
     """A point as an error message prints it: ``np.asarray(x)`` in NumPy's
     ``[...]`` form, whatever the point's kind.  Only an error path reaches
-    it, so it imports NumPy there."""
-    import numpy as np
-
-    return str(np.asarray(x))
+    it, so it imports NumPy there; without NumPy every point is a tuple or
+    list of floats, printed as their reprs in brackets."""
+    np = _numpy()
+    return str(np.asarray(x)) if np is not None else f"[{' '.join(map(repr, x))}]"
 
 
 def norm(v) -> float:
@@ -176,10 +186,9 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
             point = x.tolist()
             shaped = x.shape == (problem.dim,)
         if not shaped:
-            import numpy as np
-
-            raise DomainError(f"expected a point of dimension {problem.dim}, "
-                              f"got shape {np.shape(x)}")
+            np = _numpy()
+            shape = np.shape(x) if np is not None else (len(x),)
+            raise DomainError(f"expected a point of dimension {problem.dim}, got shape {shape}")
         if (bad := interior_violation(problem.domain, point)) is not None:
             raise DomainViolationError(f"{problem.name}: {bad[1]}", coordinate=bad[0])
         value, grad = problem.fn(point)

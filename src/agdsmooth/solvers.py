@@ -15,6 +15,13 @@ Two accelerated variants share one primal-dual step:
 The auxiliary sequence ``Gamma_{k+1} = Gamma_k / (1 + alpha_k)`` with
 ``alpha_k = sqrt(gamma Gamma_k)`` certifies the gap at every iteration:
 ``f(y_k) - f* <= Gamma_k * rbar^2``, and decays like ``9 / (gamma k^2)``.
+Both accelerated variants run one loop, ``_run_agd``, which asks the
+variant's step rule for each step: ``_FixedStep`` (``algorithm1_run``) owns
+the step 1 / (2 ell(0)), the WARM_REGION check and kbar, from which it
+checks the GAMMA_ENVELOPE; ``_AdaptiveStep`` (``algorithm2_run``) owns the
+adaptive step and the GRAD_ENVELOPE check.  The loop itself checks the
+CERTIFIED_GAP, LYAPUNOV, BALL_CONFINEMENT and STEP_SAFETY certificates of
+both, and ``_gd_phase`` GD_MONOTONE.
 Certificates are recomputed at run time; each breach of one is a
 ``_Run.note``, which either aborts (strict mode) or sets its flag bit in
 the iteration's trace row (observe mode).  ``_Run`` is the run's scope and
@@ -507,28 +514,86 @@ def estimate_grad_bound(problem: Problem, r_bar: float, seed: int = 0) -> float:
     return GRAD_BOUND_SAFETY * best
 
 
+# --- step rules --------------------------------------------------------------
+# A rule sizes each accelerated step and owns the check on that size:
+# ``step`` returns the step at iteration k from the level's bound and the
+# gradient norm, with the breach that the loop notes before stepping, as
+# ``note``'s arguments (None where the check holds or is off); ``envelope``
+# is the certified cap on the next level, or None where it certifies none.
+
+class _FixedStep:
+    """Algorithm 1's rule after its warm start: the step 1 / (2 ell(0)),
+    safe while ``ell(4 |grad y|) <= 2 ell(0)`` (WARM_REGION), and from
+    kbar on the level's ``9 / (gamma k^2)`` envelope (GAMMA_ENVELOPE)."""
+
+    def __init__(self, model: EllModel, gamma_cap0: float, check: bool):
+        self.model = model
+        self.check = check
+        self.gamma = 1.0 / (2.0 * model.ell(0.0))
+        self.warm_cap = 2.0 * model.ell(0.0) * (1.0 + 1e-12)
+        self.kbar = kbar(gamma_cap0, self.gamma)
+
+    def step(self, k: int, bound: float, grad_norm: float) -> tuple[float, tuple | None]:
+        if self.check:
+            value = self.model.ell(4.0 * grad_norm)
+            if not value <= self.warm_cap:
+                return self.gamma, (Flag.WARM_REGION, k, value, self.warm_cap)
+        return self.gamma, None
+
+    def envelope(self, k: int) -> float | None:
+        if k < self.kbar:
+            return None
+        env = gamma_envelope(k, self.gamma, self.kbar)
+        return env + 4.0 * math.ulp(env)
+
+
+class _AdaptiveStep:
+    """Algorithm 2's rule: the step ``1 / ell(4 psi_inverse(Gamma r_bar^2))``,
+    whose psi inverse caps ``|grad y|`` while the bound holds
+    (GRAD_ENVELOPE).  A flat profile's step is 1 / ell(0) at every level,
+    so there the psi inverse is taken only for the check."""
+
+    def __init__(self, model: EllModel, check: bool):
+        self.model = model
+        self.check = check
+        self.l0 = model.ell(0.0)
+        self.flat = model.ell_sup() == self.l0
+
+    def step(self, k: int, bound: float, grad_norm: float) -> tuple[float, tuple | None]:
+        if self.flat and not self.check:
+            return 1.0 / self.l0, None
+        # psi_inverse returns an x >= 0, never NaN, so ell needs no
+        # argument check
+        x = psi_inverse(self.model, bound)
+        gamma = 1.0 / (self.l0 if self.flat else self.model.ell(4.0 * x))
+        cap = x * (1.0 + 1e-9) + 1e-15
+        if self.check and not grad_norm <= cap:
+            return gamma, (Flag.GRAD_ENVELOPE, k, grad_norm, cap)
+        return gamma, None
+
+    def envelope(self, k: int) -> None:
+        return None
+
+
 # --- shared accelerated loop -------------------------------------------------
 
-def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdState:
-    """Accelerated steps from ``state`` until the gap is certified.  A fixed
-    ``step_gamma_const`` is the warm-started variant; None selects the
-    adaptive step ``1 / ell(4 psi_inverse(Gamma_k r_bar^2))``.
+def _run_agd(run: _Run, state: AgdState, rule: _FixedStep | _AdaptiveStep) -> AgdState:
+    """Accelerated steps from ``state``, each sized by ``rule``, until the
+    gap is certified.
 
     Each sum is taken once per iteration and shared: the gap ``f(y) - f*``
-    and the level's bound ``Gamma r_bar^2`` by the stop test, CERTIFIED_GAP
-    and the row; ``|u - x*|`` by the certificate function and, at the next
-    iteration, BALL_CONFINEMENT, which also takes the row's ``|y - x*|``.
-    A certificate is noted only when it does not hold (a NaN does not)."""
+    and the level's bound ``Gamma r_bar^2`` by the stop test, the rule,
+    CERTIFIED_GAP and the row; ``|u - x*|`` by the certificate function and,
+    at the next iteration, BALL_CONFINEMENT, which also takes the row's
+    ``|y - x*|``.  A certificate is noted only when it does not hold (a NaN
+    does not): the rule's own breach first, then BALL_CONFINEMENT and
+    STEP_SAFETY before the step, and CERTIFIED_GAP, LYAPUNOV and the rule's
+    GAMMA_ENVELOPE after it."""
     problem, model, budget = run.problem, run.model, run.budget
     epsilon, f_star, x_star = run.epsilon, run.f_star, run.x_star
     check_invariants, note, row = run.check_invariants, run.note, run.row
-    l0 = model.ell(0.0)
-    adaptive = step_gamma_const is None
-    kbar_value = None if adaptive else kbar(state.gamma_cap, step_gamma_const)
     gap_tol = 1e-9 * (max(1.0, abs(f_star)) if f_star is not None else 1.0)
-    warm_cap = 2.0 * l0 * (1.0 + 1e-12)
     ball_cap = 2.0 * run.r_bar * (1.0 + 1e-12)
-    flat = model.ell_sup() == l0
     check_v = check_invariants and x_star is not None
     ball = check_v and math.isfinite(model.delta_max)
     # the certificate function feeds the LYAPUNOV check and the trace
@@ -542,7 +607,6 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
     dist_u = distance(state.u, x_star) if check_v else None
     v_prev = lyapunov(gap, state.gamma_cap, dist_u) if check_v else None
     dist = distance(state.y, x_star) if ball else None
-    k0 = state.k
     while True:
         if (gap is not None and gap <= epsilon) or bound <= epsilon:
             return state
@@ -550,33 +614,11 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
             run.message = "gamma_cap underflow; certified bound saturated"
             return state
 
-        # step size for this iteration
-        if not adaptive:
-            step_gamma = step_gamma_const
-            envelope_x = None
-        else:
-            if flat:
-                # ell(4 psi_inverse(bound)) = ell(0) identically; the envelope
-                # value itself is only needed for the check
-                envelope_x = psi_inverse(model, bound) if check_invariants else None
-                step_gamma = 1.0 / l0
-            else:
-                # psi_inverse returns an x >= 0, never NaN, so ell needs no
-                # argument check
-                envelope_x = psi_inverse(model, bound)
-                step_gamma = 1.0 / model.ell(4.0 * envelope_x)
-
+        k = state.k
+        step_gamma, breach = rule.step(k, bound, gn)
         # bits noted before a budget exit reach only flags_total
-        flags, k = 0, state.k
+        flags = 0 if breach is None else note(*breach)
         if check_invariants:
-            if not adaptive:
-                value = model.ell(4.0 * gn)
-                if not value <= warm_cap:
-                    flags |= note(Flag.WARM_REGION, k, value, warm_cap)
-            elif envelope_x is not None:
-                cap = envelope_x * (1.0 + 1e-9) + 1e-15
-                if not gn <= cap:
-                    flags |= note(Flag.GRAD_ENVELOPE, k, gn, cap)
             if ball:
                 value = max(dist, dist_u)
                 if not value <= ball_cap:
@@ -609,11 +651,9 @@ def _run_agd(run: _Run, state: AgdState, step_gamma_const: float | None) -> AgdS
                 if not v_new <= cap:
                     flags |= note(Flag.LYAPUNOV, state.k, v_new, cap)
                 v_prev = v_new
-            if kbar_value is not None and k - k0 >= kbar_value:
-                env = gamma_envelope(k - k0, step_gamma_const, kbar_value)
-                cap = env + 4.0 * math.ulp(env)
-                if not gamma_cap <= cap:
-                    flags |= note(Flag.GAMMA_ENVELOPE, state.k, gamma_cap, cap)
+            cap = rule.envelope(k)
+            if cap is not None and not gamma_cap <= cap:
+                flags |= note(Flag.GAMMA_ENVELOPE, state.k, gamma_cap, cap)
 
         dist = distance(state.y, x_star) if track_dist else None
         row("agd", state.k, gap, gn, step_gamma, dist, flags, gamma_cap, alpha,
@@ -669,7 +709,8 @@ def algorithm1_run(
         state = _gd_phase(run, state, delta / 2.0)
         if run.termination == "budget":
             return run.result(state)
-        return run.result(_run_agd(run, state, 1.0 / (2.0 * model.ell(0.0))))
+        rule = _FixedStep(model, state.gamma_cap, check_invariants)
+        return run.result(_run_agd(run, state, rule))
 
 
 def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) -> int:
@@ -764,7 +805,8 @@ def algorithm2_run(
             except ConfigurationError:
                 warmup = None
             state.gamma_cap = gamma_cap0
-            result = run.stationary(state) or run.result(_run_agd(run, state, None))
+            rule = _AdaptiveStep(model, check_invariants)
+            result = run.stationary(state) or run.result(_run_agd(run, state, rule))
             result.warmup_bound = warmup
         result.gamma_cap0 = gamma_cap0
         return result

@@ -3,8 +3,9 @@ no code outside the profile classes dispatches on their type, every norm is
 ``problems.norm``, defined once, and every distance ``problems.distance``,
 no inner product is the BLAS's (no ``.dot`` and no ``@``), every catalog
 oracle sums Python floats with ``math.fsum``,
-solvers calls ell without ``ell_eval``, no module imports SciPy, and none
-imports NumPy at load time,
+solvers calls ell without ``ell_eval`` and its accelerated loop leaves each
+step to the variant's rule, no module imports SciPy, and none imports NumPy
+at load time,
 every public top-level name, and every public method of a profile class, is
 used by some module of the package, and ``psi_inverse`` is one function."""
 
@@ -286,3 +287,22 @@ def test_psi_inverse_is_one_function():
     owners = [cls.__name__ for cls in (EllModel, *EllModel.__subclasses__())
               if "psi_inverse" in vars(cls)]
     assert not owners, f"profile classes with their own psi_inverse: {owners}"
+
+
+def test_accelerated_loop_leaves_the_step_to_its_rule():
+    # each variant's step rule owns its step size and the check on it, so
+    # the shared loop takes the rule and restates neither step: it calls no
+    # psi_inverse and no kbar, and notes neither WARM_REGION nor
+    # GRAD_ENVELOPE itself
+    path = Path(agdsmooth.__file__).parent / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (loop,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_run_agd"]
+    assert [arg.arg for arg in loop.args.args] == ["run", "state", "rule"]
+    uses = [
+        f"line {node.lineno}" for node in ast.walk(loop)
+        if (isinstance(node, ast.Call) and _names(node.func) in (["psi_inverse"], ["kbar"]))
+        or (isinstance(node, ast.Attribute) and _names(node.value) == ["Flag"]
+            and node.attr in {"WARM_REGION", "GRAD_ENVELOPE"})
+    ]
+    assert not uses, f"_run_agd restates a step rule: {uses}"

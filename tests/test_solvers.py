@@ -1039,6 +1039,94 @@ class TestAlgorithm2:
         assert warmup_iterations_bound(Constant(3), 10.0, 10.0) == 1
 
 
+def rule_updates(gamma_cap, r_bar, epsilon, step):
+    """Updates of ``gamma_alpha_step`` from ``gamma_cap``, each sized by
+    ``step(bound)``, until the bound ``gamma_cap r_bar^2`` is at most
+    epsilon or the level falls below ``GAMMA_UNDERFLOW``: the oracle's
+    part plays no role in it."""
+    updates = 0
+    while not (gamma_cap * (r_bar * r_bar) <= epsilon or gamma_cap < solvers.GAMMA_UNDERFLOW):
+        _, gamma_cap = gamma_alpha_step(gamma_cap, step(gamma_cap * (r_bar * r_bar)))
+        updates += 1
+    return updates
+
+
+SCALE = st.floats(min_value=1.0, max_value=4.0)
+# (problem, profile kind): a constant profile bounds only the quadratic
+COUNTED_PROFILES = [(name, kind) for name in ("exp-1d", "exp-experiment", "quadratic")
+                    for kind in ("affine", "power")] + [("quadratic", "constant")]
+
+
+@st.composite
+def counted_runs(draw):
+    """A monotone-psi profile at or above a catalog problem's own, a start
+    near its optimum with r_bar in [1, 3] times the initial distance R and
+    gamma_cap0 in [1, 10] times its floor 2 (f0 - f*) / R^2, and an epsilon
+    that the adaptive bound meets within about 200 steps: 1 / sqrt(Gamma)
+    grows by about sqrt(gamma) / 2 a step, and gamma is smallest at the
+    start.  On the quadratic the profile may be flat."""
+    name, kind = draw(st.sampled_from(COUNTED_PROFILES))
+    problem = catalog(name)
+    own = problem.ell_model
+    l0, l1 = (own.L, 0.0) if name == "quadratic" else (own.L0, own.L1)
+    slope = st.floats(min_value=0.0, max_value=4.0) if l1 == 0 else SCALE.map(lambda c: c * l1)
+    if kind == "constant":
+        model = Constant(l0 * draw(SCALE))
+    elif kind == "affine":
+        model = Affine(l0 * draw(SCALE), draw(slope))
+    else:
+        # L0' >= L0 + L1 and s^rho >= s past 1 keep it above L0 + L1 s
+        model = Power(draw(st.floats(min_value=1.0, max_value=1.5)), (l0 + l1) * draw(SCALE),
+                      draw(slope))
+    if problem.dim == 1:
+        direction = (draw(st.sampled_from([-1.0, 1.0])),)
+    else:
+        theta = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        direction = (math.cos(theta), math.sin(theta))
+    near = 10.0 ** draw(st.floats(min_value=-2.0, max_value=0.0))
+    x0 = tuple(c + near * v for c, v in zip(problem.optimum.x_star, direction))
+    f0, _, gn0 = evaluate(problem, x0)
+    dist = distance(x0, problem.optimum.x_star)
+    r_bar = draw(st.floats(min_value=1.0, max_value=3.0)) * dist
+    gamma_cap0 = draw(st.floats(min_value=1.0, max_value=10.0)) * 2.0 * (
+        f0 - problem.optimum.f_star) / dist**2
+    slowest = model.ell(4.0 * psi_inverse(model, gamma_cap0 * r_bar**2))
+    steps = draw(st.floats(min_value=0.0, max_value=200.0))
+    epsilon = r_bar**2 / (1.0 / math.sqrt(gamma_cap0) + 0.5 * steps / math.sqrt(slowest))**2
+    # the largest warm-start target that the profile admits, up to the one
+    # at which a warm start without the optimum takes no GD step
+    delta = min(model.admissible_boundary, 2.0 * gn0 * r_bar)
+    return problem, model, x0, r_bar, gamma_cap0, epsilon, delta
+
+
+class TestCountIsTheRecurrence:
+    """With the optimum withheld a run stops only on the bound Gamma r_bar^2,
+    so its count is the step rule's recurrence alone; with the optimum
+    known it may stop earlier, on the true gap."""
+
+    @given(counted_runs())
+    def test_the_oracle_count_is_the_step_rules_recurrence(self, case):
+        problem, model, x0, r_bar, gamma_cap0, epsilon, delta = case
+        withheld = dataclasses.replace(problem, optimum=None)
+        quiet = {"check_invariants": False, "collect_trace": False}
+
+        adaptive = rule_updates(gamma_cap0, r_bar, epsilon,
+                                lambda bound: 1.0 / model.ell(4.0 * psi_inverse(model, bound)))
+        runs = [algorithm2_run(p, model, x0, gamma_cap0, r_bar, epsilon, 10**6, **quiet)
+                for p in (withheld, problem)]
+        assert all(res.converged for res in runs)
+        assert runs[0].oracle_calls == 1 + adaptive
+        assert runs[1].oracle_calls <= 1 + adaptive
+
+        fixed = rule_updates(delta / r_bar**2, r_bar, epsilon,
+                             lambda bound: 1.0 / (2.0 * model.ell(0.0)))
+        runs = [algorithm1_run(p, model, x0, delta, r_bar, epsilon, 10**6, **quiet)
+                for p in (withheld, problem)]
+        assert all(res.converged for res in runs)
+        assert runs[0].agd_iters == fixed
+        assert runs[1].agd_iters <= fixed
+
+
 def search_warmup_bound(model, gamma_cap0, r_bar):
     """Reference warm-up bound: the smallest k with ell(24 c / k) <= 2 ell(0),
     by doubling then integer bisection; None past 2**62."""

@@ -8,7 +8,8 @@ of dimension at most ``solvers._FLOAT_DIM`` steps on tuples of floats, and
 writes the pinned bytes of ``test_golden_traces.py`` with NumPy blocked.
 NumPy is loaded by the array path above that cutoff, by ``verify``'s and
 the m_bar heuristic's random draws, and by an error message that prints a
-point.
+point, which without NumPy prints the point's floats and keeps its typed
+error.
 """
 
 import os
@@ -142,6 +143,43 @@ assert sys.modules["numpy"] is None
 """
 
 
+# Run in a fresh interpreter in which any import of NumPy raises: an
+# overflow at the start point and a point of the wrong shape still raise
+# their typed errors, whose messages print the point and the shape.
+ERRORS_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import agdsmooth.cli
+from agdsmooth import evaluate
+from agdsmooth.errors import DomainError
+from agdsmooth.problems import catalog
+
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "run.json"
+    config.write_text(json.dumps({"algorithm": "agd2", "problem": "exp-experiment",
+                                  "x0": [-800.0, 0.0], "trace_path": ""}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = agdsmooth.cli.main(["run", str(config)])
+    assert code == 4, (code, err.getvalue())
+    assert "overflow at [-800.0 0.0]" in err.getvalue(), err.getvalue()
+try:
+    evaluate(catalog("exp-experiment"), (1.0,))
+except DomainError as exc:
+    assert "got shape (1,)" in str(exc), exc
+else:
+    raise AssertionError("a point of the wrong shape was evaluated")
+assert sys.modules["numpy"] is None
+"""
+
+
 def run_fresh(script: str) -> subprocess.CompletedProcess:
     """``script`` in a fresh interpreter that imports the package from this
     checkout and these tests' modules from beside this file."""
@@ -159,6 +197,12 @@ def test_run_path_loads_no_scipy():
 
 def test_small_runs_need_no_numpy():
     proc = run_fresh(WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_error_paths_raise_typed_errors_without_numpy():
+    proc = run_fresh(ERRORS_WITHOUT_NUMPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 
