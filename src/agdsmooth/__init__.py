@@ -24,6 +24,7 @@ from .smoothness import (
     CustomMonotone,
     EllModel,
     Power,
+    convexity_weight,
     delta_left_right,
     ell_eval,
     model_from_config,

@@ -14,19 +14,21 @@ Two derived functions drive everything else in the package:
   spends a budget, and its limit ``q_max(a)``, which caps safe step lengths.
 
 Each profile class derives from ``EllModel`` and owns its maths: the profile
-itself, its supremum, the inverse and limit of the q budget, the psi peak,
-the right crossing and its admissibility boundary, the largest delta that
-Algorithm 1's warm start admits, in closed form, and psi's root, which
-``psi_inverse`` checks.  The base holds the flat profile's root, the generic
-quadrature, the Newton q inverse and ``_bisect``, the one bracketing root
-finder, behind the psi inverse's fallback for refused roots, the q inverse's
-fallback and the right crossing; the module-level functions validate their
-arguments and dispatch to the model, and ``warm_start_refusal`` states which
-delta Algorithm 1's warm start accepts: on either branch of psi, one at or
-below the closed-form admissibility boundary.
+itself, its supremum, the inverse and limit of the q budget, the convexity
+weight, the psi peak, the right crossing and its admissibility boundary, the
+largest delta that Algorithm 1's warm start admits, in closed form, and
+psi's root, which ``psi_inverse`` checks.  The base holds the flat profile's
+root, the generic quadratures, the Newton q inverse and ``_bisect``, the one
+bracketing root finder, behind the psi inverse's fallback for refused
+roots, the q inverse's fallback and the right crossing; the module-level
+functions validate their arguments and dispatch to the model, and
+``warm_start_refusal`` states which delta Algorithm 1's warm start accepts:
+on either branch of psi, one at or below the closed-form admissibility
+boundary.
 The quadrature is ``quad``, the package's own adaptive Gauss-Kronrod rule
 with its error estimate; only a general power profile's q inverse and limit
-and ``verify``'s convexity integral integrate.
+and the convexity weight of a general power or piecewise-linear profile
+integrate.
 Models are immutable after construction (their psi geometry is computed
 once, on first use) and safe to share across threads.  ``math.inf`` is the
 extended-real sentinel for unbounded quantities (never a large finite float).
@@ -40,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
 from .errors import (
     ConfigurationError,
@@ -70,6 +73,12 @@ CLOSED_FORM_RESIDUAL = 16.0 * sys.float_info.epsilon
 # below therefore needs no line search; a rounding overshoot or a stall
 # hands the bracket to bisection.
 NEWTON_MAX_ITER = 50
+
+# A closed-form convexity weight is summed as its Taylor series where the
+# profile's relative rise over the segment (t or z in the profiles) is below
+# this; at and above it, the closed form loses at most about 40 ulps to
+# cancellation, and the series needs at most 16 terms below it.
+_WEIGHT_SERIES_BELOW = 0.05
 
 # QUADPACK's 10/21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al., 1983): node pairs
 # +-x, their Kronrod and Gauss weights (0 at Kronrod-only nodes); the centre's weight is last.
@@ -152,6 +161,21 @@ def _expm1_over(c: float, x: float, m: float) -> float:
             return value
         log_e = math.log(e)
     return _exp(math.log(c) + log_e - math.log(m))
+
+
+def _weight_series(terms) -> float:
+    """int_0^1 (1 - v) g(v) dv as the sum of e_n / ((n + 1)(n + 2)) over the
+    Taylor terms e_n = g^(n)(0) / n! of g, n >= 0, up to where two terms in a
+    row leave the sum unchanged (one can vanish: the odd terms do for a
+    quadratic power at a = 0), and at most 64 of them."""
+    total, still = 0.0, 0
+    for n, e in zip(range(64), terms):
+        step = e / ((n + 1) * (n + 2))
+        still = still + 1 if total + step == total else 0
+        if still == 2:
+            break
+        total += step
+    return total
 
 
 def square(x: float) -> float:
@@ -271,6 +295,14 @@ class EllModel:
                 lo, q_lo, hi = hi, q_hi, min(2.0 * hi, FLOAT_MAX)
         return _bisect(lambda s: q_lo + self._q_between(lo, s, a)[0] < r, lo, hi)
 
+    def convexity_weight(self, a: float, d: float) -> float:
+        """W(a, d) = int_0^1 (1 - v) / ell(a + d v) dv by ``quad``; a
+        ``PreconditionError`` where it misses its tolerance."""
+        integral, err = quad(lambda v: (1.0 - v) / self.ell(a + d * v), 0.0, 1.0)
+        if not err <= QUAD_REL_TOL * abs(integral):
+            raise PreconditionError(f"convexity integral {integral} has error estimate {err}")
+        return integral
+
     def to_config(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
@@ -299,6 +331,9 @@ class Constant(EllModel):
 
     def q_inverse(self, r: float, a: float) -> float:
         return r * self.L
+
+    def convexity_weight(self, a: float, d: float) -> float:
+        return 0.5 / self.L
 
 
 @dataclass(frozen=True)
@@ -341,6 +376,21 @@ class Affine(EllModel):
         # q_max is infinite, so every r is admissible; past the float
         # range the answer reads inf
         return _expm1_over(self.L0 + self.L1 * a, self.L1 * r, self.L1)
+
+    def convexity_weight(self, a: float, d: float) -> float:
+        # ell(a + d v) = c (1 + t v) with c = ell(a) and t = L1 d / c, so W is
+        # ((1 + t) log1p(t) - t) / (t^2 c), the sum of (-t)^n / ((n + 1)(n + 2))
+        # over c; where ell(a) or t is inf, 1 / ell is 0 past v = 0 and so is W
+        if self.L1 == 0:
+            return 0.5 / self.L0
+        c = self.ell(a)
+        t = self.L1 / c * d
+        if c == math.inf or t == math.inf:
+            return 0.0
+        if t < _WEIGHT_SERIES_BELOW:
+            return _weight_series((-t) ** n for n in count()) / c
+        # the difference taken over t twice, which stays finite for every t
+        return ((1.0 + 1.0 / t) * math.log1p(t) - 1.0) / t / c
 
 
 @dataclass(frozen=True)
@@ -386,7 +436,10 @@ class Power(EllModel):
         try:
             head = L0 ** (2.0 / rho - 1.0) / L1 ** (2.0 / rho)
         except (OverflowError, ZeroDivisionError):
-            # a power left the float range; the ratio form may stay inside
+            head = math.nan
+        if math.isnan(head):
+            # a power left the float range, raising or reading inf / inf (2 / rho
+            # is inf for a subnormal rho); the ratio form may stay inside
             try:
                 head = (L0 / L1) ** (2.0 / rho) / L0
             except OverflowError:
@@ -521,6 +574,41 @@ class Power(EllModel):
         if self._flat:
             return r * (self.L0 + self.L1)
         return super().q_inverse(r, a)
+
+    def convexity_weight(self, a: float, d: float) -> float:
+        if self._flat:
+            return 0.5 / (self.L0 + self.L1)
+        if self.rho != 2:
+            return super().convexity_weight(a, d)
+        # ell(s) = L0 (1 + (k s)^2), k = sqrt(L1 / L0), so in u = k a and
+        # w = k d, W L0 = int_0^1 (1 - v) / (1 + (u + w v)^2) dv, which is
+        # ((u + w)(atan(u + w) - atan(u)) - log((1 + (u + w)^2) / (1 + u^2)) / 2) / w^2;
+        # where u or w is inf, 1 / ell is 0 past v = 0 and so is W
+        k = math.sqrt(self.L1 / self.L0)
+        u, w = k * a, k * d
+        if u == math.inf or w == math.inf:
+            return 0.0
+        if w / (1.0 + u) < _WEIGHT_SERIES_BELOW:
+            q = 1.0 + u * u
+            # 1 / (1 + s^2) times 1 + s^2 is 1, so its Taylor coefficients at
+            # u obey q c_n + 2 u c_(n-1) + c_(n-2) = 0; e_n = c_n w^n
+            def terms():
+                e0, e1 = 1.0 / q, -2.0 * u * w / (q * q)
+                yield e0
+                while True:
+                    yield e1
+                    e0, e1 = e1, -(2.0 * u * w * e1 + w * w * e0) / q
+
+            return _weight_series(terms()) / self.L0
+        # the atan difference as one atan, its argument taken without
+        # overflow; the log ratio as log1p(p (2 u / r + p)), r = hypot(1, u),
+        # p = w / r, in logs where that product overflows
+        angle = math.atan(w / (1.0 + u * (u + w)) if u < 1 else (w / u) / (1.0 / u + u + w))
+        r = math.hypot(1.0, u)
+        p = w / r
+        ratio = p * (2.0 * u / r + p)
+        log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(p) + math.log(2.0 * u / r + p)
+        return ((1.0 + u / w) * angle - log_ratio / (2.0 * w)) / w / self.L0
 
 
 @dataclass(frozen=True)
@@ -788,6 +876,20 @@ def q_inverse(model: EllModel, r: float, a: float) -> float:
     if r == 0.0:
         return 0.0
     return model.q_inverse(r, a)
+
+
+def convexity_weight(model: EllModel, a: float, d: float) -> float:
+    """W(a, d) = int_0^1 (1 - v) / ell(a + d v) dv for a, d >= 0, the weight
+    of |grad f(x) - grad f(y)|^2 in the integral form of ell-smoothness, with
+    a = |grad f(x)| and d = |grad f(x) - grad f(y)|.
+
+    Closed forms for the constant, affine and flat or quadratic power
+    profiles; any other profile integrates with ``quad``, and a quadrature
+    that misses its tolerance is a ``PreconditionError``.
+    """
+    if a < 0 or d < 0 or math.isnan(a) or math.isnan(d):
+        raise DomainError(f"convexity_weight needs a, d >= 0, got a={a}, d={d}")
+    return model.convexity_weight(a, d)
 
 
 # --- warm-start delta policy -------------------------------------------------

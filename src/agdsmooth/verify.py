@@ -9,8 +9,11 @@ reproducible, and record the seed and the worst margin even when passing;
 a NaN margin holds nothing, so it is a violation and the worst margin.
 ``evaluate`` refuses a NaN gradient; one sampled with an infinite
 component is refused here too, as a point where f overflows is.
-The convexity integral is ``smoothness.quad``, the package's Gauss-Kronrod
-rule, and a point where it misses its tolerance is a ``PreconditionError``.
+The convexity bound's weight is ``smoothness.convexity_weight``, in closed
+form for the constant, affine and flat or rho = 2 power claims; a general
+power or piecewise-linear claim integrates it with ``smoothness.quad``, the
+package's Gauss-Kronrod rule, and a point where that misses its tolerance
+is a ``PreconditionError``.
 
 The sweeps draw their points as tuples of Python floats, the kind of a
 small run's step loop, so ``evaluate``, ``agd_step`` and
@@ -18,9 +21,11 @@ small run's step loop, so ``evaluate``, ``agd_step`` and
 tuple.  The public checks also take arrays, and error messages print a
 point in NumPy's form (``problems.show_point``).  Every distance is
 ``problems.distance`` and the Bregman term's inner product is
-``math.fsum``, so no margin bit comes from the BLAS.  NumPy serves only the
-sweeps' ``Generator``, an array that a public check is given, and an error
-message, and is imported there.
+``math.fsum``, so no margin bit comes from the BLAS.  Each sweep reads its
+doubles from one stream, ``_draws(seed)``, which fills them from NumPy's
+``Generator`` a chunk at a time, so a trial makes no NumPy call.  NumPy
+serves only that stream, an array that a public check is given, and an
+error message, and is imported there.
 """
 
 from __future__ import annotations
@@ -28,22 +33,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ConfigurationError, DomainViolationError, PreconditionError
 from .problems import Problem, distance, evaluate, norm, project_closure, show_point
 from .smoothness import (
     QUAD_REL_TOL,
+    convexity_weight,
     delta_left_right,
     ell_eval,
     q_inverse,
     q_max,
-    quad,
     square,
 )
 from .solvers import AgdState, agd_step, lyapunov
 
 # Inequality acceptance margin: one order below the quadrature error floor.
 MARGIN_TOL = 1e-8
+
+# The sweeps' doubles are drawn this many at a time (``_draws``).
+_DRAW_CHUNK = 256
 
 
 @dataclass
@@ -61,18 +70,29 @@ class CheckReport:
         return self.violations == 0
 
 
-def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
-    """Run ``trial(rng)`` ``trials`` times on one generator seeded with
-    ``seed``.  A trial returns ``(margin, witness)``, or None to skip its
-    point; the report keeps the worst margin with its witness, a NaN being
-    worse than any number, and counts every margin that is not at least
-    ``-MARGIN_TOL`` as a violation."""
+def _draws(seed: int):
+    """The doubles of ``numpy.random.default_rng(seed).random()`` in stream
+    order, as one iterator of Python floats: a ``next`` is the double that a
+    ``random()`` call would give, and n of them the vector ``random(n)``,
+    since each double takes one output of the bit generator.  They are drawn
+    ``_DRAW_CHUNK`` at a time (``iter`` with a sentinel no list equals calls
+    the draw for ever), so no trial makes a NumPy call of its own."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
+    return chain.from_iterable(iter(lambda: rng.random(_DRAW_CHUNK).tolist(), None))
+
+
+def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
+    """Run ``trial(draws)`` ``trials`` times on one stream ``_draws(seed)``,
+    which no state outlives.  A trial returns ``(margin, witness)``, or None
+    to skip its point; the report keeps the worst margin with its witness, a
+    NaN being worse than any number, and counts every margin that is not at
+    least ``-MARGIN_TOL`` as a violation."""
+    draws = _draws(seed)
     worst, witness, violations, n = math.inf, None, 0, 0
     for _ in range(trials):
-        out = trial(rng)
+        out = trial(draws)
         if out is None:
             continue
         margin, wit = out
@@ -141,8 +161,9 @@ def check_convexity_smoothness(problem: Problem, x, y) -> float:
 
     The sharp side is the gradient-difference energy weighted by the
     curvature profile along the segment of gradient norms,
-    ``|gx - gy|^2 * int_0^1 (1 - v) / ell(|gx| + |gx - gy| v) dv``;
-    it must not exceed the Bregman gap ``f(x) - f(y) - <gy, x - y>``.
+    ``|gx - gy|^2 * int_0^1 (1 - v) / ell(|gx| + |gx - gy| v) dv``
+    (``smoothness.convexity_weight``); it must not exceed the Bregman gap
+    ``f(x) - f(y) - <gy, x - y>``.
     """
     model = problem.ell_model
     fx, gx, a = evaluate(problem, x)
@@ -153,10 +174,7 @@ def check_convexity_smoothness(problem: Problem, x, y) -> float:
     rhs = fx - fy - _bregman_inner(_floats(gy), _floats(x), _floats(y))
     if diff == 0.0:
         return rhs
-    integral, err = quad(lambda v: (1.0 - v) / model.ell(a + diff * v), 0.0, 1.0)
-    if not err <= QUAD_REL_TOL * abs(integral):
-        raise PreconditionError(f"convexity integral {integral} has error estimate {err}")
-    return rhs - diff * diff * integral
+    return rhs - diff * diff * convexity_weight(model, a, diff)
 
 
 def check_gradient_transfer(problem: Problem, x, y) -> float:
@@ -233,20 +251,20 @@ def check_gap_to_grad(problem: Problem, y, delta: float) -> bool:
 
 # --- randomized sweeps ------------------------------------------------------
 
-def _uniform(rng, lo: float, hi: float) -> float:
-    """``rng.uniform(lo, hi)`` in one ``random`` call: NumPy's own formula,
-    ``lo + (hi - lo) * next_double``, on the same doubles of the stream, so
-    the bits agree, without its per-call broadcasting and range checks.  It
-    serves the sweeps' scalar draws; the box draw of ``_interior_sampler``
-    applies the same formula to each span it has already computed."""
-    return lo + (hi - lo) * rng.random()
+def _uniform(draws, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` on the next double of the stream: NumPy's own
+    formula, ``lo + (hi - lo) * next_double``, so the bits agree.  It serves
+    the sweeps' scalar draws; the box draw of ``_interior_sampler`` applies
+    the same formula to each span it has already computed."""
+    return lo + (hi - lo) * next(draws)
 
 
 def _interior_sampler(problem: Problem):
-    """The draw ``rng -> point``, a tuple of floats, from the problem's
+    """The draw ``draws -> point``, a tuple of floats, from the problem's
     sample box, whose bounds are checked once: finite, with ``lo <= hi`` and
     a finite span, which every draw reuses in ``_uniform``'s formula,
-    coordinate by coordinate on one ``rng.random`` vector of the stream."""
+    coordinate by coordinate on the next d doubles of the stream (``zip``
+    reads ``lo`` first, so it stops without taking a double more)."""
     lo, hi = _floats(problem.sample_lo), _floats(problem.sample_hi)
     span = [b - a for a, b in zip(lo, hi)]
     if not all(-math.inf < a < math.inf and 0.0 <= s < math.inf for a, s in zip(lo, span)):
@@ -255,8 +273,7 @@ def _interior_sampler(problem: Problem):
             f"{show_point(problem.sample_hi)}] "
             "needs finite bounds with lo <= hi"
         )
-    n = len(span)
-    return lambda rng: tuple([a + s * r for a, s, r in zip(lo, span, rng.random(n).tolist())])
+    return lambda draws: tuple([a + s * r for a, s, r in zip(lo, span, draws)])
 
 
 def sweep_convexity_smoothness(
@@ -264,9 +281,9 @@ def sweep_convexity_smoothness(
 ) -> CheckReport:
     sample = _interior_sampler(problem)
 
-    def trial(rng):
-        x = sample(rng)
-        y = sample(rng)
+    def trial(draws):
+        x = sample(draws)
+        y = sample(draws)
         return check_convexity_smoothness(problem, x, y), (x, y)
 
     return _sweep("convexity-smoothness", trials, seed, trial)
@@ -280,13 +297,13 @@ def sweep_gradient_transfer(
     model = problem.ell_model
     sample = _interior_sampler(problem)
 
-    def trial(rng):
-        x = sample(rng)
-        y = sample(rng)
+    def trial(draws):
+        x = sample(draws)
+        y = sample(draws)
         budget = q_max(model, evaluate(problem, x)[2])
         dist = distance(y, x)
         if dist >= 0.9 * budget:
-            s, w = 0.9 * budget / dist, _uniform(rng, 0.5, 1.0)
+            s, w = 0.9 * budget / dist, _uniform(draws, 0.5, 1.0)
             y = tuple([a + (b - a) * s * w for a, b in zip(x, y)])
         return check_gradient_transfer(problem, x, y), (x, y)
 
@@ -303,13 +320,13 @@ def sweep_descent_step(
     model = problem.ell_model
     sample = _interior_sampler(problem)
 
-    def trial(rng):
-        y = sample(rng)
-        u = project_closure(problem.domain, sample(rng))
+    def trial(draws):
+        y = sample(draws)
+        u = project_closure(problem.domain, sample(draws))
         f_y, g_y, gn = evaluate(problem, y)
-        gcap = 10.0 ** _uniform(rng, -3.0, 2.0)
+        gcap = 10.0 ** _uniform(draws, -3.0, 2.0)
         cap = 1.0 / ell_eval(model, 2.0 * gn)
-        gamma = cap * _uniform(rng, 0.05, 1.0)
+        gamma = cap * _uniform(draws, 0.05, 1.0)
         state = AgdState(y=y, u=u, gamma_cap=gcap, k=0, f_y=f_y, grad_y=g_y, grad_norm=gn)
         margin = check_descent_step(problem, state, gamma)
         return margin, (y, u, gcap, gamma)
@@ -327,8 +344,8 @@ def sweep_gap_to_grad(
     f_star = problem.optimum.f_star
     sample = _interior_sampler(problem)
 
-    def trial(rng):
-        y = sample(rng)
+    def trial(draws):
+        y = sample(draws)
         f_y = evaluate(problem, y)[0]
         delta = (f_y - f_star) * 1.0000001 + 1e-15
         if delta >= problem.ell_model.psi_sup:

@@ -121,15 +121,22 @@ GOLDEN_RUNS = {
     ),
 }
 
-# Every convexity integral and a general power's q integrate with the
-# package's Gauss-Kronrod rule (``smoothness.quad``), and every Bregman
-# term's inner product is a ``math.fsum``.
+# The convexity weight is in closed form for the constant, affine and
+# rho = 2 power claims (``smoothness.convexity_weight``); power-p's general
+# power claim integrates it, and its q, with the package's Gauss-Kronrod rule
+# (``smoothness.quad``).  Every Bregman term's inner product is a
+# ``math.fsum``.  Where the closed forms replaced the rule, only the
+# convexity worst margin moved: exp-1d 0.0032896095020104894 ->
+# 0.003289609502010512, neg-log-barrier 0.003150715168827251 ->
+# 0.0031507151688272513 and quadratic -2.220446049250313e-16 ->
+# -8.881784197001252e-16, with another witness pair: a constant claim makes
+# the quadratic's bound an equality, so its margins are roundings of 0.
 GOLDEN_VERIFY = {
-    "exp-1d": "5365dc494ba850b225bd0fe71417e444d260390c0501627101edb21a505f1a68",
+    "exp-1d": "4bdfac9acd3706329db5f76bb065d7cf83b03f83865b7b820b96ddd30781ef9e",
     "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
-    "neg-log-barrier": "13f8bed4ac945c7c6e0b719af2b0b68cb046c0a01eef9cc60378ea49b91320cc",
+    "neg-log-barrier": "d78944b6335db761ee61e847edeff76f5b79a3271016dbaf92ee68fdfc8fcd2a",
     "power-p": "ff3c6b0f3c47d98efe35664a205206911e5cc4371cd150574b5ae9e6cf616a1d",
-    "quadratic": "acda2cef54bff0682a31ed6dea590cdaabcacbf15df1f1a10a20effd90772f1a",
+    "quadratic": "5153a9114f0cd1d6c2e6a7a6523117e0c20246ba53fe4ae52a4f59b9b3882cf0",
 }
 VERIFY_TRIALS = 60
 

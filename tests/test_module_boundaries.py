@@ -7,7 +7,8 @@ solvers calls ell without ``ell_eval`` and its accelerated loop leaves each
 step to the variant's rule, no module imports SciPy, and none imports NumPy
 at load time,
 every public top-level name, and every public method of a profile class, is
-used by some module of the package, and ``psi_inverse`` is one function."""
+used by some module of the package, ``psi_inverse`` is one function, and
+``verify`` names no quadrature and builds its generator in one reader."""
 
 import ast
 from functools import cached_property
@@ -306,3 +307,32 @@ def test_accelerated_loop_leaves_the_step_to_its_rule():
             and node.attr in {"WARM_REGION", "GRAD_ENVELOPE"})
     ]
     assert not uses, f"_run_agd restates a step rule: {uses}"
+
+
+
+def _verify_reads_of(name):
+    """The functions of ``verify`` that read ``name``, once per read, and the
+    lines of every read or import of it."""
+    path = Path(agdsmooth.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func)
+              if isinstance(node, (ast.Name, ast.Attribute)) and _names(node) == [name]]
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, (ast.Name, ast.Attribute)) and _names(node) == [name])
+             or (isinstance(node, ast.ImportFrom) and name in {a.name for a in node.names})]
+    return owners, lines
+
+
+def test_verify_integrates_nothing():
+    # the convexity weight is the profile's (``smoothness.convexity_weight``),
+    # in closed form where it has one, so verify names no quadrature
+    _, lines = _verify_reads_of("quad")
+    assert not lines, f"verify names quad at lines {lines}"
+
+
+def test_verify_builds_its_generator_in_one_reader():
+    # every sweep reads its doubles from one buffered stream, ``_draws``,
+    # the one place that names NumPy's generator
+    owners, lines = _verify_reads_of("default_rng")
+    assert owners == ["_draws"] and len(lines) == 1, f"default_rng at lines {lines} in {owners}"

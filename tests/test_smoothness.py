@@ -22,6 +22,8 @@ from agdsmooth import (
     OutOfRangeError,
     ConfigurationError,
     Power,
+    PreconditionError,
+    catalog,
     delta_left_right,
     ell_eval,
     model_from_config,
@@ -29,9 +31,10 @@ from agdsmooth import (
     psi_inverse,
     q_inverse,
     q_max,
+    select_delta,
 )
 from agdsmooth import smoothness
-from agdsmooth.smoothness import warm_start_refusal
+from agdsmooth.smoothness import convexity_weight, warm_start_refusal
 
 # A custom profile whose psi dips: the middle segment is steep enough that
 # its backward-extrapolated intercept is negative, so psi turns over exactly
@@ -846,6 +849,15 @@ class TestAdmissibleBoundary:
         model = CustomMonotone(((0.0, 1.0), (10.0, 5.0), (11.0, 100.0)))
         assert model.admissible_boundary == 0.09765625
 
+    def test_power_with_a_subnormal_rho_takes_the_ratio_form(self):
+        # 2 / rho is inf, so L0^(2/rho - 1) / L1^(2/rho) reads inf / inf, a
+        # NaN and no exception; (L0 / L1)^(2/rho) / L0 = 1 / 2 is the head,
+        # its value at rho = 1e-300 too, and the boundary is 1/128
+        model = Power(2.225073858507203e-309, 2.0, 2.0)
+        assert model.admissible_boundary == Power(1e-300, 2.0, 2.0).admissible_boundary == 1 / 128
+        delta = select_delta(model, 1.0)
+        assert 0 < delta < math.inf and not warm_start_refusal(model, delta, None)
+
 
 def exact_admissible_boundary(model):
     """(s* / 8)^2 / ell(0) of a piecewise-linear profile in exact
@@ -1267,6 +1279,89 @@ class TestQInverse:
         pieces = linear_pieces(model, s, a)
         reference = sum(dyadic_quadrature_q(model, length, start) for length, start in pieces)
         assert q_reference(model, s, a) == pytest.approx(reference, rel=1e-9)
+
+
+def as_power(model):
+    """The profile as a ``Power`` with the same ell: a constant is L0 = L,
+    L1 = 0, and an affine profile rho = 1."""
+    if isinstance(model, Constant):
+        return Power(1.0, model.L, 0.0)
+    if isinstance(model, Affine):
+        return Power(1.0, model.L0, model.L1)
+    return model
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+def closed_form_weights():
+    """The profiles whose convexity weight is in closed form, with the
+    catalog's own claims among them: constant, affine, and flat or rho = 2
+    power profiles, L1 = 0 included."""
+    pos = log_uniform(-3.0, 3.0)
+    slope = st.one_of(st.just(0.0), pos)
+    claims = [catalog(name).ell_model
+              for name in ("exp-1d", "exp-experiment", "neg-log-barrier", "quadratic")]
+    return st.one_of(
+        st.sampled_from(claims),
+        st.builds(Constant, L=pos),
+        st.builds(Affine, L0=pos, L1=slope),
+        st.builds(Power, rho=st.sampled_from([0.0, 2.0]), L0=pos, L1=slope),
+    )
+
+
+class TestConvexityWeight:
+    """``convexity_weight``: W(a, d) = int_0^1 (1 - v) / ell(a + d v) dv, in
+    closed form (with a series where it would cancel) for the constant,
+    affine and flat or rho = 2 power profiles, and by ``quad`` for any other."""
+
+    @given(closed_form_weights(), st.one_of(st.just(0.0), log_uniform(-300.0, 6.0)),
+           log_uniform(-300.0, 6.0))
+    @example(Affine(2.0, 1.0), 0.0, 0.1)  # t = 0.05, where the series hands over
+    @example(Power(2.0, 1.0, 1.0), 0.0, 0.05)  # z = 0.05 with u = 0
+    @example(Power(2.0, 3.0, 2.0), 1e6, 1e-300)
+    def test_closed_forms_match_a_40_digit_quadrature(self, model, a, d):
+        reference = mpmath_power_integral(as_power(model), a, 0.0, 1.0, d)
+        weight = convexity_weight(model, a, d)
+        assert abs(weight - reference) <= 1e-13 * reference
+
+    @pytest.mark.parametrize("model", [Constant(2.0), Affine(2.0, 1.0), Affine(3.0, 0.0),
+                                       Power(2.0, 3.0, 2.0), Power(2.0, 3.0, 0.0),
+                                       Power(0.0, 1.0, 1.0), Power(1.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("a, d", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                                      (0.0, math.inf), (1e300, 1e300)])
+    def test_non_finite_arguments_give_the_quadrature_s_verdict(self, model, a, d):
+        # the rule's weight where it meets its tolerance: 0 wherever ell(a)
+        # or a + d v past v = 0 is inf, the flat weight 1 / (2 ell) on a flat
+        # profile.  Only a flat profile written with L1 = 0 has the rule
+        # refuse, where ell(inf) = L0 + 0 * inf is NaN; its weight stays
+        # 1 / (2 L0), and with d = inf the energy d^2 W is inf, a margin of
+        # -inf, which fails as the refusal did
+        weight = convexity_weight(model, a, d)
+        try:
+            reference = EllModel.convexity_weight(model, a, d)
+        except PreconditionError:
+            assert model.L1 == 0 and weight == 0.5 / model.L0
+            assert d < math.inf or d * d * weight == math.inf
+        else:
+            assert weight == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+    def test_a_general_power_integrates(self, monkeypatch):
+        # power-p's claim keeps the rule, with its tolerance check
+        calls = []
+        plain = smoothness.quad
+        monkeypatch.setattr(smoothness, "quad", lambda *args: calls.append(args) or plain(*args))
+        model = Power(1.5, 1.0, 2.0)
+        weight = convexity_weight(model, 0.5, 3.0)
+        assert len(calls) == 1
+        assert weight == pytest.approx(mpmath_power_integral(model, 0.5, 0.0, 1.0, 3.0),
+                                       rel=1e-10)
+
+    def test_negative_or_nan_arguments_are_domain_errors(self):
+        for a, d in [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                convexity_weight(Constant(1.0), a, d)
 
 
 class TestSerialization:

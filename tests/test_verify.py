@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pkgutil
+import random
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -33,7 +34,9 @@ from agdsmooth import (
 from agdsmooth import cli, verify
 from agdsmooth.problems import FullSpace, Problem, norm
 from agdsmooth.verify import (
+    _DRAW_CHUNK,
     _bregman_inner,
+    _draws,
     _interior_sampler,
     _sweep,
     _uniform,
@@ -265,16 +268,16 @@ def hexes(values):
 
 class TestDraws:
     # the box draw is ``lo_i + span_i * r_i`` on the sampler's precomputed
-    # spans and one ``rng.random`` vector, a tuple of floats, and
-    # ``_uniform`` serves the scalar draws with ``lo + (hi - lo) *
-    # rng.random()``; these pin that both give the bits ``rng.uniform``
-    # gave, from the same stream
+    # spans and the next d doubles of the sweep's stream (``_draws``), a
+    # tuple of floats, and ``_uniform`` serves the scalar draws with
+    # ``lo + (hi - lo) * r`` on the next double; these pin that both give
+    # the bits ``rng.uniform`` gave, from the same seed
 
     @pytest.mark.parametrize("name, params", BOXES, ids=lambda v: str(v))
     def test_box_draw_bits_equal_numpy_uniform(self, name, params):
         p = catalog(name, params)
         sample = _interior_sampler(p)
-        got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+        got_rng, want_rng = _draws(0), np.random.default_rng(0)
         for _ in range(2000):
             got, want = sample(got_rng), want_rng.uniform(p.sample_lo, p.sample_hi)
             assert type(got) is tuple and len(got) == p.dim and want.shape == (p.dim,)
@@ -309,9 +312,32 @@ class TestDraws:
             assert (hexes(x), hexes(y)) == (hexes(want_x), hexes(want_y))
         assert len(pairs) == 300 and shrunk > 250
 
+    @pytest.mark.parametrize("seed", [0, 3, 41, 2**64 - 1])
+    def test_the_stream_reads_numpy_random_in_order(self, seed):
+        # scalar reads (``_uniform``) and vector reads (the box draw) of
+        # random lengths 1-16, mixed, over 5000 doubles and so across many
+        # chunk boundaries: on [0, 1] each draw is 0 + 1 * r, the double
+        # itself, which must be the one default_rng(seed).random() gives
+        # next
+        samplers = {n: _interior_sampler(replace(catalog("quadratic", {"d": n}),
+                                                 sample_lo=(0.0,) * n, sample_hi=(1.0,) * n))
+                    for n in range(1, 17)}
+        pick, draws, got, straddling = random.Random(seed), _draws(seed), [], 0
+        while len(got) < 5000:
+            if pick.random() < 0.5:
+                got.append(_uniform(draws, 0.0, 1.0))
+            else:
+                start = len(got)
+                got.extend(samplers[pick.randint(1, 16)](draws))
+                straddling += start // _DRAW_CHUNK != (len(got) - 1) // _DRAW_CHUNK
+        assert len(got) // _DRAW_CHUNK >= 19 and straddling >= 10
+        want_rng = np.random.default_rng(seed)
+        assert all(type(v) is float for v in got)
+        assert hexes(got) == hexes([want_rng.random() for _ in got])
+
     @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-3, 2), (0.05, 1.0)])
     def test_scalar_draw_bits_equal_numpy_uniform(self, lo, hi):
-        got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+        got_rng, want_rng = _draws(0), np.random.default_rng(0)
         for _ in range(2000):
             got, want = _uniform(got_rng, float(lo), float(hi)), want_rng.uniform(lo, hi)
             # a witness keeps these floats; an np.float64 would change its repr
@@ -592,14 +618,31 @@ class TestNonFiniteVerdict:
         assert min(convexity["witness"][0][0], convexity["witness"][1][0]) < 0
 
     def test_cli_steep_gradient_exits_three_on_the_quadrature(self, steep_catalog, capsys):
-        # a gradient of norm about 1e200 beside one of norm about 1: the
-        # convexity integrand 1 / ell(|gx| + |gx - gy| v) falls by 200
-        # orders within v < 1e-199, and the rule's error estimate misses
-        # its tolerance, which refuses the point before any margin
+        # a gradient of norm about 1e200 beside one of norm about 1: under a
+        # general power claim, whose convexity weight integrates, the
+        # integrand 1 / ell(|gx| + |gx - gy| v) falls by 300 orders within
+        # v < 1e-199, and the rule's error estimate misses its tolerance,
+        # which refuses the point before any margin
         steep_catalog(1e200)
-        assert cli.main(["verify", "exp-1d", "claimed", "--trials", "20"]) == 3
+        claim = '{"kind": "power", "rho": 1.5, "L0": 2, "L1": 1}'
+        assert cli.main(["verify", "exp-1d", claim, "--trials", "20"]) == 3
         err = capsys.readouterr().err
         assert re.search(r"precondition failed: convexity integral \S+ has error estimate", err)
+
+    def test_cli_steep_gradient_fails_on_the_closed_form(self, steep_catalog, tmp_path, capsys):
+        # the same pairs under exp-1d's own affine claim, whose weight is in
+        # closed form: at the first pair, |gx| = 1.15 and |gx - gy| = 2.1e200,
+        # the weight is 2.1725626020626838e-198 to the last digit (the rule
+        # read 6.8e-199 there and refused it), the energy passes the float
+        # range, and the margin is -inf, a violation, as the steep gradient,
+        # which f does not have, deserves
+        steep_catalog(1e200)
+        assert cli.main(["verify", "exp-1d", "claimed", "--trials", "20"]) == 5
+        assert "FAIL convexity-smoothness: trials=20" in capsys.readouterr().out
+        assert smoothness.convexity_weight(Affine(2.0, 1.0), 1.15133143834746,
+                                           2.1132529002375795e200) == 2.1725626020626838e-198
+        report = json.loads((tmp_path / "exp-1d-verify-report.json").read_text())
+        assert report[0]["worst_margin"] == "-inf" and report[0]["violations"] > 0
 
     def test_cli_infinite_gradient_exits_four(self, steep_catalog, capsys):
         steep_catalog(math.inf)
