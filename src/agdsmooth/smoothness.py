@@ -122,16 +122,19 @@ def quad(func, a: float, b: float) -> tuple[float, float]:
 
 def _bisect(below, lo: float, hi: float) -> float:
     """Shrink ``[lo, hi]`` around the point where ``below`` turns false; stops
-    once the bracket is 4e-16 wide relative to its midpoint.  The midpoint
-    halves each end before adding, which rounds as halving their sum does
-    on normal floats but stays finite where that sum overflows."""
+    once the bracket is 4e-16 wide relative to its midpoint, or holds no
+    float between its ends, as among the subnormals.  The midpoint halves
+    each end before adding, which rounds as halving their sum does on
+    normal floats but stays finite where that sum overflows."""
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
         if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 4e-16 * max(mid, 1e-300):
+        if hi - lo <= 4e-16 * mid:
             break
     return 0.5 * lo + 0.5 * hi
 
@@ -351,7 +354,8 @@ class Affine(EllModel):
             raise ConfigurationError(f"Affine profile needs L1 >= 0, got {self.L1}")
 
     def ell(self, s: float) -> float:
-        return self.L0 + self.L1 * s
+        # a flat profile is L0 at every s, inf included (0 * inf is NaN)
+        return self.L0 + self.L1 * s if self.L1 else self.L0
 
     def ell_sup(self) -> float:
         return self.L0 if self.L1 == 0 else math.inf
@@ -411,12 +415,14 @@ class Power(EllModel):
             raise ConfigurationError(f"Power profile needs L1 >= 0, got {self.L1}")
 
     def ell(self, s: float) -> float:
+        if not self.L1:
+            # flat: L0 at every s, inf included (0 * inf is NaN)
+            return self.L0
         try:
             return self.L0 + self.L1 * s**self.rho
         except OverflowError:
             # s**rho left the float range; L1 s**rho may not have
-            e = math.log(self.L1) + self.rho * math.log(s) if self.L1 else -math.inf
-            return self.L0 + _exp(e)
+            return self.L0 + _exp(math.log(self.L1) + self.rho * math.log(s))
 
     @property
     def _flat(self) -> bool:
@@ -568,9 +574,20 @@ class Power(EllModel):
 
     def q_inverse(self, r: float, a: float) -> float:
         if self.rho == 2 and self.L1 > 0:
+            # a + s = tan(r sqrt(L0 L1) + atan(t)) / c with t = c a, so by the
+            # tan addition rule s = T (1 + t^2) / (c (1 - t T)),
+            # T = tan(r sqrt(L0 L1)), which takes no difference of large
+            # terms (tan(...) / c - a cancels, by up to 2.5e-4 relative).
+            # Below q_max, t T < 1; a denominator that rounding took to 0 or
+            # below puts the root past the float range.  Where t^2
+            # overflows, both parts are taken over t
             c = math.sqrt(self.L1 / self.L0)
-            ang = r * math.sqrt(self.L0 * self.L1) + math.atan(c * a)
-            return math.tan(ang) / c - a
+            t, T = c * a, math.tan(r * math.sqrt(self.L0 * self.L1))
+            if t * t < math.inf:
+                num, den = T * (1.0 + t * t), 1.0 - t * T
+            else:
+                num, den = T * (t + 1.0 / t), 1.0 / t - T
+            return num / (c * den) if den > 0 else math.inf
         if self._flat:
             return r * (self.L0 + self.L1)
         return super().q_inverse(r, a)
@@ -583,12 +600,21 @@ class Power(EllModel):
         # ell(s) = L0 (1 + (k s)^2), k = sqrt(L1 / L0), so in u = k a and
         # w = k d, W L0 = int_0^1 (1 - v) / (1 + (u + w v)^2) dv, which is
         # ((u + w)(atan(u + w) - atan(u)) - log((1 + (u + w)^2) / (1 + u^2)) / 2) / w^2;
-        # where u or w is inf, 1 / ell is 0 past v = 0 and so is W
+        # where ell(a), u or w is inf, 1 / ell is 0 past v = 0 and so is W, as
+        # the quadrature reads it
         k = math.sqrt(self.L1 / self.L0)
         u, w = k * a, k * d
-        if u == math.inf or w == math.inf:
+        if u == math.inf or w == math.inf or self.ell(a) == math.inf:
             return 0.0
         if w / (1.0 + u) < _WEIGHT_SERIES_BELOW:
+            if u >= 2.0**27:
+                # 1 + (u + w v)^2 rounds to (u + w v)^2, so W L0 is
+                # int_0^1 (1 - v) / (1 + z v)^2 dv / u^2 with z = w / u, whose
+                # Taylor terms are (n + 1) (-z)^n; the recurrence below
+                # loses its second term where (1 + u^2)^2 overflows (from
+                # u ~ 1e77) and reads NaN where u^2 does
+                z = w / u
+                return _weight_series((n + 1) * (-z) ** n for n in count()) / self.L0 / u / u
             q = 1.0 + u * u
             # 1 / (1 + s^2) times 1 + s^2 is 1, so its Taylor coefficients at
             # u obey q c_n + 2 u c_(n-1) + c_(n-2) = 0; e_n = c_n w^n

@@ -15,6 +15,24 @@ power or piecewise-linear claim integrates it with ``smoothness.quad``, the
 package's Gauss-Kronrod rule, and a point where that misses its tolerance
 is a ``PreconditionError``.
 
+ell does not decrease, so ``q_inverse(r; a) >= r ell(a)`` and
+``W(a, d) <= 1 / (2 ell(a))``.  The gradient-transfer and convexity checks
+take a keyword ``floor`` and first compute the lower bound of their margin
+that these give, with a relative slack of 1e-9 (``_BOUND_SLACK``); where
+that bound is at or above ``floor`` they return it, and compute neither q
+inverse nor W.  ``_sweep`` hands each trial the least margin that could
+still change its report, ``max(worst, -MARGIN_TOL)`` (inf before the first
+margin, ``-MARGIN_TOL`` once the worst is NaN), so a settled trial changes
+nothing.  Rounding is monotone, so the bound is at most the exact margin in
+floats wherever the profile's q inverse is at least
+``fl(r ell(a) (1 - 1e-9))`` and its W at most ``fl(0.5 (1 + 1e-9) / ell(a))``,
+which every profile keeps where those are normal floats; the reports are
+those of always-exact sweeps.  The one difference: a convexity trial settled
+by its bound makes no quadrature, so a quadrature refusal there no longer
+ends the sweep.  Every trial still evaluates its points, checks their
+gradients and, for gradient transfer, q_max, so oracle counts and every
+other typed error are unchanged.
+
 The sweeps draw their points as tuples of Python floats, the kind of a
 small run's step loop, so ``evaluate``, ``agd_step`` and
 ``project_closure`` take them as they are and every gradient comes back a
@@ -54,6 +72,11 @@ MARGIN_TOL = 1e-8
 # The sweeps' doubles are drawn this many at a time (``_draws``).
 _DRAW_CHUNK = 256
 
+# The relative slack of the margin bounds that settle a trial without q
+# inverse or the convexity weight (see the module docstring); it covers the
+# quadratures' 1e-10 relative tolerance and a profile's roundings.
+_BOUND_SLACK = 1e-9
+
 
 @dataclass
 class CheckReport:
@@ -84,21 +107,27 @@ def _draws(seed: int):
 
 
 def _sweep(name: str, trials: int, seed: int, trial) -> CheckReport:
-    """Run ``trial(draws)`` ``trials`` times on one stream ``_draws(seed)``,
-    which no state outlives.  A trial returns ``(margin, witness)``, or None
-    to skip its point; the report keeps the worst margin with its witness, a
-    NaN being worse than any number, and counts every margin that is not at
-    least ``-MARGIN_TOL`` as a violation."""
+    """Run ``trial(draws, floor)`` ``trials`` times on one stream
+    ``_draws(seed)``, which no state outlives.  A trial returns
+    ``(margin, witness)``, or None to skip its point; the report keeps the
+    worst margin with its witness, a NaN being worse than any number, and
+    counts every margin that is not at least ``-MARGIN_TOL`` as a violation.
+    So a margin at or above ``floor``, ``max(worst, -MARGIN_TOL)`` (inf
+    before the first margin, ``-MARGIN_TOL`` once the worst is NaN), changes
+    nothing in the report, and a trial may return any lower bound of its
+    margin that is at or above the floor in its place."""
     draws = _draws(seed)
     worst, witness, violations, n = math.inf, None, 0, 0
+    floor = math.inf
     for _ in range(trials):
-        out = trial(draws)
+        out = trial(draws, floor)
         if out is None:
             continue
         margin, wit = out
         n += 1
         if not (margin >= worst or math.isnan(worst)):
             worst, witness = margin, wit
+            floor = -MARGIN_TOL if math.isnan(worst) else max(worst, -MARGIN_TOL)
         if not margin >= -MARGIN_TOL:
             violations += 1
     return CheckReport(
@@ -156,14 +185,17 @@ def _bregman_inner(g, x, y) -> float:
     return total
 
 
-def check_convexity_smoothness(problem: Problem, x, y) -> float:
+def check_convexity_smoothness(problem: Problem, x, y, *, floor: float = math.inf) -> float:
     """Margin of the smoothed convexity lower bound between two points.
 
     The sharp side is the gradient-difference energy weighted by the
     curvature profile along the segment of gradient norms,
     ``|gx - gy|^2 * int_0^1 (1 - v) / ell(|gx| + |gx - gy| v) dv``
     (``smoothness.convexity_weight``); it must not exceed the Bregman gap
-    ``f(x) - f(y) - <gy, x - y>``.
+    ``f(x) - f(y) - <gy, x - y>``.  The weight is at most 1 / (2 ell(|gx|)),
+    so where the margin with ``0.5 (1 + 1e-9) / ell(|gx|)`` in its place is
+    at or above ``floor``, that lower bound is returned and no weight is
+    computed; the default floor, inf, always takes the exact margin.
     """
     model = problem.ell_model
     fx, gx, a = evaluate(problem, x)
@@ -174,12 +206,20 @@ def check_convexity_smoothness(problem: Problem, x, y) -> float:
     rhs = fx - fy - _bregman_inner(_floats(gy), _floats(x), _floats(y))
     if diff == 0.0:
         return rhs
-    return rhs - diff * diff * convexity_weight(model, a, diff)
+    energy = diff * diff
+    bound = rhs - energy * (0.5 * (1.0 + _BOUND_SLACK) / ell_eval(model, a))
+    if bound >= floor:
+        return bound
+    return rhs - energy * convexity_weight(model, a, diff)
 
 
-def check_gradient_transfer(problem: Problem, x, y) -> float:
+def check_gradient_transfer(problem: Problem, x, y, *, floor: float = math.inf) -> float:
     """Margin of the gradient-variation bound
-    ``|grad f(y) - grad f(x)| <= q_inverse(|y - x|; |grad f(x)|)``."""
+    ``|grad f(y) - grad f(x)| <= q_inverse(|y - x|; |grad f(x)|)``.  q
+    inverse is at least |y - x| ell(|grad f(x)|), so where the margin with
+    ``|y - x| ell(|grad f(x)|) (1 - 1e-9)`` in its place is at or above
+    ``floor``, that lower bound is returned and q inverse is not computed;
+    the default floor, inf, always takes the exact margin."""
     model = problem.ell_model
     _, gx, a = evaluate(problem, x)
     _, gy, b = evaluate(problem, y)
@@ -188,7 +228,11 @@ def check_gradient_transfer(problem: Problem, x, y) -> float:
     dist = distance(y, x)
     if dist >= q_max(model, a):
         raise PreconditionError(f"|y - x| = {dist} is not below q_max = {q_max(model, a)}")
-    return q_inverse(model, dist, a) - distance(gy, gx)
+    change = distance(gy, gx)
+    bound = dist * ell_eval(model, a) * (1.0 - _BOUND_SLACK) - change
+    if bound >= floor:
+        return bound
+    return q_inverse(model, dist, a) - change
 
 
 def check_descent_step(problem: Problem, state: AgdState, step_gamma: float) -> float:
@@ -281,10 +325,10 @@ def sweep_convexity_smoothness(
 ) -> CheckReport:
     sample = _interior_sampler(problem)
 
-    def trial(draws):
+    def trial(draws, floor):
         x = sample(draws)
         y = sample(draws)
-        return check_convexity_smoothness(problem, x, y), (x, y)
+        return check_convexity_smoothness(problem, x, y, floor=floor), (x, y)
 
     return _sweep("convexity-smoothness", trials, seed, trial)
 
@@ -297,7 +341,7 @@ def sweep_gradient_transfer(
     model = problem.ell_model
     sample = _interior_sampler(problem)
 
-    def trial(draws):
+    def trial(draws, floor):
         x = sample(draws)
         y = sample(draws)
         budget = q_max(model, evaluate(problem, x)[2])
@@ -305,7 +349,7 @@ def sweep_gradient_transfer(
         if dist >= 0.9 * budget:
             s, w = 0.9 * budget / dist, _uniform(draws, 0.5, 1.0)
             y = tuple([a + (b - a) * s * w for a, b in zip(x, y)])
-        return check_gradient_transfer(problem, x, y), (x, y)
+        return check_gradient_transfer(problem, x, y, floor=floor), (x, y)
 
     return _sweep("gradient-transfer", trials, seed, trial)
 
@@ -320,7 +364,7 @@ def sweep_descent_step(
     model = problem.ell_model
     sample = _interior_sampler(problem)
 
-    def trial(draws):
+    def trial(draws, _floor):
         y = sample(draws)
         u = project_closure(problem.domain, sample(draws))
         f_y, g_y, gn = evaluate(problem, y)
@@ -344,7 +388,7 @@ def sweep_gap_to_grad(
     f_star = problem.optimum.f_star
     sample = _interior_sampler(problem)
 
-    def trial(draws):
+    def trial(draws, _floor):
         y = sample(draws)
         f_y = evaluate(problem, y)[0]
         delta = (f_y - f_star) * 1.0000001 + 1e-15

@@ -131,10 +131,14 @@ GOLDEN_RUNS = {
 # 0.0031507151688272513 and quadratic -2.220446049250313e-16 ->
 # -8.881784197001252e-16, with another witness pair: a constant claim makes
 # the quadratic's bound an equality, so its margins are roundings of 0.
+# The rho = 2 claim's q inverse takes the tan addition form, which does not
+# cancel; only neg-log-barrier's gradient-transfer worst margin moved,
+# 0.520250662794792 -> 0.5202506627947918.  The margin bounds that settle a
+# trial without q inverse or the weight move no report.
 GOLDEN_VERIFY = {
     "exp-1d": "4bdfac9acd3706329db5f76bb065d7cf83b03f83865b7b820b96ddd30781ef9e",
     "exp-experiment": "1f4c463e5338eb34af003203646471b6dd1b52279ff7eff5b38aa921d1532be2",
-    "neg-log-barrier": "d78944b6335db761ee61e847edeff76f5b79a3271016dbaf92ee68fdfc8fcd2a",
+    "neg-log-barrier": "f737e5ff3d35e6ce21acecf64c57e7db5d9de3ab4bc591e6aed638a6fd80cf7c",
     "power-p": "ff3c6b0f3c47d98efe35664a205206911e5cc4371cd150574b5ae9e6cf616a1d",
     "quadratic": "5153a9114f0cd1d6c2e6a7a6523117e0c20246ba53fe4ae52a4f59b9b3882cf0",
 }

@@ -131,6 +131,12 @@ class TestEllEval:
         with pytest.raises(ConfigurationError):
             CustomMonotone(points=((1.0, 1.0),))  # must start at s=0
 
+    @pytest.mark.parametrize("model", [Affine(3.0, 0.0), Power(2.0, 3.0, 0.0),
+                                       Power(0.0, 1.0, 2.0), Constant(3.0)])
+    def test_a_flat_profile_keeps_its_value_at_infinity(self, model):
+        # L0 + 0 * inf would be NaN; a flat profile is its constant at every s
+        assert ell_eval(model, math.inf) == ell_eval(model, 1.0) == model.ell_sup()
+
     def test_power_overflow_is_an_unbounded_profile(self):
         # s**rho past the float range: ell is inf, or L0 on a flat claim
         assert ell_eval(Power(3, 0.5, 1), 1e200) == math.inf
@@ -252,11 +258,13 @@ def doubling_psi_inverse(model, t):
         raise OutOfRangeError("beyond the float range")
     for _ in range(smoothness.BISECT_MAX_ITER):
         mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
         if smoothness.psi_eval(model, mid) < t:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 4e-16 * max(mid, 1e-300):
+        if hi - lo <= 4e-16 * mid:
             break
     return 0.5 * lo + 0.5 * hi
 
@@ -1252,6 +1260,31 @@ class TestQInverse:
             exact = float(mpmath.mpf(L0) * mpmath.expm1(mpmath.mpf(L1) * r) / L1)
         assert q_inverse(model, r, 0.0) == pytest.approx(exact, rel=1e-12)
 
+    @given(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0),
+           st.floats(min_value=-6.0, max_value=4.0), st.floats(min_value=-12.0, max_value=1.0))
+    @example(0.0, 0.0, 4.0, -12.0)
+    def test_quadratic_power_matches_a_50_digit_reference(self, l0_exp, l1_exp, a_exp, r_exp):
+        # a + s = tan(r sqrt(L0 L1) + atan(c a)) / c, c = sqrt(L1 / L0): as
+        # that tangent less a it cancelled, 2e-4 relative off at a = 1e4,
+        # r = 1e-12 (the example), and it fell below r ell(a), a lower bound
+        # of q inverse, by more than verify's 1e-9 slack.  r is log-uniform
+        # in [1e-12, 10], capped at 0.9 q_max(a)
+        model = Power(2.0, 10.0**l0_exp, 10.0**l1_exp)
+        a = 10.0**a_exp
+        r = min(10.0**r_exp, 0.9 * q_max(model, a))
+        with mpmath.workdps(50):
+            L0, L1, rr, aa = (mpmath.mpf(v) for v in (model.L0, model.L1, r, a))
+            c = mpmath.sqrt(L1 / L0)
+            exact = mpmath.tan(rr * mpmath.sqrt(L0 * L1) + mpmath.atan(c * aa)) / c - aa
+        s = q_inverse(model, r, a)
+        assert abs(s - exact) <= 1e-13 * exact
+        assert s >= r * model.ell(a) * (1.0 - 1e-9)
+
+    def test_quadratic_power_where_t_squared_overflows(self):
+        # t = c a = 1e200: the tan addition form is taken over t, and the
+        # root, about r ell(a) = 1e-300 (1 + 1e400), is 1e100, not inf
+        assert Power(2.0, 1.0, 1.0).q_inverse(1e-300, 1e200) == pytest.approx(1e100, rel=1e-15)
+
     def test_custom_inverse_by_hand(self):
         # from a = 0.7: 0.3 on the flat start, log(100) / 99 on the ramp,
         # then 1/100 per unit; quadrature across the ramp got 1000.0
@@ -1332,20 +1365,41 @@ class TestConvexityWeight:
     @pytest.mark.parametrize("a, d", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
                                       (0.0, math.inf), (1e300, 1e300)])
     def test_non_finite_arguments_give_the_quadrature_s_verdict(self, model, a, d):
-        # the rule's weight where it meets its tolerance: 0 wherever ell(a)
-        # or a + d v past v = 0 is inf, the flat weight 1 / (2 ell) on a flat
-        # profile.  Only a flat profile written with L1 = 0 has the rule
-        # refuse, where ell(inf) = L0 + 0 * inf is NaN; its weight stays
-        # 1 / (2 L0), and with d = inf the energy d^2 W is inf, a margin of
-        # -inf, which fails as the refusal did
+        # the rule's weight: 0 wherever ell(a) or a + d v past v = 0 is inf,
+        # the flat weight 1 / (2 ell) on a flat profile, one written with
+        # L1 = 0 included, whose ell(inf) is L0 (not L0 + 0 * inf, NaN,
+        # which had the rule refuse)
         weight = convexity_weight(model, a, d)
-        try:
-            reference = EllModel.convexity_weight(model, a, d)
-        except PreconditionError:
-            assert model.L1 == 0 and weight == 0.5 / model.L0
-            assert d < math.inf or d * d * weight == math.inf
-        else:
-            assert weight == pytest.approx(reference, rel=1e-15, abs=0.0)
+        assert weight == pytest.approx(EllModel.convexity_weight(model, a, d), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("model, a, d", [
+        (Power(2.0, 1.0, 1.0), 1e78, 1e76),
+        (Power(2.0, 1.0, 1.0), 1e100, 1e98),
+        (Power(2.0, 3.0, 2.0), 1e150, 3e148),
+        # u = 1e156, whose square overflows, while ell(a) = 1e302 does not
+        (Power(2.0, 1e-10, 1e-4), 1e153, 4e151),
+        # from u = 2^27 the series is taken over u^2
+        (Power(2.0, 1.0, 1.0), 2.0**27, 1e6),
+    ])
+    def test_quadratic_power_weight_at_large_gradients(self, model, a, d):
+        # the Taylor recurrence in 1 / (1 + u^2) lost its second term where
+        # (1 + u^2)^2 overflows, 0.7-2% high, and read NaN where u^2 does;
+        # the reference is the closed form in 400 digits, where the atan
+        # difference keeps its digits
+        with mpmath.workdps(400):
+            k = mpmath.sqrt(mpmath.mpf(model.L1) / model.L0)
+            u, w = k * a, k * d
+            exact = ((u + w) * (mpmath.atan(u + w) - mpmath.atan(u))
+                     - mpmath.log((1 + (u + w) ** 2) / (1 + u**2)) / 2) / w**2 / model.L0
+        assert convexity_weight(model, a, d) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    def test_quadratic_power_weight_where_ell_overflows(self):
+        # ell(1e155) = 1 + 1e310 is inf in floats, so 1 / ell is 0 on the
+        # whole segment and the weight is 0, as the quadrature reads it
+        model = Power(2.0, 1.0, 1.0)
+        assert model.ell(1e155) == math.inf
+        assert convexity_weight(model, 1e155, 1e153) == 0.0
+        assert EllModel.convexity_weight(model, 1e155, 1e153) == 0.0
 
     def test_a_general_power_integrates(self, monkeypatch):
         # power-p's claim keeps the rule, with its tolerance check

@@ -6,12 +6,14 @@ import math
 import pkgutil
 import random
 import re
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import agdsmooth
 from agdsmooth import (
@@ -19,8 +21,10 @@ from agdsmooth import (
     AgdState,
     CATALOG_NAMES,
     Constant,
+    CustomMonotone,
     DomainViolationError,
     EllModel,
+    OutOfRangeError,
     Power,
     PreconditionError,
     catalog,
@@ -34,6 +38,7 @@ from agdsmooth import (
 from agdsmooth import cli, verify
 from agdsmooth.problems import FullSpace, Problem, norm
 from agdsmooth.verify import (
+    _BOUND_SLACK,
     _DRAW_CHUNK,
     _bregman_inner,
     _draws,
@@ -46,6 +51,7 @@ from agdsmooth.verify import (
     sweep_gap_to_grad,
     sweep_gradient_transfer,
 )
+from test_fuzz_runs import FIELD, custom_points, log_uniform
 
 
 def make_state(problem, y, u, gamma_cap):
@@ -294,9 +300,9 @@ class TestDraws:
         pairs = []
         plain = verify.check_gradient_transfer
 
-        def recorded(problem, x, y):
+        def recorded(problem, x, y, *, floor):
             pairs.append((x, y))
-            return plain(problem, x, y)
+            return plain(problem, x, y, floor=floor)
 
         monkeypatch.setattr(verify, "check_gradient_transfer", recorded)
         sweep_gradient_transfer(p, trials=300, seed=0)
@@ -410,6 +416,139 @@ class TestPsiInverseTraffic:
         assert psi_calls[0] <= 1812
 
 
+class TestBoundTraffic:
+    # how many trials of power-p's convexity and gradient-transfer sweeps
+    # at seed 0 compute the convexity weight and q inverse, its profile's
+    # quadratures: the rest are settled by their margin bounds, which
+    # compute neither.  Forced exact, each sweep computes one per trial
+    @pytest.mark.parametrize("exact, inverses, weights", [(False, 23, 21), (True, 150, 150)],
+                             ids=["bounded", "exact"])
+    def test_power_p_q_inverse_and_weight_calls(self, monkeypatch, exact, inverses, weights):
+        calls = {"q_inverse": 0, "convexity_weight": 0}
+        for name in calls:
+            plain = getattr(verify, name)
+
+            def counted(*args, _name=name, _plain=plain):
+                calls[_name] += 1
+                return _plain(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        if exact:
+            force_exact(monkeypatch)
+        reports = run_all_checks(catalog("power-p"), trials=150, seed=0)
+        assert [rep.trials for rep in reports[:2]] == [150, 150]
+        assert calls == {"q_inverse": inverses, "convexity_weight": weights}
+
+
+def force_exact(monkeypatch):
+    """Have the sweeps' gradient-transfer and convexity trials compute their
+    exact margins, whatever floor ``_sweep`` hands them."""
+    for name in ("check_gradient_transfer", "check_convexity_smoothness"):
+        plain = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda problem, x, y, *, floor, _plain=plain: _plain(problem, x, y))
+
+
+def report_hexes(reports):
+    """Every field of the reports, each float in ``float.hex``."""
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, (tuple, list)):
+            return [bits(u) for u in v]
+        return v
+
+    return [[rep.name, rep.trials, rep.violations, bits(rep.worst_margin), bits(rep.witness),
+             rep.quadrature_tol, rep.seed] for rep in reports]
+
+
+# every kind of claim, and a power of each regime: flat (L1 = 0 or
+# rho = 0), rho < 1, 1 < rho < 2, rho = 2 (closed forms) and rho > 2
+BOUND_PROFILES = st.one_of(
+    st.builds(Constant, L=FIELD),
+    st.builds(Affine, L0=FIELD, L1=FIELD),
+    st.builds(CustomMonotone, custom_points()),
+    st.builds(Power, rho=st.sampled_from([0.0, 1.5, 3.0]), L0=FIELD, L1=st.just(0.0)),
+    st.builds(Power, rho=st.just(0.0), L0=FIELD, L1=FIELD),
+    st.builds(Power, rho=st.floats(min_value=0.05, max_value=0.95), L0=FIELD, L1=FIELD),
+    st.builds(Power, rho=st.floats(min_value=1.05, max_value=1.95), L0=FIELD, L1=FIELD),
+    st.builds(Power, rho=st.just(2.0), L0=FIELD, L1=FIELD),
+    st.builds(Power, rho=st.floats(min_value=2.05, max_value=4.0), L0=FIELD, L1=FIELD),
+)
+NORM = st.one_of(st.just(0.0), log_uniform(-300, 300))
+
+
+class TestMarginBound:
+    """The checks settle a trial from a lower bound of its margin where that
+    bound is at or above the sweep's floor.  The bound is no larger than the
+    exact margin in floats wherever the profile's computed q inverse is at
+    least fl(r ell(a) (1 - 1e-9)) and its computed weight at most
+    fl(0.5 (1 + 1e-9) / ell(a)): rounding is monotone.  A NaN bound is
+    below every floor and settles nothing."""
+
+    @given(BOUND_PROFILES, NORM, log_uniform(-300, 300),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_q_inverse_is_at_least_the_transfer_bound(self, model, a, r, fraction):
+        try:
+            budget = smoothness.q_max(model, a)
+        except OutOfRangeError:
+            return  # a power whose scale (L0 / L1)^(1 / rho) overflows
+        if r >= budget:
+            r = fraction * budget
+        if not r < budget:
+            return  # q_max(a) is 0 in floats, so no pair is admissible
+        bound = r * smoothness.ell_eval(model, a) * (1.0 - _BOUND_SLACK)
+        if bound < sys.float_info.min:
+            # a subnormal step, which its own rounding moves by more than
+            # the slack: 2e-315 is a multiple of 5e-324, 2.5e-9 relative
+            return
+        assert not smoothness.q_inverse(model, r, a) < bound
+
+    @given(BOUND_PROFILES, NORM, log_uniform(-300, 300))
+    def test_weight_is_at_most_the_convexity_bound(self, model, a, d):
+        try:
+            weight = smoothness.convexity_weight(model, a, d)
+        except PreconditionError:
+            return  # the rule missed its tolerance, which the sweep reports
+        assert not weight > 0.5 * (1.0 + _BOUND_SLACK) / smoothness.ell_eval(model, a)
+
+    @pytest.mark.parametrize("name, params", BOXES, ids=lambda v: str(v))
+    def test_bounded_sweeps_report_what_exact_sweeps_report(self, monkeypatch, name, params):
+        problem = catalog(name, params)
+        bounded = [report_hexes(run_all_checks(problem, trials=150, seed=seed))
+                   for seed in range(5)]
+        force_exact(monkeypatch)
+        exact = [report_hexes(run_all_checks(problem, trials=150, seed=seed))
+                 for seed in range(5)]
+        assert bounded == exact
+
+    def test_the_first_trial_is_exact(self):
+        # before any margin the floor is inf, which only an infinite bound
+        # meets; then the worst margin, or -MARGIN_TOL where that is higher
+        # or the worst is NaN
+        tol = verify.MARGIN_TOL
+        for margin, want in [(1e-3, 1e-3), (-1.0, -tol), (math.nan, -tol)]:
+            floors = []
+            _sweep("floors", 3, 0, lambda draws, floor: floors.append(floor) or (margin, None))
+            assert floors == [math.inf, want, want]
+
+    def test_a_settled_convexity_trial_makes_no_quadrature(self):
+        # the one outcome that differs from the exact margin: a point whose
+        # weight the rule refuses (a PreconditionError, exit 3) is settled by
+        # its bound where that lies at or above the floor, and the sweep goes on
+        p = replace(catalog("exp-1d", {}), ell_model=NanAbove())
+        x, y = (0.0,), (2.0,)
+        with pytest.raises(PreconditionError, match="convexity integral"):
+            check_convexity_smoothness(p, x, y)
+        bound = check_convexity_smoothness(p, x, y, floor=-math.inf)
+        f0, g0, _ = evaluate(p, x)
+        f2, g2, _ = evaluate(p, y)
+        diff = abs(g0[0] - g2[0])
+        assert bound == f0 - f2 - g2[0] * (x[0] - y[0]) - diff * diff * (0.5 * (1.0 + 1e-9))
+        with pytest.raises(PreconditionError, match="convexity integral"):
+            check_convexity_smoothness(p, x, y, floor=bound + abs(bound))
+
+
 class TestSampleBox:
     @pytest.mark.parametrize("lo, hi", [
         ([-2.0], [math.inf]),
@@ -454,14 +593,14 @@ class TestNonFiniteVerdict:
 
     def test_nan_margin_is_a_violation_and_the_witness(self):
         margins = iter([1.0, math.nan, -1.0, math.nan])
-        report = _sweep("nan", 4, 0, lambda rng: (m := next(margins), m))
+        report = _sweep("nan", 4, 0, lambda rng, floor: (m := next(margins), m))
         assert report.trials == 4 and report.violations == 3
         assert math.isnan(report.worst_margin) and math.isnan(report.witness)
         assert not report.passed
 
     def test_margins_at_the_tolerance_pass(self):
         margins = iter([0.0, -1e-8, math.inf])
-        report = _sweep("tol", 3, 0, lambda rng: (m := next(margins), m))
+        report = _sweep("tol", 3, 0, lambda rng, floor: (m := next(margins), m))
         assert report.passed and report.worst_margin == report.witness == -1e-8
 
     @pytest.mark.parametrize("x, y", [([-0.5], [0.5]), ([0.5], [-0.5])])
@@ -568,7 +707,7 @@ class TestNonFiniteVerdict:
         assert inner.hex() == (-want).hex()
         assert [m.hex() for m in margins] == [want.hex()] * 2
         pairs = iter(margins)
-        report = _sweep("convexity-smoothness", 2, 0, lambda rng: (next(pairs), (x, y)))
+        report = _sweep("convexity-smoothness", 2, 0, lambda rng, floor: (next(pairs), (x, y)))
         assert report.violations == 2 and not report.passed
         assert not math.isfinite(report.worst_margin) and report.witness == (x, y)
 
