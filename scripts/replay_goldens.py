@@ -29,9 +29,7 @@ sys.modules["numpy"] = None
 sys.path.insert(0, str(ROOT / "src"))
 
 from agdsmooth import solvers  # noqa: E402
-from agdsmooth.config import config_from_dict, execute  # noqa: E402
-from agdsmooth.problems import catalog  # noqa: E402
-from agdsmooth.smoothness import model_from_config  # noqa: E402
+from agdsmooth.config import claimed_problem, config_from_dict, execute  # noqa: E402
 
 GOLDEN_FILE = ROOT / "tests" / "test_golden_traces.py"
 PATH_KEYS = ("trace_path", "summary_path")
@@ -76,11 +74,11 @@ def summary_digest(text: str) -> str:
 def why_skipped(settings: dict) -> str:
     """Why a run is not replayed here ("" if it is)."""
     cfg = config_from_dict(settings)
-    problem = catalog(cfg.problem, cfg.problem_params)
+    problem = claimed_problem(cfg.problem, cfg.problem_params, cfg.ell)
     if problem.dim > solvers._FLOAT_DIM:
         return "steps on arrays"
-    model = problem.ell_model if cfg.ell is None else model_from_config(cfg.ell)
-    if cfg.algorithm == "agd1" and cfg.m_bar is None and math.isfinite(model.delta_max):
+    if (cfg.algorithm == "agd1" and cfg.m_bar is None
+            and math.isfinite(problem.ell_model.delta_max)):
         return "estimates m_bar"
     return ""
 

@@ -27,12 +27,12 @@ summary, and report files land (default: current directory).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import asdict
 
-from .config import execute, jsonable, load_config, load_sweep, output_dir, run_sweep, write_json
+from .config import (claimed_problem, execute, jsonable, load_config, load_sweep, output_dir,
+                     run_sweep, write_json)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -42,8 +42,7 @@ from .errors import (
     PreconditionError,
     SafetyViolationError,
 )
-from .problems import CATALOG_NAMES, catalog
-from .smoothness import model_from_config
+from .problems import CATALOG_NAMES
 from .verify import run_all_checks
 
 EXIT_CONVERGED = 0
@@ -110,13 +109,16 @@ def _cmd_verify(args) -> int:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"--params is not valid JSON: {exc}")
-    problem = catalog(args.problem, params)
+    claim = None
     if args.model != "claimed":
         try:
-            model_cfg = json.loads(args.model)
+            claim = json.loads(args.model)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"model argument is not valid JSON: {exc}")
-        problem = dataclasses.replace(problem, ell_model=model_from_config(model_cfg))
+        if claim is None:
+            # only 'claimed' keeps the problem's own profile
+            raise ConfigurationError("model argument null names no ell model")
+    problem = claimed_problem(args.problem, params, claim)
     reports = run_all_checks(problem, trials=args.trials, seed=args.seed)
     payload = jsonable([asdict(r) for r in reports])
     out = args.out or str(output_dir() / f"{args.problem}-verify-report.json")

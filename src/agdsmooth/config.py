@@ -13,11 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, require_number
-from .problems import CATALOG_NAMES, catalog, default_x0, distance
+from .problems import CATALOG_NAMES, Problem, catalog, default_x0, distance
 from .smoothness import model_from_config, select_delta
 from .solvers import (
     RunResult,
@@ -190,6 +190,16 @@ def write_json(path: str | Path, record) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def claimed_problem(name: str, params: dict | None = None, ell: dict | None = None) -> Problem:
+    """Catalog problem ``name`` built from ``params``, claiming the profile
+    that the config ``ell`` describes, or its own where ``ell`` is None.  A
+    run steps by, and ``verify`` checks, the claim its problem holds."""
+    problem = catalog(name, params)
+    if ell is None:
+        return problem
+    return replace(problem, ell_model=model_from_config(ell))
+
+
 def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dict]:
     """Run one configured experiment; write trace and summary files.
 
@@ -197,8 +207,8 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
     config; all resolved defaults are present in the summary.
     """
     config.validate()
-    problem = catalog(config.problem, config.problem_params)
-    model = problem.ell_model if config.ell is None else model_from_config(config.ell)
+    problem = claimed_problem(config.problem, config.problem_params, config.ell)
+    model = problem.ell_model
     if config.x0 is None:
         x0 = default_x0(config.problem, problem.dim)
     else:
@@ -229,7 +239,7 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
 
     if config.algorithm == "gd":
         result = gd_run(
-            problem, model, x0, config.epsilon, r_bar, config.budget,
+            problem, x0, config.epsilon, r_bar, config.budget,
             check_invariants=config.check_invariants, strict=config.strict_checks,
             collect_trace=collect_trace,
         )
@@ -246,13 +256,13 @@ def execute(config: RunConfig, write_files: bool = True) -> tuple[RunResult, dic
             delta = select_delta(model, r_bar, m_bar)
             notes.append(f"delta selected by policy: {delta}")
         result = algorithm1_run(
-            problem, model, x0, delta, r_bar, config.epsilon, config.budget,
+            problem, x0, delta, r_bar, config.epsilon, config.budget,
             m_bar=m_bar, check_invariants=config.check_invariants,
             strict=config.strict_checks, collect_trace=collect_trace,
         )
     else:
         result = algorithm2_run(
-            problem, model, x0, gamma_cap0, r_bar, config.epsilon, config.budget,
+            problem, x0, gamma_cap0, r_bar, config.epsilon, config.budget,
             check_invariants=config.check_invariants, strict=config.strict_checks,
             collect_trace=collect_trace,
         )

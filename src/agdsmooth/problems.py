@@ -14,10 +14,11 @@ back as tuples; a larger run, and any other caller, holds float arrays.
 The catalog's optima and sample boxes are tuples of floats.  Every oracle
 computes on Python floats: ``evaluate`` hands it the tuple as it is, or an
 array as one ``tolist()``, and turns its gradient back into an array for
-an array caller.  NumPy is imported only where an array is met, in the
-array branches of ``evaluate`` and ``project_closure``, and by the error
-messages that print a point (``show_point``) or its shape, which fall
-back to plain Python where NumPy is not installed.  Each sum over
+an array caller.  NumPy is imported only where an array is met, in
+``float_array`` and the array branches of ``evaluate`` and
+``project_closure``, and by the error messages that print a point
+(``show_point``) or its shape, which fall back to plain Python where NumPy
+is not installed.  Each sum over
 the coordinates is ``math.fsum``, rounded once from its exact value, so no
 value depends on the BLAS, on the coordinates' order or layout, or on the
 interpreter (the builtin ``sum`` compensates from 3.12 on, so its bits
@@ -153,15 +154,36 @@ def distance(a, b) -> float:
                      b if type(b) is tuple or type(b) is list else b.tolist())
 
 
+def float_array(problem: Problem, x):
+    """``x``, a sequence or an array, as a float array by ``evaluate``'s rule:
+    where NumPy holds it as anything but numbers, a coordinate that is not a
+    real number (a str or bytes, None, a complex, a sequence) is a
+    ``DomainError`` naming it, where NumPy would parse it, read it as NaN,
+    cut it to its real part or raise a ``ValueError`` of its own."""
+    import numpy as np
+
+    try:
+        arr = x if type(x) is np.ndarray else np.asarray(x)
+    except ValueError:
+        arr = np.asarray(x, dtype=object)
+    if arr.dtype.kind not in "biuf":
+        coords = arr.tolist() if arr is x else x
+        i = next((i for i, v in enumerate(coords) if not isinstance(v, numbers.Real)), None)
+        if i is not None:
+            raise DomainError(
+                f"{problem.name}: coordinate {i} = {coords[i]!r} is not a real number")
+    return np.asarray(arr, dtype=float)
+
+
 def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
     """Value, gradient and gradient ``norm`` at an interior point.
 
     A tuple (a step state below ``solvers``' float cutoff) must hold Python
     floats, and gets its gradient as a tuple of floats; any other point,
-    a list included, is taken as a float array and gets an array; a str or
-    bytes coordinate is refused on every kind, never parsed.  The oracle
-    sees Python floats, converted here once, so the two kinds give the same
-    bits and the same errors.
+    a list included, is read by ``float_array`` and gets an array.  A
+    coordinate that is not a real number is refused on every kind, never
+    parsed or read as NaN.  The oracle sees Python floats, converted here
+    once, so the two kinds give the same bits and the same errors.
 
     Raises ``DomainError`` for a point of the wrong shape or with a
     coordinate that is not a real number, and ``DomainViolationError``
@@ -178,11 +200,7 @@ def evaluate(problem: Problem, x) -> tuple[float, Any, float]:
         else:
             import numpy as np
 
-            arr = x if type(x) is np.ndarray else np.asarray(x)
-            if arr.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in arr.flat):
-                # NumPy would parse a numeric string, which a tuple's oracle refuses
-                raise TypeError("a string is not a coordinate")
-            x = np.asarray(arr, dtype=float)
+            x = float_array(problem, x)
             point = x.tolist()
             shaped = x.shape == (problem.dim,)
         if not shaped:

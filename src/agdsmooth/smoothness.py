@@ -148,18 +148,25 @@ def _power(x: float, y: float) -> float:
         return math.inf
 
 
-def _expm1_over(c: float, x: float, m: float) -> float:
-    """``c * expm1(x) / m`` for c, m > 0 and x >= 0, with its float limit inf
-    past the float range.  Where expm1 or the product overflows, the
-    quotient is taken in logs, which keeps it where it is a float; past
+def _expm1_over(c: float, r: float, m: float) -> float:
+    """``c * (expm1(x) / m)`` with x = m r, for c > 0, m >= 0 and r >= 0,
+    with its float limit inf past the float range.  The quotient, about r,
+    comes first, so no product of small factors leaves the normal range
+    before the last rounding; where x itself is below it, where its rounding
+    loses digits (or all of them, at 0), expm1(x) / m is r to far below an
+    ulp, so the value is c r.  Where the quotient or the product overflows,
+    the value is taken in logs, which keeps it where it is a float; past
     expm1's range (Python raises there) expm1(x) is exp(x) to far below an
     ulp."""
+    x = m * r
+    if x < sys.float_info.min:
+        return c * r
     try:
         e = math.expm1(x)
     except OverflowError:
         log_e = x
     else:
-        value = c * e / m
+        value = c * (e / m)
         if value < math.inf:
             return value
         log_e = math.log(e)
@@ -379,7 +386,7 @@ class Affine(EllModel):
             return r * self.L0
         # q_max is infinite, so every r is admissible; past the float
         # range the answer reads inf
-        return _expm1_over(self.L0 + self.L1 * a, self.L1 * r, self.L1)
+        return _expm1_over(self.L0 + self.L1 * a, r, self.L1)
 
     def convexity_weight(self, a: float, d: float) -> float:
         # ell(a + d v) = c (1 + t v) with c = ell(a) and t = L1 d / c, so W is
@@ -573,16 +580,19 @@ class Power(EllModel):
         return _exp(log_scale) * head + tail
 
     def q_inverse(self, r: float, a: float) -> float:
-        if self.rho == 2 and self.L1 > 0:
-            # a + s = tan(r sqrt(L0 L1) + atan(t)) / c with t = c a, so by the
-            # tan addition rule s = T (1 + t^2) / (c (1 - t T)),
-            # T = tan(r sqrt(L0 L1)), which takes no difference of large
-            # terms (tan(...) / c - a cancels, by up to 2.5e-4 relative).
-            # Below q_max, t T < 1; a denominator that rounding took to 0 or
-            # below puts the root past the float range.  Where t^2
-            # overflows, both parts are taken over t
+        y = r * math.sqrt(self.L0 * self.L1)
+        if self.rho == 2 and y >= sys.float_info.min:
+            # a + s = tan(y + atan(t)) / c with t = c a, so by the tan
+            # addition rule s = T (1 + t^2) / (c (1 - t T)), T = tan(y),
+            # which takes no difference of large terms (tan(...) / c - a
+            # cancels, by up to 2.5e-4 relative).  Below q_max, t T < 1; a
+            # denominator that rounding took to 0 or below puts the root past
+            # the float range.  Where t^2 overflows, both parts are taken
+            # over t.  A y below the normal range has lost digits in its
+            # rounding, so there Newton (or, at L1 = 0, the flat form) takes
+            # the root
             c = math.sqrt(self.L1 / self.L0)
-            t, T = c * a, math.tan(r * math.sqrt(self.L0 * self.L1))
+            t, T = c * a, math.tan(y)
             if t * t < math.inf:
                 num, den = T * (1.0 + t * t), 1.0 - t * T
             else:
@@ -764,7 +774,7 @@ class CustomMonotone(EllModel):
         for length, e, m in self._pieces(a):
             spend = length / e if m == 0 else math.log1p(m * length / e) / m
             if spend >= r:
-                return s + (r * e if m == 0 else _expm1_over(e, m * r, m))
+                return s + _expm1_over(e, r, m)
             s += length
             r -= spend
 

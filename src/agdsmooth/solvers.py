@@ -22,6 +22,10 @@ checks the GAMMA_ENVELOPE; ``_AdaptiveStep`` (``algorithm2_run``) owns the
 adaptive step and the GRAD_ENVELOPE check.  The loop itself checks the
 CERTIFIED_GAP, LYAPUNOV, BALL_CONFINEMENT and STEP_SAFETY certificates of
 both, and ``_gd_phase`` GD_MONOTONE.
+Every run steps by the profile its problem claims, ``problem.ell_model``,
+which ``verify``'s checks test too; a run under another claim takes
+``dataclasses.replace(problem, ell_model=...)``, as ``config.claimed_problem``
+builds it from a config.
 Certificates are recomputed at run time; each breach of one is a
 ``_Run.note``, which either aborts (strict mode) or sets its flag bit in
 the iteration's trace row (observe mode).  ``_Run`` is the run's scope and
@@ -56,7 +60,7 @@ from .errors import (
     PreconditionError,
     SafetyViolationError,
 )
-from .problems import Problem, distance, evaluate, norm, project_closure
+from .problems import Problem, distance, evaluate, float_array, norm, project_closure
 from .smoothness import EllModel, psi_inverse, square, warm_start_refusal
 
 LOG_3_2 = math.log(1.5)
@@ -229,11 +233,12 @@ class RunResult:
 class _Run:
     """One run's scope and record, shared by its GD and accelerated phases.
 
-    Holds the run's vector kind (``floats``: tuples of floats up to
-    ``_FLOAT_DIM``), the counted oracle, the optimum (``f_star``/``x_star``,
-    None when withheld; ``x_star`` the catalog's tuple, which ``distance``
-    takes beside either kind), epsilon, r_bar and the oracle-call budget
-    (checked here for every run function),
+    Holds the problem and the profile it claims (``model``, read once from
+    ``problem.ell_model``), the run's vector kind (``floats``: tuples of
+    floats up to ``_FLOAT_DIM``), the counted oracle, the optimum
+    (``f_star``/``x_star``, None when withheld; ``x_star`` the catalog's
+    tuple, which ``distance`` takes beside either kind), epsilon, r_bar and
+    the oracle-call budget (checked here for every run function),
     ``flags_total`` (the OR of every bit ``note`` returns), the trace (None
     when off; ``row`` makes each row) and the GD iteration count.  ``gap``
     is the gap rule and ``bound`` the certified bound.  A phase that stops
@@ -247,12 +252,12 @@ class _Run:
     which point at the likely cause.
     """
 
-    def __init__(self, problem: Problem, model: EllModel, epsilon: float, r_bar: float,
-                 budget: int, check_invariants: bool, strict: bool, collect_trace: bool):
+    def __init__(self, problem: Problem, epsilon: float, r_bar: float, budget: int,
+                 check_invariants: bool, strict: bool, collect_trace: bool):
         check_run_parameters(epsilon, r_bar, budget)
         opt = problem.optimum
         self.problem = problem
-        self.model = model
+        self.model = problem.ell_model
         self.floats = problem.dim <= _FLOAT_DIM
         self.f_star = opt.f_star if opt is not None else None
         self.x_star = opt.x_star if opt is not None else None
@@ -277,11 +282,11 @@ class _Run:
         """The first oracle call, at x0 in the run's vector kind, as a state
         at level 1, and why the run must be refused there ("" if it need not
         be): an r_bar below the true initial distance.  A tuple of floats
-        starts a float run as it is; any other x0 is read by NumPy."""
+        starts a float run as it is; any other x0 is read by ``float_array``,
+        ``evaluate``'s rule, so a coordinate that is not a real number is a
+        ``DomainError`` naming it."""
         if not (self.floats and type(x0) is tuple and all(type(v) is float for v in x0)):
-            import numpy as np
-
-            x0 = np.asarray(x0, dtype=float)
+            x0 = float_array(self.problem, x0)
             if self.floats and x0.shape == (self.problem.dim,):
                 x0 = tuple(x0.tolist())
         f0, g0, gn0 = self.oracle(x0)
@@ -455,7 +460,6 @@ def _gd_phase(run: _Run, state: AgdState, target: float) -> AgdState:
 
 def gd_run(
     problem: Problem,
-    model: EllModel,
     x0,
     epsilon: float,
     r_bar: float,
@@ -470,7 +474,7 @@ def gd_run(
     certificate ``|grad| * r_bar <= epsilon`` holds; ``budget`` caps oracle
     calls.  The final iterate is the result state's ``y``.
     """
-    with _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict,
+    with _Run(problem, epsilon, r_bar, budget, check_invariants, strict,
               collect_trace) as run:
         state, _ = run.start(x0)
         state = _gd_phase(run, state, epsilon)
@@ -662,7 +666,6 @@ def _run_agd(run: _Run, state: AgdState, rule: _FixedStep | _AdaptiveStep) -> Ag
 
 def algorithm1_run(
     problem: Problem,
-    model: EllModel,
     x0,
     delta: float,
     r_bar: float,
@@ -684,8 +687,9 @@ def algorithm1_run(
     refused, but without it nothing checks that, and a bound certified on
     too short an r_bar need not hold.
     """
-    with _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict,
+    with _Run(problem, epsilon, r_bar, budget, check_invariants, strict,
               collect_trace) as run:
+        model = run.model
         state, refusal = run.start(x0)
         if refusal:
             return run.refuse(refusal)
@@ -750,7 +754,6 @@ def warmup_iterations_bound(model: EllModel, gamma_cap0: float, r_bar: float) ->
 
 def algorithm2_run(
     problem: Problem,
-    model: EllModel,
     x0,
     gamma_cap0: float | None,
     r_bar: float,
@@ -771,8 +774,9 @@ def algorithm2_run(
     the run started from.  As in ``algorithm1_run``, the certificate assumes
     ``r_bar >= |x0 - x*|``, which nothing checks without the optimum.
     """
-    with _Run(problem, model, epsilon, r_bar, budget, check_invariants, strict,
+    with _Run(problem, epsilon, r_bar, budget, check_invariants, strict,
               collect_trace) as run:
+        model = run.model
         if not (gamma_cap0 is None or gamma_cap0 > 0):
             raise ConfigurationError("algorithm2_run needs gamma_cap0 > 0")
         if math.isfinite(model.delta_max):

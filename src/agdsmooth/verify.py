@@ -26,10 +26,13 @@ margin, ``-MARGIN_TOL`` once the worst is NaN), so a settled trial changes
 nothing.  Rounding is monotone, so the bound is at most the exact margin in
 floats wherever the profile's q inverse is at least
 ``fl(r ell(a) (1 - 1e-9))`` and its W at most ``fl(0.5 (1 + 1e-9) / ell(a))``,
-which every profile keeps where those are normal floats; the reports are
-those of always-exact sweeps.  The one difference: a convexity trial settled
-by its bound makes no quadrature, so a quadrature refusal there no longer
-ends the sweep.  Every trial still evaluates its points, checks their
+which every profile keeps where those and r are normal floats.  Below
+``sys.float_info.min`` the slack can round away, in the bound or in a q
+inverse taken at a subnormal r, so where r, ``r ell(a)`` or
+``0.5 (1 + 1e-9) / ell(a)`` is subnormal the checks take the exact margin;
+the reports are those of always-exact sweeps.  The one difference: a
+convexity trial settled by its bound makes no quadrature, so a quadrature
+refusal there no longer ends the sweep.  Every trial still evaluates its points, checks their
 gradients and, for gradient transfer, q_max, so oracle counts and every
 other typed error are unchanged.
 
@@ -49,6 +52,7 @@ error message, and is imported there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -76,6 +80,10 @@ _DRAW_CHUNK = 256
 # inverse or the convexity weight (see the module docstring); it covers the
 # quadratures' 1e-10 relative tolerance and a profile's roundings.
 _BOUND_SLACK = 1e-9
+
+# Below the normal range a float's own rounding can pass that slack, so a
+# bound built from such a float settles nothing.
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass
@@ -194,8 +202,9 @@ def check_convexity_smoothness(problem: Problem, x, y, *, floor: float = math.in
     (``smoothness.convexity_weight``); it must not exceed the Bregman gap
     ``f(x) - f(y) - <gy, x - y>``.  The weight is at most 1 / (2 ell(|gx|)),
     so where the margin with ``0.5 (1 + 1e-9) / ell(|gx|)`` in its place is
-    at or above ``floor``, that lower bound is returned and no weight is
-    computed; the default floor, inf, always takes the exact margin.
+    at or above ``floor``, and that cap is a normal float, the lower bound is
+    returned and no weight is computed; the default floor, inf, always takes
+    the exact margin.
     """
     model = problem.ell_model
     fx, gx, a = evaluate(problem, x)
@@ -207,8 +216,9 @@ def check_convexity_smoothness(problem: Problem, x, y, *, floor: float = math.in
     if diff == 0.0:
         return rhs
     energy = diff * diff
-    bound = rhs - energy * (0.5 * (1.0 + _BOUND_SLACK) / ell_eval(model, a))
-    if bound >= floor:
+    cap = 0.5 * (1.0 + _BOUND_SLACK) / ell_eval(model, a)
+    bound = rhs - energy * cap
+    if bound >= floor and cap >= _NORMAL_MIN:
         return bound
     return rhs - energy * convexity_weight(model, a, diff)
 
@@ -218,8 +228,9 @@ def check_gradient_transfer(problem: Problem, x, y, *, floor: float = math.inf) 
     ``|grad f(y) - grad f(x)| <= q_inverse(|y - x|; |grad f(x)|)``.  q
     inverse is at least |y - x| ell(|grad f(x)|), so where the margin with
     ``|y - x| ell(|grad f(x)|) (1 - 1e-9)`` in its place is at or above
-    ``floor``, that lower bound is returned and q inverse is not computed;
-    the default floor, inf, always takes the exact margin."""
+    ``floor``, and ``|y - x|`` and ``|y - x| ell(|grad f(x)|)`` are normal
+    floats, the lower bound is returned and q inverse is not computed; the
+    default floor, inf, always takes the exact margin."""
     model = problem.ell_model
     _, gx, a = evaluate(problem, x)
     _, gy, b = evaluate(problem, y)
@@ -229,8 +240,9 @@ def check_gradient_transfer(problem: Problem, x, y, *, floor: float = math.inf) 
     if dist >= q_max(model, a):
         raise PreconditionError(f"|y - x| = {dist} is not below q_max = {q_max(model, a)}")
     change = distance(gy, gx)
-    bound = dist * ell_eval(model, a) * (1.0 - _BOUND_SLACK) - change
-    if bound >= floor:
+    step = dist * ell_eval(model, a)
+    bound = step * (1.0 - _BOUND_SLACK) - change
+    if bound >= floor and dist >= _NORMAL_MIN and step >= _NORMAL_MIN:
         return bound
     return q_inverse(model, dist, a) - change
 

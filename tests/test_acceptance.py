@@ -81,10 +81,8 @@ def adaptive_reference_run():
     budget = y_gap_crossing(problem.ell_model, 0.001, -5.0, 100.0, 100.0, 1e-6)
     x0 = np.array([-6.0, -5.0])
     start = time.perf_counter()
-    result = algorithm2_run(
-        problem, problem.ell_model, x0,
-        gamma_cap0=100.0, r_bar=100.0, epsilon=1e-6, budget=budget,
-    )
+    result = algorithm2_run(problem, x0, gamma_cap0=100.0, r_bar=100.0, epsilon=1e-6,
+                            budget=budget)
     elapsed = time.perf_counter() - start
 
     f0, g0, _ = evaluate(problem, x0)
@@ -180,13 +178,11 @@ def test_criterion_04_inverse_sqrt_epsilon_scaling():
 
     def iterations(algo: str, eps: float) -> tuple[int, np.ndarray]:
         if algo == "agd1":
-            res = algorithm1_run(problem, problem.ell_model, x0, math.inf, r_bar,
-                                 eps, 10**7, check_invariants=False,
-                                 collect_trace=False)
+            res = algorithm1_run(problem, x0, math.inf, r_bar, eps, 10**7,
+                                 check_invariants=False, collect_trace=False)
         else:
-            res = algorithm2_run(problem, problem.ell_model, x0, 1.0, r_bar,
-                                 eps, 10**7, check_invariants=False,
-                                 collect_trace=False)
+            res = algorithm2_run(problem, x0, 1.0, r_bar, eps, 10**7,
+                                 check_invariants=False, collect_trace=False)
         if not res.converged:
             failures.append(f"{algo} at eps={eps} did not converge")
         return res.gd_iters + res.agd_iters, np.asarray(res.state.y)
@@ -217,8 +213,7 @@ def test_criterion_05_warm_start_region():
         r_bar = {"exp-1d": 5.0, "exp-experiment": 100.0}[name]
         delta = select_delta(model, r_bar)
         try:
-            res = algorithm1_run(problem, model, x0, delta, r_bar, 1e-8, 10**6,
-                                 strict=True)
+            res = algorithm1_run(problem, x0, delta, r_bar, 1e-8, 10**6, strict=True)
         except Exception as exc:  # strict mode aborts on any violation
             failures.append(f"{name}: strict run aborted: {exc}")
             continue
@@ -305,8 +300,7 @@ def test_criterion_09_gradient_envelope_and_steps():
         r_bar = {"exp-1d": 5.0, "exp-experiment": 100.0}[name]
         gcap0 = {"exp-1d": 5.0, "exp-experiment": 100.0}[name]
         try:
-            res = algorithm2_run(problem, model, x0, gcap0, r_bar, 1e-6, 10**5,
-                                 strict=True)
+            res = algorithm2_run(problem, x0, gcap0, r_bar, 1e-6, 10**5, strict=True)
         except Exception as exc:
             failures.append(f"{name}: strict run aborted: {exc}")
             continue

@@ -13,6 +13,7 @@ import agdsmooth
 from agdsmooth import Affine, ConfigurationError, RunConfig, execute, warmup_iterations_bound
 from agdsmooth.cli import main
 from agdsmooth.config import (
+    claimed_problem,
     config_from_dict,
     load_config,
     parse_overrides,
@@ -72,6 +73,31 @@ class TestConfigParsing:
                                     "x0": [2.0], "r_bar": 4.0, "gamma_cap0": 4.0}))
         cfg = load_config(path, ["epsilon=0.001"])
         assert cfg.epsilon == 0.001 and cfg.problem == "exp-1d"
+
+
+class TestClaimedProblem:
+    def test_the_catalogs_own_claim_without_a_profile_config(self):
+        p = claimed_problem("quadratic", {"d": 3})
+        assert p.dim == 3 and p.ell_model == agdsmooth.catalog("quadratic", {"d": 3}).ell_model
+
+    def test_a_profile_config_replaces_the_claim_and_nothing_else(self):
+        own = agdsmooth.catalog("exp-1d", {"known_optimum": False})
+        p = claimed_problem("exp-1d", {"known_optimum": False},
+                            {"kind": "affine", "L0": 2.5, "L1": 1.0})
+        assert p.ell_model == Affine(2.5, 1.0)
+        assert (p.name, p.dim, p.domain, p.optimum) == (own.name, own.dim, own.domain, None)
+
+    def test_a_run_steps_by_the_claim_its_config_names(self):
+        cfg = {"algorithm": "agd2", "problem": "exp-1d", "x0": [2.0], "r_bar": 4.0,
+               "gamma_cap0": 4.0, "epsilon": 1e-4, "trace_path": "",
+               "ell": {"kind": "affine", "L0": 2.5, "L1": 1.0}}
+        result, summary = execute(config_from_dict(cfg), write_files=False)
+        problem = claimed_problem("exp-1d", {}, cfg["ell"])
+        direct = agdsmooth.algorithm2_run(problem, (2.0,), 4.0, 4.0, 1e-4, 100000,
+                                          collect_trace=False)
+        assert summary["config"]["ell"] == cfg["ell"]
+        assert result.oracle_calls == direct.oracle_calls
+        assert result.achieved_gap == direct.achieved_gap
 
 
 class TestExecute:
@@ -348,6 +374,13 @@ class TestCli:
         code = main(["verify", "exp-1d", model, "--trials", "30",
                      "--out", str(tmp_path / "rep2.json")])
         assert code == 0
+
+    @pytest.mark.parametrize("model", ["null", "[]", '{"L0": 1}'])
+    def test_verify_with_a_model_that_names_no_profile_exits_four(self, model, capsys):
+        # only 'claimed' keeps the problem's own profile; JSON null is no
+        # claim of its own
+        assert main(["verify", "exp-1d", model, "--trials", "5"]) == 4
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         spec = {
@@ -626,7 +659,7 @@ class TestCertificateUnderflow:
         # withhold the optimum so the start-level precondition cannot reject
         # the degenerate certificate level before the underflow guard sees it
         p = catalog("exp-1d", {"known_optimum": False})
-        res = algorithm2_run(p, p.ell_model, np.array([2.0]), 1e-302, 4.0,
+        res = algorithm2_run(p, np.array([2.0]), 1e-302, 4.0,
                              5e-310, 10)
         assert res.converged
         assert "underflow" in res.message

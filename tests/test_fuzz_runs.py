@@ -1,5 +1,6 @@
 """Whole-run property tests: any config either ends with a documented
-termination or raises one of the package's typed errors, and a run under a
+termination or raises one of the package's typed errors, every point of a
+sweep has its documented fields or names a typed error, and a run under a
 profile that is valid for its problem ends with no flag."""
 
 import math
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agdsmooth import algorithm2_run, errors, evaluate
-from agdsmooth.config import ALGORITHMS, config_from_dict, execute
+from agdsmooth.config import (
+    ALGORITHMS,
+    SWEEP_AXES,
+    config_from_dict,
+    execute,
+    run_sweep,
+    sweep_from_dict,
+)
 from agdsmooth.problems import CATALOG_NAMES, catalog
 
 TYPED_ERRORS = (
@@ -101,6 +109,57 @@ def test_run_ends_documented_or_raises_typed_error(raw):
     assert result.oracle_calls <= raw["budget"]
 
 
+# a sweep value may be positive, zero, negative or not finite
+SWEEP_VALUE = st.one_of(FIELD, st.floats(max_value=0.0), NON_FINITE)
+SWEEP_FIELDS = {"epsilon-quartering": "epsilon", "delta-grid": "delta",
+                "gamma_cap0-grid": "gamma_cap0"}
+POINT_FIELDS = {"iterations", "gd_iters", "agd_iters", "oracle_calls", "termination",
+                "achieved_gap", "flags_total", "error"}
+
+
+@st.composite
+def sweep_specs(draw):
+    """A sweep spec on any axis, with levels or with values.  Its base is a
+    drawn run config on a small budget, without the non-finite scalars that
+    would refuse it outright; the sweep's own values carry those."""
+    base = {key: value for key, value in draw(run_configs()).items()
+            if not (isinstance(value, float) and not math.isfinite(value))}
+    base["budget"] = draw(st.integers(min_value=1, max_value=60))
+    spec = {"axis": draw(st.sampled_from(SWEEP_AXES)), "base": base}
+    if spec["axis"] == "epsilon-quartering":
+        spec["levels"] = draw(st.integers(min_value=0, max_value=4))
+    else:
+        spec["values"] = draw(st.lists(SWEEP_VALUE, max_size=4))
+    return spec
+
+
+# half the profile's examples: drawing a run config alone takes about 6 ms
+@settings(max_examples=settings.default.max_examples // 2)
+@given(sweep_specs())
+def test_sweep_points_have_their_fields_or_a_typed_error(raw):
+    # run_sweep records any Exception a point raises as "<type>: <message>",
+    # so an untyped error would show here as, say, "TypeError: ..."
+    try:
+        spec = sweep_from_dict(raw)
+    except TYPED_ERRORS:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_sweep(spec, write_files=False)
+    field = SWEEP_FIELDS[spec.axis]
+    typed = {cls.__name__ for cls in TYPED_ERRORS}
+    points = report["points"]
+    assert len(points) == (spec.levels if spec.values is None else len(spec.values))
+    for point in points:
+        if point["error"] is None:
+            assert set(point) == POINT_FIELDS | {field}
+            assert point["termination"] in TERMINATIONS
+            assert point["oracle_calls"] <= spec.base.budget
+        else:
+            assert set(point) == {field, "error"}
+            assert point["error"].partition(":")[0] in typed, point["error"]
+
+
 @st.composite
 def valid_claim_starts(draw):
     """An agd2 start near the optimum of a catalog problem whose own profile
@@ -128,12 +187,10 @@ def valid_claim_starts(draw):
 @given(valid_claim_starts())
 def test_valid_claim_observes_no_flag(start):
     problem, x0, r_bar, gamma_cap0 = start
-    model = problem.ell_model
-    if gamma_cap0 * r_bar**2 >= model.psi_sup:
+    if gamma_cap0 * r_bar**2 >= problem.ell_model.psi_sup:
         # the adaptive step is undefined there: a documented exit 4
         with pytest.raises(errors.ConfigurationError, match="sup psi"):
-            algorithm2_run(problem, model, x0, gamma_cap0, r_bar, 1e-6, 10**6)
+            algorithm2_run(problem, x0, gamma_cap0, r_bar, 1e-6, 10**6)
         return
-    result = algorithm2_run(problem, model, x0, gamma_cap0, r_bar, 1e-6, 10**6,
-                            collect_trace=False)
+    result = algorithm2_run(problem, x0, gamma_cap0, r_bar, 1e-6, 10**6, collect_trace=False)
     assert result.converged and result.flags_total == 0

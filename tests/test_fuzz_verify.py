@@ -4,15 +4,14 @@ package's typed errors, and the sweeps that settle trials from their margin
 bounds report what the same sweeps report with every margin exact."""
 
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from agdsmooth import verify
+from agdsmooth.config import claimed_problem
 from agdsmooth.errors import ConfigurationError, PreconditionError
 from agdsmooth.problems import CATALOG_NAMES, catalog
-from agdsmooth.smoothness import model_from_config
 from test_fuzz_runs import ELL, TYPED_ERRORS
 from test_verify import force_exact, report_hexes
 
@@ -42,9 +41,7 @@ def outcome(name, params, claim, trials, seed):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            problem = catalog(name, params)
-            if claim is not None:
-                problem = replace(problem, ell_model=model_from_config(claim))
+            problem = claimed_problem(name, params, claim)
             return report_hexes(verify.run_all_checks(problem, trials=trials, seed=seed))
     except TYPED_ERRORS as exc:
         return type(exc), str(exc)

@@ -7,10 +7,13 @@ solvers calls ell without ``ell_eval`` and its accelerated loop leaves each
 step to the variant's rule, no module imports SciPy, and none imports NumPy
 at load time,
 every public top-level name, and every public method of a profile class, is
-used by some module of the package, ``psi_inverse`` is one function, and
-``verify`` names no quadrature and builds its generator in one reader."""
+used by some module of the package, ``psi_inverse`` is one function,
+``verify`` names no quadrature and builds its generator in one reader, and
+the claimed profile lives on the problem: no run takes one beside it, and
+one function swaps in another."""
 
 import ast
+import inspect
 from functools import cached_property
 from pathlib import Path
 from types import FunctionType
@@ -18,9 +21,11 @@ from types import FunctionType
 import pytest
 
 import agdsmooth
+from agdsmooth import solvers
 from agdsmooth.smoothness import EllModel
 
 MODULES = sorted(Path(agdsmooth.__file__).parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -336,3 +341,39 @@ def test_verify_builds_its_generator_in_one_reader():
     # the one place that names NumPy's generator
     owners, lines = _verify_reads_of("default_rng")
     assert owners == ["_draws"] and len(lines) == 1, f"default_rng at lines {lines} in {owners}"
+
+
+@pytest.mark.parametrize("run", [solvers.gd_run, solvers.algorithm1_run,
+                                 solvers.algorithm2_run, solvers._Run.__init__],
+                         ids=lambda f: f.__qualname__)
+def test_runs_read_the_claim_from_the_problem(run):
+    # a run steps by problem.ell_model, the profile verify checks, so no
+    # run function takes a second one
+    assert "model" not in inspect.signature(run).parameters
+
+
+def _calls_by_function(tree):
+    """Every call in ``tree`` with the innermost function around it (None at
+    module level)."""
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node
+        if isinstance(node, ast.Call):
+            yield func, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(tree, None)
+
+
+def test_one_function_swaps_the_claim():
+    # config.claimed_problem is the one place outside smoothness that builds
+    # a profile from its config; execute, the CLI's verify and the golden
+    # replay all ask it
+    calls = [
+        f"{path.name}: {func.name}" if func else f"{path.name}: module level"
+        for path in MODULES + SCRIPTS if path.name != "smoothness.py"
+        for func, node in _calls_by_function(ast.parse(path.read_text(), filename=str(path)))
+        if _names(node.func) == ["model_from_config"]
+    ]
+    assert calls == ["config.py: claimed_problem"]

@@ -111,17 +111,17 @@ def test_nan_gradient_is_a_typed_error(name, data, algorithm, n, check_invariant
     model = data.draw(st.sampled_from(PROFILES[name])) or clean.ell_model
     x0, r_bar = start(clean)
     calls = [0]
-    problem = nan_from(clean, n, calls)
+    problem = nan_from(dataclasses.replace(clean, ell_model=model), n, calls)
     flags = dict(check_invariants=check_invariants, strict=strict, collect_trace=collect_trace)
     budget, epsilon = 10**5, 1e-6
     try:
         if algorithm == "gd":
-            result = gd_run(problem, model, x0, epsilon, r_bar, budget, **flags)
+            result = gd_run(problem, x0, epsilon, r_bar, budget, **flags)
         elif algorithm == "agd1":
             delta = select_delta(model, r_bar, None)
-            result = algorithm1_run(problem, model, x0, delta, r_bar, epsilon, budget, **flags)
+            result = algorithm1_run(problem, x0, delta, r_bar, epsilon, budget, **flags)
         else:
-            result = algorithm2_run(problem, model, x0, None, r_bar, epsilon, budget, **flags)
+            result = algorithm2_run(problem, x0, None, r_bar, epsilon, budget, **flags)
     except DomainViolationError as exc:
         assert n == 1 and calls[0] == 1
         assert NAN_MESSAGE in str(exc)
@@ -144,9 +144,9 @@ def test_mid_run_nan_names_the_iterate_not_the_feasible_set(algorithm):
     problem = nan_from(clean, 5)
     with pytest.raises(SafetyViolationError) as raised:
         if algorithm == "gd":
-            gd_run(problem, clean.ell_model, x0, 1e-6, r_bar, 10**5)
+            gd_run(problem, x0, 1e-6, r_bar, 10**5)
         else:
-            algorithm2_run(problem, clean.ell_model, x0, None, r_bar, 1e-6, 10**5)
+            algorithm2_run(problem, x0, None, r_bar, 1e-6, 10**5)
     message = str(raised.value)
     iterate = {"gd": "GD iterate", "agd2": "y"}[algorithm]
     assert message.startswith(f"{iterate} at iteration 4 cannot be evaluated: exp-1d: "
@@ -210,8 +210,8 @@ class TestCli:
         def nan_catalog(name, params=None):
             return nan_from(plain(name, params), n)
 
+        # run and verify both build their problem in config.claimed_problem
         monkeypatch.setattr(config, "catalog", nan_catalog)
-        monkeypatch.setattr(cli, "catalog", nan_catalog)
 
     @staticmethod
     def run(tmp_path, algorithm):

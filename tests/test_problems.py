@@ -78,19 +78,22 @@ class TestEvaluate:
             evaluate(catalog(name, {"d": 1} if name != "exp-1d" else {}), x)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
-    @pytest.mark.parametrize("text", ["1.5", b"1.5"], ids=repr)
-    def test_a_numeric_string_is_refused_on_every_kind(self, name, text):
-        # NumPy parses "1.5" where it converts the point; evaluate refuses
-        # it there as the tuple's oracle does, with the same message
+    @pytest.mark.parametrize("value", ["1.5", b"1.5", None, 1j], ids=repr)
+    def test_a_coordinate_that_is_not_a_real_number_is_refused_alike_on_every_kind(
+            self, name, value):
+        # where NumPy converts the point it parses "1.5", reads None as NaN
+        # (refused as a non-finite value at a point that misquoted the
+        # caller's) and drops an imaginary part with a warning; evaluate
+        # refuses each as the tuple's oracle does, with the same message
         problem = catalog(name)
-        coords = [text] + [1.0] * (problem.dim - 1)
+        coords = [value] + [1.0] * (problem.dim - 1)
         messages = set()
         for x in (tuple(coords), coords, np.array(coords)):
             with pytest.raises(DomainError) as err:
                 evaluate(problem, x)
             assert type(err.value) is DomainError
             messages.add(str(err.value))
-        assert messages == {f"{name}: coordinate 0 = {text!r} is not a real number"}
+        assert messages == {f"{name}: coordinate 0 = {value!r} is not a real number"}
 
     @pytest.mark.parametrize("kind", [tuple, list])
     @pytest.mark.parametrize("name, x", [("quadratic", [1e200, 1.0]),

@@ -1191,6 +1191,19 @@ class TestQInverse:
         tol = 2.0 * smoothness.QUAD_REL_TOL * kappa
         assert s == pytest.approx(bisect_q_inverse(model, r, a), rel=tol)
 
+    @pytest.mark.parametrize("model, r, a", [
+        (Affine(1.0, 0.1), 1e-323, 1e17),  # L1 r rounds to 0
+        (Affine(1.0, 1e-8), 3.1622776601683794e-308, 4.2e149),
+        (CustomMonotone(((0.0, 1.0), (2401693.1495908, 1.00001))), 6.6e-306, 0.0),
+        (Power(2.0, 1e-8, 1e-8), 3e-308, 1e10),  # tan's argument r sqrt(L0 L1)
+    ], ids=["affine-zero", "affine-subnormal", "piecewise-linear", "power-rho2"])
+    def test_a_product_below_the_normal_range_keeps_its_digits(self, model, r, a):
+        # ell barely moves over a step this short, so q inverse is r ell(a)
+        # to an ulp or two; a product of r and a profile constant below the
+        # normal range, which its rounding moves by more than 1e-9 relative
+        # (to 0, at the least), is not taken
+        assert q_inverse(model, r, a) == pytest.approx(r * model.ell(a), rel=1e-13, abs=0.0)
+
     def test_stalled_newton_falls_back_to_bisection(self, monkeypatch, bisections):
         monkeypatch.setattr(smoothness, "NEWTON_MAX_ITER", 1)
         model = Power(rho=1.5, L0=1.0, L1=2.0)

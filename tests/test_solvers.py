@@ -21,6 +21,7 @@ from agdsmooth import (
     ConfigurationError,
     Constant,
     CustomMonotone,
+    DomainError,
     DomainViolationError,
     Flag,
     FullSpace,
@@ -173,10 +174,10 @@ class TestAgdStep:
         # a budget of one call stops the adaptive run at its start state;
         # a converged run ends on a stepped state, with the last row's alpha
         p = catalog("exp-1d")
-        start = algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0, 1e-6, 1)
+        start = algorithm2_run(p, np.array([2.0]), 4.0, 4.0, 1e-6, 1)
         assert start.termination == "budget" and start.state.k == 0
         assert start.state.alpha is None
-        done = algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0, 1e-6, 10000)
+        done = algorithm2_run(p, np.array([2.0]), 4.0, 4.0, 1e-6, 10000)
         assert done.converged and done.state.alpha == done.trace[-1].alpha
 
     @pytest.mark.parametrize("d, kind", [(2, tuple), (solvers._FLOAT_DIM, tuple),
@@ -194,7 +195,7 @@ class TestAgdStep:
 
         monkeypatch.setattr(solvers, "agd_step", step)
         p = catalog("quadratic", {"d": d})
-        res = algorithm2_run(p, p.ell_model, np.full(d, 0.5), None, float(d), 1e-6, 100)
+        res = algorithm2_run(p, np.full(d, 0.5), None, float(d), 1e-6, 100)
         assert res.converged and res.agd_iters > 0 and kinds == {kind}
         assert {type(v) for v in (res.state.y, res.state.u, res.state.grad_y)} == {kind}
         if kind is tuple:
@@ -324,8 +325,8 @@ class TestSharedChecks:
         r_bar = norm(x0 - claimed)
         m_bar = estimate_grad_bound(p, 1.0)
         result, notes, states = self.recorded_run(
-            monkeypatch, Flag.BALL_CONFINEMENT, trace, q, model, x0,
-            select_delta(model, r_bar, m_bar), r_bar, 1e-8, 10000, m_bar=m_bar)
+            monkeypatch, Flag.BALL_CONFINEMENT, trace, dataclasses.replace(q, ell_model=model),
+            x0, select_delta(model, r_bar, m_bar), r_bar, 1e-8, 10000, m_bar=m_bar)
         dists = [(s.k, norm(s.y - claimed), norm(s.u - claimed)) for s in states]
         assert any(dy > du for _, dy, du in dists) and any(du > dy for _, dy, du in dists)
         expected = [(k, max(dy, du)) for k, dy, du in dists
@@ -337,10 +338,10 @@ class TestSharedChecks:
     def test_nan_certificate_is_noted(self, monkeypatch, trace):
         # a certificate that holds is not noted, but a NaN holds nothing
         monkeypatch.setattr(solvers, "lyapunov", lambda gap, gamma_cap, dist_u: math.nan)
-        p = catalog("quadratic")
+        p = dataclasses.replace(catalog("quadratic"), ell_model=Constant(1.0))
         result, notes, _ = self.recorded_run(
-            monkeypatch, Flag.LYAPUNOV, trace, p, Constant(1.0), np.array([0.3, 0.3]),
-            math.inf, 1.0, 1e-8, 10000)
+            monkeypatch, Flag.LYAPUNOV, trace, p, np.array([0.3, 0.3]), math.inf, 1.0, 1e-8,
+            10000)
         assert result.agd_iters > 0
         assert [k for k, _ in notes] == list(range(1, result.agd_iters + 1))
         assert all(math.isnan(v) for _, v in notes)
@@ -350,8 +351,8 @@ class TestSharedChecks:
     # times admits its boundary delta at a start whose gradient is already
     # outside the warm region: ell(4 |g|) = 0.24 > 2 ell(0) = 0.2
     WARM_MODEL = Affine(0.1, 1.0)
-    WARM_RUN = (catalog("quadratic"), WARM_MODEL, np.array([0.035, 0.0]),
-                WARM_MODEL.admissible_boundary, 1.0, 1e-8, 10)
+    WARM_RUN = (dataclasses.replace(catalog("quadratic"), ell_model=WARM_MODEL),
+                np.array([0.035, 0.0]), WARM_MODEL.admissible_boundary, 1.0, 1e-8, 10)
 
     @staticmethod
     def flagged_rows(result, bit):
@@ -382,8 +383,8 @@ class TestSharedChecks:
 
     # the recurrence stays within a fifth of its own envelope on this run,
     # so the check is made to breach one eight times tighter
-    ENVELOPE_RUN = (catalog("quadratic"), Constant(1.0), np.array([0.3, 0.3]), math.inf, 1.0,
-                    1e-8, 10000)
+    ENVELOPE_RUN = (dataclasses.replace(catalog("quadratic"), ell_model=Constant(1.0)),
+                    np.array([0.3, 0.3]), math.inf, 1.0, 1e-8, 10000)
 
     @staticmethod
     def tighten_envelope(monkeypatch):
@@ -425,7 +426,7 @@ class TestSharedChecks:
         first = next(r for r in observed.trace if r.flags & Flag.GAMMA_ENVELOPE)
         assert int(match[1]) == first.k and float(match[2]) == first.gamma_cap
         # the level the run starts from is 2 (f(x0) - f*) / r_bar^2
-        p, x0 = self.ENVELOPE_RUN[0], self.ENVELOPE_RUN[2]
+        p, x0 = self.ENVELOPE_RUN[:2]
         gamma_cap0 = 2.0 * (evaluate(p, x0)[0] - p.optimum.f_star)
         env = tight(first.k - 1, 0.5, kbar(gamma_cap0, 0.5))
         assert float(match[3]) == env + 4.0 * math.ulp(env) < first.gamma_cap
@@ -434,44 +435,43 @@ class TestSharedChecks:
 class TestGdRun:
     def test_quadratic_four_iterations(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        res = gd_run(p, p.ell_model, np.array([1.0]), 0.005, 1.0, budget=100)
+        res = gd_run(p, np.array([1.0]), 0.005, 1.0, budget=100)
         assert len(res.trace) == 4
         assert res.state.y[0] == pytest.approx(2.0**-4)
 
     def test_already_converged(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        res = gd_run(p, p.ell_model, np.array([0.05]), 0.005, 1.0, budget=100)
+        res = gd_run(p, np.array([0.05]), 0.005, 1.0, budget=100)
         assert len(res.trace) == 0 and res.state.y[0] == 0.05
 
     def test_budget_error(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1})
-        res = gd_run(p, p.ell_model, np.array([1.0]), 0.005, 1.0, budget=2)
+        res = gd_run(p, np.array([1.0]), 0.005, 1.0, budget=2)
         assert res.termination == "budget" and res.oracle_calls == 2
 
     @pytest.mark.parametrize("checks", [True, False])
     def test_monotone_flag_only_with_checks(self, checks):
         # ell = 0.2 understates the curvature 1, so each step overshoots
-        p = catalog("quadratic", {})
-        res = gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20,
-                     check_invariants=checks)
+        p = dataclasses.replace(catalog("quadratic", {}), ell_model=Constant(0.2))
+        res = gd_run(p, np.ones(2), 1e-6, 10.0, budget=20, check_invariants=checks)
         assert res.flags_total == (128 if checks else 0)
         dists = [r.dist_to_opt for r in res.trace]
         assert len(dists) == 19 and dists[-1] > dists[0]
 
     def test_strict_monotone_breach_is_an_invariant_violation(self):
         # GD_MONOTONE is a flag bit like any other: strict mode raises it
-        p = catalog("quadratic", {})
+        p = dataclasses.replace(catalog("quadratic", {}), ell_model=Constant(0.2))
         with pytest.raises(InvariantViolationError) as err:
-            gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20, strict=True)
+            gd_run(p, np.ones(2), 1e-6, 10.0, budget=20, strict=True)
         assert err.value.flags == Flag.GD_MONOTONE == 128
 
     def test_strict_message_states_both_sides(self):
         # the strict run stops at the first row the observed run flags, and
         # its message carries that row's distance and the bound it broke
-        p = catalog("quadratic", {})
-        observed = gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20)
+        p = dataclasses.replace(catalog("quadratic", {}), ell_model=Constant(0.2))
+        observed = gd_run(p, np.ones(2), 1e-6, 10.0, budget=20)
         with pytest.raises(InvariantViolationError) as err:
-            gd_run(p, Constant(0.2), np.ones(2), 1e-6, 10.0, budget=20, strict=True)
+            gd_run(p, np.ones(2), 1e-6, 10.0, budget=20, strict=True)
         match = re.fullmatch(r"GD_MONOTONE broken at k=(\d+): (\S+) > (\S+)", str(err.value))
         assert match is not None, str(err.value)
         first = observed.trace[0]
@@ -481,13 +481,13 @@ class TestGdRun:
 
     def test_certificate_stop_without_optimum(self):
         p = catalog("quadratic", {"L": 1.0, "d": 1, "known_optimum": False})
-        res = gd_run(p, p.ell_model, np.array([1.0]), 0.1, 1.0, budget=100)
+        res = gd_run(p, np.array([1.0]), 0.1, 1.0, budget=100)
         # stops once |grad| * r_bar <= epsilon
         assert abs(res.state.y[0]) * 1.0 <= 0.1
 
     def test_monotone_distance_on_catalog(self):
         p = catalog("exp-experiment", {})
-        res = gd_run(p, p.ell_model, np.array([-6.0, -5.0]), 0.025, 100.0, budget=10000)
+        res = gd_run(p, np.array([-6.0, -5.0]), 0.025, 100.0, budget=10000)
         assert res.converged
         dists = [r.dist_to_opt for r in res.trace]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
@@ -495,8 +495,8 @@ class TestGdRun:
     def test_gd_divergence_names_the_flags_noted_before_it(self):
         # a claimed L = 0.5 on exp-1d: the first step overshoots the optimum
         # (GD_MONOTONE) and the second overflows
-        p = catalog("exp-1d")
-        run = functools.partial(gd_run, p, Constant(0.5), np.array([3.0]), 1e-6, 8.0, 1000)
+        p = dataclasses.replace(catalog("exp-1d"), ell_model=Constant(0.5))
+        run = functools.partial(gd_run, p, np.array([3.0]), 1e-6, 8.0, 1000)
         with pytest.raises(SafetyViolationError, match="GD_MONOTONE"):
             run()
         with pytest.raises(SafetyViolationError) as unchecked:
@@ -626,7 +626,7 @@ class TestAlgorithm1:
     def test_exp_experiment_clean_strict_run(self):
         p = catalog("exp-experiment", {})
         delta = select_delta(p.ell_model, 100.0)
-        res = algorithm1_run(p, p.ell_model, np.array([-6.0, -5.0]), delta, 100.0,
+        res = algorithm1_run(p, np.array([-6.0, -5.0]), delta, 100.0,
                              1e-6, 100000, strict=True)
         assert res.converged and res.flags_total == 0
         assert res.achieved_gap <= 1e-6
@@ -634,78 +634,76 @@ class TestAlgorithm1:
 
     def test_epsilon_larger_than_initial_gap(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
-        res = algorithm1_run(p, p.ell_model, np.ones(2), 0.5, 2.0, 10.0, 100)
+        res = algorithm1_run(p, np.ones(2), 0.5, 2.0, 10.0, 100)
         assert res.converged and res.agd_iters == 0 and res.oracle_calls == 1
 
     def test_inadmissible_delta_precondition_failed(self):
         p = catalog("exp-1d", {})
-        res = algorithm1_run(p, p.ell_model, np.array([1.0]), 1e6, 2.0, 1e-6, 100)
+        res = algorithm1_run(p, np.array([1.0]), 1e6, 2.0, 1e-6, 100)
         assert res.termination == "precondition-failed"
         assert res.oracle_calls <= 1 and res.agd_iters == 0
 
     def test_budget_result(self):
         p = catalog("exp-experiment", {})
         delta = select_delta(p.ell_model, 100.0)
-        res = algorithm1_run(p, p.ell_model, np.array([-6.0, -5.0]), delta, 100.0,
+        res = algorithm1_run(p, np.array([-6.0, -5.0]), delta, 100.0,
                              1e-12, 40)
         assert res.termination == "budget"
         assert res.oracle_calls == 40
 
     def test_stationary_start_without_optimum(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2, "known_optimum": False})
-        res = algorithm1_run(p, p.ell_model, np.zeros(2), 0.5, 1.0, 1e-9, 100)
+        res = algorithm1_run(p, np.zeros(2), 0.5, 1.0, 1e-9, 100)
         assert res.converged and res.message == "stationary start"
         assert res.achieved_gap == 0.0 and res.oracle_calls == 1
 
     def test_r_bar_below_true_distance(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
-        res = algorithm1_run(p, p.ell_model, np.ones(2), 0.5, 0.1, 1e-6, 100)
+        res = algorithm1_run(p, np.ones(2), 0.5, 0.1, 1e-6, 100)
         assert res.termination == "precondition-failed"
 
     def test_oracle_accounting(self):
         p = catalog("exp-1d", {})
         delta = select_delta(p.ell_model, 5.0)
-        res = algorithm1_run(p, p.ell_model, np.array([3.0]), delta, 5.0, 1e-8, 10000)
+        res = algorithm1_run(p, np.array([3.0]), delta, 5.0, 1e-8, 10000)
         assert res.oracle_calls == res.gd_iters + res.agd_iters + 1
         gd_rows = sum(1 for r in res.trace if r.phase == "gd")
         agd_rows = sum(1 for r in res.trace if r.phase == "agd")
         assert gd_rows == res.gd_iters and agd_rows == res.agd_iters
 
     def test_superquadratic_path_ball_confinement(self):
-        p = catalog("quadratic", {"L": 1.0, "d": 2})
         model = Power(3, 1, 1)  # valid majorant: 1 + s^3 >= 1 = ||hess||
+        p = dataclasses.replace(catalog("quadratic", {"L": 1.0, "d": 2}), ell_model=model)
         r_bar = 2.0
         m_bar = estimate_grad_bound(p, r_bar)
         delta = select_delta(model, r_bar, m_bar=m_bar)
-        res = algorithm1_run(p, model, np.array([1.0, 1.0]), delta, r_bar,
-                             1e-9, 100000, m_bar=m_bar, strict=True)
+        res = algorithm1_run(p, np.array([1.0, 1.0]), delta, r_bar, 1e-9, 100000, m_bar=m_bar,
+                             strict=True)
         assert res.converged and res.flags_total == 0
 
     def test_superquadratic_refused_without_m_bar(self):
-        p = catalog("quadratic", {"L": 1.0, "d": 2})
         model = Power(3, 1, 1)
+        p = dataclasses.replace(catalog("quadratic", {"L": 1.0, "d": 2}), ell_model=model)
         delta = select_delta(model, 2.0, m_bar=estimate_grad_bound(p, 2.0))
-        res = algorithm1_run(p, model, np.array([1.0, 1.0]), delta, 2.0, 1e-9, 100)
+        res = algorithm1_run(p, np.array([1.0, 1.0]), delta, 2.0, 1e-9, 100)
         assert res.termination == "precondition-failed"
         assert "m_bar" in res.message and res.oracle_calls == 1
 
     def test_superquadratic_bad_delta(self):
-        p = catalog("quadratic", {"L": 1.0, "d": 2})
         model = Power(3, 1, 1)
-        res = algorithm1_run(p, model, np.array([1.0, 1.0]),
-                             model.psi_sup * 0.9, 2.0, 1e-9, 100,
+        p = dataclasses.replace(catalog("quadratic", {"L": 1.0, "d": 2}), ell_model=model)
+        res = algorithm1_run(p, np.array([1.0, 1.0]), model.psi_sup * 0.9, 2.0, 1e-9, 100,
                              m_bar=5.66)
         assert res.termination == "precondition-failed"
 
 
 class TestRunParameters:
     RUNS = {
-        "gd": lambda p, eps, r_bar, budget: gd_run(
-            p, p.ell_model, np.array([2.0]), eps, r_bar, budget),
+        "gd": lambda p, eps, r_bar, budget: gd_run(p, np.array([2.0]), eps, r_bar, budget),
         "agd1": lambda p, eps, r_bar, budget: algorithm1_run(
-            p, p.ell_model, np.array([2.0]), math.inf, r_bar, eps, budget),
+            p, np.array([2.0]), math.inf, r_bar, eps, budget),
         "agd2": lambda p, eps, r_bar, budget: algorithm2_run(
-            p, p.ell_model, np.array([2.0]), 4.0, r_bar, eps, budget),
+            p, np.array([2.0]), 4.0, r_bar, eps, budget),
     }
     BAD = {
         "epsilon-zero": (0.0, 4.0, 10),
@@ -726,6 +724,46 @@ class TestRunParameters:
         with pytest.raises(ConfigurationError, match="a run needs epsilon > 0, "
                            "a finite r_bar > 0 and budget >= 1"):
             self.RUNS[algorithm](p, *self.BAD[case])
+
+    START = {
+        "gd": lambda p, x0: gd_run(p, x0, 1e-6, 10.0, 1000),
+        "agd1": lambda p, x0: algorithm1_run(p, x0, math.inf, 10.0, 1e-6, 1000),
+        "agd2": lambda p, x0: algorithm2_run(p, x0, None, 10.0, 1e-6, 1000),
+    }
+
+    @pytest.mark.parametrize("algorithm, x0, shown", [
+        ("gd", ["abc", 1.0], "'abc'"),
+        ("agd2", ["1.0", 2.0], "'1.0'"),
+        ("gd", ("1.0", 2.0), "'1.0'"),
+        ("agd1", [None, 2.0], "None"),
+        ("agd2", np.array(["1.0", "2.0"]), "'1.0'"),
+        ("agd1", [[1.0], 2.0], "[1.0]"),
+    ], ids=["gd-list-text", "agd2-list-numeric-text", "gd-tuple-numeric-text",
+            "agd1-list-none", "agd2-array-numeric-text", "agd1-list-ragged"])
+    def test_a_start_coordinate_that_is_not_a_real_number_is_a_domain_error(
+            self, algorithm, x0, shown):
+        # x0 is read by evaluate's rule: NumPy would parse "1.0", and the
+        # run converge, read None as NaN, or raise a raw ValueError (on
+        # "abc" or a ragged point)
+        with pytest.raises(DomainError) as err:
+            self.START[algorithm](catalog("quadratic"), x0)
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"quadratic: coordinate 0 = {shown} is not a real number"
+
+    @pytest.mark.parametrize("d", [2, 20])
+    @pytest.mark.parametrize("kind", [list, tuple, np.array, lambda v: np.array(v, dtype=object)],
+                             ids=["list", "tuple", "array", "object-array"])
+    @pytest.mark.parametrize("algorithm", sorted(START))
+    def test_every_real_start_runs_as_its_floats(self, algorithm, kind, d):
+        # ints, NumPy scalars and arrays start the run that their floats start
+        p = catalog("quadratic", {"d": d})
+        coords = [3, np.float64(2.0)] + [1] * (d - 2)
+        floats = tuple(float(v) for v in coords) if d <= solvers._FLOAT_DIM else np.array(
+            coords, dtype=float)
+        want, got = (self.START[algorithm](p, x0) for x0 in (floats, kind(coords)))
+        assert got.converged and got.oracle_calls == want.oracle_calls
+        assert got.trace == want.trace
+        assert np.array_equal(got.state.y, want.state.y)
 
     @pytest.mark.parametrize("algorithm", ["gd", "agd1", "agd2"])
     def test_divergence_raises_without_numpy_warnings(self, algorithm):
@@ -811,18 +849,18 @@ class TestRunParameters:
         # Only the known optimum exposes the short r_bar
         x0 = np.array([1.0, 1.0])
         blind = catalog("quadratic", {"known_optimum": False})
-        res = algorithm2_run(blind, blind.ell_model, x0, 1.0, 0.01, 1e-2, 1000)
+        res = algorithm2_run(blind, x0, 1.0, 0.01, 1e-2, 1000)
         assert res.converged and res.oracle_calls == 1 and res.flags_total == 0
         assert res.achieved_gap == pytest.approx(1e-4)
         assert evaluate(blind, res.state.y)[0] == 1.0  # f* = 0
-        res = algorithm1_run(blind, blind.ell_model, x0, math.inf, 0.01, 1e-4, 1000)
+        res = algorithm1_run(blind, x0, math.inf, 0.01, 1e-4, 1000)
         assert res.converged and res.oracle_calls == 5 and res.flags_total == 0
         assert res.achieved_gap == pytest.approx(9.85e-5, rel=1e-3)
         assert evaluate(blind, res.state.y)[0] == pytest.approx(0.2284, rel=1e-3)
 
         seen = catalog("quadratic")
-        for res in (algorithm2_run(seen, seen.ell_model, x0, 1.0, 0.01, 1e-2, 1000),
-                    algorithm1_run(seen, seen.ell_model, x0, math.inf, 0.01, 1e-4, 1000)):
+        for res in (algorithm2_run(seen, x0, 1.0, 0.01, 1e-2, 1000),
+                    algorithm1_run(seen, x0, math.inf, 0.01, 1e-4, 1000)):
             assert res.termination == "precondition-failed"
             assert res.message == "r_bar is below the true initial distance"
 
@@ -837,10 +875,10 @@ class TestRunScope:
     OUTSIDE = {"over": "raise", "invalid": "print", "divide": "warn", "under": "ignore"}
 
     RUNS = {
-        "gd": lambda p: gd_run(p, p.ell_model, np.array([2.0]), 1e-6, 4.0, 1000),
-        "agd1": lambda p: algorithm1_run(p, p.ell_model, np.array([2.0]),
+        "gd": lambda p: gd_run(p, np.array([2.0]), 1e-6, 4.0, 1000),
+        "agd1": lambda p: algorithm1_run(p, np.array([2.0]),
                                          select_delta(p.ell_model, 4.0), 4.0, 1e-6, 1000),
-        "agd2": lambda p: algorithm2_run(p, p.ell_model, np.array([2.0]), 4.0, 4.0,
+        "agd2": lambda p: algorithm2_run(p, np.array([2.0]), 4.0, 4.0,
                                          1e-6, 1000),
     }
 
@@ -858,7 +896,7 @@ class TestRunScope:
         with np.errstate(**self.OUTSIDE):
             with pytest.raises(SafetyViolationError, match="flags noted before it: "
                                "GRAD_ENVELOPE"):
-                algorithm2_run(p, p.ell_model, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1000)
+                algorithm2_run(p, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1000)
             assert np.geterr() == self.OUTSIDE
 
 
@@ -871,7 +909,7 @@ class TestAlgorithm2:
         p = Problem("linear", 2, FullSpace(), Constant(1.0),
                     lambda x: (math.fsum(x), (1.0, 1.0)), Optimum(0.0, np.zeros(2)),
                     np.zeros(2), np.ones(2))
-        res = algorithm2_run(p, p.ell_model, np.array([1e200, 1e200]), None, 1.0, 1e-6, 10)
+        res = algorithm2_run(p, np.array([1e200, 1e200]), None, 1.0, 1e-6, 10)
         assert res.termination == "precondition-failed" and res.gamma_cap0 == 0.0
         assert res.message == "r_bar is below the true initial distance"
 
@@ -879,43 +917,44 @@ class TestAlgorithm2:
         # |x0 - x*| = 2.8e-241 is positive and its square is 0: the run
         # starts at level 1, as from the optimum itself, with no division
         p = catalog("power-p")
-        res = algorithm2_run(p, p.ell_model, np.array([0.0, 2.8e-241]), None, 1.0, 1.0, 1,
+        res = algorithm2_run(p, np.array([0.0, 2.8e-241]), None, 1.0, 1.0, 1,
                              check_invariants=False, collect_trace=False)
         assert res.converged and res.gamma_cap0 == 1.0
 
     def test_overflowing_start_is_a_domain_violation(self):
         p = catalog("exp-experiment", {})
         with pytest.raises(DomainViolationError, match="overflow"):
-            algorithm2_run(p, p.ell_model, np.array([-800.0, 0.0]), 1e6, 1e3, 1e-6, 100)
+            algorithm2_run(p, np.array([-800.0, 0.0]), 1e6, 1e3, 1e-6, 100)
 
     def test_nan_start_is_a_domain_violation(self):
         p = catalog("exp-1d", {})
         with pytest.raises(DomainViolationError, match="not finite"):
-            algorithm2_run(p, p.ell_model, np.array([math.nan]), 4.0, 4.0, 1e-6, 100)
+            algorithm2_run(p, np.array([math.nan]), 4.0, 4.0, 1e-6, 100)
 
     @pytest.mark.parametrize("model", [Affine(4.0, 0.0), Power(0.0, 1.0, 3.0)])
     def test_flat_profiles_use_one_over_ell_zero(self, model):
-        p = catalog("quadratic", {"L": 4.0, "d": 2})
-        res = algorithm2_run(p, model, np.ones(2), 4.0, 2.0, 1e-10, 10000)
+        p = dataclasses.replace(catalog("quadratic", {"L": 4.0, "d": 2}), ell_model=model)
+        res = algorithm2_run(p, np.ones(2), 4.0, 2.0, 1e-10, 10000)
         assert res.converged and res.flags_total == 0
         assert {r.step_gamma for r in res.trace if r.phase == "agd"} == {0.25}
 
     def test_constant_model_uses_one_over_L(self):
         p = catalog("quadratic", {"L": 4.0, "d": 2})
-        res = algorithm2_run(p, p.ell_model, np.ones(2), 4.0, 2.0, 1e-10, 10000)
+        res = algorithm2_run(p, np.ones(2), 4.0, 2.0, 1e-10, 10000)
         gammas = {r.step_gamma for r in res.trace if r.phase == "agd"}
         assert gammas == {0.25}
 
     def test_rejects_superquadratic(self):
-        p = catalog("quadratic", {"L": 1.0, "d": 2})
+        p = dataclasses.replace(catalog("quadratic", {"L": 1.0, "d": 2}),
+                                ell_model=Power(3, 1, 1))
         with pytest.raises(ConfigurationError):
-            algorithm2_run(p, Power(3, 1, 1), np.ones(2), 1.0, 2.0, 1e-6, 100)
+            algorithm2_run(p, np.ones(2), 1.0, 2.0, 1e-6, 100)
 
     def test_rejects_out_of_range_start_level(self):
         # rho = 2 keeps psi bounded: sup psi = 1/(32 L1)
         p = catalog("neg-log-barrier", {"c": 1.0, "d": 2})
         with pytest.raises(ConfigurationError):
-            algorithm2_run(p, p.ell_model, np.full(2, 2.0), 100.0, 10.0, 1e-6, 100)
+            algorithm2_run(p, np.full(2, 2.0), 100.0, 10.0, 1e-6, 100)
 
     def test_bounded_psi_in_range_works(self):
         # bounded psi (rho = 2) only admits starts whose certificate level
@@ -927,19 +966,19 @@ class TestAlgorithm2:
         f0, _, _ = evaluate(p, x0)
         gcap0 = 2.0 * (f0 - p.optimum.f_star) / r0**2
         assert gcap0 * r_bar**2 < p.ell_model.psi_sup
-        res = algorithm2_run(p, p.ell_model, x0, gcap0, r_bar, 1e-12, 100000, strict=True)
+        res = algorithm2_run(p, x0, gcap0, r_bar, 1e-12, 100000, strict=True)
         assert res.converged and res.flags_total == 0
 
     def test_start_level_within_rounding_of_the_peak(self):
         # Gamma_0 r_bar^2 is the float below sup psi = 1 / 32, where psi is
         # flat in floats; the first step is 1 / ell(4 x) at the exact root x
-        p = catalog("quadratic")
         model = Power(2, 1.0, 1.0)
+        p = dataclasses.replace(catalog("quadratic"), ell_model=model)
         r_bar = 0.15
         gcap0 = math.nextafter(1 / 32, 0.0) / r_bar**2
         t = gcap0 * (r_bar * r_bar)
         assert t == math.nextafter(model.psi_sup, 0.0)
-        res = algorithm2_run(p, model, np.array([0.1, 0.1]), gcap0, r_bar, 1e-8, 1000)
+        res = algorithm2_run(p, np.array([0.1, 0.1]), gcap0, r_bar, 1e-8, 1000)
         assert res.converged and res.flags_total == 0 and res.oracle_calls == 13
         first = next(r for r in res.trace if r.phase == "agd")
         root = float(decimal_psi_root(model, t))
@@ -948,12 +987,12 @@ class TestAlgorithm2:
 
     def test_gamma_cap0_too_small(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2})
-        res = algorithm2_run(p, p.ell_model, np.ones(2), 1e-6, 2.0, 1e-10, 1000)
+        res = algorithm2_run(p, np.ones(2), 1e-6, 2.0, 1e-10, 1000)
         assert res.termination == "precondition-failed"
 
     def test_step_sizes_non_decreasing(self):
         p = catalog("exp-1d", {})
-        res = algorithm2_run(p, p.ell_model, np.array([3.0]), 5.0, 4.0, 1e-9, 10000,
+        res = algorithm2_run(p, np.array([3.0]), 5.0, 4.0, 1e-9, 10000,
                              strict=True)
         assert res.converged and res.flags_total == 0
         gammas = [r.step_gamma for r in res.trace if r.phase == "agd"]
@@ -965,7 +1004,7 @@ class TestAlgorithm2:
         # only, and each step is 1 / ell(4 psi_inverse) in closed form
         p = catalog("exp-experiment", {"mu": 0.001})
         m = p.ell_model
-        runs = [algorithm2_run(p, m, np.array(x0), 100.0, 100.0, 1e-6, 1000)
+        runs = [algorithm2_run(p, np.array(x0), 100.0, 100.0, 1e-6, 1000)
                 for x0 in ([-6.0, -5.0], [3.0, 2.0])]
         rows_a, rows_b = ([r for r in res.trace if r.phase == "agd"] for res in runs)
         n = min(len(rows_a), len(rows_b))
@@ -987,22 +1026,21 @@ class TestAlgorithm2:
         # Gamma r_bar^2 and Gamma r_bar r_bar round differently; the summary
         # must report the bound the loop stopped on, as the trace records it
         p = catalog("exp-1d", {"known_optimum": False})
-        res = algorithm2_run(p, p.ell_model, np.array([2.0]), gamma_cap0, r_bar, 1e-6, 100000,
+        res = algorithm2_run(p, np.array([2.0]), gamma_cap0, r_bar, 1e-6, 100000,
                              check_invariants=False)
         assert res.converged
         assert res.achieved_gap == res.trace[-1].bound_gap <= 1e-6
 
     def test_stationary_start(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2, "known_optimum": False})
-        res = algorithm2_run(p, p.ell_model, np.zeros(2), 1.0, 1.0, 1e-9, 100)
+        res = algorithm2_run(p, np.zeros(2), 1.0, 1.0, 1e-9, 100)
         assert res.converged and res.achieved_gap == 0.0 and res.oracle_calls == 1
 
     def test_divergence_names_the_flags_noted_before_it(self):
         # Gamma_0 = 1/64 is below the 2 (f0 - f*) / r0^2 = 93.1 floor: the
         # breach shows as GRAD_ENVELOPE at k = 0, then y overflows
         p = catalog("exp-1d", {"known_optimum": False})
-        run = functools.partial(algorithm2_run, p, p.ell_model, np.array([8.0]),
-                                1 / 64, 8.0, 1e-6, 1000)
+        run = functools.partial(algorithm2_run, p, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1000)
         with pytest.raises(SafetyViolationError, match="GRAD_ENVELOPE") as observed:
             run()
         with pytest.raises(SafetyViolationError) as unchecked:
@@ -1017,12 +1055,12 @@ class TestAlgorithm2:
         # the pre-step breaches at k = 0 are noted, then the budget of one
         # call (spent at x0) stops the run before any row is recorded
         p = catalog("exp-1d", {"known_optimum": False})
-        res = algorithm2_run(p, p.ell_model, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1)
+        res = algorithm2_run(p, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1)
         assert res.termination == "budget" and res.trace == []
         assert res.flags_total == Flag.GRAD_ENVELOPE | Flag.STEP_SAFETY
         first_breach = r"^GRAD_ENVELOPE broken at k=0: \S+ > \S+$"
         with pytest.raises(InvariantViolationError, match=first_breach):
-            algorithm2_run(p, p.ell_model, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1, strict=True)
+            algorithm2_run(p, np.array([8.0]), 1 / 64, 8.0, 1e-6, 1, strict=True)
 
     def test_warmup_bound_is_smallest(self):
         model = Affine(3.301, 1.0)
@@ -1096,6 +1134,7 @@ def counted_runs(draw):
     # the largest warm-start target that the profile admits, up to the one
     # at which a warm start without the optimum takes no GD step
     delta = min(model.admissible_boundary, 2.0 * gn0 * r_bar)
+    problem = dataclasses.replace(problem, ell_model=model)
     return problem, model, x0, r_bar, gamma_cap0, epsilon, delta
 
 
@@ -1112,7 +1151,7 @@ class TestCountIsTheRecurrence:
 
         adaptive = rule_updates(gamma_cap0, r_bar, epsilon,
                                 lambda bound: 1.0 / model.ell(4.0 * psi_inverse(model, bound)))
-        runs = [algorithm2_run(p, model, x0, gamma_cap0, r_bar, epsilon, 10**6, **quiet)
+        runs = [algorithm2_run(p, x0, gamma_cap0, r_bar, epsilon, 10**6, **quiet)
                 for p in (withheld, problem)]
         assert all(res.converged for res in runs)
         assert runs[0].oracle_calls == 1 + adaptive
@@ -1120,7 +1159,7 @@ class TestCountIsTheRecurrence:
 
         fixed = rule_updates(delta / r_bar**2, r_bar, epsilon,
                              lambda bound: 1.0 / (2.0 * model.ell(0.0)))
-        runs = [algorithm1_run(p, model, x0, delta, r_bar, epsilon, 10**6, **quiet)
+        runs = [algorithm1_run(p, x0, delta, r_bar, epsilon, 10**6, **quiet)
                 for p in (withheld, problem)]
         assert all(res.converged for res in runs)
         assert runs[0].agd_iters == fixed
@@ -1194,7 +1233,7 @@ class TestTraceFormat:
 
     def test_round_trip_floats(self):
         p = catalog("exp-1d", {})
-        res = algorithm2_run(p, p.ell_model, np.array([3.0]), 5.0, 4.0, 1e-6, 1000)
+        res = algorithm2_run(p, np.array([3.0]), 5.0, 4.0, 1e-6, 1000)
         row = format_trace_row(res.trace[0])
         fields = row.split(",")
         assert len(fields) == 11
@@ -1203,7 +1242,7 @@ class TestTraceFormat:
 
     def test_missing_optimum_leaves_blanks(self):
         p = catalog("quadratic", {"L": 1.0, "d": 2, "known_optimum": False})
-        res = algorithm2_run(p, p.ell_model, np.ones(2), 2.0, 2.0, 1e-3, 1000)
+        res = algorithm2_run(p, np.ones(2), 2.0, 2.0, 1e-3, 1000)
         row = format_trace_row(res.trace[0])
         fields = row.split(",")
         assert fields[2] == "" and fields[7] == "" and fields[9] == ""
@@ -1212,9 +1251,9 @@ class TestTraceFormat:
         # claiming half the true curvature makes the adaptive step twice the
         # stable size; observe mode must record the resulting violation bits
         # as plain integers in every trace row
-        p = catalog("quadratic", {"L": 1.0, "d": 2})
-        res = algorithm2_run(p, Constant(0.5), np.ones(2), 2.0, 2.0, 1e-10, 40,
-                             strict=False)
+        p = dataclasses.replace(catalog("quadratic", {"L": 1.0, "d": 2}),
+                                ell_model=Constant(0.5))
+        res = algorithm2_run(p, np.ones(2), 2.0, 2.0, 1e-10, 40, strict=False)
         assert res.flags_total > 0
         flagged = [r for r in res.trace if r.flags]
         assert flagged, "expected at least one flagged row"
@@ -1236,8 +1275,8 @@ class TestTraceFormat:
         p = catalog("exp-1d", {})
         q = catalog("exp-1d", {"known_optimum": False})
         delta = select_delta(p.ell_model, 4.0)
-        runs = [algorithm1_run(p, p.ell_model, np.array([3.0]), delta, 4.0, 1e-6, 1000),
-                algorithm2_run(q, q.ell_model, np.array([3.0]), 5.0, 4.0, 1e-6, 1000)]
+        runs = [algorithm1_run(p, np.array([3.0]), delta, 4.0, 1e-6, 1000),
+                algorithm2_run(q, np.array([3.0]), 5.0, 4.0, 1e-6, 1000)]
         assert {r.phase for r in runs[0].trace} == {"gd", "agd"}
         for res in runs:
             for rec in res.trace:
@@ -1323,13 +1362,13 @@ class TestCertificates:
             r_bar = 2.0 * float(np.linalg.norm(x0 - p.optimum.x_star)) + 1.0
             if algo == "agd1":
                 delta = select_delta(p.ell_model, r_bar)
-                res = algorithm1_run(p, p.ell_model, x0, delta, r_bar, 1e-8,
+                res = algorithm1_run(p, x0, delta, r_bar, 1e-8,
                                      100000, strict=True)
             else:
                 f0, _, _ = evaluate(p, x0)
                 r0 = float(np.linalg.norm(x0 - p.optimum.x_star))
                 gcap0 = 2.0 * (f0 - p.optimum.f_star) / r0**2
-                res = algorithm2_run(p, p.ell_model, x0, gcap0, r_bar, 1e-8,
+                res = algorithm2_run(p, x0, gcap0, r_bar, 1e-8,
                                      100000, strict=True)
             assert res.converged and res.flags_total == 0
             for rec in res.trace:

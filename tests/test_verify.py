@@ -6,7 +6,6 @@ import math
 import pkgutil
 import random
 import re
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -35,7 +34,7 @@ from agdsmooth import (
     evaluate,
     smoothness,
 )
-from agdsmooth import cli, verify
+from agdsmooth import cli, config, verify
 from agdsmooth.problems import FullSpace, Problem, norm
 from agdsmooth.verify import (
     _BOUND_SLACK,
@@ -483,12 +482,13 @@ class TestMarginBound:
     bound is at or above the sweep's floor.  The bound is no larger than the
     exact margin in floats wherever the profile's computed q inverse is at
     least fl(r ell(a) (1 - 1e-9)) and its computed weight at most
-    fl(0.5 (1 + 1e-9) / ell(a)): rounding is monotone.  A NaN bound is
-    below every floor and settles nothing."""
+    fl(0.5 (1 + 1e-9) / ell(a)): rounding is monotone.  Below the normal
+    range the slack can round away, so there the checks take the exact
+    margin.  A NaN bound is below every floor and settles nothing."""
 
-    @given(BOUND_PROFILES, NORM, log_uniform(-300, 300),
+    @given(BOUND_PROFILES, NORM, st.one_of(log_uniform(-323, -300), log_uniform(-300, 300)),
            st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-    def test_q_inverse_is_at_least_the_transfer_bound(self, model, a, r, fraction):
+    def test_the_transfer_bound_is_at_most_the_exact_margin(self, model, a, r, fraction):
         try:
             budget = smoothness.q_max(model, a)
         except OutOfRangeError:
@@ -497,12 +497,27 @@ class TestMarginBound:
             r = fraction * budget
         if not r < budget:
             return  # q_max(a) is 0 in floats, so no pair is admissible
-        bound = r * smoothness.ell_eval(model, a) * (1.0 - _BOUND_SLACK)
-        if bound < sys.float_info.min:
-            # a subnormal step, which its own rounding moves by more than
-            # the slack: 2e-315 is a multiple of 5e-324, 2.5e-9 relative
-            return
-        assert not smoothness.q_inverse(model, r, a) < bound
+        # a gradient field of norm a everywhere: the exact margin is q
+        # inverse itself, and the bound r ell(a) (1 - 1e-9) wherever the
+        # check settles on it; a subnormal r ell(a) moves by more than the
+        # slack in its own rounding (2e-315 is a multiple of 5e-324, 2.5e-9
+        # relative), so there the check takes the exact margin
+        p = Problem("field", 1, FullSpace(), model, lambda x: (0.0, (a,)), None, (0.0,), (1.0,))
+        x, y = (0.0,), (r,)
+        exact = check_gradient_transfer(p, x, y)
+        assert exact == smoothness.q_inverse(model, r, a) or math.isnan(exact)
+        assert not check_gradient_transfer(p, x, y, floor=-math.inf) > exact
+
+    def test_a_subnormal_transfer_bound_is_not_taken(self):
+        # r ell(0) = 3.63e-316 is subnormal, where the computed q inverse
+        # lies below r ell(0) (1 - 1e-9): that bound would exceed the exact
+        # margin, so the check takes the exact one at every floor
+        model = Power(1.75, 1e-3, 10)
+        p = replace(catalog("quadratic"), ell_model=model)
+        x, y = (0.0, 0.0), (3.63102997344e-313, 0.0)
+        assert smoothness.q_inverse(model, y[0], 0.0) < y[0] * 1e-3 * (1.0 - _BOUND_SLACK)
+        exact = check_gradient_transfer(p, x, y)
+        assert check_gradient_transfer(p, x, y, floor=-math.inf) <= exact
 
     @given(BOUND_PROFILES, NORM, log_uniform(-300, 300))
     def test_weight_is_at_most_the_convexity_bound(self, model, a, d):
@@ -731,10 +746,11 @@ class TestNonFiniteVerdict:
     @pytest.fixture
     def steep_catalog(self, monkeypatch, tmp_path):
         monkeypatch.setenv("AGDSMOOTH_OUTPUT_DIR", str(tmp_path))
-        plain = cli.catalog
+        plain = config.catalog
 
         def steep(scale):
-            monkeypatch.setattr(cli, "catalog",
+            # verify builds its problem in config.claimed_problem
+            monkeypatch.setattr(config, "catalog",
                                 lambda name, params=None: gradient_from(plain(name, params), scale))
 
         return steep
